@@ -101,8 +101,7 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _curv1_residual(spec: SasakianSpaceFormSpec, pt: np.ndarray) -> float:
-    curv = riemann_at(spec.model, pt)
+def _curv1_residual(spec: SasakianSpaceFormSpec, pt: np.ndarray, curv) -> float:
     closed = space_form_r4_at(spec, pt)
     return float(np.max(np.abs(curv.r4 - closed)))
 
@@ -113,7 +112,7 @@ def _spaceform_structure(spec: SasakianSpaceFormSpec, pts, tol: Tolerances):
     for pt in pts:
         for key, val in verify_sasakian(spec, pt).items():
             sas[key] = max(sas.get(key, 0.0), float(val))
-        curv1 = max(curv1, _curv1_residual(spec, pt))
+        curv1 = max(curv1, _curv1_residual(spec, pt, riemann_at(spec.model, pt)))
     section = {
         "points": len(pts),
         "sasakian": sas,
@@ -124,7 +123,9 @@ def _spaceform_structure(spec: SasakianSpaceFormSpec, pts, tol: Tolerances):
     return section, checks
 
 
-def _submersion_structure(sub: SubmersionModel, pts, tol: Tolerances):
+def _submersion_structure(sub: SubmersionModel, analyses, tol: Tolerances):
+    """Structure section over the analyzed sample points; each point reuses
+    the connection, curvature, and frame of its analysis."""
     spec = sub.total
     sas = {}
     lemmas = {}
@@ -132,19 +133,21 @@ def _submersion_structure(sub: SubmersionModel, pts, tol: Tolerances):
     kernel = 0.0
     lengths = []
     pd_flags = []
-    for pt in pts:
-        for key, val in verify_sasakian(spec, pt).items():
+    for analysis in analyses:
+        calc = analysis.calc
+        pt = calc.coords
+        for key, val in verify_sasakian(spec, pt, conn=calc.conn).items():
             sas[key] = max(sas.get(key, 0.0), float(val))
-        curv1 = max(curv1, _curv1_residual(spec, pt))
-        chk = verify_riemannian_submersion(sub, pt)
+        curv1 = max(curv1, _curv1_residual(spec, pt, calc.curvature))
+        chk = verify_riemannian_submersion(sub, pt, calc)
         kernel = max(kernel, float(chk.kernel_residual))
         lengths.append(float(chk.length_residual))
         pd_flags.append(bool(chk.base_pd))
-        for key, val in verify_structure_lemmas(sub, pt).items():
+        for key, val in verify_structure_lemmas(sub, pt, calc).items():
             lemmas[key] = max(lemmas.get(key, 0.0), float(val))
     length = max(lengths)
     section = {
-        "points": len(pts),
+        "points": len(analyses),
         "sasakian": sas,
         "curvature": {"curv1": curv1},
         "submersion": {
@@ -252,17 +255,16 @@ def run(config: RunConfig) -> Report:
         sub = model_obj
         model_name = sub.name
         pts = sample_submersion_points(sub, scfg)
+        # one analysis per point, shared by every section
+        analyses = [analyze_point(sub, pt) for pt in pts]
         if config.command in ("verify", "report"):
-            structure, structure_checks = _submersion_structure(sub, pts, tol)
+            structure, structure_checks = _submersion_structure(sub, analyses, tol)
             checks.update(structure_checks)
-        if config.command in ("verify", "theorems", "report"):
-            analyses = [analyze_point(sub, pt) for pt in pts]
-            if config.command in ("verify", "report"):
-                identities, id_checks = _identity_section(analyses, tol)
-                checks.update(id_checks)
-            if config.command in ("theorems", "report"):
-                theorems, th_checks = _theorem_section(sub, analyses, config)
-                checks.update(th_checks)
+            identities, id_checks = _identity_section(analyses, tol)
+            checks.update(id_checks)
+        if config.command in ("theorems", "report"):
+            theorems, th_checks = _theorem_section(sub, analyses, config)
+            checks.update(th_checks)
 
     verdict, flags_raised = decide_verdict(checks, model_name)
     return Report(

@@ -154,17 +154,19 @@ def build_r2m1(m: int) -> SasakianSpaceFormSpec:
     return SasakianSpaceFormSpec(c=-3.0, structure=structure, frame=tuple(frame))
 
 
-def verify_sasakian(spec: SasakianSpaceFormSpec, coords) -> dict:
+def verify_sasakian(spec: SasakianSpaceFormSpec, coords, conn=None) -> dict:
     """Residuals of the defining identities at one point, all as max-abs.
 
     Checks, over coordinate fields: the algebraic almost-contact relations,
     metric compatibility of phi, eta = g(., xi), the Reeb derivative law
-    nabla_X xi = -phi X, and the covariant-derivative law of phi.
+    nabla_X xi = -phi X, and the covariant-derivative law of phi. ``conn``
+    is the connection at ``coords`` when the caller already has it.
     """
     st = spec.structure
     model = st.model
     d = model.dim
-    conn = christoffel_at(model, coords)
+    if conn is None:
+        conn = christoffel_at(model, coords)
     gv = conn.metric.value
     phi_v, dphi = st.phi_at(coords, order=1)
     eta_v = st.eta_at(coords)

@@ -1,10 +1,29 @@
 """Forward-mode jets carrying value, gradient, and Hessian.
 
-A :class:`ScalarJet` propagates exact first and second derivatives through
-arithmetic. Hessians are stored as full dense symmetric arrays; every
-product rule uses :func:`_sym_outer` so symmetry holds bit-exactly, not just
-to rounding. Dimensions stay small (chart dims <= 5) so dense storage wins
-over any sparse cleverness.
+Two jet types serve two layers:
+
+- :class:`ScalarJet` is the coordinate jet. Model callables (metric
+  entries, contact data, vector-field components, projections) receive
+  seeded ``ScalarJet`` coordinates and compute with them one scalar at a
+  time, so the metric, Christoffel symbols, and curvature of
+  ``riemannian`` and ``contact`` come from it.
+- :class:`ArrayJet` is the struct-of-arrays jet of the submersion layer
+  (hyper-dual numbers in vectorized forward mode): one array of values,
+  one of gradients, one of Hessians, with leading batch axes that
+  broadcast. The adapted frame and the first derivatives of the
+  fundamental tensors run on it, batched over frame pairs and chart
+  components.
+
+Every ``ArrayJet`` operation does, element by element, the float operations
+of the same ``ScalarJet`` operation in the same order and association, so
+each element equals the ``ScalarJet`` result bit for bit. Sums over terms
+(:func:`sum_terms`) add one term at a time in a fixed index order for the
+same reason.
+
+Hessians are stored as full dense symmetric arrays; every product rule uses
+:func:`_sym_outer` so symmetry holds bit-exactly, not just to rounding.
+Dimensions stay small (chart dims <= 9) so dense storage wins over any
+sparse cleverness.
 
 A jet with ``hessian=None`` is an order-1 jet: gradient only. Mixing an
 order-1 jet into any operation demotes the result to order 1. This is how
@@ -29,6 +48,15 @@ _DIV_GUARD = 1e-300
 def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a b^T + b a^T; bit-exact symmetric because float + and * commute.
     return np.outer(a, b) + np.outer(b, a)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.outer over the last axis, batched over the leading ones.
+    return a[..., :, None] * b[..., None, :]
+
+
+def _batch_sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _outer(a, b) + _outer(b, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,46 +284,239 @@ def jet_eval(f, coords, order: int = 2) -> ScalarJet:
     return as_jet(f(p.vars), p.dim, order=order)
 
 
-def jet_solve(matrix, rhs) -> list:
-    """Solve A x = b by Gaussian elimination where entries may be jets.
-
-    Pivoting compares ``|value|`` only; derivative parts ride along. Used for
-    Gram-matrix solves whose entries are jets of metric pairings.
-    """
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise RejectedInputError("jet_solve expects a square system")
-    a = [list(row) for row in matrix]
-    b = list(rhs)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(_jet_value(a[r][col])))
-        if abs(_jet_value(a[piv][col])) < 1e-12:
-            raise SingularEvaluationError("jet_solve pivot collapsed")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] = a[r][c] - factor * a[col][c]
-            b[r] = b[r] - factor * b[col]
-    x: list = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc = acc - a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
-
-
-def _jet_value(x) -> float:
-    return x.value if isinstance(x, ScalarJet) else float(x)
-
-
 def sqrt(x):
     """sqrt that dispatches on jets and plain floats alike."""
-    if isinstance(x, ScalarJet):
+    if isinstance(x, (ScalarJet, ArrayJet)):
         return x.sqrt()
     if x <= 0.0:
         raise SingularEvaluationError(f"sqrt of non-positive value {x!r}")
     return math.sqrt(x)
+
+
+class ArrayJet:
+    """Jets of a batch of scalar functions at one point, as three arrays.
+
+    ``value`` has the batch shape ``(...)``, ``gradient`` ``(..., d)`` and
+    ``hessian`` ``(..., d, d)``, or ``None`` for an order-1 jet. Batch axes
+    broadcast as numpy arrays do, and indexing addresses batch axes only.
+    Arithmetic mirrors :class:`ScalarJet` operation for operation (the
+    same guards and error classes, the same demotion to order 1), so every
+    element is bit-identical to the ``ScalarJet`` result.
+    """
+
+    __slots__ = ("value", "gradient", "hessian")
+
+    def __init__(self, value, gradient, hessian=None):
+        self.value = value
+        self.gradient = gradient
+        self.hessian = hessian
+
+    @property
+    def dim(self) -> int:
+        return self.gradient.shape[-1]
+
+    @property
+    def order(self) -> int:
+        return 1 if self.hessian is None else 2
+
+    @property
+    def shape(self) -> tuple:
+        return np.shape(self.value)
+
+    def __getitem__(self, index) -> "ArrayJet":
+        if not isinstance(index, tuple):
+            index = (index,)
+        hess = None if self.hessian is None else self.hessian[index + (slice(None),) * 2]
+        return ArrayJet(self.value[index], self.gradient[index + (slice(None),)], hess)
+
+    def reshape(self, shape) -> "ArrayJet":
+        shape = tuple(shape)
+        d = self.dim
+        hess = None if self.hessian is None else self.hessian.reshape(shape + (d, d))
+        return ArrayJet(self.value.reshape(shape), self.gradient.reshape(shape + (d,)), hess)
+
+    def first_order(self) -> "ArrayJet":
+        """The same jets without their Hessians."""
+        return ArrayJet(self.value, self.gradient, None)
+
+    def partials(self) -> "ArrayJet":
+        """Order-1 jets of all first partials, on a new last batch axis:
+        element ``[..., i]`` is :func:`deriv` of element ``[...]`` in ``i``."""
+        if self.hessian is None:
+            raise RejectedInputError("partials need order-2 jets")
+        return ArrayJet(self.gradient, self.hessian, None)
+
+    # -- lifting -----------------------------------------------------------
+
+    def _coerce(self, other) -> "ArrayJet":
+        if isinstance(other, ArrayJet):
+            if other.dim != self.dim:
+                raise RejectedInputError(
+                    f"jet dimension mismatch: {self.dim} vs {other.dim}"
+                )
+            return other
+        if isinstance(other, (int, float, np.floating, np.integer)):
+            d = self.dim
+            hess = None if self.hessian is None else np.zeros((d, d))
+            return ArrayJet(float(other), np.zeros(d), hess)
+        return NotImplemented  # type: ignore[return-value]
+
+    def _result_hessian_pair(self, other: "ArrayJet"):
+        if self.hessian is None or other.hessian is None:
+            return None, None
+        return self.hessian, other.hessian
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        ha, hb = self._result_hessian_pair(o)
+        hess = None if ha is None else ha + hb
+        return ArrayJet(self.value + o.value, self.gradient + o.gradient, hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        hess = None if self.hessian is None else -self.hessian
+        return ArrayJet(-self.value, -self.gradient, hess)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        ha, hb = self._result_hessian_pair(o)
+        hess = None if ha is None else ha - hb
+        return ArrayJet(self.value - o.value, self.gradient - o.gradient, hess)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o.__sub__(self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        sv, ov = np.asarray(self.value), np.asarray(o.value)
+        ha, hb = self._result_hessian_pair(o)
+        grad = sv[..., None] * o.gradient + ov[..., None] * self.gradient
+        if ha is None:
+            hess = None
+        else:
+            hess = (
+                ov[..., None, None] * ha
+                + sv[..., None, None] * hb
+                + _batch_sym_outer(self.gradient, o.gradient)
+            )
+        return ArrayJet(sv * ov, grad, hess)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        ov = np.asarray(o.value)
+        if np.any(np.abs(ov) < _DIV_GUARD):
+            raise SingularEvaluationError(
+                "jet division by near-zero denominator "
+                f"{ov[np.abs(ov) < _DIV_GUARD].flat[0]!r}"
+            )
+        w_val = np.asarray(self.value / ov)
+        w_grad = (self.gradient - w_val[..., None] * o.gradient) / ov[..., None]
+        ha, hb = self._result_hessian_pair(o)
+        if ha is None:
+            hess = None
+        else:
+            hess = (
+                ha
+                - _batch_sym_outer(w_grad, o.gradient)
+                - w_val[..., None, None] * hb
+            ) / ov[..., None, None]
+        return ArrayJet(w_val, w_grad, hess)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o.__truediv__(self)
+
+    def sqrt(self) -> "ArrayJet":
+        v = np.asarray(self.value)
+        if np.any(v <= 0.0):
+            raise SingularEvaluationError(
+                f"sqrt of non-positive jet value {v[v <= 0.0].flat[0]!r}"
+            )
+        w = np.sqrt(v)
+        grad = self.gradient / (2.0 * w)[..., None]
+        if self.hessian is None:
+            hess = None
+        else:
+            hess = (self.hessian / 2.0 - _outer(grad, grad)) / w[..., None, None]
+        return ArrayJet(w, grad, hess)
+
+    def __repr__(self) -> str:  # debugging aid only
+        return f"ArrayJet(shape={self.shape}, dim={self.dim}, order={self.order})"
+
+
+def stack(jets) -> ArrayJet:
+    """One ArrayJet from a (nested) sequence of ScalarJets or ArrayJets of
+    one dimension; the nesting becomes the leading batch axes. The result
+    is order 2 only if every element is."""
+    if isinstance(jets, ScalarJet):
+        return ArrayJet(np.float64(jets.value), jets.gradient, jets.hessian)
+    if isinstance(jets, ArrayJet):
+        return jets
+    parts = [stack(j) for j in jets]
+    if not parts:
+        raise RejectedInputError("stack needs at least one jet")
+    if any(p.dim != parts[0].dim for p in parts):
+        raise RejectedInputError("jet dimension mismatch in stack")
+    hess = None
+    if all(p.hessian is not None for p in parts):
+        hess = np.stack([p.hessian for p in parts])
+    return ArrayJet(
+        np.stack([p.value for p in parts]), np.stack([p.gradient for p in parts]), hess
+    )
+
+
+def concat(jets, axis: int = 0) -> ArrayJet:
+    """Join ArrayJets along an existing batch axis (``axis`` >= 0)."""
+    hess = None
+    if all(j.hessian is not None for j in jets):
+        hess = np.concatenate([j.hessian for j in jets], axis=axis)
+    return ArrayJet(
+        np.concatenate([j.value for j in jets], axis=axis),
+        np.concatenate([j.gradient for j in jets], axis=axis),
+        hess,
+    )
+
+
+def sum_terms(terms: ArrayJet, axes, start: ArrayJet | None = None) -> ArrayJet:
+    """Sum ``terms`` over the batch axes ``axes``, one term at a time.
+
+    The terms are taken in row-major order of ``axes`` and added as
+    ``acc = t0`` (or ``start + t0``), then ``acc = acc + t1``, and so on,
+    which is what a loop of ``ScalarJet`` additions does. The sum is the
+    last row of ``np.add.accumulate``, which runs exactly that recurrence;
+    ``np.sum`` would not, since its pairwise summation regroups the terms.
+    """
+    nb = np.ndim(terms.value)
+    axes = tuple(a % nb for a in axes)
+    order = axes + tuple(a for a in range(nb) if a not in axes)
+    parts = [terms.value, terms.gradient]
+    if terms.hessian is not None and (start is None or start.hessian is not None):
+        parts.append(terms.hessian)
+    starts = () if start is None else (start.value, start.gradient, start.hessian)
+    out = []
+    for k, arr in enumerate(parts):
+        moved = arr.transpose(order + tuple(range(nb, arr.ndim)))
+        flat = moved.reshape((-1,) + moved.shape[len(axes):])
+        if start is not None:
+            head = np.broadcast_to(starts[k], flat.shape[1:])
+            flat = np.concatenate([head[None], flat])
+        out.append(np.add.accumulate(flat, axis=0)[-1])
+    return ArrayJet(out[0], out[1], out[2] if len(out) == 3 else None)

@@ -135,7 +135,11 @@ class CurvatureData:
 
 
 def riemann_at(model: ManifoldModel, coords) -> CurvatureData:
-    conn = christoffel_at(model, coords)
+    return curvature_from_connection(christoffel_at(model, coords))
+
+
+def curvature_from_connection(conn: ConnectionData) -> CurvatureData:
+    """Riemann tensor from Christoffel symbols already evaluated at a point."""
     gamma, dgamma = conn.gamma, conn.dgamma
     # R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik
     #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik

@@ -6,10 +6,18 @@ tensors of a submersion, their first covariant derivatives, and pointwise
 structural checks (symmetry, alternation, skew-adjointness, anti-invariance,
 the square identity for the horizontal part of phi).
 
-Everything pointwise routes through ``PointCalculus``, which evaluates each
-declared field as a second-order jet so the orthonormal frame produced by
-Gram-Schmidt is itself a differentiable field and the fundamental tensors
-can be differentiated once more.
+Everything pointwise routes through ``PointCalculus``. Declared fields are
+evaluated as ``ScalarJet`` coordinate jets (the model callables take those)
+and packed into one ``ArrayJet``; from there the layer runs on array jets.
+Gram-Schmidt turns the fields into an orthonormal frame that is itself a
+second-order differentiable field, and one batched pass over all frame
+pairs and chart components gives the value and gradient of the vertical-block
+tensor on vertical frame pairs and of the horizontal-block tensor on
+horizontal pairs, from which their first covariant derivatives follow.
+Every contraction on that path (metric pairing, projection, covariant
+derivative) is a term-by-term sum in a fixed index order, so the results
+are reproducible bit for bit. Values-level work (tensor tables, residuals)
+runs on plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -27,13 +35,15 @@ from .errors import (
     UnsupportedComputationError,
 )
 from .expressions import compile_expression
-from .jets import ScalarJet, as_jet, constant, deriv, seed, sqrt
+from .jets import ArrayJet, as_jet, concat, seed, stack, sum_terms
 from .riemannian import (
     ManifoldModel,
+    MetricData,
     VectorField,
     christoffel_at,
+    curvature_from_connection,
+    metric_at,
     metric_values_raw,
-    riemann_at,
 )
 
 _GS_PIVOT_SQ = 1e-20  # squared-norm pivot; rejects frame vectors shorter than 1e-10
@@ -265,8 +275,13 @@ class SubmersionCheck:
     base_point: np.ndarray
 
 
-def verify_riemannian_submersion(sub: SubmersionModel, coords) -> SubmersionCheck:
-    frame = adapted_frame_at(sub, coords, order=1)
+def verify_riemannian_submersion(
+    sub: SubmersionModel, coords, calc: Optional[PointCalculus] = None
+) -> SubmersionCheck:
+    """Kernel, length, and base-metric diagnostics at one point; reuses the
+    frame of ``calc`` when given (its values equal those of the order-1
+    frame built otherwise)."""
+    frame = adapted_frame_at(sub, coords, order=1) if calc is None else calc.frame
     base_point, jac = differential_at(sub, coords)
     kernel_residual = float(np.max(np.abs(jac @ frame.vert_values.T)))
     gb = metric_values_raw(sub.base, base_point)
@@ -282,102 +297,121 @@ def verify_riemannian_submersion(sub: SubmersionModel, coords) -> SubmersionChec
     )
 
 
-def _metric_jets(model: ManifoldModel, pt) -> list:
-    d = model.dim
-    out = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            jet = as_jet(model.metric[i][j](pt.vars), d, order=pt.order)
-            out[i][j] = out[j][i] = jet
-    return out
+def _pair(g: ArrayJet, x: ArrayJet, y: ArrayJet) -> ArrayJet:
+    """Metric pairing of x and y over their last batch axis: the terms
+    (g_ij x_i) y_j summed in row-major (i, j) order."""
+    return sum_terms((g * x[..., :, None]) * y[..., None, :], axes=(-2, -1))
 
 
-def _pair_jets(gjets, x, y):
-    acc = None
-    for i in range(len(x)):
-        for j in range(len(y)):
-            term = gjets[i][j] * x[i] * y[j]
-            acc = term if acc is None else acc + term
-    return acc
+def _project(w: ArrayJet, block: ArrayJet, g: ArrayJet) -> ArrayJet:
+    """Orthogonal projection of each field w[b] onto the span of the
+    orthonormal fields block[q]: the terms g(w_b, e_q) e_q summed over q."""
+    coeff = _pair(g, w[:, None], block[None, :])
+    return sum_terms(coeff[:, :, None] * block[None], axes=(1,))
+
+
+def _cov(x: ArrayJet, y: ArrayJet, gamma: ArrayJet) -> ArrayJet:
+    """Components of the covariant derivative of each field y[b] along x[b]:
+    the terms x_i d_i y_k, then Gamma^k_ij x_i y_j in row-major (i, j)
+    order. ``y`` must be order 2; the result is order 1."""
+    acc = sum_terms(x[:, None, :] * y.partials(), axes=(-1,))
+    terms = gamma * (x[:, :, None] * y[:, None, :])[:, None]
+    return sum_terms(terms, axes=(-2, -1), start=acc)
 
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Orthonormal frame split into the two blocks, kept as jet fields."""
+    """Orthonormal frame as second-order jet fields, vertical block first."""
 
-    vert_jets: tuple
-    horiz_jets: tuple
+    jets: ArrayJet  # (r + n, dim): row a holds the components of frame field a
+    r: int
     vert_values: np.ndarray  # (r, dim)
     horiz_values: np.ndarray  # (n, dim)
-    order: int
-
-    @property
-    def r(self) -> int:
-        return len(self.vert_jets)
 
     @property
     def n(self) -> int:
-        return len(self.horiz_jets)
+        return self.jets.shape[0] - self.r
 
 
-def adapted_frame_at(sub: SubmersionModel, coords, order: int = 2) -> AdaptedFrame:
+def adapted_frame_at(
+    sub: SubmersionModel, coords, order: int = 2, metric: Optional[MetricData] = None
+) -> AdaptedFrame:
     """Gram-Schmidt over the declared fields, vertical block first.
 
     The arithmetic runs on coordinate jets, so the resulting frame is a
     differentiable field in a neighborhood of ``coords``; later fields are
     orthogonalized against everything before them, which keeps a Reeb field
     declared last in its block fixed whenever the earlier fields are already
-    orthogonal to it.
+    orthogonal to it. ``metric`` (with second partials for order 2) saves
+    evaluating the metric again when the caller already has it.
     """
     coords = np.asarray(coords, dtype=float)
     model = sub.total.model
     model.check_domain(coords)
+    if metric is None:
+        metric = metric_at(model, coords, order=order)
+    g = ArrayJet(metric.value, metric.d1, metric.d2 if order == 2 else None)
     pt = seed(coords, order=order)
-    gjets = _metric_jets(model, pt)
     d = model.dim
-    raw = [
-        [f.evaluate(pt.vars, d, order=order) for f in sub.vertical_fields],
-        [f.evaluate(pt.vars, d, order=order) for f in sub.horizontal_fields],
-    ]
-    done = []
-    blocks = []
-    for block in raw:
-        out = []
-        for w in block:
-            v = list(w)
-            for e in done:
-                c = _pair_jets(gjets, v, e)
-                v = [vi - c * ei for vi, ei in zip(v, e)]
-            nsq = _pair_jets(gjets, v, v)
-            if nsq.value < _GS_PIVOT_SQ:
-                raise DegenerateFrameError(
-                    f"declared fields of {sub.name!r} are dependent at "
-                    f"{coords.tolist()}"
-                )
-            inv = 1.0 / sqrt(nsq)
-            unit = [inv * vi for vi in v]
-            done.append(unit)
-            out.append(unit)
-        blocks.append(out)
-    vert_jets = tuple(tuple(u) for u in blocks[0])
-    horiz_jets = tuple(tuple(u) for u in blocks[1])
-    vert_values = np.array([[j.value for j in u] for u in vert_jets])
-    horiz_values = np.array([[j.value for j in u] for u in horiz_jets])
+    fields = sub.vertical_fields + sub.horizontal_fields
+    raw = stack([f.evaluate(pt.vars, d, order=order) for f in fields])
+    units = []
+    for k in range(len(fields)):
+        v = raw[k]
+        for e in units:
+            v = v - _pair(g, v, e) * e
+        nsq = _pair(g, v, v)
+        if nsq.value < _GS_PIVOT_SQ:
+            raise DegenerateFrameError(
+                f"declared fields of {sub.name!r} are dependent at "
+                f"{coords.tolist()}"
+            )
+        units.append((1.0 / nsq.sqrt()) * v)
+    jets = stack(units)
+    r = len(sub.vertical_fields)
     return AdaptedFrame(
-        vert_jets=vert_jets,
-        horiz_jets=horiz_jets,
-        vert_values=vert_values,
-        horiz_values=horiz_values,
-        order=order,
+        jets=jets,
+        r=r,
+        vert_values=np.array(jets.value[:r]),
+        horiz_values=np.array(jets.value[r:]),
     )
+
+
+def _exchange_jets(frame: AdaptedFrame, g: ArrayJet, gamma: ArrayJet):
+    """Order-1 jets of the vertical-block tensor T on all vertical frame
+    pairs, shaped (r, r, dim), and of the horizontal-block tensor A on all
+    horizontal frame pairs, shaped (n, n, dim).
+
+    With V and H the projections onto the two blocks, T(U_k, U_l) is
+    H(cov(V U_k, V U_l)) + V(cov(V U_k, H U_l)) and A(X_i, X_j) is
+    V(cov(H X_i, H X_j)) + H(cov(H X_i, V X_j)); both are
+    H(cov(x, V f)) + V(cov(x, f - V f)) with x the projection of the first
+    slot onto its own block. Each slot is projected once, and the covariant
+    derivatives of all pairs run as one batch.
+    """
+    f, r = frame.jets, frame.r
+    m = f.shape[0]
+    vert = _project(f, f[:r], g)
+    horiz = _project(f[r:], f[r:], g)
+    x = concat([vert[:r], horiz]).first_order()
+    slots = [(p, q) for p in range(r) for q in range(r)]
+    slots += [(p, q) for p in range(r, m) for q in range(r, m)]
+    first = [p for p, _ in slots]
+    second = [q for _, q in slots]
+    xs = x[first]
+    w = _cov(concat([xs, xs]), concat([vert[second], (f - vert)[second]]), gamma)
+    half = len(slots)
+    fields = _project(w[:half], f[r:], g) + _project(w[half:], f[:r], g)
+    n = m - r
+    return fields[: r * r].reshape((r, r, m)), fields[r * r :].reshape((n, n, m))
 
 
 class PointCalculus:
     """Per-point state shared by the tensor and curvature layers.
 
     Holds the connection and curvature of the total space, the contact data,
-    the adapted frame as order-2 jet fields, and covariant-derivative helpers
-    that spend one derivative order per differentiation.
+    the adapted frame as order-2 jet fields, and the exchange jets of the
+    fundamental tensors from which their covariant derivatives come.
     """
 
     def __init__(self, sub: SubmersionModel, coords):
@@ -388,23 +422,11 @@ class PointCalculus:
         self.model.check_domain(self.coords)
         self.conn = christoffel_at(self.model, self.coords)
         self._curv = None
-        self.frame = adapted_frame_at(sub, self.coords, order=2)
+        self.frame = adapted_frame_at(
+            sub, self.coords, order=2, metric=self.conn.metric
+        )
         self.r = self.frame.r
         self.n = self.frame.n
-        pt = seed(self.coords, order=2)
-        self.metric_jets = _metric_jets(self.model, pt)
-        gam, dgam = self.conn.gamma, self.conn.dgamma
-        d = self.dim
-        self.gamma_jets = [
-            [
-                [
-                    ScalarJet(float(gam[k, i, j]), dgam[k, i, j, :].copy(), None)
-                    for j in range(d)
-                ]
-                for i in range(d)
-            ]
-            for k in range(d)
-        ]
         st = sub.total.structure
         self.phi_values, _ = st.phi_at(self.coords, order=1)
         self.eta_values = st.eta_at(self.coords)
@@ -412,36 +434,18 @@ class PointCalculus:
         self._t_tab = None
         self._a_tab = None
         self._decomp = None
-        self._t_fields = None
-        self._a_fields = None
+        self._exchange = None
 
     @property
     def curvature(self):
         if self._curv is None:
-            self._curv = riemann_at(self.model, self.coords)
+            self._curv = curvature_from_connection(self.conn)
         return self._curv
 
     # ---- pairings and projections ----
 
-    def pair(self, x, y):
-        return _pair_jets(self.metric_jets, x, y)
-
     def pair_values(self, xv, yv) -> float:
         return float(np.asarray(xv) @ self.conn.metric.value @ np.asarray(yv))
-
-    def _project(self, w, block):
-        acc = None
-        for e in block:
-            c = self.pair(w, e)
-            term = [c * ei for ei in e]
-            acc = term if acc is None else [a + t for a, t in zip(acc, term)]
-        return acc
-
-    def v_project(self, w):
-        return self._project(w, self.frame.vert_jets)
-
-    def h_project(self, w):
-        return self._project(w, self.frame.horiz_jets)
 
     def v_project_values(self, wv) -> np.ndarray:
         u = self.frame.vert_values
@@ -455,74 +459,30 @@ class PointCalculus:
 
     # ---- covariant derivatives ----
 
-    def cov_field(self, x, y):
-        """Components of the covariant derivative of field ``y`` along ``x``;
-        both are jet component lists, ``y`` of order 2.  Result is order 1."""
-        d = self.dim
-        out = []
-        for k in range(d):
-            if y[k].hessian is None:
-                raise RejectedInputError("cov_field needs order-2 components")
-            acc = None
-            for i in range(d):
-                term = x[i] * deriv(y[k], i)
-                acc = term if acc is None else acc + term
-            for i in range(d):
-                for j in range(d):
-                    acc = acc + self.gamma_jets[k][i][j] * (x[i] * y[j])
-            out.append(acc)
-        return out
-
-    def cov_point(self, x, y) -> np.ndarray:
-        """Value of the covariant derivative of jet field ``y`` along ``x``
-        given by values or jets; only the value of ``x`` is used."""
-        xv = np.asarray([c.value if isinstance(c, ScalarJet) else float(c) for c in x])
-        ygrad = np.array([c.gradient for c in y])
-        yval = np.array([c.value for c in y])
+    def cov_point(self, x, y: ArrayJet) -> np.ndarray:
+        """Value of the covariant derivative of the jet field ``y`` (one
+        vector: value (dim,), gradient (dim, dim)) along the vector ``x``."""
+        xv = self._values_of(x)
+        ygrad = np.array(y.gradient)
+        yval = np.array(y.value)
         return ygrad @ xv + np.einsum("kij,i,j->k", self.conn.gamma, xv, yval)
-
-    def _lift(self, w):
-        if all(isinstance(c, ScalarJet) for c in w):
-            return list(w)
-        return [constant(float(c), self.dim, order=2) for c in w]
 
     # ---- fundamental tensors ----
 
-    def t_field(self, e, f):
-        """Vertical-block fundamental tensor applied to order-2 jet fields;
-        result components are order-1 jets."""
-        ve = self.v_project(e)
-        vf = self.v_project(f)
-        hf = [a - b for a, b in zip(f, vf)]
-        first = self.h_project(self.cov_field(ve, vf))
-        second = self.v_project(self.cov_field(ve, hf))
-        return [a + b for a, b in zip(first, second)]
-
-    def a_field(self, e, f):
-        """Horizontal-block fundamental tensor; same conventions."""
-        he = self.h_project(e)
-        vf = self.v_project(f)
-        hf = [a - b for a, b in zip(f, vf)]
-        first = self.v_project(self.cov_field(he, hf))
-        second = self.h_project(self.cov_field(he, vf))
-        return [a + b for a, b in zip(first, second)]
-
     def _values_of(self, w) -> np.ndarray:
-        return np.array(
-            [c.value if isinstance(c, ScalarJet) else float(c) for c in w]
-        )
+        return np.array(w, dtype=float)
 
     def _tensor_tables(self):
         """Values of both fundamental tensors on all frame pairs.
 
         Both tensors are pointwise bilinear, so evaluation on arbitrary
         vectors reduces to one covariant derivative per frame pair plus
-        projections; the jet-level t_field/a_field path stays the reference
-        implementation and is only needed where first derivatives matter."""
+        projections; the jets of ``_exchange_fields`` are only needed where
+        first derivatives matter."""
         if self._t_tab is None:
             r, n, d = self.r, self.n, self.dim
-            jets = list(self.frame.vert_jets) + list(self.frame.horiz_jets)
-            vals = [self._values_of(j) for j in jets]
+            jets = self.frame.jets
+            vals = [self._values_of(row) for row in jets.value]
             nab = [[self.cov_point(vals[i], jets[j]) for j in range(d)] for i in range(d)]
             t_tab = np.zeros((d, d, d))
             a_tab = np.zeros((d, d, d))
@@ -553,52 +513,33 @@ class PointCalculus:
         cf = self._decomp @ self._values_of(f)
         return np.einsum("i,j,ijk->k", ce, cf, a_tab)
 
-    def nabla_t(self, e, f, g) -> np.ndarray:
-        """Value of the covariant derivative of the vertical-block tensor:
-        d/de of T(f, g) minus the two slot corrections.  ``f`` and ``g`` must
-        be order-2 jet fields; only the value of ``e`` matters."""
-        main = self.cov_point(e, self.t_field(f, g))
-        c1 = self.t_point(self.cov_point(e, f), self._values_of(g))
-        c2 = self.t_point(self._values_of(f), self.cov_point(e, g))
-        return main - c1 - c2
-
-    def nabla_a(self, e, f, g) -> np.ndarray:
-        main = self.cov_point(e, self.a_field(f, g))
-        c1 = self.a_point(self.cov_point(e, f), self._values_of(g))
-        c2 = self.a_point(self._values_of(f), self.cov_point(e, g))
-        return main - c1 - c2
-
     def _exchange_fields(self):
         """Jets of T on vertical frame pairs and of A on horizontal frame
         pairs, computed once and shared by every derivative evaluation."""
-        if self._t_fields is None:
-            vj, hj = self.frame.vert_jets, self.frame.horiz_jets
-            self._t_fields = [
-                [self.t_field(vj[k], vj[l]) for l in range(self.r)]
-                for k in range(self.r)
-            ]
-            self._a_fields = [
-                [self.a_field(hj[i], hj[j]) for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        return self._t_fields, self._a_fields
+        if self._exchange is None:
+            m, conn = self.conn.metric, self.conn
+            self._exchange = _exchange_jets(
+                self.frame, ArrayJet(m.value, m.d1, m.d2), ArrayJet(conn.gamma, conn.dgamma)
+            )
+        return self._exchange
 
     def nabla_t_frame(self, e_values, k, l) -> np.ndarray:
-        """(nabla_e T)(U_k, U_l) reusing the cached frame-pair jets."""
+        """(nabla_e T)(U_k, U_l): d/de of T(U_k, U_l) minus the two slot
+        corrections; only the value of ``e`` matters."""
         t_fields, _ = self._exchange_fields()
-        vj = self.frame.vert_jets
-        main = self.cov_point(e_values, t_fields[k][l])
-        c1 = self.t_point(self.cov_point(e_values, vj[k]), self._values_of(vj[l]))
-        c2 = self.t_point(self._values_of(vj[k]), self.cov_point(e_values, vj[l]))
+        jets, uv = self.frame.jets, self.frame.vert_values
+        main = self.cov_point(e_values, t_fields[k, l])
+        c1 = self.t_point(self.cov_point(e_values, jets[k]), uv[l])
+        c2 = self.t_point(uv[k], self.cov_point(e_values, jets[l]))
         return main - c1 - c2
 
     def nabla_a_frame(self, e_values, i, j) -> np.ndarray:
-        """(nabla_e A)(X_i, X_j) reusing the cached frame-pair jets."""
+        """(nabla_e A)(X_i, X_j), same conventions."""
         _, a_fields = self._exchange_fields()
-        hj = self.frame.horiz_jets
-        main = self.cov_point(e_values, a_fields[i][j])
-        c1 = self.a_point(self.cov_point(e_values, hj[i]), self._values_of(hj[j]))
-        c2 = self.a_point(self._values_of(hj[i]), self.cov_point(e_values, hj[j]))
+        jets, xv, r = self.frame.jets, self.frame.horiz_values, self.r
+        main = self.cov_point(e_values, a_fields[i, j])
+        c1 = self.a_point(self.cov_point(e_values, jets[r + i]), xv[j])
+        c2 = self.a_point(xv[i], self.cov_point(e_values, jets[r + j]))
         return main - c1 - c2
 
     def delta_n(self) -> float:
@@ -609,7 +550,7 @@ class PointCalculus:
                 "first derivatives of the fundamental tensors need analytic frames"
             )
         total = 0.0
-        for xs in self.frame.horiz_jets:
+        for xs in self.frame.horiz_values:
             xv = self._values_of(xs)
             for k in range(self.r):
                 total += self.pair_values(self.nabla_t_frame(xv, k, k), xv)
@@ -713,7 +654,9 @@ def bc_decompose(sub: SubmersionModel, coords, vector_values):
     return calc.v_project_values(w), calc.h_project_values(w)
 
 
-def verify_structure_lemmas(sub: SubmersionModel, coords) -> dict:
+def verify_structure_lemmas(
+    sub: SubmersionModel, coords, calc: Optional[PointCalculus] = None
+) -> dict:
     """Pointwise residuals of the structural identities of the split.
 
     ``t_symmetry``: the vertical-block tensor is symmetric on fiber pairs.
@@ -722,9 +665,10 @@ def verify_structure_lemmas(sub: SubmersionModel, coords) -> dict:
     ``anti_invariance``: phi maps the vertical space into the horizontal one.
     ``c_square``: the horizontal part of phi squares to minus the identity up
     to the vertical part of phi and, with the Reeb field horizontal, the Reeb
-    correction.
+    correction.  ``calc`` is the point's ``PointCalculus`` when the caller
+    already has one.
     """
-    calc = PointCalculus(sub, coords)
+    calc = PointCalculus(sub, coords) if calc is None else calc
     data = tensors_from_calculus(calc)
     r, n = calc.r, calc.n
     uvals, xvals = calc.frame.vert_values, calc.frame.horiz_values

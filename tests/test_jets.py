@@ -1,4 +1,5 @@
-"""Jet arithmetic against frozen hand values and finite-difference oracles."""
+"""Jet arithmetic against frozen hand values and finite-difference oracles,
+and array jets against scalar jets, bit for bit."""
 
 import math
 
@@ -6,17 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oneill_lab.errors import RejectedInputError, SingularEvaluationError
 from oneill_lab.jets import (
+    ArrayJet,
     ScalarJet,
     as_jet,
     constant,
     deriv,
     jet_eval,
-    jet_solve,
     seed,
     sqrt,
+    stack,
+    sum_terms,
 )
 
 # -- frozen single-variable examples ----------------------------------------
@@ -148,36 +152,6 @@ def test_order_contagion():
     assert (d / y).hessian is None
 
 
-# -- linear solve over jets ---------------------------------------------------
-
-
-def test_jet_solve_plain_floats():
-    x = jet_solve([[2.0, 1.0], [1.0, 3.0]], [5.0, 10.0])
-    assert abs(x[0] - 1.0) < 1e-14
-    assert abs(x[1] - 3.0) < 1e-14
-
-
-def test_jet_solve_roundtrip_with_jets():
-    p = seed([1.5, -0.5])
-    x, y = p.vars
-    a = [[2.0 + x * x, x * y], [x * y, 3.0 + y * y]]
-    b = [1.0 + x, y]
-    sol = jet_solve(a, b)
-    for i in range(2):
-        acc = constant(0.0, 2)
-        for j in range(2):
-            acc = acc + as_jet(a[i][j], 2) * sol[j]
-        target = as_jet(b[i], 2)
-        assert abs(acc.value - target.value) < 1e-12
-        assert np.allclose(acc.gradient, target.gradient, atol=1e-12)
-        assert np.allclose(acc.hessian, target.hessian, atol=1e-12)
-
-
-def test_jet_solve_singular():
-    with pytest.raises(SingularEvaluationError):
-        jet_solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-
-
 # -- property tests: random polynomials vs central differences ----------------
 
 
@@ -302,3 +276,146 @@ def test_chain_sqrt_div_fd():
         dn[i] -= h
         fd = (num(up) - num(dn)) / (2 * h)
         assert abs(j.gradient[i] - fd) < 1e-8
+
+
+# -- array jets: every element bit-identical to the scalar-jet result ---------
+
+# Magnitudes stay where no product or quotient below overflows.
+_finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+_nonzero = _finite.filter(lambda v: abs(v) > 1e-3)
+_positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _draw_jet(data, shape, dim, order, values=_finite):
+    value = data.draw(hnp.arrays(float, shape, elements=values))
+    grad = data.draw(hnp.arrays(float, shape + (dim,), elements=_finite))
+    if order == 1:
+        return ArrayJet(value, grad, None)
+    # symmetric Hessians: draw the upper triangle and mirror it
+    upper = data.draw(hnp.arrays(float, shape + (dim, dim), elements=_finite))
+    hess = np.triu(upper) + np.swapaxes(np.triu(upper, 1), -1, -2)
+    return ArrayJet(value, grad, hess)
+
+
+def _element(jet, shape, idx):
+    """The ScalarJet at batch index ``idx`` of ``jet`` broadcast to ``shape``."""
+    d = jet.dim
+    value = np.broadcast_to(jet.value, shape)[idx]
+    grad = np.broadcast_to(jet.gradient, shape + (d,))[idx]
+    hess = None
+    if jet.hessian is not None:
+        hess = np.broadcast_to(jet.hessian, shape + (d, d))[idx].copy()
+    return ScalarJet(float(value), grad.copy(), hess)
+
+
+def _assert_bit_equal(arr, idx, ref):
+    assert arr.value[idx] == ref.value
+    assert np.array_equal(arr.gradient[idx], ref.gradient)
+    if ref.hessian is None:
+        assert arr.hessian is None
+    else:
+        assert np.array_equal(arr.hessian[idx], ref.hessian)
+
+
+def _check_elementwise(result, operands, scalar_op):
+    shape = np.shape(result.value)
+    for idx in np.ndindex(*shape):
+        ref = scalar_op(*[_element(j, shape, idx) for j in operands])
+        _assert_bit_equal(result, idx, ref)
+    if result.hessian is not None:
+        assert np.array_equal(result.hessian, np.swapaxes(result.hessian, -1, -2))
+
+
+_BINARY = [
+    (lambda a, b: a + b),
+    (lambda a, b: a - b),
+    (lambda a, b: a * b),
+    (lambda a, b: a / b),
+    (lambda a, b: -a + 2.5 * b),
+    (lambda a, b: 3.0 - a * b),
+    (lambda a, b: 1.0 / b + a),
+    (lambda a, b: 2.5 + a * b),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.data(),
+    hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([(2, 2), (1, 1), (1, 2), (2, 1)]),
+)
+def test_array_jet_matches_scalar_jet_bit_for_bit(data, shapes, dim, orders):
+    sa, sb = shapes.input_shapes
+    a = _draw_jet(data, sa, dim, orders[0])
+    b = _draw_jet(data, sb, dim, orders[1], values=_nonzero)
+    for op in _BINARY:
+        result = op(a, b)
+        assert result.order == min(orders)  # order 1 is contagious
+        _check_elementwise(result, (a, b), op)
+    root = _draw_jet(data, sa, dim, orders[0], values=_positive)
+    _check_elementwise(root.sqrt(), (root,), lambda j: j.sqrt())
+    _check_elementwise(sqrt(root), (root,), sqrt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+)
+def test_sum_terms_matches_sequential_scalar_sum(data, dim, order, rows, terms):
+    jets = _draw_jet(data, (rows, terms, 2), dim, order)
+    start = _draw_jet(data, (rows,), dim, order)
+    got = sum_terms(jets, axes=(1, 2))
+    got_from = sum_terms(jets, axes=(1, 2), start=start)
+    shape = jets.value.shape
+    for r in range(rows):
+        acc = None
+        acc_from = _element(start, (rows,), (r,))
+        for t in range(terms):
+            for k in range(2):
+                term = _element(jets, shape, (r, t, k))
+                acc = term if acc is None else acc + term
+                acc_from = acc_from + term
+        _assert_bit_equal(got, (r,), acc)
+        _assert_bit_equal(got_from, (r,), acc_from)
+
+
+def test_array_jet_stack_and_partials_match_scalar_jets():
+    x, y = seed([0.7, -1.3]).vars
+    fields = [[x * y, x / (2.0 + y * y)], [sqrt(1.0 + x * x), 3.0 - y]]
+    arr = stack(fields)
+    assert arr.shape == (2, 2) and arr.order == 2
+    for i in range(2):
+        for j in range(2):
+            _assert_bit_equal(arr, (i, j), fields[i][j])
+            for k in range(2):
+                _assert_bit_equal(arr.partials(), (i, j, k), deriv(fields[i][j], k))
+    with pytest.raises(RejectedInputError):
+        arr.partials().partials()
+
+
+def test_array_jet_guards_raise_like_scalar_jets():
+    d = 2
+    tiny = ArrayJet(np.array([1.0, 1e-301]), np.zeros((2, d)), np.zeros((2, d, d)))
+    one = ArrayJet(np.array(1.0), np.zeros(d), np.zeros((d, d)))
+    with pytest.raises(SingularEvaluationError):
+        _ = one / tiny
+    with pytest.raises(SingularEvaluationError):
+        _ = 1.0 / tiny
+    with pytest.raises(SingularEvaluationError):
+        _ = ScalarJet(1.0, np.zeros(d), None) / ScalarJet(1e-301, np.zeros(d), None)
+    for bad in (0.0, -4.0):
+        arr = ArrayJet(np.array([4.0, bad]), np.zeros((2, d)), np.zeros((2, d, d)))
+        with pytest.raises(SingularEvaluationError):
+            arr.sqrt()
+        with pytest.raises(SingularEvaluationError):
+            sqrt(arr)
+        with pytest.raises(SingularEvaluationError):
+            ScalarJet(bad, np.zeros(d), np.zeros((d, d))).sqrt()
+    other = ArrayJet(np.array(1.0), np.zeros(d + 1), None)
+    with pytest.raises(RejectedInputError):
+        _ = one + other
