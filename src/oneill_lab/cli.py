@@ -14,11 +14,12 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .contact import SasakianSpaceFormSpec, build_r2m1, space_form_r4_at, verify_sasakian
+from .contact import SasakianSpaceFormSpec, build_r2m1, space_form_r4, verify_sasakian
 from .errors import (
     EmptySampleError,
     ModelLoadError,
@@ -26,26 +27,21 @@ from .errors import (
     RejectedInputError,
 )
 from .invariants import analyze_point
-from .report import Report, Tolerances, decide_verdict, identity_tolerance
-from .riemannian import riemann_at
+from .report import Report, Tolerances, decide_verdict, identity_tolerance, known_flags_for
+from .riemannian import christoffel_at, curvature_from_connection
 from .sampling import SampleConfig, sample_model_points, sample_submersion_points
 from .submersion import (
     SubmersionModel,
-    build_horizontal_xi_example,
-    build_vertical_xi_example,
     load_custom_model,
     verify_riemannian_submersion,
     verify_structure_lemmas,
 )
-from .theorems import (
-    THEOREM_IDS,
-    applicable_ids,
-    evaluate_theorem,
-    required_xi_case,
-    scan_from_records,
-)
+from .theorems import THEOREM_IDS, scan_theorems
 
-_IDENTITY_IDS = ("T1", "T4", "S1", "S2", "S3", "R1", "R2", "gauss3")
+# Bundled models: model files of the documented schema shipped with the
+# package as models/<name>.json.
+BUNDLED_DIR = Path(__file__).resolve().parent / "models"
+BUNDLED_MODELS = ("vertical-xi", "horizontal-xi")
 
 
 @dataclass(frozen=True)
@@ -62,24 +58,31 @@ class RunConfig:
     no_timestamp: bool = False
 
 
+def _model_file(name: str) -> Optional[Path]:
+    """The file a model name that is not ``r2m1:<m>`` stands for: a bundled
+    model's file, else the name as a path if it ends in ``.json`` or exists."""
+    if name in BUNDLED_MODELS:
+        return BUNDLED_DIR / f"{name}.json"
+    if name.endswith(".json") or os.path.exists(name):
+        return Path(name)
+    return None
+
+
 def resolve_model(name: str):
-    """Builtin name, builtin family, or path to a model file."""
-    if name == "vertical-xi":
-        return build_vertical_xi_example()
-    if name == "horizontal-xi":
-        return build_horizontal_xi_example()
+    """Bundled model name, builtin family, or path to a model file."""
     m = re.fullmatch(r"r2m1:(\d+)", name)
     if m:
         try:
             return build_r2m1(int(m.group(1)))
         except OneillLabError as exc:
             raise ModelLoadError(str(exc)) from exc
-    if name.endswith(".json") or os.path.exists(name):
-        try:
-            return load_custom_model(name)
-        except (OneillLabError, OSError, ValueError) as exc:
-            raise ModelLoadError(f"cannot load model file {name}: {exc}") from exc
-    raise ModelLoadError(f"unknown model: {name}")
+    path = _model_file(name)
+    if path is None:
+        raise ModelLoadError(f"unknown model: {name}")
+    try:
+        return load_custom_model(path)
+    except (OneillLabError, OSError, ValueError) as exc:
+        raise ModelLoadError(f"cannot load model file {name}: {exc}") from exc
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -101,20 +104,20 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _curv1_residual(spec: SasakianSpaceFormSpec, pt: np.ndarray, curv) -> float:
-    closed = space_form_r4_at(spec, pt)
-    return float(np.max(np.abs(curv.r4 - closed)))
-
-
-def _spaceform_structure(spec: SasakianSpaceFormSpec, pts, tol: Tolerances):
+def _spaceform_structure(spec: SasakianSpaceFormSpec, states, tol: Tolerances):
+    """Sasakian residuals and the curvature cross-check over sample points;
+    ``states`` yields per point its coordinates, connection, jet curvature
+    and closed-form curvature."""
     sas = {}
     curv1 = 0.0
-    for pt in pts:
-        for key, val in verify_sasakian(spec, pt).items():
+    points = 0
+    for pt, conn, curv, closed in states:
+        for key, val in verify_sasakian(spec, pt, conn).items():
             sas[key] = max(sas.get(key, 0.0), float(val))
-        curv1 = max(curv1, _curv1_residual(spec, pt, riemann_at(spec.model, pt)))
+        curv1 = max(curv1, float(np.max(np.abs(curv.r4 - closed))))
+        points += 1
     section = {
-        "points": len(pts),
+        "points": points,
         "sasakian": sas,
         "curvature": {"curv1": curv1},
     }
@@ -123,44 +126,46 @@ def _spaceform_structure(spec: SasakianSpaceFormSpec, pts, tol: Tolerances):
     return section, checks
 
 
+def _spaceform_states(spec: SasakianSpaceFormSpec, pts):
+    """Per point of a plain space form: one connection, shared by the
+    Sasakian checks and both curvatures."""
+    st = spec.structure
+    for pt in pts:
+        conn = christoffel_at(spec.model, pt)
+        phi_v, _ = st.phi_at(pt, order=1)
+        closed = space_form_r4(spec.c, conn.metric.value, phi_v, st.eta_at(pt))
+        yield pt, conn, curvature_from_connection(conn), closed
+
+
 def _submersion_structure(sub: SubmersionModel, analyses, tol: Tolerances):
-    """Structure section over the analyzed sample points; each point reuses
-    the connection, curvature, and frame of its analysis."""
-    spec = sub.total
-    sas = {}
+    """Structure section over the analyzed sample points: the space-form
+    part on each point's connection and curvatures, then the submersion
+    checks and lemmas on its frame and tensor data."""
+    calcs = [a.calc for a in analyses]
+    section, checks = _spaceform_structure(
+        sub.total, ((c.coords, c.conn, c.curvature, c.closed_curvature) for c in calcs), tol
+    )
     lemmas = {}
-    curv1 = 0.0
     kernel = 0.0
     lengths = []
     pd_flags = []
     for analysis in analyses:
         calc = analysis.calc
-        pt = calc.coords
-        for key, val in verify_sasakian(spec, pt, conn=calc.conn).items():
-            sas[key] = max(sas.get(key, 0.0), float(val))
-        curv1 = max(curv1, _curv1_residual(spec, pt, calc.curvature))
-        chk = verify_riemannian_submersion(sub, pt, calc)
+        chk = verify_riemannian_submersion(sub, calc.coords, calc)
         kernel = max(kernel, float(chk.kernel_residual))
         lengths.append(float(chk.length_residual))
         pd_flags.append(bool(chk.base_pd))
-        for key, val in verify_structure_lemmas(sub, pt, calc).items():
+        for key, val in verify_structure_lemmas(calc, analysis.data).items():
             lemmas[key] = max(lemmas.get(key, 0.0), float(val))
     length = max(lengths)
-    section = {
-        "points": len(analyses),
-        "sasakian": sas,
-        "curvature": {"curv1": curv1},
-        "submersion": {
-            "kernel": kernel,
-            "length": length,
-            "length_residuals": lengths,
-            "base_pd_all": all(pd_flags),
-            "base_pd_flags": pd_flags,
-        },
-        "lemmas": lemmas,
+    section["submersion"] = {
+        "kernel": kernel,
+        "length": length,
+        "length_residuals": lengths,
+        "base_pd_all": all(pd_flags),
+        "base_pd_flags": pd_flags,
     }
-    checks = {f"sasakian.{k}": v <= tol.d1 for k, v in sas.items()}
-    checks["curvature.curv1"] = curv1 <= tol.curv
+    section["lemmas"] = lemmas
     checks["submersion.kernel"] = kernel <= tol.d1
     checks["submersion.length"] = length <= tol.d1
     checks["submersion.base_pd"] = all(pd_flags)
@@ -170,42 +175,24 @@ def _submersion_structure(sub: SubmersionModel, analyses, tol: Tolerances):
 
 
 def _identity_section(analyses, tol: Tolerances):
-    maxima = {key: None for key in _IDENTITY_IDS}
+    maxima = {}
     for analysis in analyses:
         for key, val in analysis.packet.identity_residuals.items():
-            if val is None:
-                continue
-            cur = maxima[key]
-            maxima[key] = float(val) if cur is None else max(cur, float(val))
-    section = {"max_residuals": maxima}
-    checks = {}
-    for key, val in maxima.items():
-        if val is not None:
-            checks[f"identities.{key}"] = val <= identity_tolerance(key, tol)
-    return section, checks
+            val = float(val)
+            maxima[key] = max(maxima[key], val) if key in maxima else val
+    checks = {
+        f"identities.{key}": val <= identity_tolerance(key, tol)
+        for key, val in maxima.items()
+    }
+    return {"max_residuals": maxima}, checks
 
 
-def _theorem_section(sub, analyses, config: RunConfig):
-    ids = config.theorems
-    if ids is None:
-        ids = applicable_ids(sub.xi_case)
-    else:
-        for tid in ids:
-            case = required_xi_case(tid)
-            if case != sub.xi_case:
-                raise RejectedInputError(
-                    f"{tid} needs a model with the Reeb field {case}, "
-                    f"got {sub.xi_case}"
-                )
+def _theorem_section(analyses, config: RunConfig):
     rng = np.random.default_rng(config.seed + 1)
-    buckets = {tid: [] for tid in ids}
-    for analysis in analyses:
-        for tid in ids:
-            buckets[tid].extend(evaluate_theorem(analysis, tid, config.probe, rng))
+    scans = scan_theorems(analyses, config.theorems, config.probe, rng)
     section = {}
     checks = {}
-    for tid in ids:
-        scan = scan_from_records(tid, buckets[tid], len(analyses))
+    for tid, scan in scans.items():
         entry = {
             "points_checked": scan.points_checked,
             "records": len(scan.records),
@@ -242,6 +229,7 @@ def run(config: RunConfig) -> Report:
 
     structure = identities = theorems = None
     checks = {}
+    flagged = frozenset()
     if isinstance(model_obj, SasakianSpaceFormSpec):
         if config.command == "theorems":
             raise RejectedInputError(
@@ -249,11 +237,12 @@ def run(config: RunConfig) -> Report:
                 f"got the plain total space {config.model}"
             )
         pts = sample_model_points(model_obj.model, scfg)
-        structure, checks = _spaceform_structure(model_obj, pts, tol)
-        model_name = config.model
+        structure, checks = _spaceform_structure(
+            model_obj, _spaceform_states(model_obj, pts), tol
+        )
     else:
         sub = model_obj
-        model_name = sub.name
+        flagged = known_flags_for(_model_file(config.model).read_bytes())
         pts = sample_submersion_points(sub, scfg)
         # one analysis per point, shared by every section
         analyses = [analyze_point(sub, pt) for pt in pts]
@@ -263,10 +252,10 @@ def run(config: RunConfig) -> Report:
             identities, id_checks = _identity_section(analyses, tol)
             checks.update(id_checks)
         if config.command in ("theorems", "report"):
-            theorems, th_checks = _theorem_section(sub, analyses, config)
+            theorems, th_checks = _theorem_section(analyses, config)
             checks.update(th_checks)
 
-    verdict, flags_raised = decide_verdict(checks, model_name)
+    verdict, flags_raised = decide_verdict(checks, flagged)
     return Report(
         config=_config_echo(config),
         structure=structure,

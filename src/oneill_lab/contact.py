@@ -213,15 +213,18 @@ def verify_sasakian(spec: SasakianSpaceFormSpec, coords, conn=None) -> dict:
 
 
 def space_form_r4_at(spec: SasakianSpaceFormSpec, coords) -> np.ndarray:
-    """Model-independent curvature of a space form with constant
-    phi-sectional curvature c, assembled purely from (g, phi, eta) at the
-    point. Same slot convention as riemannian.r4."""
+    """``space_form_r4`` of the spec's structure at ``coords``."""
     st = spec.structure
-    gv = metric_at(st.model, coords).value
     phi_v, _ = st.phi_at(coords, order=1)
-    eta_v = st.eta_at(coords)
-    q = (spec.c + 3.0) / 4.0
-    w = (spec.c - 1.0) / 4.0
+    return space_form_r4(spec.c, metric_at(st.model, coords).value, phi_v, st.eta_at(coords))
+
+
+def space_form_r4(c: float, gv, phi_v, eta_v) -> np.ndarray:
+    """Model-independent curvature of a space form with constant
+    phi-sectional curvature c, assembled purely from the values of
+    (g, phi, eta) at a point. Same slot convention as riemannian.r4."""
+    q = (c + 3.0) / 4.0
+    w = (c - 1.0) / 4.0
     # p2[j, k] = g(phi d_j, d_k)
     p2 = np.einsum("mj,mk->jk", phi_v, gv)
     e = eta_v

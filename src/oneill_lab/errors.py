@@ -36,10 +36,6 @@ class DegeneratePlaneError(OneillLabError):
     """Sectional curvature requested for a (near-)degenerate 2-plane."""
 
 
-class UnsupportedComputationError(OneillLabError):
-    """Requested quantity is undefined for the model's structure case."""
-
-
 class EmptySampleError(OneillLabError):
     """Rejection sampling exhausted its budget without accepting a point."""
 

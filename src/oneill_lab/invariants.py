@@ -11,12 +11,10 @@ and against the scalar-level trace identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .contact import space_form_r4_at
-from .riemannian import pair_r4, ricci_from_curvature
+from .riemannian import pair_r4, scalar_curvature
 from .submersion import (
     OneillData,
     PointCalculus,
@@ -104,8 +102,7 @@ class CurvaturePacket:
     ``tau_hat``/``tau_star`` are the block scalar curvatures stored
     undoubled; ``tau_total`` is half the coordinate-trace scalar curvature
     of the total space.  ``identity_residuals`` maps the stable identity ids
-    {T1, T4, S1, S2, S3, R1, R2, gauss3} to max absolute residuals (None
-    when the model cannot support the derivative-level entries)."""
+    {T1, T4, S1, S2, S3, R1, R2, gauss3} to max absolute residuals."""
 
     point: np.ndarray
     r: int
@@ -116,7 +113,7 @@ class CurvaturePacket:
     tau_total: float
     ric_hat: np.ndarray
     ric_star: np.ndarray
-    delta_n: Optional[float]
+    delta_n: float
     sum_t_sq: float
     sum_a_sq: float
     norm_tv_sq: float
@@ -217,23 +214,20 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
             four_block += pair_r4(calc.curvature, uv[j], xv[s], xv[s], uv[j])
     res["S2"] = abs(four_block - two_tau)
 
-    if delta_n is None:
-        res["S3"] = None
-    else:
-        rhs_s3 = (
-            2.0 * tau_hat
-            + 2.0 * tau_star
-            + data.n_norm_sq
-            - data.sum_t_sq
-            + 3.0 * data.sum_a_sq
-            + 2.0 * delta_n
-            - 2.0 * data.norm_tv_sq
-            + 2.0 * data.norm_ah_sq
-        )
-        res["S3"] = abs(two_tau - rhs_s3)
+    rhs_s3 = (
+        2.0 * tau_hat
+        + 2.0 * tau_star
+        + data.n_norm_sq
+        - data.sum_t_sq
+        + 3.0 * data.sum_a_sq
+        + 2.0 * delta_n
+        - 2.0 * data.norm_tv_sq
+        + 2.0 * data.norm_ah_sq
+    )
+    res["S3"] = abs(two_tau - rhs_s3)
 
     # exchange formulas against the closed-form ambient curvature
-    r4_closed = space_form_r4_at(calc.sub.total, calc.coords)
+    r4_closed = calc.closed_curvature
     g = calc.conn.metric.value
 
     def closed_pair(x, y, z, h):
@@ -269,26 +263,20 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
                     via_closed = closed_pair(xv[s], xv[t], xv[uu], xv[vv]) + corr
                     worst = max(worst, abs(via_ad - via_closed))
     res["R2"] = worst
-
-    if calc.sub.analytic_frames:
-        res["gauss3"] = mixed_gauss_residual(calc)
-    else:
-        res["gauss3"] = None
+    res["gauss3"] = mixed_gauss_residual(calc)
     return res
 
 
 def analyze_point(sub: SubmersionModel, coords) -> PointAnalysis:
     calc = PointCalculus(sub, coords)
     data = tensors_from_calculus(calc)
-    curv = calc.curvature
-    ric = ricci_from_curvature(curv)
-    two_tau = float(np.einsum("jk,jk->", curv.metric.inverse, ric))
+    two_tau = scalar_curvature(calc.curvature)
     hat, star = _hat_star_tables(calc, data)
     tau_hat = float(np.sum(np.triu(hat, k=1)))
     tau_star = float(np.sum(np.triu(star, k=1)))
     ric_hat = hat.sum(axis=0)
     ric_star = star.sum(axis=0)
-    delta_n = calc.delta_n() if sub.analytic_frames else None
+    delta_n = calc.delta_n()
     residuals = _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n)
     packet = CurvaturePacket(
         point=calc.coords.copy(),
@@ -311,6 +299,3 @@ def analyze_point(sub: SubmersionModel, coords) -> PointAnalysis:
     )
     return PointAnalysis(calc=calc, data=data, packet=packet)
 
-
-def scalar_invariants(sub: SubmersionModel, coords) -> CurvaturePacket:
-    return analyze_point(sub, coords).packet

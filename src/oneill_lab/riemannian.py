@@ -15,7 +15,7 @@ with R(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     OutOfDomainError,
     RejectedInputError,
 )
-from .jets import ScalarJet, as_jet, seed
+from .jets import as_jet, seed
 
 _PD_FLOOR = 1e-12
 
@@ -160,11 +160,9 @@ def ricci_from_curvature(curv: CurvatureData) -> np.ndarray:
     return np.einsum("aajk->jk", curv.r13)
 
 
-def scalar_curvature_at(model: ManifoldModel, coords) -> float:
+def scalar_curvature(curv: CurvatureData) -> float:
     """Coordinate-trace scalar curvature g^{jk} Ric_jk."""
-    curv = riemann_at(model, coords)
-    ric = ricci_from_curvature(curv)
-    return float(np.einsum("jk,jk->", curv.metric.inverse, ric))
+    return float(np.einsum("jk,jk->", curv.metric.inverse, ricci_from_curvature(curv)))
 
 
 def metric_values_raw(model: ManifoldModel, coords) -> np.ndarray:
@@ -202,28 +200,3 @@ def sectional_curvature(model: ManifoldModel, coords, x, y) -> float:
     if denom < 1e-12:
         raise DegeneratePlaneError(f"2-plane degenerate: Gram determinant {denom:.3e}")
     return pair_r4(curv, x, y, y, x) / denom
-
-
-def covariant_derivative_at(
-    model: ManifoldModel, coords, x_field: VectorField, y_field: VectorField
-) -> np.ndarray:
-    """Components of nabla_X Y at the point: X^i d_i Y^k + X^i Y^j Gamma^k_ij."""
-    conn = christoffel_at(model, coords)
-    pt = seed(coords, order=1)
-    xs = x_field.evaluate(pt.vars, model.dim, order=1)
-    ys = y_field.evaluate(pt.vars, model.dim, order=1)
-    xv = np.array([j.value for j in xs])
-    yv = np.array([j.value for j in ys])
-    dy = np.array([j.gradient for j in ys])  # dy[k, i] = d_i Y^k
-    return dy @ xv + np.einsum("kij,i,j->k", conn.gamma, xv, yv)
-
-
-def fields_from_matrix(rows: Sequence[Sequence[float]], dim: int, prefix: str = "F"):
-    """Constant-component VectorFields from a row matrix (one field per row)."""
-    out = []
-    for r, row in enumerate(rows):
-        if len(row) != dim:
-            raise RejectedInputError(f"field row {r} has length {len(row)}, expected {dim}")
-        comps = tuple((lambda c: (lambda vs: c))(float(c)) for c in row)
-        out.append(VectorField(components=comps, name=f"{prefix}{r + 1}"))
-    return out

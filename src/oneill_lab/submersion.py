@@ -24,16 +24,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .contact import ContactStructure, SasakianSpaceFormSpec, build_r2m1
-from .errors import (
-    DegenerateFrameError,
-    RejectedInputError,
-    UnsupportedComputationError,
-)
+from .contact import ContactStructure, SasakianSpaceFormSpec, space_form_r4
+from .errors import DegenerateFrameError, RejectedInputError
 from .expressions import compile_expression
 from .jets import ArrayJet, as_jet, concat, seed, stack, sum_terms
 from .riemannian import (
@@ -71,7 +68,6 @@ class SubmersionModel:
     vertical_fields: tuple
     horizontal_fields: tuple
     xi_case: str
-    analytic_frames: bool = True
     locus_guard: Optional[Callable[[np.ndarray], bool]] = None
 
     def __post_init__(self):
@@ -93,154 +89,6 @@ class SubmersionModel:
     @property
     def n(self) -> int:
         return len(self.horizontal_fields)
-
-
-def build_vertical_xi_example() -> SubmersionModel:
-    """Five-dimensional total space onto a flat plane; the Reeb field is
-    vertical, so the fibers are three-dimensional."""
-    total = build_r2m1(2)
-    # chart order: x1, x2, y1, y2, z
-    v1 = VectorField(
-        components=(
-            lambda vs: -2.0,
-            lambda vs: 0.0,
-            lambda vs: 2.0,
-            lambda vs: 0.0,
-            lambda vs: -2.0 * vs[2],
-        ),
-        name="V1",
-    )
-    v2 = VectorField(
-        components=(
-            lambda vs: 0.0,
-            lambda vs: -2.0,
-            lambda vs: 0.0,
-            lambda vs: 2.0,
-            lambda vs: -2.0 * vs[3],
-        ),
-        name="V2",
-    )
-    h1 = VectorField(
-        components=(
-            lambda vs: 2.0,
-            lambda vs: 0.0,
-            lambda vs: 2.0,
-            lambda vs: 0.0,
-            lambda vs: 2.0 * vs[2],
-        ),
-        name="H1",
-    )
-    h2 = VectorField(
-        components=(
-            lambda vs: 0.0,
-            lambda vs: 2.0,
-            lambda vs: 0.0,
-            lambda vs: 2.0,
-            lambda vs: 2.0 * vs[3],
-        ),
-        name="H2",
-    )
-    xi = total.structure.xi
-    base = ManifoldModel(
-        name="plane_eighth",
-        dim=2,
-        chart=("b1", "b2"),
-        metric=(
-            (lambda vs: 0.125, lambda vs: 0.0),
-            (lambda vs: 0.0, lambda vs: 0.125),
-        ),
-    )
-    return SubmersionModel(
-        name="vertical-xi",
-        total=total,
-        base=base,
-        projection=(lambda vs: vs[0] + vs[2], lambda vs: vs[1] + vs[3]),
-        vertical_fields=(v1, v2, xi),
-        horizontal_fields=(h1, h2),
-        xi_case="vertical",
-    )
-
-
-def build_horizontal_xi_example() -> SubmersionModel:
-    """Five-dimensional total space onto a three-dimensional target with the
-    Reeb field horizontal.
-
-    The declared target metric is only positive definite inside the disk the
-    target chart excludes, so this model fails the submersion checks; it is
-    kept as the standing stress case for the horizontal-Reeb code paths.
-    """
-    total = build_r2m1(2)
-    v1 = VectorField(
-        components=(
-            lambda vs: -2.0,
-            lambda vs: 0.0,
-            lambda vs: 2.0,
-            lambda vs: 0.0,
-            lambda vs: -2.0 * vs[2],
-        ),
-        name="V1",
-    )
-    v2 = VectorField(
-        components=(
-            lambda vs: 0.0,
-            lambda vs: -2.0,
-            lambda vs: 0.0,
-            lambda vs: 2.0,
-            lambda vs: -2.0 * vs[3],
-        ),
-        name="V2",
-    )
-    h1 = VectorField(
-        components=(
-            lambda vs: 2.0,
-            lambda vs: 0.0,
-            lambda vs: 2.0,
-            lambda vs: 0.0,
-            lambda vs: 2.0 * vs[2],
-        ),
-        name="H1",
-    )
-    h2 = VectorField(
-        components=(
-            lambda vs: 0.0,
-            lambda vs: 2.0,
-            lambda vs: 0.0,
-            lambda vs: 2.0,
-            lambda vs: 2.0 * vs[3],
-        ),
-        name="H2",
-    )
-    xi = total.structure.xi
-    base = ManifoldModel(
-        name="punctured_r3",
-        dim=3,
-        chart=("b1", "b2", "b3"),
-        metric=(
-            (
-                lambda vs: 0.125,
-                lambda vs: vs[0] * vs[1] / 8.0,
-                lambda vs: -vs[0] / 8.0,
-            ),
-            (lambda vs: 0.0, lambda vs: 0.125, lambda vs: -vs[1] / 8.0),
-            (lambda vs: 0.0, lambda vs: 0.0, lambda vs: 0.25),
-        ),
-        domain_guard=lambda c: c[0] ** 2 + c[1] ** 2 > 2.0,
-    )
-    return SubmersionModel(
-        name="horizontal-xi",
-        total=total,
-        base=base,
-        projection=(
-            lambda vs: vs[0] + vs[2],
-            lambda vs: vs[1] + vs[3],
-            lambda vs: vs[2] * vs[2] / 2.0 + vs[3] * vs[3] / 2.0 + vs[4],
-        ),
-        vertical_fields=(v1, v2),
-        horizontal_fields=(h1, h2, xi),
-        xi_case="horizontal",
-        # stay clear of the excluded disk in the target chart
-        locus_guard=lambda c: (c[0] + c[2]) ** 2 + (c[1] + c[3]) ** 2 > 2.5,
-    )
 
 
 def differential_at(sub: SubmersionModel, coords):
@@ -409,9 +257,10 @@ def _exchange_jets(frame: AdaptedFrame, g: ArrayJet, gamma: ArrayJet):
 class PointCalculus:
     """Per-point state shared by the tensor and curvature layers.
 
-    Holds the connection and curvature of the total space, the contact data,
-    the adapted frame as order-2 jet fields, and the exchange jets of the
-    fundamental tensors from which their covariant derivatives come.
+    Holds the connection and curvature of the total space (both the jet
+    curvature and the space-form closed form), the contact data, the adapted
+    frame as order-2 jet fields, and the exchange jets of the fundamental
+    tensors from which their covariant derivatives come.
     """
 
     def __init__(self, sub: SubmersionModel, coords):
@@ -421,7 +270,6 @@ class PointCalculus:
         self.coords = np.asarray(coords, dtype=float)
         self.model.check_domain(self.coords)
         self.conn = christoffel_at(self.model, self.coords)
-        self._curv = None
         self.frame = adapted_frame_at(
             sub, self.coords, order=2, metric=self.conn.metric
         )
@@ -431,16 +279,19 @@ class PointCalculus:
         self.phi_values, _ = st.phi_at(self.coords, order=1)
         self.eta_values = st.eta_at(self.coords)
         self.xi_values = st.xi_at(self.coords)
-        self._t_tab = None
-        self._a_tab = None
-        self._decomp = None
-        self._exchange = None
 
-    @property
+    @cached_property
     def curvature(self):
-        if self._curv is None:
-            self._curv = curvature_from_connection(self.conn)
-        return self._curv
+        return curvature_from_connection(self.conn)
+
+    @cached_property
+    def closed_curvature(self) -> np.ndarray:
+        """Closed-form curvature of a space form with the total space's
+        phi-sectional curvature, from the metric, phi and eta at the point;
+        same slots as ``curvature.r4``."""
+        return space_form_r4(
+            self.sub.total.c, self.conn.metric.value, self.phi_values, self.eta_values
+        )
 
     # ---- pairings and projections ----
 
@@ -472,6 +323,7 @@ class PointCalculus:
     def _values_of(self, w) -> np.ndarray:
         return np.array(w, dtype=float)
 
+    @cached_property
     def _tensor_tables(self):
         """Values of both fundamental tensors on all frame pairs.
 
@@ -479,54 +331,54 @@ class PointCalculus:
         vectors reduces to one covariant derivative per frame pair plus
         projections; the jets of ``_exchange_fields`` are only needed where
         first derivatives matter."""
-        if self._t_tab is None:
-            r, n, d = self.r, self.n, self.dim
-            jets = self.frame.jets
-            vals = [self._values_of(row) for row in jets.value]
-            nab = [[self.cov_point(vals[i], jets[j]) for j in range(d)] for i in range(d)]
-            t_tab = np.zeros((d, d, d))
-            a_tab = np.zeros((d, d, d))
-            for i in range(r):
-                for j in range(r):
-                    t_tab[i, j] = self.h_project_values(nab[i][j])
-                for j in range(n):
-                    t_tab[i, r + j] = self.v_project_values(nab[i][r + j])
-            for i in range(n):
-                for j in range(n):
-                    a_tab[r + i, r + j] = self.v_project_values(nab[r + i][r + j])
-                for j in range(r):
-                    a_tab[r + i, j] = self.h_project_values(nab[r + i][j])
-            frame_rows = np.array(vals)
-            self._decomp = frame_rows @ self.conn.metric.value
-            self._t_tab, self._a_tab = t_tab, a_tab
-        return self._t_tab, self._a_tab
+        r, n, d = self.r, self.n, self.dim
+        jets = self.frame.jets
+        vals = [self._values_of(row) for row in jets.value]
+        nab = [[self.cov_point(vals[i], jets[j]) for j in range(d)] for i in range(d)]
+        t_tab = np.zeros((d, d, d))
+        a_tab = np.zeros((d, d, d))
+        for i in range(r):
+            for j in range(r):
+                t_tab[i, j] = self.h_project_values(nab[i][j])
+            for j in range(n):
+                t_tab[i, r + j] = self.v_project_values(nab[i][r + j])
+        for i in range(n):
+            for j in range(n):
+                a_tab[r + i, r + j] = self.v_project_values(nab[r + i][r + j])
+            for j in range(r):
+                a_tab[r + i, j] = self.h_project_values(nab[r + i][j])
+        return t_tab, a_tab
+
+    @cached_property
+    def _decomp(self) -> np.ndarray:
+        # row a pairs a vector with frame field a: its frame coefficients
+        return np.array(self.frame.jets.value, dtype=float) @ self.conn.metric.value
 
     def t_point(self, e, f) -> np.ndarray:
-        t_tab, _ = self._tensor_tables()
+        t_tab, _ = self._tensor_tables
         ce = self._decomp @ self._values_of(e)
         cf = self._decomp @ self._values_of(f)
         return np.einsum("i,j,ijk->k", ce, cf, t_tab)
 
     def a_point(self, e, f) -> np.ndarray:
-        _, a_tab = self._tensor_tables()
+        _, a_tab = self._tensor_tables
         ce = self._decomp @ self._values_of(e)
         cf = self._decomp @ self._values_of(f)
         return np.einsum("i,j,ijk->k", ce, cf, a_tab)
 
+    @cached_property
     def _exchange_fields(self):
         """Jets of T on vertical frame pairs and of A on horizontal frame
         pairs, computed once and shared by every derivative evaluation."""
-        if self._exchange is None:
-            m, conn = self.conn.metric, self.conn
-            self._exchange = _exchange_jets(
-                self.frame, ArrayJet(m.value, m.d1, m.d2), ArrayJet(conn.gamma, conn.dgamma)
-            )
-        return self._exchange
+        m, conn = self.conn.metric, self.conn
+        return _exchange_jets(
+            self.frame, ArrayJet(m.value, m.d1, m.d2), ArrayJet(conn.gamma, conn.dgamma)
+        )
 
     def nabla_t_frame(self, e_values, k, l) -> np.ndarray:
         """(nabla_e T)(U_k, U_l): d/de of T(U_k, U_l) minus the two slot
         corrections; only the value of ``e`` matters."""
-        t_fields, _ = self._exchange_fields()
+        t_fields, _ = self._exchange_fields
         jets, uv = self.frame.jets, self.frame.vert_values
         main = self.cov_point(e_values, t_fields[k, l])
         c1 = self.t_point(self.cov_point(e_values, jets[k]), uv[l])
@@ -535,7 +387,7 @@ class PointCalculus:
 
     def nabla_a_frame(self, e_values, i, j) -> np.ndarray:
         """(nabla_e A)(X_i, X_j), same conventions."""
-        _, a_fields = self._exchange_fields()
+        _, a_fields = self._exchange_fields
         jets, xv, r = self.frame.jets, self.frame.horiz_values, self.r
         main = self.cov_point(e_values, a_fields[i, j])
         c1 = self.a_point(self.cov_point(e_values, jets[r + i]), xv[j])
@@ -545,10 +397,6 @@ class PointCalculus:
     def delta_n(self) -> float:
         """Divergence-type trace: sum over the horizontal frame of the
         pairing of (nabla_X T)(U, U) with X, summed over the vertical frame."""
-        if not self.sub.analytic_frames:
-            raise UnsupportedComputationError(
-                "first derivatives of the fundamental tensors need analytic frames"
-            )
         total = 0.0
         for xs in self.frame.horiz_values:
             xv = self._values_of(xs)
@@ -643,21 +491,9 @@ def tensors_from_calculus(calc: PointCalculus) -> OneillData:
     )
 
 
-def oneill_tensors_at(sub: SubmersionModel, coords) -> OneillData:
-    return tensors_from_calculus(PointCalculus(sub, coords))
-
-
-def bc_decompose(sub: SubmersionModel, coords, vector_values):
-    """Split phi of a vector into its vertical and horizontal parts."""
-    calc = PointCalculus(sub, coords)
-    w = calc.phi_values @ np.asarray(vector_values, dtype=float)
-    return calc.v_project_values(w), calc.h_project_values(w)
-
-
-def verify_structure_lemmas(
-    sub: SubmersionModel, coords, calc: Optional[PointCalculus] = None
-) -> dict:
-    """Pointwise residuals of the structural identities of the split.
+def verify_structure_lemmas(calc: PointCalculus, data: OneillData) -> dict:
+    """Pointwise residuals of the structural identities of the split, from
+    the point's ``PointCalculus`` and the tensor data built on it.
 
     ``t_symmetry``: the vertical-block tensor is symmetric on fiber pairs.
     ``a_alternation``: the horizontal-block tensor alternates on horizontal
@@ -665,11 +501,8 @@ def verify_structure_lemmas(
     ``anti_invariance``: phi maps the vertical space into the horizontal one.
     ``c_square``: the horizontal part of phi squares to minus the identity up
     to the vertical part of phi and, with the Reeb field horizontal, the Reeb
-    correction.  ``calc`` is the point's ``PointCalculus`` when the caller
-    already has one.
+    correction.
     """
-    calc = PointCalculus(sub, coords) if calc is None else calc
-    data = tensors_from_calculus(calc)
     r, n = calc.r, calc.n
     uvals, xvals = calc.frame.vert_values, calc.frame.horiz_values
     res = {}
@@ -718,7 +551,7 @@ def verify_structure_lemmas(
         c_part = calc.h_project_values(phix)
         ccx = calc.h_project_values(phi @ c_part)
         phib = phi @ b_part
-        if sub.xi_case == "vertical":
+        if calc.sub.xi_case == "vertical":
             resid = ccx + xvals[s] + phib
         else:
             eta_x = float(calc.eta_values @ xvals[s])
@@ -837,6 +670,5 @@ def load_custom_model(path) -> SubmersionModel:
         vertical_fields=vertical,
         horizontal_fields=horizontal,
         xi_case=str(data["xi_case"]),
-        analytic_frames=True,
         locus_guard=locus,
     )

@@ -18,13 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateFrameError,
-    EmptySampleError,
-    RejectedInputError,
-    UnsupportedComputationError,
-)
-from .invariants import PointAnalysis, analyze_point, ric_hat_probe, ric_star_probe
+from .errors import DegenerateFrameError, EmptySampleError, RejectedInputError
+from .invariants import PointAnalysis, ric_hat_probe, ric_star_probe
 
 THEOREM_IDS = (
     "V1",
@@ -316,11 +311,6 @@ def _evaluate_pair(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
         diag = {"equality_class": "chen_a", "equality_defect": _chen_a_defect(ac)}
         out.append(_make_record(theorem_id, None, analysis, vfr, hfr, lhs, rhs, "le", diag))
     elif theorem_id in ("CMB1", "CMB2"):
-        if pk.delta_n is None:
-            raise UnsupportedComputationError(
-                "the combined bounds need the divergence trace of the "
-                "vertical-block tensor, unavailable without analytic frames"
-            )
         eta_u1 = float(eta @ vfr[0])
         eta_x1 = float(eta @ hfr[0])
         c1_sq = _c_norm_sq(analysis, hfr[0])
@@ -367,10 +357,6 @@ def evaluate_theorem(
     return records
 
 
-def evaluate_theorem_at(sub, coords, theorem_id, probe_mode="first", rng=None):
-    return evaluate_theorem(analyze_point(sub, coords), theorem_id, probe_mode, rng)
-
-
 def scan_from_records(theorem_id, records, points_checked) -> TheoremScan:
     violations = sum(1 for rec in records if not rec.holds)
     equalities = sum(1 for rec in records if rec.equality)
@@ -398,28 +384,20 @@ def scan_from_records(theorem_id, records, points_checked) -> TheoremScan:
     )
 
 
-def scan_theorems(sub, points, theorem_ids=None, probe_mode="first", rng=None):
-    """Evaluate a set of theorem ids over sample points; one analysis per
-    point is shared across ids.  Returns {theorem_id: TheoremScan}."""
-    if theorem_ids is None:
-        ids = applicable_ids(sub.xi_case)
-    else:
-        ids = tuple(theorem_ids)
-        for tid in ids:
-            case = required_xi_case(tid)
-            if case != sub.xi_case:
-                raise RejectedInputError(
-                    f"{tid} needs a model with the Reeb field {case}, "
-                    f"got {sub.xi_case}"
-                )
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
+def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
+    """Evaluate theorem ids over analyzed sample points; ids default to those
+    applicable to the model's Reeb case. Points are the outer loop and ids
+    the inner one, so random probes draw from ``rng`` in a fixed order.
+    Returns {theorem_id: TheoremScan} in id order."""
+    if not analyses:
         raise EmptySampleError("no sample points to scan")
-    buckets = {tid: [] for tid in ids}
-    for pt in pts:
-        analysis = analyze_point(sub, pt)
-        for tid in ids:
+    if theorem_ids is None:
+        theorem_ids = applicable_ids(analyses[0].calc.sub.xi_case)
+    buckets = {tid: [] for tid in theorem_ids}
+    for analysis in analyses:
+        for tid in theorem_ids:
             buckets[tid].extend(evaluate_theorem(analysis, tid, probe_mode, rng))
     return {
-        tid: scan_from_records(tid, buckets[tid], len(pts)) for tid in ids
+        tid: scan_from_records(tid, records, len(analyses))
+        for tid, records in buckets.items()
     }

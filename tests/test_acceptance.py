@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneill_lab.cli import cli_parse, run
+from oneill_lab.cli import cli_parse, resolve_model, run
 from oneill_lab.contact import (
     build_r2m1,
     frame_components_at,
@@ -26,10 +26,9 @@ from oneill_lab.invariants import analyze_point
 from oneill_lab.riemannian import metric_at, riemann_at
 from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
 from oneill_lab.submersion import (
-    build_horizontal_xi_example,
-    build_vertical_xi_example,
+    PointCalculus,
     load_custom_model,
-    oneill_tensors_at,
+    tensors_from_calculus,
     verify_riemannian_submersion,
     verify_structure_lemmas,
 )
@@ -68,12 +67,12 @@ def sf_points(space_form):
 
 @pytest.fixture(scope="module")
 def vx_model():
-    return build_vertical_xi_example()
+    return resolve_model("vertical-xi")
 
 
 @pytest.fixture(scope="module")
 def hx_model():
-    return build_horizontal_xi_example()
+    return resolve_model("horizontal-xi")
 
 
 @pytest.fixture(scope="module")
@@ -158,11 +157,12 @@ def test_c3_vertical_model_structure_suite(vx_model, vx_points, vx_analyses):
     kernel = 0.0
     length = 0.0
     lemma_worst = 0.0
-    for pt in vx_points:
+    for pt, analysis in zip(vx_points, vx_analyses):
         chk = verify_riemannian_submersion(vx_model, pt)
         kernel = max(kernel, chk.kernel_residual)
         length = max(length, chk.length_residual)
-        lemma_worst = max(lemma_worst, max(verify_structure_lemmas(vx_model, pt).values()))
+        lemmas = verify_structure_lemmas(analysis.calc, analysis.data)
+        lemma_worst = max(lemma_worst, max(lemmas.values()))
     tr_worst = max(abs(a.data.trace_phi_b + 2.0) for a in vx_analyses)
     ok = max(kernel, length, lemma_worst) <= STRUCT_TOL and tr_worst <= STRUCT_TOL
     assert verdict(
@@ -248,8 +248,9 @@ def test_c7_sharpness_under_vanishing_tensors(vx_scan_records, hx_report, hx_mod
     # T == 0 models: the two fiber scalar bounds should be attained.
     reeb = load_custom_model(REEB_MODEL)
     reeb_pts = sample_submersion_points(reeb, SampleConfig(points=20, seed=42))
-    assert np.max(np.abs(oneill_tensors_at(reeb, reeb_pts[0]).t_coeff)) <= 1e-9
-    v2 = scan_theorems(reeb, reeb_pts, theorem_ids=("V2",))["V2"]
+    reeb_analyses = [analyze_point(reeb, pt) for pt in reeb_pts]
+    assert np.max(np.abs(reeb_analyses[0].data.t_coeff)) <= 1e-9
+    v2 = scan_theorems(reeb_analyses, theorem_ids=("V2",))["V2"]
     v2_worst = max(abs(r.slack) for r in v2.records)
     v3_entry = hx_report.theorems["V3"]
     v3_ok = (
@@ -262,7 +263,8 @@ def test_c7_sharpness_under_vanishing_tensors(vx_scan_records, hx_report, hx_mod
     # so no A == 0 point exists for H2; record the discovery instead.
     hx_pts = sample_submersion_points(hx_model, SampleConfig(points=10, seed=42))
     a_floor = min(
-        float(np.max(np.abs(oneill_tensors_at(hx_model, pt).a_coeff))) for pt in hx_pts
+        float(np.max(np.abs(tensors_from_calculus(PointCalculus(hx_model, pt)).a_coeff)))
+        for pt in hx_pts
     )
     ok = v2_worst <= SHARP_TOL and v3_ok and h1_worst <= SHARP_TOL and a_floor > 0.5
     assert verdict(

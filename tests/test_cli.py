@@ -1,5 +1,6 @@
 """CLI contract: parsing, sections per subcommand, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,9 +8,9 @@ import sys
 
 import pytest
 
-from oneill_lab.cli import RunConfig, cli_parse, main, resolve_model, run
+from oneill_lab.cli import BUNDLED_DIR, RunConfig, cli_parse, main, resolve_model, run
 from oneill_lab.errors import ModelLoadError
-from oneill_lab.report import Tolerances
+from oneill_lab.report import KNOWN_FLAGS, Tolerances, known_flags_for
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 REEB = os.path.join(MODELS_DIR, "reeb_fiber.json")
@@ -78,6 +79,12 @@ class TestResolveModel:
         assert resolve_model("vertical-xi").name == "vertical-xi"
         assert resolve_model("horizontal-xi").name == "horizontal-xi"
         assert resolve_model("r2m1:2").model.dim == 5
+
+    def test_builtins_resolve_from_any_directory(self, tmp_path, monkeypatch):
+        # bundled models ship inside the package, not in the working directory
+        monkeypatch.chdir(tmp_path)
+        assert resolve_model("vertical-xi").name == "vertical-xi"
+        assert resolve_model("horizontal-xi").xi_case == "horizontal"
 
     def test_custom_file(self):
         assert resolve_model(REEB).name == "reeb-fiber"
@@ -241,3 +248,52 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert "verdict: pass" in proc.stderr
         assert json.loads(open(out).read())["schema"] == "oneill-lab-report/1"
+
+
+HX = BUNDLED_DIR / "horizontal-xi.json"
+
+
+class TestKnownFlags:
+    def test_table_pinned_to_bundled_files(self):
+        hx, reeb = HX.read_bytes(), open(REEB, "rb").read()
+        assert set(KNOWN_FLAGS) == {hashlib.sha256(b).hexdigest() for b in (hx, reeb)}
+        assert known_flags_for(hx) == {
+            "submersion.length",
+            "submersion.base_pd",
+            "lemmas.a_alternation",
+            "identities.S1",
+            "identities.S3",
+            "identities.gauss3",
+            "theorems.H2",
+            "theorems.CRH2",
+        }
+        assert known_flags_for(reeb) == {"theorems.CMB1"}
+        assert known_flags_for((BUNDLED_DIR / "vertical-xi.json").read_bytes()) == set()
+
+    @pytest.mark.parametrize("declared", ["horizontal-xi", "some-model"])
+    def test_declared_name_claims_no_flags(self, tmp_path, capsys, declared):
+        # vertical-xi with a broken target metric fails the same checks under
+        # any declared name, that of a flagged model included
+        data = json.loads((BUNDLED_DIR / "vertical-xi.json").read_text())
+        data["name"] = declared
+        data["base_metric"] = [["1/8", "0"], ["0", "-1/8"]]
+        model = tmp_path / "broken.json"
+        model.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", str(model), "--points", "3", "--out", str(out)]
+        assert main(argv) == 1
+        capsys.readouterr()
+        rep = json.loads(out.read_text())
+        assert rep["failed"] == ["submersion.length", "submersion.base_pd"]
+        assert rep["flags_raised"] == []
+
+    def test_flags_follow_file_content(self, tmp_path, capsys):
+        model = tmp_path / "copy.json"
+        model.write_bytes(HX.read_bytes())
+        out = tmp_path / "r.json"
+        argv = ["report", "--model", str(model), "--points", "3", "--out", str(out)]
+        assert main(argv) == 3
+        capsys.readouterr()
+        rep = json.loads(out.read_text())
+        assert rep["flags_raised"] == rep["failed"]
+        assert "theorems.H2" in rep["failed"]

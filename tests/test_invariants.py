@@ -6,14 +6,12 @@ the production path goes through jets, Christoffel symbols, and the adapted
 Gram-Schmidt frame.  Agreement is required at several chart points.
 """
 
-import dataclasses
 import os
 
 import numpy as np
-import pytest
 
 import frame_oracle as fo
-from oneill_lab.errors import UnsupportedComputationError
+from oneill_lab.cli import resolve_model
 from oneill_lab.invariants import (
     analyze_point,
     fiber_curvature_hat,
@@ -21,14 +19,8 @@ from oneill_lab.invariants import (
     mixed_gauss_residual,
     ric_hat_probe,
     ric_star_probe,
-    scalar_invariants,
 )
-from oneill_lab.submersion import (
-    PointCalculus,
-    build_horizontal_xi_example,
-    build_vertical_xi_example,
-    load_custom_model,
-)
+from oneill_lab.submersion import PointCalculus, load_custom_model
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
@@ -48,10 +40,10 @@ CURV_TOL = 1e-6
 
 class TestVerticalXiPacket:
     def test_aggregates_match_oracle(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         split = fo.vertical_xi_split()
         for pt in POINTS:
-            pk = scalar_invariants(sub, pt)
+            pk = analyze_point(sub, pt).packet
             assert abs(2.0 * pk.tau_hat - 2.0 * split.tau_hat()) < CURV_TOL
             assert abs(2.0 * pk.tau_star - 2.0 * split.tau_star()) < CURV_TOL
             oracle_hat = [split.ric_hat(u) for u in split.vert]
@@ -66,7 +58,7 @@ class TestVerticalXiPacket:
             assert abs(pk.sum_a_sq) < TOL
 
     def test_frozen_values(self):
-        pk = scalar_invariants(build_vertical_xi_example(), POINTS[0])
+        pk = analyze_point(resolve_model("vertical-xi"), POINTS[0]).packet
         assert abs(2.0 * pk.tau_hat - 8.0) < CURV_TOL
         assert abs(pk.tau_star) < CURV_TOL
         np.testing.assert_allclose(pk.ric_hat, [2.0, 2.0, 4.0], atol=CURV_TOL)
@@ -74,18 +66,18 @@ class TestVerticalXiPacket:
         assert abs(pk.trace_phi_b - (-2.0)) < TOL
 
     def test_identity_residuals_clean(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         for pt in POINTS:
-            res = scalar_invariants(sub, pt).identity_residuals
+            res = analyze_point(sub, pt).packet.identity_residuals
             assert res["T1"] < TOL
             for key in ("T4", "S1", "S2", "S3", "R1", "R2", "gauss3"):
                 assert res[key] < CURV_TOL, key
 
     def test_ric_probes_accept_arbitrary_unit_vectors(self):
         # probe Ricci values on frame vectors reproduce the table columns
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         calc = PointCalculus(sub, POINTS[0])
-        pk = scalar_invariants(sub, POINTS[0])
+        pk = analyze_point(sub, POINTS[0]).packet
         for k, u in enumerate(calc.frame.vert_values):
             assert abs(ric_hat_probe(calc, u) - pk.ric_hat[k]) < CURV_TOL
         for t, x in enumerate(calc.frame.horiz_values):
@@ -94,7 +86,7 @@ class TestVerticalXiPacket:
     def test_star_curvature_vanishes_on_flat_base(self):
         # horizontal block pushes down to a flat base, so the block
         # curvature must vanish on every horizontal 4-tuple
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         calc = PointCalculus(sub, POINTS[1])
         xs = calc.frame.horiz_values
         val = horizontal_curvature_star(calc, xs[0], xs[1], xs[1], xs[0])
@@ -103,10 +95,10 @@ class TestVerticalXiPacket:
 
 class TestHorizontalXiPacket:
     def test_aggregates_match_oracle(self):
-        sub = build_horizontal_xi_example()
+        sub = resolve_model("horizontal-xi")
         split = fo.horizontal_xi_split()
         for pt in H_POINTS:
-            pk = scalar_invariants(sub, pt)
+            pk = analyze_point(sub, pt).packet
             assert abs(2.0 * pk.tau_hat - 2.0 * split.tau_hat()) < CURV_TOL
             assert abs(2.0 * pk.tau_star - 2.0 * split.tau_star()) < CURV_TOL
             oracle_hat = [split.ric_hat(u) for u in split.vert]
@@ -121,9 +113,9 @@ class TestHorizontalXiPacket:
         # the scalar identity with the xi-horizontal constant terms misses
         # by 6, the exchange-based scalar identity by 40, and the mixed
         # exchange identity by exactly 2 on this model, at every point
-        sub = build_horizontal_xi_example()
+        sub = resolve_model("horizontal-xi")
         for pt in H_POINTS:
-            res = scalar_invariants(sub, pt).identity_residuals
+            res = analyze_point(sub, pt).packet.identity_residuals
             assert abs(res["S1"] - 6.0) < CURV_TOL
             assert abs(res["S3"] - 40.0) < CURV_TOL
             assert abs(res["gauss3"] - 2.0) < CURV_TOL
@@ -137,7 +129,7 @@ class TestReebFiberPacket:
         sub = load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))
         split = fo.reeb_split()
         for pt in POINTS:
-            pk = scalar_invariants(sub, pt)
+            pk = analyze_point(sub, pt).packet
             assert abs(2.0 * pk.tau_hat) < CURV_TOL
             assert abs(2.0 * pk.tau_star - (-24.0)) < CURV_TOL
             assert abs(2.0 * pk.tau_star - 2.0 * split.tau_star()) < CURV_TOL
@@ -155,7 +147,7 @@ class TestReebFiberPacket:
 class TestMixedExchange:
     def test_fiber_curvature_slots(self):
         # direct check of one exchange value against the oracle
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         calc = PointCalculus(sub, POINTS[0])
         split = fo.vertical_xi_split()
         us = calc.frame.vert_values
@@ -165,34 +157,16 @@ class TestMixedExchange:
 
     def test_mixed_residual_values(self):
         assert (
-            mixed_gauss_residual(PointCalculus(build_vertical_xi_example(), POINTS[0]))
+            mixed_gauss_residual(PointCalculus(resolve_model("vertical-xi"), POINTS[0]))
             < CURV_TOL
         )
         assert (
             abs(
                 mixed_gauss_residual(
-                    PointCalculus(build_horizontal_xi_example(), H_POINTS[0])
+                    PointCalculus(resolve_model("horizontal-xi"), H_POINTS[0])
                 )
                 - 2.0
             )
             < CURV_TOL
         )
 
-
-class TestUnsupportedPaths:
-    def test_non_analytic_frames_disable_derivative_entries(self):
-        base = build_vertical_xi_example()
-        sub = dataclasses.replace(base, analytic_frames=False)
-        pk = scalar_invariants(sub, POINTS[0])
-        assert pk.delta_n is None
-        assert pk.identity_residuals["S3"] is None
-        assert pk.identity_residuals["gauss3"] is None
-        for key in ("T1", "T4", "S1", "S2", "R1", "R2"):
-            assert pk.identity_residuals[key] is not None
-
-    def test_delta_n_raises_without_analytic_frames(self):
-        base = build_vertical_xi_example()
-        sub = dataclasses.replace(base, analytic_frames=False)
-        calc = PointCalculus(sub, POINTS[0])
-        with pytest.raises(UnsupportedComputationError):
-            calc.delta_n()

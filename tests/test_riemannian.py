@@ -12,15 +12,11 @@ from oneill_lab.errors import (
 )
 from oneill_lab.riemannian import (
     ManifoldModel,
-    VectorField,
     christoffel_at,
-    covariant_derivative_at,
-    fields_from_matrix,
     metric_at,
-    pair_r4,
     ricci_from_curvature,
     riemann_at,
-    scalar_curvature_at,
+    scalar_curvature,
     sectional_curvature,
 )
 
@@ -98,7 +94,7 @@ def test_flat_connection_and_curvature_vanish():
     assert np.max(np.abs(conn.gamma)) == 0.0
     curv = riemann_at(m, pt)
     assert np.max(np.abs(curv.r4)) == 0.0
-    assert scalar_curvature_at(m, pt) == 0.0
+    assert scalar_curvature(curv) == 0.0
 
 
 def test_polar_christoffels_closed_form():
@@ -132,7 +128,7 @@ def test_sphere_ricci_and_scalar():
     ric = ricci_from_curvature(curv)
     # Ric = (n-1) K g = g on the unit 2-sphere; scalar = 2
     assert np.allclose(ric, curv.metric.value, atol=TOL_CURV)
-    assert abs(scalar_curvature_at(m, pt) - 2.0) < TOL_CURV
+    assert abs(scalar_curvature(curv) - 2.0) < TOL_CURV
 
 
 # -- guards -------------------------------------------------------------------
@@ -238,39 +234,3 @@ def test_riemann_symmetries_and_bianchi():
     assert np.max(np.abs(r4 - np.einsum("klij->ijkl", r4))) < TOL_CURV
     cyc = r4 + np.einsum("jkil->ijkl", r4) + np.einsum("kijl->ijkl", r4)
     assert np.max(np.abs(cyc)) < TOL_CURV
-
-
-def test_covariant_derivative_fd():
-    m = bumpy_model()
-    pt = np.array([0.4, -0.3, 0.8])
-    x = VectorField(components=(_const(1.0), _const(0.5), _const(-0.25)), name="X")
-    y = VectorField(
-        components=(
-            lambda vs: vs[1] * vs[2],
-            lambda vs: 1.0 + vs[0],
-            lambda vs: vs[0] * vs[0],
-        ),
-        name="Y",
-    )
-    got = covariant_derivative_at(m, pt, x, y)
-    # oracle: X^i d_i Y^k by FD along X, plus Gamma contraction
-    h = 1e-6
-    xv = np.array([1.0, 0.5, -0.25])
-
-    def yvals(q):
-        return np.array([q[1] * q[2], 1.0 + q[0], q[0] * q[0]])
-
-    dy_along_x = (yvals(pt + h * xv) - yvals(pt - h * xv)) / (2 * h)
-    conn = christoffel_at(m, pt)
-    expect = dy_along_x + np.einsum("kij,i,j->k", conn.gamma, xv, yvals(pt))
-    assert np.max(np.abs(got - expect)) < 1e-6
-
-
-def test_fields_from_matrix_shapes():
-    fs = fields_from_matrix([[1.0, 0.0], [0.0, 2.0]], dim=2)
-    assert [f.name for f in fs] == ["F1", "F2"]
-    import oneill_lab.jets as jets
-
-    p = jets.seed([0.0, 0.0])
-    vals = [j.value for j in fs[1].evaluate(p.vars, 2)]
-    assert vals == [0.0, 2.0]

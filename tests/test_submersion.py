@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import frame_oracle as fo
+from oneill_lab.cli import resolve_model
 from oneill_lab.errors import (
     DegenerateFrameError,
     OutOfDomainError,
@@ -21,12 +22,9 @@ from oneill_lab.submersion import (
     PointCalculus,
     SubmersionModel,
     adapted_frame_at,
-    bc_decompose,
-    build_horizontal_xi_example,
-    build_vertical_xi_example,
     differential_at,
     load_custom_model,
-    oneill_tensors_at,
+    tensors_from_calculus,
     verify_riemannian_submersion,
     verify_structure_lemmas,
 )
@@ -66,6 +64,15 @@ def to_chart(coeffs, coords):
     return np.asarray(coeffs) @ frame_chart_matrix(coords)
 
 
+def tensors_at(sub, p):
+    return tensors_from_calculus(PointCalculus(sub, p))
+
+
+def lemmas_at(sub, p):
+    calc = PointCalculus(sub, p)
+    return verify_structure_lemmas(calc, tensors_from_calculus(calc))
+
+
 def gram(calc, rows):
     g = calc.conn.metric.value
     return rows @ g @ rows.T
@@ -73,20 +80,20 @@ def gram(calc, rows):
 
 class TestAdaptedFrame:
     def test_vertical_xi_frame_orthonormal(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         for p in POINTS:
             calc = PointCalculus(sub, p)
             allv = np.vstack([calc.frame.vert_values, calc.frame.horiz_values])
             assert np.max(np.abs(gram(calc, allv) - np.eye(5))) < 1e-12
 
     def test_reeb_field_kept_in_last_vertical_slot(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         frame = adapted_frame_at(sub, POINTS[0])
         assert np.allclose(frame.vert_values[-1], [0, 0, 0, 0, 2], atol=1e-14)
 
     def test_frame_matches_declared_normalization(self):
         # declared blocks are already orthogonal, so Gram-Schmidt only rescales
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         p = POINTS[1]
         frame = adapted_frame_at(sub, p)
         s2 = 1.0 / np.sqrt(2.0)
@@ -97,7 +104,7 @@ class TestAdaptedFrame:
 
     def test_frame_jets_are_differentiable_fields(self):
         # finite-difference the unit frame along a chart direction
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         p = POINTS[0]
         h = 1e-6
         f0 = adapted_frame_at(sub, p)
@@ -109,7 +116,7 @@ class TestAdaptedFrame:
         assert np.max(np.abs(fd - grads)) < 1e-5
 
     def test_dependent_fields_rejected(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         bad = SubmersionModel(
             name="bad",
             total=sub.total,
@@ -127,7 +134,7 @@ class TestAdaptedFrame:
             adapted_frame_at(bad, POINTS[0])
 
     def test_block_count_must_span(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         with pytest.raises(RejectedInputError):
             SubmersionModel(
                 name="short",
@@ -142,7 +149,7 @@ class TestAdaptedFrame:
 
 class TestSubmersionChecks:
     def test_vertical_xi_is_riemannian_submersion(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         for p in POINTS:
             chk = verify_riemannian_submersion(sub, p)
             assert chk.kernel_residual < 1e-12
@@ -150,14 +157,14 @@ class TestSubmersionChecks:
             assert chk.base_pd
 
     def test_differential_values(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         p = POINTS[0]
         base_point, jac = differential_at(sub, p)
         assert np.allclose(base_point, [p[0] + p[2], p[1] + p[3]])
         assert np.allclose(jac, [[1, 0, 1, 0, 0], [0, 1, 0, 1, 0]])
 
     def test_horizontal_xi_length_defect_scales_with_x1y1(self):
-        sub = build_horizontal_xi_example()
+        sub = resolve_model("horizontal-xi")
         p = np.array([1.0, 0.0, 0.8, 0.0, 0.3])  # x1*y1 = 0.8
         chk = verify_riemannian_submersion(sub, p)
         assert chk.kernel_residual < 1e-12
@@ -167,7 +174,7 @@ class TestSubmersionChecks:
     def test_horizontal_xi_full_defect_closed_form(self):
         # Gram defect entries: diagonal 2*x_i*y_i, pair cross x1*x2+y1*y2,
         # Reeb cross (y_i-x_i)/sqrt(2); they cannot all vanish on the locus
-        sub = build_horizontal_xi_example()
+        sub = resolve_model("horizontal-xi")
         for p in H_POINTS:
             x1, x2, y1, y2 = p[0], p[1], p[2], p[3]
             expected = max(
@@ -182,17 +189,17 @@ class TestSubmersionChecks:
             assert not chk.base_pd
 
     def test_horizontal_xi_outside_locus_raises(self):
-        sub = build_horizontal_xi_example()
+        sub = resolve_model("horizontal-xi")
         with pytest.raises(OutOfDomainError):
             verify_riemannian_submersion(sub, np.array([0.0, 0.0, 0.1, 0.0, 0.0]))
 
 
 class TestOneillTensors:
     def test_vertical_xi_matches_oracle(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         for p in POINTS:
-            data = oneill_tensors_at(sub, p)
+            data = tensors_at(sub, p)
             assert np.max(np.abs(data.t_coeff - sp.t_coeff())) < 1e-10
             assert np.max(np.abs(data.a_coeff)) < 1e-10
             assert abs(data.sum_t_sq - 4.0) < 1e-10
@@ -205,10 +212,10 @@ class TestOneillTensors:
             assert np.max(np.abs(data.eta_horiz)) < 1e-12
 
     def test_horizontal_xi_matches_oracle(self):
-        sub = build_horizontal_xi_example()
+        sub = resolve_model("horizontal-xi")
         sp = fo.horizontal_xi_split()
         for p in H_POINTS:
-            data = oneill_tensors_at(sub, p)
+            data = tensors_at(sub, p)
             assert np.max(np.abs(data.a_coeff - sp.a_coeff())) < 1e-10
             assert np.max(np.abs(data.t_coeff)) < 1e-10
             assert abs(data.sum_a_sq - 4.0) < 1e-10
@@ -217,7 +224,7 @@ class TestOneillTensors:
             assert np.allclose(data.eta_horiz, [0, 0, 1], atol=1e-12)
 
     def test_mixed_slots_match_oracle(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         p = POINTS[2]
         calc = PointCalculus(sub, p)
@@ -230,8 +237,8 @@ class TestOneillTensors:
     def test_nabla_t_matches_oracle(self):
         # first derivative of the fundamental tensor through the jet frames
         for sub, sp, pts in [
-            (build_vertical_xi_example(), fo.vertical_xi_split(), POINTS),
-            (build_horizontal_xi_example(), fo.horizontal_xi_split(), H_POINTS),
+            (resolve_model("vertical-xi"), fo.vertical_xi_split(), POINTS),
+            (resolve_model("horizontal-xi"), fo.horizontal_xi_split(), H_POINTS),
         ]:
             p = pts[0]
             calc = PointCalculus(sub, p)
@@ -244,7 +251,7 @@ class TestOneillTensors:
                         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_nabla_a_matches_oracle(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         p = POINTS[1]
         calc = PointCalculus(sub, p)
@@ -258,34 +265,37 @@ class TestOneillTensors:
 
     def test_delta_n_zero_on_builtin_models(self):
         for sub, pts in [
-            (build_vertical_xi_example(), POINTS),
-            (build_horizontal_xi_example(), H_POINTS),
+            (resolve_model("vertical-xi"), POINTS),
+            (resolve_model("horizontal-xi"), H_POINTS),
         ]:
             for p in pts[:2]:
                 assert abs(PointCalculus(sub, p).delta_n()) < 1e-8
 
     def test_bc_decompose_vertical_xi(self):
-        # phi of the first horizontal frame vector is vertical here
-        sub = build_vertical_xi_example()
+        # phi of the first horizontal frame vector is vertical here: its
+        # vertical part B is minus the first vertical frame vector and its
+        # horizontal part C vanishes
+        sub = resolve_model("vertical-xi")
         p = POINTS[0]
         calc = PointCalculus(sub, p)
         x0 = calc.frame.horiz_values[0]
-        b, c = bc_decompose(sub, p, x0)
+        w = calc.phi_values @ x0
+        b, c = calc.v_project_values(w), calc.h_project_values(w)
         assert np.max(np.abs(c)) < 1e-12
         assert np.max(np.abs(b + calc.frame.vert_values[0])) < 1e-12
 
 
 class TestStructureLemmas:
     def test_vertical_xi_all_clean(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         for p in POINTS:
-            res = verify_structure_lemmas(sub, p)
+            res = lemmas_at(sub, p)
             for key, val in res.items():
                 assert val < 1e-10, (key, val)
 
     def test_horizontal_xi_alternation_defect(self):
-        sub = build_horizontal_xi_example()
-        res = verify_structure_lemmas(sub, H_POINTS[0])
+        sub = resolve_model("horizontal-xi")
+        res = lemmas_at(sub, H_POINTS[0])
         assert abs(res["a_alternation"] - 2.0) < 1e-10
         assert res["t_symmetry"] < 1e-10
         assert res["skew_t"] < 1e-10
@@ -309,7 +319,7 @@ class TestCustomModels:
         sub = load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))
         sp = fo.reeb_split()
         for p in POINTS[:2]:
-            data = oneill_tensors_at(sub, p)
+            data = tensors_at(sub, p)
             assert np.max(np.abs(data.t_coeff)) < 1e-10
             assert np.max(np.abs(data.a_coeff - sp.a_coeff())) < 1e-10
             assert abs(data.norm_ah_sq - 4.0) < 1e-10
@@ -319,7 +329,7 @@ class TestCustomModels:
 
     def test_reeb_fiber_lemmas_clean(self):
         sub = load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))
-        res = verify_structure_lemmas(sub, POINTS[1])
+        res = lemmas_at(sub, POINTS[1])
         for key, val in res.items():
             assert val < 1e-10, (key, val)
 

@@ -13,24 +13,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oneill_lab.errors import (
-    EmptySampleError,
-    RejectedInputError,
-    UnsupportedComputationError,
-)
+from oneill_lab.cli import resolve_model
+from oneill_lab.errors import EmptySampleError, RejectedInputError
 from oneill_lab.invariants import analyze_point
-from oneill_lab.submersion import (
-    build_horizontal_xi_example,
-    build_vertical_xi_example,
-    load_custom_model,
-    verify_riemannian_submersion,
-)
+from oneill_lab.submersion import load_custom_model, verify_riemannian_submersion
 from oneill_lab.theorems import (
     CRH1_VARIANTS,
     THEOREM_IDS,
     applicable_ids,
     evaluate_theorem,
-    evaluate_theorem_at,
     required_xi_case,
     scan_theorems,
 )
@@ -45,12 +36,12 @@ TOL = 1e-6
 
 @pytest.fixture(scope="module")
 def vx_analysis():
-    return analyze_point(build_vertical_xi_example(), PT)
+    return analyze_point(resolve_model("vertical-xi"), PT)
 
 
 @pytest.fixture(scope="module")
 def hx_analysis():
-    return analyze_point(build_horizontal_xi_example(), H_PT)
+    return analyze_point(resolve_model("horizontal-xi"), H_PT)
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +196,9 @@ class TestReebFiberFrozen:
 
 class TestScans:
     def test_scan_default_ids_vertical(self):
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         pts = [PT, np.array([1.1, 0.5, -0.8, 1.3, -0.6])]
-        scans = scan_theorems(sub, pts)
+        scans = scan_theorems([analyze_point(sub, p) for p in pts])
         assert set(scans) == set(applicable_ids("vertical"))
         assert scans["V2"].points_checked == 2
         assert scans["V2"].violations == 0
@@ -219,34 +210,28 @@ class TestScans:
             assert crh1.variant_tallies[name]["checked"] == 2
             assert crh1.variant_tallies[name]["violations"] == 0
 
-    def test_scan_counts_violations(self):
-        sub = build_horizontal_xi_example()
-        scans = scan_theorems(sub, [H_PT], theorem_ids=("H2", "CRH2", "V3"))
+    def test_scan_counts_violations(self, hx_analysis):
+        scans = scan_theorems([hx_analysis], theorem_ids=("H2", "CRH2", "V3"))
         assert scans["H2"].violations == 1
         assert abs(scans["H2"].min_slack + 12.0) < TOL
         np.testing.assert_allclose(scans["H2"].argmin_point, H_PT)
         assert scans["CRH2"].violations == 1
         assert scans["V3"].violations == 0
 
-    def test_scan_rejects_mismatched_ids(self):
+    def test_scan_rejects_mismatched_ids(self, vx_analysis):
         with pytest.raises(RejectedInputError):
-            scan_theorems(build_vertical_xi_example(), [PT], theorem_ids=("V3",))
+            scan_theorems([vx_analysis], theorem_ids=("V3",))
         with pytest.raises(RejectedInputError):
-            scan_theorems(build_vertical_xi_example(), [PT], theorem_ids=("V9",))
+            scan_theorems([vx_analysis], theorem_ids=("V9",))
 
     def test_scan_empty_points(self):
         with pytest.raises(EmptySampleError):
-            scan_theorems(build_vertical_xi_example(), [])
-
-    def test_cmb_needs_analytic_frames(self):
-        sub = dataclasses.replace(build_vertical_xi_example(), analytic_frames=False)
-        with pytest.raises(UnsupportedComputationError):
-            evaluate_theorem_at(sub, PT, "CMB1")
+            scan_theorems([])
 
 
 class TestFrameCoherence:
     def test_slack_multiset_invariant_under_block_reorder(self):
-        base = build_vertical_xi_example()
+        base = resolve_model("vertical-xi")
         v1, v2, xi = base.vertical_fields
         h1, h2 = base.horizontal_fields
         swapped = dataclasses.replace(
@@ -269,7 +254,7 @@ class TestSampledInvariants:
     def test_vertical_xi_bounds_hold_where_submersion_is_exact(self, pt):
         # this model is an exact metric submersion everywhere, so every
         # applicable bound must hold at every sampled point
-        sub = build_vertical_xi_example()
+        sub = resolve_model("vertical-xi")
         pt = np.asarray(pt)
         chk = verify_riemannian_submersion(sub, pt)
         assume(chk.length_residual <= 1e-8)
@@ -283,7 +268,7 @@ class TestSampledInvariants:
     def test_horizontal_xi_has_no_exact_point(self, pt):
         # the same qualified claim is vacuous on this model: no admissible
         # point pushes the frame down isometrically
-        sub = build_horizontal_xi_example()
+        sub = resolve_model("horizontal-xi")
         pt = np.asarray(pt)
         x1, x2, y1, y2 = pt[0], pt[1], pt[2], pt[3]
         assume((x1 + y1) ** 2 + (x2 + y2) ** 2 > 2.5)
