@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import SasakianSpaceFormSpec, build_r2m1, space_form_r4, verify_sasakian
+from .contact import SasakianSpaceFormSpec, build_r2m1, space_form_data, verify_sasakian
 from .errors import (
     EmptySampleError,
     ModelLoadError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .invariants import analyze_point
 from .report import Report, Tolerances, decide_verdict, identity_tolerance, known_flags_for
-from .riemannian import christoffel_at, curvature_from_connection
+from .riemannian import max_residual, point_blocks
 from .sampling import SampleConfig, sample_model_points, sample_submersion_points
 from .submersion import (
     SubmersionModel,
@@ -104,18 +104,25 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _spaceform_structure(spec: SasakianSpaceFormSpec, states, tol: Tolerances):
-    """Sasakian residuals and the curvature cross-check over sample points;
-    ``states`` yields per point its coordinates, connection, jet curvature
-    and closed-form curvature."""
+def _space_form_blocks(spec: SasakianSpaceFormSpec, pts):
+    """The total space's data on consecutive blocks of the sample."""
+    for block in point_blocks(pts, spec.model.dim):
+        yield space_form_data(spec, block)
+
+
+def _spaceform_structure(spec: SasakianSpaceFormSpec, blocks, tol: Tolerances):
+    """Sasakian residuals and the curvature cross-check over the sample,
+    from its blocks of total-space data."""
     sas = {}
     curv1 = 0.0
     points = 0
-    for pt, conn, curv, closed in states:
-        for key, val in verify_sasakian(spec, pt, conn).items():
-            sas[key] = max(sas.get(key, 0.0), float(val))
-        curv1 = max(curv1, float(np.max(np.abs(curv.r4 - closed))))
-        points += 1
+    for data in blocks:
+        residuals = verify_sasakian(spec, data.points, data.conn, data.contact)
+        for key, val in residuals.items():
+            sas[key] = max_residual(val, sas.get(key, 0.0))
+        curv1 = max_residual(np.abs(data.curvature.r4 - data.closed), curv1)
+        points += len(data.points)
+        del data  # free this block before the next one is evaluated
     section = {
         "points": points,
         "sasakian": sas,
@@ -126,25 +133,11 @@ def _spaceform_structure(spec: SasakianSpaceFormSpec, states, tol: Tolerances):
     return section, checks
 
 
-def _spaceform_states(spec: SasakianSpaceFormSpec, pts):
-    """Per point of a plain space form: one connection, shared by the
-    Sasakian checks and both curvatures."""
-    st = spec.structure
-    for pt in pts:
-        conn = christoffel_at(spec.model, pt)
-        phi_v, _ = st.phi_at(pt, order=1)
-        closed = space_form_r4(spec.c, conn.metric.value, phi_v, st.eta_at(pt))
-        yield pt, conn, curvature_from_connection(conn), closed
-
-
-def _submersion_structure(sub: SubmersionModel, analyses, tol: Tolerances):
+def _submersion_structure(sub: SubmersionModel, blocks, analyses, tol: Tolerances):
     """Structure section over the analyzed sample points: the space-form
-    part on each point's connection and curvatures, then the submersion
-    checks and lemmas on its frame and tensor data."""
-    calcs = [a.calc for a in analyses]
-    section, checks = _spaceform_structure(
-        sub.total, ((c.coords, c.conn, c.curvature, c.closed_curvature) for c in calcs), tol
-    )
+    part on the blocks of total-space data, then the submersion checks and
+    lemmas on each point's frame and tensor data."""
+    section, checks = _spaceform_structure(sub.total, blocks, tol)
     lemmas = {}
     kernel = 0.0
     lengths = []
@@ -152,12 +145,12 @@ def _submersion_structure(sub: SubmersionModel, analyses, tol: Tolerances):
     for analysis in analyses:
         calc = analysis.calc
         chk = verify_riemannian_submersion(sub, calc.coords, calc)
-        kernel = max(kernel, float(chk.kernel_residual))
+        kernel = max_residual([chk.kernel_residual], kernel)
         lengths.append(float(chk.length_residual))
         pd_flags.append(bool(chk.base_pd))
         for key, val in verify_structure_lemmas(calc, analysis.data).items():
-            lemmas[key] = max(lemmas.get(key, 0.0), float(val))
-    length = max(lengths)
+            lemmas[key] = max_residual([val], lemmas.get(key, 0.0))
+    length = max_residual(lengths)
     section["submersion"] = {
         "kernel": kernel,
         "length": length,
@@ -178,8 +171,7 @@ def _identity_section(analyses, tol: Tolerances):
     maxima = {}
     for analysis in analyses:
         for key, val in analysis.packet.identity_residuals.items():
-            val = float(val)
-            maxima[key] = max(maxima[key], val) if key in maxima else val
+            maxima[key] = max_residual([val], maxima.get(key, 0.0))
     checks = {
         f"identities.{key}": val <= identity_tolerance(key, tol)
         for key, val in maxima.items()
@@ -238,16 +230,25 @@ def run(config: RunConfig) -> Report:
             )
         pts = sample_model_points(model_obj.model, scfg)
         structure, checks = _spaceform_structure(
-            model_obj, _spaceform_states(model_obj, pts), tol
+            model_obj, _space_form_blocks(model_obj, pts), tol
         )
     else:
         sub = model_obj
         flagged = known_flags_for(_model_file(config.model).read_bytes())
         pts = sample_submersion_points(sub, scfg)
-        # one analysis per point, shared by every section
-        analyses = [analyze_point(sub, pt) for pt in pts]
+        # the total space's data once per block of points, and one analysis
+        # per point on its slice of them, shared by every section
+        blocks = []
+        analyses = []
+        for data in _space_form_blocks(sub.total, pts):
+            blocks.append(data)
+            analyses.extend(
+                analyze_point(sub, pt, data[k]) for k, pt in enumerate(data.points)
+            )
         if config.command in ("verify", "report"):
-            structure, structure_checks = _submersion_structure(sub, analyses, tol)
+            structure, structure_checks = _submersion_structure(
+                sub, blocks, analyses, tol
+            )
             checks.update(structure_checks)
             identities, id_checks = _identity_section(analyses, tol)
             checks.update(id_checks)

@@ -12,11 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInputError
-from .jets import as_jet, seed
+from .jets import ArrayJet, seed, seed_block
 from .riemannian import (
+    ConnectionData,
+    CurvatureData,
     ManifoldModel,
+    PointAxis,
     VectorField,
     christoffel_at,
+    curvature_from_connection,
     metric_at,
     sectional_curvature,
 )
@@ -32,30 +36,46 @@ class ContactStructure:
     xi: VectorField
     eta: tuple  # dim callables
 
-    def phi_at(self, coords, order: int = 1):
-        """phi values (i, j) and, for order 1+, partials (i, j, a)."""
-        pt = seed(coords, order=order)
-        d = self.model.dim
-        val = np.zeros((d, d))
-        dphi = np.zeros((d, d, d))
+    def at(self, points) -> "ContactData":
+        """phi and xi with their first partials, and eta, on a block of
+        points ``(N, d)``: each callable runs once per block."""
+        vs = seed_block(points, order=1)
+        n, d = len(vs[0].value), self.model.dim
+        phi = np.zeros((n, d, d))
+        dphi = np.zeros((n, d, d, d))
         for i in range(d):
             for j in range(d):
-                jet = as_jet(self.phi[i][j](pt.vars), d, order=order)
-                val[i, j] = jet.value
-                dphi[i, j, :] = jet.gradient
-        return val, dphi
+                _fill(self.phi[i][j](vs), phi[:, i, j], dphi[:, i, j])
+        eta = np.zeros((n, d))
+        for a in range(d):
+            _fill(self.eta[a](vs), eta[:, a], None)
+        xi = np.zeros((n, d))
+        dxi = np.zeros((n, d, d))
+        for k, comp in enumerate(self.xi.components):
+            _fill(comp(vs), xi[:, k], dxi[:, k])
+        return ContactData(phi=phi, dphi=dphi, eta=eta, xi=xi, dxi=dxi)
 
-    def eta_at(self, coords) -> np.ndarray:
-        pt = seed(coords, order=1)
-        d = self.model.dim
-        return np.array([as_jet(self.eta[a](pt.vars), d, order=1).value for a in range(d)])
 
-    def xi_at(self, coords) -> np.ndarray:
-        pt = seed(coords, order=1)
-        d = self.model.dim
-        return np.array(
-            [j.value for j in self.xi.evaluate(pt.vars, d, order=1)]
-        )
+def _fill(entry, value: np.ndarray, gradient) -> None:
+    """Write a callable's result on a block (a jet, or a float that holds
+    at every point) into its value column and, if given, gradient rows."""
+    if not isinstance(entry, ArrayJet):
+        value[:] = float(entry)
+        return
+    value[:] = entry.value
+    if gradient is not None:
+        gradient[:] = entry.gradient
+
+
+@dataclass(frozen=True)
+class ContactData(PointAxis):
+    """Contact data on a block of points, the point axis ``p`` leading."""
+
+    phi: np.ndarray  # (p, i, j): component of phi(d_j) along d_i
+    dphi: np.ndarray  # (p, i, j, a): its partial in direction a
+    eta: np.ndarray  # (p, a)
+    xi: np.ndarray  # (p, k)
+    dxi: np.ndarray  # (p, k, a) = d_a xi^k
 
 
 @dataclass(frozen=True)
@@ -154,53 +174,61 @@ def build_r2m1(m: int) -> SasakianSpaceFormSpec:
     return SasakianSpaceFormSpec(c=-3.0, structure=structure, frame=tuple(frame))
 
 
-def verify_sasakian(spec: SasakianSpaceFormSpec, coords, conn=None) -> dict:
-    """Residuals of the defining identities at one point, all as max-abs.
+def verify_sasakian(
+    spec: SasakianSpaceFormSpec,
+    points,
+    conn: ConnectionData | None = None,
+    contact: ContactData | None = None,
+) -> dict:
+    """Residuals of the defining identities on a block of points ``(N, d)``,
+    each as one max-abs value per point, shape ``(N,)``.
 
     Checks, over coordinate fields: the algebraic almost-contact relations,
     metric compatibility of phi, eta = g(., xi), the Reeb derivative law
     nabla_X xi = -phi X, and the covariant-derivative law of phi. ``conn``
-    is the connection at ``coords`` when the caller already has it.
+    and ``contact`` are the block's connection and contact data when the
+    caller already has them.
     """
     st = spec.structure
-    model = st.model
-    d = model.dim
+    d = st.model.dim
     if conn is None:
-        conn = christoffel_at(model, coords)
+        conn = christoffel_at(st.model, points)
+    if contact is None:
+        contact = st.at(points)
     gv = conn.metric.value
-    phi_v, dphi = st.phi_at(coords, order=1)
-    eta_v = st.eta_at(coords)
-    pt = seed(coords, order=1)
-    xi_jets = st.xi.evaluate(pt.vars, d, order=1)
-    xi_v = np.array([j.value for j in xi_jets])
-    dxi = np.array([j.gradient for j in xi_jets])  # dxi[k, a] = d_a xi^k
+    phi_v, dphi = contact.phi, contact.dphi
+    eta_v, xi_v, dxi = contact.eta, contact.xi, contact.dxi
+    # one point's vectors as (1, d) rows and (d, 1) columns, so that each
+    # matrix product has the shapes, and the sums, of the one-point case
+    eta_row, xi_col = eta_v[:, None, :], xi_v[:, :, None]
+    per_point = (1, 2)
 
     # phi^2 = -I + xi (x) eta
-    alg = phi_v @ phi_v + np.eye(d) - np.outer(xi_v, eta_v)
-    res_phi_square = float(np.max(np.abs(alg)))
+    alg = phi_v @ phi_v + np.eye(d) - xi_col * eta_row
+    res_phi_square = np.max(np.abs(alg), axis=per_point)
 
-    res_eta_xi = float(abs(eta_v @ xi_v - 1.0))
+    res_eta_xi = np.abs((eta_row @ xi_col)[:, 0, 0] - 1.0)
 
     # g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y)
-    compat = phi_v.T @ gv @ phi_v - gv + np.outer(eta_v, eta_v)
-    res_compat = float(np.max(np.abs(compat)))
+    compat = np.swapaxes(phi_v, 1, 2) @ gv @ phi_v - gv + eta_v[:, :, None] * eta_row
+    res_compat = np.max(np.abs(compat), axis=per_point)
 
-    res_eta_metric = float(np.max(np.abs(eta_v - gv @ xi_v)))
+    res_eta_metric = np.max(np.abs(eta_v - (gv @ xi_col)[:, :, 0]), axis=1)
 
     # nabla_{d_a} xi + phi d_a = 0
-    nab = dxi + np.einsum("kam,m->ka", conn.gamma, xi_v)
-    res_nabla_xi = float(np.max(np.abs(nab + phi_v)))
+    nab = dxi + np.einsum("pkam,pm->pka", conn.gamma, xi_v)
+    res_nabla_xi = np.max(np.abs(nab + phi_v), axis=per_point)
 
     # (nabla_{d_a} phi)(d_b) = g_ab xi - eta_b d_a
     nabla_phi = (
-        np.einsum("kba->kab", dphi)
-        + np.einsum("kam,mb->kab", conn.gamma, phi_v)
-        - np.einsum("km,mab->kab", phi_v, conn.gamma)
+        np.einsum("pkba->pkab", dphi)
+        + np.einsum("pkam,pmb->pkab", conn.gamma, phi_v)
+        - np.einsum("pkm,pmab->pkab", phi_v, conn.gamma)
     )
-    target = np.einsum("ab,k->kab", gv, xi_v) - np.einsum(
-        "b,ka->kab", eta_v, np.eye(d)
+    target = np.einsum("pab,pk->pkab", gv, xi_v) - np.einsum(
+        "pb,ka->pkab", eta_v, np.eye(d)
     )
-    res_nabla_phi = float(np.max(np.abs(nabla_phi - target)))
+    res_nabla_phi = np.max(np.abs(nabla_phi - target), axis=(1, 2, 3))
 
     return {
         "phi_square": res_phi_square,
@@ -212,31 +240,61 @@ def verify_sasakian(spec: SasakianSpaceFormSpec, coords, conn=None) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class SpaceFormData(PointAxis):
+    """A Sasakian space form on a block of points: the connection, the jet
+    curvature, the contact data and the closed-form curvature."""
+
+    points: np.ndarray  # (p, d)
+    conn: ConnectionData
+    curvature: CurvatureData
+    contact: ContactData
+    closed: np.ndarray  # (p, i, j, k, l), the slots of curvature.r4
+
+
+def space_form_data(spec: SasakianSpaceFormSpec, points) -> SpaceFormData:
+    """Evaluate the metric, connection, curvature and contact data once on
+    a block of points ``(N, d)``."""
+    points = np.asarray(points, dtype=float)
+    conn = christoffel_at(spec.model, points)
+    contact = spec.structure.at(points)
+    return SpaceFormData(
+        points=points,
+        conn=conn,
+        curvature=curvature_from_connection(conn),
+        contact=contact,
+        closed=space_form_r4(spec.c, conn.metric.value, contact.phi, contact.eta),
+    )
+
+
 def space_form_r4_at(spec: SasakianSpaceFormSpec, coords) -> np.ndarray:
-    """``space_form_r4`` of the spec's structure at ``coords``."""
+    """``space_form_r4`` of the spec's structure at one point."""
     st = spec.structure
-    phi_v, _ = st.phi_at(coords, order=1)
-    return space_form_r4(spec.c, metric_at(st.model, coords).value, phi_v, st.eta_at(coords))
+    points = np.asarray(coords, dtype=float)[None]
+    contact = st.at(points)
+    gv = metric_at(st.model, points, order=1).value
+    return space_form_r4(spec.c, gv, contact.phi, contact.eta)[0]
 
 
 def space_form_r4(c: float, gv, phi_v, eta_v) -> np.ndarray:
     """Model-independent curvature of a space form with constant
     phi-sectional curvature c, assembled purely from the values of
-    (g, phi, eta) at a point. Same slot convention as riemannian.r4."""
+    (g, phi, eta) on a block of points, the point axis ``p`` leading. Same
+    slot convention as riemannian.r4."""
     q = (c + 3.0) / 4.0
     w = (c - 1.0) / 4.0
     # p2[j, k] = g(phi d_j, d_k)
-    p2 = np.einsum("mj,mk->jk", phi_v, gv)
+    p2 = np.einsum("pmj,pmk->pjk", phi_v, gv)
     e = eta_v
-    term_q = np.einsum("jk,il->ijkl", gv, gv) - np.einsum("ik,jl->ijkl", gv, gv)
+    term_q = np.einsum("pjk,pil->pijkl", gv, gv) - np.einsum("pik,pjl->pijkl", gv, gv)
     term_w = (
-        np.einsum("i,k,jl->ijkl", e, e, gv)
-        - np.einsum("j,k,il->ijkl", e, e, gv)
-        + np.einsum("ik,j,l->ijkl", gv, e, e)
-        - np.einsum("jk,i,l->ijkl", gv, e, e)
-        + np.einsum("jk,il->ijkl", p2, p2)
-        - np.einsum("ik,jl->ijkl", p2, p2)
-        - 2.0 * np.einsum("ij,kl->ijkl", p2, p2)
+        np.einsum("pi,pk,pjl->pijkl", e, e, gv)
+        - np.einsum("pj,pk,pil->pijkl", e, e, gv)
+        + np.einsum("pik,pj,pl->pijkl", gv, e, e)
+        - np.einsum("pjk,pi,pl->pijkl", gv, e, e)
+        + np.einsum("pjk,pil->pijkl", p2, p2)
+        - np.einsum("pik,pjl->pijkl", p2, p2)
+        - 2.0 * np.einsum("pij,pkl->pijkl", p2, p2)
     )
     return q * term_q + w * term_w
 
@@ -244,15 +302,15 @@ def space_form_r4(c: float, gv, phi_v, eta_v) -> np.ndarray:
 def phi_sectional(spec: SasakianSpaceFormSpec, coords, x) -> float:
     """Sectional curvature of span{X, phi X} for unit X orthogonal to xi."""
     st = spec.structure
-    gv = metric_at(st.model, coords).value
+    points = np.asarray(coords, dtype=float)[None]
+    gv = metric_at(st.model, points, order=1).value[0]
+    contact = st.at(points)[0]
     x = np.asarray(x, dtype=float)
-    eta_v = st.eta_at(coords)
     if abs(float(x @ gv @ x) - 1.0) > 1e-10:
         raise RejectedInputError("phi_sectional needs a unit vector")
-    if abs(float(eta_v @ x)) > 1e-10:
+    if abs(float(contact.eta @ x)) > 1e-10:
         raise RejectedInputError("phi_sectional needs X orthogonal to xi")
-    phi_v, _ = st.phi_at(coords, order=1)
-    return sectional_curvature(st.model, coords, x, phi_v @ x)
+    return sectional_curvature(st.model, coords, x, contact.phi @ x)
 
 
 def frame_components_at(spec: SasakianSpaceFormSpec, coords) -> np.ndarray:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riemannian import pair_r4, scalar_curvature
+from .contact import SpaceFormData
+from .riemannian import max_residual, pair_r4, scalar_curvature
 from .submersion import (
     OneillData,
     PointCalculus,
@@ -79,7 +80,7 @@ def mixed_gauss_residual(calc: PointCalculus) -> float:
         [[calc.nabla_a_frame(uv[k], i, j) for j in range(n)] for i in range(n)]
         for k in range(r)
     ]
-    worst = 0.0
+    diffs = []
     for i in range(n):
         for k in range(r):
             for j in range(n):
@@ -91,8 +92,8 @@ def mixed_gauss_residual(calc: PointCalculus) -> float:
                         - calc.pair_values(t_mixed[k][i], t_mixed[l][j])
                         + calc.pair_values(a_mixed[j][l], a_mixed[i][k])
                     )
-                    worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+                    diffs.append(abs(lhs - rhs))
+    return max_residual(diffs)
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
     def closed_pair(x, y, z, h):
         return float(np.einsum("ijkl,i,j,k,l->", r4_closed, x, y, z, h))
 
-    worst = 0.0
+    diffs = []
     for a in range(r):
         for b in range(r):
             for cc in range(r):
@@ -245,9 +246,9 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
                         pair_r4(calc.curvature, uv[a], uv[b], uv[cc], uv[dd]) + corr
                     )
                     via_closed = closed_pair(uv[a], uv[b], uv[cc], uv[dd]) + corr
-                    worst = max(worst, abs(via_ad - via_closed))
-    res["R1"] = worst
-    worst = 0.0
+                    diffs.append(abs(via_ad - via_closed))
+    res["R1"] = max_residual(diffs)
+    diffs = []
     for s in range(n):
         for t in range(n):
             for uu in range(n):
@@ -261,14 +262,17 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
                         pair_r4(calc.curvature, xv[s], xv[t], xv[uu], xv[vv]) + corr
                     )
                     via_closed = closed_pair(xv[s], xv[t], xv[uu], xv[vv]) + corr
-                    worst = max(worst, abs(via_ad - via_closed))
-    res["R2"] = worst
+                    diffs.append(abs(via_ad - via_closed))
+    res["R2"] = max_residual(diffs)
     res["gauss3"] = mixed_gauss_residual(calc)
     return res
 
 
-def analyze_point(sub: SubmersionModel, coords) -> PointAnalysis:
-    calc = PointCalculus(sub, coords)
+def analyze_point(
+    sub: SubmersionModel, coords, state: SpaceFormData | None = None
+) -> PointAnalysis:
+    """The analysis of one point; ``state`` as for ``PointCalculus``."""
+    calc = PointCalculus(sub, coords, state)
     data = tensors_from_calculus(calc)
     two_tau = scalar_curvature(calc.curvature)
     hat, star = _hat_star_tables(calc, data)

@@ -2,17 +2,19 @@
 
 Two jet types serve two layers:
 
-- :class:`ScalarJet` is the coordinate jet. Model callables (metric
-  entries, contact data, vector-field components, projections) receive
-  seeded ``ScalarJet`` coordinates and compute with them one scalar at a
-  time, so the metric, Christoffel symbols, and curvature of
-  ``riemannian`` and ``contact`` come from it.
-- :class:`ArrayJet` is the struct-of-arrays jet of the submersion layer
-  (hyper-dual numbers in vectorized forward mode): one array of values,
-  one of gradients, one of Hessians, with leading batch axes that
-  broadcast. The adapted frame and the first derivatives of the
-  fundamental tensors run on it, batched over frame pairs and chart
-  components.
+- :class:`ArrayJet` is the struct-of-arrays jet (hyper-dual numbers in
+  vectorized forward mode): one array of values, one of gradients, one of
+  Hessians, with leading batch axes that broadcast. Model callables
+  (metric entries, contact data) receive the coordinate jets of a block of
+  sample points from :func:`seed_block`, the point axis leading, so the
+  metric, Christoffel symbols, curvature and contact data of
+  ``riemannian`` and ``contact`` are evaluated once per block. The
+  adapted frame and the first derivatives of the fundamental tensors also
+  run on it, batched over frame pairs and chart components.
+- :class:`ScalarJet` is the one-point coordinate jet of :func:`seed`. It
+  does not feed the metric, connection or curvature; it feeds the
+  declared frame fields, the projection's differential and the raw base
+  metric, one point at a time.
 
 Every ``ArrayJet`` operation does, element by element, the float operations
 of the same ``ScalarJet`` operation in the same order and association, so
@@ -256,6 +258,29 @@ def seed(coords, order: int = 2) -> JetPoint:
     return JetPoint(coords=arr, vars=vs, order=order)
 
 
+def seed_block(points, order: int = 2) -> tuple:
+    """Coordinate jets of a block of chart points, one ``ArrayJet`` per
+    coordinate: value ``(N,)``, gradient ``(N, d)`` and, for order 2, a
+    broadcast zero Hessian ``(N, d, d)``. Rejects an empty block, a point of
+    no coordinates, or non-finite input."""
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise RejectedInputError(
+            f"seed_block expects a nonempty 2-d block of points, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise RejectedInputError("seed coordinates must be finite")
+    if order not in (1, 2):
+        raise RejectedInputError(f"jet order must be 1 or 2, got {order}")
+    n, dim = arr.shape
+    eye = np.eye(dim)
+    hess = None if order == 1 else np.broadcast_to(np.zeros((dim, dim)), (n, dim, dim))
+    return tuple(
+        ArrayJet(arr[:, i].copy(), np.broadcast_to(eye[i], (n, dim)), hess)
+        for i in range(dim)
+    )
+
+
 def as_jet(x, dim: int, order: int = 2) -> ScalarJet:
     """Normalize a float-or-jet into a ScalarJet of the given dimension."""
     if isinstance(x, ScalarJet):
@@ -423,7 +448,7 @@ class ArrayJet:
         if np.any(np.abs(ov) < _DIV_GUARD):
             raise SingularEvaluationError(
                 "jet division by near-zero denominator "
-                f"{ov[np.abs(ov) < _DIV_GUARD].flat[0]!r}"
+                f"{float(ov[np.abs(ov) < _DIV_GUARD].flat[0])!r}"
             )
         w_val = np.asarray(self.value / ov)
         w_grad = (self.gradient - w_val[..., None] * o.gradient) / ov[..., None]
@@ -444,11 +469,48 @@ class ArrayJet:
             return NotImplemented
         return o.__truediv__(self)
 
+    def __pow__(self, exponent):
+        if isinstance(exponent, (ScalarJet, ArrayJet)):
+            raise RejectedInputError("jet exponents are not supported")
+        if isinstance(exponent, (int, np.integer)) or (
+            isinstance(exponent, float) and exponent.is_integer()
+        ):
+            n = int(exponent)
+            if n == 0:
+                shape, d = self.shape, self.dim
+                hess = None if self.hessian is None else np.zeros(shape + (d, d))
+                return ArrayJet(np.ones(shape), np.zeros(shape + (d,)), hess)
+            if n < 0:
+                return 1.0 / (self ** (-n))
+            out = self
+            for _ in range(n - 1):
+                out = out * self
+            return out
+        v = np.asarray(self.value)
+        if np.any(v <= 0.0):
+            raise SingularEvaluationError(
+                f"fractional power of non-positive base {float(v[v <= 0.0].flat[0])!r}"
+            )
+        p = float(exponent)
+        # Python's float power, element by element, as ScalarJet computes
+        # it; numpy's power may take a vector path that rounds differently.
+        fpow = np.vectorize(lambda x, e: float(x) ** e, otypes=[float])
+        dv = p * fpow(v, p - 1.0)
+        grad = dv[..., None] * self.gradient
+        if self.hessian is None:
+            hess = None
+        else:
+            d2v = p * (p - 1.0) * fpow(v, p - 2.0)
+            hess = dv[..., None, None] * self.hessian + d2v[..., None, None] * _outer(
+                self.gradient, self.gradient
+            )
+        return ArrayJet(fpow(v, p), grad, hess)
+
     def sqrt(self) -> "ArrayJet":
         v = np.asarray(self.value)
         if np.any(v <= 0.0):
             raise SingularEvaluationError(
-                f"sqrt of non-positive jet value {v[v <= 0.0].flat[0]!r}"
+                f"sqrt of non-positive jet value {float(v[v <= 0.0].flat[0])!r}"
             )
         w = np.sqrt(v)
         grad = self.gradient / (2.0 * w)[..., None]

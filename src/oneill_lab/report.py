@@ -2,13 +2,16 @@
 
 A report aggregates three sections (structure residuals, identity residuals,
 theorem scans) plus a verdict.  Every float is serialized with 17 significant
-digits and all keys are emitted in a fixed order, so two runs with the same
-configuration produce byte-identical files apart from the optional timestamp.
+digits, NaN and infinities (which JSON lacks) as the strings "NaN",
+"Infinity" and "-Infinity", and all keys are emitted in a fixed order, so
+two runs with the same configuration produce byte-identical files apart
+from the optional timestamp.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +74,9 @@ def known_flags_for(model_bytes: bytes) -> frozenset:
     return KNOWN_FLAGS.get(hashlib.sha256(model_bytes).hexdigest(), frozenset())
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def render_json(obj, indent: int = 0) -> str:
     sp = "  " * indent
     if isinstance(obj, dict):
@@ -94,6 +100,9 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            # JSON has no NaN or infinity; name them in a string
+            return json.dumps(_NON_FINITE[str(float(obj))])
         return format(float(obj), ".17g")
     if obj is None:
         return "null"

@@ -128,18 +128,18 @@ def test_c2_sasakian_axioms_and_phi_sections(space_form, sf_points):
     reeb = 0.0
     phi_law = 0.0
     for pt in sf_points:
-        res = verify_sasakian(space_form, pt)
-        reeb = max(reeb, float(res["reeb_derivative"]))
-        phi_law = max(phi_law, float(res["phi_derivative"]))
+        res = verify_sasakian(space_form, [pt])
+        reeb = max(reeb, float(res["reeb_derivative"][0]))
+        phi_law = max(phi_law, float(res["phi_derivative"][0]))
     rng = np.random.default_rng(7)
     st = space_form.structure
     worst_sec = 0.0
     for k in range(50):
         pt = sf_points[k % len(sf_points)]
-        gv = metric_at(space_form.model, pt, order=1).value
+        gv = metric_at(space_form.model, [pt], order=1).value[0]
         xi = frame_components_at(space_form, pt)[-1]
         vec = rng.uniform(-1.0, 1.0, size=space_form.model.dim)
-        vec = vec - float(st.eta_at(pt) @ vec) * xi
+        vec = vec - float(st.at([pt]).eta[0] @ vec) * xi
         norm_sq = float(vec @ gv @ vec)
         assert norm_sq > 1e-6
         sec = phi_sectional(space_form, pt, vec / np.sqrt(norm_sq))

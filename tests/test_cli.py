@@ -6,11 +6,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from oneill_lab.cli import BUNDLED_DIR, RunConfig, cli_parse, main, resolve_model, run
-from oneill_lab.errors import ModelLoadError
+from oneill_lab.contact import build_r2m1, space_form_r4_at, verify_sasakian
+from oneill_lab.errors import DegenerateMetricError, ModelLoadError
 from oneill_lab.report import KNOWN_FLAGS, Tolerances, known_flags_for
+from oneill_lab.riemannian import riemann_at
+from oneill_lab.sampling import SampleConfig, sample_model_points
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 REEB = os.path.join(MODELS_DIR, "reeb_fiber.json")
@@ -297,3 +301,83 @@ class TestKnownFlags:
         rep = json.loads(out.read_text())
         assert rep["flags_raised"] == rep["failed"]
         assert "theorems.H2" in rep["failed"]
+
+
+def _vertical_xi_variant(tmp_path, block, row, col, entry):
+    """A copy of the bundled vertical-xi model with one entry replaced."""
+    data = json.loads((BUNDLED_DIR / "vertical-xi.json").read_text())
+    matrix = data["contact"][block] if block == "phi" else data[block]
+    matrix[row][col] = entry
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestNonFiniteResiduals:
+    # the model's inf - inf warns as numpy arithmetic does
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_residuals_fail_and_report_stays_json(self, tmp_path, capsys):
+        # NaN at every sampled point (z != 0): inf - inf in value and gradient
+        model = _vertical_xi_variant(
+            tmp_path, "phi", 0, 4, "z*1e200*1e200 - z*1e200*1e200"
+        )
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", str(model), "--points", "5", "--out", str(out)]
+        assert main(argv) == 1
+        capsys.readouterr()
+        rep = json.loads(out.read_text())
+        sasakian = rep["structure"]["sasakian"]
+        # every residual that involves phi is NaN and fails; eta and xi are finite
+        for key in ("phi_square", "phi_metric_compat", "reeb_derivative", "phi_derivative"):
+            assert sasakian[key] == "NaN"
+            assert f"sasakian.{key}" in rep["failed"]
+        assert sasakian["eta_xi"] == sasakian["eta_is_metric_dual"] == 0
+        for check in ("curvature.curv1", "lemmas.anti_invariance", "lemmas.c_square"):
+            assert check in rep["failed"]
+        assert rep["verdict"] == "fail"
+
+    def test_render_json_names_non_finite_floats(self):
+        from oneill_lab.report import render_json
+
+        text = render_json([float("nan"), float("inf"), -float("inf"), 0.5])
+        assert json.loads(text) == ["NaN", "Infinity", "-Infinity", 0.5]
+
+
+class TestBlockErrorParity:
+    def test_first_non_pd_point_in_sample_order(self, tmp_path):
+        # Points 0-2 of the seed-42 sample have y1 > 0; point 3 is the first
+        # with y1 < 0 and points 5, 6, 7 and 9 fail too, all in one block.
+        model = _vertical_xi_variant(tmp_path, "metric", 2, 2, "y1/4")
+        with pytest.raises(DegenerateMetricError) as info:
+            run(RunConfig(command="verify", model=str(model), points=10))
+        assert str(info.value) == (
+            "metric of 'vertical-xi' not positive definite at "
+            "[-1.0910451128608925, 0.2183391480633392, -1.7447309755832987, "
+            "1.3105246879703283, 0.5266575964882594]: min eigenvalue -4.362e-01"
+        )
+
+
+class TestResidualFloats:
+    """The residual floats of a space-form report, not only their checks:
+    each equals the maximum of the one-point oracles over the sample."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_verify_r2m1_residuals_match_one_point_oracles(self, m, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", f"r2m1:{m}", "--points", "5", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        structure = json.loads(out.read_text())["structure"]
+        spec = build_r2m1(m)
+        pts = sample_model_points(spec.model, SampleConfig(points=5, seed=42))
+        sasakian = {}
+        curv1 = 0.0
+        for pt in pts:
+            for key, (val,) in verify_sasakian(spec, [pt]).items():
+                sasakian[key] = max(sasakian.get(key, 0.0), float(val))
+            diff = riemann_at(spec.model, pt).r4 - space_form_r4_at(spec, pt)
+            curv1 = max(curv1, float(np.max(np.abs(diff))))
+        assert structure["sasakian"] == sasakian
+        assert structure["curvature"]["curv1"] == curv1
+        assert curv1 > 0.0  # rounding residuals, so a zeroed value shows

@@ -30,14 +30,14 @@ def spec5():
 
 @pytest.mark.parametrize("pt", POINTS5)
 def test_sasakian_residuals_vanish(spec5, pt):
-    res = verify_sasakian(spec5, pt)
-    for name, val in res.items():
+    res = verify_sasakian(spec5, [pt])
+    for name, (val,) in res.items():
         assert val < TOL_ALG, f"{name} residual {val}"
 
 
 @pytest.mark.parametrize("pt", POINTS5)
 def test_frame_is_orthonormal(spec5, pt):
-    gv = metric_at(spec5.model, pt).value
+    gv = metric_at(spec5.model, [pt]).value[0]
     fr = frame_components_at(spec5, pt)
     gram = fr @ gv @ fr.T
     assert np.max(np.abs(gram - np.eye(5))) < TOL_ALG
@@ -46,7 +46,7 @@ def test_frame_is_orthonormal(spec5, pt):
 def test_frame_is_phi_adapted(spec5):
     pt = [0.3, -1.1, 0.7, 0.2, -0.5]
     fr = frame_components_at(spec5, pt)
-    phi_v, _ = spec5.structure.phi_at(pt)
+    phi_v = spec5.structure.at([pt]).phi[0]
     m = 2
     for i in range(m):
         # phi E_i = E_{m+i}, phi E_{m+i} = -E_i
@@ -94,8 +94,8 @@ def test_phi_sectional_preconditions(spec5):
 def test_r7_model_also_sasakian():
     spec = build_r2m1(3)
     pt = [0.2, -0.4, 0.6, 0.1, 0.9, -0.3, 1.4]
-    res = verify_sasakian(spec, pt)
-    for name, val in res.items():
+    res = verify_sasakian(spec, [pt])
+    for name, (val,) in res.items():
         assert val < TOL_ALG, f"{name} residual {val}"
     got = riemann_at(spec.model, pt).r4
     want = space_form_r4_at(spec, pt)

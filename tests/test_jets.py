@@ -18,6 +18,7 @@ from oneill_lab.jets import (
     deriv,
     jet_eval,
     seed,
+    seed_block,
     sqrt,
     stack,
     sum_terms,
@@ -419,3 +420,33 @@ def test_array_jet_guards_raise_like_scalar_jets():
     other = ArrayJet(np.array(1.0), np.zeros(d + 1), None)
     with pytest.raises(RejectedInputError):
         _ = one + other
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.data(),
+    hnp.array_shapes(max_dims=2, max_side=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=2),
+)
+def test_array_jet_power_matches_scalar_jet_bit_for_bit(data, shape, dim, order):
+    base = _draw_jet(data, shape, dim, order, values=st.floats(0.1, 10.0))
+    for exponent in (0, 1, 2, 3, -1, -2, 2.0, 0.5, 1.5, -0.5):
+        _check_elementwise(base**exponent, (base,), lambda j, e=exponent: j**e)
+
+
+def test_seed_block_matches_seed_per_point():
+    points = np.array([[0.5, -1.0, 2.0], [0.0, 3.5, -0.25]])
+    for order in (1, 2):
+        block = seed_block(points, order=order)
+        for k, pt in enumerate(points):
+            for i, var in enumerate(seed(pt, order=order).vars):
+                _assert_bit_equal(block[i], (k,), var)
+
+
+@pytest.mark.parametrize(
+    "points", [[], [[]], [1.0, 2.0], [[1.0, float("inf")]], [[[1.0]]]]
+)
+def test_seed_block_rejects_bad_blocks(points):
+    with pytest.raises(RejectedInputError):
+        seed_block(points)
