@@ -381,3 +381,36 @@ class TestResidualFloats:
         assert structure["sasakian"] == sasakian
         assert structure["curvature"]["curv1"] == curv1
         assert curv1 > 0.0  # rounding residuals, so a zeroed value shows
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="heap retention uses glibc mallopt")
+class TestHeapReuse:
+    """A block's arrays reuse the pages freed by the block before it, so a
+    repeated run faults in almost no fresh memory (with glibc's default
+    trimming, r2m1:3 on 52 points takes about 2,400 minor faults)."""
+
+    def test_repeat_run_takes_few_page_faults(self, tmp_path):
+        script = (
+            "import resource, sys\n"
+            "from oneill_lab.cli import main\n"
+            "argv = ['verify', '--model', 'r2m1:3', '--points', '52',"
+            " '--out', sys.argv[1]]\n"
+            "main(argv)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "main(argv)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "r.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 100
