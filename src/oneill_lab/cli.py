@@ -3,7 +3,7 @@
 Subcommands: ``verify`` (structure and identity sections), ``theorems``
 (inequality scans), ``report`` (all sections).  Exit codes: 0 pass, 1 fail,
 2 usage error, 3 pass-with-flags, 4 model load failure, 5 empty admissible
-sample, 6 report write failure.
+sample, 6 report write failure, 7 any other package error during the run.
 """
 
 from __future__ import annotations
@@ -213,8 +213,9 @@ def _theorem_section(analyses, config: RunConfig):
 def run(config: RunConfig) -> Report:
     """Execute the configured run and assemble the report.
 
-    Raises ModelLoadError, EmptySampleError, or RejectedInputError; the CLI
-    wrapper maps these to exit codes."""
+    Raises ModelLoadError, EmptySampleError, RejectedInputError, or another
+    OneillLabError raised at a sample point; the CLI wrapper maps these to
+    exit codes."""
     model_obj = resolve_model(config.model)
     tol = config.tolerances
     scfg = SampleConfig(points=config.points, seed=config.seed, box=config.box)
@@ -383,6 +384,11 @@ def main(argv=None) -> int:
     except RejectedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OneillLabError as exc:
+        # any other package error, such as a degenerate metric or frame at
+        # a sample point: one line, and a code no verdict uses
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 7
     timestamp = (
         None
         if config.no_timestamp

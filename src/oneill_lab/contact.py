@@ -286,17 +286,23 @@ def space_form_r4(c: float, gv, phi_v, eta_v) -> np.ndarray:
     # p2[j, k] = g(phi d_j, d_k)
     p2 = np.einsum("pmj,pmk->pjk", phi_v, gv)
     e = eta_v
-    term_q = np.einsum("pjk,pil->pijkl", gv, gv) - np.einsum("pik,pjl->pijkl", gv, gv)
-    term_w = (
-        np.einsum("pi,pk,pjl->pijkl", e, e, gv)
-        - np.einsum("pj,pk,pil->pijkl", e, e, gv)
-        + np.einsum("pik,pj,pl->pijkl", gv, e, e)
-        - np.einsum("pjk,pi,pl->pijkl", gv, e, e)
-        + np.einsum("pjk,pil->pijkl", p2, p2)
-        - np.einsum("pik,pjl->pijkl", p2, p2)
-        - 2.0 * np.einsum("pij,pkl->pijkl", p2, p2)
-    )
-    return q * term_q + w * term_w
+    # q * term_q + w * term_w, each sum accumulated in place, left to right
+    term_q = np.einsum("pjk,pil->pijkl", gv, gv)
+    term_q -= np.einsum("pik,pjl->pijkl", gv, gv)
+    term_w = np.einsum("pi,pk,pjl->pijkl", e, e, gv)
+    term_w -= np.einsum("pj,pk,pil->pijkl", e, e, gv)
+    term_w += np.einsum("pik,pj,pl->pijkl", gv, e, e)
+    term_w -= np.einsum("pjk,pi,pl->pijkl", gv, e, e)
+    term_w += np.einsum("pjk,pil->pijkl", p2, p2)
+    term_w -= np.einsum("pik,pjl->pijkl", p2, p2)
+    last = np.einsum("pij,pkl->pijkl", p2, p2)
+    last *= 2.0
+    term_w -= last
+    del last
+    term_q *= q
+    term_w *= w
+    term_q += term_w
+    return term_q
 
 
 def phi_sectional(spec: SasakianSpaceFormSpec, coords, x) -> float:

@@ -24,43 +24,73 @@ from .submersion import (
 )
 
 
-def fiber_curvature_hat(calc: PointCalculus, u, v, f, w) -> float:
+def fiber_curvature_hat(calc: PointCalculus, u, v, f, w):
     """Curvature of the vertical block: ambient value corrected by the
-    vertical-block tensor.  Slot order matches the ambient pairing."""
-    amb = pair_r4(calc.curvature, u, v, f, w)
+    vertical-block tensor.  Slot order matches the ambient pairing.
+
+    The vectors have shape ``(..., dim)`` and broadcast against each other;
+    each value equals the one for single vectors, bit for bit."""
+    amb = pair_r4(calc.curvature.r4, u, v, f, w)
     return (
         amb
-        - calc.pair_values(calc.t_point(u, w), calc.t_point(v, f))
-        + calc.pair_values(calc.t_point(v, w), calc.t_point(u, f))
+        - calc.pairings(calc.t_point(u, w), calc.t_point(v, f))
+        + calc.pairings(calc.t_point(v, w), calc.t_point(u, f))
     )
 
 
-def horizontal_curvature_star(calc: PointCalculus, x, y, z, h) -> float:
+def horizontal_curvature_star(calc: PointCalculus, x, y, z, h):
     """Curvature of the horizontal block: ambient value corrected by the
-    horizontal-block tensor."""
-    amb = pair_r4(calc.curvature, x, y, z, h)
+    horizontal-block tensor; vectors broadcast as in ``fiber_curvature_hat``."""
+    amb = pair_r4(calc.curvature.r4, x, y, z, h)
     return (
         amb
-        + 2.0 * calc.pair_values(calc.a_point(x, y), calc.a_point(z, h))
-        - calc.pair_values(calc.a_point(y, z), calc.a_point(x, h))
-        + calc.pair_values(calc.a_point(x, z), calc.a_point(y, h))
+        + 2.0 * calc.pairings(calc.a_point(x, y), calc.a_point(z, h))
+        - calc.pairings(calc.a_point(y, z), calc.a_point(x, h))
+        + calc.pairings(calc.a_point(x, z), calc.a_point(y, h))
     )
+
+
+def _frame_trace(block_curvature, calc, frame, probes) -> np.ndarray:
+    """Sum over the frame vectors e of block_curvature(e, p, p, e), one
+    value per probe p, added frame vector by frame vector from 0.0."""
+    e = frame[:, None]
+    total = 0.0
+    for row in block_curvature(calc, e, probes, probes, e):
+        total = total + row
+    return total
+
+
+def ric_hat_probes(calc: PointCalculus, us) -> np.ndarray:
+    """Vertical-block Ricci values on (unit) vertical vectors ``us``, shaped
+    (P, dim): traces of the block curvature over the vertical frame.  The
+    diagonal term vanishes identically, so the full-frame sum matches the
+    sum over complements."""
+    return _frame_trace(fiber_curvature_hat, calc, calc.frame.vert_values, us)
+
+
+def ric_star_probes(calc: PointCalculus, xs) -> np.ndarray:
+    """Horizontal-block Ricci values on (unit) horizontal vectors ``xs``."""
+    return _frame_trace(horizontal_curvature_star, calc, calc.frame.horiz_values, xs)
 
 
 def ric_hat_probe(calc: PointCalculus, u) -> float:
-    """Vertical-block Ricci value on a (unit) vertical vector: trace of the
-    block curvature over the vertical frame.  The diagonal term vanishes
-    identically, so the full-frame sum matches the sum over complements."""
-    return sum(
-        fiber_curvature_hat(calc, wb, u, u, wb) for wb in calc.frame.vert_values
-    )
+    """``ric_hat_probes`` on one vector."""
+    return float(ric_hat_probes(calc, np.asarray(u, dtype=float)[None])[0])
 
 
 def ric_star_probe(calc: PointCalculus, x) -> float:
-    """Horizontal-block Ricci value on a (unit) horizontal vector."""
-    return sum(
-        horizontal_curvature_star(calc, xt, x, x, xt)
-        for xt in calc.frame.horiz_values
+    """``ric_star_probes`` on one vector."""
+    return float(ric_star_probes(calc, np.asarray(x, dtype=float)[None])[0])
+
+
+def _frame_table(r4, a, b, c, d) -> np.ndarray:
+    """R(a_i, b_j, c_k, d_l) on all 4-tuples of the rows of a, b, c, d."""
+    return pair_r4(
+        r4,
+        a[:, None, None, None],
+        b[None, :, None, None],
+        c[None, None, :, None],
+        d[None, None, None, :],
     )
 
 
@@ -68,32 +98,21 @@ def mixed_gauss_residual(calc: PointCalculus) -> float:
     """Worst residual of the mixed exchange identity over frame 4-tuples
     (one vertical pair, one horizontal pair), using the first derivatives
     of both fundamental tensors."""
-    r, n, fr = calc.r, calc.n, calc.frame
-    uv, xv = fr.vert_values, fr.horiz_values
-    t_mixed = [[calc.t_point(uv[k], xv[i]) for i in range(n)] for k in range(r)]
-    a_mixed = [[calc.a_point(xv[i], uv[k]) for k in range(r)] for i in range(n)]
-    nab_t = [
-        [[calc.nabla_t_frame(xv[i], k, l) for l in range(r)] for k in range(r)]
-        for i in range(n)
-    ]
-    nab_a = [
-        [[calc.nabla_a_frame(uv[k], i, j) for j in range(n)] for i in range(n)]
-        for k in range(r)
-    ]
-    diffs = []
-    for i in range(n):
-        for k in range(r):
-            for j in range(n):
-                for l in range(r):
-                    lhs = pair_r4(calc.curvature, uv[k], xv[i], xv[j], uv[l])
-                    rhs = (
-                        calc.pair_values(nab_t[i][k][l], xv[j])
-                        + calc.pair_values(nab_a[k][i][j], uv[l])
-                        - calc.pair_values(t_mixed[k][i], t_mixed[l][j])
-                        + calc.pair_values(a_mixed[j][l], a_mixed[i][k])
-                    )
-                    diffs.append(abs(lhs - rhs))
-    return max_residual(diffs)
+    uv, xv = calc.frame.vert_values, calc.frame.horiz_values
+    ks, js = np.arange(calc.r), np.arange(calc.n)
+    # every table is indexed [i, k, j, l] for the frame vectors X_i, U_k, X_j, U_l
+    nab_t = calc.nabla_t_frame(xv[:, None, None], ks[:, None], ks)  # [i, k, l]
+    nab_a = calc.nabla_a_frame(uv[None, :, None], js[:, None, None], js)  # [i, k, j]
+    t_mixed = calc.t_point(uv, xv[:, None])  # [i, k]: T(U_k, X_i)
+    a_mixed = calc.a_point(xv[:, None], uv)  # [i, k]: A(X_i, U_k)
+    lhs = _frame_table(calc.curvature.r4, uv, xv, xv, uv).transpose(1, 0, 2, 3)
+    rhs = (
+        calc.pairings(nab_t[:, :, None], xv[:, None])
+        + calc.pairings(nab_a[..., None, :], uv)
+        - calc.pairings(t_mixed[:, :, None, None], t_mixed)
+        + calc.pairings(a_mixed, a_mixed[:, :, None, None])
+    )
+    return max_residual(np.abs(lhs - rhs))
 
 
 @dataclass(frozen=True)
@@ -133,33 +152,15 @@ class PointAnalysis:
     packet: CurvaturePacket
 
 
-def _hat_star_tables(calc: PointCalculus, data: OneillData):
-    r, n = calc.r, calc.n
+def _hat_star_tables(calc: PointCalculus):
+    """Block curvatures on the frame pairs: hat[j, k] on the vertical pair
+    (U_j, U_k), star[s, t] on the horizontal pair (X_s, X_t), zero on the
+    diagonal."""
     uv, xv = calc.frame.vert_values, calc.frame.horiz_values
-    g = calc.conn.metric.value
-    hat = np.zeros((r, r))
-    for j in range(r):
-        for k in range(r):
-            if j == k:
-                continue
-            amb = pair_r4(calc.curvature, uv[j], uv[k], uv[k], uv[j])
-            hat[j, k] = (
-                amb
-                - float(data.t_uu[j][j] @ g @ data.t_uu[k][k])
-                + float(data.t_uu[k][j] @ g @ data.t_uu[j][k])
-            )
-    star = np.zeros((n, n))
-    for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            amb = pair_r4(calc.curvature, xv[s], xv[t], xv[t], xv[s])
-            star[s, t] = (
-                amb
-                + 2.0 * float(data.a_xx[s][t] @ g @ data.a_xx[t][s])
-                - float(data.a_xx[t][t] @ g @ data.a_xx[s][s])
-                + float(data.a_xx[s][t] @ g @ data.a_xx[t][s])
-            )
+    hat = fiber_curvature_hat(calc, uv[:, None], uv, uv, uv[:, None])
+    star = horizontal_curvature_star(calc, xv[:, None], xv, xv, xv[:, None])
+    np.fill_diagonal(hat, 0.0)
+    np.fill_diagonal(star, 0.0)
     return hat, star
 
 
@@ -200,19 +201,17 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
     res["S1"] = abs(two_tau - rhs_s1)
 
     uv, xv = calc.frame.vert_values, calc.frame.horiz_values
+    r4 = calc.curvature.r4
+
+    def traces(a, b):
+        # [i, j]: R(a_i, b_j, b_j, a_i)
+        return pair_r4(r4, a[:, None], b, b, a[:, None])
+
+    # running sum over the blocks UU, XU, XX and then UX in (X, U) order
     four_block = 0.0
-    for j in range(r):
-        for k in range(r):
-            four_block += pair_r4(calc.curvature, uv[j], uv[k], uv[k], uv[j])
-    for i in range(n):
-        for k in range(r):
-            four_block += pair_r4(calc.curvature, xv[i], uv[k], uv[k], xv[i])
-    for i in range(n):
-        for s in range(n):
-            four_block += pair_r4(calc.curvature, xv[i], xv[s], xv[s], xv[i])
-    for s in range(n):
-        for j in range(r):
-            four_block += pair_r4(calc.curvature, uv[j], xv[s], xv[s], uv[j])
+    for table in (traces(uv, uv), traces(xv, uv), traces(xv, xv), traces(uv, xv).T):
+        for value in table.ravel().tolist():
+            four_block += value
     res["S2"] = abs(four_block - two_tau)
 
     rhs_s3 = (
@@ -227,43 +226,24 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
     )
     res["S3"] = abs(two_tau - rhs_s3)
 
-    # exchange formulas against the closed-form ambient curvature
+    # exchange formulas against the closed-form ambient curvature, on all
+    # frame 4-tuples of each block, tables indexed [a, b, c, d]
     r4_closed = calc.closed_curvature
-    g = calc.conn.metric.value
-
-    def closed_pair(x, y, z, h):
-        return float(np.einsum("ijkl,i,j,k,l->", r4_closed, x, y, z, h))
-
-    diffs = []
-    for a in range(r):
-        for b in range(r):
-            for cc in range(r):
-                for dd in range(r):
-                    corr = -float(data.t_uu[a][dd] @ g @ data.t_uu[b][cc]) + float(
-                        data.t_uu[b][dd] @ g @ data.t_uu[a][cc]
-                    )
-                    via_ad = (
-                        pair_r4(calc.curvature, uv[a], uv[b], uv[cc], uv[dd]) + corr
-                    )
-                    via_closed = closed_pair(uv[a], uv[b], uv[cc], uv[dd]) + corr
-                    diffs.append(abs(via_ad - via_closed))
-    res["R1"] = max_residual(diffs)
-    diffs = []
-    for s in range(n):
-        for t in range(n):
-            for uu in range(n):
-                for vv in range(n):
-                    corr = (
-                        2.0 * float(data.a_xx[s][t] @ g @ data.a_xx[uu][vv])
-                        - float(data.a_xx[t][uu] @ g @ data.a_xx[s][vv])
-                        + float(data.a_xx[s][uu] @ g @ data.a_xx[t][vv])
-                    )
-                    via_ad = (
-                        pair_r4(calc.curvature, xv[s], xv[t], xv[uu], xv[vv]) + corr
-                    )
-                    via_closed = closed_pair(xv[s], xv[t], xv[uu], xv[vv]) + corr
-                    diffs.append(abs(via_ad - via_closed))
-    res["R2"] = max_residual(diffs)
+    tu, ax = data.t_uu, data.a_xx
+    corr = -calc.pairings(tu[:, None, None, :], tu[None, :, :, None]) + calc.pairings(
+        tu[None, :, None, :], tu[:, None, :, None]
+    )
+    via_ad = _frame_table(r4, uv, uv, uv, uv) + corr
+    via_closed = _frame_table(r4_closed, uv, uv, uv, uv) + corr
+    res["R1"] = max_residual(np.abs(via_ad - via_closed))
+    corr = (
+        2.0 * calc.pairings(ax[:, :, None, None], ax)
+        - calc.pairings(ax[None, :, :, None], ax[:, None, None, :])
+        + calc.pairings(ax[:, None, :, None], ax[None, :, None, :])
+    )
+    via_ad = _frame_table(r4, xv, xv, xv, xv) + corr
+    via_closed = _frame_table(r4_closed, xv, xv, xv, xv) + corr
+    res["R2"] = max_residual(np.abs(via_ad - via_closed))
     res["gauss3"] = mixed_gauss_residual(calc)
     return res
 
@@ -275,7 +255,7 @@ def analyze_point(
     calc = PointCalculus(sub, coords, state)
     data = tensors_from_calculus(calc)
     two_tau = scalar_curvature(calc.curvature)
-    hat, star = _hat_star_tables(calc, data)
+    hat, star = _hat_star_tables(calc)
     tau_hat = float(np.sum(np.triu(hat, k=1)))
     tau_star = float(np.sum(np.triu(star, k=1)))
     ric_hat = hat.sum(axis=0)

@@ -152,21 +152,20 @@ class ConnectionData(PointAxis):
 def christoffel_at(model: ManifoldModel, points) -> ConnectionData:
     """Christoffel symbols and their partials on a block of points."""
     g = metric_at(model, points, order=2)
-    # w[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    w = (
-        np.einsum("pjli->plij", g.d1)
-        + np.einsum("pilj->plij", g.d1)
-        - np.einsum("pijl->plij", g.d1)
-    )
+    # w[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; the permutations are
+    # views of d1 and d2, and each sum is accumulated in place, left to right
+    w = np.einsum("pjli->plij", g.d1) + np.einsum("pilj->plij", g.d1)
+    w -= np.einsum("pijl->plij", g.d1)
     gamma = 0.5 * np.einsum("pkl,plij->pkij", g.inverse, w)
-    dw = (
-        np.einsum("pjlia->plija", g.d2)
-        + np.einsum("pilja->plija", g.d2)
-        - np.einsum("pijla->plija", g.d2)
-    )
-    dgamma = 0.5 * np.einsum("pakl,plij->pkija", g.dinverse, w) + 0.5 * np.einsum(
-        "pkl,plija->pkija", g.inverse, dw
-    )
+    dw = np.einsum("pjlia->plija", g.d2) + np.einsum("pilja->plija", g.d2)
+    dw -= np.einsum("pijla->plija", g.d2)
+    dgamma = np.einsum("pakl,plij->pkija", g.dinverse, w)
+    dgamma *= 0.5
+    del w
+    term = np.einsum("pkl,plija->pkija", g.inverse, dw)
+    del dw
+    term *= 0.5
+    dgamma += term
     return ConnectionData(metric=g, gamma=gamma, dgamma=dgamma)
 
 
@@ -190,12 +189,10 @@ def curvature_from_connection(conn: ConnectionData) -> CurvatureData:
     gamma, dgamma = conn.gamma, conn.dgamma
     # R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik
     #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    r13 = (
-        np.einsum("pljki->plijk", dgamma)
-        - np.einsum("plikj->plijk", dgamma)
-        + np.einsum("plim,pmjk->plijk", gamma, gamma)
-        - np.einsum("pljm,pmik->plijk", gamma, gamma)
-    )
+    # the first two terms are views of dgamma; the sum runs in place
+    r13 = np.einsum("pljki->plijk", dgamma) - np.einsum("plikj->plijk", dgamma)
+    r13 += np.einsum("plim,pmjk->plijk", gamma, gamma)
+    r13 -= np.einsum("pljm,pmik->plijk", gamma, gamma)
     r4 = np.einsum("pml,pmijk->pijkl", conn.metric.value, r13)
     return CurvatureData(
         metric=conn.metric, gamma=gamma, dgamma=dgamma, r13=r13, r4=r4
@@ -229,9 +226,16 @@ def metric_values_raw(model: ManifoldModel, coords) -> np.ndarray:
     return value
 
 
-def pair_r4(curv: CurvatureData, x, y, z, w) -> float:
-    """R(X, Y, Z, W) for chart component vectors."""
-    return float(np.einsum("ijkl,i,j,k,l->", curv.r4, x, y, z, w))
+def pair_r4(r4: np.ndarray, x, y, z, w):
+    """R(X, Y, Z, W) from a curvature in the slots of ``CurvatureData.r4``,
+    for chart component vectors of shape ``(..., d)`` broadcast against each
+    other: one value per broadcast index, a scalar for four single vectors.
+
+    The broadcast axes stay outside the sum over the four slots, so each
+    value is summed in the same order as for single vectors: a table of
+    frame 4-tuples equals its entries taken one tuple at a time, bit for
+    bit."""
+    return np.einsum("ijkl,...i,...j,...k,...l->...", r4, x, y, z, w)
 
 
 def sectional_curvature(model: ManifoldModel, coords, x, y) -> float:
@@ -246,4 +250,4 @@ def sectional_curvature(model: ManifoldModel, coords, x, y) -> float:
     denom = xx * yy - xy * xy
     if denom < 1e-12:
         raise DegeneratePlaneError(f"2-plane degenerate: Gram determinant {denom:.3e}")
-    return pair_r4(curv, x, y, y, x) / denom
+    return float(pair_r4(curv.r4, x, y, y, x)) / denom

@@ -171,6 +171,14 @@ def _cov(x: ArrayJet, y: ArrayJet, gamma: ArrayJet) -> ArrayJet:
     return sum_terms(terms, axes=(-2, -1), start=acc)
 
 
+def _running_sum(values: np.ndarray) -> float:
+    """Sum of the entries in row-major order, added one by one from 0.0."""
+    total = 0.0
+    for value in values.ravel().tolist():
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Orthonormal frame as second-order jet fields, vertical block first."""
@@ -296,34 +304,52 @@ class PointCalculus:
         self.xi_values = state.contact.xi
 
     # ---- pairings and projections ----
+    #
+    # Vectors have shape (..., dim) and broadcast against each other. Every
+    # product is a stack of the matrix-vector or vector-vector products of
+    # one vector (matmul with a length-1 core axis: gemv or dot, never
+    # gemm), so a batch equals its vectors taken one at a time, bit for bit.
+
+    def pairings(self, xs, ys) -> np.ndarray:
+        """g(x, y) as (x @ g) @ y, one value per broadcast index."""
+        xs = np.asarray(xs, dtype=float)[..., None, :]
+        ys = np.asarray(ys, dtype=float)[..., :, None]
+        return ((xs @ self.conn.metric.value) @ ys)[..., 0, 0]
 
     def pair_values(self, xv, yv) -> float:
-        return float(np.asarray(xv) @ self.conn.metric.value @ np.asarray(yv))
+        return float(self.pairings(xv, yv))
 
-    def v_project_values(self, wv) -> np.ndarray:
-        u = self.frame.vert_values
-        coeffs = u @ (self.conn.metric.value @ np.asarray(wv))
-        return coeffs @ u
+    def _project(self, ws, rows: np.ndarray) -> np.ndarray:
+        # coefficients rows @ (g @ w), then coefficients @ rows
+        gw = self.conn.metric.value @ np.asarray(ws, dtype=float)[..., None]
+        return (np.swapaxes(rows @ gw, -1, -2) @ rows)[..., 0, :]
 
-    def h_project_values(self, wv) -> np.ndarray:
-        u = self.frame.horiz_values
-        coeffs = u @ (self.conn.metric.value @ np.asarray(wv))
-        return coeffs @ u
+    def v_project_values(self, ws) -> np.ndarray:
+        return self._project(ws, self.frame.vert_values)
+
+    def h_project_values(self, ws) -> np.ndarray:
+        return self._project(ws, self.frame.horiz_values)
+
+    def phi_of(self, ws) -> np.ndarray:
+        """phi w, one matrix-vector product per vector."""
+        return (self.phi_values @ np.asarray(ws, dtype=float)[..., None])[..., 0]
+
+    def eta_of(self, ws) -> np.ndarray:
+        """eta(w), one dot product per vector."""
+        return (self.eta_values @ np.asarray(ws, dtype=float)[..., None])[..., 0]
 
     # ---- covariant derivatives ----
 
     def cov_point(self, x, y: ArrayJet) -> np.ndarray:
-        """Value of the covariant derivative of the jet field ``y`` (one
-        vector: value (dim,), gradient (dim, dim)) along the vector ``x``."""
-        xv = self._values_of(x)
-        ygrad = np.array(y.gradient)
-        yval = np.array(y.value)
-        return ygrad @ xv + np.einsum("kij,i,j->k", self.conn.gamma, xv, yval)
+        """Value of the covariant derivative of the jet field ``y`` (value
+        (..., dim), gradient (..., dim, dim)) along the vectors ``x``
+        (..., dim), broadcast against each other."""
+        xv = np.asarray(x, dtype=float)
+        return (np.asarray(y.gradient) @ xv[..., None])[..., 0] + np.einsum(
+            "kij,...i,...j->...k", self.conn.gamma, xv, np.asarray(y.value)
+        )
 
     # ---- fundamental tensors ----
-
-    def _values_of(self, w) -> np.ndarray:
-        return np.array(w, dtype=float)
 
     @cached_property
     def _tensor_tables(self):
@@ -333,22 +359,15 @@ class PointCalculus:
         vectors reduces to one covariant derivative per frame pair plus
         projections; the jets of ``_exchange_fields`` are only needed where
         first derivatives matter."""
-        r, n, d = self.r, self.n, self.dim
+        r, d = self.r, self.dim
         jets = self.frame.jets
-        vals = [self._values_of(row) for row in jets.value]
-        nab = [[self.cov_point(vals[i], jets[j]) for j in range(d)] for i in range(d)]
+        nab = self.cov_point(jets.value[:, None], jets)  # [i, j]: cov of E_j along E_i
         t_tab = np.zeros((d, d, d))
         a_tab = np.zeros((d, d, d))
-        for i in range(r):
-            for j in range(r):
-                t_tab[i, j] = self.h_project_values(nab[i][j])
-            for j in range(n):
-                t_tab[i, r + j] = self.v_project_values(nab[i][r + j])
-        for i in range(n):
-            for j in range(n):
-                a_tab[r + i, r + j] = self.v_project_values(nab[r + i][r + j])
-            for j in range(r):
-                a_tab[r + i, j] = self.h_project_values(nab[r + i][j])
+        t_tab[:r, :r] = self.h_project_values(nab[:r, :r])
+        t_tab[:r, r:] = self.v_project_values(nab[:r, r:])
+        a_tab[r:, r:] = self.v_project_values(nab[r:, r:])
+        a_tab[r:, :r] = self.h_project_values(nab[r:, :r])
         return t_tab, a_tab
 
     @cached_property
@@ -356,17 +375,22 @@ class PointCalculus:
         # row a pairs a vector with frame field a: its frame coefficients
         return np.array(self.frame.jets.value, dtype=float) @ self.conn.metric.value
 
+    def _frame_coeffs(self, ws) -> np.ndarray:
+        return (self._decomp @ np.asarray(ws, dtype=float)[..., None])[..., 0]
+
+    def _bilinear(self, table, es, fs) -> np.ndarray:
+        # the broadcast axes stay outside the sum over frame pairs
+        return np.einsum(
+            "...i,...j,ijk->...k", self._frame_coeffs(es), self._frame_coeffs(fs), table
+        )
+
     def t_point(self, e, f) -> np.ndarray:
-        t_tab, _ = self._tensor_tables
-        ce = self._decomp @ self._values_of(e)
-        cf = self._decomp @ self._values_of(f)
-        return np.einsum("i,j,ijk->k", ce, cf, t_tab)
+        """T(e, f) for vectors of shape (..., dim), broadcast against each other."""
+        return self._bilinear(self._tensor_tables[0], e, f)
 
     def a_point(self, e, f) -> np.ndarray:
-        _, a_tab = self._tensor_tables
-        ce = self._decomp @ self._values_of(e)
-        cf = self._decomp @ self._values_of(f)
-        return np.einsum("i,j,ijk->k", ce, cf, a_tab)
+        """A(e, f), same conventions as ``t_point``."""
+        return self._bilinear(self._tensor_tables[1], e, f)
 
     @cached_property
     def _exchange_fields(self):
@@ -379,7 +403,9 @@ class PointCalculus:
 
     def nabla_t_frame(self, e_values, k, l) -> np.ndarray:
         """(nabla_e T)(U_k, U_l): d/de of T(U_k, U_l) minus the two slot
-        corrections; only the value of ``e`` matters."""
+        corrections; only the value of ``e`` matters. The vectors ``e``
+        (..., dim) and the frame indices ``k``, ``l`` (integers or integer
+        arrays) broadcast against each other."""
         t_fields, _ = self._exchange_fields
         jets, uv = self.frame.jets, self.frame.vert_values
         main = self.cov_point(e_values, t_fields[k, l])
@@ -399,12 +425,9 @@ class PointCalculus:
     def delta_n(self) -> float:
         """Divergence-type trace: sum over the horizontal frame of the
         pairing of (nabla_X T)(U, U) with X, summed over the vertical frame."""
-        total = 0.0
-        for xs in self.frame.horiz_values:
-            xv = self._values_of(xs)
-            for k in range(self.r):
-                total += self.pair_values(self.nabla_t_frame(xv, k, k), xv)
-        return float(total)
+        xv = self.frame.horiz_values[:, None]
+        ks = np.arange(self.r)
+        return _running_sum(self.pairings(self.nabla_t_frame(xv, ks, ks), xv))
 
 
 @dataclass(frozen=True)
@@ -432,45 +455,27 @@ class OneillData:
 
 
 def tensors_from_calculus(calc: PointCalculus) -> OneillData:
-    r, n, g = calc.r, calc.n, calc.conn.metric.value
+    r, n = calc.r, calc.n
     uvals, xvals = calc.frame.vert_values, calc.frame.horiz_values
-    t_uu = np.array([[calc.t_point(uvals[a], uvals[b]) for b in range(r)] for a in range(r)])
-    t_coeff = np.zeros((r, r, n))
-    for a in range(r):
-        for b in range(r):
-            for s in range(n):
-                t_coeff[a, b, s] = calc.pair_values(t_uu[a][b], xvals[s])
-    a_xx = np.array([[calc.a_point(xvals[s], xvals[t]) for t in range(n)] for s in range(n)])
-    a_coeff = np.zeros((n, n, r))
-    for s in range(n):
-        for t in range(n):
-            for a in range(r):
-                a_coeff[s, t, a] = calc.pair_values(a_xx[s][t], uvals[a])
-    norm_tv_sq = 0.0
-    for a in range(r):
-        for s in range(n):
-            w = calc.t_point(uvals[a], xvals[s])
-            norm_tv_sq += calc.pair_values(w, w)
-    norm_ah_sq = 0.0
-    for s in range(n):
-        for a in range(r):
-            w = calc.a_point(xvals[s], uvals[a])
-            norm_ah_sq += calc.pair_values(w, w)
+    t_uu = calc.t_point(uvals[:, None], uvals)
+    t_coeff = calc.pairings(t_uu[:, :, None], xvals)
+    a_xx = calc.a_point(xvals[:, None], xvals)
+    a_coeff = calc.pairings(a_xx[:, :, None], uvals)
+    t_ux = calc.t_point(uvals[:, None], xvals)
+    norm_tv_sq = _running_sum(calc.pairings(t_ux, t_ux))
+    a_xu = calc.a_point(xvals[:, None], uvals)
+    norm_ah_sq = _running_sum(calc.pairings(a_xu, a_xu))
     n_vec = np.zeros(calc.dim)
     for a in range(r):
         n_vec = n_vec + t_uu[a][a]
     h_vec = n_vec / r
-    phi = calc.phi_values
-    trace_phi_b = 0.0
-    c_norms_sq = np.zeros(n)
-    for s in range(n):
-        phix = phi @ xvals[s]
-        b_part = calc.v_project_values(phix)
-        c_part = calc.h_project_values(phix)
-        trace_phi_b += calc.pair_values(phi @ b_part, xvals[s])
-        c_norms_sq[s] = calc.pair_values(c_part, c_part)
-    eta_vert = np.array([float(calc.eta_values @ uvals[a]) for a in range(r)])
-    eta_horiz = np.array([float(calc.eta_values @ xvals[s]) for s in range(n)])
+    phix = calc.phi_of(xvals)
+    b_part = calc.v_project_values(phix)
+    c_part = calc.h_project_values(phix)
+    trace_phi_b = _running_sum(calc.pairings(calc.phi_of(b_part), xvals))
+    c_norms_sq = calc.pairings(c_part, c_part)
+    eta_vert = calc.eta_of(uvals)
+    eta_horiz = calc.eta_of(xvals)
     return OneillData(
         point=calc.coords.copy(),
         r=r,
@@ -505,7 +510,6 @@ def verify_structure_lemmas(calc: PointCalculus, data: OneillData) -> dict:
     to the vertical part of phi and, with the Reeb field horizontal, the Reeb
     correction.
     """
-    r, n = calc.r, calc.n
     uvals, xvals = calc.frame.vert_values, calc.frame.horiz_values
     res = {}
     res["t_symmetry"] = float(
@@ -514,51 +518,24 @@ def verify_structure_lemmas(calc: PointCalculus, data: OneillData) -> dict:
     res["a_alternation"] = float(
         np.max(np.abs(data.a_coeff + np.swapaxes(data.a_coeff, 0, 1)))
     )
-    all_vals = [uvals[a] for a in range(r)] + [xvals[s] for s in range(n)]
-    t_img = [[calc.t_point(e, f) for f in all_vals] for e in all_vals]
-    a_img = [[calc.a_point(e, f) for f in all_vals] for e in all_vals]
-    skew_t = []
-    skew_a = []
-    m = len(all_vals)
-    for e in range(m):
-        for f in range(m):
-            for gidx in range(m):
-                skew_t.append(
-                    abs(
-                        calc.pair_values(t_img[e][f], all_vals[gidx])
-                        + calc.pair_values(all_vals[f], t_img[e][gidx])
-                    )
-                )
-                skew_a.append(
-                    abs(
-                        calc.pair_values(a_img[e][f], all_vals[gidx])
-                        + calc.pair_values(all_vals[f], a_img[e][gidx])
-                    )
-                )
-    res["skew_t"] = max_residual(skew_t)
-    res["skew_a"] = max_residual(skew_a)
-    phi = calc.phi_values
-    res["anti_invariance"] = max_residual(
-        [
-            abs(calc.pair_values(phi @ uvals[a], uvals[b]))
-            for a in range(r)
-            for b in range(r)
-        ]
-    )
-    c_sq = []
-    xiv = calc.xi_values
-    for s in range(n):
-        phix = phi @ xvals[s]
-        b_part = calc.v_project_values(phix)
-        c_part = calc.h_project_values(phix)
-        ccx = calc.h_project_values(phi @ c_part)
-        phib = phi @ b_part
-        if calc.sub.xi_case == "vertical":
-            resid = ccx + xvals[s] + phib
-        else:
-            eta_x = float(calc.eta_values @ xvals[s])
-            resid = ccx + xvals[s] - eta_x * xiv + phib
-        c_sq.append(np.max(np.abs(resid)))
+    frame = np.asarray(calc.frame.jets.value, dtype=float)  # vertical block first
+    for key, tensor in (("skew_t", calc.t_point), ("skew_a", calc.a_point)):
+        img = tensor(frame[:, None], frame)  # [e, f]
+        # [e, f, g]: g(P(e, f), g) + g(f, P(e, g))
+        skew = calc.pairings(img[:, :, None], frame) + calc.pairings(
+            frame[:, None], img[:, None, :]
+        )
+        res[key] = max_residual(np.abs(skew))
+    phi_u = calc.phi_of(uvals)
+    res["anti_invariance"] = max_residual(np.abs(calc.pairings(phi_u[:, None], uvals)))
+    phix = calc.phi_of(xvals)
+    b_part = calc.v_project_values(phix)
+    c_part = calc.h_project_values(phix)
+    resid = calc.h_project_values(calc.phi_of(c_part)) + xvals
+    if calc.sub.xi_case == "horizontal":
+        resid = resid - calc.eta_of(xvals)[:, None] * calc.xi_values
+    resid = resid + calc.phi_of(b_part)
+    c_sq = np.max(np.abs(resid), axis=1)
     res["c_square"] = max_residual(c_sq)
     return res
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFrameError, EmptySampleError, RejectedInputError
-from .invariants import PointAnalysis, ric_hat_probe, ric_star_probe
+from .invariants import PointAnalysis, ric_hat_probes, ric_star_probes
 
 THEOREM_IDS = (
     "V1",
@@ -103,27 +103,43 @@ def _rotated(frame: np.ndarray, i: int) -> np.ndarray:
     return np.vstack([frame[i : i + 1], frame[:i], frame[i + 1 :]])
 
 
-def _random_probe_frame(frame: np.ndarray, g: np.ndarray, rng) -> np.ndarray:
-    k = frame.shape[0]
+def _unit_coeffs(rng, k: int) -> np.ndarray:
     coeffs = rng.standard_normal(k)
-    while float(np.linalg.norm(coeffs)) < 1e-8:
+    norm = np.linalg.norm(coeffs)
+    while float(norm) < 1e-8:
         coeffs = rng.standard_normal(k)
-    coeffs = coeffs / np.linalg.norm(coeffs)
-    probe = coeffs @ frame
-    rows = [probe]
+        norm = np.linalg.norm(coeffs)
+    return coeffs / norm
+
+
+def _random_probe_frames(calc, frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Orthonormal frames (P, k, dim) of the span of ``frame`` (k, dim):
+    probe p, ``coeffs[p] @ frame``, first, completed by Gram-Schmidt over the
+    rows of ``frame`` in order, skipping a row (numerically) in the span so
+    far. All probes run together; ``count`` holds each probe's rows so far,
+    and a probe takes no part once it has all k."""
+    n_probes, k = coeffs.shape
+    rows = np.zeros((n_probes, k, frame.shape[1]))
+    rows[:, 0] = (coeffs[:, None, :] @ frame)[:, 0]
+    count = np.ones(n_probes, dtype=int)
     for v in frame:
-        w = np.asarray(v, dtype=float)
-        for u in rows:
-            w = w - float(u @ g @ w) * u
-        nsq = float(w @ g @ w)
-        if nsq < _GS_DROP_SQ:
-            continue
-        rows.append(w / np.sqrt(nsq))
-        if len(rows) == k:
+        live = np.flatnonzero(count < k)
+        if not live.size:
             break
-    if len(rows) != k:
+        w = np.broadcast_to(v, (live.size, v.size))
+        for j in range(int(count[live].max())):
+            u = rows[live, j]
+            w = np.where(
+                (count[live] > j)[:, None], w - calc.pairings(u, w)[:, None] * u, w
+            )
+        nsq = calc.pairings(w, w)
+        keep = ~(nsq < _GS_DROP_SQ)
+        done = live[keep]
+        rows[done, count[done]] = w[keep] / np.sqrt(nsq[keep])[:, None]
+        count[done] += 1
+    if np.any(count != k):
         raise DegenerateFrameError("probe completion lost rank")
-    return np.array(rows)
+    return rows
 
 
 def _parse_probe_mode(probe_mode: str):
@@ -142,69 +158,93 @@ def _parse_probe_mode(probe_mode: str):
 
 
 def _probe_frames(analysis: PointAnalysis, theorem_id, probe_mode, rng):
-    """Yield (vertical_frame, horizontal_frame) pairs with the probe vector
-    in the first slot of each block that the theorem actually probes."""
+    """The vertical and horizontal frames of every probe, stacked (P, r, dim)
+    and (P, n, dim), with the probe vector in the first slot of each block
+    that the theorem actually probes. Random probes draw in probe order,
+    the vertical probe before the horizontal one."""
     needs_v = theorem_id in _NEEDS_V_PROBE
     needs_h = theorem_id in _NEEDS_H_PROBE
-    fr = analysis.calc.frame
-    base_v = np.asarray(fr.vert_values, dtype=float)
-    base_h = np.asarray(fr.horiz_values, dtype=float)
+    calc = analysis.calc
+    base_v = np.asarray(calc.frame.vert_values, dtype=float)
+    base_h = np.asarray(calc.frame.horiz_values, dtype=float)
     if not needs_v and not needs_h:
-        return [(base_v, base_h)]
+        return base_v[None], base_h[None]
     mode, k = _parse_probe_mode(probe_mode)
     if mode == "first":
-        return [(base_v, base_h)]
+        return base_v[None], base_h[None]
     if mode == "all":
         vs = range(base_v.shape[0]) if needs_v else [0]
         hs = range(base_h.shape[0]) if needs_h else [0]
-        return [(_rotated(base_v, i), _rotated(base_h, j)) for i in vs for j in hs]
+        pairs = [(i, j) for i in vs for j in hs]
+        return (
+            np.array([_rotated(base_v, i) for i, _ in pairs]),
+            np.array([_rotated(base_h, j) for _, j in pairs]),
+        )
     if rng is None:
         rng = np.random.default_rng(0)
-    g = analysis.calc.conn.metric.value
-    out = []
+    coeffs_v, coeffs_h = [], []
     for _ in range(k):
-        vfr = _random_probe_frame(base_v, g, rng) if needs_v else base_v
-        hfr = _random_probe_frame(base_h, g, rng) if needs_h else base_h
-        out.append((vfr, hfr))
-    return out
+        if needs_v:
+            coeffs_v.append(_unit_coeffs(rng, base_v.shape[0]))
+        if needs_h:
+            coeffs_h.append(_unit_coeffs(rng, base_h.shape[0]))
+    if needs_v:
+        vfr = _random_probe_frames(calc, base_v, np.array(coeffs_v))
+    else:
+        vfr = np.repeat(base_v[None], k, axis=0)
+    if needs_h:
+        hfr = _random_probe_frames(calc, base_h, np.array(coeffs_h))
+    else:
+        hfr = np.repeat(base_h[None], k, axis=0)
+    return vfr, hfr
 
 
 def _probe_t_coeff(analysis, vfr, hfr):
+    """Per probe: T on the probe's vertical frame in chart components
+    (P, r, r, dim) and along its horizontal frame (P, r, r, n)."""
     g = analysis.calc.conn.metric.value
     base_v = np.asarray(analysis.calc.frame.vert_values, dtype=float)
     cv = vfr @ g @ base_v.T
-    t_chart = np.einsum("ac,bd,cdk->abk", cv, cv, analysis.data.t_uu)
-    return t_chart, np.einsum("abk,kl,sl->abs", t_chart, g, hfr)
+    t_chart = np.einsum("pac,pbd,cdk->pabk", cv, cv, analysis.data.t_uu)
+    return t_chart, np.einsum("pabk,kl,psl->pabs", t_chart, g, hfr)
 
 
 def _probe_a_coeff(analysis, vfr, hfr):
+    """Per probe: A on the probe's horizontal frame along its vertical frame
+    (P, n, n, r)."""
     g = analysis.calc.conn.metric.value
     base_h = np.asarray(analysis.calc.frame.horiz_values, dtype=float)
     ch = hfr @ g @ base_h.T
-    a_chart = np.einsum("su,tv,uvk->stk", ch, ch, analysis.data.a_xx)
-    return np.einsum("stk,kl,al->sta", a_chart, g, vfr)
+    a_chart = np.einsum("psu,ptv,uvk->pstk", ch, ch, analysis.data.a_xx)
+    return np.einsum("pstk,kl,pal->psta", a_chart, g, vfr)
 
 
-def _c_norm_sq(analysis, x) -> float:
+def _c_norms_sq(analysis, xs) -> list:
+    """|C x|^2 for horizontal vectors ``xs`` (P, dim): the squared length of
+    the horizontal part of phi x."""
     calc = analysis.calc
-    c_part = calc.h_project_values(calc.phi_values @ np.asarray(x, dtype=float))
-    return float(calc.pair_values(c_part, c_part))
+    c_part = calc.h_project_values(calc.phi_of(xs))
+    return calc.pairings(c_part, c_part).tolist()
 
 
-def _chen_t_defect(tc: np.ndarray) -> float:
-    r = tc.shape[0]
-    diag_rest = tc[1:, 1:, :].diagonal(axis1=0, axis2=1).sum(axis=1) if r > 1 else 0.0
-    worst = float(np.max(np.abs(tc[0, 0, :] - diag_rest)))
+def _chen_t_defects(tc: np.ndarray) -> list:
+    r = tc.shape[1]
     if r > 1:
-        worst = max(worst, float(np.max(np.abs(tc[0, 1:, :]))))
-    return worst
+        diag_rest = tc[:, 1:, 1:, :].diagonal(axis1=1, axis2=2).sum(axis=2)
+    else:
+        diag_rest = 0.0
+    worst = np.max(np.abs(tc[:, 0, 0, :] - diag_rest), axis=1)
+    if r > 1:
+        off = np.max(np.abs(tc[:, 0, 1:, :]), axis=(1, 2))
+        worst = np.where(off > worst, off, worst)  # Python's max(worst, off)
+    return worst.tolist()
 
 
-def _chen_a_defect(ac: np.ndarray) -> float:
-    n = ac.shape[0]
+def _chen_a_defects(ac: np.ndarray) -> list:
+    n = ac.shape[1]
     if n <= 1:
-        return 0.0
-    return float(np.max(np.abs(ac[0, 1:, :])))
+        return [0.0] * ac.shape[0]
+    return np.max(np.abs(ac[:, 0, 1:, :]), axis=(1, 2)).tolist()
 
 
 def _make_record(theorem_id, variant, analysis, vfr, hfr, lhs, rhs, sense, diagnostics):
@@ -226,7 +266,13 @@ def _make_record(theorem_id, variant, analysis, vfr, hfr, lhs, rhs, sense, diagn
     )
 
 
-def _evaluate_pair(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
+def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
+    """The records of one theorem for all probe frames of one point.
+
+    Each quantity is computed for all probes at once, in the float
+    operations of a single probe; the scalar formulas then run per probe in
+    Python floats, so the records equal those of one probe at a time, bit
+    for bit."""
     pk = analysis.packet
     data = analysis.data
     calc = analysis.calc
@@ -234,22 +280,30 @@ def _evaluate_pair(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
     q = (c + 3.0) / 4.0
     w = (c - 1.0) / 4.0
     r, n = pk.r, pk.n
-    eta = calc.eta_values
     out = []
 
+    def emit(p, variant, lhs, rhs, sense, diag):
+        record = _make_record(
+            theorem_id, variant, analysis, vfr[p], hfr[p], lhs, rhs, sense, diag
+        )
+        out.append(record)
+
+    u1, x1 = vfr[:, 0], hfr[:, 0]
     if theorem_id == "V1":
-        eta_u1 = float(eta @ vfr[0])
-        lhs = ric_hat_probe(calc, vfr[0])
+        eta_u1 = calc.eta_of(u1).tolist()
+        lhs = ric_hat_probes(calc, u1).tolist()
         t_chart, tc = _probe_t_coeff(analysis, vfr, hfr)
-        g = calc.conn.metric.value
-        mean_term = float(t_chart[0, 0] @ g @ data.h_vec)
-        rhs = q * (r - 1) - w * ((r - 2) * eta_u1**2 + 1.0) - r * mean_term
-        diag = {
-            "equality_class": "totally_geodesic",
-            "equality_defect": float(np.max(np.abs(data.t_coeff))),
-            "dropped_term": float(np.sum(tc[0, :, :] ** 2)),
-        }
-        out.append(_make_record(theorem_id, None, analysis, vfr, hfr, lhs, rhs, "ge", diag))
+        mean_term = calc.pairings(t_chart[:, 0, 0], data.h_vec).tolist()
+        defect = float(np.max(np.abs(data.t_coeff)))
+        dropped = np.sum(tc[:, 0, :, :] ** 2, axis=(1, 2)).tolist()
+        for p, e in enumerate(eta_u1):
+            rhs = q * (r - 1) - w * ((r - 2) * e**2 + 1.0) - r * mean_term[p]
+            diag = {
+                "equality_class": "totally_geodesic",
+                "equality_defect": defect,
+                "dropped_term": dropped[p],
+            }
+            emit(p, None, lhs[p], rhs, "ge", diag)
     elif theorem_id == "V2":
         lhs = 2.0 * pk.tau_hat
         rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - pk.n_norm_sq
@@ -257,7 +311,7 @@ def _evaluate_pair(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
             "equality_class": "totally_geodesic",
             "equality_defect": float(np.max(np.abs(data.t_coeff))),
         }
-        out.append(_make_record(theorem_id, None, analysis, vfr, hfr, lhs, rhs, "ge", diag))
+        emit(0, None, lhs, rhs, "ge", diag)
     elif theorem_id == "H1":
         lhs = 2.0 * pk.tau_star
         rhs = q * n * (n - 1) + 3.0 * w * (n + pk.trace_phi_b)
@@ -265,7 +319,7 @@ def _evaluate_pair(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
             "equality_class": "integrable",
             "equality_defect": float(np.max(np.abs(data.a_coeff))),
         }
-        out.append(_make_record(theorem_id, None, analysis, vfr, hfr, lhs, rhs, "le", diag))
+        emit(0, None, lhs, rhs, "le", diag)
     elif theorem_id == "V3":
         lhs = 2.0 * pk.tau_hat
         rhs = q * r * (r - 1) - pk.n_norm_sq
@@ -273,7 +327,7 @@ def _evaluate_pair(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
             "equality_class": "totally_geodesic",
             "equality_defect": float(np.max(np.abs(data.t_coeff))),
         }
-        out.append(_make_record(theorem_id, None, analysis, vfr, hfr, lhs, rhs, "ge", diag))
+        emit(0, None, lhs, rhs, "ge", diag)
     elif theorem_id == "H2":
         lhs = 2.0 * pk.tau_star
         rhs = q * n * (n - 1) + w * (3.0 * pk.trace_phi_b + n - 1.0)
@@ -281,61 +335,70 @@ def _evaluate_pair(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
             "equality_class": "integrable",
             "equality_defect": float(np.max(np.abs(data.a_coeff))),
         }
-        out.append(_make_record(theorem_id, None, analysis, vfr, hfr, lhs, rhs, "le", diag))
+        emit(0, None, lhs, rhs, "le", diag)
     elif theorem_id in ("CRV1", "CRV2"):
-        eta_u1 = float(eta @ vfr[0])
-        lhs = ric_hat_probe(calc, vfr[0])
-        if theorem_id == "CRV1":
-            rhs = q * (r - 1) - w * ((r - 2) * eta_u1**2 + 1.0) - 0.25 * pk.n_norm_sq
-        else:
-            rhs = q * (r - 1) - 0.25 * pk.n_norm_sq
+        eta_u1 = calc.eta_of(u1).tolist()
+        lhs = ric_hat_probes(calc, u1).tolist()
         _, tc = _probe_t_coeff(analysis, vfr, hfr)
-        diag = {"equality_class": "chen_t", "equality_defect": _chen_t_defect(tc)}
-        out.append(_make_record(theorem_id, None, analysis, vfr, hfr, lhs, rhs, "ge", diag))
+        defects = _chen_t_defects(tc)
+        for p, e in enumerate(eta_u1):
+            if theorem_id == "CRV1":
+                rhs = q * (r - 1) - w * ((r - 2) * e**2 + 1.0) - 0.25 * pk.n_norm_sq
+            else:
+                rhs = q * (r - 1) - 0.25 * pk.n_norm_sq
+            diag = {"equality_class": "chen_t", "equality_defect": defects[p]}
+            emit(p, None, lhs[p], rhs, "ge", diag)
     elif theorem_id == "CRH1":
-        lhs = ric_star_probe(calc, hfr[0])
-        c1_sq = _c_norm_sq(analysis, hfr[0])
-        ac = _probe_a_coeff(analysis, vfr, hfr)
-        diag = {"equality_class": "chen_a", "equality_defect": _chen_a_defect(ac)}
-        for name, kappa in CRH1_VARIANTS:
-            rhs = q * (n - 1) + kappa * (c - 1.0) * c1_sq
-            out.append(
-                _make_record(theorem_id, name, analysis, vfr, hfr, lhs, rhs, "le", dict(diag))
-            )
+        lhs = ric_star_probes(calc, x1).tolist()
+        c1_sq = _c_norms_sq(analysis, x1)
+        defects = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
+        for p, c1 in enumerate(c1_sq):
+            diag = {"equality_class": "chen_a", "equality_defect": defects[p]}
+            for name, kappa in CRH1_VARIANTS:
+                rhs = q * (n - 1) + kappa * (c - 1.0) * c1
+                emit(p, name, lhs[p], rhs, "le", dict(diag))
     elif theorem_id == "CRH2":
-        eta_x1 = float(eta @ hfr[0])
-        lhs = ric_star_probe(calc, hfr[0])
-        c1_sq = _c_norm_sq(analysis, hfr[0])
-        rhs = q * (n - 1) + w * ((2.0 - n) * eta_x1**2 - 1.0 + 3.0 * c1_sq)
-        ac = _probe_a_coeff(analysis, vfr, hfr)
-        diag = {"equality_class": "chen_a", "equality_defect": _chen_a_defect(ac)}
-        out.append(_make_record(theorem_id, None, analysis, vfr, hfr, lhs, rhs, "le", diag))
+        eta_x1 = calc.eta_of(x1).tolist()
+        lhs = ric_star_probes(calc, x1).tolist()
+        c1_sq = _c_norms_sq(analysis, x1)
+        defects = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
+        for p, e in enumerate(eta_x1):
+            rhs = q * (n - 1) + w * ((2.0 - n) * e**2 - 1.0 + 3.0 * c1_sq[p])
+            diag = {"equality_class": "chen_a", "equality_defect": defects[p]}
+            emit(p, None, lhs[p], rhs, "le", diag)
     elif theorem_id in ("CMB1", "CMB2"):
-        eta_u1 = float(eta @ vfr[0])
-        eta_x1 = float(eta @ hfr[0])
-        c1_sq = _c_norm_sq(analysis, hfr[0])
-        if theorem_id == "CMB1":
-            lhs = q * (n * r + n + r - 2) + w * (
-                3.0 * r - 4.0 - n - (r - 2) * eta_u1**2 + 3.0 * c1_sq
-            )
-        else:
-            lhs = q * (n * r + n + r - 2) + w * (
-                2.0 * r - 4.0 - (n - 2) * eta_x1**2 + 3.0 * c1_sq
-            )
+        eta_u1 = calc.eta_of(u1).tolist()
+        eta_x1 = calc.eta_of(x1).tolist()
+        c1_sq = _c_norms_sq(analysis, x1)
         ac = _probe_a_coeff(analysis, vfr, hfr)
-        a1s_sq = float(np.sum(ac[0, 1:, :] ** 2)) if n > 1 else 0.0
-        rhs = (
-            ric_hat_probe(calc, vfr[0])
-            + ric_star_probe(calc, hfr[0])
-            + 0.25 * pk.n_norm_sq
-            + 3.0 * a1s_sq
-            - pk.delta_n
-            + pk.norm_tv_sq
-            - pk.norm_ah_sq
-        )
+        if n > 1:
+            a1s_sq = np.sum(ac[:, 0, 1:, :] ** 2, axis=(1, 2)).tolist()
+        else:
+            a1s_sq = [0.0] * len(eta_u1)
+        ric_hat = ric_hat_probes(calc, u1).tolist()
+        ric_star = ric_star_probes(calc, x1).tolist()
         _, tc = _probe_t_coeff(analysis, vfr, hfr)
-        diag = {"equality_class": "chen_t", "equality_defect": _chen_t_defect(tc)}
-        out.append(_make_record(theorem_id, None, analysis, vfr, hfr, lhs, rhs, "le", diag))
+        defects = _chen_t_defects(tc)
+        for p, (eu, ex, c1) in enumerate(zip(eta_u1, eta_x1, c1_sq)):
+            if theorem_id == "CMB1":
+                lhs = q * (n * r + n + r - 2) + w * (
+                    3.0 * r - 4.0 - n - (r - 2) * eu**2 + 3.0 * c1
+                )
+            else:
+                lhs = q * (n * r + n + r - 2) + w * (
+                    2.0 * r - 4.0 - (n - 2) * ex**2 + 3.0 * c1
+                )
+            rhs = (
+                ric_hat[p]
+                + ric_star[p]
+                + 0.25 * pk.n_norm_sq
+                + 3.0 * a1s_sq[p]
+                - pk.delta_n
+                + pk.norm_tv_sq
+                - pk.norm_ah_sq
+            )
+            diag = {"equality_class": "chen_t", "equality_defect": defects[p]}
+            emit(p, None, lhs, rhs, "le", diag)
     else:
         raise RejectedInputError(f"unknown theorem id: {theorem_id}")
     return out
@@ -351,10 +414,8 @@ def evaluate_theorem(
             f"{theorem_id} needs a model with the Reeb field {case}, "
             f"got {analysis.calc.sub.xi_case}"
         )
-    records = []
-    for vfr, hfr in _probe_frames(analysis, theorem_id, probe_mode, rng):
-        records.extend(_evaluate_pair(analysis, theorem_id, vfr, hfr))
-    return records
+    vfr, hfr = _probe_frames(analysis, theorem_id, probe_mode, rng)
+    return _evaluate_probes(analysis, theorem_id, vfr, hfr)
 
 
 def scan_from_records(theorem_id, records, points_checked) -> TheoremScan:

@@ -191,6 +191,20 @@ class TestExitCodes:
         assert main(["theorems", "--model", "r2m1:1", "--points", "2"]) == 2
         capsys.readouterr()
 
+    def test_package_error_at_a_point_is_7_without_traceback(self, tmp_path, capsys):
+        # the metric is not positive definite where y1 < 0 (see TestBlockErrorParity)
+        model = _vertical_xi_variant(tmp_path, "metric", 2, 2, "y1/4")
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", str(model), "--points", "10", "--out", str(out)]
+        assert main(argv) == 7
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(
+            "error: DegenerateMetricError: metric of 'vertical-xi' not positive definite"
+        )
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_no_timestamp_reruns_byte_identical(self, tmp_path, capsys):
