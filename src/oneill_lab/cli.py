@@ -36,7 +36,7 @@ from .submersion import (
     verify_riemannian_submersion,
     verify_structure_lemmas,
 )
-from .theorems import THEOREM_IDS, scan_theorems
+from .theorems import THEOREM_IDS, parse_probe_mode, scan_theorems
 
 # Bundled models: model files of the documented schema shipped with the
 # package as models/<name>.json.
@@ -144,7 +144,7 @@ def _submersion_structure(sub: SubmersionModel, blocks, analyses, tol: Tolerance
     pd_flags = []
     for analysis in analyses:
         calc = analysis.calc
-        chk = verify_riemannian_submersion(sub, calc.coords, calc)
+        chk = verify_riemannian_submersion(calc)
         kernel = max_residual([chk.kernel_residual], kernel)
         lengths.append(float(chk.length_residual))
         pd_flags.append(bool(chk.base_pd))
@@ -306,10 +306,10 @@ def cli_parse(argv) -> RunConfig:
         parser.error(f"--box expects LO,HI, got {ns.box!r}")
     if not hi > lo:
         parser.error(f"--box needs LO < HI, got {ns.box!r}")
-    if ns.probe not in ("first", "all"):
-        m = re.fullmatch(r"random:(\d+)", ns.probe)
-        if not m or int(m.group(1)) < 1:
-            parser.error(f"--probe expects first, all, or random:<k>, got {ns.probe!r}")
+    try:
+        parse_probe_mode(ns.probe)
+    except RejectedInputError:
+        parser.error(f"--probe expects first, all, or random:<k>, got {ns.probe!r}")
     theorems = None
     if ns.theorems != "all":
         ids = tuple(tok.strip() for tok in ns.theorems.split(",") if tok.strip())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInputError
-from .jets import ArrayJet, seed, seed_block
+from .jets import seed_block
 from .riemannian import (
     ConnectionData,
     CurvatureData,
@@ -22,6 +22,7 @@ from .riemannian import (
     christoffel_at,
     curvature_from_connection,
     metric_at,
+    model_jets,
     sectional_curvature,
 )
 
@@ -40,31 +41,12 @@ class ContactStructure:
         """phi and xi with their first partials, and eta, on a block of
         points ``(N, d)``: each callable runs once per block."""
         vs = seed_block(points, order=1)
-        n, d = len(vs[0].value), self.model.dim
-        phi = np.zeros((n, d, d))
-        dphi = np.zeros((n, d, d, d))
-        for i in range(d):
-            for j in range(d):
-                _fill(self.phi[i][j](vs), phi[:, i, j], dphi[:, i, j])
-        eta = np.zeros((n, d))
-        for a in range(d):
-            _fill(self.eta[a](vs), eta[:, a], None)
-        xi = np.zeros((n, d))
-        dxi = np.zeros((n, d, d))
-        for k, comp in enumerate(self.xi.components):
-            _fill(comp(vs), xi[:, k], dxi[:, k])
-        return ContactData(phi=phi, dphi=dphi, eta=eta, xi=xi, dxi=dxi)
-
-
-def _fill(entry, value: np.ndarray, gradient) -> None:
-    """Write a callable's result on a block (a jet, or a float that holds
-    at every point) into its value column and, if given, gradient rows."""
-    if not isinstance(entry, ArrayJet):
-        value[:] = float(entry)
-        return
-    value[:] = entry.value
-    if gradient is not None:
-        gradient[:] = entry.gradient
+        phi = model_jets(self.phi, vs)
+        eta = model_jets(self.eta, vs)
+        xi = model_jets(self.xi.components, vs)
+        return ContactData(
+            phi=phi.value, dphi=phi.gradient, eta=eta.value, xi=xi.value, dxi=xi.gradient
+        )
 
 
 @dataclass(frozen=True)
@@ -321,8 +303,5 @@ def phi_sectional(spec: SasakianSpaceFormSpec, coords, x) -> float:
 
 def frame_components_at(spec: SasakianSpaceFormSpec, coords) -> np.ndarray:
     """Chart components of the preferred frame, one row per field."""
-    pt = seed(coords, order=1)
-    d = spec.model.dim
-    return np.array(
-        [[j.value for j in f.evaluate(pt.vars, d, order=1)] for f in spec.frame]
-    )
+    vs = seed_block(np.asarray(coords, dtype=float)[None], order=1)
+    return model_jets([f.components for f in spec.frame], vs).value[0]

@@ -73,16 +73,6 @@ def ric_star_probes(calc: PointCalculus, xs) -> np.ndarray:
     return _frame_trace(horizontal_curvature_star, calc, calc.frame.horiz_values, xs)
 
 
-def ric_hat_probe(calc: PointCalculus, u) -> float:
-    """``ric_hat_probes`` on one vector."""
-    return float(ric_hat_probes(calc, np.asarray(u, dtype=float)[None])[0])
-
-
-def ric_star_probe(calc: PointCalculus, x) -> float:
-    """``ric_star_probes`` on one vector."""
-    return float(ric_star_probes(calc, np.asarray(x, dtype=float)[None])[0])
-
-
 def _frame_table(r4, a, b, c, d) -> np.ndarray:
     """R(a_i, b_j, c_k, d_l) on all 4-tuples of the rows of a, b, c, d."""
     return pair_r4(

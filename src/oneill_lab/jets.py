@@ -1,24 +1,24 @@
 """Forward-mode jets carrying value, gradient, and Hessian.
 
-Two jet types serve two layers:
+:class:`ArrayJet` is the one jet of the package: a struct-of-arrays jet
+(hyper-dual numbers in vectorized forward mode) with one array of values,
+one of gradients and one of Hessians, whose leading batch axes broadcast.
+Every model callable (metric entries, contact data, preferred and declared
+frame fields, the projection, the base metric) receives the coordinate jets
+of a block of sample points from :func:`seed_block`, the point axis
+leading. The metric, Christoffel symbols, curvature and contact data are
+evaluated once per block; the adapted frame and the first derivatives of
+the fundamental tensors also run on it, batched over frame pairs and chart
+components.
 
-- :class:`ArrayJet` is the struct-of-arrays jet (hyper-dual numbers in
-  vectorized forward mode): one array of values, one of gradients, one of
-  Hessians, with leading batch axes that broadcast. Model callables
-  (metric entries, contact data) receive the coordinate jets of a block of
-  sample points from :func:`seed_block`, the point axis leading, so the
-  metric, Christoffel symbols, curvature and contact data of
-  ``riemannian`` and ``contact`` are evaluated once per block. The
-  adapted frame and the first derivatives of the fundamental tensors also
-  run on it, batched over frame pairs and chart components.
-- :class:`ScalarJet` is the one-point coordinate jet of :func:`seed`. It
-  does not feed the metric, connection or curvature; it feeds the
-  declared frame fields, the projection's differential and the raw base
-  metric, one point at a time.
+:class:`ScalarJet` (with :func:`constant`, :func:`variable`, :func:`seed`,
+:class:`JetPoint`, :func:`deriv` and :func:`jet_eval`) is the one-point
+jet kept as the reference that the tests compare ``ArrayJet`` against; no
+other module of the package uses it.
 
 Every ``ArrayJet`` operation does, element by element, the float operations
 of the same ``ScalarJet`` operation in the same order and association, so
-each element equals the ``ScalarJet`` result bit for bit. Sums over terms
+each element equals the reference result bit for bit. Sums over terms
 (:func:`sum_terms`) add one term at a time in a fixed index order for the
 same reason.
 
@@ -281,15 +281,6 @@ def seed_block(points, order: int = 2) -> tuple:
     )
 
 
-def as_jet(x, dim: int, order: int = 2) -> ScalarJet:
-    """Normalize a float-or-jet into a ScalarJet of the given dimension."""
-    if isinstance(x, ScalarJet):
-        if x.dim != dim:
-            raise RejectedInputError(f"jet dimension mismatch: expected {dim}, got {x.dim}")
-        return x
-    return constant(float(x), dim, order=order)
-
-
 def deriv(jet: ScalarJet, index: int) -> ScalarJet:
     """Partial derivative of an order-2 jet as an order-1 jet.
 
@@ -306,16 +297,8 @@ def deriv(jet: ScalarJet, index: int) -> ScalarJet:
 def jet_eval(f, coords, order: int = 2) -> ScalarJet:
     """Evaluate ``f(vars) -> jet|float`` on freshly seeded coordinates."""
     p = seed(coords, order=order)
-    return as_jet(f(p.vars), p.dim, order=order)
-
-
-def sqrt(x):
-    """sqrt that dispatches on jets and plain floats alike."""
-    if isinstance(x, (ScalarJet, ArrayJet)):
-        return x.sqrt()
-    if x <= 0.0:
-        raise SingularEvaluationError(f"sqrt of non-positive value {x!r}")
-    return math.sqrt(x)
+    out = f(p.vars)
+    return out if isinstance(out, ScalarJet) else constant(float(out), p.dim, order=order)
 
 
 class ArrayJet:
@@ -470,7 +453,7 @@ class ArrayJet:
         return o.__truediv__(self)
 
     def __pow__(self, exponent):
-        if isinstance(exponent, (ScalarJet, ArrayJet)):
+        if isinstance(exponent, ArrayJet):
             raise RejectedInputError("jet exponents are not supported")
         if isinstance(exponent, (int, np.integer)) or (
             isinstance(exponent, float) and exponent.is_integer()
@@ -525,23 +508,18 @@ class ArrayJet:
 
 
 def stack(jets) -> ArrayJet:
-    """One ArrayJet from a (nested) sequence of ScalarJets or ArrayJets of
-    one dimension; the nesting becomes the leading batch axes. The result
-    is order 2 only if every element is."""
-    if isinstance(jets, ScalarJet):
-        return ArrayJet(np.float64(jets.value), jets.gradient, jets.hessian)
-    if isinstance(jets, ArrayJet):
-        return jets
-    parts = [stack(j) for j in jets]
-    if not parts:
+    """One ArrayJet from a sequence of ArrayJets of one shape and dimension;
+    the sequence becomes a new leading batch axis. The result is order 2
+    only if every element is."""
+    if not jets:
         raise RejectedInputError("stack needs at least one jet")
-    if any(p.dim != parts[0].dim for p in parts):
+    if any(j.dim != jets[0].dim for j in jets):
         raise RejectedInputError("jet dimension mismatch in stack")
     hess = None
-    if all(p.hessian is not None for p in parts):
-        hess = np.stack([p.hessian for p in parts])
+    if all(j.hessian is not None for j in jets):
+        hess = np.stack([j.hessian for j in jets])
     return ArrayJet(
-        np.stack([p.value for p in parts]), np.stack([p.gradient for p in parts]), hess
+        np.stack([j.value for j in jets]), np.stack([j.gradient for j in jets]), hess
     )
 
 

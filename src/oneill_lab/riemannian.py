@@ -1,11 +1,15 @@
 """Metric, Levi-Civita connection, and curvature on blocks of chart points.
 
 Everything is evaluated through jets on a block of sample points, the point
-axis leading: each metric entry's callable runs once per block on the
-coordinate jets of :func:`jets.seed_block`, so Christoffel symbols come out
-with exact first partials and the Riemann tensor needs no finite
-differencing anywhere. The samples are cut into blocks by
-:func:`point_blocks`, which bounds the memory of the d^4-sized arrays.
+axis leading. :func:`model_jets` is the one evaluator of model expressions:
+it runs a table of model callables once on the coordinate jets of
+:func:`jets.seed_block`. Every model expression of the package goes through
+it: the metric entries here, the contact data and preferred frame of
+``contact``, and the projection, base metric and declared fields of
+``submersion``. So Christoffel symbols come out with exact first partials
+and the Riemann tensor needs no finite differencing anywhere. The samples
+are cut into blocks by :func:`point_blocks`, which bounds the memory of the
+d^4-sized arrays.
 
 Index conventions, fixed once (each array has a leading point axis ``p``
 on a block; ``data[k]`` is the same record at point ``k``):
@@ -33,7 +37,7 @@ from .errors import (
     OutOfDomainError,
     RejectedInputError,
 )
-from .jets import ArrayJet, as_jet, seed, seed_block
+from .jets import ArrayJet, seed_block
 
 _PD_FLOOR = 1e-12
 
@@ -64,15 +68,36 @@ def max_residual(values, start: float = 0.0) -> float:
     return float(np.max(np.asarray(values, dtype=float), initial=start))
 
 
+def model_jets(table, vs) -> ArrayJet:
+    """Jets of a table of model callables on a block of points.
+
+    Each callable of the (nested) sequence ``table`` runs once, in row-major
+    order, on the coordinate jets ``vs`` of :func:`jets.seed_block`. The
+    result has the point axis first, then the shape of the table. A callable
+    that returns a float holds at every point, with zero derivatives."""
+    funcs = np.asarray(table, dtype=object)
+    n, d = vs[0].gradient.shape
+    value = np.zeros((n, funcs.size))
+    gradient = np.zeros((n, funcs.size, d))
+    hessian = None if vs[0].hessian is None else np.zeros((n, funcs.size, d, d))
+    for k, f in enumerate(funcs.flat):
+        entry = f(vs)
+        if not isinstance(entry, ArrayJet):
+            value[:, k] = float(entry)
+            continue
+        value[:, k] = entry.value
+        gradient[:, k] = entry.gradient
+        if hessian is not None:
+            hessian[:, k] = entry.hessian
+    return ArrayJet(value, gradient, hessian).reshape((n,) + funcs.shape)
+
+
 @dataclass(frozen=True)
 class VectorField:
     """Chart vector field: one callable per component, fed coordinate jets."""
 
     components: tuple
     name: str = ""
-
-    def evaluate(self, vars, dim: int, order: int = 2) -> list:
-        return [as_jet(c(vars), dim, order=order) for c in self.components]
 
 
 @dataclass(frozen=True)
@@ -103,37 +128,43 @@ class MetricData(PointAxis):
     dinverse: np.ndarray  # (p, a, d, d) = partial_a g^ij
 
 
-def metric_at(model: ManifoldModel, points, order: int = 2) -> MetricData:
-    """Evaluate the metric jets on a block of points ``(N, d)``; upper
-    triangle only, mirrored. The domain and positive-definiteness checks
-    run for every point and raise for the first failing one."""
+def metric_jets(model: ManifoldModel, points, order: int) -> ArrayJet:
+    """The metric's jets on a block of points ``(N, d)``, shape ``(N, d, d)``:
+    the upper triangle evaluated, then mirrored. The domain check runs for
+    every point and raises for the first failing one; there is no
+    positive-definiteness gate."""
     vs = seed_block(points, order=order)
     pts = np.asarray(points, dtype=float)
     for coords in pts:
         model.check_domain(coords)
-    n, dim = pts.shape
+    dim = pts.shape[1]
     d = model.dim
     if dim != d:
         raise RejectedInputError(f"point has dim {dim}, model {model.name!r} has {d}")
-    value = np.zeros((n, d, d))
-    d1 = np.zeros((n, d, d, d))
-    d2 = np.zeros((n, d, d, d, d))
-    for i in range(d):
-        for j in range(i, d):
-            entry = model.metric[i][j](vs)
-            if not isinstance(entry, ArrayJet):
-                value[:, i, j] = value[:, j, i] = float(entry)
-                continue
-            value[:, i, j] = value[:, j, i] = entry.value
-            d1[:, i, j, :] = d1[:, j, i, :] = entry.gradient
-            if order == 2:
-                d2[:, i, j, :, :] = d2[:, j, i, :, :] = entry.hessian
+    rows, cols = np.triu_indices(d)
+    upper = model_jets([model.metric[i][j] for i, j in zip(rows, cols)], vs)
+    # entry (i, j) of the metric is entry (min(i, j), max(i, j)) of the triangle
+    slot = np.zeros((d, d), dtype=int)
+    slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
+    value, gradient = np.take(upper.value, slot, axis=1), np.take(upper.gradient, slot, axis=1)
+    hessian = None if upper.hessian is None else np.take(upper.hessian, slot, axis=1)
+    return ArrayJet(value, gradient, hessian)
+
+
+def metric_at(model: ManifoldModel, points, order: int = 2) -> MetricData:
+    """The metric jets of :func:`metric_jets` on a block of points, gated:
+    the positive-definiteness check runs for every point and raises for the
+    first failing one."""
+    g = metric_jets(model, points, order)
+    value, d1 = g.value, g.gradient
+    d2 = np.zeros(d1.shape + d1.shape[-1:]) if g.hessian is None else g.hessian
     low = np.linalg.eigvalsh(value)[:, 0]
     bad = np.flatnonzero(low <= _PD_FLOOR)
     if bad.size:
         k = bad[0]
         raise DegenerateMetricError(
-            f"metric of {model.name!r} not positive definite at {pts[k].tolist()}: "
+            f"metric of {model.name!r} not positive definite at "
+            f"{np.asarray(points, dtype=float)[k].tolist()}: "
             f"min eigenvalue {low[k]:.3e}"
         )
     inverse = np.linalg.inv(value)
@@ -207,23 +238,6 @@ def ricci_from_curvature(curv: CurvatureData) -> np.ndarray:
 def scalar_curvature(curv: CurvatureData) -> float:
     """Coordinate-trace scalar curvature g^{jk} Ric_jk."""
     return float(np.einsum("jk,jk->", curv.metric.inverse, ricci_from_curvature(curv)))
-
-
-def metric_values_raw(model: ManifoldModel, coords) -> np.ndarray:
-    """Metric value matrix without the positive-definiteness gate.
-
-    Needed for diagnostics on declared base metrics that fail PD on their
-    own domain; the domain guard still applies.
-    """
-    pt = seed(coords, order=1)
-    model.check_domain(pt.coords)
-    d = model.dim
-    value = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            jet = as_jet(model.metric[i][j](pt.vars), d, order=1)
-            value[i, j] = value[j, i] = jet.value
-    return value
 
 
 def pair_r4(r4: np.ndarray, x, y, z, w):

@@ -6,9 +6,10 @@ tensors of a submersion, their first covariant derivatives, and pointwise
 structural checks (symmetry, alternation, skew-adjointness, anti-invariance,
 the square identity for the horizontal part of phi).
 
-Everything pointwise routes through ``PointCalculus``. Declared fields are
-evaluated as ``ScalarJet`` coordinate jets (the model callables take those)
-and packed into one ``ArrayJet``; from there the layer runs on array jets.
+Everything pointwise routes through ``PointCalculus``. The layer's model
+expressions (the declared fields, the projection, the base metric) are
+evaluated by ``riemannian.model_jets`` on the ``ArrayJet`` coordinate jets
+of a block of the one point; from there the layer runs on array jets.
 Gram-Schmidt turns the fields into an orthonormal frame that is itself a
 second-order differentiable field, and one batched pass over all frame
 pairs and chart components gives the value and gradient of the vertical-block
@@ -37,14 +38,14 @@ from .contact import (
 )
 from .errors import DegenerateFrameError, RejectedInputError
 from .expressions import compile_expression
-from .jets import ArrayJet, as_jet, concat, seed, stack, sum_terms
+from .jets import ArrayJet, concat, seed_block, stack, sum_terms
 from .riemannian import (
     ManifoldModel,
     MetricData,
     VectorField,
     max_residual,
-    metric_at,
-    metric_values_raw,
+    metric_jets,
+    model_jets,
 )
 
 _GS_PIVOT_SQ = 1e-20  # squared-norm pivot; rejects frame vectors shorter than 1e-10
@@ -98,17 +99,11 @@ class SubmersionModel:
 def differential_at(sub: SubmersionModel, coords):
     """Projection value and Jacobian: returns ``(base_point, jac)`` with
     ``jac[b, k] = d proj_b / d coord_k``."""
-    pt = seed(coords, order=1)
-    sub.total.model.check_domain(pt.coords)
-    d = sub.total.model.dim
-    bd = sub.base.dim
-    base_point = np.zeros(bd)
-    jac = np.zeros((bd, d))
-    for b in range(bd):
-        jet = as_jet(sub.projection[b](pt.vars), d, order=1)
-        base_point[b] = jet.value
-        jac[b, :] = jet.gradient
-    return base_point, jac
+    coords = np.asarray(coords, dtype=float)
+    vs = seed_block(coords[None], order=1)
+    sub.total.model.check_domain(coords)
+    proj = model_jets(sub.projection, vs)[0]
+    return proj.value, proj.gradient
 
 
 @dataclass(frozen=True)
@@ -127,16 +122,13 @@ class SubmersionCheck:
     base_point: np.ndarray
 
 
-def verify_riemannian_submersion(
-    sub: SubmersionModel, coords, calc: Optional[PointCalculus] = None
-) -> SubmersionCheck:
-    """Kernel, length, and base-metric diagnostics at one point; reuses the
-    frame of ``calc`` when given (its values equal those of the order-1
-    frame built otherwise)."""
-    frame = adapted_frame_at(sub, coords, order=1) if calc is None else calc.frame
-    base_point, jac = differential_at(sub, coords)
+def verify_riemannian_submersion(calc: PointCalculus) -> SubmersionCheck:
+    """Kernel, length, and base-metric diagnostics at the point of
+    ``calc``, on its adapted frame."""
+    sub, frame = calc.sub, calc.frame
+    base_point, jac = differential_at(sub, calc.coords)
     kernel_residual = float(np.max(np.abs(jac @ frame.vert_values.T)))
-    gb = metric_values_raw(sub.base, base_point)
+    gb = metric_jets(sub.base, base_point[None], order=1).value[0]
     push = jac @ frame.horiz_values.T  # columns are the pushed frame vectors
     gram = push.T @ gb @ push
     length_residual = float(np.max(np.abs(gram - np.eye(frame.n))))
@@ -193,28 +185,22 @@ class AdaptedFrame:
         return self.jets.shape[0] - self.r
 
 
-def adapted_frame_at(
-    sub: SubmersionModel, coords, order: int = 2, metric: Optional[MetricData] = None
-) -> AdaptedFrame:
+def adapted_frame_at(sub: SubmersionModel, coords, metric: MetricData) -> AdaptedFrame:
     """Gram-Schmidt over the declared fields, vertical block first.
 
     The arithmetic runs on coordinate jets, so the resulting frame is a
     differentiable field in a neighborhood of ``coords``; later fields are
     orthogonalized against everything before them, which keeps a Reeb field
     declared last in its block fixed whenever the earlier fields are already
-    orthogonal to it. ``metric`` (with second partials for order 2) saves
-    evaluating the metric again when the caller already has it.
+    orthogonal to it. ``metric`` is the total space's metric at ``coords``,
+    with its second partials.
     """
     coords = np.asarray(coords, dtype=float)
     model = sub.total.model
     model.check_domain(coords)
-    if metric is None:
-        metric = metric_at(model, coords[None], order=order)[0]
-    g = ArrayJet(metric.value, metric.d1, metric.d2 if order == 2 else None)
-    pt = seed(coords, order=order)
-    d = model.dim
+    g = ArrayJet(metric.value, metric.d1, metric.d2)
     fields = sub.vertical_fields + sub.horizontal_fields
-    raw = stack([f.evaluate(pt.vars, d, order=order) for f in fields])
+    raw = model_jets([f.components for f in fields], seed_block(coords[None]))[0]
     units = []
     for k in range(len(fields)):
         v = raw[k]
@@ -294,9 +280,7 @@ class PointCalculus:
         # closed form of a space form with the total space's phi-sectional
         # curvature, from the metric, phi and eta; slots of ``curvature.r4``
         self.closed_curvature = state.closed
-        self.frame = adapted_frame_at(
-            sub, self.coords, order=2, metric=self.conn.metric
-        )
+        self.frame = adapted_frame_at(sub, self.coords, self.conn.metric)
         self.r = self.frame.r
         self.n = self.frame.n
         self.phi_values = state.contact.phi
@@ -315,9 +299,6 @@ class PointCalculus:
         xs = np.asarray(xs, dtype=float)[..., None, :]
         ys = np.asarray(ys, dtype=float)[..., :, None]
         return ((xs @ self.conn.metric.value) @ ys)[..., 0, 0]
-
-    def pair_values(self, xv, yv) -> float:
-        return float(self.pairings(xv, yv))
 
     def _project(self, ws, rows: np.ndarray) -> np.ndarray:
         # coefficients rows @ (g @ w), then coefficients @ rows
@@ -490,7 +471,7 @@ def tensors_from_calculus(calc: PointCalculus) -> OneillData:
         norm_ah_sq=float(norm_ah_sq),
         n_vec=n_vec,
         h_vec=h_vec,
-        n_norm_sq=calc.pair_values(n_vec, n_vec),
+        n_norm_sq=float(calc.pairings(n_vec, n_vec)),
         trace_phi_b=float(trace_phi_b),
         c_norms_sq=c_norms_sq,
         eta_vert=eta_vert,

@@ -13,6 +13,7 @@ id against a model with the other Reeb position is rejected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,22 +143,19 @@ def _random_probe_frames(calc, frame: np.ndarray, coeffs: np.ndarray) -> np.ndar
     return rows
 
 
-def _parse_probe_mode(probe_mode: str):
+def parse_probe_mode(probe_mode: str):
+    """``(mode, k)`` of a probe mode: ``first``, ``all``, or ``random:<k>``
+    with k written in ASCII decimal digits and at least 1 (k is 0 for the
+    other two)."""
     if probe_mode in ("first", "all"):
         return probe_mode, 0
-    if probe_mode.startswith("random:"):
-        tail = probe_mode[len("random:") :]
-        try:
-            k = int(tail)
-        except ValueError:
-            raise RejectedInputError(f"bad probe mode: {probe_mode}")
-        if k < 1:
-            raise RejectedInputError(f"bad probe mode: {probe_mode}")
-        return "random", k
-    raise RejectedInputError(f"bad probe mode: {probe_mode}")
+    m = re.fullmatch(r"random:([0-9]+)", probe_mode)
+    if m is None or int(m.group(1)) < 1:
+        raise RejectedInputError(f"bad probe mode: {probe_mode}")
+    return "random", int(m.group(1))
 
 
-def _probe_frames(analysis: PointAnalysis, theorem_id, probe_mode, rng):
+def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, rng):
     """The vertical and horizontal frames of every probe, stacked (P, r, dim)
     and (P, n, dim), with the probe vector in the first slot of each block
     that the theorem actually probes. Random probes draw in probe order,
@@ -167,10 +165,7 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, probe_mode, rng):
     calc = analysis.calc
     base_v = np.asarray(calc.frame.vert_values, dtype=float)
     base_h = np.asarray(calc.frame.horiz_values, dtype=float)
-    if not needs_v and not needs_h:
-        return base_v[None], base_h[None]
-    mode, k = _parse_probe_mode(probe_mode)
-    if mode == "first":
+    if mode == "first" or not (needs_v or needs_h):
         return base_v[None], base_h[None]
     if mode == "all":
         vs = range(base_v.shape[0]) if needs_v else [0]
@@ -180,8 +175,6 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, probe_mode, rng):
             np.array([_rotated(base_v, i) for i, _ in pairs]),
             np.array([_rotated(base_h, j) for _, j in pairs]),
         )
-    if rng is None:
-        rng = np.random.default_rng(0)
     coeffs_v, coeffs_h = [], []
     for _ in range(k):
         if needs_v:
@@ -407,14 +400,19 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
 def evaluate_theorem(
     analysis: PointAnalysis, theorem_id: str, probe_mode: str = "first", rng=None
 ):
-    """All records for one theorem at one analyzed point."""
+    """All records for one theorem at one analyzed point. Random probes
+    draw from ``rng``, or from a generator seeded with 0 made for this
+    call."""
     case = required_xi_case(theorem_id)
     if analysis.calc.sub.xi_case != case:
         raise RejectedInputError(
             f"{theorem_id} needs a model with the Reeb field {case}, "
             f"got {analysis.calc.sub.xi_case}"
         )
-    vfr, hfr = _probe_frames(analysis, theorem_id, probe_mode, rng)
+    mode, k = parse_probe_mode(probe_mode)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    vfr, hfr = _probe_frames(analysis, theorem_id, mode, k, rng)
     return _evaluate_probes(analysis, theorem_id, vfr, hfr)
 
 
@@ -448,10 +446,13 @@ def scan_from_records(theorem_id, records, points_checked) -> TheoremScan:
 def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
     """Evaluate theorem ids over analyzed sample points; ids default to those
     applicable to the model's Reeb case. Points are the outer loop and ids
-    the inner one, so random probes draw from ``rng`` in a fixed order.
+    the inner one, so random probes draw from ``rng`` in a fixed order;
+    without ``rng``, from one generator seeded with 0 made for the scan.
     Returns {theorem_id: TheoremScan} in id order."""
     if not analyses:
         raise EmptySampleError("no sample points to scan")
+    if rng is None:
+        rng = np.random.default_rng(0)
     if theorem_ids is None:
         theorem_ids = applicable_ids(analyses[0].calc.sub.xi_case)
     buckets = {tid: [] for tid in theorem_ids}

@@ -158,7 +158,7 @@ def test_c3_vertical_model_structure_suite(vx_model, vx_points, vx_analyses):
     length = 0.0
     lemma_worst = 0.0
     for pt, analysis in zip(vx_points, vx_analyses):
-        chk = verify_riemannian_submersion(vx_model, pt)
+        chk = verify_riemannian_submersion(analysis.calc)
         kernel = max(kernel, chk.kernel_residual)
         length = max(length, chk.length_residual)
         lemmas = verify_structure_lemmas(analysis.calc, analysis.data)

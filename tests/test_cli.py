@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from oneill_lab import jets
 from oneill_lab.cli import BUNDLED_DIR, RunConfig, cli_parse, main, resolve_model, run
 from oneill_lab.contact import build_r2m1, space_form_r4_at, verify_sasakian
 from oneill_lab.errors import DegenerateMetricError, ModelLoadError
@@ -204,6 +205,31 @@ class TestExitCodes:
         )
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+
+class TestOneJetEngine:
+    @pytest.mark.parametrize(
+        "command, model, code",
+        [
+            ("report", "vertical-xi", 0),
+            ("report", "horizontal-xi", 3),
+            ("report", REEB, 3),
+            ("verify", "r2m1:2", 0),
+        ],
+        ids=["report-vertical-xi", "report-horizontal-xi", "report-reeb_fiber", "verify-r2m1:2"],
+    )
+    def test_run_path_builds_no_scalar_jet(self, command, model, code, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run path used the reference ScalarJet engine")
+
+        monkeypatch.setattr(jets.ScalarJet, "__init__", refuse)
+        monkeypatch.setattr(jets, "seed", refuse)
+        with pytest.raises(AssertionError):
+            jets.constant(0.0, 1)
+        out = str(tmp_path / "r.json")
+        argv = [command, "--model", model, "--points", "20", "--no-timestamp", "--out", out]
+        assert main(argv) == code
+        capsys.readouterr()
 
 
 class TestDeterminism:

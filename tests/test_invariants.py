@@ -17,8 +17,8 @@ from oneill_lab.invariants import (
     fiber_curvature_hat,
     horizontal_curvature_star,
     mixed_gauss_residual,
-    ric_hat_probe,
-    ric_star_probe,
+    ric_hat_probes,
+    ric_star_probes,
 )
 from oneill_lab.submersion import PointCalculus, load_custom_model
 
@@ -79,9 +79,9 @@ class TestVerticalXiPacket:
         calc = PointCalculus(sub, POINTS[0])
         pk = analyze_point(sub, POINTS[0]).packet
         for k, u in enumerate(calc.frame.vert_values):
-            assert abs(ric_hat_probe(calc, u) - pk.ric_hat[k]) < CURV_TOL
+            assert abs(ric_hat_probes(calc, u[None])[0] - pk.ric_hat[k]) < CURV_TOL
         for t, x in enumerate(calc.frame.horiz_values):
-            assert abs(ric_star_probe(calc, x) - pk.ric_star[t]) < CURV_TOL
+            assert abs(ric_star_probes(calc, x[None])[0] - pk.ric_star[t]) < CURV_TOL
 
     def test_star_curvature_vanishes_on_flat_base(self):
         # horizontal block pushes down to a flat base, so the block

@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneill_lab.cli import BUNDLED_MODELS, resolve_model
-from oneill_lab.contact import build_r2m1, space_form_data
+from oneill_lab.contact import build_r2m1, frame_components_at, space_form_data
 from oneill_lab.errors import (
     DegenerateMetricError,
     DegeneratePlaneError,
     OutOfDomainError,
 )
-from oneill_lab.jets import jet_eval
+from oneill_lab.jets import jet_eval, seed_block
 from oneill_lab.riemannian import (
     ManifoldModel,
     christoffel_at,
     metric_at,
+    model_jets,
     ricci_from_curvature,
     riemann_at,
     scalar_curvature,
@@ -294,6 +295,7 @@ def _per_point(spec, pt):
     xi_jets = [jet_eval(c, pt, order=1) for c in st_.xi.components]
     phi = np.array([[j.value for j in row] for row in phi_jets])
     eta = np.array([jet_eval(e, pt, order=1).value for e in st_.eta])
+    frame = [[jet_eval(c, pt, order=1).value for c in f.components] for f in spec.frame]
     return {
         "value": value,
         "d1": d1,
@@ -310,6 +312,7 @@ def _per_point(spec, pt):
         "xi": np.array([j.value for j in xi_jets]),
         "dxi": np.array([j.gradient for j in xi_jets]),
         "closed": _closed_form(spec.c, value, phi, eta),
+        "frame": np.array(frame),
     }
 
 
@@ -330,7 +333,7 @@ def _closed_form(c, gv, phi_v, e):
     return q * term_q + w * term_w
 
 
-def _block_arrays(data, k):
+def _block_arrays(spec, data, k):
     conn, metric, contact = data.conn[k], data.conn.metric[k], data.contact[k]
     return {
         "value": metric.value,
@@ -348,6 +351,7 @@ def _block_arrays(data, k):
         "xi": contact.xi,
         "dxi": contact.dxi,
         "closed": data.closed[k],
+        "frame": frame_components_at(spec, data.points[k]),
     }
 
 
@@ -361,9 +365,9 @@ def _same_bits(a, b) -> bool:
 @given(st.sampled_from(sorted(SPACE_FORMS)), st.integers(1, 7), st.data())
 def test_block_arrays_bit_equal_to_per_point_scalar_jets(name, length, data):
     """Metric, connection, curvature (jet and closed form) and contact data
-    of a block equal, bit for bit, a per-point ScalarJet evaluation with
-    one-point contractions; a numpy whose einsum sums in another order with
-    a batch axis fails it."""
+    of a block, and the preferred frame, equal, bit for bit, a per-point
+    ScalarJet evaluation with one-point contractions; a numpy whose einsum
+    sums in another order with a batch axis fails it."""
     spec = SPACE_FORMS[name]()
     d = spec.model.dim
     coord = st.floats(-2.0, 2.0, allow_nan=False)
@@ -372,6 +376,55 @@ def test_block_arrays_bit_equal_to_per_point_scalar_jets(name, length, data):
     block = space_form_data(spec, points)
     for k, pt in enumerate(points):
         want = _per_point(spec, pt)
-        got = _block_arrays(block, k)
+        got = _block_arrays(spec, block, k)
         for key in want:
             assert _same_bits(got[key], want[key]), f"{name} point {k}: {key}"
+
+
+# -- the other model expressions on block seeds against per-point ScalarJets --
+
+SUBMERSIONS = {name: name for name in BUNDLED_MODELS} | {"reeb_fiber": str(MODEL_FILE)}
+
+
+def _assert_entries_bit_equal(table, got, points, order):
+    """Each entry of ``got`` (a ``model_jets`` result) equals ``jet_eval``
+    of its callable at its point: value, gradient and, at order 2, Hessian."""
+    funcs = np.asarray(table, dtype=object)
+    assert got.shape == (len(points),) + funcs.shape
+    for k, pt in enumerate(points):
+        for idx in np.ndindex(*funcs.shape):
+            ref = jet_eval(funcs[idx], pt, order=order)
+            at = (k,) + idx
+            assert _same_bits(got.value[at], ref.value)
+            assert _same_bits(got.gradient[at], ref.gradient)
+            if order == 2:
+                assert _same_bits(got.hessian[at], ref.hessian)
+            else:
+                assert got.hessian is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(SUBMERSIONS)),
+    st.integers(1, 4),
+    st.sampled_from([1, 2]),
+    st.data(),
+)
+def test_model_jets_bit_equal_to_per_point_scalar_jets(name, length, order, data):
+    """The declared fields, the projection and the base metric of every
+    submersion model, evaluated on a block, equal a per-point ScalarJet
+    evaluation bit for bit."""
+    sub = resolve_model(SUBMERSIONS[name])
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    point = st.lists(coord, min_size=sub.total.model.dim, max_size=sub.total.model.dim)
+    points = np.array(data.draw(st.lists(point, min_size=length, max_size=length)))
+    vs = seed_block(points, order=order)
+    fields = [f.components for f in sub.vertical_fields + sub.horizontal_fields]
+    _assert_entries_bit_equal(fields, model_jets(fields, vs), points, order)
+    projection = model_jets(sub.projection, vs)
+    _assert_entries_bit_equal(sub.projection, projection, points, order)
+    base_points = projection.value
+    base = sub.base.metric
+    _assert_entries_bit_equal(
+        base, model_jets(base, seed_block(base_points, order=order)), base_points, order
+    )

@@ -18,6 +18,7 @@ from oneill_lab.errors import (
     OutOfDomainError,
     RejectedInputError,
 )
+from oneill_lab.riemannian import metric_at
 from oneill_lab.submersion import (
     PointCalculus,
     SubmersionModel,
@@ -64,6 +65,14 @@ def to_chart(coeffs, coords):
     return np.asarray(coeffs) @ frame_chart_matrix(coords)
 
 
+def frame_at(sub, p):
+    return adapted_frame_at(sub, p, metric_at(sub.total.model, [p])[0])
+
+
+def submersion_check(sub, p):
+    return verify_riemannian_submersion(PointCalculus(sub, p))
+
+
 def tensors_at(sub, p):
     return tensors_from_calculus(PointCalculus(sub, p))
 
@@ -88,14 +97,14 @@ class TestAdaptedFrame:
 
     def test_reeb_field_kept_in_last_vertical_slot(self):
         sub = resolve_model("vertical-xi")
-        frame = adapted_frame_at(sub, POINTS[0])
+        frame = frame_at(sub, POINTS[0])
         assert np.allclose(frame.vert_values[-1], [0, 0, 0, 0, 2], atol=1e-14)
 
     def test_frame_matches_declared_normalization(self):
         # declared blocks are already orthogonal, so Gram-Schmidt only rescales
         sub = resolve_model("vertical-xi")
         p = POINTS[1]
-        frame = adapted_frame_at(sub, p)
+        frame = frame_at(sub, p)
         s2 = 1.0 / np.sqrt(2.0)
         expected_u0 = to_chart([s2, 0, -s2, 0, 0], p)
         expected_x0 = to_chart([s2, 0, s2, 0, 0], p)
@@ -107,10 +116,10 @@ class TestAdaptedFrame:
         sub = resolve_model("vertical-xi")
         p = POINTS[0]
         h = 1e-6
-        f0 = adapted_frame_at(sub, p)
+        f0 = frame_at(sub, p)
         shifted = p.copy()
         shifted[2] += h
-        f1 = adapted_frame_at(sub, shifted)
+        f1 = frame_at(sub, shifted)
         fd = (f1.horiz_values[0] - f0.horiz_values[0]) / h
         grads = f0.jets.gradient[f0.r, :, 2]
         assert np.max(np.abs(fd - grads)) < 1e-5
@@ -131,7 +140,7 @@ class TestAdaptedFrame:
             xi_case="vertical",
         )
         with pytest.raises(DegenerateFrameError):
-            adapted_frame_at(bad, POINTS[0])
+            frame_at(bad, POINTS[0])
 
     def test_block_count_must_span(self):
         sub = resolve_model("vertical-xi")
@@ -151,7 +160,7 @@ class TestSubmersionChecks:
     def test_vertical_xi_is_riemannian_submersion(self):
         sub = resolve_model("vertical-xi")
         for p in POINTS:
-            chk = verify_riemannian_submersion(sub, p)
+            chk = submersion_check(sub, p)
             assert chk.kernel_residual < 1e-12
             assert chk.length_residual < 1e-12
             assert chk.base_pd
@@ -166,7 +175,7 @@ class TestSubmersionChecks:
     def test_horizontal_xi_length_defect_scales_with_x1y1(self):
         sub = resolve_model("horizontal-xi")
         p = np.array([1.0, 0.0, 0.8, 0.0, 0.3])  # x1*y1 = 0.8
-        chk = verify_riemannian_submersion(sub, p)
+        chk = submersion_check(sub, p)
         assert chk.kernel_residual < 1e-12
         assert abs(chk.length_residual - 2.0 * abs(p[0] * p[2])) < 1e-10
         assert not chk.base_pd
@@ -184,14 +193,14 @@ class TestSubmersionChecks:
                 abs(y1 - x1) / np.sqrt(2),
                 abs(y2 - x2) / np.sqrt(2),
             )
-            chk = verify_riemannian_submersion(sub, p)
+            chk = submersion_check(sub, p)
             assert abs(chk.length_residual - expected) < 1e-10
             assert not chk.base_pd
 
     def test_horizontal_xi_outside_locus_raises(self):
         sub = resolve_model("horizontal-xi")
         with pytest.raises(OutOfDomainError):
-            verify_riemannian_submersion(sub, np.array([0.0, 0.0, 0.1, 0.0, 0.0]))
+            submersion_check(sub, np.array([0.0, 0.0, 0.1, 0.0, 0.0]))
 
 
 class TestOneillTensors:
@@ -310,7 +319,7 @@ class TestCustomModels:
         assert sub.xi_case == "vertical"
         assert sub.r == 1 and sub.n == 4
         p = POINTS[0]
-        chk = verify_riemannian_submersion(sub, p)
+        chk = submersion_check(sub, p)
         assert chk.kernel_residual < 1e-12
         assert chk.length_residual < 1e-12
         assert chk.base_pd

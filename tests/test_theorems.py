@@ -13,10 +13,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oneill_lab.cli import resolve_model
+from oneill_lab.cli import main, resolve_model
 from oneill_lab.errors import EmptySampleError, RejectedInputError
 from oneill_lab.invariants import analyze_point
-from oneill_lab.submersion import load_custom_model, verify_riemannian_submersion
+from oneill_lab.submersion import (
+    PointCalculus,
+    load_custom_model,
+    verify_riemannian_submersion,
+)
 from oneill_lab.theorems import (
     CRH1_VARIANTS,
     THEOREM_IDS,
@@ -98,7 +102,7 @@ class TestVerticalXiFrozen:
         check(recs[1], 2.0, 1.0, 1.0)
         check(recs[2], 4.0, 2.0, 2.0)
         xi = vx_analysis.calc.xi_values
-        unit_xi = xi / np.sqrt(vx_analysis.calc.pair_values(xi, xi))
+        unit_xi = xi / np.sqrt(vx_analysis.calc.pairings(xi, xi))
         np.testing.assert_allclose(recs[2].probe_vertical, unit_xi, atol=1e-9)
         assert abs(recs[2].diagnostics["dropped_term"] - 2.0) < TOL
 
@@ -136,6 +140,15 @@ class TestVerticalXiFrozen:
             assert len(recs) == 4
             for rec in recs:
                 assert rec.slack >= -1e-9
+
+    @pytest.mark.parametrize(
+        "mode", ["random:+3", "random: 3", "random:3 ", "random:1_0", "random:\u0663", "random:0"]
+    )
+    def test_probe_mode_outside_the_grammar_is_rejected(self, vx_analysis, mode, capsys):
+        with pytest.raises(RejectedInputError):
+            evaluate_theorem(vx_analysis, "V1", probe_mode=mode)
+        assert main(["theorems", "--points", "2", "--probe", mode]) == 2
+        assert "--probe expects first, all, or random:<k>" in capsys.readouterr().err
 
     def test_bad_probe_mode(self, vx_analysis):
         with pytest.raises(RejectedInputError):
@@ -228,6 +241,23 @@ class TestScans:
         with pytest.raises(EmptySampleError):
             scan_theorems([])
 
+    def test_scan_without_rng_draws_new_probes_at_every_point_and_id(self):
+        sub = resolve_model("vertical-xi")
+        analyses = [analyze_point(sub, p) for p in (PT, np.array([1.1, 0.5, -0.8, 1.3, -0.6]))]
+        scans = scan_theorems(analyses, ("V1", "CRV1"), "random:2")
+        draws = []
+        for tid in ("V1", "CRV1"):
+            records = scans[tid].records
+            assert len(records) == 4
+            for k, analysis in enumerate(analyses):
+                calc = analysis.calc
+                probes = np.array([rec.probe_vertical for rec in records[2 * k : 2 * k + 2]])
+                # frame coefficients of the two probes at this point
+                draws.append(calc.pairings(probes[:, None], calc.frame.vert_values))
+        for a in range(len(draws)):
+            for b in range(a):
+                assert not np.allclose(draws[a], draws[b], atol=1e-6)
+
 
 class TestFrameCoherence:
     def test_slack_multiset_invariant_under_block_reorder(self):
@@ -256,9 +286,9 @@ class TestSampledInvariants:
         # applicable bound must hold at every sampled point
         sub = resolve_model("vertical-xi")
         pt = np.asarray(pt)
-        chk = verify_riemannian_submersion(sub, pt)
-        assume(chk.length_residual <= 1e-8)
         analysis = analyze_point(sub, pt)
+        chk = verify_riemannian_submersion(analysis.calc)
+        assume(chk.length_residual <= 1e-8)
         for tid in applicable_ids("vertical"):
             for rec in evaluate_theorem(analysis, tid):
                 assert rec.slack >= -1e-9, (tid, rec.slack)
@@ -272,5 +302,5 @@ class TestSampledInvariants:
         pt = np.asarray(pt)
         x1, x2, y1, y2 = pt[0], pt[1], pt[2], pt[3]
         assume((x1 + y1) ** 2 + (x2 + y2) ** 2 > 2.5)
-        chk = verify_riemannian_submersion(sub, pt)
+        chk = verify_riemannian_submersion(PointCalculus(sub, pt))
         assert chk.length_residual > 1e-8
