@@ -548,14 +548,34 @@ def _probe_bits(vec):
     return None if vec is None else bits(vec)
 
 
-@pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("mode", ["first", "all", "random:8"])
-def test_records_equal_per_probe_formulas_bitwise(analyses, model, mode):
-    xi_case = analyses[model][0].calc.sub.xi_case
-    got_rng = np.random.default_rng(11)
-    want_rng = np.random.default_rng(11)
+@pytest.fixture(scope="module")
+def bench_analyses():
+    """The sample of the benchmark's theorem scans: eight seed-42 points of
+    each Reeb case."""
+    return {name: _analyses(name, 8, 42) for name in MODELS[:2]}
+
+
+# (mode, model, rng seed); random:64 is the benchmark's theorem scan, whose
+# probe draws include etas that squaring as e * e would round differently
+# from the Python float e**2 of the per-probe formulas
+RECORD_CASES = [
+    (mode, model, 11) for mode in ("all", "first", "random:8") for model in MODELS
+] + [("random:64", model, 43) for model in MODELS[:2]]
+
+
+@pytest.mark.parametrize(
+    "mode, model, seed",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in RECORD_CASES],
+)
+def test_records_equal_per_probe_formulas_bitwise(
+    analyses, bench_analyses, mode, model, seed
+):
+    sample = bench_analyses[model] if mode == "random:64" else analyses[model]
+    xi_case = sample[0].calc.sub.xi_case
+    got_rng = np.random.default_rng(seed)
+    want_rng = np.random.default_rng(seed)
     checked = 0
-    for analysis in analyses[model]:
+    for analysis in sample:
         ref = PerVector(analysis)
         for tid in applicable_ids(xi_case):
             got = evaluate_theorem(analysis, tid, mode, got_rng)

@@ -23,10 +23,14 @@ from oneill_lab.submersion import (
 )
 from oneill_lab.theorems import (
     CRH1_VARIANTS,
+    EQUALITY_TOL,
+    SLACK_FLOOR,
     THEOREM_IDS,
+    InequalityRecord,
     applicable_ids,
     evaluate_theorem,
     required_xi_case,
+    scan_from_records,
     scan_theorems,
 )
 
@@ -257,6 +261,89 @@ class TestScans:
         for a in range(len(draws)):
             for b in range(a):
                 assert not np.allclose(draws[a], draws[b], atol=1e-6)
+
+
+NAN = float("nan")
+VARIANT_NAMES = tuple(name for name, _ in CRH1_VARIANTS)
+
+# slacks per point, rows in evaluation order; CRH1 rows alternate variants
+REDUCTION_CASES = {
+    "ties across points": ("V1", [[1.0, 0.5], [0.5, 2.0], [0.5]]),
+    "negative zero after zero": ("V2", [[0.0], [-0.0], [3.0]]),
+    "negative zero first": ("V2", [[-0.0], [0.0]]),
+    "nan first": ("CRV1", [[NAN, -1.0], [-2.0, 0.0]]),
+    "nan later": ("CRV1", [[1.0, 2.0], [NAN, 0.5], [0.5]]),
+    "violations and equalities": ("H2", [[-12.0, 1e-10], [-1e-10, -1e-8]]),
+    "crh1 variants": (
+        "CRH1",
+        [[0.0, 4.5, -0.0, 3.0], [NAN, -0.0, 0.0, 1.0], [-3.0, 7.0]],
+    ),
+    "crh1 nan first": ("CRH1", [[NAN, NAN, 1.0, 2.0], [0.5, -1.0]]),
+}
+
+
+def _hand_built(theorem_id, slacks_per_point):
+    """Records with the given slacks at points 0, 1, ...; lhs is the slack
+    and rhs 0, and holds/equality follow the engine's rules."""
+    records = []
+    for k, slacks in enumerate(slacks_per_point):
+        for i, slack in enumerate(slacks):
+            variant = VARIANT_NAMES[i % 2] if theorem_id == "CRH1" else None
+            records.append(
+                InequalityRecord(
+                    theorem_id=theorem_id,
+                    variant=variant,
+                    point=np.full(5, float(k)),
+                    probe_vertical=None,
+                    probe_horizontal=None,
+                    lhs=slack,
+                    rhs=0.0,
+                    slack=slack,
+                    holds=bool(slack >= SLACK_FLOOR),
+                    equality=bool(abs(slack) <= EQUALITY_TOL),
+                    diagnostics={},
+                )
+            )
+    return records
+
+
+class TestReductionRule:
+    """``scan_from_records`` against Python's ``min`` over the flattened
+    rows: the first row in (point, probe, variant) order wins a tie, so -0.0
+    does not beat an earlier 0.0, and a NaN slack is the minimum only when it
+    is the very first row."""
+
+    @pytest.mark.parametrize("case", sorted(REDUCTION_CASES))
+    def test_scan_from_records_reduces_as_python_min(self, case):
+        tid, slacks_per_point = REDUCTION_CASES[case]
+        rows = [
+            (k, VARIANT_NAMES[i % 2] if tid == "CRH1" else None, slack)
+            for k, slacks in enumerate(slacks_per_point)
+            for i, slack in enumerate(slacks)
+        ]
+        scan = scan_from_records(
+            tid, _hand_built(tid, slacks_per_point), len(slacks_per_point)
+        )
+        worst = min(rows, key=lambda row: row[2])
+        assert np.asarray(scan.min_slack).tobytes() == np.asarray(worst[2]).tobytes()
+        assert scan.argmin_point.tolist() == [float(worst[0])] * 5
+        assert scan.points_checked == len(slacks_per_point)
+        assert scan.violations == sum(1 for row in rows if not row[2] >= SLACK_FLOOR)
+        assert scan.equalities == sum(1 for row in rows if abs(row[2]) <= EQUALITY_TOL)
+        if tid != "CRH1":
+            assert scan.variant_tallies is None
+            return
+        assert list(scan.variant_tallies) == list(VARIANT_NAMES)
+        for name in VARIANT_NAMES:
+            sub = [row[2] for row in rows if row[1] == name]
+            tally = scan.variant_tallies[name]
+            assert tally["checked"] == len(sub)
+            assert tally["violations"] == sum(1 for s in sub if not s >= SLACK_FLOOR)
+            assert tally["equalities"] == sum(1 for s in sub if abs(s) <= EQUALITY_TOL)
+            want = min(sub)
+            assert np.asarray(tally["min_slack"]).tobytes() == np.asarray(want).tobytes()
+            assert all(type(v) is int for k, v in tally.items() if k != "min_slack")
+        assert type(scan.violations) is int and type(scan.equalities) is int
 
 
 class TestFrameCoherence:
