@@ -187,7 +187,7 @@ def _theorem_section(analyses, config: RunConfig):
     for tid, scan in scans.items():
         entry = {
             "points_checked": scan.points_checked,
-            "records": len(scan.records),
+            "records": scan.records,
             "violations": scan.violations,
             "equalities": scan.equalities,
             "min_slack": scan.min_slack,

@@ -3,8 +3,10 @@
 Each entry compares a curvature quantity of one block (a Ricci value on a
 unit probe vector, or a block scalar curvature) against a bound built from
 the constant phi-sectional-curvature of the total space and the fundamental
-tensor norms.  Records carry the signed slack (nonnegative means the bound
-holds), an equality flag, and diagnostics for the equality case.
+tensor norms.  One theorem at one point evaluates to a table of arrays with a
+row per probe (per probe and bound variant for CRH1): the signed slack
+(nonnegative means the bound holds), an equality flag, and the size of the
+tensor obstruction that must vanish for equality.
 
 Stable ids: V1, V2, H1 and CRV1, CRH1, CMB1 apply when the Reeb field is
 vertical; V3, H2 and CRV2, CRH2, CMB2 when it is horizontal.  Evaluating an
@@ -15,32 +17,37 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DegenerateFrameError, EmptySampleError, RejectedInputError
 from .invariants import PointAnalysis, ric_hat_probes, ric_star_probes
 
-THEOREM_IDS = (
-    "V1",
-    "V2",
-    "H1",
-    "V3",
-    "H2",
-    "CRV1",
-    "CRH1",
-    "CRV2",
-    "CRH2",
-    "CMB1",
-    "CMB2",
-)
 
-_VERTICAL_IDS = frozenset({"V1", "V2", "H1", "CRV1", "CRH1", "CMB1"})
-_HORIZONTAL_IDS = frozenset({"V3", "H2", "CRV2", "CRH2", "CMB2"})
+class _Theorem(NamedTuple):
+    xi_case: str  # where the Reeb field must lie
+    needs_v: bool  # probes a vertical unit vector
+    needs_h: bool  # probes a horizontal unit vector
+    sense: str  # "ge": holds when lhs >= rhs; "le": when lhs <= rhs
+    equality_class: str
 
-_NEEDS_V_PROBE = frozenset({"V1", "CRV1", "CRV2", "CMB1", "CMB2"})
-_NEEDS_H_PROBE = frozenset({"CRH1", "CRH2", "CMB1", "CMB2"})
+
+_CATALOG = {
+    "V1": _Theorem("vertical", True, False, "ge", "totally_geodesic"),
+    "V2": _Theorem("vertical", False, False, "ge", "totally_geodesic"),
+    "H1": _Theorem("vertical", False, False, "le", "integrable"),
+    "V3": _Theorem("horizontal", False, False, "ge", "totally_geodesic"),
+    "H2": _Theorem("horizontal", False, False, "le", "integrable"),
+    "CRV1": _Theorem("vertical", True, False, "ge", "chen_t"),
+    "CRH1": _Theorem("vertical", False, True, "le", "chen_a"),
+    "CRV2": _Theorem("horizontal", True, False, "ge", "chen_t"),
+    "CRH2": _Theorem("horizontal", False, True, "le", "chen_a"),
+    "CMB1": _Theorem("vertical", True, True, "le", "chen_t"),
+    "CMB2": _Theorem("horizontal", True, True, "le", "chen_t"),
+}
+
+THEOREM_IDS = tuple(_CATALOG)
 
 # bound variants for the horizontal Ricci estimate: coefficient of
 # (c - 1) * |CX|^2 on the right-hand side
@@ -53,11 +60,9 @@ _GS_DROP_SQ = 1e-12
 
 
 def required_xi_case(theorem_id: str) -> str:
-    if theorem_id in _VERTICAL_IDS:
-        return "vertical"
-    if theorem_id in _HORIZONTAL_IDS:
-        return "horizontal"
-    raise RejectedInputError(f"unknown theorem id: {theorem_id}")
+    if theorem_id not in _CATALOG:
+        raise RejectedInputError(f"unknown theorem id: {theorem_id}")
+    return _CATALOG[theorem_id].xi_case
 
 
 def applicable_ids(xi_case: str):
@@ -65,37 +70,42 @@ def applicable_ids(xi_case: str):
 
 
 @dataclass(frozen=True)
-class InequalityRecord:
-    """One evaluated inequality at one point and probe choice.
+class TheoremTable:
+    """One theorem at one point: a row per probe, or per probe and CRH1
+    variant with the variants inner.
 
     ``slack`` is oriented so that nonnegative always means the bound holds;
-    ``equality`` flags |slack| within EQUALITY_TOL.  ``diagnostics`` carries
-    the equality-class label and the size of the tensor obstruction that
-    must vanish for equality."""
+    ``equality`` flags |slack| within EQUALITY_TOL.  ``equality_defect`` is
+    the size of the tensor obstruction that must vanish for equality, and
+    ``dropped_term`` (V1 only) the term the bound drops.  ``variant`` names
+    each row's CRH1 variant; the probe vectors are those of each row."""
 
     theorem_id: str
-    variant: Optional[str]
     point: np.ndarray
+    variant: Optional[tuple]
+    equality_class: str
     probe_vertical: Optional[np.ndarray]
     probe_horizontal: Optional[np.ndarray]
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
-    equality: bool
-    diagnostics: dict
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    holds: np.ndarray
+    equality: np.ndarray
+    equality_defect: np.ndarray
+    dropped_term: Optional[np.ndarray]
 
 
 @dataclass
 class TheoremScan:
     theorem_id: str
     points_checked: int
-    records: list
+    records: int  # rows over all points
     violations: int
     equalities: int
     min_slack: float
     argmin_point: Optional[np.ndarray]
     variant_tallies: Optional[dict]
+    tables: list  # the TheoremTable of each point
 
 
 def _rotated(frame: np.ndarray, i: int) -> np.ndarray:
@@ -160,8 +170,8 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, rng):
     and (P, n, dim), with the probe vector in the first slot of each block
     that the theorem actually probes. Random probes draw in probe order,
     the vertical probe before the horizontal one."""
-    needs_v = theorem_id in _NEEDS_V_PROBE
-    needs_h = theorem_id in _NEEDS_H_PROBE
+    entry = _CATALOG[theorem_id]
+    needs_v, needs_h = entry.needs_v, entry.needs_h
     calc = analysis.calc
     base_v = np.asarray(calc.frame.vert_values, dtype=float)
     base_h = np.asarray(calc.frame.horiz_values, dtype=float)
@@ -212,15 +222,22 @@ def _probe_a_coeff(analysis, vfr, hfr):
     return np.einsum("pstk,kl,pal->psta", a_chart, g, vfr)
 
 
-def _c_norms_sq(analysis, xs) -> list:
+def _c_norms_sq(analysis, xs) -> np.ndarray:
     """|C x|^2 for horizontal vectors ``xs`` (P, dim): the squared length of
     the horizontal part of phi x."""
     calc = analysis.calc
     c_part = calc.h_project_values(calc.phi_of(xs))
-    return calc.pairings(c_part, c_part).tolist()
+    return calc.pairings(c_part, c_part)
 
 
-def _chen_t_defects(tc: np.ndarray) -> list:
+def _eta_squares(calc, vs) -> np.ndarray:
+    """eta(v)**2 for vectors ``vs`` (P, dim), squared as Python floats: a
+    float's ``**`` is the C library's pow, which rounds some squares
+    differently from numpy's e * e."""
+    return np.array([e**2 for e in calc.eta_of(vs).tolist()])
+
+
+def _chen_t_defects(tc: np.ndarray) -> np.ndarray:
     r = tc.shape[1]
     if r > 1:
         diag_rest = tc[:, 1:, 1:, :].diagonal(axis1=1, axis2=2).sum(axis=2)
@@ -230,42 +247,21 @@ def _chen_t_defects(tc: np.ndarray) -> list:
     if r > 1:
         off = np.max(np.abs(tc[:, 0, 1:, :]), axis=(1, 2))
         worst = np.where(off > worst, off, worst)  # Python's max(worst, off)
-    return worst.tolist()
+    return worst
 
 
-def _chen_a_defects(ac: np.ndarray) -> list:
-    n = ac.shape[1]
-    if n <= 1:
-        return [0.0] * ac.shape[0]
-    return np.max(np.abs(ac[:, 0, 1:, :]), axis=(1, 2)).tolist()
-
-
-def _make_record(theorem_id, variant, analysis, vfr, hfr, lhs, rhs, sense, diagnostics):
-    slack = (lhs - rhs) if sense == "ge" else (rhs - lhs)
-    needs_v = theorem_id in _NEEDS_V_PROBE
-    needs_h = theorem_id in _NEEDS_H_PROBE
-    return InequalityRecord(
-        theorem_id=theorem_id,
-        variant=variant,
-        point=analysis.packet.point.copy(),
-        probe_vertical=vfr[0].copy() if needs_v else None,
-        probe_horizontal=hfr[0].copy() if needs_h else None,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        holds=bool(slack >= SLACK_FLOOR),
-        equality=bool(abs(slack) <= EQUALITY_TOL),
-        diagnostics=diagnostics,
-    )
+def _chen_a_defects(ac: np.ndarray) -> np.ndarray:
+    if ac.shape[1] <= 1:
+        return np.zeros(ac.shape[0])
+    return np.max(np.abs(ac[:, 0, 1:, :]), axis=(1, 2))
 
 
 def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
-    """The records of one theorem for all probe frames of one point.
+    """The table of one theorem for all probe frames of one point.
 
     Each quantity is computed for all probes at once, in the float
-    operations of a single probe; the scalar formulas then run per probe in
-    Python floats, so the records equal those of one probe at a time, bit
-    for bit."""
+    operations of a single probe, so every row equals what one probe at a
+    time gives, bit for bit. A bound without a probe has one row."""
     pk = analysis.packet
     data = analysis.data
     calc = analysis.calc
@@ -273,136 +269,105 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
     q = (c + 3.0) / 4.0
     w = (c - 1.0) / 4.0
     r, n = pk.r, pk.n
-    out = []
-
-    def emit(p, variant, lhs, rhs, sense, diag):
-        record = _make_record(
-            theorem_id, variant, analysis, vfr[p], hfr[p], lhs, rhs, sense, diag
-        )
-        out.append(record)
-
     u1, x1 = vfr[:, 0], hfr[:, 0]
+    dropped = variant = None
+    variants = 1
     if theorem_id == "V1":
-        eta_u1 = calc.eta_of(u1).tolist()
-        lhs = ric_hat_probes(calc, u1).tolist()
+        eta_sq = _eta_squares(calc, u1)
+        lhs = ric_hat_probes(calc, u1)
         t_chart, tc = _probe_t_coeff(analysis, vfr, hfr)
-        mean_term = calc.pairings(t_chart[:, 0, 0], data.h_vec).tolist()
+        mean_term = calc.pairings(t_chart[:, 0, 0], data.h_vec)
+        rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - r * mean_term
         defect = float(np.max(np.abs(data.t_coeff)))
-        dropped = np.sum(tc[:, 0, :, :] ** 2, axis=(1, 2)).tolist()
-        for p, e in enumerate(eta_u1):
-            rhs = q * (r - 1) - w * ((r - 2) * e**2 + 1.0) - r * mean_term[p]
-            diag = {
-                "equality_class": "totally_geodesic",
-                "equality_defect": defect,
-                "dropped_term": dropped[p],
-            }
-            emit(p, None, lhs[p], rhs, "ge", diag)
-    elif theorem_id == "V2":
+        dropped = np.sum(tc[:, 0, :, :] ** 2, axis=(1, 2))
+    elif theorem_id in ("V2", "V3"):
         lhs = 2.0 * pk.tau_hat
-        rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - pk.n_norm_sq
-        diag = {
-            "equality_class": "totally_geodesic",
-            "equality_defect": float(np.max(np.abs(data.t_coeff))),
-        }
-        emit(0, None, lhs, rhs, "ge", diag)
-    elif theorem_id == "H1":
-        lhs = 2.0 * pk.tau_star
-        rhs = q * n * (n - 1) + 3.0 * w * (n + pk.trace_phi_b)
-        diag = {
-            "equality_class": "integrable",
-            "equality_defect": float(np.max(np.abs(data.a_coeff))),
-        }
-        emit(0, None, lhs, rhs, "le", diag)
-    elif theorem_id == "V3":
-        lhs = 2.0 * pk.tau_hat
-        rhs = q * r * (r - 1) - pk.n_norm_sq
-        diag = {
-            "equality_class": "totally_geodesic",
-            "equality_defect": float(np.max(np.abs(data.t_coeff))),
-        }
-        emit(0, None, lhs, rhs, "ge", diag)
-    elif theorem_id == "H2":
-        lhs = 2.0 * pk.tau_star
-        rhs = q * n * (n - 1) + w * (3.0 * pk.trace_phi_b + n - 1.0)
-        diag = {
-            "equality_class": "integrable",
-            "equality_defect": float(np.max(np.abs(data.a_coeff))),
-        }
-        emit(0, None, lhs, rhs, "le", diag)
-    elif theorem_id in ("CRV1", "CRV2"):
-        eta_u1 = calc.eta_of(u1).tolist()
-        lhs = ric_hat_probes(calc, u1).tolist()
-        _, tc = _probe_t_coeff(analysis, vfr, hfr)
-        defects = _chen_t_defects(tc)
-        for p, e in enumerate(eta_u1):
-            if theorem_id == "CRV1":
-                rhs = q * (r - 1) - w * ((r - 2) * e**2 + 1.0) - 0.25 * pk.n_norm_sq
-            else:
-                rhs = q * (r - 1) - 0.25 * pk.n_norm_sq
-            diag = {"equality_class": "chen_t", "equality_defect": defects[p]}
-            emit(p, None, lhs[p], rhs, "ge", diag)
-    elif theorem_id == "CRH1":
-        lhs = ric_star_probes(calc, x1).tolist()
-        c1_sq = _c_norms_sq(analysis, x1)
-        defects = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
-        for p, c1 in enumerate(c1_sq):
-            diag = {"equality_class": "chen_a", "equality_defect": defects[p]}
-            for name, kappa in CRH1_VARIANTS:
-                rhs = q * (n - 1) + kappa * (c - 1.0) * c1
-                emit(p, name, lhs[p], rhs, "le", dict(diag))
-    elif theorem_id == "CRH2":
-        eta_x1 = calc.eta_of(x1).tolist()
-        lhs = ric_star_probes(calc, x1).tolist()
-        c1_sq = _c_norms_sq(analysis, x1)
-        defects = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
-        for p, e in enumerate(eta_x1):
-            rhs = q * (n - 1) + w * ((2.0 - n) * e**2 - 1.0 + 3.0 * c1_sq[p])
-            diag = {"equality_class": "chen_a", "equality_defect": defects[p]}
-            emit(p, None, lhs[p], rhs, "le", diag)
-    elif theorem_id in ("CMB1", "CMB2"):
-        eta_u1 = calc.eta_of(u1).tolist()
-        eta_x1 = calc.eta_of(x1).tolist()
-        c1_sq = _c_norms_sq(analysis, x1)
-        ac = _probe_a_coeff(analysis, vfr, hfr)
-        if n > 1:
-            a1s_sq = np.sum(ac[:, 0, 1:, :] ** 2, axis=(1, 2)).tolist()
+        if theorem_id == "V2":
+            rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - pk.n_norm_sq
         else:
-            a1s_sq = [0.0] * len(eta_u1)
-        ric_hat = ric_hat_probes(calc, u1).tolist()
-        ric_star = ric_star_probes(calc, x1).tolist()
-        _, tc = _probe_t_coeff(analysis, vfr, hfr)
-        defects = _chen_t_defects(tc)
-        for p, (eu, ex, c1) in enumerate(zip(eta_u1, eta_x1, c1_sq)):
-            if theorem_id == "CMB1":
-                lhs = q * (n * r + n + r - 2) + w * (
-                    3.0 * r - 4.0 - n - (r - 2) * eu**2 + 3.0 * c1
-                )
-            else:
-                lhs = q * (n * r + n + r - 2) + w * (
-                    2.0 * r - 4.0 - (n - 2) * ex**2 + 3.0 * c1
-                )
-            rhs = (
-                ric_hat[p]
-                + ric_star[p]
-                + 0.25 * pk.n_norm_sq
-                + 3.0 * a1s_sq[p]
-                - pk.delta_n
-                + pk.norm_tv_sq
-                - pk.norm_ah_sq
+            rhs = q * r * (r - 1) - pk.n_norm_sq
+        defect = float(np.max(np.abs(data.t_coeff)))
+    elif theorem_id in ("H1", "H2"):
+        lhs = 2.0 * pk.tau_star
+        if theorem_id == "H1":
+            rhs = q * n * (n - 1) + 3.0 * w * (n + pk.trace_phi_b)
+        else:
+            rhs = q * n * (n - 1) + w * (3.0 * pk.trace_phi_b + n - 1.0)
+        defect = float(np.max(np.abs(data.a_coeff)))
+    elif theorem_id in ("CRV1", "CRV2"):
+        lhs = ric_hat_probes(calc, u1)
+        if theorem_id == "CRV1":
+            eta_sq = _eta_squares(calc, u1)
+            rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - 0.25 * pk.n_norm_sq
+        else:
+            rhs = q * (r - 1) - 0.25 * pk.n_norm_sq
+        defect = _chen_t_defects(_probe_t_coeff(analysis, vfr, hfr)[1])
+    elif theorem_id == "CRH1":
+        # rows (probe, variant), variants inner
+        variants = len(CRH1_VARIANTS)
+        variant = tuple(name for name, _ in CRH1_VARIANTS) * vfr.shape[0]
+        kappas = np.array([kappa for _, kappa in CRH1_VARIANTS])
+        c1_sq = _c_norms_sq(analysis, x1)
+        lhs = np.repeat(ric_star_probes(calc, x1), variants)
+        rhs = (q * (n - 1) + kappas * (c - 1.0) * c1_sq[:, None]).ravel()
+        defect = np.repeat(_chen_a_defects(_probe_a_coeff(analysis, vfr, hfr)), variants)
+    elif theorem_id == "CRH2":
+        eta_sq = _eta_squares(calc, x1)
+        lhs = ric_star_probes(calc, x1)
+        c1_sq = _c_norms_sq(analysis, x1)
+        rhs = q * (n - 1) + w * ((2.0 - n) * eta_sq - 1.0 + 3.0 * c1_sq)
+        defect = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
+    else:  # CMB1, CMB2
+        c1_sq = _c_norms_sq(analysis, x1)
+        if theorem_id == "CMB1":
+            eta_sq = _eta_squares(calc, u1)
+            lhs = q * (n * r + n + r - 2) + w * (
+                3.0 * r - 4.0 - n - (r - 2) * eta_sq + 3.0 * c1_sq
             )
-            diag = {"equality_class": "chen_t", "equality_defect": defects[p]}
-            emit(p, None, lhs, rhs, "le", diag)
-    else:
-        raise RejectedInputError(f"unknown theorem id: {theorem_id}")
-    return out
+        else:
+            eta_sq = _eta_squares(calc, x1)
+            lhs = q * (n * r + n + r - 2) + w * (
+                2.0 * r - 4.0 - (n - 2) * eta_sq + 3.0 * c1_sq
+            )
+        ac = _probe_a_coeff(analysis, vfr, hfr)
+        a1s_sq = np.sum(ac[:, 0, 1:, :] ** 2, axis=(1, 2))
+        rhs = (
+            ric_hat_probes(calc, u1)
+            + ric_star_probes(calc, x1)
+            + 0.25 * pk.n_norm_sq
+            + 3.0 * a1s_sq
+            - pk.delta_n
+            + pk.norm_tv_sq
+            - pk.norm_ah_sq
+        )
+        defect = _chen_t_defects(_probe_t_coeff(analysis, vfr, hfr)[1])
+    entry = _CATALOG[theorem_id]
+    rows = vfr.shape[0] * variants
+    lhs = np.broadcast_to(np.asarray(lhs, dtype=float), (rows,))
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (rows,))
+    slack = (lhs - rhs) if entry.sense == "ge" else (rhs - lhs)
+    return TheoremTable(
+        theorem_id=theorem_id,
+        point=analysis.packet.point,
+        variant=variant,
+        equality_class=entry.equality_class,
+        probe_vertical=np.repeat(u1, variants, axis=0) if entry.needs_v else None,
+        probe_horizontal=np.repeat(x1, variants, axis=0) if entry.needs_h else None,
+        lhs=lhs,
+        rhs=rhs,
+        slack=slack,
+        holds=slack >= SLACK_FLOOR,
+        equality=np.abs(slack) <= EQUALITY_TOL,
+        equality_defect=np.broadcast_to(np.asarray(defect, dtype=float), (rows,)),
+        dropped_term=dropped,
+    )
 
 
 def evaluate_theorem(
     analysis: PointAnalysis, theorem_id: str, probe_mode: str = "first", rng=None
-):
-    """All records for one theorem at one analyzed point. Random probes
-    draw from ``rng``, or from a generator seeded with 0 made for this
-    call."""
+) -> TheoremTable:
+    """The table of one theorem at one analyzed point. Random probes draw
+    from ``rng``, or from a generator seeded with 0 made for this call."""
     case = required_xi_case(theorem_id)
     if analysis.calc.sub.xi_case != case:
         raise RejectedInputError(
@@ -416,30 +381,48 @@ def evaluate_theorem(
     return _evaluate_probes(analysis, theorem_id, vfr, hfr)
 
 
-def scan_from_records(theorem_id, records, points_checked) -> TheoremScan:
-    violations = sum(1 for rec in records if not rec.holds)
-    equalities = sum(1 for rec in records if rec.equality)
-    worst = min(records, key=lambda rec: rec.slack)
+def _first_min(slack: np.ndarray) -> int:
+    """The row Python's ``min`` picks: the first of the least slacks (-0.0
+    ties with 0.0), or row 0 if it is NaN, since nothing compares less than
+    a NaN and a NaN compares less than nothing."""
+    if np.isnan(slack[0]):
+        return 0
+    return int(np.flatnonzero(slack == np.nanmin(slack))[0])
+
+
+def scan_from_records(theorem_id, tables, points_checked) -> TheoremScan:
+    """Reduce the per-point tables of one theorem, rows in (point, probe,
+    variant) order: counts, the least slack and its point, and for CRH1 the
+    same per variant."""
+    slack = np.concatenate([t.slack for t in tables])
+    holds = np.concatenate([t.holds for t in tables])
+    equality = np.concatenate([t.equality for t in tables])
+    worst = _first_min(slack)
+    ends = np.cumsum([t.slack.size for t in tables])
+    owner = int(np.searchsorted(ends, worst, side="right"))
     tallies = None
     if theorem_id == "CRH1":
+        variant = np.concatenate([t.variant for t in tables])
         tallies = {}
         for name, _ in CRH1_VARIANTS:
-            sub_recs = [rec for rec in records if rec.variant == name]
+            rows = variant == name
+            sub = slack[rows]
             tallies[name] = {
-                "checked": len(sub_recs),
-                "violations": sum(1 for rec in sub_recs if not rec.holds),
-                "equalities": sum(1 for rec in sub_recs if rec.equality),
-                "min_slack": min(rec.slack for rec in sub_recs),
+                "checked": int(np.count_nonzero(rows)),
+                "violations": int(np.count_nonzero(~holds[rows])),
+                "equalities": int(np.count_nonzero(equality[rows])),
+                "min_slack": float(sub[_first_min(sub)]),
             }
     return TheoremScan(
         theorem_id=theorem_id,
         points_checked=points_checked,
-        records=records,
-        violations=violations,
-        equalities=equalities,
-        min_slack=worst.slack,
-        argmin_point=worst.point.copy(),
+        records=int(slack.size),
+        violations=int(np.count_nonzero(~holds)),
+        equalities=int(np.count_nonzero(equality)),
+        min_slack=float(slack[worst]),
+        argmin_point=tables[owner].point.copy(),
         variant_tallies=tallies,
+        tables=tables,
     )
 
 
@@ -455,11 +438,11 @@ def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
         rng = np.random.default_rng(0)
     if theorem_ids is None:
         theorem_ids = applicable_ids(analyses[0].calc.sub.xi_case)
-    buckets = {tid: [] for tid in theorem_ids}
+    tables = {tid: [] for tid in theorem_ids}
     for analysis in analyses:
         for tid in theorem_ids:
-            buckets[tid].extend(evaluate_theorem(analysis, tid, probe_mode, rng))
+            tables[tid].append(evaluate_theorem(analysis, tid, probe_mode, rng))
     return {
-        tid: scan_from_records(tid, records, len(analyses))
-        for tid, records in buckets.items()
+        tid: scan_from_records(tid, per_point, len(analyses))
+        for tid, per_point in tables.items()
     }

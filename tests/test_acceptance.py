@@ -86,12 +86,12 @@ def vx_analyses(vx_model, vx_points):
 
 
 @pytest.fixture(scope="module")
-def vx_scan_records(vx_analyses):
-    records = {tid: [] for tid in VERT_IDS}
+def vx_scan_tables(vx_analyses):
+    tables = {tid: [] for tid in VERT_IDS}
     for analysis in vx_analyses:
         for tid in VERT_IDS:
-            records[tid].extend(evaluate_theorem(analysis, tid))
-    return records
+            tables[tid].append(evaluate_theorem(analysis, tid))
+    return tables
 
 
 @pytest.fixture(scope="module")
@@ -189,9 +189,12 @@ def test_c4_identity_suite(vx_analyses):
     )
 
 
-def test_c5_theorem_scans_sound_cases(vx_scan_records, hx_report):
-    vert_viol = {tid: sum(1 for r in recs if not r.holds) for tid, recs in vx_scan_records.items()}
-    h1_rhs = max(abs(r.rhs) for r in vx_scan_records["H1"])
+def test_c5_theorem_scans_sound_cases(vx_scan_tables, hx_report):
+    vert_viol = {
+        tid: sum(int(np.count_nonzero(~t.holds)) for t in tables)
+        for tid, tables in vx_scan_tables.items()
+    }
+    h1_rhs = max(abs(rhs) for t in vx_scan_tables["H1"] for rhs in t.rhs)
     horiz_viol = {tid: hx_report.theorems[tid]["violations"] for tid in HORIZ_SOUND_IDS}
     ok = (
         all(v == 0 for v in vert_viol.values())
@@ -244,21 +247,21 @@ def test_c6_crh1_variant_disambiguation():
     )
 
 
-def test_c7_sharpness_under_vanishing_tensors(vx_scan_records, hx_report, hx_model):
+def test_c7_sharpness_under_vanishing_tensors(vx_scan_tables, hx_report, hx_model):
     # T == 0 models: the two fiber scalar bounds should be attained.
     reeb = load_custom_model(REEB_MODEL)
     reeb_pts = sample_submersion_points(reeb, SampleConfig(points=20, seed=42))
     reeb_analyses = [analyze_point(reeb, pt) for pt in reeb_pts]
     assert np.max(np.abs(reeb_analyses[0].data.t_coeff)) <= 1e-9
     v2 = scan_theorems(reeb_analyses, theorem_ids=("V2",))["V2"]
-    v2_worst = max(abs(r.slack) for r in v2.records)
+    v2_worst = max(abs(slack) for t in v2.tables for slack in t.slack)
     v3_entry = hx_report.theorems["V3"]
     v3_ok = (
         abs(v3_entry["min_slack"]) <= SHARP_TOL
         and v3_entry["equalities"] == v3_entry["points_checked"]
     )
     # A == 0 holds everywhere on the vertical-Reeb example: H1 is attained.
-    h1_worst = max(abs(r.slack) for r in vx_scan_records["H1"])
+    h1_worst = max(abs(slack) for t in vx_scan_tables["H1"] for slack in t.slack)
     # The horizontal-Reeb models carry |A|^2 = 4 at every admissible point,
     # so no A == 0 point exists for H2; record the discovery instead.
     hx_pts = sample_submersion_points(hx_model, SampleConfig(points=10, seed=42))

@@ -26,7 +26,7 @@ from oneill_lab.theorems import (
     EQUALITY_TOL,
     SLACK_FLOOR,
     THEOREM_IDS,
-    InequalityRecord,
+    TheoremTable,
     applicable_ids,
     evaluate_theorem,
     required_xi_case,
@@ -58,18 +58,18 @@ def reeb_analysis():
     return analyze_point(sub, PT)
 
 
-def only(records):
-    assert len(records) == 1
-    return records[0]
+def only(table):
+    assert table.slack.shape == (1,)
+    return table
 
 
-def check(rec, lhs, rhs, slack, holds=True, equality=None):
-    assert abs(rec.lhs - lhs) < TOL
-    assert abs(rec.rhs - rhs) < TOL
-    assert abs(rec.slack - slack) < TOL
-    assert rec.holds is holds
+def check(table, lhs, rhs, slack, holds=True, equality=None, row=0):
+    assert abs(table.lhs[row] - lhs) < TOL
+    assert abs(table.rhs[row] - rhs) < TOL
+    assert abs(table.slack[row] - slack) < TOL
+    assert bool(table.holds[row]) is holds
     if equality is not None:
-        assert rec.equality is equality
+        assert bool(table.equality[row]) is equality
 
 
 class TestCatalogStructure:
@@ -93,57 +93,57 @@ class TestCatalogStructure:
 
 class TestVerticalXiFrozen:
     def test_v1_first(self, vx_analysis):
-        rec = only(evaluate_theorem(vx_analysis, "V1"))
-        check(rec, 2.0, 1.0, 1.0)
-        assert rec.diagnostics["equality_class"] == "totally_geodesic"
-        assert abs(rec.diagnostics["dropped_term"] - 1.0) < TOL
-        assert abs(rec.diagnostics["equality_defect"] - 1.0) < TOL
+        tab = only(evaluate_theorem(vx_analysis, "V1"))
+        check(tab, 2.0, 1.0, 1.0)
+        assert tab.equality_class == "totally_geodesic"
+        assert abs(tab.dropped_term[0] - 1.0) < TOL
+        assert abs(tab.equality_defect[0] - 1.0) < TOL
 
     def test_v1_all_probes_includes_reeb(self, vx_analysis):
-        recs = evaluate_theorem(vx_analysis, "V1", probe_mode="all")
-        assert len(recs) == 3
-        check(recs[0], 2.0, 1.0, 1.0)
-        check(recs[1], 2.0, 1.0, 1.0)
-        check(recs[2], 4.0, 2.0, 2.0)
+        tab = evaluate_theorem(vx_analysis, "V1", probe_mode="all")
+        assert tab.slack.shape == (3,)
+        check(tab, 2.0, 1.0, 1.0, row=0)
+        check(tab, 2.0, 1.0, 1.0, row=1)
+        check(tab, 4.0, 2.0, 2.0, row=2)
         xi = vx_analysis.calc.xi_values
         unit_xi = xi / np.sqrt(vx_analysis.calc.pairings(xi, xi))
-        np.testing.assert_allclose(recs[2].probe_vertical, unit_xi, atol=1e-9)
-        assert abs(recs[2].diagnostics["dropped_term"] - 2.0) < TOL
+        np.testing.assert_allclose(tab.probe_vertical[2], unit_xi, atol=1e-9)
+        assert abs(tab.dropped_term[2] - 2.0) < TOL
 
     def test_v2(self, vx_analysis):
         check(only(evaluate_theorem(vx_analysis, "V2")), 8.0, 4.0, 4.0, equality=False)
 
     def test_h1_equality(self, vx_analysis):
-        rec = only(evaluate_theorem(vx_analysis, "H1"))
-        check(rec, 0.0, 0.0, 0.0, equality=True)
-        assert rec.diagnostics["equality_class"] == "integrable"
-        assert rec.diagnostics["equality_defect"] < 1e-9
+        tab = only(evaluate_theorem(vx_analysis, "H1"))
+        check(tab, 0.0, 0.0, 0.0, equality=True)
+        assert tab.equality_class == "integrable"
+        assert tab.equality_defect[0] < 1e-9
 
     def test_crv1(self, vx_analysis):
-        rec = only(evaluate_theorem(vx_analysis, "CRV1"))
-        check(rec, 2.0, 1.0, 1.0)
-        assert rec.diagnostics["equality_class"] == "chen_t"
+        tab = only(evaluate_theorem(vx_analysis, "CRV1"))
+        check(tab, 2.0, 1.0, 1.0)
+        assert tab.equality_class == "chen_t"
 
     def test_crh1_both_variants_equal(self, vx_analysis):
-        recs = evaluate_theorem(vx_analysis, "CRH1")
-        assert [rec.variant for rec in recs] == [name for name, _ in CRH1_VARIANTS]
-        for rec in recs:
-            check(rec, 0.0, 0.0, 0.0, equality=True)
-            assert rec.diagnostics["equality_class"] == "chen_a"
-            assert rec.diagnostics["equality_defect"] < 1e-9
+        tab = evaluate_theorem(vx_analysis, "CRH1")
+        assert list(tab.variant) == [name for name, _ in CRH1_VARIANTS]
+        assert tab.equality_class == "chen_a"
+        for row in range(len(tab.variant)):
+            check(tab, 0.0, 0.0, 0.0, equality=True, row=row)
+            assert tab.equality_defect[row] < 1e-9
 
     def test_cmb1(self, vx_analysis):
-        rec = only(evaluate_theorem(vx_analysis, "CMB1"))
-        check(rec, -3.0, 6.0, 9.0)
-        assert rec.probe_vertical is not None and rec.probe_horizontal is not None
+        tab = only(evaluate_theorem(vx_analysis, "CMB1"))
+        check(tab, -3.0, 6.0, 9.0)
+        assert tab.probe_vertical is not None and tab.probe_horizontal is not None
 
     def test_random_probes_hold(self, vx_analysis):
         rng = np.random.default_rng(7)
         for tid in ("V1", "CRV1", "CMB1"):
-            recs = evaluate_theorem(vx_analysis, tid, probe_mode="random:4", rng=rng)
-            assert len(recs) == 4
-            for rec in recs:
-                assert rec.slack >= -1e-9
+            tab = evaluate_theorem(vx_analysis, tid, probe_mode="random:4", rng=rng)
+            assert tab.slack.shape == (4,)
+            for slack in tab.slack:
+                assert slack >= -1e-9
 
     @pytest.mark.parametrize(
         "mode", ["random:+3", "random: 3", "random:3 ", "random:1_0", "random:\u0663", "random:0"]
@@ -163,32 +163,32 @@ class TestVerticalXiFrozen:
 
 class TestHorizontalXiFrozen:
     def test_v3_equality(self, hx_analysis):
-        rec = only(evaluate_theorem(hx_analysis, "V3"))
-        check(rec, 0.0, 0.0, 0.0, equality=True)
-        assert rec.diagnostics["equality_defect"] < 1e-9
+        tab = only(evaluate_theorem(hx_analysis, "V3"))
+        check(tab, 0.0, 0.0, 0.0, equality=True)
+        assert tab.equality_defect[0] < 1e-9
 
     def test_h2_violated(self, hx_analysis):
-        rec = only(evaluate_theorem(hx_analysis, "H2"))
-        check(rec, 16.0, 4.0, -12.0, holds=False)
+        tab = only(evaluate_theorem(hx_analysis, "H2"))
+        check(tab, 16.0, 4.0, -12.0, holds=False)
 
     def test_crv2_equality(self, hx_analysis):
-        rec = only(evaluate_theorem(hx_analysis, "CRV2"))
-        check(rec, 0.0, 0.0, 0.0, equality=True)
+        tab = only(evaluate_theorem(hx_analysis, "CRV2"))
+        check(tab, 0.0, 0.0, 0.0, equality=True)
 
     def test_crh2_violated(self, hx_analysis):
-        rec = only(evaluate_theorem(hx_analysis, "CRH2"))
-        check(rec, 4.0, 1.0, -3.0, holds=False)
+        tab = only(evaluate_theorem(hx_analysis, "CRH2"))
+        check(tab, 4.0, 1.0, -3.0, holds=False)
 
     def test_cmb2(self, hx_analysis):
-        rec = only(evaluate_theorem(hx_analysis, "CMB2"))
-        check(rec, 0.0, 3.0, 3.0)
+        tab = only(evaluate_theorem(hx_analysis, "CMB2"))
+        check(tab, 0.0, 3.0, 3.0)
 
 
 class TestReebFiberFrozen:
     def test_v1_reeb_probe(self, reeb_analysis):
-        rec = only(evaluate_theorem(reeb_analysis, "V1"))
-        check(rec, 0.0, 0.0, 0.0)
-        assert rec.diagnostics["dropped_term"] < 1e-9
+        tab = only(evaluate_theorem(reeb_analysis, "V1"))
+        check(tab, 0.0, 0.0, 0.0)
+        assert tab.dropped_term[0] < 1e-9
 
     def test_v2_equality(self, reeb_analysis):
         check(only(evaluate_theorem(reeb_analysis, "V2")), 0.0, 0.0, 0.0, equality=True)
@@ -200,15 +200,15 @@ class TestReebFiberFrozen:
         check(only(evaluate_theorem(reeb_analysis, "CRV1")), 0.0, 0.0, 0.0, equality=True)
 
     def test_crh1_variant_split(self, reeb_analysis):
-        recs = evaluate_theorem(reeb_analysis, "CRH1")
-        by_name = {rec.variant: rec for rec in recs}
-        check(by_name["kappa=3/4"], -6.0, -3.0, 3.0)
-        check(by_name["kappa=3/8"], -6.0, -1.5, 4.5)
+        tab = evaluate_theorem(reeb_analysis, "CRH1")
+        row = {name: i for i, name in enumerate(tab.variant)}
+        check(tab, -6.0, -3.0, 3.0, row=row["kappa=3/4"])
+        check(tab, -6.0, -1.5, 4.5, row=row["kappa=3/8"])
 
     def test_cmb1_violated_at_reeb_probe(self, reeb_analysis):
         # the combined bound fails on this model: 1 <= -7 is false
-        rec = only(evaluate_theorem(reeb_analysis, "CMB1"))
-        check(rec, 1.0, -7.0, -8.0, holds=False)
+        tab = only(evaluate_theorem(reeb_analysis, "CMB1"))
+        check(tab, 1.0, -7.0, -8.0, holds=False)
 
 
 class TestScans:
@@ -251,11 +251,10 @@ class TestScans:
         scans = scan_theorems(analyses, ("V1", "CRV1"), "random:2")
         draws = []
         for tid in ("V1", "CRV1"):
-            records = scans[tid].records
-            assert len(records) == 4
+            assert scans[tid].records == 4
             for k, analysis in enumerate(analyses):
                 calc = analysis.calc
-                probes = np.array([rec.probe_vertical for rec in records[2 * k : 2 * k + 2]])
+                probes = scans[tid].tables[k].probe_vertical
                 # frame coefficients of the two probes at this point
                 draws.append(calc.pairings(probes[:, None], calc.frame.vert_values))
         for a in range(len(draws)):
@@ -283,28 +282,30 @@ REDUCTION_CASES = {
 
 
 def _hand_built(theorem_id, slacks_per_point):
-    """Records with the given slacks at points 0, 1, ...; lhs is the slack
+    """One table per point 0, 1, ... with the given slacks; lhs is the slack
     and rhs 0, and holds/equality follow the engine's rules."""
-    records = []
+    tables = []
     for k, slacks in enumerate(slacks_per_point):
-        for i, slack in enumerate(slacks):
-            variant = VARIANT_NAMES[i % 2] if theorem_id == "CRH1" else None
-            records.append(
-                InequalityRecord(
-                    theorem_id=theorem_id,
-                    variant=variant,
-                    point=np.full(5, float(k)),
-                    probe_vertical=None,
-                    probe_horizontal=None,
-                    lhs=slack,
-                    rhs=0.0,
-                    slack=slack,
-                    holds=bool(slack >= SLACK_FLOOR),
-                    equality=bool(abs(slack) <= EQUALITY_TOL),
-                    diagnostics={},
-                )
+        slack = np.array(slacks)
+        variant = VARIANT_NAMES * (len(slacks) // 2) if theorem_id == "CRH1" else None
+        tables.append(
+            TheoremTable(
+                theorem_id=theorem_id,
+                point=np.full(5, float(k)),
+                variant=variant,
+                equality_class="chen_a",
+                probe_vertical=None,
+                probe_horizontal=None,
+                lhs=slack,
+                rhs=np.zeros_like(slack),
+                slack=slack,
+                holds=slack >= SLACK_FLOOR,
+                equality=np.abs(slack) <= EQUALITY_TOL,
+                equality_defect=np.zeros_like(slack),
+                dropped_term=None,
             )
-    return records
+        )
+    return tables
 
 
 class TestReductionRule:
@@ -357,8 +358,8 @@ class TestFrameCoherence:
         a0 = analyze_point(base, PT)
         a1 = analyze_point(swapped, PT)
         for tid in applicable_ids("vertical"):
-            s0 = sorted(rec.slack for rec in evaluate_theorem(a0, tid, "all"))
-            s1 = sorted(rec.slack for rec in evaluate_theorem(a1, tid, "all"))
+            s0 = np.sort(evaluate_theorem(a0, tid, "all").slack)
+            s1 = np.sort(evaluate_theorem(a1, tid, "all").slack)
             np.testing.assert_allclose(s0, s1, atol=1e-8)
 
 
@@ -377,8 +378,8 @@ class TestSampledInvariants:
         chk = verify_riemannian_submersion(analysis.calc)
         assume(chk.length_residual <= 1e-8)
         for tid in applicable_ids("vertical"):
-            for rec in evaluate_theorem(analysis, tid):
-                assert rec.slack >= -1e-9, (tid, rec.slack)
+            for slack in evaluate_theorem(analysis, tid).slack:
+                assert slack >= -1e-9, (tid, slack)
 
     @settings(max_examples=25, deadline=None)
     @given(st.tuples(coord, coord, coord, coord, coord))
