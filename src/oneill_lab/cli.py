@@ -70,7 +70,7 @@ def _model_file(name: str) -> Optional[Path]:
 
 def resolve_model(name: str):
     """Bundled model name, builtin family, or path to a model file."""
-    m = re.fullmatch(r"r2m1:(\d+)", name)
+    m = re.fullmatch(r"r2m1:([0-9]+)", name)
     if m:
         try:
             return build_r2m1(int(m.group(1)))

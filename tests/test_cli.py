@@ -169,6 +169,14 @@ class TestExitCodes:
         assert main(["report", "--model", "bogus"]) == 4
         capsys.readouterr()
 
+    def test_non_ascii_space_form_dimension_is_4(self, tmp_path, capsys):
+        # "\u0661" is ARABIC-INDIC DIGIT ONE, a decimal digit outside ASCII
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", "r2m1:\u0661", "--points", "2", "--out", str(out)]
+        assert main(argv) == 4
+        assert "unknown model" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_sample_is_5(self, capsys):
         code = main(
             ["report", "--model", "horizontal-xi", "--box=-0.1,0.1", "--points", "5"]
@@ -382,6 +390,24 @@ class TestNonFiniteResiduals:
 
         text = render_json([float("nan"), float("inf"), -float("inf"), 0.5])
         assert json.loads(text) == ["NaN", "Infinity", "-Infinity", 0.5]
+
+
+class TestSubmersionKernel:
+    def test_reeb_field_off_the_kernel_fails_the_kernel_check(self, tmp_path, capsys):
+        # with x1 + y1 + z the projection no longer annihilates xi = 2 d/dz,
+        # the third declared vertical field
+        data = json.loads((BUNDLED_DIR / "vertical-xi.json").read_text())
+        data["projection"][0] = "x1+y1+z"
+        model = tmp_path / "tilted.json"
+        model.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", str(model), "--points", "5", "--out", str(out)]
+        assert main(argv) == 1
+        capsys.readouterr()
+        rep = json.loads(out.read_text())
+        assert rep["checks"]["submersion.kernel"] is False
+        assert rep["structure"]["submersion"]["kernel"] > Tolerances().d1
+        assert "submersion.kernel" in rep["failed"]
 
 
 class TestBlockErrorParity:
