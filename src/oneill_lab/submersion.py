@@ -415,7 +415,6 @@ class PointCalculus:
 class OneillData:
     """Frame components of the fundamental tensors and derived norms."""
 
-    point: np.ndarray
     r: int
     n: int
     t_coeff: np.ndarray  # (r, r, n): component of T(U_a, U_b) along X_s
@@ -430,9 +429,6 @@ class OneillData:
     h_vec: np.ndarray  # mean curvature vector of the fibers (n_vec / r)
     n_norm_sq: float
     trace_phi_b: float
-    c_norms_sq: np.ndarray  # (n,): squared lengths of the horizontal parts of phi X_s
-    eta_vert: np.ndarray  # (r,): eta on the vertical frame
-    eta_horiz: np.ndarray  # (n,): eta on the horizontal frame
 
 
 def tensors_from_calculus(calc: PointCalculus) -> OneillData:
@@ -452,13 +448,8 @@ def tensors_from_calculus(calc: PointCalculus) -> OneillData:
     h_vec = n_vec / r
     phix = calc.phi_of(xvals)
     b_part = calc.v_project_values(phix)
-    c_part = calc.h_project_values(phix)
     trace_phi_b = _running_sum(calc.pairings(calc.phi_of(b_part), xvals))
-    c_norms_sq = calc.pairings(c_part, c_part)
-    eta_vert = calc.eta_of(uvals)
-    eta_horiz = calc.eta_of(xvals)
     return OneillData(
-        point=calc.coords.copy(),
         r=r,
         n=n,
         t_coeff=t_coeff,
@@ -473,9 +464,6 @@ def tensors_from_calculus(calc: PointCalculus) -> OneillData:
         h_vec=h_vec,
         n_norm_sq=float(calc.pairings(n_vec, n_vec)),
         trace_phi_b=float(trace_phi_b),
-        c_norms_sq=c_norms_sq,
-        eta_vert=eta_vert,
-        eta_horiz=eta_horiz,
     )
 
 

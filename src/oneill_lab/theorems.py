@@ -310,7 +310,8 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
         c1_sq = _c_norms_sq(analysis, x1)
         lhs = np.repeat(ric_star_probes(calc, x1), variants)
         rhs = (q * (n - 1) + kappas * (c - 1.0) * c1_sq[:, None]).ravel()
-        defect = np.repeat(_chen_a_defects(_probe_a_coeff(analysis, vfr, hfr)), variants)
+        defects = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
+        defect = np.repeat(defects, variants)
     elif theorem_id == "CRH2":
         eta_sq = _eta_squares(calc, x1)
         lhs = ric_star_probes(calc, x1)

@@ -27,6 +27,7 @@ from oneill_lab.theorems import (
     CRH1_VARIANTS,
     EQUALITY_TOL,
     SLACK_FLOOR,
+    _c_norms_sq,
     _random_probe_frames,
     applicable_ids,
     evaluate_theorem,
@@ -596,17 +597,18 @@ def test_records_equal_per_probe_formulas_bitwise(
             got = evaluate_theorem(analysis, tid, mode, got_rng)
             want = ref.records(tid, mode, want_rng)
             assert got.slack.shape == (len(want),), tid
-            for i, (variant, lhs, rhs, slack, holds, equality, diag, probes) in enumerate(
-                want
-            ):
+            for i, row in enumerate(want):
+                variant, lhs, rhs, slack, holds, equality, diag, probes = row
                 assert _row(got.variant, i) == variant
                 assert bits(got.lhs[i]) == bits(lhs), (tid, got.lhs[i], lhs)
                 assert bits(got.rhs[i]) == bits(rhs), (tid, got.rhs[i], rhs)
                 assert bits(got.slack[i]) == bits(slack), (tid, got.slack[i], slack)
                 assert (bool(got.holds[i]), bool(got.equality[i])) == (holds, equality)
                 assert _diag_bits(_row_diagnostics(got, i)) == _diag_bits(diag), tid
-                assert _probe_bits(_row(got.probe_vertical, i)) == _probe_bits(probes[0])
-                assert _probe_bits(_row(got.probe_horizontal, i)) == _probe_bits(probes[1])
+                for vectors, probe in zip(
+                    (got.probe_vertical, got.probe_horizontal), probes
+                ):
+                    assert _probe_bits(_row(vectors, i)) == _probe_bits(probe), tid
                 checked += 1
     # both generators drew the same numbers in the same order
     assert bits(got_rng.standard_normal(4)) == bits(want_rng.standard_normal(4))
@@ -620,7 +622,10 @@ def test_tensor_data_equals_per_vector_formulas_bitwise(analyses, model):
         calc, data = analysis.calc, analysis.data
         for got, want in zip(calc._tensor_tables, ref.tensor_tables()):
             assert bits(got) == bits(want)
-        for key, want in ref.tensors().items():
+        tensors = ref.tensors()
+        c_norms_sq = _c_norms_sq(analysis, calc.frame.horiz_values)
+        assert bits(c_norms_sq) == bits(tensors.pop("c_norms_sq"))
+        for key, want in tensors.items():
             assert bits(getattr(data, key)) == bits(want), key
         lemmas = verify_structure_lemmas(calc, data)
         for key, want in ref.skew_and_anti_invariance().items():

@@ -77,6 +77,13 @@ def tensors_at(sub, p):
     return tensors_from_calculus(PointCalculus(sub, p))
 
 
+def c_norms_sq(calc):
+    """|C X_s|^2 on the horizontal frame: the squared lengths of the
+    horizontal parts of phi X_s."""
+    c_part = calc.h_project_values(calc.phi_of(calc.frame.horiz_values))
+    return calc.pairings(c_part, c_part)
+
+
 def lemmas_at(sub, p):
     calc = PointCalculus(sub, p)
     return verify_structure_lemmas(calc, tensors_from_calculus(calc))
@@ -208,7 +215,8 @@ class TestOneillTensors:
         sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         for p in POINTS:
-            data = tensors_at(sub, p)
+            calc = PointCalculus(sub, p)
+            data = tensors_from_calculus(calc)
             assert np.max(np.abs(data.t_coeff - sp.t_coeff())) < 1e-10
             assert np.max(np.abs(data.a_coeff)) < 1e-10
             assert abs(data.sum_t_sq - 4.0) < 1e-10
@@ -216,21 +224,24 @@ class TestOneillTensors:
             assert abs(data.norm_ah_sq) < 1e-10
             assert np.max(np.abs(data.n_vec)) < 1e-10
             assert abs(data.trace_phi_b + 2.0) < 1e-10
-            assert np.max(np.abs(data.c_norms_sq)) < 1e-10
-            assert np.allclose(data.eta_vert, [0, 0, 1], atol=1e-12)
-            assert np.max(np.abs(data.eta_horiz)) < 1e-12
+            assert np.max(np.abs(c_norms_sq(calc))) < 1e-10
+            eta_vert = calc.eta_of(calc.frame.vert_values)
+            assert np.allclose(eta_vert, [0, 0, 1], atol=1e-12)
+            assert np.max(np.abs(calc.eta_of(calc.frame.horiz_values))) < 1e-12
 
     def test_horizontal_xi_matches_oracle(self):
         sub = resolve_model("horizontal-xi")
         sp = fo.horizontal_xi_split()
         for p in H_POINTS:
-            data = tensors_at(sub, p)
+            calc = PointCalculus(sub, p)
+            data = tensors_from_calculus(calc)
             assert np.max(np.abs(data.a_coeff - sp.a_coeff())) < 1e-10
             assert np.max(np.abs(data.t_coeff)) < 1e-10
             assert abs(data.sum_a_sq - 4.0) < 1e-10
             assert abs(data.norm_ah_sq - 4.0) < 1e-10
             assert abs(data.trace_phi_b + 2.0) < 1e-10
-            assert np.allclose(data.eta_horiz, [0, 0, 1], atol=1e-12)
+            eta_horiz = calc.eta_of(calc.frame.horiz_values)
+            assert np.allclose(eta_horiz, [0, 0, 1], atol=1e-12)
 
     def test_mixed_slots_match_oracle(self):
         sub = resolve_model("vertical-xi")
@@ -328,13 +339,14 @@ class TestCustomModels:
         sub = load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))
         sp = fo.reeb_split()
         for p in POINTS[:2]:
-            data = tensors_at(sub, p)
+            calc = PointCalculus(sub, p)
+            data = tensors_from_calculus(calc)
             assert np.max(np.abs(data.t_coeff)) < 1e-10
             assert np.max(np.abs(data.a_coeff - sp.a_coeff())) < 1e-10
             assert abs(data.norm_ah_sq - 4.0) < 1e-10
             assert abs(data.trace_phi_b) < 1e-10
-            assert np.max(np.abs(data.c_norms_sq - 1.0)) < 1e-10
-            assert abs(PointCalculus(sub, p).delta_n()) < 1e-10
+            assert np.max(np.abs(c_norms_sq(calc) - 1.0)) < 1e-10
+            assert abs(calc.delta_n()) < 1e-10
 
     def test_reeb_fiber_lemmas_clean(self):
         sub = load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))

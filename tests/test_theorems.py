@@ -341,8 +341,8 @@ class TestReductionRule:
             assert tally["checked"] == len(sub)
             assert tally["violations"] == sum(1 for s in sub if not s >= SLACK_FLOOR)
             assert tally["equalities"] == sum(1 for s in sub if abs(s) <= EQUALITY_TOL)
-            want = min(sub)
-            assert np.asarray(tally["min_slack"]).tobytes() == np.asarray(want).tobytes()
+            want = np.asarray(min(sub)).tobytes()
+            assert np.asarray(tally["min_slack"]).tobytes() == want
             assert all(type(v) is int for k, v in tally.items() if k != "min_slack")
         assert type(scan.violations) is int and type(scan.equalities) is int
 
