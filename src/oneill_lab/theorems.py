@@ -71,14 +71,10 @@ def applicable_ids(xi_case: str):
 
 @dataclass(frozen=True)
 class TheoremTable:
-    """One theorem at one point: a row per probe, or per probe and CRH1
-    variant with the variants inner.
-
-    ``slack`` is oriented so that nonnegative always means the bound holds;
-    ``equality`` flags |slack| within EQUALITY_TOL.  ``equality_defect`` is
-    the size of the tensor obstruction that must vanish for equality, and
-    ``dropped_term`` (V1 only) the term the bound drops.  ``variant`` names
-    each row's CRH1 variant; the probe vectors are those of each row."""
+    """One theorem at one point, a row per probe (per probe and CRH1
+    variant, variants inner). ``slack`` >= 0 means the bound holds;
+    ``equality`` flags |slack| <= EQUALITY_TOL; ``equality_defect`` is the
+    tensor obstruction to equality; ``dropped_term`` is V1's dropped term."""
 
     theorem_id: str
     point: np.ndarray
@@ -109,18 +105,15 @@ class TheoremScan:
 
 
 def _rotated(frame: np.ndarray, i: int) -> np.ndarray:
-    if i == 0:
-        return frame
-    return np.vstack([frame[i : i + 1], frame[:i], frame[i + 1 :]])
+    """``frame`` with row i moved to the front."""
+    return frame[[i, *range(i), *range(i + 1, len(frame))]]
 
 
 def _unit_coeffs(rng, k: int) -> np.ndarray:
     coeffs = rng.standard_normal(k)
-    norm = np.linalg.norm(coeffs)
-    while float(norm) < 1e-8:
+    while float(np.linalg.norm(coeffs)) < 1e-8:
         coeffs = rng.standard_normal(k)
-        norm = np.linalg.norm(coeffs)
-    return coeffs / norm
+    return coeffs / np.linalg.norm(coeffs)
 
 
 def _random_probe_frames(calc, frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -170,8 +163,7 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, rng):
     and (P, n, dim), with the probe vector in the first slot of each block
     that the theorem actually probes. Random probes draw in probe order,
     the vertical probe before the horizontal one."""
-    entry = _CATALOG[theorem_id]
-    needs_v, needs_h = entry.needs_v, entry.needs_h
+    needs_v, needs_h = _CATALOG[theorem_id].needs_v, _CATALOG[theorem_id].needs_h
     calc = analysis.calc
     base_v = np.asarray(calc.frame.vert_values, dtype=float)
     base_h = np.asarray(calc.frame.horiz_values, dtype=float)
@@ -191,15 +183,12 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, rng):
             coeffs_v.append(_unit_coeffs(rng, base_v.shape[0]))
         if needs_h:
             coeffs_h.append(_unit_coeffs(rng, base_h.shape[0]))
-    if needs_v:
-        vfr = _random_probe_frames(calc, base_v, np.array(coeffs_v))
-    else:
-        vfr = np.repeat(base_v[None], k, axis=0)
-    if needs_h:
-        hfr = _random_probe_frames(calc, base_h, np.array(coeffs_h))
-    else:
-        hfr = np.repeat(base_h[None], k, axis=0)
-    return vfr, hfr
+    return tuple(
+        _random_probe_frames(calc, base, np.array(coeffs))
+        if coeffs
+        else np.repeat(base[None], k, axis=0)
+        for base, coeffs in ((base_v, coeffs_v), (base_h, coeffs_h))
+    )
 
 
 def _probe_t_coeff(analysis, vfr, hfr):
@@ -222,10 +211,9 @@ def _probe_a_coeff(analysis, vfr, hfr):
     return np.einsum("pstk,kl,pal->psta", a_chart, g, vfr)
 
 
-def _c_norms_sq(analysis, xs) -> np.ndarray:
+def _c_norms_sq(calc, xs) -> np.ndarray:
     """|C x|^2 for horizontal vectors ``xs`` (P, dim): the squared length of
     the horizontal part of phi x."""
-    calc = analysis.calc
     c_part = calc.h_project_values(calc.phi_of(xs))
     return calc.pairings(c_part, c_part)
 
@@ -237,23 +225,17 @@ def _eta_squares(calc, vs) -> np.ndarray:
     return np.array([e**2 for e in calc.eta_of(vs).tolist()])
 
 
+# With one vector in a block, the sums and maxima over the block's other
+# vectors are empty and give 0.0, as absolute values that were all 0.0 would.
 def _chen_t_defects(tc: np.ndarray) -> np.ndarray:
-    r = tc.shape[1]
-    if r > 1:
-        diag_rest = tc[:, 1:, 1:, :].diagonal(axis1=1, axis2=2).sum(axis=2)
-    else:
-        diag_rest = 0.0
+    diag_rest = tc[:, 1:, 1:, :].diagonal(axis1=1, axis2=2).sum(axis=2)
     worst = np.max(np.abs(tc[:, 0, 0, :] - diag_rest), axis=1)
-    if r > 1:
-        off = np.max(np.abs(tc[:, 0, 1:, :]), axis=(1, 2))
-        worst = np.where(off > worst, off, worst)  # Python's max(worst, off)
-    return worst
+    off = np.max(np.abs(tc[:, 0, 1:, :]), axis=(1, 2), initial=0.0)
+    return np.where(off > worst, off, worst)  # Python's max(worst, off)
 
 
 def _chen_a_defects(ac: np.ndarray) -> np.ndarray:
-    if ac.shape[1] <= 1:
-        return np.zeros(ac.shape[0])
-    return np.max(np.abs(ac[:, 0, 1:, :]), axis=(1, 2))
+    return np.max(np.abs(ac[:, 0, 1:, :]), axis=(1, 2), initial=0.0)
 
 
 def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
@@ -262,12 +244,9 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
     Each quantity is computed for all probes at once, in the float
     operations of a single probe, so every row equals what one probe at a
     time gives, bit for bit. A bound without a probe has one row."""
-    pk = analysis.packet
-    data = analysis.data
-    calc = analysis.calc
+    pk, data, calc = analysis.packet, analysis.data, analysis.calc
     c = pk.c
-    q = (c + 3.0) / 4.0
-    w = (c - 1.0) / 4.0
+    q, w = (c + 3.0) / 4.0, (c - 1.0) / 4.0
     r, n = pk.r, pk.n
     u1, x1 = vfr[:, 0], hfr[:, 0]
     dropped = variant = None
@@ -307,7 +286,7 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
         variants = len(CRH1_VARIANTS)
         variant = tuple(name for name, _ in CRH1_VARIANTS) * vfr.shape[0]
         kappas = np.array([kappa for _, kappa in CRH1_VARIANTS])
-        c1_sq = _c_norms_sq(analysis, x1)
+        c1_sq = _c_norms_sq(calc, x1)
         lhs = np.repeat(ric_star_probes(calc, x1), variants)
         rhs = (q * (n - 1) + kappas * (c - 1.0) * c1_sq[:, None]).ravel()
         defects = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
@@ -315,21 +294,15 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
     elif theorem_id == "CRH2":
         eta_sq = _eta_squares(calc, x1)
         lhs = ric_star_probes(calc, x1)
-        c1_sq = _c_norms_sq(analysis, x1)
+        c1_sq = _c_norms_sq(calc, x1)
         rhs = q * (n - 1) + w * ((2.0 - n) * eta_sq - 1.0 + 3.0 * c1_sq)
         defect = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
     else:  # CMB1, CMB2
-        c1_sq = _c_norms_sq(analysis, x1)
         if theorem_id == "CMB1":
-            eta_sq = _eta_squares(calc, u1)
-            lhs = q * (n * r + n + r - 2) + w * (
-                3.0 * r - 4.0 - n - (r - 2) * eta_sq + 3.0 * c1_sq
-            )
+            inner = 3.0 * r - 4.0 - n - (r - 2) * _eta_squares(calc, u1)
         else:
-            eta_sq = _eta_squares(calc, x1)
-            lhs = q * (n * r + n + r - 2) + w * (
-                2.0 * r - 4.0 - (n - 2) * eta_sq + 3.0 * c1_sq
-            )
+            inner = 2.0 * r - 4.0 - (n - 2) * _eta_squares(calc, x1)
+        lhs = q * (n * r + n + r - 2) + w * (inner + 3.0 * _c_norms_sq(calc, x1))
         ac = _probe_a_coeff(analysis, vfr, hfr)
         a1s_sq = np.sum(ac[:, 0, 1:, :] ** 2, axis=(1, 2))
         rhs = (
@@ -386,9 +359,16 @@ def _first_min(slack: np.ndarray) -> int:
     """The row Python's ``min`` picks: the first of the least slacks (-0.0
     ties with 0.0), or row 0 if it is NaN, since nothing compares less than
     a NaN and a NaN compares less than nothing."""
-    if np.isnan(slack[0]):
-        return 0
-    return int(np.flatnonzero(slack == np.nanmin(slack))[0])
+    return 0 if np.isnan(slack[0]) else int(np.argmax(slack == np.nanmin(slack)))
+
+
+def _tally(slack, holds, equality) -> dict:
+    return {
+        "checked": int(slack.size),
+        "violations": int(np.count_nonzero(~holds)),
+        "equalities": int(np.count_nonzero(equality)),
+        "min_slack": float(slack[_first_min(slack)]),
+    }
 
 
 def scan_from_records(theorem_id, tables, points_checked) -> TheoremScan:
@@ -398,29 +378,23 @@ def scan_from_records(theorem_id, tables, points_checked) -> TheoremScan:
     slack = np.concatenate([t.slack for t in tables])
     holds = np.concatenate([t.holds for t in tables])
     equality = np.concatenate([t.equality for t in tables])
-    worst = _first_min(slack)
+    total = _tally(slack, holds, equality)
     ends = np.cumsum([t.slack.size for t in tables])
-    owner = int(np.searchsorted(ends, worst, side="right"))
+    owner = int(np.searchsorted(ends, _first_min(slack), side="right"))
     tallies = None
     if theorem_id == "CRH1":
         variant = np.concatenate([t.variant for t in tables])
         tallies = {}
         for name, _ in CRH1_VARIANTS:
             rows = variant == name
-            sub = slack[rows]
-            tallies[name] = {
-                "checked": int(np.count_nonzero(rows)),
-                "violations": int(np.count_nonzero(~holds[rows])),
-                "equalities": int(np.count_nonzero(equality[rows])),
-                "min_slack": float(sub[_first_min(sub)]),
-            }
+            tallies[name] = _tally(slack[rows], holds[rows], equality[rows])
     return TheoremScan(
         theorem_id=theorem_id,
         points_checked=points_checked,
-        records=int(slack.size),
-        violations=int(np.count_nonzero(~holds)),
-        equalities=int(np.count_nonzero(equality)),
-        min_slack=float(slack[worst]),
+        records=total["checked"],
+        violations=total["violations"],
+        equalities=total["equalities"],
+        min_slack=total["min_slack"],
         argmin_point=tables[owner].point.copy(),
         variant_tallies=tallies,
         tables=tables,

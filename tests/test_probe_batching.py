@@ -623,7 +623,7 @@ def test_tensor_data_equals_per_vector_formulas_bitwise(analyses, model):
         for got, want in zip(calc._tensor_tables, ref.tensor_tables()):
             assert bits(got) == bits(want)
         tensors = ref.tensors()
-        c_norms_sq = _c_norms_sq(analysis, calc.frame.horiz_values)
+        c_norms_sq = _c_norms_sq(calc, calc.frame.horiz_values)
         assert bits(c_norms_sq) == bits(tensors.pop("c_norms_sq"))
         for key, want in tensors.items():
             assert bits(getattr(data, key)) == bits(want), key
