@@ -111,9 +111,11 @@ def _rotated(frame: np.ndarray, i: int) -> np.ndarray:
 
 def _unit_coeffs(rng, k: int) -> np.ndarray:
     coeffs = rng.standard_normal(k)
-    while float(np.linalg.norm(coeffs)) < 1e-8:
+    norm = np.linalg.norm(coeffs)
+    while float(norm) < 1e-8:
         coeffs = rng.standard_normal(k)
-    return coeffs / np.linalg.norm(coeffs)
+        norm = np.linalg.norm(coeffs)
+    return coeffs / norm
 
 
 def _random_probe_frames(calc, frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
