@@ -329,6 +329,7 @@ class TestReductionRule:
         assert np.asarray(scan.min_slack).tobytes() == np.asarray(worst[2]).tobytes()
         assert scan.argmin_point.tolist() == [float(worst[0])] * 5
         assert scan.points_checked == len(slacks_per_point)
+        assert scan.records == len(rows)
         assert scan.violations == sum(1 for row in rows if not row[2] >= SLACK_FLOOR)
         assert scan.equalities == sum(1 for row in rows if abs(row[2]) <= EQUALITY_TOL)
         if tid != "CRH1":
