@@ -170,7 +170,7 @@ def _submersion_structure(sub: SubmersionModel, blocks, analyses, tol: Tolerance
 def _identity_section(analyses, tol: Tolerances):
     maxima = {}
     for analysis in analyses:
-        for key, val in analysis.packet.identity_residuals.items():
+        for key, val in analysis.identity_residuals.items():
             maxima[key] = max_residual([val], maxima.get(key, 0.0))
     checks = {
         f"identities.{key}": val <= identity_tolerance(key, tol)

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import RejectedInputError
 from .jets import seed_block
 from .riemannian import (
+    _BLOCK_ENTRIES,
     ConnectionData,
     CurvatureData,
     ManifoldModel,
@@ -23,7 +24,6 @@ from .riemannian import (
     curvature_from_connection,
     metric_at,
     model_jets,
-    sectional_curvature,
 )
 
 
@@ -62,12 +62,10 @@ class ContactData(PointAxis):
 
 @dataclass(frozen=True)
 class SasakianSpaceFormSpec:
-    """A contact structure together with its constant phi-sectional curvature
-    and a preferred global orthonormal frame (phi-adapted, Reeb field last)."""
+    """A contact structure together with its constant phi-sectional curvature."""
 
     c: float
     structure: ContactStructure
-    frame: tuple  # VectorFields: E_1..E_m, phi E_1..phi E_m, xi
 
     @property
     def model(self) -> ManifoldModel:
@@ -75,10 +73,16 @@ class SasakianSpaceFormSpec:
 
 
 def build_r2m1(m: int) -> SasakianSpaceFormSpec:
-    """The R^(2m+1) space form with c = -3 in Darboux-type coordinates."""
-    if m < 1:
-        raise RejectedInputError(f"need m >= 1, got {m}")
+    """The R^(2m+1) space form with c = -3 in Darboux-type coordinates.
+
+    m runs from 1 to 6: from m = 7 on (d >= 15), one point's d^4-sized
+    arrays exceed the entry budget of a block of ``riemannian.point_blocks``."""
     dim = 2 * m + 1
+    if m < 1 or dim**4 > _BLOCK_ENTRIES:
+        raise RejectedInputError(
+            f"need m >= 1 with (2m + 1)**4 <= {_BLOCK_ENTRIES}, the entries "
+            f"of a block's curvature arrays, got m = {m}"
+        )
     z = 2 * m
 
     def metric_entry(i, j):
@@ -133,27 +137,7 @@ def build_r2m1(m: int) -> SasakianSpaceFormSpec:
 
     eta = tuple(eta_entry(a) for a in range(dim))
     structure = ContactStructure(model=model, phi=phi, xi=xi, eta=eta)
-
-    frame = []
-    for i in range(m):
-        comps = tuple(
-            (lambda vs: 2.0) if k == m + i else (lambda vs: 0.0) for k in range(dim)
-        )
-        frame.append(VectorField(components=comps, name=f"E{i + 1}"))
-    for i in range(m):
-        # phi E_i = 2 (d_{x_i} + y_i d_z)
-        def comp(k, a=i):
-            if k == a:
-                return lambda vs: 2.0
-            if k == z:
-                return lambda vs, b=a: 2.0 * vs[m + b]
-            return lambda vs: 0.0
-
-        frame.append(
-            VectorField(components=tuple(comp(k) for k in range(dim)), name=f"P{i + 1}")
-        )
-    frame.append(xi)
-    return SasakianSpaceFormSpec(c=-3.0, structure=structure, frame=tuple(frame))
+    return SasakianSpaceFormSpec(c=-3.0, structure=structure)
 
 
 def verify_sasakian(
@@ -285,23 +269,3 @@ def space_form_r4(c: float, gv, phi_v, eta_v) -> np.ndarray:
     term_w *= w
     term_q += term_w
     return term_q
-
-
-def phi_sectional(spec: SasakianSpaceFormSpec, coords, x) -> float:
-    """Sectional curvature of span{X, phi X} for unit X orthogonal to xi."""
-    st = spec.structure
-    points = np.asarray(coords, dtype=float)[None]
-    gv = metric_at(st.model, points, order=1).value[0]
-    contact = st.at(points)[0]
-    x = np.asarray(x, dtype=float)
-    if abs(float(x @ gv @ x) - 1.0) > 1e-10:
-        raise RejectedInputError("phi_sectional needs a unit vector")
-    if abs(float(contact.eta @ x)) > 1e-10:
-        raise RejectedInputError("phi_sectional needs X orthogonal to xi")
-    return sectional_curvature(st.model, coords, x, contact.phi @ x)
-
-
-def frame_components_at(spec: SasakianSpaceFormSpec, coords) -> np.ndarray:
-    """Chart components of the preferred frame, one row per field."""
-    vs = seed_block(np.asarray(coords, dtype=float)[None], order=1)
-    return model_jets([f.components for f in spec.frame], vs).value[0]

@@ -32,10 +32,6 @@ class DegenerateFrameError(OneillLabError):
     """Declared spanning fields fail to produce an orthonormal frame."""
 
 
-class DegeneratePlaneError(OneillLabError):
-    """Sectional curvature requested for a (near-)degenerate 2-plane."""
-
-
 class EmptySampleError(OneillLabError):
     """Rejection sampling exhausted its budget without accepting a point."""
 

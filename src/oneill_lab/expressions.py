@@ -2,7 +2,8 @@
 
 Custom models carry metric entries and field components as strings like
 ``"y1*y2/4"``. We parse with :mod:`ast` and admit only literals, chart
-variable names, unary minus, and the four arithmetic operators plus ``**``.
+variable names, unary minus, and the four arithmetic operators plus ``**``
+with a numeric literal exponent, optionally signed (``y1**2``, ``z**-0.5``).
 No calls, no attributes, no subscripts: a model file is data, not code.
 """
 
@@ -19,6 +20,12 @@ _BINOPS = {
     ast.Div: lambda a, b: a / b,
     ast.Pow: lambda a, b: a**b,
 }
+
+
+def _signed_number(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
 
 
 def compile_expression(text: str, chart: list[str]):
@@ -53,10 +60,11 @@ def compile_expression(text: str, chart: list[str]):
             op = _BINOPS[type(node.op)]
             left = build(node.left)
             right = build(node.right)
-            if isinstance(node.op, ast.Pow):
-                # exponent must be a literal so jets never appear as powers
-                if not isinstance(node.right, (ast.Constant, ast.UnaryOp)):
-                    raise RejectedInputError(f"exponent must be a literal in {text!r}")
+            # a jet is raised only to a number, never used as an exponent
+            if isinstance(node.op, ast.Pow) and not _signed_number(node.right):
+                raise RejectedInputError(
+                    f"exponent must be a numeric literal in {text!r}"
+                )
             return lambda vs: op(left(vs), right(vs))
         raise RejectedInputError(
             f"disallowed syntax {type(node).__name__} in expression {text!r}"

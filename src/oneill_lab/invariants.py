@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import SpaceFormData
-from .riemannian import max_residual, pair_r4, scalar_curvature
+from .riemannian import max_residual, pair_r4, running_sum, scalar_curvature
 from .submersion import (
     OneillData,
     PointCalculus,
@@ -54,10 +54,7 @@ def _frame_trace(block_curvature, calc, frame, probes) -> np.ndarray:
     """Sum over the frame vectors e of block_curvature(e, p, p, e), one
     value per probe p, added frame vector by frame vector from 0.0."""
     e = frame[:, None]
-    total = 0.0
-    for row in block_curvature(calc, e, probes, probes, e):
-        total = total + row
-    return total
+    return running_sum(block_curvature(calc, e, probes, probes, e))
 
 
 def ric_hat_probes(calc: PointCalculus, us) -> np.ndarray:
@@ -106,40 +103,19 @@ def mixed_gauss_residual(calc: PointCalculus) -> float:
 
 
 @dataclass(frozen=True)
-class CurvaturePacket:
-    """Scalar curvature aggregates of a submersion model at one point.
-
-    ``tau_hat``/``tau_star`` are the block scalar curvatures stored
-    undoubled; ``tau_total`` is half the coordinate-trace scalar curvature
-    of the total space.  ``identity_residuals`` maps the stable identity ids
-    {T1, T4, S1, S2, S3, R1, R2, gauss3} to max absolute residuals."""
-
-    point: np.ndarray
-    r: int
-    n: int
-    c: float
-    tau_hat: float
-    tau_star: float
-    tau_total: float
-    ric_hat: np.ndarray
-    ric_star: np.ndarray
-    delta_n: float
-    sum_t_sq: float
-    sum_a_sq: float
-    norm_tv_sq: float
-    norm_ah_sq: float
-    n_norm_sq: float
-    trace_phi_b: float
-    identity_residuals: dict
-
-
-@dataclass
 class PointAnalysis:
-    """Everything the theorem layer needs at one point."""
+    """Everything the report sections need at one point: the point's
+    ``PointCalculus`` and tensor data, the block scalar curvatures
+    ``tau_hat``/``tau_star`` (stored undoubled), the divergence trace
+    ``delta_n``, and ``identity_residuals``, which maps the stable identity
+    ids {T1, T4, S1, S2, S3, R1, R2, gauss3} to max absolute residuals."""
 
     calc: PointCalculus
     data: OneillData
-    packet: CurvaturePacket
+    tau_hat: float
+    tau_star: float
+    delta_n: float
+    identity_residuals: dict
 
 
 def _hat_star_tables(calc: PointCalculus):
@@ -198,10 +174,8 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
         return pair_r4(r4, a[:, None], b, b, a[:, None])
 
     # running sum over the blocks UU, XU, XX and then UX in (X, U) order
-    four_block = 0.0
-    for table in (traces(uv, uv), traces(xv, uv), traces(xv, xv), traces(uv, xv).T):
-        for value in table.ravel().tolist():
-            four_block += value
+    tables = (traces(uv, uv), traces(xv, uv), traces(xv, xv), traces(uv, xv).T)
+    four_block = float(running_sum(np.concatenate([t.ravel() for t in tables])))
     res["S2"] = abs(four_block - two_tau)
 
     rhs_s3 = (
@@ -248,28 +222,6 @@ def analyze_point(
     hat, star = _hat_star_tables(calc)
     tau_hat = float(np.sum(np.triu(hat, k=1)))
     tau_star = float(np.sum(np.triu(star, k=1)))
-    ric_hat = hat.sum(axis=0)
-    ric_star = star.sum(axis=0)
     delta_n = calc.delta_n()
     residuals = _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n)
-    packet = CurvaturePacket(
-        point=calc.coords.copy(),
-        r=calc.r,
-        n=calc.n,
-        c=float(sub.total.c),
-        tau_hat=tau_hat,
-        tau_star=tau_star,
-        tau_total=two_tau / 2.0,
-        ric_hat=ric_hat,
-        ric_star=ric_star,
-        delta_n=delta_n,
-        sum_t_sq=data.sum_t_sq,
-        sum_a_sq=data.sum_a_sq,
-        norm_tv_sq=data.norm_tv_sq,
-        norm_ah_sq=data.norm_ah_sq,
-        n_norm_sq=data.n_norm_sq,
-        trace_phi_b=data.trace_phi_b,
-        identity_residuals=residuals,
-    )
-    return PointAnalysis(calc=calc, data=data, packet=packet)
-
+    return PointAnalysis(calc, data, tau_hat, tau_star, delta_n, residuals)

@@ -4,9 +4,8 @@ Everything is evaluated through jets on a block of sample points, the point
 axis leading. :func:`model_jets` is the one evaluator of model expressions:
 it runs a table of model callables once on the coordinate jets of
 :func:`jets.seed_block`. Every model expression of the package goes through
-it: the metric entries here, the contact data and preferred frame of
-``contact``, and the projection, base metric and declared fields of
-``submersion``. So Christoffel symbols come out with exact first partials
+it: the metric entries here, the contact data of ``contact``, and the
+projection, base metric and declared fields of ``submersion``. So Christoffel symbols come out with exact first partials
 and the Riemann tensor needs no finite differencing anywhere. The samples
 are cut into blocks by :func:`point_blocks`, which bounds the memory of the
 d^4-sized arrays.
@@ -31,12 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateMetricError,
-    DegeneratePlaneError,
-    OutOfDomainError,
-    RejectedInputError,
-)
+from .errors import DegenerateMetricError, OutOfDomainError, RejectedInputError
 from .jets import ArrayJet, seed_block
 
 _PD_FLOOR = 1e-12
@@ -66,6 +60,15 @@ def max_residual(values, start: float = 0.0) -> float:
     """Largest of ``start`` and ``values``, NaN if any of them is NaN, so
     that a NaN residual fails the check it feeds (``max`` would drop it)."""
     return float(np.max(np.asarray(values, dtype=float), initial=start))
+
+
+def running_sum(values) -> np.ndarray:
+    """Sum over the leading axis, added term by term from 0.0 in index
+    order, where ``np.sum`` would add pairwise: the last row of
+    ``np.add.accumulate`` over ``values`` with a zero row prepended."""
+    values = np.asarray(values, dtype=float)
+    rows = np.concatenate([np.zeros((1,) + values.shape[1:]), values])
+    return np.add.accumulate(rows)[-1]
 
 
 def model_jets(table, vs) -> ArrayJet:
@@ -154,18 +157,21 @@ def metric_jets(model: ManifoldModel, points, order: int) -> ArrayJet:
 def metric_at(model: ManifoldModel, points, order: int = 2) -> MetricData:
     """The metric jets of :func:`metric_jets` on a block of points, gated:
     the positive-definiteness check runs for every point and raises for the
-    first failing one."""
+    first failing one. A metric with an entry that is not finite fails it,
+    and so does a NaN eigenvalue."""
     g = metric_jets(model, points, order)
     value, d1 = g.value, g.gradient
     d2 = np.zeros(d1.shape + d1.shape[-1:]) if g.hessian is None else g.hessian
-    low = np.linalg.eigvalsh(value)[:, 0]
-    bad = np.flatnonzero(low <= _PD_FLOOR)
+    finite = np.isfinite(value).all(axis=(1, 2))
+    # eigvalsh cannot take inf; a zero matrix in its place fails the gate
+    low = np.linalg.eigvalsh(np.where(finite[:, None, None], value, 0.0))[:, 0]
+    bad = np.flatnonzero(~(low > _PD_FLOOR))
     if bad.size:
         k = bad[0]
+        why = f"min eigenvalue {low[k]:.3e}" if finite[k] else "entries not finite"
         raise DegenerateMetricError(
             f"metric of {model.name!r} not positive definite at "
-            f"{np.asarray(points, dtype=float)[k].tolist()}: "
-            f"min eigenvalue {low[k]:.3e}"
+            f"{np.asarray(points, dtype=float)[k].tolist()}: {why}"
         )
     inverse = np.linalg.inv(value)
     # d(g^-1) = -g^-1 (dg) g^-1, one slab per coordinate direction
@@ -250,18 +256,3 @@ def pair_r4(r4: np.ndarray, x, y, z, w):
     frame 4-tuples equals its entries taken one tuple at a time, bit for
     bit."""
     return np.einsum("ijkl,...i,...j,...k,...l->...", r4, x, y, z, w)
-
-
-def sectional_curvature(model: ManifoldModel, coords, x, y) -> float:
-    """K(span{X, Y}) = R(X, Y, Y, X) / (|X|^2 |Y|^2 - g(X, Y)^2)."""
-    curv = riemann_at(model, coords)
-    gv = curv.metric.value
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xx = float(x @ gv @ x)
-    yy = float(y @ gv @ y)
-    xy = float(x @ gv @ y)
-    denom = xx * yy - xy * xy
-    if denom < 1e-12:
-        raise DegeneratePlaneError(f"2-plane degenerate: Gram determinant {denom:.3e}")
-    return float(pair_r4(curv.r4, x, y, y, x)) / denom

@@ -46,6 +46,7 @@ from .riemannian import (
     max_residual,
     metric_jets,
     model_jets,
+    running_sum,
 )
 
 _GS_PIVOT_SQ = 1e-20  # squared-norm pivot; rejects frame vectors shorter than 1e-10
@@ -161,14 +162,6 @@ def _cov(x: ArrayJet, y: ArrayJet, gamma: ArrayJet) -> ArrayJet:
     acc = sum_terms(x[:, None, :] * y.partials(), axes=(-1,))
     terms = gamma * (x[:, :, None] * y[:, None, :])[:, None]
     return sum_terms(terms, axes=(-2, -1), start=acc)
-
-
-def _running_sum(values: np.ndarray) -> float:
-    """Sum of the entries in row-major order, added one by one from 0.0."""
-    total = 0.0
-    for value in values.ravel().tolist():
-        total += value
-    return total
 
 
 @dataclass(frozen=True)
@@ -408,15 +401,14 @@ class PointCalculus:
         pairing of (nabla_X T)(U, U) with X, summed over the vertical frame."""
         xv = self.frame.horiz_values[:, None]
         ks = np.arange(self.r)
-        return _running_sum(self.pairings(self.nabla_t_frame(xv, ks, ks), xv))
+        terms = self.pairings(self.nabla_t_frame(xv, ks, ks), xv)
+        return float(running_sum(terms.ravel()))
 
 
 @dataclass(frozen=True)
 class OneillData:
     """Frame components of the fundamental tensors and derived norms."""
 
-    r: int
-    n: int
     t_coeff: np.ndarray  # (r, r, n): component of T(U_a, U_b) along X_s
     a_coeff: np.ndarray  # (n, n, r): component of A(X_s, X_t) along U_a
     t_uu: np.ndarray  # (r, r, dim): chart components of T(U_a, U_b)
@@ -432,26 +424,23 @@ class OneillData:
 
 
 def tensors_from_calculus(calc: PointCalculus) -> OneillData:
-    r, n = calc.r, calc.n
+    r = calc.r
     uvals, xvals = calc.frame.vert_values, calc.frame.horiz_values
     t_uu = calc.t_point(uvals[:, None], uvals)
     t_coeff = calc.pairings(t_uu[:, :, None], xvals)
     a_xx = calc.a_point(xvals[:, None], xvals)
     a_coeff = calc.pairings(a_xx[:, :, None], uvals)
     t_ux = calc.t_point(uvals[:, None], xvals)
-    norm_tv_sq = _running_sum(calc.pairings(t_ux, t_ux))
+    norm_tv_sq = running_sum(calc.pairings(t_ux, t_ux).ravel())
     a_xu = calc.a_point(xvals[:, None], uvals)
-    norm_ah_sq = _running_sum(calc.pairings(a_xu, a_xu))
-    n_vec = np.zeros(calc.dim)
-    for a in range(r):
-        n_vec = n_vec + t_uu[a][a]
+    norm_ah_sq = running_sum(calc.pairings(a_xu, a_xu).ravel())
+    ks = np.arange(r)
+    n_vec = running_sum(t_uu[ks, ks])
     h_vec = n_vec / r
     phix = calc.phi_of(xvals)
     b_part = calc.v_project_values(phix)
-    trace_phi_b = _running_sum(calc.pairings(calc.phi_of(b_part), xvals))
+    trace_phi_b = running_sum(calc.pairings(calc.phi_of(b_part), xvals))
     return OneillData(
-        r=r,
-        n=n,
         t_coeff=t_coeff,
         a_coeff=a_coeff,
         t_uu=t_uu,
@@ -522,6 +511,8 @@ def load_custom_model(path) -> SubmersionModel:
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise RejectedInputError("a model file must hold one JSON object")
     if data.get("schema") != "oneill-lab-model/1":
         raise RejectedInputError(
             f"unsupported model schema {data.get('schema')!r}; "
@@ -541,74 +532,79 @@ def load_custom_model(path) -> SubmersionModel:
     ):
         if key not in data:
             raise RejectedInputError(f"model file is missing key {key!r}")
-    chart = tuple(str(v) for v in data["chart"])
+
+    def block(value, label, length=None) -> list:
+        # chart, matrix, field and vector blocks are JSON lists
+        if not isinstance(value, list):
+            kind = type(value).__name__
+            raise RejectedInputError(f"{label} must be a list, got {kind}")
+        if length is not None and len(value) != length:
+            raise RejectedInputError(f"{label} must have {length} entries")
+        return value
+
+    chart = tuple(str(v) for v in block(data["chart"], "chart"))
     dim = len(chart)
 
-    def compile_matrix(rows, variables, shape):
-        if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
-            raise RejectedInputError("matrix block has the wrong shape")
+    def compile_vector(entries, variables, label, length=None):
+        entries = block(entries, label, length)
+        return tuple(compile_expression(str(e), variables) for e in entries)
+
+    def compile_matrix(rows, variables, label):
+        d = len(variables)
         return tuple(
-            tuple(compile_expression(str(entry), variables) for entry in row)
-            for row in rows
+            compile_vector(row, variables, f"{label} row {i}", d)
+            for i, row in enumerate(block(rows, label, d))
         )
 
     def compile_guard(text, variables):
         f = compile_expression(str(text), variables)
         return lambda coords: float(f(tuple(float(c) for c in coords))) > 0.0
 
-    metric = compile_matrix(data["metric"], chart, (dim, dim))
+    metric = compile_matrix(data["metric"], chart, "metric")
     guard = compile_guard(data["domain"], chart) if "domain" in data else None
     model = ManifoldModel(
         name=str(data["name"]), dim=dim, chart=chart, metric=metric, domain_guard=guard
     )
     contact = data["contact"]
+    if not isinstance(contact, dict):
+        raise RejectedInputError("the contact block must be a JSON object")
     for key in ("c", "phi", "xi", "eta"):
         if key not in contact:
             raise RejectedInputError(f"contact block is missing key {key!r}")
-    phi = compile_matrix(contact["phi"], chart, (dim, dim))
-    if len(contact["xi"]) != dim or len(contact["eta"]) != dim:
-        raise RejectedInputError("contact field blocks must match the chart dimension")
+    if not isinstance(contact["c"], (int, float, str)):
+        raise RejectedInputError(f"contact c must be a number, got {contact['c']!r}")
+    phi = compile_matrix(contact["phi"], chart, "contact phi")
     xi = VectorField(
-        components=tuple(compile_expression(str(e), chart) for e in contact["xi"]),
-        name="xi",
+        components=compile_vector(contact["xi"], chart, "contact xi", dim), name="xi"
     )
-    eta = tuple(compile_expression(str(e), chart) for e in contact["eta"])
+    eta = compile_vector(contact["eta"], chart, "contact eta", dim)
     structure = ContactStructure(model=model, phi=phi, xi=xi, eta=eta)
-    total = SasakianSpaceFormSpec(
-        c=float(contact["c"]), structure=structure, frame=()
-    )
-    base_chart = tuple(str(v) for v in data["base_chart"])
-    bdim = len(base_chart)
-    base_metric = compile_matrix(data["base_metric"], base_chart, (bdim, bdim))
+    total = SasakianSpaceFormSpec(c=float(contact["c"]), structure=structure)
+    base_chart = tuple(str(v) for v in block(data["base_chart"], "base_chart"))
+    base_metric = compile_matrix(data["base_metric"], base_chart, "base_metric")
     base_guard = (
         compile_guard(data["base_domain"], base_chart) if "base_domain" in data else None
     )
     base = ManifoldModel(
         name=str(data["name"]) + "-base",
-        dim=bdim,
+        dim=len(base_chart),
         chart=base_chart,
         metric=base_metric,
         domain_guard=base_guard,
     )
-    projection = tuple(compile_expression(str(e), chart) for e in data["projection"])
+    projection = compile_vector(data["projection"], chart, "projection")
 
-    def field_block(rows, label):
-        fields = []
-        for idx, row in enumerate(rows):
-            if len(row) != dim:
-                raise RejectedInputError(
-                    f"{label} field {idx} must have {dim} components"
-                )
-            fields.append(
-                VectorField(
-                    components=tuple(compile_expression(str(e), chart) for e in row),
-                    name=f"{label}{idx + 1}",
-                )
+    def field_block(key, prefix):
+        return tuple(
+            VectorField(
+                components=compile_vector(row, chart, f"{key} field {idx}", dim),
+                name=f"{prefix}{idx + 1}",
             )
-        return tuple(fields)
+            for idx, row in enumerate(block(data[key], key))
+        )
 
-    vertical = field_block(data["vertical"], "V")
-    horizontal = field_block(data["horizontal"], "H")
+    vertical = field_block("vertical", "V")
+    horizontal = field_block("horizontal", "H")
     locus = compile_guard(data["locus"], chart) if "locus" in data else None
     return SubmersionModel(
         name=str(data["name"]),

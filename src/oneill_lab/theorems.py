@@ -246,10 +246,10 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
     Each quantity is computed for all probes at once, in the float
     operations of a single probe, so every row equals what one probe at a
     time gives, bit for bit. A bound without a probe has one row."""
-    pk, data, calc = analysis.packet, analysis.data, analysis.calc
-    c = pk.c
+    data, calc = analysis.data, analysis.calc
+    c = calc.sub.total.c
     q, w = (c + 3.0) / 4.0, (c - 1.0) / 4.0
-    r, n = pk.r, pk.n
+    r, n = calc.r, calc.n
     u1, x1 = vfr[:, 0], hfr[:, 0]
     dropped = variant = None
     variants = 1
@@ -262,26 +262,26 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
         defect = float(np.max(np.abs(data.t_coeff)))
         dropped = np.sum(tc[:, 0, :, :] ** 2, axis=(1, 2))
     elif theorem_id in ("V2", "V3"):
-        lhs = 2.0 * pk.tau_hat
+        lhs = 2.0 * analysis.tau_hat
         if theorem_id == "V2":
-            rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - pk.n_norm_sq
+            rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - data.n_norm_sq
         else:
-            rhs = q * r * (r - 1) - pk.n_norm_sq
+            rhs = q * r * (r - 1) - data.n_norm_sq
         defect = float(np.max(np.abs(data.t_coeff)))
     elif theorem_id in ("H1", "H2"):
-        lhs = 2.0 * pk.tau_star
+        lhs = 2.0 * analysis.tau_star
         if theorem_id == "H1":
-            rhs = q * n * (n - 1) + 3.0 * w * (n + pk.trace_phi_b)
+            rhs = q * n * (n - 1) + 3.0 * w * (n + data.trace_phi_b)
         else:
-            rhs = q * n * (n - 1) + w * (3.0 * pk.trace_phi_b + n - 1.0)
+            rhs = q * n * (n - 1) + w * (3.0 * data.trace_phi_b + n - 1.0)
         defect = float(np.max(np.abs(data.a_coeff)))
     elif theorem_id in ("CRV1", "CRV2"):
         lhs = ric_hat_probes(calc, u1)
         if theorem_id == "CRV1":
             eta_sq = _eta_squares(calc, u1)
-            rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - 0.25 * pk.n_norm_sq
+            rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - 0.25 * data.n_norm_sq
         else:
-            rhs = q * (r - 1) - 0.25 * pk.n_norm_sq
+            rhs = q * (r - 1) - 0.25 * data.n_norm_sq
         defect = _chen_t_defects(_probe_t_coeff(analysis, vfr, hfr)[1])
     elif theorem_id == "CRH1":
         # rows (probe, variant), variants inner
@@ -310,11 +310,11 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
         rhs = (
             ric_hat_probes(calc, u1)
             + ric_star_probes(calc, x1)
-            + 0.25 * pk.n_norm_sq
+            + 0.25 * data.n_norm_sq
             + 3.0 * a1s_sq
-            - pk.delta_n
-            + pk.norm_tv_sq
-            - pk.norm_ah_sq
+            - analysis.delta_n
+            + data.norm_tv_sq
+            - data.norm_ah_sq
         )
         defect = _chen_t_defects(_probe_t_coeff(analysis, vfr, hfr)[1])
     entry = _CATALOG[theorem_id]
@@ -324,7 +324,7 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
     slack = (lhs - rhs) if entry.sense == "ge" else (rhs - lhs)
     return TheoremTable(
         theorem_id=theorem_id,
-        point=analysis.packet.point,
+        point=calc.coords,
         variant=variant,
         equality_class=entry.equality_class,
         probe_vertical=np.repeat(u1, variants, axis=0) if entry.needs_v else None,
@@ -408,7 +408,14 @@ def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
     applicable to the model's Reeb case. Points are the outer loop and ids
     the inner one, so random probes draw from ``rng`` in a fixed order;
     without ``rng``, from one generator seeded with 0 made for the scan.
-    Returns {theorem_id: TheoremScan} in id order."""
+    Returns {theorem_id: TheoremScan} in id order. An empty list of ids, or
+    one that names an id twice, is rejected."""
+    if theorem_ids is not None and (
+        not theorem_ids or len(set(theorem_ids)) != len(theorem_ids)
+    ):
+        raise RejectedInputError(
+            f"theorem ids must be distinct and at least one, got {list(theorem_ids)}"
+        )
     if not analyses:
         raise EmptySampleError("no sample points to scan")
     if rng is None:

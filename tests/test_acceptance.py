@@ -14,14 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from darboux import darboux_frame, phi_sectional
 from oneill_lab.cli import cli_parse, resolve_model, run
-from oneill_lab.contact import (
-    build_r2m1,
-    frame_components_at,
-    phi_sectional,
-    space_form_r4_at,
-    verify_sasakian,
-)
+from oneill_lab.contact import build_r2m1, space_form_r4_at, verify_sasakian
 from oneill_lab.invariants import analyze_point
 from oneill_lab.riemannian import metric_at, riemann_at
 from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
@@ -107,7 +102,7 @@ def test_c1_frame_curvature_cross_validation(space_form, sf_points):
     worst = 0.0
     start = time.monotonic()
     for pt in sf_points:
-        fr = frame_components_at(space_form, pt)
+        fr = darboux_frame(pt)
         ad = riemann_at(space_form.model, pt).r4
         closed = space_form_r4_at(space_form, pt)
         for arr in (fr, fr, fr, fr):
@@ -137,7 +132,7 @@ def test_c2_sasakian_axioms_and_phi_sections(space_form, sf_points):
     for k in range(50):
         pt = sf_points[k % len(sf_points)]
         gv = metric_at(space_form.model, [pt], order=1).value[0]
-        xi = frame_components_at(space_form, pt)[-1]
+        xi = darboux_frame(pt)[-1]
         vec = rng.uniform(-1.0, 1.0, size=space_form.model.dim)
         vec = vec - float(st.at([pt]).eta[0] @ vec) * xi
         norm_sq = float(vec @ gv @ vec)
@@ -175,7 +170,7 @@ def test_c3_vertical_model_structure_suite(vx_model, vx_points, vx_analyses):
 def test_c4_identity_suite(vx_analyses):
     worst = {}
     for analysis in vx_analyses:
-        for key, val in analysis.packet.identity_residuals.items():
+        for key, val in analysis.identity_residuals.items():
             worst[key] = max(worst.get(key, 0.0), float(val))
     tight_ok = worst["T1"] <= ID_TIGHT_TOL
     rest = {k: v for k, v in worst.items() if k != "T1"}

@@ -99,6 +99,11 @@ class TestResolveModel:
             resolve_model("bogus-name")
         with pytest.raises(ModelLoadError):
             resolve_model("r2m1:0")
+        # from m = 7 on one point's curvature arrays exceed a block's budget
+        with pytest.raises(ModelLoadError):
+            resolve_model("r2m1:7")
+        with pytest.raises(ModelLoadError):
+            resolve_model("r2m1:99999999999")
         with pytest.raises(ModelLoadError):
             resolve_model("missing-file.json")
 
@@ -135,6 +140,17 @@ class TestRunSections:
         entry = rep.theorems["CRH1"]
         assert set(entry["variants"]) == {"kappa=3/4", "kappa=3/8"}
         assert entry["surviving_variants"] == ["kappa=3/4", "kappa=3/8"]
+
+
+def _replace_entry(block, row, col, entry):
+    """An edit of model-file data that replaces one entry of a matrix block."""
+
+    def edit(data):
+        matrix = data["contact"][block] if block == "phi" else data[block]
+        matrix[row][col] = entry
+        return data
+
+    return edit
 
 
 class TestExitCodes:
@@ -175,6 +191,49 @@ class TestExitCodes:
         argv = ["verify", "--model", "r2m1:\u0661", "--points", "2", "--out", str(out)]
         assert main(argv) == 4
         assert "unknown model" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: [d], id="top-level-list"),
+            pytest.param(lambda d: {**d, "metric": 5}, id="metric-5"),
+            pytest.param(lambda d: {**d, "vertical": 3}, id="vertical-3"),
+            pytest.param(_replace_entry("metric", 0, 0, "2**(-z)"), id="2**(-z)"),
+            pytest.param(_replace_entry("metric", 0, 0, "z**(-z)"), id="z**(-z)"),
+        ],
+    )
+    def test_malformed_model_file_is_4(self, edit, tmp_path, capsys):
+        model = _vertical_xi_copy(tmp_path, edit)
+        out = tmp_path / "r.json"
+        argv = ["report", "--model", str(model), "--points", "3", "--out", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load model file {model}: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    # y1*y1 and y1*y2 overflow to inf at |y| > 1e200
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("model", ["vertical-xi", "r2m1:1"])
+    def test_non_finite_metric_is_7(self, model, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", model, "--box", "1e200,1e201", "--points", "3"]
+        assert main(argv + ["--out", str(out)]) == 7
+        err = capsys.readouterr().err
+        assert err.startswith("error: DegenerateMetricError: ")
+        assert err.rstrip().endswith("entries not finite")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ids", ["V1,V1", ","])
+    def test_repeated_or_empty_theorem_list_is_2(self, ids, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["theorems", "--theorems", ids, "--points", "3", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: theorem ids must be distinct")
         assert not out.exists()
 
     def test_empty_sample_is_5(self, capsys):
@@ -351,14 +410,18 @@ class TestKnownFlags:
         assert "theorems.H2" in rep["failed"]
 
 
+def _vertical_xi_copy(tmp_path, edit):
+    """A copy of the bundled vertical-xi model, its JSON data passed
+    through ``edit``."""
+    data = json.loads((BUNDLED_DIR / "vertical-xi.json").read_text())
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(edit(data)))
+    return path
+
+
 def _vertical_xi_variant(tmp_path, block, row, col, entry):
     """A copy of the bundled vertical-xi model with one entry replaced."""
-    data = json.loads((BUNDLED_DIR / "vertical-xi.json").read_text())
-    matrix = data["contact"][block] if block == "phi" else data[block]
-    matrix[row][col] = entry
-    path = tmp_path / "variant.json"
-    path.write_text(json.dumps(data))
-    return path
+    return _vertical_xi_copy(tmp_path, _replace_entry(block, row, col, entry))
 
 
 class TestNonFiniteResiduals:

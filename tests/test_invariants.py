@@ -1,4 +1,4 @@
-"""Curvature packets and identity residuals against the frame oracle.
+"""Point analyses and identity residuals against the frame oracle.
 
 The oracle computes every aggregate (block scalar curvatures, block Ricci
 values, tensor norms, divergence trace) in the constant orthonormal frame;
@@ -13,6 +13,7 @@ import numpy as np
 import frame_oracle as fo
 from oneill_lab.cli import resolve_model
 from oneill_lab.invariants import (
+    _hat_star_tables,
     analyze_point,
     fiber_curvature_hat,
     horizontal_curvature_star,
@@ -20,6 +21,7 @@ from oneill_lab.invariants import (
     ric_hat_probes,
     ric_star_probes,
 )
+from oneill_lab.riemannian import scalar_curvature
 from oneill_lab.submersion import PointCalculus, load_custom_model
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
@@ -38,37 +40,48 @@ TOL = 1e-8
 CURV_TOL = 1e-6
 
 
-class TestVerticalXiPacket:
+def ric_hat(calc):
+    """Vertical-block Ricci values on the vertical frame vectors."""
+    return ric_hat_probes(calc, calc.frame.vert_values)
+
+
+def ric_star(calc):
+    """Horizontal-block Ricci values on the horizontal frame vectors."""
+    return ric_star_probes(calc, calc.frame.horiz_values)
+
+
+class TestVerticalXiAnalysis:
     def test_aggregates_match_oracle(self):
         sub = resolve_model("vertical-xi")
         split = fo.vertical_xi_split()
         for pt in POINTS:
-            pk = analyze_point(sub, pt).packet
-            assert abs(2.0 * pk.tau_hat - 2.0 * split.tau_hat()) < CURV_TOL
-            assert abs(2.0 * pk.tau_star - 2.0 * split.tau_star()) < CURV_TOL
+            an = analyze_point(sub, pt)
+            calc, data = an.calc, an.data
+            assert abs(2.0 * an.tau_hat - 2.0 * split.tau_hat()) < CURV_TOL
+            assert abs(2.0 * an.tau_star - 2.0 * split.tau_star()) < CURV_TOL
             oracle_hat = [split.ric_hat(u) for u in split.vert]
             oracle_star = [split.ric_star(x) for x in split.horiz]
-            np.testing.assert_allclose(pk.ric_hat, oracle_hat, atol=CURV_TOL)
-            np.testing.assert_allclose(pk.ric_star, oracle_star, atol=CURV_TOL)
-            assert abs(pk.delta_n - split.delta_n()) < CURV_TOL
-            assert abs(pk.trace_phi_b - split.trace_phi_b()) < TOL
-            assert abs(pk.tau_total - (-2.0)) < CURV_TOL
-            assert abs(pk.n_norm_sq) < TOL
-            assert abs(pk.sum_t_sq - 4.0) < TOL
-            assert abs(pk.sum_a_sq) < TOL
+            np.testing.assert_allclose(ric_hat(calc), oracle_hat, atol=CURV_TOL)
+            np.testing.assert_allclose(ric_star(calc), oracle_star, atol=CURV_TOL)
+            assert abs(an.delta_n - split.delta_n()) < CURV_TOL
+            assert abs(data.trace_phi_b - split.trace_phi_b()) < TOL
+            assert abs(scalar_curvature(calc.curvature) / 2.0 - (-2.0)) < CURV_TOL
+            assert abs(data.n_norm_sq) < TOL
+            assert abs(data.sum_t_sq - 4.0) < TOL
+            assert abs(data.sum_a_sq) < TOL
 
     def test_frozen_values(self):
-        pk = analyze_point(resolve_model("vertical-xi"), POINTS[0]).packet
-        assert abs(2.0 * pk.tau_hat - 8.0) < CURV_TOL
-        assert abs(pk.tau_star) < CURV_TOL
-        np.testing.assert_allclose(pk.ric_hat, [2.0, 2.0, 4.0], atol=CURV_TOL)
-        np.testing.assert_allclose(pk.ric_star, [0.0, 0.0], atol=CURV_TOL)
-        assert abs(pk.trace_phi_b - (-2.0)) < TOL
+        an = analyze_point(resolve_model("vertical-xi"), POINTS[0])
+        assert abs(2.0 * an.tau_hat - 8.0) < CURV_TOL
+        assert abs(an.tau_star) < CURV_TOL
+        np.testing.assert_allclose(ric_hat(an.calc), [2.0, 2.0, 4.0], atol=CURV_TOL)
+        np.testing.assert_allclose(ric_star(an.calc), [0.0, 0.0], atol=CURV_TOL)
+        assert abs(an.data.trace_phi_b - (-2.0)) < TOL
 
     def test_identity_residuals_clean(self):
         sub = resolve_model("vertical-xi")
         for pt in POINTS:
-            res = analyze_point(sub, pt).packet.identity_residuals
+            res = analyze_point(sub, pt).identity_residuals
             assert res["T1"] < TOL
             for key in ("T4", "S1", "S2", "S3", "R1", "R2", "gauss3"):
                 assert res[key] < CURV_TOL, key
@@ -77,11 +90,12 @@ class TestVerticalXiPacket:
         # probe Ricci values on frame vectors reproduce the table columns
         sub = resolve_model("vertical-xi")
         calc = PointCalculus(sub, POINTS[0])
-        pk = analyze_point(sub, POINTS[0]).packet
+        hat, star = _hat_star_tables(calc)
+        ric_hat_table, ric_star_table = hat.sum(axis=0), star.sum(axis=0)
         for k, u in enumerate(calc.frame.vert_values):
-            assert abs(ric_hat_probes(calc, u[None])[0] - pk.ric_hat[k]) < CURV_TOL
+            assert abs(ric_hat_probes(calc, u[None])[0] - ric_hat_table[k]) < CURV_TOL
         for t, x in enumerate(calc.frame.horiz_values):
-            assert abs(ric_star_probes(calc, x[None])[0] - pk.ric_star[t]) < CURV_TOL
+            assert abs(ric_star_probes(calc, x[None])[0] - ric_star_table[t]) < CURV_TOL
 
     def test_star_curvature_vanishes_on_flat_base(self):
         # horizontal block pushes down to a flat base, so the block
@@ -93,21 +107,22 @@ class TestVerticalXiPacket:
         assert abs(val) < 1e-7
 
 
-class TestHorizontalXiPacket:
+class TestHorizontalXiAnalysis:
     def test_aggregates_match_oracle(self):
         sub = resolve_model("horizontal-xi")
         split = fo.horizontal_xi_split()
         for pt in H_POINTS:
-            pk = analyze_point(sub, pt).packet
-            assert abs(2.0 * pk.tau_hat - 2.0 * split.tau_hat()) < CURV_TOL
-            assert abs(2.0 * pk.tau_star - 2.0 * split.tau_star()) < CURV_TOL
+            an = analyze_point(sub, pt)
+            calc, data = an.calc, an.data
+            assert abs(2.0 * an.tau_hat - 2.0 * split.tau_hat()) < CURV_TOL
+            assert abs(2.0 * an.tau_star - 2.0 * split.tau_star()) < CURV_TOL
             oracle_hat = [split.ric_hat(u) for u in split.vert]
             oracle_star = [split.ric_star(x) for x in split.horiz]
-            np.testing.assert_allclose(pk.ric_hat, oracle_hat, atol=CURV_TOL)
-            np.testing.assert_allclose(pk.ric_star, oracle_star, atol=CURV_TOL)
-            assert abs(pk.sum_a_sq - 4.0) < TOL
-            assert abs(pk.sum_t_sq) < TOL
-            assert abs(pk.trace_phi_b - (-2.0)) < TOL
+            np.testing.assert_allclose(ric_hat(calc), oracle_hat, atol=CURV_TOL)
+            np.testing.assert_allclose(ric_star(calc), oracle_star, atol=CURV_TOL)
+            assert abs(data.sum_a_sq - 4.0) < TOL
+            assert abs(data.sum_t_sq) < TOL
+            assert abs(data.trace_phi_b - (-2.0)) < TOL
 
     def test_known_residual_defects(self):
         # the scalar identity with the xi-horizontal constant terms misses
@@ -115,7 +130,7 @@ class TestHorizontalXiPacket:
         # exchange identity by exactly 2 on this model, at every point
         sub = resolve_model("horizontal-xi")
         for pt in H_POINTS:
-            res = analyze_point(sub, pt).packet.identity_residuals
+            res = analyze_point(sub, pt).identity_residuals
             assert abs(res["S1"] - 6.0) < CURV_TOL
             assert abs(res["S3"] - 40.0) < CURV_TOL
             assert abs(res["gauss3"] - 2.0) < CURV_TOL
@@ -124,21 +139,21 @@ class TestHorizontalXiPacket:
                 assert res[key] < CURV_TOL, key
 
 
-class TestReebFiberPacket:
+class TestReebFiberAnalysis:
     def test_aggregates_and_residuals(self):
         sub = load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))
         split = fo.reeb_split()
         for pt in POINTS:
-            pk = analyze_point(sub, pt).packet
-            assert abs(2.0 * pk.tau_hat) < CURV_TOL
-            assert abs(2.0 * pk.tau_star - (-24.0)) < CURV_TOL
-            assert abs(2.0 * pk.tau_star - 2.0 * split.tau_star()) < CURV_TOL
+            an = analyze_point(sub, pt)
+            assert abs(2.0 * an.tau_hat) < CURV_TOL
+            assert abs(2.0 * an.tau_star - (-24.0)) < CURV_TOL
+            assert abs(2.0 * an.tau_star - 2.0 * split.tau_star()) < CURV_TOL
             oracle_star = [split.ric_star(x) for x in split.horiz]
-            np.testing.assert_allclose(pk.ric_star, oracle_star, atol=CURV_TOL)
-            assert abs(pk.delta_n) < CURV_TOL
-            assert abs(pk.trace_phi_b) < TOL
-            assert abs(pk.sum_a_sq - 4.0) < TOL
-            res = pk.identity_residuals
+            np.testing.assert_allclose(ric_star(an.calc), oracle_star, atol=CURV_TOL)
+            assert abs(an.delta_n) < CURV_TOL
+            assert abs(an.data.trace_phi_b) < TOL
+            assert abs(an.data.sum_a_sq - 4.0) < TOL
+            res = an.identity_residuals
             assert res["T1"] < TOL
             for key in ("T4", "S1", "S2", "S3", "R1", "R2", "gauss3"):
                 assert res[key] < CURV_TOL, key

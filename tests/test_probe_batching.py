@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from oneill_lab.cli import resolve_model
 from oneill_lab.invariants import analyze_point
-from oneill_lab.riemannian import pair_r4
+from oneill_lab.riemannian import pair_r4, scalar_curvature
 from oneill_lab.sampling import SampleConfig, sample_submersion_points
 from oneill_lab.submersion import load_custom_model, verify_structure_lemmas
 from oneill_lab.theorems import (
@@ -204,6 +204,9 @@ class PerVector:
             for s in range(n)
             for a in range(r)
         )
+        n_vec = np.zeros(len(self.decomp))
+        for a in range(r):
+            n_vec = n_vec + t_uu[a][a]
         trace_phi_b = 0.0
         c_norms_sq = np.zeros(n)
         for s in range(n):
@@ -220,6 +223,7 @@ class PerVector:
             "sum_a_sq": float(np.sum(a_coeff**2)),
             "norm_tv_sq": norm_tv_sq,
             "norm_ah_sq": norm_ah_sq,
+            "n_vec": n_vec,
             "trace_phi_b": trace_phi_b,
             "c_norms_sq": c_norms_sq,
         }
@@ -411,10 +415,10 @@ class PerVector:
     def records(self, tid, mode, rng):
         """(variant, lhs, rhs, slack, holds, equality, diagnostics, probes)
         per record, in the order the engine emits them."""
-        pk, data, calc = self.analysis.packet, self.analysis.data, self.calc
-        c = pk.c
+        an, data, calc = self.analysis, self.analysis.data, self.calc
+        c = float(calc.sub.total.c)
         q, w = (c + 3.0) / 4.0, (c - 1.0) / 4.0
-        r, n, eta = pk.r, pk.n, calc.eta_values
+        r, n, eta = len(self.uv), len(self.xv), calc.eta_values
         out = []
 
         def emit(variant, vfr, hfr, lhs, rhs, sense, diag):
@@ -450,21 +454,21 @@ class PerVector:
                 }
                 emit(None, vfr, hfr, lhs, rhs, "ge", diag)
             elif tid in ("V2", "V3"):
-                lhs = 2.0 * pk.tau_hat
-                rhs = q * r * (r - 1) - pk.n_norm_sq
+                lhs = 2.0 * an.tau_hat
+                rhs = q * r * (r - 1) - data.n_norm_sq
                 if tid == "V2":
-                    rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - pk.n_norm_sq
+                    rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - data.n_norm_sq
                 diag = {
                     "equality_class": "totally_geodesic",
                     "equality_defect": float(np.max(np.abs(data.t_coeff))),
                 }
                 emit(None, vfr, hfr, lhs, rhs, "ge", diag)
             elif tid in ("H1", "H2"):
-                lhs = 2.0 * pk.tau_star
+                lhs = 2.0 * an.tau_star
                 if tid == "H1":
-                    rhs = q * n * (n - 1) + 3.0 * w * (n + pk.trace_phi_b)
+                    rhs = q * n * (n - 1) + 3.0 * w * (n + data.trace_phi_b)
                 else:
-                    rhs = q * n * (n - 1) + w * (3.0 * pk.trace_phi_b + n - 1.0)
+                    rhs = q * n * (n - 1) + w * (3.0 * data.trace_phi_b + n - 1.0)
                 diag = {
                     "equality_class": "integrable",
                     "equality_defect": float(np.max(np.abs(data.a_coeff))),
@@ -477,10 +481,10 @@ class PerVector:
                     rhs = (
                         q * (r - 1)
                         - w * ((r - 2) * eta_u1**2 + 1.0)
-                        - 0.25 * pk.n_norm_sq
+                        - 0.25 * data.n_norm_sq
                     )
                 else:
-                    rhs = q * (r - 1) - 0.25 * pk.n_norm_sq
+                    rhs = q * (r - 1) - 0.25 * data.n_norm_sq
                 _, tc = self.t_coeff(vfr, hfr)
                 diag = {
                     "equality_class": "chen_t",
@@ -526,11 +530,11 @@ class PerVector:
                 rhs = (
                     self.ric_hat(vfr[0])
                     + self.ric_star(hfr[0])
-                    + 0.25 * pk.n_norm_sq
+                    + 0.25 * data.n_norm_sq
                     + 3.0 * a1s_sq
-                    - pk.delta_n
-                    + pk.norm_tv_sq
-                    - pk.norm_ah_sq
+                    - an.delta_n
+                    + data.norm_tv_sq
+                    - data.norm_ah_sq
                 )
                 _, tc = self.t_coeff(vfr, hfr)
                 diag = {
@@ -633,18 +637,16 @@ def test_tensor_data_equals_per_vector_formulas_bitwise(analyses, model):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_packet_equals_per_vector_formulas_bitwise(analyses, model):
+def test_analysis_equals_per_vector_formulas_bitwise(analyses, model):
     for analysis in analyses[model]:
         ref = PerVector(analysis)
-        pk = analysis.packet
         hat, star = ref.hat_star_tables()
-        assert bits(pk.ric_hat) == bits(hat.sum(axis=0))
-        assert bits(pk.ric_star) == bits(star.sum(axis=0))
-        assert bits(pk.tau_hat) == bits(float(np.sum(np.triu(hat, k=1))))
-        assert bits(pk.tau_star) == bits(float(np.sum(np.triu(star, k=1))))
-        assert bits(pk.delta_n) == bits(ref.delta_n())
-        res = pk.identity_residuals
-        assert bits(res["S2"]) == bits(abs(ref.four_block() - 2.0 * pk.tau_total))
+        assert bits(analysis.tau_hat) == bits(float(np.sum(np.triu(hat, k=1))))
+        assert bits(analysis.tau_star) == bits(float(np.sum(np.triu(star, k=1))))
+        assert bits(analysis.delta_n) == bits(ref.delta_n())
+        res = analysis.identity_residuals
+        two_tau = scalar_curvature(analysis.calc.curvature)
+        assert bits(res["S2"]) == bits(abs(ref.four_block() - two_tau))
         assert bits(res["R1"]) == bits(ref.r1())
         assert bits(res["R2"]) == bits(ref.r2())
         assert bits(res["gauss3"]) == bits(ref.gauss3())

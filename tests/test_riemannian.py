@@ -7,13 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darboux import DegeneratePlaneError, sectional_curvature
 from oneill_lab.cli import BUNDLED_MODELS, resolve_model
-from oneill_lab.contact import build_r2m1, frame_components_at, space_form_data
-from oneill_lab.errors import (
-    DegenerateMetricError,
-    DegeneratePlaneError,
-    OutOfDomainError,
-)
+from oneill_lab.contact import build_r2m1, space_form_data
+from oneill_lab.errors import DegenerateMetricError, OutOfDomainError
 from oneill_lab.jets import jet_eval, seed_block
 from oneill_lab.riemannian import (
     ManifoldModel,
@@ -22,8 +19,8 @@ from oneill_lab.riemannian import (
     model_jets,
     ricci_from_curvature,
     riemann_at,
+    running_sum,
     scalar_curvature,
-    sectional_curvature,
 )
 
 TOL_D1 = 1e-8
@@ -157,6 +154,40 @@ def test_non_pd_metric_raises():
     )
     with pytest.raises(DegenerateMetricError):
         metric_at(bad, [[0.0, 0.0]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_metric_fails_the_gate_in_sample_order():
+    # g = diag(1, x^3): positive definite at x = 1, inf at x = 1e200, not
+    # positive definite at x = -1
+    cube = ManifoldModel(
+        name="cube",
+        dim=2,
+        chart=("x", "y"),
+        metric=((_const(1.0), _const(0.0)), (_const(0.0), lambda vs: vs[0] ** 3)),
+    )
+    with pytest.raises(DegenerateMetricError, match=r"\[1e\+200, 0.0\]: entries not finite"):
+        metric_at(cube, [[1.0, 0.0], [1e200, 0.0], [-1.0, 0.0]])
+    with pytest.raises(DegenerateMetricError, match=r"\[-1.0, 0.0\]: min eigenvalue"):
+        metric_at(cube, [[1.0, 0.0], [-1.0, 0.0], [1e200, 0.0]])
+
+
+def test_running_sum_adds_term_by_term_from_zero():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((9, 3)) * 10.0 ** rng.integers(-12, 12, (9, 3))
+    values[:, 2] = -0.0
+    rows = np.zeros(3)
+    for row in values:
+        rows = rows + row
+    total = 0.0
+    for value in values.ravel().tolist():
+        total += value
+    assert _same_bits(running_sum(values), rows)
+    assert _same_bits(running_sum(values.ravel()), total)
+    # a zero row first: a column of -0.0 sums to 0.0, as 0.0 + -0.0 does
+    assert _same_bits(running_sum(values)[2], 0.0)
+    assert _same_bits(running_sum(np.zeros((0, 2))), [0.0, 0.0])
 
 
 def test_degenerate_plane_raises():
@@ -295,7 +326,6 @@ def _per_point(spec, pt):
     xi_jets = [jet_eval(c, pt, order=1) for c in st_.xi.components]
     phi = np.array([[j.value for j in row] for row in phi_jets])
     eta = np.array([jet_eval(e, pt, order=1).value for e in st_.eta])
-    frame = [[jet_eval(c, pt, order=1).value for c in f.components] for f in spec.frame]
     return {
         "value": value,
         "d1": d1,
@@ -312,7 +342,6 @@ def _per_point(spec, pt):
         "xi": np.array([j.value for j in xi_jets]),
         "dxi": np.array([j.gradient for j in xi_jets]),
         "closed": _closed_form(spec.c, value, phi, eta),
-        "frame": np.array(frame),
     }
 
 
@@ -351,7 +380,6 @@ def _block_arrays(spec, data, k):
         "xi": contact.xi,
         "dxi": contact.dxi,
         "closed": data.closed[k],
-        "frame": frame_components_at(spec, data.points[k]),
     }
 
 
@@ -365,9 +393,9 @@ def _same_bits(a, b) -> bool:
 @given(st.sampled_from(sorted(SPACE_FORMS)), st.integers(1, 7), st.data())
 def test_block_arrays_bit_equal_to_per_point_scalar_jets(name, length, data):
     """Metric, connection, curvature (jet and closed form) and contact data
-    of a block, and the preferred frame, equal, bit for bit, a per-point
-    ScalarJet evaluation with one-point contractions; a numpy whose einsum
-    sums in another order with a batch axis fails it."""
+    of a block equal, bit for bit, a per-point ScalarJet evaluation with
+    one-point contractions; a numpy whose einsum sums in another order with
+    a batch axis fails it."""
     spec = SPACE_FORMS[name]()
     d = spec.model.dim
     coord = st.floats(-2.0, 2.0, allow_nan=False)

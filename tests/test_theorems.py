@@ -245,6 +245,12 @@ class TestScans:
         with pytest.raises(EmptySampleError):
             scan_theorems([])
 
+    @pytest.mark.parametrize("ids", [("V1", "V1"), ("V1", "CRH1", "V1"), ()])
+    def test_scan_rejects_repeated_or_no_ids(self, vx_analysis, ids):
+        # a repeated id would count each point's rows twice
+        with pytest.raises(RejectedInputError):
+            scan_theorems([vx_analysis], theorem_ids=ids)
+
     def test_scan_without_rng_draws_new_probes_at_every_point_and_id(self):
         sub = resolve_model("vertical-xi")
         analyses = [analyze_point(sub, p) for p in (PT, np.array([1.1, 0.5, -0.8, 1.3, -0.6]))]
