@@ -50,7 +50,7 @@ def ric_star(calc):
     return ric_star_probes(calc, calc.frame.horiz_values)
 
 
-class TestVerticalXiAnalysis:
+class TestVerticalXiPacket:
     def test_aggregates_match_oracle(self):
         sub = resolve_model("vertical-xi")
         split = fo.vertical_xi_split()
@@ -107,7 +107,7 @@ class TestVerticalXiAnalysis:
         assert abs(val) < 1e-7
 
 
-class TestHorizontalXiAnalysis:
+class TestHorizontalXiPacket:
     def test_aggregates_match_oracle(self):
         sub = resolve_model("horizontal-xi")
         split = fo.horizontal_xi_split()
@@ -139,7 +139,7 @@ class TestHorizontalXiAnalysis:
                 assert res[key] < CURV_TOL, key
 
 
-class TestReebFiberAnalysis:
+class TestReebFiberPacket:
     def test_aggregates_and_residuals(self):
         sub = load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))
         split = fo.reeb_split()

@@ -637,7 +637,7 @@ def test_tensor_data_equals_per_vector_formulas_bitwise(analyses, model):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_analysis_equals_per_vector_formulas_bitwise(analyses, model):
+def test_packet_equals_per_vector_formulas_bitwise(analyses, model):
     for analysis in analyses[model]:
         ref = PerVector(analysis)
         hat, star = ref.hat_star_tables()
