@@ -13,7 +13,7 @@ import datetime
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +31,6 @@ from .report import Report, Tolerances, decide_verdict, identity_tolerance, know
 from .riemannian import max_residual, point_blocks
 from .sampling import SampleConfig, sample_model_points, sample_submersion_points
 from .submersion import (
-    SubmersionModel,
     load_custom_model,
     verify_riemannian_submersion,
     verify_structure_lemmas,
@@ -58,47 +57,43 @@ class RunConfig:
     no_timestamp: bool = False
 
 
-def _model_file(name: str) -> Optional[Path]:
-    """The file a model name that is not ``r2m1:<m>`` stands for: a bundled
-    model's file, else the name as a path if it ends in ``.json`` or exists."""
-    if name in BUNDLED_MODELS:
-        return BUNDLED_DIR / f"{name}.json"
-    if name.endswith(".json") or os.path.exists(name):
-        return Path(name)
-    return None
-
-
-def resolve_model(name: str):
-    """Bundled model name, builtin family, or path to a model file."""
+def load_model(name: str):
+    """The model a name stands for, and the bytes of its model file (None
+    for ``r2m1:<m>``). A name is ``r2m1:<m>``, a bundled model, or else a
+    path if it ends in ``.json`` or exists. The file is read once: the known
+    flags are keyed on the bytes the model was built from."""
     m = re.fullmatch(r"r2m1:([0-9]+)", name)
     if m:
         try:
-            return build_r2m1(int(m.group(1)))
+            return build_r2m1(int(m.group(1))), None
         except OneillLabError as exc:
             raise ModelLoadError(str(exc)) from exc
-    path = _model_file(name)
-    if path is None:
+    if name in BUNDLED_MODELS:
+        path = BUNDLED_DIR / f"{name}.json"
+    elif name.endswith(".json") or os.path.exists(name):
+        path = Path(name)
+    else:
         raise ModelLoadError(f"unknown model: {name}")
     try:
-        return load_custom_model(path)
+        contents = path.read_bytes()
+        return load_custom_model(contents), contents
     except (OneillLabError, OSError, ValueError) as exc:
         raise ModelLoadError(f"cannot load model file {name}: {exc}") from exc
 
 
+def resolve_model(name: str):
+    """Bundled model name, builtin family, or path to a model file."""
+    return load_model(name)[0]
+
+
 def _config_echo(config: RunConfig) -> dict:
-    tol = config.tolerances
     return {
         "command": config.command,
         "model": config.model,
         "points": config.points,
         "seed": config.seed,
         "box": [float(config.box[0]), float(config.box[1])],
-        "tolerances": {
-            "alg": tol.alg,
-            "d1": tol.d1,
-            "curv": tol.curv,
-            "d2curv": tol.d2curv,
-        },
+        "tolerances": asdict(config.tolerances),
         "theorems": list(config.theorems) if config.theorems is not None else "all",
         "probe": config.probe,
     }
@@ -110,14 +105,19 @@ def _space_form_blocks(spec: SasakianSpaceFormSpec, pts):
         yield space_form_data(spec, block)
 
 
-def _spaceform_structure(spec: SasakianSpaceFormSpec, blocks, tol: Tolerances):
+# the Sasakian checks of the algebraic almost-contact relations, gated on the
+# alg tier; the derivative laws get the d1 tier
+_ALGEBRAIC = ("phi_square", "eta_xi", "phi_metric_compat", "eta_is_metric_dual")
+
+
+def _spaceform_structure(blocks, tol: Tolerances):
     """Sasakian residuals and the curvature cross-check over the sample,
     from its blocks of total-space data."""
     sas = {}
     curv1 = 0.0
     points = 0
     for data in blocks:
-        residuals = verify_sasakian(spec, data.points, data.conn, data.contact)
+        residuals = verify_sasakian(data)
         for key, val in residuals.items():
             sas[key] = max_residual(val, sas.get(key, 0.0))
         curv1 = max_residual(np.abs(data.curvature.r4 - data.closed), curv1)
@@ -128,16 +128,19 @@ def _spaceform_structure(spec: SasakianSpaceFormSpec, blocks, tol: Tolerances):
         "sasakian": sas,
         "curvature": {"curv1": curv1},
     }
-    checks = {f"sasakian.{k}": v <= tol.d1 for k, v in sas.items()}
+    checks = {
+        f"sasakian.{k}": v <= (tol.alg if k in _ALGEBRAIC else tol.d1)
+        for k, v in sas.items()
+    }
     checks["curvature.curv1"] = curv1 <= tol.curv
     return section, checks
 
 
-def _submersion_structure(sub: SubmersionModel, blocks, analyses, tol: Tolerances):
+def _submersion_structure(blocks, analyses, tol: Tolerances):
     """Structure section over the analyzed sample points: the space-form
     part on the blocks of total-space data, then the submersion checks and
     lemmas on each point's frame and tensor data."""
-    section, checks = _spaceform_structure(sub.total, blocks, tol)
+    section, checks = _spaceform_structure(blocks, tol)
     lemmas = {}
     kernel = 0.0
     lengths = []
@@ -216,7 +219,7 @@ def run(config: RunConfig) -> Report:
     Raises ModelLoadError, EmptySampleError, RejectedInputError, or another
     OneillLabError raised at a sample point; the CLI wrapper maps these to
     exit codes."""
-    model_obj = resolve_model(config.model)
+    model_obj, contents = load_model(config.model)
     tol = config.tolerances
     scfg = SampleConfig(points=config.points, seed=config.seed, box=config.box)
 
@@ -230,12 +233,10 @@ def run(config: RunConfig) -> Report:
                 f"got the plain total space {config.model}"
             )
         pts = sample_model_points(model_obj.model, scfg)
-        structure, checks = _spaceform_structure(
-            model_obj, _space_form_blocks(model_obj, pts), tol
-        )
+        structure, checks = _spaceform_structure(_space_form_blocks(model_obj, pts), tol)
     else:
         sub = model_obj
-        flagged = known_flags_for(_model_file(config.model).read_bytes())
+        flagged = known_flags_for(contents)
         pts = sample_submersion_points(sub, scfg)
         # the total space's data once per block of points, and one analysis
         # per point on its slice of them, shared by every section
@@ -243,13 +244,9 @@ def run(config: RunConfig) -> Report:
         analyses = []
         for data in _space_form_blocks(sub.total, pts):
             blocks.append(data)
-            analyses.extend(
-                analyze_point(sub, pt, data[k]) for k, pt in enumerate(data.points)
-            )
+            analyses.extend(analyze_point(sub, data[k]) for k in range(len(data.points)))
         if config.command in ("verify", "report"):
-            structure, structure_checks = _submersion_structure(
-                sub, blocks, analyses, tol
-            )
+            structure, structure_checks = _submersion_structure(blocks, analyses, tol)
             checks.update(structure_checks)
             identities, id_checks = _identity_section(analyses, tol)
             checks.update(id_checks)
@@ -274,10 +271,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--box", default="-2,2", help="sampling interval LO,HI per coordinate")
-    p.add_argument("--tol-alg", type=float, default=Tolerances().alg)
-    p.add_argument("--tol-d1", type=float, default=Tolerances().d1)
-    p.add_argument("--tol-curv", type=float, default=Tolerances().curv)
-    p.add_argument("--tol-d2curv", type=float, default=Tolerances().d2curv)
+    for tier in fields(Tolerances):  # --tol-alg --tol-d1 --tol-curv --tol-d2curv
+        p.add_argument(f"--tol-{tier.name}", type=float, default=tier.default)
     p.add_argument("--theorems", default="all", help="comma-separated ids or 'all'")
     p.add_argument("--probe", default="first", help="first | all | random:<k>")
     p.add_argument("--out", default=None)
@@ -317,15 +312,14 @@ def cli_parse(argv) -> RunConfig:
             if tid not in THEOREM_IDS:
                 parser.error(f"unknown theorem id: {tid}")
         theorems = ids
+    tiers = {t.name: getattr(ns, f"tol_{t.name}") for t in fields(Tolerances)}
     return RunConfig(
         command=ns.command,
         model=ns.model,
         points=ns.points,
         seed=ns.seed,
         box=(lo, hi),
-        tolerances=Tolerances(
-            alg=ns.tol_alg, d1=ns.tol_d1, curv=ns.tol_curv, d2curv=ns.tol_d2curv
-        ),
+        tolerances=Tolerances(**tiers),
         theorems=theorems,
         probe=ns.probe,
         out=ns.out,
@@ -374,7 +368,10 @@ def main(argv=None) -> int:
         code = exc.code
         return 0 if code in (0, None) else 2
     try:
-        report = run(config)
+        # a value that overflows or turns NaN fails its check or raises;
+        # numpy's warnings about it would only precede the one-line error
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = run(config)
     except ModelLoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -1,8 +1,9 @@
 """Almost-contact metric structures and Sasakian space-form checks.
 
-The builtin total space is the standard contact metric structure on
-R^(2m+1) with constant phi-sectional curvature -3. Chart layout, 0-based:
-x_1..x_m at 0..m-1, y_1..y_m at m..2m-1, z at 2m.
+A space form is read from the total-space half of a model document, also
+for the builtin family: the standard contact metric structure on R^(2m+1)
+with constant phi-sectional curvature -3. Chart layout, 0-based: x_1..x_m
+at 0..m-1, y_1..y_m at m..2m-1, z at 2m.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInputError
+from .expressions import block, compile_guard, compile_matrix, compile_vector
 from .jets import seed_block
 from .riemannian import (
     _BLOCK_ENTRIES,
@@ -72,8 +74,45 @@ class SasakianSpaceFormSpec:
         return self.structure.model
 
 
+def chart_model_from_document(doc: dict, prefix: str, name: str) -> ManifoldModel:
+    """The chart model of the keys ``<prefix>chart``, ``<prefix>metric`` and
+    the optional ``<prefix>domain`` of a model document."""
+    chart = tuple(str(v) for v in block(doc[prefix + "chart"], prefix + "chart"))
+    metric = compile_matrix(doc[prefix + "metric"], chart, prefix + "metric")
+    domain = prefix + "domain"
+    guard = compile_guard(doc[domain], chart) if domain in doc else None
+    return ManifoldModel(
+        name=name, dim=len(chart), chart=chart, metric=metric, domain_guard=guard
+    )
+
+
+def space_form_from_document(doc: dict) -> SasakianSpaceFormSpec:
+    """The total space of a model document, a dict of the schema
+    ``oneill-lab-model/1``: its ``name``, ``chart``, ``metric``, optional
+    ``domain``, and the ``contact`` block. Every entry is an expression
+    string over the chart, compiled by ``expressions.compile_expression``."""
+    model = chart_model_from_document(doc, "", str(doc["name"]))
+    chart, dim = model.chart, model.dim
+    contact = doc["contact"]
+    if not isinstance(contact, dict):
+        raise RejectedInputError("the contact block must be a JSON object")
+    for key in ("c", "phi", "xi", "eta"):
+        if key not in contact:
+            raise RejectedInputError(f"contact block is missing key {key!r}")
+    if not isinstance(contact["c"], (int, float, str)):
+        raise RejectedInputError(f"contact c must be a number, got {contact['c']!r}")
+    phi = compile_matrix(contact["phi"], chart, "contact phi")
+    xi = VectorField(
+        components=compile_vector(contact["xi"], chart, "contact xi", dim), name="xi"
+    )
+    eta = compile_vector(contact["eta"], chart, "contact eta", dim)
+    structure = ContactStructure(model=model, phi=phi, xi=xi, eta=eta)
+    return SasakianSpaceFormSpec(c=float(contact["c"]), structure=structure)
+
+
 def build_r2m1(m: int) -> SasakianSpaceFormSpec:
-    """The R^(2m+1) space form with c = -3 in Darboux-type coordinates.
+    """The R^(2m+1) space form with c = -3 in Darboux-type coordinates, as
+    a model document through ``space_form_from_document``.
 
     m runs from 1 to 6: from m = 7 on (d >= 15), one point's d^4-sized
     arrays exceed the entry budget of a block of ``riemannian.point_blocks``."""
@@ -84,83 +123,43 @@ def build_r2m1(m: int) -> SasakianSpaceFormSpec:
             f"of a block's curvature arrays, got m = {m}"
         )
     z = 2 * m
-
-    def metric_entry(i, j):
-        # symmetric; only i <= j is consulted by metric_at
-        if i < m and j < m:
-            if i == j:
-                return lambda vs, a=i: (vs[m + a] * vs[m + a] + 1.0) / 4.0
-            return lambda vs, a=i, b=j: vs[m + a] * vs[m + b] / 4.0
-        if i < m and j == z:
-            return lambda vs, a=i: -vs[m + a] / 4.0
-        if m <= i < z and i == j:
-            return lambda vs: 0.25
-        if i == j == z:
-            return lambda vs: 0.25
-        return lambda vs: 0.0
-
-    metric = tuple(tuple(metric_entry(i, j) for j in range(dim)) for i in range(dim))
-    model = ManifoldModel(
-        name=f"r{dim}_c-3",
-        dim=dim,
-        chart=tuple(
-            [f"x{i + 1}" for i in range(m)] + [f"y{i + 1}" for i in range(m)] + ["z"]
-        ),
-        metric=metric,
-    )
-
-    def phi_entry(i, j):
-        # phi(d_{x_j}) = -d_{y_j};  phi(d_{y_j}) = d_{x_j} + y_j d_z;  phi(d_z) = 0
-        if j < m and i == m + j:
-            return lambda vs: -1.0
-        if m <= j < z and i == j - m:
-            return lambda vs: 1.0
-        if m <= j < z and i == z:
-            return lambda vs, b=j: vs[b]
-        return lambda vs: 0.0
-
-    phi = tuple(tuple(phi_entry(i, j) for j in range(dim)) for i in range(dim))
-
-    xi = VectorField(
-        components=tuple(
-            (lambda vs: 2.0) if k == z else (lambda vs: 0.0) for k in range(dim)
-        ),
-        name="xi",
-    )
-
-    def eta_entry(a):
-        if a < m:
-            return lambda vs, b=a: -vs[m + b] / 2.0
-        if a == z:
-            return lambda vs: 0.5
-        return lambda vs: 0.0
-
-    eta = tuple(eta_entry(a) for a in range(dim))
-    structure = ContactStructure(model=model, phi=phi, xi=xi, eta=eta)
-    return SasakianSpaceFormSpec(c=-3.0, structure=structure)
+    y = [f"y{a + 1}" for a in range(m)]
+    metric = [["0"] * dim for _ in range(dim)]
+    phi = [["0"] * dim for _ in range(dim)]
+    for a in range(m):
+        for b in range(m):
+            metric[a][b] = f"({y[a]}*{y[a]}+1)/4" if a == b else f"{y[a]}*{y[b]}/4"
+        metric[a][z] = metric[z][a] = f"-{y[a]}/4"
+        metric[m + a][m + a] = "0.25"
+        # phi(d_{x_a}) = -d_{y_a};  phi(d_{y_a}) = d_{x_a} + y_a d_z;  phi(d_z) = 0
+        phi[m + a][a] = "-1"
+        phi[a][m + a] = "1"
+        phi[z][m + a] = y[a]
+    metric[z][z] = "0.25"
+    doc = {
+        "name": f"r{dim}_c-3",
+        "chart": [f"x{a + 1}" for a in range(m)] + y + ["z"],
+        "metric": metric,
+        "contact": {
+            "c": -3,
+            "phi": phi,
+            "xi": ["0"] * z + ["2"],
+            "eta": [f"-{v}/2" for v in y] + ["0"] * m + ["0.5"],
+        },
+    }
+    return space_form_from_document(doc)
 
 
-def verify_sasakian(
-    spec: SasakianSpaceFormSpec,
-    points,
-    conn: ConnectionData | None = None,
-    contact: ContactData | None = None,
-) -> dict:
-    """Residuals of the defining identities on a block of points ``(N, d)``,
+def verify_sasakian(data: SpaceFormData) -> dict:
+    """Residuals of the defining identities on a block's total-space data,
     each as one max-abs value per point, shape ``(N,)``.
 
     Checks, over coordinate fields: the algebraic almost-contact relations,
     metric compatibility of phi, eta = g(., xi), the Reeb derivative law
-    nabla_X xi = -phi X, and the covariant-derivative law of phi. ``conn``
-    and ``contact`` are the block's connection and contact data when the
-    caller already has them.
+    nabla_X xi = -phi X, and the covariant-derivative law of phi.
     """
-    st = spec.structure
-    d = st.model.dim
-    if conn is None:
-        conn = christoffel_at(st.model, points)
-    if contact is None:
-        contact = st.at(points)
+    conn, contact = data.conn, data.contact
+    d = data.points.shape[1]
     gv = conn.metric.value
     phi_v, dphi = contact.phi, contact.dphi
     eta_v, xi_v, dxi = contact.eta, contact.xi, contact.dxi

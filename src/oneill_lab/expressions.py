@@ -5,11 +5,15 @@ Custom models carry metric entries and field components as strings like
 variable names, unary minus, and the four arithmetic operators plus ``**``
 with a numeric literal exponent, optionally signed (``y1**2``, ``z**-0.5``).
 No calls, no attributes, no subscripts: a model file is data, not code.
+
+A part of literals only is folded into one float when compiled; one that
+fails, or is not a finite real number, is rejected.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 
 from .errors import RejectedInputError
 
@@ -38,22 +42,41 @@ def compile_expression(text: str, chart: list[str]):
     except SyntaxError as exc:
         raise RejectedInputError(f"unparsable expression {text!r}: {exc}") from exc
 
+    variable = set()  # the compiled parts that read a chart variable
+
+    def compiled(f, *parts):
+        # f of its compiled parts; unless a part reads a chart variable, f is
+        # evaluated here, once, by the float operations of every evaluation
+        if not variable.isdisjoint(parts):
+            variable.add(f)
+            return f
+        try:
+            val = f(())
+        except ArithmeticError as exc:
+            raise RejectedInputError(f"constant part of {text!r} fails: {exc}") from exc
+        if not isinstance(val, float) or not math.isfinite(val):
+            raise RejectedInputError(
+                f"constant part of {text!r} is not a finite real number: {val!r}"
+            )
+        return lambda vs: val
+
     def build(node):
         if isinstance(node, ast.Expression):
             return build(node.body)
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise RejectedInputError(f"non-numeric literal in {text!r}")
-            val = float(node.value)
-            return lambda vs: val
+            return compiled(lambda vs: float(node.value))
         if isinstance(node, ast.Name):
             if node.id not in index:
                 raise RejectedInputError(f"unknown variable {node.id!r} in {text!r}")
             i = index[node.id]
-            return lambda vs: vs[i]
+            read = lambda vs: vs[i]  # noqa: E731
+            variable.add(read)
+            return read
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             inner = build(node.operand)
-            return lambda vs: -inner(vs)
+            return compiled(lambda vs: -inner(vs), inner)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
             return build(node.operand)
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
@@ -65,9 +88,39 @@ def compile_expression(text: str, chart: list[str]):
                 raise RejectedInputError(
                     f"exponent must be a numeric literal in {text!r}"
                 )
-            return lambda vs: op(left(vs), right(vs))
+            return compiled(lambda vs: op(left(vs), right(vs)), left, right)
         raise RejectedInputError(
             f"disallowed syntax {type(node).__name__} in expression {text!r}"
         )
 
     return build(tree)
+
+
+def block(value, label: str, length=None) -> list:
+    """A chart, matrix, field or vector block of a model document: a JSON
+    list, of ``length`` entries when given."""
+    if not isinstance(value, list):
+        raise RejectedInputError(f"{label} must be a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise RejectedInputError(f"{label} must have {length} entries")
+    return value
+
+
+def compile_vector(entries, variables, label: str, length=None) -> tuple:
+    entries = block(entries, label, length)
+    return tuple(compile_expression(str(e), variables) for e in entries)
+
+
+def compile_matrix(rows, variables, label: str) -> tuple:
+    """A square matrix of expressions, one row per chart variable."""
+    d = len(variables)
+    return tuple(
+        compile_vector(row, variables, f"{label} row {i}", d)
+        for i, row in enumerate(block(rows, label, d))
+    )
+
+
+def compile_guard(text, variables):
+    """A domain or locus guard: a point passes where ``text`` is positive."""
+    f = compile_expression(str(text), variables)
+    return lambda coords: float(f(tuple(float(c) for c in coords))) > 0.0

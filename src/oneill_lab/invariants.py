@@ -212,11 +212,9 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
     return res
 
 
-def analyze_point(
-    sub: SubmersionModel, coords, state: SpaceFormData | None = None
-) -> PointAnalysis:
+def analyze_point(sub: SubmersionModel, state: SpaceFormData) -> PointAnalysis:
     """The analysis of one point; ``state`` as for ``PointCalculus``."""
-    calc = PointCalculus(sub, coords, state)
+    calc = PointCalculus(sub, state)
     data = tensors_from_calculus(calc)
     two_tau = scalar_curvature(calc.curvature)
     hat, star = _hat_star_tables(calc)

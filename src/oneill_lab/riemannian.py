@@ -113,12 +113,6 @@ class ManifoldModel:
     metric: tuple  # dim x dim nested tuple of callables; only i<=j is read
     domain_guard: Optional[Callable[[np.ndarray], bool]] = None
 
-    def check_domain(self, coords: np.ndarray) -> None:
-        if self.domain_guard is not None and not self.domain_guard(coords):
-            raise OutOfDomainError(
-                f"point {coords.tolist()} outside domain of model {self.name!r}"
-            )
-
 
 @dataclass(frozen=True)
 class MetricData(PointAxis):
@@ -139,7 +133,10 @@ def metric_jets(model: ManifoldModel, points, order: int) -> ArrayJet:
     vs = seed_block(points, order=order)
     pts = np.asarray(points, dtype=float)
     for coords in pts:
-        model.check_domain(coords)
+        if model.domain_guard is not None and not model.domain_guard(coords):
+            raise OutOfDomainError(
+                f"point {coords.tolist()} outside domain of model {model.name!r}"
+            )
     dim = pts.shape[1]
     d = model.dim
     if dim != d:

@@ -31,17 +31,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .contact import (
-    ContactStructure,
     SasakianSpaceFormSpec,
     SpaceFormData,
-    space_form_data,
+    chart_model_from_document,
+    space_form_from_document,
 )
 from .errors import DegenerateFrameError, RejectedInputError
-from .expressions import compile_expression
+from .expressions import block, compile_guard, compile_vector
 from .jets import ArrayJet, concat, seed_block, stack, sum_terms
 from .riemannian import (
     ManifoldModel,
-    MetricData,
     VectorField,
     max_residual,
     metric_jets,
@@ -88,24 +87,6 @@ class SubmersionModel:
         if len(self.projection) != self.base.dim:
             raise RejectedInputError("projection arity must match the target dimension")
 
-    @property
-    def r(self) -> int:
-        return len(self.vertical_fields)
-
-    @property
-    def n(self) -> int:
-        return len(self.horizontal_fields)
-
-
-def differential_at(sub: SubmersionModel, coords):
-    """Projection value and Jacobian: returns ``(base_point, jac)`` with
-    ``jac[b, k] = d proj_b / d coord_k``."""
-    coords = np.asarray(coords, dtype=float)
-    vs = seed_block(coords[None], order=1)
-    sub.total.model.check_domain(coords)
-    proj = model_jets(sub.projection, vs)[0]
-    return proj.value, proj.gradient
-
 
 @dataclass(frozen=True)
 class SubmersionCheck:
@@ -120,14 +101,15 @@ class SubmersionCheck:
     kernel_residual: float
     length_residual: float
     base_pd: bool
-    base_point: np.ndarray
 
 
 def verify_riemannian_submersion(calc: PointCalculus) -> SubmersionCheck:
     """Kernel, length, and base-metric diagnostics at the point of
-    ``calc``, on its adapted frame."""
+    ``calc``, on its adapted frame, from the projection's value and its
+    Jacobian ``jac[b, k] = d proj_b / d coord_k``."""
     sub, frame = calc.sub, calc.frame
-    base_point, jac = differential_at(sub, calc.coords)
+    proj = model_jets(sub.projection, seed_block(calc.point[None], order=1))[0]
+    base_point, jac = proj.value, proj.gradient
     kernel_residual = float(np.max(np.abs(jac @ frame.vert_values.T)))
     gb = metric_jets(sub.base, base_point[None], order=1).value[0]
     push = jac @ frame.horiz_values.T  # columns are the pushed frame vectors
@@ -138,7 +120,6 @@ def verify_riemannian_submersion(calc: PointCalculus) -> SubmersionCheck:
         kernel_residual=kernel_residual,
         length_residual=length_residual,
         base_pd=base_pd,
-        base_point=base_point,
     )
 
 
@@ -178,22 +159,20 @@ class AdaptedFrame:
         return self.jets.shape[0] - self.r
 
 
-def adapted_frame_at(sub: SubmersionModel, coords, metric: MetricData) -> AdaptedFrame:
-    """Gram-Schmidt over the declared fields, vertical block first.
+def adapted_frame_at(sub: SubmersionModel, state: SpaceFormData) -> AdaptedFrame:
+    """Gram-Schmidt over the declared fields, vertical block first, at the
+    point of ``state``, a point's slice of the total space's block data.
 
     The arithmetic runs on coordinate jets, so the resulting frame is a
-    differentiable field in a neighborhood of ``coords``; later fields are
+    differentiable field in a neighborhood of the point; later fields are
     orthogonalized against everything before them, which keeps a Reeb field
     declared last in its block fixed whenever the earlier fields are already
-    orthogonal to it. ``metric`` is the total space's metric at ``coords``,
-    with its second partials.
+    orthogonal to it. The metric jets are those of the state's connection.
     """
-    coords = np.asarray(coords, dtype=float)
-    model = sub.total.model
-    model.check_domain(coords)
+    metric = state.conn.metric
     g = ArrayJet(metric.value, metric.d1, metric.d2)
     fields = sub.vertical_fields + sub.horizontal_fields
-    raw = model_jets([f.components for f in fields], seed_block(coords[None]))[0]
+    raw = model_jets([f.components for f in fields], seed_block(state.points[None]))[0]
     units = []
     for k in range(len(fields)):
         v = raw[k]
@@ -203,7 +182,7 @@ def adapted_frame_at(sub: SubmersionModel, coords, metric: MetricData) -> Adapte
         if nsq.value < _GS_PIVOT_SQ:
             raise DegenerateFrameError(
                 f"declared fields of {sub.name!r} are dependent at "
-                f"{coords.tolist()}"
+                f"{state.points.tolist()}"
             )
         units.append((1.0 / nsq.sqrt()) * v)
     jets = stack(units)
@@ -254,26 +233,19 @@ class PointCalculus:
     tensors from which their covariant derivatives come.
 
     ``state`` is the point's slice of the total space's data, evaluated on
-    the block of sample points the point belongs to; without it the data
-    are evaluated on a block of this one point.
+    the block of sample points the point belongs to; ``state.points`` is
+    the point.
     """
 
-    def __init__(
-        self, sub: SubmersionModel, coords, state: Optional[SpaceFormData] = None
-    ):
+    def __init__(self, sub: SubmersionModel, state: SpaceFormData):
         self.sub = sub
-        self.model = sub.total.model
-        self.dim = self.model.dim
-        self.coords = np.asarray(coords, dtype=float)
-        self.model.check_domain(self.coords)
-        if state is None:
-            state = space_form_data(sub.total, self.coords[None])[0]
+        self.point = state.points
         self.conn = state.conn
         self.curvature = state.curvature
         # closed form of a space form with the total space's phi-sectional
         # curvature, from the metric, phi and eta; slots of ``curvature.r4``
         self.closed_curvature = state.closed
-        self.frame = adapted_frame_at(sub, self.coords, self.conn.metric)
+        self.frame = adapted_frame_at(sub, state)
         self.r = self.frame.r
         self.n = self.frame.n
         self.phi_values = state.contact.phi
@@ -333,7 +305,7 @@ class PointCalculus:
         vectors reduces to one covariant derivative per frame pair plus
         projections; the jets of ``_exchange_fields`` are only needed where
         first derivatives matter."""
-        r, d = self.r, self.dim
+        r, d = self.r, len(self.point)
         jets = self.frame.jets
         nab = self.cov_point(jets.value[:, None], jets)  # [i, j]: cov of E_j along E_i
         t_tab = np.zeros((d, d, d))
@@ -498,8 +470,9 @@ def verify_structure_lemmas(calc: PointCalculus, data: OneillData) -> dict:
     return res
 
 
-def load_custom_model(path) -> SubmersionModel:
-    """Build a submersion model from a JSON description.
+def load_custom_model(contents: bytes) -> SubmersionModel:
+    """Build a submersion model from the contents of a model file, one
+    JSON object.
 
     Schema ``oneill-lab-model/1``: chart and metric for the total space, a
     contact block (phi matrix, Reeb components, eta components, the constant
@@ -507,10 +480,9 @@ def load_custom_model(path) -> SubmersionModel:
     and metric, the two field blocks, and the Reeb case.  All entries are
     expression strings over the respective chart variables.  Optional
     ``domain`` / ``base_domain`` expressions restrict the charts to where
-    they evaluate positive.
+    they evaluate positive (total space: ``space_form_from_document``).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(contents)
     if not isinstance(data, dict):
         raise RejectedInputError("a model file must hold one JSON object")
     if data.get("schema") != "oneill-lab-model/1":
@@ -533,65 +505,9 @@ def load_custom_model(path) -> SubmersionModel:
         if key not in data:
             raise RejectedInputError(f"model file is missing key {key!r}")
 
-    def block(value, label, length=None) -> list:
-        # chart, matrix, field and vector blocks are JSON lists
-        if not isinstance(value, list):
-            kind = type(value).__name__
-            raise RejectedInputError(f"{label} must be a list, got {kind}")
-        if length is not None and len(value) != length:
-            raise RejectedInputError(f"{label} must have {length} entries")
-        return value
-
-    chart = tuple(str(v) for v in block(data["chart"], "chart"))
-    dim = len(chart)
-
-    def compile_vector(entries, variables, label, length=None):
-        entries = block(entries, label, length)
-        return tuple(compile_expression(str(e), variables) for e in entries)
-
-    def compile_matrix(rows, variables, label):
-        d = len(variables)
-        return tuple(
-            compile_vector(row, variables, f"{label} row {i}", d)
-            for i, row in enumerate(block(rows, label, d))
-        )
-
-    def compile_guard(text, variables):
-        f = compile_expression(str(text), variables)
-        return lambda coords: float(f(tuple(float(c) for c in coords))) > 0.0
-
-    metric = compile_matrix(data["metric"], chart, "metric")
-    guard = compile_guard(data["domain"], chart) if "domain" in data else None
-    model = ManifoldModel(
-        name=str(data["name"]), dim=dim, chart=chart, metric=metric, domain_guard=guard
-    )
-    contact = data["contact"]
-    if not isinstance(contact, dict):
-        raise RejectedInputError("the contact block must be a JSON object")
-    for key in ("c", "phi", "xi", "eta"):
-        if key not in contact:
-            raise RejectedInputError(f"contact block is missing key {key!r}")
-    if not isinstance(contact["c"], (int, float, str)):
-        raise RejectedInputError(f"contact c must be a number, got {contact['c']!r}")
-    phi = compile_matrix(contact["phi"], chart, "contact phi")
-    xi = VectorField(
-        components=compile_vector(contact["xi"], chart, "contact xi", dim), name="xi"
-    )
-    eta = compile_vector(contact["eta"], chart, "contact eta", dim)
-    structure = ContactStructure(model=model, phi=phi, xi=xi, eta=eta)
-    total = SasakianSpaceFormSpec(c=float(contact["c"]), structure=structure)
-    base_chart = tuple(str(v) for v in block(data["base_chart"], "base_chart"))
-    base_metric = compile_matrix(data["base_metric"], base_chart, "base_metric")
-    base_guard = (
-        compile_guard(data["base_domain"], base_chart) if "base_domain" in data else None
-    )
-    base = ManifoldModel(
-        name=str(data["name"]) + "-base",
-        dim=len(base_chart),
-        chart=base_chart,
-        metric=base_metric,
-        domain_guard=base_guard,
-    )
+    total = space_form_from_document(data)
+    chart, dim = total.model.chart, total.model.dim
+    base = chart_model_from_document(data, "base_", str(data["name"]) + "-base")
     projection = compile_vector(data["projection"], chart, "projection")
 
     def field_block(key, prefix):

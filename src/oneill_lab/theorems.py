@@ -324,7 +324,7 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
     slack = (lhs - rhs) if entry.sense == "ge" else (rhs - lhs)
     return TheoremTable(
         theorem_id=theorem_id,
-        point=calc.coords,
+        point=calc.point,
         variant=variant,
         equality_class=entry.equality_class,
         probe_vertical=np.repeat(u1, variants, axis=0) if entry.needs_v else None,

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from darboux import darboux_frame, phi_sectional
+from slices import point_state
 from oneill_lab.cli import cli_parse, resolve_model, run
-from oneill_lab.contact import build_r2m1, space_form_r4_at, verify_sasakian
+from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.invariants import analyze_point
 from oneill_lab.riemannian import metric_at, riemann_at
 from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
@@ -77,7 +78,7 @@ def vx_points(vx_model):
 
 @pytest.fixture(scope="module")
 def vx_analyses(vx_model, vx_points):
-    return [analyze_point(vx_model, pt) for pt in vx_points]
+    return [analyze_point(vx_model, point_state(vx_model, pt)) for pt in vx_points]
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +124,7 @@ def test_c2_sasakian_axioms_and_phi_sections(space_form, sf_points):
     reeb = 0.0
     phi_law = 0.0
     for pt in sf_points:
-        res = verify_sasakian(space_form, [pt])
+        res = verify_sasakian(space_form_data(space_form, [pt]))
         reeb = max(reeb, float(res["reeb_derivative"][0]))
         phi_law = max(phi_law, float(res["phi_derivative"][0]))
     rng = np.random.default_rng(7)
@@ -244,9 +245,9 @@ def test_c6_crh1_variant_disambiguation():
 
 def test_c7_sharpness_under_vanishing_tensors(vx_scan_tables, hx_report, hx_model):
     # T == 0 models: the two fiber scalar bounds should be attained.
-    reeb = load_custom_model(REEB_MODEL)
+    reeb = load_custom_model(Path(REEB_MODEL).read_bytes())
     reeb_pts = sample_submersion_points(reeb, SampleConfig(points=20, seed=42))
-    reeb_analyses = [analyze_point(reeb, pt) for pt in reeb_pts]
+    reeb_analyses = [analyze_point(reeb, point_state(reeb, pt)) for pt in reeb_pts]
     assert np.max(np.abs(reeb_analyses[0].data.t_coeff)) <= 1e-9
     v2 = scan_theorems(reeb_analyses, theorem_ids=("V2",))["V2"]
     v2_worst = max(abs(slack) for t in v2.tables for slack in t.slack)
@@ -260,10 +261,12 @@ def test_c7_sharpness_under_vanishing_tensors(vx_scan_tables, hx_report, hx_mode
     # The horizontal-Reeb models carry |A|^2 = 4 at every admissible point,
     # so no A == 0 point exists for H2; record the discovery instead.
     hx_pts = sample_submersion_points(hx_model, SampleConfig(points=10, seed=42))
-    a_floor = min(
-        float(np.max(np.abs(tensors_from_calculus(PointCalculus(hx_model, pt)).a_coeff)))
-        for pt in hx_pts
-    )
+
+    def a_max(pt):
+        calc = PointCalculus(hx_model, point_state(hx_model, pt))
+        return float(np.max(np.abs(tensors_from_calculus(calc).a_coeff)))
+
+    a_floor = min(a_max(pt) for pt in hx_pts)
     ok = v2_worst <= SHARP_TOL and v3_ok and h1_worst <= SHARP_TOL and a_floor > 0.5
     assert verdict(
         7, ok,

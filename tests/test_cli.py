@@ -9,13 +9,16 @@ import sys
 import numpy as np
 import pytest
 
+from slices import point_state
 from oneill_lab import jets
 from oneill_lab.cli import BUNDLED_DIR, RunConfig, cli_parse, main, resolve_model, run
-from oneill_lab.contact import build_r2m1, space_form_r4_at, verify_sasakian
+from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.errors import DegenerateMetricError, ModelLoadError
+from oneill_lab.invariants import analyze_point
 from oneill_lab.report import KNOWN_FLAGS, Tolerances, known_flags_for
 from oneill_lab.riemannian import riemann_at
-from oneill_lab.sampling import SampleConfig, sample_model_points
+from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
+from oneill_lab.submersion import verify_riemannian_submersion, verify_structure_lemmas
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 REEB = os.path.join(MODELS_DIR, "reeb_fiber.json")
@@ -181,6 +184,17 @@ class TestExitCodes:
         assert json.loads(open(out).read())["verdict"] == "fail"
         capsys.readouterr()
 
+    def test_tol_alg_gates_the_algebraic_sasakian_checks(self, tmp_path, capsys):
+        # phi_metric_compat is 1.67e-16 at seed 42, the other algebraic
+        # residuals 0; the derivative laws (~1e-15) stay on the d1 tier
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", "r2m1:1", "--tol-alg", "0", "--out", str(out)]
+        assert main(argv) == 1
+        capsys.readouterr()
+        rep = json.loads(out.read_text())
+        assert rep["failed"] == ["sasakian.phi_metric_compat"]
+        assert rep["structure"]["sasakian"]["reeb_derivative"] > 0.0
+
     def test_model_load_failure_is_4(self, capsys):
         assert main(["report", "--model", "bogus"]) == 4
         capsys.readouterr()
@@ -201,6 +215,11 @@ class TestExitCodes:
             pytest.param(lambda d: {**d, "vertical": 3}, id="vertical-3"),
             pytest.param(_replace_entry("metric", 0, 0, "2**(-z)"), id="2**(-z)"),
             pytest.param(_replace_entry("metric", 0, 0, "z**(-z)"), id="z**(-z)"),
+            # constant parts are evaluated at load: complex, overflow, 0**-1, inf
+            pytest.param(_replace_entry("metric", 2, 2, "(-2)**0.5 + 0.25"), id="complex"),
+            pytest.param(_replace_entry("metric", 2, 2, "10**400"), id="10**400"),
+            pytest.param(_replace_entry("metric", 2, 2, "0**-1 + 1"), id="0**-1"),
+            pytest.param(_replace_entry("metric", 2, 2, "1e308*10"), id="1e308*10"),
         ],
     )
     def test_malformed_model_file_is_4(self, edit, tmp_path, capsys):
@@ -214,8 +233,6 @@ class TestExitCodes:
         assert not out.exists()
 
     # y1*y1 and y1*y2 overflow to inf at |y| > 1e200
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("model", ["vertical-xi", "r2m1:1"])
     def test_non_finite_metric_is_7(self, model, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -226,6 +243,16 @@ class TestExitCodes:
         assert err.rstrip().endswith("entries not finite")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_exit_7_is_one_line_without_warnings(self):
+        # in a fresh interpreter: pytest would capture numpy's RuntimeWarnings
+        argv = ["verify", "--model", "vertical-xi", "--box", "1e200,1e201", "--points", "3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "oneill_lab", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 7
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: DegenerateMetricError: ")
 
     @pytest.mark.parametrize("ids", ["V1,V1", ","])
     def test_repeated_or_empty_theorem_list_is_2(self, ids, tmp_path, capsys):
@@ -425,9 +452,6 @@ def _vertical_xi_variant(tmp_path, block, row, col, entry):
 
 
 class TestNonFiniteResiduals:
-    # the model's inf - inf warns as numpy arithmetic does
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_residuals_fail_and_report_stays_json(self, tmp_path, capsys):
         # NaN at every sampled point (z != 0): inf - inf in value and gradient
         model = _vertical_xi_variant(
@@ -503,13 +527,51 @@ class TestResidualFloats:
         sasakian = {}
         curv1 = 0.0
         for pt in pts:
-            for key, (val,) in verify_sasakian(spec, [pt]).items():
+            for key, (val,) in verify_sasakian(space_form_data(spec, [pt])).items():
                 sasakian[key] = max(sasakian.get(key, 0.0), float(val))
             diff = riemann_at(spec.model, pt).r4 - space_form_r4_at(spec, pt)
             curv1 = max(curv1, float(np.max(np.abs(diff))))
         assert structure["sasakian"] == sasakian
         assert structure["curvature"]["curv1"] == curv1
         assert curv1 > 0.0  # rounding residuals, so a zeroed value shows
+
+    @pytest.mark.parametrize("model", ["vertical-xi", "horizontal-xi", REEB])
+    def test_submersion_residuals_match_per_point_values(self, model, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", model, "--points", "6", "--out", str(out)]
+        assert main(argv) in (0, 3)
+        capsys.readouterr()
+        rep = json.loads(out.read_text())
+        sub = resolve_model(model)
+        pts = sample_submersion_points(sub, SampleConfig(points=6, seed=42))
+        per_point = {"lemmas": {}, "identities": {}}
+        kernels, lengths, pd_flags = [], [], []
+        for pt in pts:
+            analysis = analyze_point(sub, point_state(sub, pt))
+            chk = verify_riemannian_submersion(analysis.calc)
+            kernels.append(chk.kernel_residual)
+            lengths.append(chk.length_residual)
+            pd_flags.append(chk.base_pd)
+            sections = {
+                "lemmas": verify_structure_lemmas(analysis.calc, analysis.data),
+                "identities": analysis.identity_residuals,
+            }
+            for section, values in sections.items():
+                for key, val in values.items():
+                    per_point[section].setdefault(key, []).append(val)
+        maxima = {s: {k: max(v) for k, v in d.items()} for s, d in per_point.items()}
+        assert rep["structure"]["lemmas"] == maxima["lemmas"]
+        assert rep["identities"]["max_residuals"] == maxima["identities"]
+        assert rep["structure"]["submersion"] == {
+            "kernel": max(kernels),
+            "length": max(lengths),
+            "length_residuals": lengths,
+            "base_pd_all": all(pd_flags),
+            "base_pd_flags": pd_flags,
+        }
+        if model == "vertical-xi":
+            # rounding residuals throughout, so any zeroed maximum shows
+            assert all(v > 0.0 for d in maxima.values() for v in d.values())
 
 
 def _glibc() -> bool:

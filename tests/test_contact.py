@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from darboux import darboux_frame, phi_sectional, sectional_curvature
-from oneill_lab.contact import build_r2m1, space_form_r4_at, verify_sasakian
+from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.errors import RejectedInputError
 from oneill_lab.riemannian import metric_at, riemann_at
 
@@ -25,7 +25,7 @@ def spec5():
 
 @pytest.mark.parametrize("pt", POINTS5)
 def test_sasakian_residuals_vanish(spec5, pt):
-    res = verify_sasakian(spec5, [pt])
+    res = verify_sasakian(space_form_data(spec5, [pt]))
     for name, (val,) in res.items():
         assert val < TOL_ALG, f"{name} residual {val}"
 
@@ -89,7 +89,7 @@ def test_phi_sectional_preconditions(spec5):
 def test_r7_model_also_sasakian():
     spec = build_r2m1(3)
     pt = [0.2, -0.4, 0.6, 0.1, 0.9, -0.3, 1.4]
-    res = verify_sasakian(spec, [pt])
+    res = verify_sasakian(space_form_data(spec, [pt]))
     for name, (val,) in res.items():
         assert val < TOL_ALG, f"{name} residual {val}"
     got = riemann_at(spec.model, pt).r4

@@ -12,12 +12,14 @@ rounding, so nothing weaker than bitwise equality pins the reports.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from slices import point_state
 from oneill_lab.cli import resolve_model
 from oneill_lab.invariants import analyze_point
 from oneill_lab.riemannian import pair_r4, scalar_curvature
@@ -42,14 +44,14 @@ _NEEDS_H = frozenset({"CRH1", "CRH2", "CMB1", "CMB2"})
 
 def _model(name):
     if name == "reeb_fiber":
-        return load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))
+        return load_custom_model(Path(MODELS_DIR, "reeb_fiber.json").read_bytes())
     return resolve_model(name)
 
 
 def _analyses(name, points, seed):
     sub = _model(name)
     pts = sample_submersion_points(sub, SampleConfig(points=points, seed=seed))
-    return [analyze_point(sub, pt) for pt in pts]
+    return [analyze_point(sub, point_state(sub, pt)) for pt in pts]
 
 
 @pytest.fixture(scope="module")

@@ -7,23 +7,25 @@ five-dimensional total space. Oracle vectors live in frame coefficients;
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import frame_oracle as fo
+from slices import point_state
 from oneill_lab.cli import resolve_model
 from oneill_lab.errors import (
     DegenerateFrameError,
     OutOfDomainError,
     RejectedInputError,
 )
-from oneill_lab.riemannian import metric_at
+from oneill_lab.jets import seed_block
+from oneill_lab.riemannian import model_jets
 from oneill_lab.submersion import (
     PointCalculus,
     SubmersionModel,
     adapted_frame_at,
-    differential_at,
     load_custom_model,
     tensors_from_calculus,
     verify_riemannian_submersion,
@@ -31,6 +33,7 @@ from oneill_lab.submersion import (
 )
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+REEB = Path(MODELS_DIR, "reeb_fiber.json")
 
 POINTS = [
     np.array([0.3, -0.7, 0.9, 0.4, 0.2]),
@@ -66,15 +69,15 @@ def to_chart(coeffs, coords):
 
 
 def frame_at(sub, p):
-    return adapted_frame_at(sub, p, metric_at(sub.total.model, [p])[0])
+    return adapted_frame_at(sub, point_state(sub, p))
 
 
 def submersion_check(sub, p):
-    return verify_riemannian_submersion(PointCalculus(sub, p))
+    return verify_riemannian_submersion(PointCalculus(sub, point_state(sub, p)))
 
 
 def tensors_at(sub, p):
-    return tensors_from_calculus(PointCalculus(sub, p))
+    return tensors_from_calculus(PointCalculus(sub, point_state(sub, p)))
 
 
 def c_norms_sq(calc):
@@ -85,7 +88,7 @@ def c_norms_sq(calc):
 
 
 def lemmas_at(sub, p):
-    calc = PointCalculus(sub, p)
+    calc = PointCalculus(sub, point_state(sub, p))
     return verify_structure_lemmas(calc, tensors_from_calculus(calc))
 
 
@@ -98,7 +101,7 @@ class TestAdaptedFrame:
     def test_vertical_xi_frame_orthonormal(self):
         sub = resolve_model("vertical-xi")
         for p in POINTS:
-            calc = PointCalculus(sub, p)
+            calc = PointCalculus(sub, point_state(sub, p))
             allv = np.vstack([calc.frame.vert_values, calc.frame.horiz_values])
             assert np.max(np.abs(gram(calc, allv) - np.eye(5))) < 1e-12
 
@@ -175,7 +178,8 @@ class TestSubmersionChecks:
     def test_differential_values(self):
         sub = resolve_model("vertical-xi")
         p = POINTS[0]
-        base_point, jac = differential_at(sub, p)
+        proj = model_jets(sub.projection, seed_block(p[None], order=1))[0]
+        base_point, jac = proj.value, proj.gradient
         assert np.allclose(base_point, [p[0] + p[2], p[1] + p[3]])
         assert np.allclose(jac, [[1, 0, 1, 0, 0], [0, 1, 0, 1, 0]])
 
@@ -215,7 +219,7 @@ class TestOneillTensors:
         sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         for p in POINTS:
-            calc = PointCalculus(sub, p)
+            calc = PointCalculus(sub, point_state(sub, p))
             data = tensors_from_calculus(calc)
             assert np.max(np.abs(data.t_coeff - sp.t_coeff())) < 1e-10
             assert np.max(np.abs(data.a_coeff)) < 1e-10
@@ -233,7 +237,7 @@ class TestOneillTensors:
         sub = resolve_model("horizontal-xi")
         sp = fo.horizontal_xi_split()
         for p in H_POINTS:
-            calc = PointCalculus(sub, p)
+            calc = PointCalculus(sub, point_state(sub, p))
             data = tensors_from_calculus(calc)
             assert np.max(np.abs(data.a_coeff - sp.a_coeff())) < 1e-10
             assert np.max(np.abs(data.t_coeff)) < 1e-10
@@ -247,7 +251,7 @@ class TestOneillTensors:
         sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         p = POINTS[2]
-        calc = PointCalculus(sub, p)
+        calc = PointCalculus(sub, point_state(sub, p))
         for a in range(sp.r):
             for s in range(sp.n):
                 got = calc.t_point(calc.frame.vert_values[a], calc.frame.horiz_values[s])
@@ -261,7 +265,7 @@ class TestOneillTensors:
             (resolve_model("horizontal-xi"), fo.horizontal_xi_split(), H_POINTS),
         ]:
             p = pts[0]
-            calc = PointCalculus(sub, p)
+            calc = PointCalculus(sub, point_state(sub, p))
             for s in range(sp.n):
                 xs = calc.frame.horiz_values[s]
                 for a in range(sp.r):
@@ -274,7 +278,7 @@ class TestOneillTensors:
         sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         p = POINTS[1]
-        calc = PointCalculus(sub, p)
+        calc = PointCalculus(sub, point_state(sub, p))
         for a in range(sp.r):
             uv = calc.frame.vert_values[a]
             for s in range(sp.n):
@@ -289,7 +293,7 @@ class TestOneillTensors:
             (resolve_model("horizontal-xi"), H_POINTS),
         ]:
             for p in pts[:2]:
-                assert abs(PointCalculus(sub, p).delta_n()) < 1e-8
+                assert abs(PointCalculus(sub, point_state(sub, p)).delta_n()) < 1e-8
 
     def test_bc_decompose_vertical_xi(self):
         # phi of the first horizontal frame vector is vertical here: its
@@ -297,7 +301,7 @@ class TestOneillTensors:
         # horizontal part C vanishes
         sub = resolve_model("vertical-xi")
         p = POINTS[0]
-        calc = PointCalculus(sub, p)
+        calc = PointCalculus(sub, point_state(sub, p))
         x0 = calc.frame.horiz_values[0]
         w = calc.phi_values @ x0
         b, c = calc.v_project_values(w), calc.h_project_values(w)
@@ -326,9 +330,9 @@ class TestStructureLemmas:
 
 class TestCustomModels:
     def test_load_reeb_fiber(self):
-        sub = load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))
+        sub = load_custom_model(REEB.read_bytes())
         assert sub.xi_case == "vertical"
-        assert sub.r == 1 and sub.n == 4
+        assert len(sub.vertical_fields) == 1 and len(sub.horizontal_fields) == 4
         p = POINTS[0]
         chk = submersion_check(sub, p)
         assert chk.kernel_residual < 1e-12
@@ -336,10 +340,10 @@ class TestCustomModels:
         assert chk.base_pd
 
     def test_reeb_fiber_tensors_match_oracle(self):
-        sub = load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))
+        sub = load_custom_model(REEB.read_bytes())
         sp = fo.reeb_split()
         for p in POINTS[:2]:
-            calc = PointCalculus(sub, p)
+            calc = PointCalculus(sub, point_state(sub, p))
             data = tensors_from_calculus(calc)
             assert np.max(np.abs(data.t_coeff)) < 1e-10
             assert np.max(np.abs(data.a_coeff - sp.a_coeff())) < 1e-10
@@ -349,7 +353,7 @@ class TestCustomModels:
             assert abs(calc.delta_n()) < 1e-10
 
     def test_reeb_fiber_lemmas_clean(self):
-        sub = load_custom_model(os.path.join(MODELS_DIR, "reeb_fiber.json"))
+        sub = load_custom_model(REEB.read_bytes())
         res = lemmas_at(sub, POINTS[1])
         for key, val in res.items():
             assert val < 1e-10, (key, val)
@@ -358,10 +362,10 @@ class TestCustomModels:
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "other/9", "name": "x"}')
         with pytest.raises(RejectedInputError):
-            load_custom_model(bad)
+            load_custom_model(bad.read_bytes())
 
     def test_missing_key_rejected(self, tmp_path):
         bad = tmp_path / "missing.json"
         bad.write_text('{"schema": "oneill-lab-model/1", "name": "x"}')
         with pytest.raises(RejectedInputError):
-            load_custom_model(bad)
+            load_custom_model(bad.read_bytes())
