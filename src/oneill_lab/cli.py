@@ -139,7 +139,7 @@ def _spaceform_structure(blocks, tol: Tolerances):
 def _submersion_structure(blocks, analyses, tol: Tolerances):
     """Structure section over the analyzed sample points: the space-form
     part on the blocks of total-space data, then the submersion checks and
-    lemmas on each point's frame and tensor data."""
+    lemmas on each block's frames and tensor data."""
     section, checks = _spaceform_structure(blocks, tol)
     lemmas = {}
     kernel = 0.0
@@ -148,11 +148,11 @@ def _submersion_structure(blocks, analyses, tol: Tolerances):
     for analysis in analyses:
         calc = analysis.calc
         chk = verify_riemannian_submersion(calc)
-        kernel = max_residual([chk.kernel_residual], kernel)
-        lengths.append(float(chk.length_residual))
-        pd_flags.append(bool(chk.base_pd))
+        kernel = max_residual(chk.kernel_residual, kernel)
+        lengths.extend(chk.length_residual.tolist())
+        pd_flags.extend(chk.base_pd.tolist())
         for key, val in verify_structure_lemmas(calc, analysis.data).items():
-            lemmas[key] = max_residual([val], lemmas.get(key, 0.0))
+            lemmas[key] = max_residual(val, lemmas.get(key, 0.0))
     length = max_residual(lengths)
     section["submersion"] = {
         "kernel": kernel,
@@ -174,7 +174,7 @@ def _identity_section(analyses, tol: Tolerances):
     maxima = {}
     for analysis in analyses:
         for key, val in analysis.identity_residuals.items():
-            maxima[key] = max_residual([val], maxima.get(key, 0.0))
+            maxima[key] = max_residual(val, maxima.get(key, 0.0))
     checks = {
         f"identities.{key}": val <= identity_tolerance(key, tol)
         for key, val in maxima.items()
@@ -184,7 +184,8 @@ def _identity_section(analyses, tol: Tolerances):
 
 def _theorem_section(analyses, config: RunConfig):
     rng = np.random.default_rng(config.seed + 1)
-    scans = scan_theorems(analyses, config.theorems, config.probe, rng)
+    points = [block[k] for block in analyses for k in range(len(block.calc.point))]
+    scans = scan_theorems(points, config.theorems, config.probe, rng)
     section = {}
     checks = {}
     for tid, scan in scans.items():
@@ -238,13 +239,13 @@ def run(config: RunConfig) -> Report:
         sub = model_obj
         flagged = known_flags_for(contents)
         pts = sample_submersion_points(sub, scfg)
-        # the total space's data once per block of points, and one analysis
-        # per point on its slice of them, shared by every section
+        # the total space's data and its analysis once per block of points,
+        # shared by every section
         blocks = []
         analyses = []
         for data in _space_form_blocks(sub.total, pts):
             blocks.append(data)
-            analyses.extend(analyze_point(sub, data[k]) for k in range(len(data.points)))
+            analyses.append(analyze_point(sub, data))
         if config.command in ("verify", "report"):
             structure, structure_checks = _submersion_structure(blocks, analyses, tol)
             checks.update(structure_checks)

@@ -74,11 +74,12 @@ class SasakianSpaceFormSpec:
         return self.structure.model
 
 
-def chart_model_from_document(doc: dict, prefix: str, name: str) -> ManifoldModel:
+def chart_model_from_document(doc: dict, prefix: str, name: str, memo=None) -> ManifoldModel:
     """The chart model of the keys ``<prefix>chart``, ``<prefix>metric`` and
-    the optional ``<prefix>domain`` of a model document."""
+    the optional ``<prefix>domain`` of a model document; ``memo`` as for
+    ``expressions.compile_vector``."""
     chart = tuple(str(v) for v in block(doc[prefix + "chart"], prefix + "chart"))
-    metric = compile_matrix(doc[prefix + "metric"], chart, prefix + "metric")
+    metric = compile_matrix(doc[prefix + "metric"], chart, prefix + "metric", memo)
     domain = prefix + "domain"
     guard = compile_guard(doc[domain], chart) if domain in doc else None
     return ManifoldModel(
@@ -86,12 +87,15 @@ def chart_model_from_document(doc: dict, prefix: str, name: str) -> ManifoldMode
     )
 
 
-def space_form_from_document(doc: dict) -> SasakianSpaceFormSpec:
+def space_form_from_document(doc: dict, memo=None) -> SasakianSpaceFormSpec:
     """The total space of a model document, a dict of the schema
     ``oneill-lab-model/1``: its ``name``, ``chart``, ``metric``, optional
     ``domain``, and the ``contact`` block. Every entry is an expression
-    string over the chart, compiled by ``expressions.compile_expression``."""
-    model = chart_model_from_document(doc, "", str(doc["name"]))
+    string over the chart, compiled by ``expressions.compile_expression``
+    once per distinct string of the document (``memo``, a dict kept for the
+    document's compilation)."""
+    memo = {} if memo is None else memo
+    model = chart_model_from_document(doc, "", str(doc["name"]), memo)
     chart, dim = model.chart, model.dim
     contact = doc["contact"]
     if not isinstance(contact, dict):
@@ -101,11 +105,11 @@ def space_form_from_document(doc: dict) -> SasakianSpaceFormSpec:
             raise RejectedInputError(f"contact block is missing key {key!r}")
     if not isinstance(contact["c"], (int, float, str)):
         raise RejectedInputError(f"contact c must be a number, got {contact['c']!r}")
-    phi = compile_matrix(contact["phi"], chart, "contact phi")
+    phi = compile_matrix(contact["phi"], chart, "contact phi", memo)
     xi = VectorField(
-        components=compile_vector(contact["xi"], chart, "contact xi", dim), name="xi"
+        components=compile_vector(contact["xi"], chart, "contact xi", dim, memo), name="xi"
     )
-    eta = compile_vector(contact["eta"], chart, "contact eta", dim)
+    eta = compile_vector(contact["eta"], chart, "contact eta", dim, memo)
     structure = ContactStructure(model=model, phi=phi, xi=xi, eta=eta)
     return SasakianSpaceFormSpec(c=float(contact["c"]), structure=structure)
 

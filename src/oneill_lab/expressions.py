@@ -106,21 +106,38 @@ def block(value, label: str, length=None) -> list:
     return value
 
 
-def compile_vector(entries, variables, label: str, length=None) -> tuple:
-    entries = block(entries, label, length)
-    return tuple(compile_expression(str(e), variables) for e in entries)
+def compile_vector(entries, variables, label: str, length=None, memo=None) -> tuple:
+    """A vector of expressions. ``memo``, a dict kept for one model
+    document, compiles each distinct entry once per chart."""
+    memo = {} if memo is None else memo
+    out = []
+    for text in block(entries, label, length):
+        key = (str(text), tuple(variables))
+        if key not in memo:
+            memo[key] = compile_expression(*key)
+        out.append(memo[key])
+    return tuple(out)
 
 
-def compile_matrix(rows, variables, label: str) -> tuple:
+def compile_matrix(rows, variables, label: str, memo=None) -> tuple:
     """A square matrix of expressions, one row per chart variable."""
     d = len(variables)
     return tuple(
-        compile_vector(row, variables, f"{label} row {i}", d)
+        compile_vector(row, variables, f"{label} row {i}", d, memo)
         for i, row in enumerate(block(rows, label, d))
     )
 
 
 def compile_guard(text, variables):
-    """A domain or locus guard: a point passes where ``text`` is positive."""
+    """A domain or locus guard: a point passes where ``text`` is a positive
+    real number; where it is not real, or fails, the point is rejected."""
     f = compile_expression(str(text), variables)
-    return lambda coords: float(f(tuple(float(c) for c in coords))) > 0.0
+
+    def guard(coords) -> bool:
+        try:
+            value = f(tuple(float(c) for c in coords))
+        except ArithmeticError:
+            return False
+        return isinstance(value, float) and value > 0.0
+
+    return guard

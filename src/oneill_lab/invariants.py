@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import SpaceFormData
-from .riemannian import max_residual, pair_r4, running_sum, scalar_curvature
+from .riemannian import (
+    float_squares,
+    pair_r4,
+    point_maxima,
+    point_sums,
+    running_sum,
+    scalar_curvature,
+)
 from .submersion import (
     OneillData,
     PointCalculus,
@@ -24,13 +31,18 @@ from .submersion import (
 )
 
 
+def _ambient(calc: PointCalculus, r4, x, y, z, w):
+    """pair_r4 of the curvature ``r4`` of ``calc``, a block's or a view's."""
+    return pair_r4(calc.per_point(r4, np.ndim(x) + 3), x, y, z, w)
+
+
 def fiber_curvature_hat(calc: PointCalculus, u, v, f, w):
     """Curvature of the vertical block: ambient value corrected by the
     vertical-block tensor.  Slot order matches the ambient pairing.
 
     The vectors have shape ``(..., dim)`` and broadcast against each other;
     each value equals the one for single vectors, bit for bit."""
-    amb = pair_r4(calc.curvature.r4, u, v, f, w)
+    amb = _ambient(calc, calc.curvature.r4, u, v, f, w)
     return (
         amb
         - calc.pairings(calc.t_point(u, w), calc.t_point(v, f))
@@ -41,7 +53,7 @@ def fiber_curvature_hat(calc: PointCalculus, u, v, f, w):
 def horizontal_curvature_star(calc: PointCalculus, x, y, z, h):
     """Curvature of the horizontal block: ambient value corrected by the
     horizontal-block tensor; vectors broadcast as in ``fiber_curvature_hat``."""
-    amb = pair_r4(calc.curvature.r4, x, y, z, h)
+    amb = _ambient(calc, calc.curvature.r4, x, y, z, h)
     return (
         amb
         + 2.0 * calc.pairings(calc.a_point(x, y), calc.a_point(z, h))
@@ -58,10 +70,10 @@ def _frame_trace(block_curvature, calc, frame, probes) -> np.ndarray:
 
 
 def ric_hat_probes(calc: PointCalculus, us) -> np.ndarray:
-    """Vertical-block Ricci values on (unit) vertical vectors ``us``, shaped
-    (P, dim): traces of the block curvature over the vertical frame.  The
-    diagonal term vanishes identically, so the full-frame sum matches the
-    sum over complements."""
+    """Vertical-block Ricci values at a point's view on (unit) vertical
+    vectors ``us``, shaped (P, dim): traces of the block curvature over the
+    vertical frame.  The diagonal term vanishes identically, so the
+    full-frame sum matches the sum over complements."""
     return _frame_trace(fiber_curvature_hat, calc, calc.frame.vert_values, us)
 
 
@@ -70,63 +82,87 @@ def ric_star_probes(calc: PointCalculus, xs) -> np.ndarray:
     return _frame_trace(horizontal_curvature_star, calc, calc.frame.horiz_values, xs)
 
 
-def _frame_table(r4, a, b, c, d) -> np.ndarray:
+# From here on, the stages run on a block of points; every table leads with
+# the point axis.
+
+
+def _frame_table(calc, r4, a, b, c, d) -> np.ndarray:
     """R(a_i, b_j, c_k, d_l) on all 4-tuples of the rows of a, b, c, d."""
-    return pair_r4(
+    return _ambient(
+        calc,
         r4,
-        a[:, None, None, None],
-        b[None, :, None, None],
-        c[None, None, :, None],
-        d[None, None, None, :],
+        a[:, :, None, None, None],
+        b[:, None, :, None, None],
+        c[:, None, None, :, None],
+        d[:, None, None, None, :],
     )
 
 
-def mixed_gauss_residual(calc: PointCalculus) -> float:
+def mixed_gauss_residual(calc: PointCalculus) -> np.ndarray:
     """Worst residual of the mixed exchange identity over frame 4-tuples
     (one vertical pair, one horizontal pair), using the first derivatives
     of both fundamental tensors."""
     uv, xv = calc.frame.vert_values, calc.frame.horiz_values
     ks, js = np.arange(calc.r), np.arange(calc.n)
-    # every table is indexed [i, k, j, l] for the frame vectors X_i, U_k, X_j, U_l
-    nab_t = calc.nabla_t_frame(xv[:, None, None], ks[:, None], ks)  # [i, k, l]
-    nab_a = calc.nabla_a_frame(uv[None, :, None], js[:, None, None], js)  # [i, k, j]
-    t_mixed = calc.t_point(uv, xv[:, None])  # [i, k]: T(U_k, X_i)
-    a_mixed = calc.a_point(xv[:, None], uv)  # [i, k]: A(X_i, U_k)
-    lhs = _frame_table(calc.curvature.r4, uv, xv, xv, uv).transpose(1, 0, 2, 3)
+    # every table is indexed [p, i, k, j, l] for the frame vectors X_i, U_k,
+    # X_j, U_l
+    nab_t = calc.nabla_t_frame(
+        xv[:, :, None, None], ks[None, :, None], ks[None, None, :]
+    )  # [p, i, k, l]
+    nab_a = calc.nabla_a_frame(
+        uv[:, None, :, None], js[:, None, None], js[None, None, :]
+    )  # [p, i, k, j]
+    t_mixed = calc.t_point(uv[:, None], xv[:, :, None])  # [p, i, k]: T(U_k, X_i)
+    a_mixed = calc.a_point(xv[:, :, None], uv[:, None])  # [p, i, k]: A(X_i, U_k)
+    lhs = _frame_table(calc, calc.curvature.r4, uv, xv, xv, uv).transpose(0, 2, 1, 3, 4)
     rhs = (
-        calc.pairings(nab_t[:, :, None], xv[:, None])
-        + calc.pairings(nab_a[..., None, :], uv)
-        - calc.pairings(t_mixed[:, :, None, None], t_mixed)
-        + calc.pairings(a_mixed, a_mixed[:, :, None, None])
+        calc.pairings(nab_t[:, :, :, None], xv[:, None, None, :, None])
+        + calc.pairings(nab_a[..., None, :], uv[:, None, None, None])
+        - calc.pairings(t_mixed[:, :, :, None, None], t_mixed[:, None, None])
+        + calc.pairings(a_mixed[:, None, None], a_mixed[:, :, :, None, None])
     )
-    return max_residual(np.abs(lhs - rhs))
+    return point_maxima(np.abs(lhs - rhs))
 
 
 @dataclass(frozen=True)
 class PointAnalysis:
-    """Everything the report sections need at one point: the point's
-    ``PointCalculus`` and tensor data, the block scalar curvatures
+    """Everything the report sections need on a block of points: the
+    block's ``PointCalculus`` and tensor data, the block scalar curvatures
     ``tau_hat``/``tau_star`` (stored undoubled), the divergence trace
     ``delta_n``, and ``identity_residuals``, which maps the stable identity
-    ids {T1, T4, S1, S2, S3, R1, R2, gauss3} to max absolute residuals."""
+    ids {T1, T4, S1, S2, S3, R1, R2, gauss3} to max absolute residuals; one
+    value per point. ``analysis[k]`` is the analysis of point k."""
 
     calc: PointCalculus
     data: OneillData
-    tau_hat: float
-    tau_star: float
-    delta_n: float
+    tau_hat: np.ndarray
+    tau_star: np.ndarray
+    delta_n: np.ndarray
     identity_residuals: dict
+
+    def __getitem__(self, k) -> PointAnalysis:
+        return PointAnalysis(
+            self.calc[k],
+            self.data[k],
+            self.tau_hat[k],
+            self.tau_star[k],
+            self.delta_n[k],
+            {key: val[k] for key, val in self.identity_residuals.items()},
+        )
 
 
 def _hat_star_tables(calc: PointCalculus):
-    """Block curvatures on the frame pairs: hat[j, k] on the vertical pair
-    (U_j, U_k), star[s, t] on the horizontal pair (X_s, X_t), zero on the
-    diagonal."""
+    """Block curvatures on the frame pairs: hat[p, j, k] on the vertical
+    pair (U_j, U_k), star[p, s, t] on the horizontal pair (X_s, X_t), zero
+    on the diagonal."""
     uv, xv = calc.frame.vert_values, calc.frame.horiz_values
-    hat = fiber_curvature_hat(calc, uv[:, None], uv, uv, uv[:, None])
-    star = horizontal_curvature_star(calc, xv[:, None], xv, xv, xv[:, None])
-    np.fill_diagonal(hat, 0.0)
-    np.fill_diagonal(star, 0.0)
+    hat = fiber_curvature_hat(calc, uv[:, :, None], uv[:, None], uv[:, None], uv[:, :, None])
+    star = horizontal_curvature_star(
+        calc, xv[:, :, None], xv[:, None], xv[:, None], xv[:, :, None]
+    )
+    for table in (hat, star):
+        diagonal = np.arange(table.shape[-1])
+        table[:, diagonal, diagonal] = 0.0
     return hat, star
 
 
@@ -139,44 +175,47 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
     res = {}
 
     # quadratic rearrangement of the vertical-block coefficients
-    d_s = tc[0, 0, :] - np.sum(np.diagonal(tc[1:, 1:, :], axis1=0, axis2=1), axis=1) if r > 1 else tc[0, 0, :]
-    cross = 0.0
-    for s in range(n):
-        for a in range(1, r):
-            for b in range(a + 1, r):
-                cross += tc[a, a, s] * tc[b, b, s] - tc[a, b, s] ** 2
+    d_s = tc[:, 0, 0, :]
+    if r > 1:
+        d_s = d_s - np.sum(np.diagonal(tc[:, 1:, 1:, :], axis1=1, axis2=2), axis=2)
+    # the terms of (s, a, b), 1 <= a < b < r, in that order, with the squares
+    # of Python floats
+    pairs = [(a, b) for a in range(1, r) for b in range(a + 1, r)]
+    first, second = [a for a, _ in pairs], [b for _, b in pairs]
+    cross = tc[:, first, first] * tc[:, second, second] - float_squares(tc[:, first, second])
     rhs_t1 = (
         0.5 * data.n_norm_sq
-        + 0.5 * float(np.sum(d_s**2))
-        + 2.0 * float(np.sum(tc[0, 1:, :] ** 2))
-        - 2.0 * cross
+        + 0.5 * np.sum(d_s**2, axis=1)
+        + 2.0 * np.sum(tc[:, 0, 1:, :] ** 2, axis=(1, 2))
+        - 2.0 * point_sums(np.swapaxes(cross, 1, 2))
     )
-    res["T1"] = abs(data.sum_t_sq - rhs_t1)
+    res["T1"] = np.abs(data.sum_t_sq - rhs_t1)
 
     if calc.sub.xi_case == "vertical":
         rhs_t4 = q * r * (r - 1) - 2.0 * w * (r - 1) - data.n_norm_sq + data.sum_t_sq
     else:
         rhs_t4 = q * r * (r - 1) - data.n_norm_sq + data.sum_t_sq
-    res["T4"] = abs(2.0 * tau_hat - rhs_t4)
+    res["T4"] = np.abs(2.0 * tau_hat - rhs_t4)
 
     base_q = q * (r * (r - 1) + n * (n - 1) + 2 * n * r)
     if calc.sub.xi_case == "vertical":
         rhs_s1 = base_q + w * (4.0 * (r - 1) + n + 3.0 * data.trace_phi_b)
     else:
         rhs_s1 = base_q + w * (n + 3.0 * data.trace_phi_b + 4.0 * r - 7.0)
-    res["S1"] = abs(two_tau - rhs_s1)
+    res["S1"] = np.abs(two_tau - rhs_s1)
 
     uv, xv = calc.frame.vert_values, calc.frame.horiz_values
     r4 = calc.curvature.r4
 
     def traces(a, b):
-        # [i, j]: R(a_i, b_j, b_j, a_i)
-        return pair_r4(r4, a[:, None], b, b, a[:, None])
+        # [p, i, j]: R(a_i, b_j, b_j, a_i)
+        return _ambient(calc, r4, a[:, :, None], b[:, None], b[:, None], a[:, :, None])
 
     # running sum over the blocks UU, XU, XX and then UX in (X, U) order
-    tables = (traces(uv, uv), traces(xv, uv), traces(xv, xv), traces(uv, xv).T)
-    four_block = float(running_sum(np.concatenate([t.ravel() for t in tables])))
-    res["S2"] = abs(four_block - two_tau)
+    tables = (traces(uv, uv), traces(xv, uv), traces(xv, xv), traces(uv, xv))
+    tables = tables[:3] + (np.swapaxes(tables[3], 1, 2),)
+    four_block = point_sums(np.concatenate([t.reshape(len(t), -1) for t in tables], axis=1))
+    res["S2"] = np.abs(four_block - two_tau)
 
     rhs_s3 = (
         2.0 * tau_hat
@@ -188,38 +227,39 @@ def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
         - 2.0 * data.norm_tv_sq
         + 2.0 * data.norm_ah_sq
     )
-    res["S3"] = abs(two_tau - rhs_s3)
+    res["S3"] = np.abs(two_tau - rhs_s3)
 
     # exchange formulas against the closed-form ambient curvature, on all
-    # frame 4-tuples of each block, tables indexed [a, b, c, d]
+    # frame 4-tuples of each block, tables indexed [p, a, b, c, d]
     r4_closed = calc.closed_curvature
     tu, ax = data.t_uu, data.a_xx
-    corr = -calc.pairings(tu[:, None, None, :], tu[None, :, :, None]) + calc.pairings(
-        tu[None, :, None, :], tu[:, None, :, None]
+    corr = -calc.pairings(tu[:, :, None, None, :], tu[:, None, :, :, None]) + calc.pairings(
+        tu[:, None, :, None, :], tu[:, :, None, :, None]
     )
-    via_ad = _frame_table(r4, uv, uv, uv, uv) + corr
-    via_closed = _frame_table(r4_closed, uv, uv, uv, uv) + corr
-    res["R1"] = max_residual(np.abs(via_ad - via_closed))
+    via_ad = _frame_table(calc, r4, uv, uv, uv, uv) + corr
+    via_closed = _frame_table(calc, r4_closed, uv, uv, uv, uv) + corr
+    res["R1"] = point_maxima(np.abs(via_ad - via_closed))
     corr = (
-        2.0 * calc.pairings(ax[:, :, None, None], ax)
-        - calc.pairings(ax[None, :, :, None], ax[:, None, None, :])
-        + calc.pairings(ax[:, None, :, None], ax[None, :, None, :])
+        2.0 * calc.pairings(ax[:, :, :, None, None], ax[:, None, None])
+        - calc.pairings(ax[:, None, :, :, None], ax[:, :, None, None, :])
+        + calc.pairings(ax[:, :, None, :, None], ax[:, None, :, None, :])
     )
-    via_ad = _frame_table(r4, xv, xv, xv, xv) + corr
-    via_closed = _frame_table(r4_closed, xv, xv, xv, xv) + corr
-    res["R2"] = max_residual(np.abs(via_ad - via_closed))
+    via_ad = _frame_table(calc, r4, xv, xv, xv, xv) + corr
+    via_closed = _frame_table(calc, r4_closed, xv, xv, xv, xv) + corr
+    res["R2"] = point_maxima(np.abs(via_ad - via_closed))
     res["gauss3"] = mixed_gauss_residual(calc)
     return res
 
 
 def analyze_point(sub: SubmersionModel, state: SpaceFormData) -> PointAnalysis:
-    """The analysis of one point; ``state`` as for ``PointCalculus``."""
+    """The analysis of the block of points of ``state``, the total space's
+    data on the block, as for ``PointCalculus``."""
     calc = PointCalculus(sub, state)
     data = tensors_from_calculus(calc)
     two_tau = scalar_curvature(calc.curvature)
     hat, star = _hat_star_tables(calc)
-    tau_hat = float(np.sum(np.triu(hat, k=1)))
-    tau_star = float(np.sum(np.triu(star, k=1)))
+    tau_hat = np.sum(np.triu(hat, k=1), axis=(1, 2))
+    tau_star = np.sum(np.triu(star, k=1), axis=(1, 2))
     delta_n = calc.delta_n()
     residuals = _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n)
     return PointAnalysis(calc, data, tau_hat, tau_star, delta_n, residuals)

@@ -507,19 +507,21 @@ class ArrayJet:
         return f"ArrayJet(shape={self.shape}, dim={self.dim}, order={self.order})"
 
 
-def stack(jets) -> ArrayJet:
+def stack(jets, axis: int = 0) -> ArrayJet:
     """One ArrayJet from a sequence of ArrayJets of one shape and dimension;
-    the sequence becomes a new leading batch axis. The result is order 2
-    only if every element is."""
+    the sequence becomes the new batch axis ``axis`` (>= 0). The result is
+    order 2 only if every element is."""
     if not jets:
         raise RejectedInputError("stack needs at least one jet")
     if any(j.dim != jets[0].dim for j in jets):
         raise RejectedInputError("jet dimension mismatch in stack")
     hess = None
     if all(j.hessian is not None for j in jets):
-        hess = np.stack([j.hessian for j in jets])
+        hess = np.stack([j.hessian for j in jets], axis=axis)
     return ArrayJet(
-        np.stack([j.value for j in jets]), np.stack([j.gradient for j in jets]), hess
+        np.stack([j.value for j in jets], axis=axis),
+        np.stack([j.gradient for j in jets], axis=axis),
+        hess,
     )
 
 

@@ -62,6 +62,34 @@ def max_residual(values, start: float = 0.0) -> float:
     return float(np.max(np.asarray(values, dtype=float), initial=start))
 
 
+def point_maxima(values) -> np.ndarray:
+    """``max_residual`` of each point's values, the point axis leading."""
+    values = np.asarray(values, dtype=float)
+    return np.max(values.reshape(len(values), -1), axis=1, initial=0.0)
+
+
+def point_sums(values) -> np.ndarray:
+    """``running_sum`` of each point's values in row-major order, the point
+    axis leading."""
+    values = np.asarray(values, dtype=float)
+    return running_sum(values.reshape(len(values), -1).T)
+
+
+def lift(a, ndim: int) -> np.ndarray:
+    """A block's array, point axis first, with unit axes after that axis up
+    to ``ndim`` axes, so that it broadcasts against operands of ``ndim``
+    axes that lead with the same point axis."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
+
+
+def float_squares(values) -> np.ndarray:
+    """Squares as Python floats take them: a float's ``**`` is the C
+    library's pow, which rounds some squares differently from numpy's
+    ``e**2`` and ``np.square`` (both ``e * e``)."""
+    values = np.asarray(values, dtype=float)
+    return np.array([e**2 for e in values.ravel().tolist()]).reshape(values.shape)
+
+
 def running_sum(values) -> np.ndarray:
     """Sum over the leading axis, added term by term from 0.0 in index
     order, where ``np.sum`` would add pairwise: the last row of
@@ -234,22 +262,25 @@ def curvature_from_connection(conn: ConnectionData) -> CurvatureData:
 
 
 def ricci_from_curvature(curv: CurvatureData) -> np.ndarray:
-    """Ric_jk = R^a_{ajk}; convention Ric(Y, Z) = sum_a R(e_a, Y, Z, e_a)."""
-    return np.einsum("aajk->jk", curv.r13)
+    """Ric_jk = R^a_{ajk}; convention Ric(Y, Z) = sum_a R(e_a, Y, Z, e_a).
+    A block gives one table per point."""
+    return np.einsum("...aajk->...jk", curv.r13)
 
 
-def scalar_curvature(curv: CurvatureData) -> float:
-    """Coordinate-trace scalar curvature g^{jk} Ric_jk."""
-    return float(np.einsum("jk,jk->", curv.metric.inverse, ricci_from_curvature(curv)))
+def scalar_curvature(curv: CurvatureData) -> np.ndarray:
+    """Coordinate-trace scalar curvature g^{jk} Ric_jk, one value per point
+    of a block."""
+    return np.einsum("...jk,...jk->...", curv.metric.inverse, ricci_from_curvature(curv))
 
 
 def pair_r4(r4: np.ndarray, x, y, z, w):
     """R(X, Y, Z, W) from a curvature in the slots of ``CurvatureData.r4``,
     for chart component vectors of shape ``(..., d)`` broadcast against each
     other: one value per broadcast index, a scalar for four single vectors.
+    A block's curvature, point axis first, is ``lift``-ed to the vectors.
 
     The broadcast axes stay outside the sum over the four slots, so each
     value is summed in the same order as for single vectors: a table of
     frame 4-tuples equals its entries taken one tuple at a time, bit for
     bit."""
-    return np.einsum("ijkl,...i,...j,...k,...l->...", r4, x, y, z, w)
+    return np.einsum("...ijkl,...i,...j,...k,...l->...", r4, x, y, z, w)

@@ -23,9 +23,9 @@ runs on plain numpy arrays.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,10 +41,13 @@ from .expressions import block, compile_guard, compile_vector
 from .jets import ArrayJet, concat, seed_block, stack, sum_terms
 from .riemannian import (
     ManifoldModel,
+    PointAxis,
     VectorField,
-    max_residual,
+    lift,
     metric_jets,
     model_jets,
+    point_maxima,
+    point_sums,
     running_sum,
 )
 
@@ -89,8 +92,8 @@ class SubmersionModel:
 
 
 @dataclass(frozen=True)
-class SubmersionCheck:
-    """Pointwise submersion diagnostics.
+class SubmersionCheck(PointAxis):
+    """Submersion diagnostics on a block of points, one value per point.
 
     ``kernel_residual``: how far the declared vertical fields are from the
     projection kernel.  ``length_residual``: deviation of the pushed-forward
@@ -98,107 +101,124 @@ class SubmersionCheck:
     whether the declared target metric is positive definite at the image.
     """
 
-    kernel_residual: float
-    length_residual: float
-    base_pd: bool
+    kernel_residual: np.ndarray
+    length_residual: np.ndarray
+    base_pd: np.ndarray
 
 
 def verify_riemannian_submersion(calc: PointCalculus) -> SubmersionCheck:
-    """Kernel, length, and base-metric diagnostics at the point of
-    ``calc``, on its adapted frame, from the projection's value and its
-    Jacobian ``jac[b, k] = d proj_b / d coord_k``."""
+    """Kernel, length, and base-metric diagnostics on the block of ``calc``,
+    on its adapted frames, from the projection's values and Jacobians
+    ``jac[p, b, k] = d proj_b / d coord_k``. The projection and the base
+    metric run once for the block."""
     sub, frame = calc.sub, calc.frame
-    proj = model_jets(sub.projection, seed_block(calc.point[None], order=1))[0]
+    proj = model_jets(sub.projection, seed_block(calc.point, order=1))
     base_point, jac = proj.value, proj.gradient
-    kernel_residual = float(np.max(np.abs(jac @ frame.vert_values.T)))
-    gb = metric_jets(sub.base, base_point[None], order=1).value[0]
-    push = jac @ frame.horiz_values.T  # columns are the pushed frame vectors
-    gram = push.T @ gb @ push
-    length_residual = float(np.max(np.abs(gram - np.eye(frame.n))))
-    base_pd = bool(np.linalg.eigvalsh(gb)[0] > 1e-12)
+    kernel = point_maxima(np.abs(jac @ np.swapaxes(frame.vert_values, 1, 2)))
+    gb = metric_jets(sub.base, base_point, order=1).value
+    push = jac @ np.swapaxes(frame.horiz_values, 1, 2)  # columns: the pushed frame
+    gram = np.swapaxes(push, 1, 2) @ gb @ push
     return SubmersionCheck(
-        kernel_residual=kernel_residual,
-        length_residual=length_residual,
-        base_pd=base_pd,
+        kernel_residual=kernel,
+        length_residual=point_maxima(np.abs(gram - np.eye(frame.n))),
+        base_pd=np.linalg.eigvalsh(gb)[:, 0] > 1e-12,
     )
+
+
+# The jet helpers below run on a block: every operand leads with the point
+# axis, and the metric and connection jets gain unit axes after it.
 
 
 def _pair(g: ArrayJet, x: ArrayJet, y: ArrayJet) -> ArrayJet:
     """Metric pairing of x and y over their last batch axis: the terms
     (g_ij x_i) y_j summed in row-major (i, j) order."""
+    g = g[(slice(None),) + (None,) * (len(x.shape) - 2)]
     return sum_terms((g * x[..., :, None]) * y[..., None, :], axes=(-2, -1))
 
 
 def _project(w: ArrayJet, block: ArrayJet, g: ArrayJet) -> ArrayJet:
-    """Orthogonal projection of each field w[b] onto the span of the
-    orthonormal fields block[q]: the terms g(w_b, e_q) e_q summed over q."""
-    coeff = _pair(g, w[:, None], block[None, :])
-    return sum_terms(coeff[:, :, None] * block[None], axes=(1,))
+    """Orthogonal projection of each field w[p, b] onto the span of the
+    orthonormal fields block[p, q]: the terms g(w_b, e_q) e_q summed over q."""
+    coeff = _pair(g, w[:, :, None], block[:, None, :])
+    return sum_terms(coeff[..., None] * block[:, None], axes=(2,))
 
 
 def _cov(x: ArrayJet, y: ArrayJet, gamma: ArrayJet) -> ArrayJet:
-    """Components of the covariant derivative of each field y[b] along x[b]:
-    the terms x_i d_i y_k, then Gamma^k_ij x_i y_j in row-major (i, j)
-    order. ``y`` must be order 2; the result is order 1."""
-    acc = sum_terms(x[:, None, :] * y.partials(), axes=(-1,))
-    terms = gamma * (x[:, :, None] * y[:, None, :])[:, None]
+    """Components of the covariant derivative of each field y[p, b] along
+    x[p, b]: the terms x_i d_i y_k, then Gamma^k_ij x_i y_j in row-major
+    (i, j) order. ``y`` must be order 2; the result is order 1."""
+    acc = sum_terms(x[..., None, :] * y.partials(), axes=(-1,))
+    terms = gamma[:, None] * (x[..., :, None] * y[..., None, :])[:, :, None]
     return sum_terms(terms, axes=(-2, -1), start=acc)
 
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Orthonormal frame as second-order jet fields, vertical block first."""
+    """Orthonormal frames as second-order jet fields, vertical block first,
+    on a block of points; ``frame[k]`` is the frame of point k."""
 
-    jets: ArrayJet  # (r + n, dim): row a holds the components of frame field a
+    jets: ArrayJet  # (p, r + n, dim): row a holds the components of frame field a
     r: int
-    vert_values: np.ndarray  # (r, dim)
-    horiz_values: np.ndarray  # (n, dim)
+    vert_values: np.ndarray  # (p, r, dim)
+    horiz_values: np.ndarray  # (p, n, dim)
 
     @property
     def n(self) -> int:
-        return self.jets.shape[0] - self.r
+        return self.jets.shape[-2] - self.r
+
+    def __getitem__(self, k) -> AdaptedFrame:
+        return AdaptedFrame(self.jets[k], self.r, self.vert_values[k], self.horiz_values[k])
 
 
 def adapted_frame_at(sub: SubmersionModel, state: SpaceFormData) -> AdaptedFrame:
-    """Gram-Schmidt over the declared fields, vertical block first, at the
-    point of ``state``, a point's slice of the total space's block data.
+    """Gram-Schmidt over the declared fields, vertical block first, on the
+    block of points of ``state``, the total space's block data.
 
     The arithmetic runs on coordinate jets, so the resulting frame is a
-    differentiable field in a neighborhood of the point; later fields are
+    differentiable field in a neighborhood of each point; later fields are
     orthogonalized against everything before them, which keeps a Reeb field
     declared last in its block fixed whenever the earlier fields are already
     orthogonal to it. The metric jets are those of the state's connection.
+    A point whose fields are dependent raises, the first in sample order,
+    once the block's frames are done.
     """
     metric = state.conn.metric
     g = ArrayJet(metric.value, metric.d1, metric.d2)
     fields = sub.vertical_fields + sub.horizontal_fields
-    raw = model_jets([f.components for f in fields], seed_block(state.points[None]))[0]
+    raw = model_jets([f.components for f in fields], seed_block(state.points))
+    dependent = np.zeros(len(state.points), dtype=bool)
     units = []
     for k in range(len(fields)):
-        v = raw[k]
+        v = raw[:, k]
         for e in units:
-            v = v - _pair(g, v, e) * e
+            v = v - _pair(g, v, e)[:, None] * e
         nsq = _pair(g, v, v)
-        if nsq.value < _GS_PIVOT_SQ:
-            raise DegenerateFrameError(
-                f"declared fields of {sub.name!r} are dependent at "
-                f"{state.points.tolist()}"
-            )
-        units.append((1.0 / nsq.sqrt()) * v)
-    jets = stack(units)
+        # a dependent point goes on with a unit norm, so that the others
+        # keep their frames
+        short = nsq.value < _GS_PIVOT_SQ
+        dependent |= short
+        if short.any():
+            nsq = ArrayJet(np.where(short, 1.0, nsq.value), nsq.gradient, nsq.hessian)
+        units.append((1.0 / nsq.sqrt())[:, None] * v)
+    if dependent.any():
+        raise DegenerateFrameError(
+            f"declared fields of {sub.name!r} are dependent at "
+            f"{state.points[np.argmax(dependent)].tolist()}"
+        )
+    jets = stack(units, axis=1)
     r = len(sub.vertical_fields)
     return AdaptedFrame(
         jets=jets,
         r=r,
-        vert_values=np.array(jets.value[:r]),
-        horiz_values=np.array(jets.value[r:]),
+        vert_values=np.array(jets.value[:, :r]),
+        horiz_values=np.array(jets.value[:, r:]),
     )
 
 
 def _exchange_jets(frame: AdaptedFrame, g: ArrayJet, gamma: ArrayJet):
     """Order-1 jets of the vertical-block tensor T on all vertical frame
-    pairs, shaped (r, r, dim), and of the horizontal-block tensor A on all
-    horizontal frame pairs, shaped (n, n, dim).
+    pairs, shaped (p, r, r, dim), and of the horizontal-block tensor A on
+    all horizontal frame pairs, shaped (p, n, n, dim).
 
     With V and H the projections onto the two blocks, T(U_k, U_l) is
     H(cov(V U_k, V U_l)) + V(cov(V U_k, H U_l)) and A(X_i, X_j) is
@@ -208,33 +228,43 @@ def _exchange_jets(frame: AdaptedFrame, g: ArrayJet, gamma: ArrayJet):
     derivatives of all pairs run as one batch.
     """
     f, r = frame.jets, frame.r
-    m = f.shape[0]
-    vert = _project(f, f[:r], g)
-    horiz = _project(f[r:], f[r:], g)
-    x = concat([vert[:r], horiz]).first_order()
-    slots = [(p, q) for p in range(r) for q in range(r)]
-    slots += [(p, q) for p in range(r, m) for q in range(r, m)]
-    first = [p for p, _ in slots]
-    second = [q for _, q in slots]
-    xs = x[first]
-    w = _cov(concat([xs, xs]), concat([vert[second], (f - vert)[second]]), gamma)
+    p, m = f.shape[:2]
+    vert = _project(f, f[:, :r], g)
+    horiz = _project(f[:, r:], f[:, r:], g)
+    x = concat([vert[:, :r], horiz], axis=1).first_order()
+    slots = [(a, b) for a in range(r) for b in range(r)]
+    slots += [(a, b) for a in range(r, m) for b in range(r, m)]
+    first = [a for a, _ in slots]
+    second = [b for _, b in slots]
+    xs = x[:, first]
+    w = _cov(
+        concat([xs, xs], axis=1),
+        concat([vert[:, second], (f - vert)[:, second]], axis=1),
+        gamma,
+    )
     half = len(slots)
-    fields = _project(w[:half], f[r:], g) + _project(w[half:], f[:r], g)
+    fields = _project(w[:, :half], f[:, r:], g) + _project(w[:, half:], f[:, :r], g)
     n = m - r
-    return fields[: r * r].reshape((r, r, m)), fields[r * r :].reshape((n, n, m))
+    return (
+        fields[:, : r * r].reshape((p, r, r, m)),
+        fields[:, r * r :].reshape((p, n, n, m)),
+    )
 
 
 class PointCalculus:
-    """Per-point state shared by the tensor and curvature layers.
+    """Per-point state shared by the tensor and curvature layers, on a block
+    of points, the point axis leading.
 
     Holds the connection and curvature of the total space (both the jet
     curvature and the space-form closed form), the contact data, the adapted
-    frame as order-2 jet fields, and the exchange jets of the fundamental
-    tensors from which their covariant derivatives come.
+    frames as order-2 jet fields, the fundamental tensors on frame pairs,
+    and their exchange jets, from which their covariant derivatives come.
 
-    ``state`` is the point's slice of the total space's data, evaluated on
-    the block of sample points the point belongs to; ``state.points`` is
-    the point.
+    ``state`` is the total space's data on the block; ``state.points`` are
+    its points. ``calc[k]`` is the view of point k: the same record on the
+    point's slices, which the theorem scans consume. The methods take
+    vectors ``(..., dim)`` on a view; on a block, every vector argument
+    leads with the point axis and has as many axes as the others.
     """
 
     def __init__(self, sub: SubmersionModel, state: SpaceFormData):
@@ -251,23 +281,46 @@ class PointCalculus:
         self.phi_values = state.contact.phi
         self.eta_values = state.contact.eta
         self.xi_values = state.contact.xi
+        # row a pairs a vector with frame field a: its frame coefficients
+        self._decomp = np.array(self.frame.jets.value, dtype=float) @ self.conn.metric.value
+        self._tensor_tables = self._frame_tables()
+        m, conn = self.conn.metric, self.conn
+        # jets of T on vertical frame pairs and of A on horizontal frame
+        # pairs, shared by every derivative evaluation
+        self._exchange_fields = _exchange_jets(
+            self.frame, ArrayJet(m.value, m.d1, m.d2), ArrayJet(conn.gamma, conn.dgamma)
+        )
+
+    def __getitem__(self, k) -> PointCalculus:
+        view = copy.copy(self)
+        for name, value in vars(self).items():
+            if name not in ("sub", "r", "n"):
+                sliced = tuple(v[k] for v in value) if isinstance(value, tuple) else value[k]
+                setattr(view, name, sliced)
+        return view
+
+    def per_point(self, a, ndim: int) -> np.ndarray:
+        # a block's array, lifted to operands of ``ndim`` axes; a view's as is
+        return a if self.point.ndim == 1 else lift(a, ndim)
 
     # ---- pairings and projections ----
     #
-    # Vectors have shape (..., dim) and broadcast against each other. Every
-    # product is a stack of the matrix-vector or vector-vector products of
-    # one vector (matmul with a length-1 core axis: gemv or dot, never
-    # gemm), so a batch equals its vectors taken one at a time, bit for bit.
+    # Vectors broadcast against each other. Every product is a stack of the
+    # matrix-vector or vector-vector products of one vector (matmul with a
+    # length-1 core axis: gemv or dot, never gemm), so a batch equals its
+    # vectors taken one at a time, and a block its points, bit for bit.
 
     def pairings(self, xs, ys) -> np.ndarray:
         """g(x, y) as (x @ g) @ y, one value per broadcast index."""
         xs = np.asarray(xs, dtype=float)[..., None, :]
         ys = np.asarray(ys, dtype=float)[..., :, None]
-        return ((xs @ self.conn.metric.value) @ ys)[..., 0, 0]
+        return ((xs @ self.per_point(self.conn.metric.value, xs.ndim)) @ ys)[..., 0, 0]
 
     def _project(self, ws, rows: np.ndarray) -> np.ndarray:
         # coefficients rows @ (g @ w), then coefficients @ rows
-        gw = self.conn.metric.value @ np.asarray(ws, dtype=float)[..., None]
+        gw = np.asarray(ws, dtype=float)[..., None]
+        gw = self.per_point(self.conn.metric.value, gw.ndim) @ gw
+        rows = self.per_point(rows, gw.ndim)
         return (np.swapaxes(rows @ gw, -1, -2) @ rows)[..., 0, :]
 
     def v_project_values(self, ws) -> np.ndarray:
@@ -278,11 +331,14 @@ class PointCalculus:
 
     def phi_of(self, ws) -> np.ndarray:
         """phi w, one matrix-vector product per vector."""
-        return (self.phi_values @ np.asarray(ws, dtype=float)[..., None])[..., 0]
+        ws = np.asarray(ws, dtype=float)[..., None]
+        return (self.per_point(self.phi_values, ws.ndim) @ ws)[..., 0]
 
     def eta_of(self, ws) -> np.ndarray:
         """eta(w), one dot product per vector."""
-        return (self.eta_values @ np.asarray(ws, dtype=float)[..., None])[..., 0]
+        ws = np.asarray(ws, dtype=float)[..., None]
+        eta = self.per_point(self.eta_values[..., None, :], ws.ndim)
+        return (eta @ ws)[..., 0, 0]
 
     # ---- covariant derivatives ----
 
@@ -291,44 +347,41 @@ class PointCalculus:
         (..., dim), gradient (..., dim, dim)) along the vectors ``x``
         (..., dim), broadcast against each other."""
         xv = np.asarray(x, dtype=float)
+        gamma = self.per_point(self.conn.gamma, xv.ndim + 2)
         return (np.asarray(y.gradient) @ xv[..., None])[..., 0] + np.einsum(
-            "kij,...i,...j->...k", self.conn.gamma, xv, np.asarray(y.value)
+            "...kij,...i,...j->...k", gamma, xv, np.asarray(y.value)
         )
 
     # ---- fundamental tensors ----
 
-    @cached_property
-    def _tensor_tables(self):
-        """Values of both fundamental tensors on all frame pairs.
+    def _frame_tables(self):
+        """Values of both fundamental tensors on all frame pairs of the block.
 
         Both tensors are pointwise bilinear, so evaluation on arbitrary
         vectors reduces to one covariant derivative per frame pair plus
-        projections; the jets of ``_exchange_fields`` are only needed where
-        first derivatives matter."""
-        r, d = self.r, len(self.point)
-        jets = self.frame.jets
-        nab = self.cov_point(jets.value[:, None], jets)  # [i, j]: cov of E_j along E_i
-        t_tab = np.zeros((d, d, d))
-        a_tab = np.zeros((d, d, d))
-        t_tab[:r, :r] = self.h_project_values(nab[:r, :r])
-        t_tab[:r, r:] = self.v_project_values(nab[:r, r:])
-        a_tab[r:, r:] = self.v_project_values(nab[r:, r:])
-        a_tab[r:, :r] = self.h_project_values(nab[r:, :r])
+        projections; the exchange jets are only needed where first
+        derivatives matter."""
+        r, (p, d) = self.r, self.point.shape
+        values = np.asarray(self.frame.jets.value)
+        # [p, i, j]: cov of E_j along E_i
+        nab = self.cov_point(values[:, :, None], self.frame.jets[:, None])
+        t_tab = np.zeros((p, d, d, d))
+        a_tab = np.zeros((p, d, d, d))
+        t_tab[:, :r, :r] = self.h_project_values(nab[:, :r, :r])
+        t_tab[:, :r, r:] = self.v_project_values(nab[:, :r, r:])
+        a_tab[:, r:, r:] = self.v_project_values(nab[:, r:, r:])
+        a_tab[:, r:, :r] = self.h_project_values(nab[:, r:, :r])
         return t_tab, a_tab
 
-    @cached_property
-    def _decomp(self) -> np.ndarray:
-        # row a pairs a vector with frame field a: its frame coefficients
-        return np.array(self.frame.jets.value, dtype=float) @ self.conn.metric.value
-
     def _frame_coeffs(self, ws) -> np.ndarray:
-        return (self._decomp @ np.asarray(ws, dtype=float)[..., None])[..., 0]
+        ws = np.asarray(ws, dtype=float)[..., None]
+        return (self.per_point(self._decomp, ws.ndim) @ ws)[..., 0]
 
     def _bilinear(self, table, es, fs) -> np.ndarray:
         # the broadcast axes stay outside the sum over frame pairs
-        return np.einsum(
-            "...i,...j,ijk->...k", self._frame_coeffs(es), self._frame_coeffs(fs), table
-        )
+        ce, cf = self._frame_coeffs(es), self._frame_coeffs(fs)
+        table = self.per_point(table, ce.ndim + 2)
+        return np.einsum("...i,...j,...ijk->...k", ce, cf, table)
 
     def t_point(self, e, f) -> np.ndarray:
         """T(e, f) for vectors of shape (..., dim), broadcast against each other."""
@@ -338,14 +391,9 @@ class PointCalculus:
         """A(e, f), same conventions as ``t_point``."""
         return self._bilinear(self._tensor_tables[1], e, f)
 
-    @cached_property
-    def _exchange_fields(self):
-        """Jets of T on vertical frame pairs and of A on horizontal frame
-        pairs, computed once and shared by every derivative evaluation."""
-        m, conn = self.conn.metric, self.conn
-        return _exchange_jets(
-            self.frame, ArrayJet(m.value, m.d1, m.d2), ArrayJet(conn.gamma, conn.dgamma)
-        )
+    def _frame_jets(self, fields, *index) -> ArrayJet:
+        # entries of a block's per-point jets, the point axis kept
+        return fields[(slice(None),) * (self.point.ndim - 1) + index]
 
     def nabla_t_frame(self, e_values, k, l) -> np.ndarray:
         """(nabla_e T)(U_k, U_l): d/de of T(U_k, U_l) minus the two slot
@@ -354,83 +402,82 @@ class PointCalculus:
         arrays) broadcast against each other."""
         t_fields, _ = self._exchange_fields
         jets, uv = self.frame.jets, self.frame.vert_values
-        main = self.cov_point(e_values, t_fields[k, l])
-        c1 = self.t_point(self.cov_point(e_values, jets[k]), uv[l])
-        c2 = self.t_point(uv[k], self.cov_point(e_values, jets[l]))
+        at = self._frame_jets
+        main = self.cov_point(e_values, at(t_fields, k, l))
+        c1 = self.t_point(self.cov_point(e_values, at(jets, k)), at(uv, l))
+        c2 = self.t_point(at(uv, k), self.cov_point(e_values, at(jets, l)))
         return main - c1 - c2
 
     def nabla_a_frame(self, e_values, i, j) -> np.ndarray:
         """(nabla_e A)(X_i, X_j), same conventions."""
         _, a_fields = self._exchange_fields
         jets, xv, r = self.frame.jets, self.frame.horiz_values, self.r
-        main = self.cov_point(e_values, a_fields[i, j])
-        c1 = self.a_point(self.cov_point(e_values, jets[r + i]), xv[j])
-        c2 = self.a_point(xv[i], self.cov_point(e_values, jets[r + j]))
+        at = self._frame_jets
+        main = self.cov_point(e_values, at(a_fields, i, j))
+        c1 = self.a_point(self.cov_point(e_values, at(jets, r + i)), at(xv, j))
+        c2 = self.a_point(at(xv, i), self.cov_point(e_values, at(jets, r + j)))
         return main - c1 - c2
 
-    def delta_n(self) -> float:
+    def delta_n(self) -> np.ndarray:
         """Divergence-type trace: sum over the horizontal frame of the
-        pairing of (nabla_X T)(U, U) with X, summed over the vertical frame."""
-        xv = self.frame.horiz_values[:, None]
-        ks = np.arange(self.r)
+        pairing of (nabla_X T)(U, U) with X, summed over the vertical frame;
+        one value per point of a block."""
+        xv = self.frame.horiz_values[..., :, None, :]
+        ks = np.arange(self.r)[None, :]
         terms = self.pairings(self.nabla_t_frame(xv, ks, ks), xv)
-        return float(running_sum(terms.ravel()))
+        return running_sum(np.moveaxis(terms.reshape(terms.shape[:-2] + (-1,)), -1, 0))
 
 
 @dataclass(frozen=True)
-class OneillData:
-    """Frame components of the fundamental tensors and derived norms."""
+class OneillData(PointAxis):
+    """Frame components of the fundamental tensors and derived norms on a
+    block of points, the point axis ``p`` leading."""
 
-    t_coeff: np.ndarray  # (r, r, n): component of T(U_a, U_b) along X_s
-    a_coeff: np.ndarray  # (n, n, r): component of A(X_s, X_t) along U_a
-    t_uu: np.ndarray  # (r, r, dim): chart components of T(U_a, U_b)
-    a_xx: np.ndarray  # (n, n, dim): chart components of A(X_s, X_t)
-    sum_t_sq: float
-    sum_a_sq: float
-    norm_tv_sq: float  # mixed-slot norm of the vertical-block tensor
-    norm_ah_sq: float  # mixed-slot norm of the horizontal-block tensor
+    t_coeff: np.ndarray  # (p, r, r, n): component of T(U_a, U_b) along X_s
+    a_coeff: np.ndarray  # (p, n, n, r): component of A(X_s, X_t) along U_a
+    t_uu: np.ndarray  # (p, r, r, dim): chart components of T(U_a, U_b)
+    a_xx: np.ndarray  # (p, n, n, dim): chart components of A(X_s, X_t)
+    sum_t_sq: np.ndarray  # (p,), as the norms below
+    sum_a_sq: np.ndarray
+    norm_tv_sq: np.ndarray  # mixed-slot norm of the vertical-block tensor
+    norm_ah_sq: np.ndarray  # mixed-slot norm of the horizontal-block tensor
     n_vec: np.ndarray  # trace of the vertical-block tensor over the fiber
     h_vec: np.ndarray  # mean curvature vector of the fibers (n_vec / r)
-    n_norm_sq: float
-    trace_phi_b: float
+    n_norm_sq: np.ndarray
+    trace_phi_b: np.ndarray
 
 
 def tensors_from_calculus(calc: PointCalculus) -> OneillData:
     r = calc.r
     uvals, xvals = calc.frame.vert_values, calc.frame.horiz_values
-    t_uu = calc.t_point(uvals[:, None], uvals)
-    t_coeff = calc.pairings(t_uu[:, :, None], xvals)
-    a_xx = calc.a_point(xvals[:, None], xvals)
-    a_coeff = calc.pairings(a_xx[:, :, None], uvals)
-    t_ux = calc.t_point(uvals[:, None], xvals)
-    norm_tv_sq = running_sum(calc.pairings(t_ux, t_ux).ravel())
-    a_xu = calc.a_point(xvals[:, None], uvals)
-    norm_ah_sq = running_sum(calc.pairings(a_xu, a_xu).ravel())
+    t_uu = calc.t_point(uvals[:, :, None], uvals[:, None])
+    t_coeff = calc.pairings(t_uu[:, :, :, None], xvals[:, None, None])
+    a_xx = calc.a_point(xvals[:, :, None], xvals[:, None])
+    a_coeff = calc.pairings(a_xx[:, :, :, None], uvals[:, None, None])
+    t_ux = calc.t_point(uvals[:, :, None], xvals[:, None])
+    a_xu = calc.a_point(xvals[:, :, None], uvals[:, None])
     ks = np.arange(r)
-    n_vec = running_sum(t_uu[ks, ks])
-    h_vec = n_vec / r
-    phix = calc.phi_of(xvals)
-    b_part = calc.v_project_values(phix)
-    trace_phi_b = running_sum(calc.pairings(calc.phi_of(b_part), xvals))
+    n_vec = running_sum(np.moveaxis(t_uu[:, ks, ks], 1, 0))
+    b_part = calc.v_project_values(calc.phi_of(xvals))
     return OneillData(
         t_coeff=t_coeff,
         a_coeff=a_coeff,
         t_uu=t_uu,
         a_xx=a_xx,
-        sum_t_sq=float(np.sum(t_coeff**2)),
-        sum_a_sq=float(np.sum(a_coeff**2)),
-        norm_tv_sq=float(norm_tv_sq),
-        norm_ah_sq=float(norm_ah_sq),
+        sum_t_sq=np.sum(t_coeff**2, axis=(1, 2, 3)),
+        sum_a_sq=np.sum(a_coeff**2, axis=(1, 2, 3)),
+        norm_tv_sq=point_sums(calc.pairings(t_ux, t_ux)),
+        norm_ah_sq=point_sums(calc.pairings(a_xu, a_xu)),
         n_vec=n_vec,
-        h_vec=h_vec,
-        n_norm_sq=float(calc.pairings(n_vec, n_vec)),
-        trace_phi_b=float(trace_phi_b),
+        h_vec=n_vec / r,
+        n_norm_sq=calc.pairings(n_vec, n_vec),
+        trace_phi_b=point_sums(calc.pairings(calc.phi_of(b_part), xvals)),
     )
 
 
 def verify_structure_lemmas(calc: PointCalculus, data: OneillData) -> dict:
-    """Pointwise residuals of the structural identities of the split, from
-    the point's ``PointCalculus`` and the tensor data built on it.
+    """Residuals of the structural identities of the split on the block of
+    ``calc`` and the tensor data built on it, one value per point.
 
     ``t_symmetry``: the vertical-block tensor is symmetric on fiber pairs.
     ``a_alternation``: the horizontal-block tensor alternates on horizontal
@@ -441,32 +488,32 @@ def verify_structure_lemmas(calc: PointCalculus, data: OneillData) -> dict:
     correction.
     """
     uvals, xvals = calc.frame.vert_values, calc.frame.horiz_values
-    res = {}
-    res["t_symmetry"] = float(
-        np.max(np.abs(data.t_coeff - np.swapaxes(data.t_coeff, 0, 1)))
-    )
-    res["a_alternation"] = float(
-        np.max(np.abs(data.a_coeff + np.swapaxes(data.a_coeff, 0, 1)))
-    )
+    res = {
+        "t_symmetry": point_maxima(np.abs(data.t_coeff - np.swapaxes(data.t_coeff, 1, 2))),
+        "a_alternation": point_maxima(
+            np.abs(data.a_coeff + np.swapaxes(data.a_coeff, 1, 2))
+        ),
+    }
     frame = np.asarray(calc.frame.jets.value, dtype=float)  # vertical block first
     for key, tensor in (("skew_t", calc.t_point), ("skew_a", calc.a_point)):
-        img = tensor(frame[:, None], frame)  # [e, f]
-        # [e, f, g]: g(P(e, f), g) + g(f, P(e, g))
-        skew = calc.pairings(img[:, :, None], frame) + calc.pairings(
-            frame[:, None], img[:, None, :]
+        img = tensor(frame[:, :, None], frame[:, None])  # [p, e, f]
+        # [p, e, f, g]: g(P(e, f), g) + g(f, P(e, g))
+        skew = calc.pairings(img[:, :, :, None], frame[:, None, None]) + calc.pairings(
+            frame[:, None, :, None], img[:, :, None, :]
         )
-        res[key] = max_residual(np.abs(skew))
+        res[key] = point_maxima(np.abs(skew))
     phi_u = calc.phi_of(uvals)
-    res["anti_invariance"] = max_residual(np.abs(calc.pairings(phi_u[:, None], uvals)))
+    res["anti_invariance"] = point_maxima(
+        np.abs(calc.pairings(phi_u[:, :, None], uvals[:, None]))
+    )
     phix = calc.phi_of(xvals)
     b_part = calc.v_project_values(phix)
     c_part = calc.h_project_values(phix)
     resid = calc.h_project_values(calc.phi_of(c_part)) + xvals
     if calc.sub.xi_case == "horizontal":
-        resid = resid - calc.eta_of(xvals)[:, None] * calc.xi_values
+        resid = resid - calc.eta_of(xvals)[..., None] * calc.xi_values[:, None]
     resid = resid + calc.phi_of(b_part)
-    c_sq = np.max(np.abs(resid), axis=1)
-    res["c_square"] = max_residual(c_sq)
+    res["c_square"] = point_maxima(np.abs(resid))
     return res
 
 
@@ -505,15 +552,16 @@ def load_custom_model(contents: bytes) -> SubmersionModel:
         if key not in data:
             raise RejectedInputError(f"model file is missing key {key!r}")
 
-    total = space_form_from_document(data)
+    memo = {}  # each distinct expression of the file compiled once per chart
+    total = space_form_from_document(data, memo)
     chart, dim = total.model.chart, total.model.dim
-    base = chart_model_from_document(data, "base_", str(data["name"]) + "-base")
-    projection = compile_vector(data["projection"], chart, "projection")
+    base = chart_model_from_document(data, "base_", str(data["name"]) + "-base", memo)
+    projection = compile_vector(data["projection"], chart, "projection", memo=memo)
 
     def field_block(key, prefix):
         return tuple(
             VectorField(
-                components=compile_vector(row, chart, f"{key} field {idx}", dim),
+                components=compile_vector(row, chart, f"{key} field {idx}", dim, memo),
                 name=f"{prefix}{idx + 1}",
             )
             for idx, row in enumerate(block(data[key], key))

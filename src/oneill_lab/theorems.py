@@ -15,6 +15,7 @@ id against a model with the other Reeb position is rejected.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import DegenerateFrameError, EmptySampleError, RejectedInputError
 from .invariants import PointAnalysis, ric_hat_probes, ric_star_probes
+from .riemannian import float_squares
 
 
 class _Theorem(NamedTuple):
@@ -109,13 +111,32 @@ def _rotated(frame: np.ndarray, i: int) -> np.ndarray:
     return frame[[i, *range(i), *range(i + 1, len(frame))]]
 
 
-def _unit_coeffs(rng, k: int) -> np.ndarray:
-    coeffs = rng.standard_normal(k)
-    norm = np.linalg.norm(coeffs)
-    while float(norm) < 1e-8:
-        coeffs = rng.standard_normal(k)
-        norm = np.linalg.norm(coeffs)
-    return coeffs / norm
+def _unit_coeffs(rng, k: int, sizes) -> list:
+    """k draws of a unit coefficient vector of each length in ``sizes``, one
+    array (k, size) per length, from one block of normals taken in draw
+    order: draws outer, ``sizes`` inner. A vector whose norm is below 1e-8
+    is drawn again from the normals after it, as one draw at a time would
+    do; the block's normals then feed those draws before the generator."""
+    flat = rng.standard_normal(k * sum(sizes))
+    coeffs = np.split(flat.reshape(k, -1), np.cumsum(sizes)[:-1], axis=1)
+    # np.linalg.norm's sqrt(c @ c), one dot product per row
+    norms = [np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0]) for c in coeffs]
+    if all(np.all(norm >= 1e-8) for norm in norms):
+        return [c / norm[:, None] for c, norm in zip(coeffs, norms)]
+    rest = iter(flat)
+
+    def draw(size):
+        head = list(itertools.islice(rest, size))
+        return np.concatenate([head, rng.standard_normal(size - len(head))])
+
+    drawn = [[] for _ in sizes]
+    for _ in range(k):
+        for out, size in zip(drawn, sizes):
+            c = draw(size)
+            while float(np.linalg.norm(c)) < 1e-8:
+                c = draw(size)
+            out.append(c / np.linalg.norm(c))
+    return [np.array(out) for out in drawn]
 
 
 def _random_probe_frames(calc, frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -179,17 +200,13 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, rng):
             np.array([_rotated(base_v, i) for i, _ in pairs]),
             np.array([_rotated(base_h, j) for _, j in pairs]),
         )
-    coeffs_v, coeffs_h = [], []
-    for _ in range(k):
-        if needs_v:
-            coeffs_v.append(_unit_coeffs(rng, base_v.shape[0]))
-        if needs_h:
-            coeffs_h.append(_unit_coeffs(rng, base_h.shape[0]))
+    blocks = ((base_v, needs_v), (base_h, needs_h))
+    coeffs = iter(_unit_coeffs(rng, k, [len(base) for base, needed in blocks if needed]))
     return tuple(
-        _random_probe_frames(calc, base, np.array(coeffs))
-        if coeffs
+        _random_probe_frames(calc, base, next(coeffs))
+        if needed
         else np.repeat(base[None], k, axis=0)
-        for base, coeffs in ((base_v, coeffs_v), (base_h, coeffs_h))
+        for base, needed in blocks
     )
 
 
@@ -221,10 +238,8 @@ def _c_norms_sq(calc, xs) -> np.ndarray:
 
 
 def _eta_squares(calc, vs) -> np.ndarray:
-    """eta(v)**2 for vectors ``vs`` (P, dim), squared as Python floats: a
-    float's ``**`` is the C library's pow, which rounds some squares
-    differently from numpy's e * e."""
-    return np.array([e**2 for e in calc.eta_of(vs).tolist()])
+    """eta(v)**2 for vectors ``vs`` (P, dim), squared as Python floats."""
+    return float_squares(calc.eta_of(vs))
 
 
 # With one vector in a block, the sums and maxima over the block's other

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from darboux import darboux_frame, phi_sectional
-from slices import point_state
+from slices import analysis_blocks, point_block, point_views
 from oneill_lab.cli import cli_parse, resolve_model, run
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
-from oneill_lab.invariants import analyze_point
 from oneill_lab.riemannian import metric_at, riemann_at
 from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
 from oneill_lab.submersion import (
@@ -77,8 +76,13 @@ def vx_points(vx_model):
 
 
 @pytest.fixture(scope="module")
-def vx_analyses(vx_model, vx_points):
-    return [analyze_point(vx_model, point_state(vx_model, pt)) for pt in vx_points]
+def vx_blocks(vx_model, vx_points):
+    return analysis_blocks(vx_model, vx_points)
+
+
+@pytest.fixture(scope="module")
+def vx_analyses(vx_blocks):
+    return point_views(vx_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -149,16 +153,16 @@ def test_c2_sasakian_axioms_and_phi_sections(space_form, sf_points):
     )
 
 
-def test_c3_vertical_model_structure_suite(vx_model, vx_points, vx_analyses):
+def test_c3_vertical_model_structure_suite(vx_model, vx_blocks, vx_analyses):
     kernel = 0.0
     length = 0.0
     lemma_worst = 0.0
-    for pt, analysis in zip(vx_points, vx_analyses):
-        chk = verify_riemannian_submersion(analysis.calc)
-        kernel = max(kernel, chk.kernel_residual)
-        length = max(length, chk.length_residual)
-        lemmas = verify_structure_lemmas(analysis.calc, analysis.data)
-        lemma_worst = max(lemma_worst, max(lemmas.values()))
+    for block in vx_blocks:
+        chk = verify_riemannian_submersion(block.calc)
+        kernel = max(kernel, *chk.kernel_residual)
+        length = max(length, *chk.length_residual)
+        lemmas = verify_structure_lemmas(block.calc, block.data)
+        lemma_worst = max(lemma_worst, *(max(val) for val in lemmas.values()))
     tr_worst = max(abs(a.data.trace_phi_b + 2.0) for a in vx_analyses)
     ok = max(kernel, length, lemma_worst) <= STRUCT_TOL and tr_worst <= STRUCT_TOL
     assert verdict(
@@ -247,7 +251,7 @@ def test_c7_sharpness_under_vanishing_tensors(vx_scan_tables, hx_report, hx_mode
     # T == 0 models: the two fiber scalar bounds should be attained.
     reeb = load_custom_model(Path(REEB_MODEL).read_bytes())
     reeb_pts = sample_submersion_points(reeb, SampleConfig(points=20, seed=42))
-    reeb_analyses = [analyze_point(reeb, point_state(reeb, pt)) for pt in reeb_pts]
+    reeb_analyses = point_views(analysis_blocks(reeb, reeb_pts))
     assert np.max(np.abs(reeb_analyses[0].data.t_coeff)) <= 1e-9
     v2 = scan_theorems(reeb_analyses, theorem_ids=("V2",))["V2"]
     v2_worst = max(abs(slack) for t in v2.tables for slack in t.slack)
@@ -263,7 +267,7 @@ def test_c7_sharpness_under_vanishing_tensors(vx_scan_tables, hx_report, hx_mode
     hx_pts = sample_submersion_points(hx_model, SampleConfig(points=10, seed=42))
 
     def a_max(pt):
-        calc = PointCalculus(hx_model, point_state(hx_model, pt))
+        calc = PointCalculus(hx_model, point_block(hx_model, pt))
         return float(np.max(np.abs(tensors_from_calculus(calc).a_coeff)))
 
     a_floor = min(a_max(pt) for pt in hx_pts)

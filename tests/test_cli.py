@@ -9,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from slices import point_state
+from slices import point_block
 from oneill_lab import jets
 from oneill_lab.cli import BUNDLED_DIR, RunConfig, cli_parse, main, resolve_model, run
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.errors import DegenerateMetricError, ModelLoadError
+from oneill_lab.expressions import compile_guard
 from oneill_lab.invariants import analyze_point
 from oneill_lab.report import KNOWN_FLAGS, Tolerances, known_flags_for
 from oneill_lab.riemannian import riemann_at
@@ -479,6 +480,27 @@ class TestNonFiniteResiduals:
         assert json.loads(text) == ["NaN", "Infinity", "-Infinity", 0.5]
 
 
+class TestNonRealGuards:
+    def test_guard_rejects_a_point_where_it_is_not_real_or_fails(self):
+        assert compile_guard("x1**0.5", ["x1"])((4.0,)) is True
+        assert compile_guard("x1**0.5", ["x1"])((-4.0,)) is False
+        assert compile_guard("1/(x1-x1)", ["x1"])((4.0,)) is False
+
+    def test_non_real_domain_reports_as_its_real_twin(self, tmp_path, capsys):
+        # x1**0.5 is complex where x1 < 0 and positive exactly where x1 is
+        reports = []
+        for domain in ("x1**0.5", "x1"):
+            model = _vertical_xi_copy(tmp_path, lambda data: {**data, "domain": domain})
+            out = tmp_path / "r.json"
+            argv = ["verify", "--model", str(model), "--points", "3", "--out", str(out)]
+            assert main(argv + ["--no-timestamp"]) == 0
+            capsys.readouterr()
+            rep = json.loads(out.read_text())
+            del rep["config"]["model"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
+
+
 class TestSubmersionKernel:
     def test_reeb_field_off_the_kernel_fails_the_kernel_check(self, tmp_path, capsys):
         # with x1 + y1 + z the projection no longer annihilates xi = 2 d/dz,
@@ -547,18 +569,18 @@ class TestResidualFloats:
         per_point = {"lemmas": {}, "identities": {}}
         kernels, lengths, pd_flags = [], [], []
         for pt in pts:
-            analysis = analyze_point(sub, point_state(sub, pt))
-            chk = verify_riemannian_submersion(analysis.calc)
+            block = analyze_point(sub, point_block(sub, pt))
+            chk = verify_riemannian_submersion(block.calc)[0]
             kernels.append(chk.kernel_residual)
             lengths.append(chk.length_residual)
             pd_flags.append(chk.base_pd)
             sections = {
-                "lemmas": verify_structure_lemmas(analysis.calc, analysis.data),
-                "identities": analysis.identity_residuals,
+                "lemmas": verify_structure_lemmas(block.calc, block.data),
+                "identities": block.identity_residuals,
             }
             for section, values in sections.items():
                 for key, val in values.items():
-                    per_point[section].setdefault(key, []).append(val)
+                    per_point[section].setdefault(key, []).append(val[0])
         maxima = {s: {k: max(v) for k, v in d.items()} for s, d in per_point.items()}
         assert rep["structure"]["lemmas"] == maxima["lemmas"]
         assert rep["identities"]["max_residuals"] == maxima["identities"]

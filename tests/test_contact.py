@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from darboux import darboux_frame, phi_sectional, sectional_curvature
+from oneill_lab import expressions
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.errors import RejectedInputError
 from oneill_lab.riemannian import metric_at, riemann_at
@@ -100,3 +101,21 @@ def test_r7_model_also_sasakian():
 def test_bad_m_rejected():
     with pytest.raises(RejectedInputError):
         build_r2m1(0)
+
+
+def test_each_distinct_entry_is_compiled_once_per_document(monkeypatch):
+    # r2m1:4 has 180 entries, 133 of them "0"; a second build is a new
+    # document and compiles its entries again
+    texts = []
+    compile_expression = expressions.compile_expression
+
+    def counted(text, chart):
+        texts.append(text)
+        return compile_expression(text, chart)
+
+    monkeypatch.setattr(expressions, "compile_expression", counted)
+    spec = build_r2m1(4)
+    assert len(texts) == len(set(texts)) < 180
+    build_r2m1(4)
+    assert texts[len(texts) // 2 :] == texts[: len(texts) // 2]
+    assert spec.structure.phi[0][0] is spec.model.metric[0][5]  # both "0"

@@ -12,11 +12,10 @@ from pathlib import Path
 import numpy as np
 
 import frame_oracle as fo
-from slices import point_state
+from slices import point_analysis, point_block, point_calc
 from oneill_lab.cli import resolve_model
 from oneill_lab.invariants import (
     _hat_star_tables,
-    analyze_point,
     fiber_curvature_hat,
     horizontal_curvature_star,
     mixed_gauss_residual,
@@ -57,7 +56,7 @@ class TestVerticalXiPacket:
         sub = resolve_model("vertical-xi")
         split = fo.vertical_xi_split()
         for pt in POINTS:
-            an = analyze_point(sub, point_state(sub, pt))
+            an = point_analysis(sub, pt)
             calc, data = an.calc, an.data
             assert abs(2.0 * an.tau_hat - 2.0 * split.tau_hat()) < CURV_TOL
             assert abs(2.0 * an.tau_star - 2.0 * split.tau_star()) < CURV_TOL
@@ -74,7 +73,7 @@ class TestVerticalXiPacket:
 
     def test_frozen_values(self):
         sub = resolve_model("vertical-xi")
-        an = analyze_point(sub, point_state(sub, POINTS[0]))
+        an = point_analysis(sub, POINTS[0])
         assert abs(2.0 * an.tau_hat - 8.0) < CURV_TOL
         assert abs(an.tau_star) < CURV_TOL
         np.testing.assert_allclose(ric_hat(an.calc), [2.0, 2.0, 4.0], atol=CURV_TOL)
@@ -84,7 +83,7 @@ class TestVerticalXiPacket:
     def test_identity_residuals_clean(self):
         sub = resolve_model("vertical-xi")
         for pt in POINTS:
-            res = analyze_point(sub, point_state(sub, pt)).identity_residuals
+            res = point_analysis(sub, pt).identity_residuals
             assert res["T1"] < TOL
             for key in ("T4", "S1", "S2", "S3", "R1", "R2", "gauss3"):
                 assert res[key] < CURV_TOL, key
@@ -92,9 +91,10 @@ class TestVerticalXiPacket:
     def test_ric_probes_accept_arbitrary_unit_vectors(self):
         # probe Ricci values on frame vectors reproduce the table columns
         sub = resolve_model("vertical-xi")
-        calc = PointCalculus(sub, point_state(sub, POINTS[0]))
-        hat, star = _hat_star_tables(calc)
-        ric_hat_table, ric_star_table = hat.sum(axis=0), star.sum(axis=0)
+        block = PointCalculus(sub, point_block(sub, POINTS[0]))
+        calc = block[0]
+        hat, star = _hat_star_tables(block)
+        ric_hat_table, ric_star_table = hat[0].sum(axis=0), star[0].sum(axis=0)
         for k, u in enumerate(calc.frame.vert_values):
             assert abs(ric_hat_probes(calc, u[None])[0] - ric_hat_table[k]) < CURV_TOL
         for t, x in enumerate(calc.frame.horiz_values):
@@ -104,7 +104,7 @@ class TestVerticalXiPacket:
         # horizontal block pushes down to a flat base, so the block
         # curvature must vanish on every horizontal 4-tuple
         sub = resolve_model("vertical-xi")
-        calc = PointCalculus(sub, point_state(sub, POINTS[1]))
+        calc = point_calc(sub, POINTS[1])
         xs = calc.frame.horiz_values
         val = horizontal_curvature_star(calc, xs[0], xs[1], xs[1], xs[0])
         assert abs(val) < 1e-7
@@ -115,7 +115,7 @@ class TestHorizontalXiPacket:
         sub = resolve_model("horizontal-xi")
         split = fo.horizontal_xi_split()
         for pt in H_POINTS:
-            an = analyze_point(sub, point_state(sub, pt))
+            an = point_analysis(sub, pt)
             calc, data = an.calc, an.data
             assert abs(2.0 * an.tau_hat - 2.0 * split.tau_hat()) < CURV_TOL
             assert abs(2.0 * an.tau_star - 2.0 * split.tau_star()) < CURV_TOL
@@ -133,7 +133,7 @@ class TestHorizontalXiPacket:
         # exchange identity by exactly 2 on this model, at every point
         sub = resolve_model("horizontal-xi")
         for pt in H_POINTS:
-            res = analyze_point(sub, point_state(sub, pt)).identity_residuals
+            res = point_analysis(sub, pt).identity_residuals
             assert abs(res["S1"] - 6.0) < CURV_TOL
             assert abs(res["S3"] - 40.0) < CURV_TOL
             assert abs(res["gauss3"] - 2.0) < CURV_TOL
@@ -147,7 +147,7 @@ class TestReebFiberPacket:
         sub = load_custom_model(Path(MODELS_DIR, "reeb_fiber.json").read_bytes())
         split = fo.reeb_split()
         for pt in POINTS:
-            an = analyze_point(sub, point_state(sub, pt))
+            an = point_analysis(sub, pt)
             assert abs(2.0 * an.tau_hat) < CURV_TOL
             assert abs(2.0 * an.tau_star - (-24.0)) < CURV_TOL
             assert abs(2.0 * an.tau_star - 2.0 * split.tau_star()) < CURV_TOL
@@ -166,7 +166,7 @@ class TestMixedExchange:
     def test_fiber_curvature_slots(self):
         # direct check of one exchange value against the oracle
         sub = resolve_model("vertical-xi")
-        calc = PointCalculus(sub, point_state(sub, POINTS[0]))
+        calc = point_calc(sub, POINTS[0])
         split = fo.vertical_xi_split()
         us = calc.frame.vert_values
         got = fiber_curvature_hat(calc, us[0], us[1], us[1], us[0])
@@ -176,12 +176,12 @@ class TestMixedExchange:
     def test_mixed_residual_values(self):
         vx, hx = resolve_model("vertical-xi"), resolve_model("horizontal-xi")
         assert (
-            mixed_gauss_residual(PointCalculus(vx, point_state(vx, POINTS[0])))
+            mixed_gauss_residual(PointCalculus(vx, point_block(vx, POINTS[0])))[0]
             < CURV_TOL
         )
         assert (
             abs(
-                mixed_gauss_residual(PointCalculus(hx, point_state(hx, H_POINTS[0])))
+                mixed_gauss_residual(PointCalculus(hx, point_block(hx, H_POINTS[0])))[0]
                 - 2.0
             )
             < CURV_TOL

@@ -19,9 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slices import point_state
+from slices import analysis_blocks, point_views
 from oneill_lab.cli import resolve_model
-from oneill_lab.invariants import analyze_point
 from oneill_lab.riemannian import pair_r4, scalar_curvature
 from oneill_lab.sampling import SampleConfig, sample_submersion_points
 from oneill_lab.submersion import load_custom_model, verify_structure_lemmas
@@ -48,16 +47,26 @@ def _model(name):
     return resolve_model(name)
 
 
-def _analyses(name, points, seed):
+def _blocks(name, points, seed):
     sub = _model(name)
     pts = sample_submersion_points(sub, SampleConfig(points=points, seed=seed))
-    return [analyze_point(sub, point_state(sub, pt)) for pt in pts]
+    return analysis_blocks(sub, pts)
+
+
+def _analyses(name, points, seed):
+    return point_views(_blocks(name, points, seed))
 
 
 @pytest.fixture(scope="module")
-def analyses():
-    """Three seed-42 sample points of each model, analyzed."""
-    return {name: _analyses(name, 3, 42) for name in MODELS}
+def blocks():
+    """Three seed-42 sample points of each model, analyzed as one block."""
+    return {name: _blocks(name, 3, 42) for name in MODELS}
+
+
+@pytest.fixture(scope="module")
+def analyses(blocks):
+    """Each point's view of ``blocks``."""
+    return {name: point_views(b) for name, b in blocks.items()}
 
 
 def bits(x) -> bytes:
@@ -621,9 +630,43 @@ def test_records_equal_per_probe_formulas_bitwise(
     assert checked > 0
 
 
+class ScriptedNormals:
+    """A generator stub whose ``standard_normal`` hands out one fixed stream
+    of values in order, in whatever sizes it is asked for."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def standard_normal(self, size):
+        out = self.values[self.used : self.used + size].copy()
+        self.used += size
+        return out
+
+
+def test_short_random_probe_is_drawn_again_as_one_draw_at_a_time(analyses):
+    # CMB1 draws a vertical (r = 3) and then a horizontal (n = 2) vector per
+    # probe; the vertical vector of probe 1 is too short, so it is drawn
+    # again from the next three normals and every later draw moves by three
+    analysis = analyses["vertical-xi"][0]
+    stream = np.random.default_rng(5).standard_normal(40)
+    stream[5:8] = 1e-10
+    got_rng, want_rng = ScriptedNormals(stream), ScriptedNormals(stream)
+    got = evaluate_theorem(analysis, "CMB1", "random:3", got_rng)
+    want = PerVector(analysis).records("CMB1", "random:3", want_rng)
+    assert got_rng.used == want_rng.used == 18
+    assert len(want) == 3
+    for i, row in enumerate(want):
+        assert bits(got.slack[i]) == bits(row[3])
+        assert bits(got.probe_vertical[i]) == bits(row[7][0])
+        assert bits(got.probe_horizontal[i]) == bits(row[7][1])
+
+
 @pytest.mark.parametrize("model", MODELS)
-def test_tensor_data_equals_per_vector_formulas_bitwise(analyses, model):
-    for analysis in analyses[model]:
+def test_tensor_data_equals_per_vector_formulas_bitwise(blocks, analyses, model):
+    (block,) = blocks[model]
+    lemmas = verify_structure_lemmas(block.calc, block.data)
+    for k, analysis in enumerate(analyses[model]):
         ref = PerVector(analysis)
         calc, data = analysis.calc, analysis.data
         for got, want in zip(calc._tensor_tables, ref.tensor_tables()):
@@ -633,9 +676,8 @@ def test_tensor_data_equals_per_vector_formulas_bitwise(analyses, model):
         assert bits(c_norms_sq) == bits(tensors.pop("c_norms_sq"))
         for key, want in tensors.items():
             assert bits(getattr(data, key)) == bits(want), key
-        lemmas = verify_structure_lemmas(calc, data)
         for key, want in ref.skew_and_anti_invariance().items():
-            assert bits(lemmas[key]) == bits(want), key
+            assert bits(lemmas[key][k]) == bits(want), key
 
 
 @pytest.mark.parametrize("model", MODELS)

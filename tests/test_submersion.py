@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import frame_oracle as fo
-from slices import point_state
+from slices import point_block, point_calc
 from oneill_lab.cli import resolve_model
 from oneill_lab.errors import (
     DegenerateFrameError,
@@ -69,15 +69,15 @@ def to_chart(coeffs, coords):
 
 
 def frame_at(sub, p):
-    return adapted_frame_at(sub, point_state(sub, p))
+    return adapted_frame_at(sub, point_block(sub, p))[0]
 
 
 def submersion_check(sub, p):
-    return verify_riemannian_submersion(PointCalculus(sub, point_state(sub, p)))
+    return verify_riemannian_submersion(PointCalculus(sub, point_block(sub, p)))[0]
 
 
 def tensors_at(sub, p):
-    return tensors_from_calculus(PointCalculus(sub, point_state(sub, p)))
+    return tensors_from_calculus(PointCalculus(sub, point_block(sub, p)))[0]
 
 
 def c_norms_sq(calc):
@@ -88,8 +88,9 @@ def c_norms_sq(calc):
 
 
 def lemmas_at(sub, p):
-    calc = PointCalculus(sub, point_state(sub, p))
-    return verify_structure_lemmas(calc, tensors_from_calculus(calc))
+    calc = PointCalculus(sub, point_block(sub, p))
+    lemmas = verify_structure_lemmas(calc, tensors_from_calculus(calc))
+    return {key: val[0] for key, val in lemmas.items()}
 
 
 def gram(calc, rows):
@@ -101,7 +102,7 @@ class TestAdaptedFrame:
     def test_vertical_xi_frame_orthonormal(self):
         sub = resolve_model("vertical-xi")
         for p in POINTS:
-            calc = PointCalculus(sub, point_state(sub, p))
+            calc = point_calc(sub, p)
             allv = np.vstack([calc.frame.vert_values, calc.frame.horiz_values])
             assert np.max(np.abs(gram(calc, allv) - np.eye(5))) < 1e-12
 
@@ -219,8 +220,8 @@ class TestOneillTensors:
         sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         for p in POINTS:
-            calc = PointCalculus(sub, point_state(sub, p))
-            data = tensors_from_calculus(calc)
+            calc = point_calc(sub, p)
+            data = tensors_at(sub, p)
             assert np.max(np.abs(data.t_coeff - sp.t_coeff())) < 1e-10
             assert np.max(np.abs(data.a_coeff)) < 1e-10
             assert abs(data.sum_t_sq - 4.0) < 1e-10
@@ -237,8 +238,8 @@ class TestOneillTensors:
         sub = resolve_model("horizontal-xi")
         sp = fo.horizontal_xi_split()
         for p in H_POINTS:
-            calc = PointCalculus(sub, point_state(sub, p))
-            data = tensors_from_calculus(calc)
+            calc = point_calc(sub, p)
+            data = tensors_at(sub, p)
             assert np.max(np.abs(data.a_coeff - sp.a_coeff())) < 1e-10
             assert np.max(np.abs(data.t_coeff)) < 1e-10
             assert abs(data.sum_a_sq - 4.0) < 1e-10
@@ -251,7 +252,7 @@ class TestOneillTensors:
         sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         p = POINTS[2]
-        calc = PointCalculus(sub, point_state(sub, p))
+        calc = point_calc(sub, p)
         for a in range(sp.r):
             for s in range(sp.n):
                 got = calc.t_point(calc.frame.vert_values[a], calc.frame.horiz_values[s])
@@ -265,7 +266,7 @@ class TestOneillTensors:
             (resolve_model("horizontal-xi"), fo.horizontal_xi_split(), H_POINTS),
         ]:
             p = pts[0]
-            calc = PointCalculus(sub, point_state(sub, p))
+            calc = point_calc(sub, p)
             for s in range(sp.n):
                 xs = calc.frame.horiz_values[s]
                 for a in range(sp.r):
@@ -278,7 +279,7 @@ class TestOneillTensors:
         sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         p = POINTS[1]
-        calc = PointCalculus(sub, point_state(sub, p))
+        calc = point_calc(sub, p)
         for a in range(sp.r):
             uv = calc.frame.vert_values[a]
             for s in range(sp.n):
@@ -293,7 +294,7 @@ class TestOneillTensors:
             (resolve_model("horizontal-xi"), H_POINTS),
         ]:
             for p in pts[:2]:
-                assert abs(PointCalculus(sub, point_state(sub, p)).delta_n()) < 1e-8
+                assert abs(point_calc(sub, p).delta_n()) < 1e-8
 
     def test_bc_decompose_vertical_xi(self):
         # phi of the first horizontal frame vector is vertical here: its
@@ -301,7 +302,7 @@ class TestOneillTensors:
         # horizontal part C vanishes
         sub = resolve_model("vertical-xi")
         p = POINTS[0]
-        calc = PointCalculus(sub, point_state(sub, p))
+        calc = point_calc(sub, p)
         x0 = calc.frame.horiz_values[0]
         w = calc.phi_values @ x0
         b, c = calc.v_project_values(w), calc.h_project_values(w)
@@ -343,8 +344,8 @@ class TestCustomModels:
         sub = load_custom_model(REEB.read_bytes())
         sp = fo.reeb_split()
         for p in POINTS[:2]:
-            calc = PointCalculus(sub, point_state(sub, p))
-            data = tensors_from_calculus(calc)
+            calc = point_calc(sub, p)
+            data = tensors_at(sub, p)
             assert np.max(np.abs(data.t_coeff)) < 1e-10
             assert np.max(np.abs(data.a_coeff - sp.a_coeff())) < 1e-10
             assert abs(data.norm_ah_sq - 4.0) < 1e-10

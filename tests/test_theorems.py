@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from slices import point_state
+from slices import analysis_blocks, point_analysis, point_block, point_views
 from oneill_lab.cli import main, resolve_model
 from oneill_lab.errors import EmptySampleError, RejectedInputError
 from oneill_lab.invariants import analyze_point
@@ -47,19 +47,19 @@ TOL = 1e-6
 @pytest.fixture(scope="module")
 def vx_analysis():
     sub = resolve_model("vertical-xi")
-    return analyze_point(sub, point_state(sub, PT))
+    return point_analysis(sub, PT)
 
 
 @pytest.fixture(scope="module")
 def hx_analysis():
     sub = resolve_model("horizontal-xi")
-    return analyze_point(sub, point_state(sub, H_PT))
+    return point_analysis(sub, H_PT)
 
 
 @pytest.fixture(scope="module")
 def reeb_analysis():
     sub = load_custom_model(Path(MODELS_DIR, "reeb_fiber.json").read_bytes())
-    return analyze_point(sub, point_state(sub, PT))
+    return point_analysis(sub, PT)
 
 
 def only(table):
@@ -219,7 +219,7 @@ class TestScans:
     def test_scan_default_ids_vertical(self):
         sub = resolve_model("vertical-xi")
         pts = [PT, np.array([1.1, 0.5, -0.8, 1.3, -0.6])]
-        scans = scan_theorems([analyze_point(sub, point_state(sub, p)) for p in pts])
+        scans = scan_theorems(point_views(analysis_blocks(sub, pts)))
         assert set(scans) == set(applicable_ids("vertical"))
         assert scans["V2"].points_checked == 2
         assert scans["V2"].violations == 0
@@ -258,7 +258,7 @@ class TestScans:
     def test_scan_without_rng_draws_new_probes_at_every_point_and_id(self):
         sub = resolve_model("vertical-xi")
         pts = (PT, np.array([1.1, 0.5, -0.8, 1.3, -0.6]))
-        analyses = [analyze_point(sub, point_state(sub, p)) for p in pts]
+        analyses = point_views(analysis_blocks(sub, pts))
         scans = scan_theorems(analyses, ("V1", "CRV1"), "random:2")
         draws = []
         for tid in ("V1", "CRV1"):
@@ -367,8 +367,8 @@ class TestFrameCoherence:
         swapped = dataclasses.replace(
             base, vertical_fields=(v2, v1, xi), horizontal_fields=(h2, h1)
         )
-        a0 = analyze_point(base, point_state(base, PT))
-        a1 = analyze_point(swapped, point_state(swapped, PT))
+        a0 = point_analysis(base, PT)
+        a1 = point_analysis(swapped, PT)
         for tid in applicable_ids("vertical"):
             s0 = np.sort(evaluate_theorem(a0, tid, "all").slack)
             s1 = np.sort(evaluate_theorem(a1, tid, "all").slack)
@@ -386,8 +386,9 @@ class TestSampledInvariants:
         # applicable bound must hold at every sampled point
         sub = resolve_model("vertical-xi")
         pt = np.asarray(pt)
-        analysis = analyze_point(sub, point_state(sub, pt))
-        chk = verify_riemannian_submersion(analysis.calc)
+        block = analyze_point(sub, point_block(sub, pt))
+        analysis = block[0]
+        chk = verify_riemannian_submersion(block.calc)[0]
         assume(chk.length_residual <= 1e-8)
         for tid in applicable_ids("vertical"):
             for slack in evaluate_theorem(analysis, tid).slack:
@@ -402,5 +403,5 @@ class TestSampledInvariants:
         pt = np.asarray(pt)
         x1, x2, y1, y2 = pt[0], pt[1], pt[2], pt[3]
         assume((x1 + y1) ** 2 + (x2 + y2) ** 2 > 2.5)
-        chk = verify_riemannian_submersion(PointCalculus(sub, point_state(sub, pt)))
+        chk = verify_riemannian_submersion(PointCalculus(sub, point_block(sub, pt)))[0]
         assert chk.length_residual > 1e-8
