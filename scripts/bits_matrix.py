@@ -1,0 +1,98 @@
+"""Write the byte-identity matrix of reports into OUT_DIR.
+
+Every report of the matrix is written with --no-timestamp, so that the
+output directories of two checkouts, compared with ``diff -r``, show
+whether the checkouts give byte-identical reports. The matrix:
+
+- ``verify`` on r2m1:1..4 at 40 points (blocks of 4 points at d = 9);
+- ``report`` and ``theorems`` on vertical-xi, horizontal-xi and
+  models/reeb_fiber.json at 56 points (a block of 52 and one of 4);
+
+each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8,
+90 runs in all; exit_codes.txt holds the exit code of each. Beside them,
+run_all/ and run_all.txt hold what scripts/run_all.py writes and prints,
+and crh1-<seed>.txt what scripts/crh1_disambiguation.py prints at each
+seed. run_all.py stamps its reports and names the output directory and a
+model file by absolute paths, so its ``generated_at`` lines are dropped,
+the two paths read ``<out>`` and ``<checkout>``, and the padding of its
+printed columns is one space.
+
+Usage: python scripts/bits_matrix.py OUT_DIR
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+from oneill_lab.cli import main  # noqa: E402
+
+SEEDS = (42, 7, 1234)
+PROBES = ("first", "all", "random:8")
+RUNS = [("verify", f"r2m1:{m}", 40) for m in (1, 2, 3, 4)] + [
+    (command, model, 56)
+    for command in ("report", "theorems")
+    for model in ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
+]
+
+
+def _script(name, *args):
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    return f"{done.stdout}exit {done.returncode}\n"
+
+
+def cli(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("out_dir", type=Path)
+    out_dir = ap.parse_args(argv).out_dir.resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(REPO)  # the model file is echoed as given, relative to the checkout
+
+    codes = []
+    for command, model, points in RUNS:
+        for seed in SEEDS:
+            for probe in PROBES:
+                slug = "-".join((command, Path(model).stem, str(seed), probe))
+                slug = slug.replace(":", "-")
+                argv = [
+                    command, "--model", model, "--points", str(points),
+                    "--seed", str(seed), "--probe", probe, "--no-timestamp",
+                    "--out", str(out_dir / f"{slug}.json"),
+                ]
+                with contextlib.redirect_stderr(io.StringIO()):
+                    codes.append(f"{slug} {main(argv)}\n")
+    (out_dir / "exit_codes.txt").write_text("".join(codes))
+
+    def normalized(text):
+        lines = text.splitlines(keepends=True)
+        text = "".join(line for line in lines if '"generated_at"' not in line)
+        return text.replace(str(out_dir), "<out>").replace(str(REPO), "<checkout>")
+
+    run_all = out_dir / "run_all"
+    printed = normalized(_script("run_all.py", "--out-dir", str(run_all)))
+    # its columns are padded to the length of the absolute paths
+    (out_dir / "run_all.txt").write_text(
+        "".join(" ".join(line.split()) + "\n" for line in printed.splitlines())
+    )
+    for report in run_all.glob("*.json"):
+        report.write_text(normalized(report.read_text()))
+    for seed in SEEDS:
+        printed = _script("crh1_disambiguation.py", "--seed", str(seed))
+        (out_dir / f"crh1-{seed}.txt").write_text(printed)
+    print(f"{len(codes)} reports, run_all.py and crh1_disambiguation.py -> {out_dir}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(cli())

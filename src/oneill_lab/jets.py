@@ -410,15 +410,15 @@ class ArrayJet:
             return NotImplemented
         sv, ov = np.asarray(self.value), np.asarray(o.value)
         ha, hb = self._result_hessian_pair(o)
-        grad = sv[..., None] * o.gradient + ov[..., None] * self.gradient
+        # the sums run in place, in the order and association of ScalarJet
+        grad = sv[..., None] * o.gradient
+        grad += ov[..., None] * self.gradient
         if ha is None:
             hess = None
         else:
-            hess = (
-                ov[..., None, None] * ha
-                + sv[..., None, None] * hb
-                + _batch_sym_outer(self.gradient, o.gradient)
-            )
+            hess = ov[..., None, None] * ha
+            hess += sv[..., None, None] * hb
+            hess += _batch_sym_outer(self.gradient, o.gradient)
         return ArrayJet(sv * ov, grad, hess)
 
     __rmul__ = __mul__
@@ -557,8 +557,10 @@ def sum_terms(terms: ArrayJet, axes, start: ArrayJet | None = None) -> ArrayJet:
     for k, arr in enumerate(parts):
         moved = arr.transpose(order + tuple(range(nb, arr.ndim)))
         flat = moved.reshape((-1,) + moved.shape[len(axes):])
+        if np.may_share_memory(flat, arr):
+            flat = flat.copy()
+        # the sum runs in place, in a copy: start + t0 first, then t1, ...
         if start is not None:
-            head = np.broadcast_to(starts[k], flat.shape[1:])
-            flat = np.concatenate([head[None], flat])
-        out.append(np.add.accumulate(flat, axis=0)[-1])
+            np.add(np.broadcast_to(starts[k], flat.shape[1:]), flat[0], out=flat[0])
+        out.append(np.add.accumulate(flat, axis=0, out=flat)[-1])
     return ArrayJet(out[0], out[1], out[2] if len(out) == 3 else None)

@@ -138,18 +138,27 @@ def _pair(g: ArrayJet, x: ArrayJet, y: ArrayJet) -> ArrayJet:
 
 def _project(w: ArrayJet, block: ArrayJet, g: ArrayJet) -> ArrayJet:
     """Orthogonal projection of each field w[p, b] onto the span of the
-    orthonormal fields block[p, q]: the terms g(w_b, e_q) e_q summed over q."""
-    coeff = _pair(g, w[:, :, None], block[:, None, :])
-    return sum_terms(coeff[..., None] * block[:, None], axes=(2,))
+    orthonormal fields block[p, q]: the terms g(w_b, e_q) e_q added in
+    order of q, one q at a time to bound the memory of a block."""
+    acc = None
+    for q in range(block.shape[1]):
+        e = block[:, q, None]
+        term = _pair(g, w, e)[..., None] * e
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def _cov(x: ArrayJet, y: ArrayJet, gamma: ArrayJet) -> ArrayJet:
     """Components of the covariant derivative of each field y[p, b] along
     x[p, b]: the terms x_i d_i y_k, then Gamma^k_ij x_i y_j in row-major
-    (i, j) order. ``y`` must be order 2; the result is order 1."""
+    (i, j) order, one i at a time to bound the memory of a block. ``y``
+    must be order 2; the result is order 1."""
     acc = sum_terms(x[..., None, :] * y.partials(), axes=(-1,))
-    terms = gamma[:, None] * (x[..., :, None] * y[..., None, :])[:, :, None]
-    return sum_terms(terms, axes=(-2, -1), start=acc)
+    gamma = gamma[:, None]
+    for i in range(x.shape[-1]):
+        terms = gamma[..., i, :] * (x[..., i, None] * y)[:, :, None]
+        acc = sum_terms(terms, axes=(-1,), start=acc)
+    return acc
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,129 @@
+"""The block path against one-point evaluation.
+
+Every stage after the total space runs once per block of points. A point's
+view of a block must equal, bit for bit, the block of that point alone,
+whatever the size of the block and the order of its points, and an error
+at a point must be the one the first failing point alone raises.
+"""
+
+import dataclasses
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oneill_lab.cli import resolve_model
+from oneill_lab.contact import space_form_data
+from oneill_lab.errors import DegenerateFrameError
+from oneill_lab.invariants import analyze_point
+from oneill_lab.riemannian import VectorField
+from oneill_lab.sampling import SampleConfig, sample_submersion_points
+from oneill_lab.submersion import (
+    OneillData,
+    PointCalculus,
+    SubmersionCheck,
+    load_custom_model,
+    verify_riemannian_submersion,
+    verify_structure_lemmas,
+)
+
+MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+MODELS = ("vertical-xi", "horizontal-xi", "reeb_fiber")
+
+
+def _model(name):
+    if name == "reeb_fiber":
+        return load_custom_model(Path(MODELS_DIR, "reeb_fiber.json").read_bytes())
+    return resolve_model(name)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def jet_bits(jet):
+    hessian = None if jet.hessian is None else bits(jet.hessian)
+    return bits(jet.value), bits(jet.gradient), hessian
+
+
+def _stages(sub, points):
+    """The analysis, the submersion checks and the lemmas of a block."""
+    analysis = analyze_point(sub, space_form_data(sub.total, points))
+    calc = analysis.calc
+    return analysis, verify_riemannian_submersion(calc), verify_structure_lemmas(calc, analysis.data)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    model=st.sampled_from(MODELS),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    size=st.integers(min_value=1, max_value=7),
+    data=st.data(),
+)
+def test_point_views_equal_blocks_of_one_point(model, seed, size, data):
+    sub = _model(model)
+    pts = sample_submersion_points(sub, SampleConfig(points=size, seed=seed))
+    pts = pts[data.draw(st.permutations(range(size)))]
+    block, checks, lemmas = _stages(sub, pts)
+    for k, pt in enumerate(pts):
+        one, one_checks, one_lemmas = _stages(sub, pt[None])
+        got, want = block[k], one[0]
+        assert bits(got.calc.point) == bits(pt)
+        assert jet_bits(got.calc.frame.jets) == jet_bits(want.calc.frame.jets)
+        for table, one_table in zip(got.calc._tensor_tables, want.calc._tensor_tables):
+            assert bits(table) == bits(one_table)
+        for jets, one_jets in zip(got.calc._exchange_fields, want.calc._exchange_fields):
+            assert jet_bits(jets) == jet_bits(one_jets)
+        for field in dataclasses.fields(OneillData):
+            name = field.name
+            assert bits(getattr(got.data, name)) == bits(getattr(want.data, name)), name
+        for name in ("tau_hat", "tau_star", "delta_n"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+        assert got.identity_residuals.keys() == want.identity_residuals.keys()
+        for key, val in got.identity_residuals.items():
+            assert bits(val) == bits(want.identity_residuals[key]), key
+        for key, val in lemmas.items():
+            assert bits(val[k]) == bits(one_lemmas[key][0]), key
+        for field in dataclasses.fields(SubmersionCheck):
+            name = field.name
+            assert bits(getattr(checks[k], name)) == bits(getattr(one_checks[0], name))
+
+
+def _plus(f, coord, g):
+    """The field f + x_coord * g."""
+    return VectorField(
+        components=tuple(
+            lambda vs, a=a, b=b: a(vs) + vs[coord] * b(vs)
+            for a, b in zip(f.components, g.components)
+        )
+    )
+
+
+class TestFrameErrorParity:
+    def test_first_dependent_point_in_sample_order_raises(self):
+        base = resolve_model("vertical-xi")
+        v1, v2, xi = base.vertical_fields
+        # the second field is dependent where x1 = 0, the third where x2 = 0
+        bad = dataclasses.replace(
+            base, name="bad", vertical_fields=(v1, _plus(v1, 0, v2), _plus(v2, 1, xi))
+        )
+        pts = np.array(
+            [
+                [0.5, 0.3, 0.9, 0.4, 0.2],
+                [0.7, 0.0, -0.4, 1.1, 0.3],
+                [0.6, -0.8, 0.2, 0.5, -1.0],
+                [0.0, 0.6, 1.2, -0.3, 0.8],
+            ]
+        )
+        # point 3 fails at an earlier field than point 1, which comes first
+        for first, block in ((1, pts), (3, pts[[0, 2, 3]])):
+            message = f"declared fields of 'bad' are dependent at {pts[first].tolist()}"
+            with pytest.raises(DegenerateFrameError) as alone:
+                PointCalculus(bad, space_form_data(bad.total, pts[first][None]))
+            with pytest.raises(DegenerateFrameError) as info:
+                PointCalculus(bad, space_form_data(bad.total, block))
+            assert str(info.value) == str(alone.value) == message
+        PointCalculus(bad, space_form_data(bad.total, pts[[0, 2]]))
