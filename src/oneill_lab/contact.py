@@ -74,7 +74,7 @@ class SasakianSpaceFormSpec:
         return self.structure.model
 
 
-def chart_model_from_document(doc: dict, prefix: str, name: str, memo=None) -> ManifoldModel:
+def chart_model_from_document(doc: dict, prefix: str, name: str, memo: dict) -> ManifoldModel:
     """The chart model of the keys ``<prefix>chart``, ``<prefix>metric`` and
     the optional ``<prefix>domain`` of a model document; ``memo`` as for
     ``expressions.compile_vector``."""
@@ -87,14 +87,13 @@ def chart_model_from_document(doc: dict, prefix: str, name: str, memo=None) -> M
     )
 
 
-def space_form_from_document(doc: dict, memo=None) -> SasakianSpaceFormSpec:
+def space_form_from_document(doc: dict, memo: dict) -> SasakianSpaceFormSpec:
     """The total space of a model document, a dict of the schema
     ``oneill-lab-model/1``: its ``name``, ``chart``, ``metric``, optional
     ``domain``, and the ``contact`` block. Every entry is an expression
     string over the chart, compiled by ``expressions.compile_expression``
     once per distinct string of the document (``memo``, a dict kept for the
     document's compilation)."""
-    memo = {} if memo is None else memo
     model = chart_model_from_document(doc, "", str(doc["name"]), memo)
     chart, dim = model.chart, model.dim
     contact = doc["contact"]
@@ -107,9 +106,9 @@ def space_form_from_document(doc: dict, memo=None) -> SasakianSpaceFormSpec:
         raise RejectedInputError(f"contact c must be a number, got {contact['c']!r}")
     phi = compile_matrix(contact["phi"], chart, "contact phi", memo)
     xi = VectorField(
-        components=compile_vector(contact["xi"], chart, "contact xi", dim, memo), name="xi"
+        components=compile_vector(contact["xi"], chart, "contact xi", memo, dim), name="xi"
     )
-    eta = compile_vector(contact["eta"], chart, "contact eta", dim, memo)
+    eta = compile_vector(contact["eta"], chart, "contact eta", memo, dim)
     structure = ContactStructure(model=model, phi=phi, xi=xi, eta=eta)
     return SasakianSpaceFormSpec(c=float(contact["c"]), structure=structure)
 
@@ -151,7 +150,7 @@ def build_r2m1(m: int) -> SasakianSpaceFormSpec:
             "eta": [f"-{v}/2" for v in y] + ["0"] * m + ["0.5"],
         },
     }
-    return space_form_from_document(doc)
+    return space_form_from_document(doc, {})
 
 
 def verify_sasakian(data: SpaceFormData) -> dict:

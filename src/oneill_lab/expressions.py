@@ -106,10 +106,9 @@ def block(value, label: str, length=None) -> list:
     return value
 
 
-def compile_vector(entries, variables, label: str, length=None, memo=None) -> tuple:
+def compile_vector(entries, variables, label: str, memo: dict, length=None) -> tuple:
     """A vector of expressions. ``memo``, a dict kept for one model
     document, compiles each distinct entry once per chart."""
-    memo = {} if memo is None else memo
     out = []
     for text in block(entries, label, length):
         key = (str(text), tuple(variables))
@@ -119,11 +118,11 @@ def compile_vector(entries, variables, label: str, length=None, memo=None) -> tu
     return tuple(out)
 
 
-def compile_matrix(rows, variables, label: str, memo=None) -> tuple:
+def compile_matrix(rows, variables, label: str, memo: dict) -> tuple:
     """A square matrix of expressions, one row per chart variable."""
     d = len(variables)
     return tuple(
-        compile_vector(row, variables, f"{label} row {i}", d, memo)
+        compile_vector(row, variables, f"{label} row {i}", memo, d)
         for i, row in enumerate(block(rows, label, d))
     )
 

@@ -15,20 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import SpaceFormData
-from .riemannian import (
-    float_squares,
-    pair_r4,
-    point_maxima,
-    point_sums,
-    running_sum,
-    scalar_curvature,
-)
-from .submersion import (
-    OneillData,
-    PointCalculus,
-    SubmersionModel,
-    tensors_from_calculus,
-)
+from .riemannian import PointAxis, float_squares, pair_r4, point_maxima, point_sums
+from .riemannian import running_sum, scalar_curvature
+from .submersion import OneillData, PointCalculus, SubmersionModel, tensors_from_calculus
 
 
 def _ambient(calc: PointCalculus, r4, x, y, z, w):
@@ -88,14 +77,8 @@ def ric_star_probes(calc: PointCalculus, xs) -> np.ndarray:
 
 def _frame_table(calc, r4, a, b, c, d) -> np.ndarray:
     """R(a_i, b_j, c_k, d_l) on all 4-tuples of the rows of a, b, c, d."""
-    return _ambient(
-        calc,
-        r4,
-        a[:, :, None, None, None],
-        b[:, None, :, None, None],
-        c[:, None, None, :, None],
-        d[:, None, None, None, :],
-    )
+    a, b = a[:, :, None, None, None], b[:, None, :, None, None]
+    return _ambient(calc, r4, a, b, c[:, None, None, :, None], d[:, None, None, None, :])
 
 
 def mixed_gauss_residual(calc: PointCalculus) -> np.ndarray:
@@ -105,13 +88,9 @@ def mixed_gauss_residual(calc: PointCalculus) -> np.ndarray:
     uv, xv = calc.frame.vert_values, calc.frame.horiz_values
     ks, js = np.arange(calc.r), np.arange(calc.n)
     # every table is indexed [p, i, k, j, l] for the frame vectors X_i, U_k,
-    # X_j, U_l
-    nab_t = calc.nabla_t_frame(
-        xv[:, :, None, None], ks[None, :, None], ks[None, None, :]
-    )  # [p, i, k, l]
-    nab_a = calc.nabla_a_frame(
-        uv[:, None, :, None], js[:, None, None], js[None, None, :]
-    )  # [p, i, k, j]
+    # X_j, U_l; nab_t is [p, i, k, l], nab_a [p, i, k, j]
+    nab_t = calc.nabla_t_frame(xv[:, :, None, None], ks[None, :, None], ks[None, None, :])
+    nab_a = calc.nabla_a_frame(uv[:, None, :, None], js[:, None, None], js[None, None, :])
     t_mixed = calc.t_point(uv[:, None], xv[:, :, None])  # [p, i, k]: T(U_k, X_i)
     a_mixed = calc.a_point(xv[:, :, None], uv[:, None])  # [p, i, k]: A(X_i, U_k)
     lhs = _frame_table(calc, calc.curvature.r4, uv, xv, xv, uv).transpose(0, 2, 1, 3, 4)
@@ -125,7 +104,7 @@ def mixed_gauss_residual(calc: PointCalculus) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PointAnalysis:
+class PointAnalysis(PointAxis):
     """Everything the report sections need on a block of points: the
     block's ``PointCalculus`` and tensor data, the block scalar curvatures
     ``tau_hat``/``tau_star`` (stored undoubled), the divergence trace
@@ -139,16 +118,6 @@ class PointAnalysis:
     tau_star: np.ndarray
     delta_n: np.ndarray
     identity_residuals: dict
-
-    def __getitem__(self, k) -> PointAnalysis:
-        return PointAnalysis(
-            self.calc[k],
-            self.data[k],
-            self.tau_hat[k],
-            self.tau_star[k],
-            self.delta_n[k],
-            {key: val[k] for key, val in self.identity_residuals.items()},
-        )
 
 
 def _hat_star_tables(calc: PointCalculus):

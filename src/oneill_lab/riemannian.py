@@ -49,11 +49,14 @@ def point_blocks(points, dim: int):
 
 
 class PointAxis:
-    """Mixin for records of arrays with a leading point axis:
-    ``data[k]`` is the same record at point ``k`` of the block."""
+    """Mixin for records of arrays with a leading point axis, or of dicts
+    of them: ``data[k]`` is the same record at point ``k`` of the block."""
 
     def __getitem__(self, k):
-        return type(self)(**{f.name: getattr(self, f.name)[k] for f in fields(self)})
+        def at(v):
+            return {key: a[k] for key, a in v.items()} if isinstance(v, dict) else v[k]
+
+        return type(self)(**{f.name: at(getattr(self, f.name)) for f in fields(self)})
 
 
 def max_residual(values, start: float = 0.0) -> float:
@@ -73,13 +76,6 @@ def point_sums(values) -> np.ndarray:
     axis leading."""
     values = np.asarray(values, dtype=float)
     return running_sum(values.reshape(len(values), -1).T)
-
-
-def lift(a, ndim: int) -> np.ndarray:
-    """A block's array, point axis first, with unit axes after that axis up
-    to ``ndim`` axes, so that it broadcasts against operands of ``ndim``
-    axes that lead with the same point axis."""
-    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
 
 def float_squares(values) -> np.ndarray:
@@ -277,7 +273,7 @@ def pair_r4(r4: np.ndarray, x, y, z, w):
     """R(X, Y, Z, W) from a curvature in the slots of ``CurvatureData.r4``,
     for chart component vectors of shape ``(..., d)`` broadcast against each
     other: one value per broadcast index, a scalar for four single vectors.
-    A block's curvature, point axis first, is ``lift``-ed to the vectors.
+    A block's curvature goes in through ``PointCalculus.per_point``.
 
     The broadcast axes stay outside the sum over the four slots, so each
     value is summed in the same order as for single vectors: a table of

@@ -43,7 +43,6 @@ from .riemannian import (
     ManifoldModel,
     PointAxis,
     VectorField,
-    lift,
     metric_jets,
     model_jets,
     point_maxima,
@@ -309,8 +308,12 @@ class PointCalculus:
         return view
 
     def per_point(self, a, ndim: int) -> np.ndarray:
-        # a block's array, lifted to operands of ``ndim`` axes; a view's as is
-        return a if self.point.ndim == 1 else lift(a, ndim)
+        """A view's array as it is; a block's, point axis first, with unit
+        axes after that axis up to ``ndim`` axes, so that it broadcasts
+        against operands of ``ndim`` axes that lead with the point axis."""
+        if self.point.ndim == 1:
+            return a
+        return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
     # ---- pairings and projections ----
     #
@@ -565,12 +568,12 @@ def load_custom_model(contents: bytes) -> SubmersionModel:
     total = space_form_from_document(data, memo)
     chart, dim = total.model.chart, total.model.dim
     base = chart_model_from_document(data, "base_", str(data["name"]) + "-base", memo)
-    projection = compile_vector(data["projection"], chart, "projection", memo=memo)
+    projection = compile_vector(data["projection"], chart, "projection", memo)
 
     def field_block(key, prefix):
         return tuple(
             VectorField(
-                components=compile_vector(row, chart, f"{key} field {idx}", dim, memo),
+                components=compile_vector(row, chart, f"{key} field {idx}", memo, dim),
                 name=f"{prefix}{idx + 1}",
             )
             for idx, row in enumerate(block(data[key], key))

@@ -15,7 +15,6 @@ id against a model with the other Reeb position is rejected.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -113,30 +112,22 @@ def _rotated(frame: np.ndarray, i: int) -> np.ndarray:
 
 def _unit_coeffs(rng, k: int, sizes) -> list:
     """k draws of a unit coefficient vector of each length in ``sizes``, one
-    array (k, size) per length, from one block of normals taken in draw
-    order: draws outer, ``sizes`` inner. A vector whose norm is below 1e-8
-    is drawn again from the normals after it, as one draw at a time would
-    do; the block's normals then feed those draws before the generator."""
-    flat = rng.standard_normal(k * sum(sizes))
-    coeffs = np.split(flat.reshape(k, -1), np.cumsum(sizes)[:-1], axis=1)
-    # np.linalg.norm's sqrt(c @ c), one dot product per row
-    norms = [np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0]) for c in coeffs]
-    if all(np.all(norm >= 1e-8) for norm in norms):
-        return [c / norm[:, None] for c, norm in zip(coeffs, norms)]
-    rest = iter(flat)
-
-    def draw(size):
-        head = list(itertools.islice(rest, size))
-        return np.concatenate([head, rng.standard_normal(size - len(head))])
-
-    drawn = [[] for _ in sizes]
-    for _ in range(k):
-        for out, size in zip(drawn, sizes):
-            c = draw(size)
-            while float(np.linalg.norm(c)) < 1e-8:
-                c = draw(size)
-            out.append(c / np.linalg.norm(c))
-    return [np.array(out) for out in drawn]
+    array (k, size) per length, from one block of normals in draw order:
+    draws outer, ``sizes`` inner. A vector whose norm is below 1e-8 is drawn
+    again from the normals after it, as one draw at a time does: its normals
+    leave the block, and the generator's next ones join it at the end."""
+    edges = np.cumsum([0, *sizes])
+    flat = rng.standard_normal(k * edges[-1])
+    while True:
+        coeffs = np.split(flat.reshape(k, -1), edges[1:-1], axis=1)
+        # np.linalg.norm's sqrt(c @ c), one dot product per row
+        norms = [np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0]) for c in coeffs]
+        short = np.flatnonzero(np.stack(norms, axis=1) < 1e-8)
+        if not short.size:
+            return [c / norm[:, None] for c, norm in zip(coeffs, norms)]
+        row, s = divmod(int(short[0]), len(sizes))
+        at = row * edges[-1] + edges[s]
+        flat = np.concatenate([flat[:at], flat[at + sizes[s] :], rng.standard_normal(sizes[s])])
 
 
 def _random_probe_frames(calc, frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -237,11 +228,6 @@ def _c_norms_sq(calc, xs) -> np.ndarray:
     return calc.pairings(c_part, c_part)
 
 
-def _eta_squares(calc, vs) -> np.ndarray:
-    """eta(v)**2 for vectors ``vs`` (P, dim), squared as Python floats."""
-    return float_squares(calc.eta_of(vs))
-
-
 # With one vector in a block, the sums and maxima over the block's other
 # vectors are empty and give 0.0, as absolute values that were all 0.0 would.
 def _chen_t_defects(tc: np.ndarray) -> np.ndarray:
@@ -269,7 +255,7 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
     dropped = variant = None
     variants = 1
     if theorem_id == "V1":
-        eta_sq = _eta_squares(calc, u1)
+        eta_sq = float_squares(calc.eta_of(u1))
         lhs = ric_hat_probes(calc, u1)
         t_chart, tc = _probe_t_coeff(analysis, vfr, hfr)
         mean_term = calc.pairings(t_chart[:, 0, 0], data.h_vec)
@@ -293,7 +279,7 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
     elif theorem_id in ("CRV1", "CRV2"):
         lhs = ric_hat_probes(calc, u1)
         if theorem_id == "CRV1":
-            eta_sq = _eta_squares(calc, u1)
+            eta_sq = float_squares(calc.eta_of(u1))
             rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - 0.25 * data.n_norm_sq
         else:
             rhs = q * (r - 1) - 0.25 * data.n_norm_sq
@@ -309,16 +295,16 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
         defects = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
         defect = np.repeat(defects, variants)
     elif theorem_id == "CRH2":
-        eta_sq = _eta_squares(calc, x1)
+        eta_sq = float_squares(calc.eta_of(x1))
         lhs = ric_star_probes(calc, x1)
         c1_sq = _c_norms_sq(calc, x1)
         rhs = q * (n - 1) + w * ((2.0 - n) * eta_sq - 1.0 + 3.0 * c1_sq)
         defect = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
     else:  # CMB1, CMB2
         if theorem_id == "CMB1":
-            inner = 3.0 * r - 4.0 - n - (r - 2) * _eta_squares(calc, u1)
+            inner = 3.0 * r - 4.0 - n - (r - 2) * float_squares(calc.eta_of(u1))
         else:
-            inner = 2.0 * r - 4.0 - (n - 2) * _eta_squares(calc, x1)
+            inner = 2.0 * r - 4.0 - (n - 2) * float_squares(calc.eta_of(x1))
         lhs = q * (n * r + n + r - 2) + w * (inner + 3.0 * _c_norms_sq(calc, x1))
         ac = _probe_a_coeff(analysis, vfr, hfr)
         a1s_sq = np.sum(ac[:, 0, 1:, :] ** 2, axis=(1, 2))

@@ -646,15 +646,15 @@ class ScriptedNormals:
 
 def test_short_random_probe_is_drawn_again_as_one_draw_at_a_time(analyses):
     # CMB1 draws a vertical (r = 3) and then a horizontal (n = 2) vector per
-    # probe; the vertical vector of probe 1 is too short, so it is drawn
-    # again from the next three normals and every later draw moves by three
+    # probe; both vectors of probe 1 are too short, so each is drawn again
+    # from the normals after it, and every later draw moves along
     analysis = analyses["vertical-xi"][0]
     stream = np.random.default_rng(5).standard_normal(40)
-    stream[5:8] = 1e-10
+    stream[5:8] = stream[11:13] = 1e-10
     got_rng, want_rng = ScriptedNormals(stream), ScriptedNormals(stream)
     got = evaluate_theorem(analysis, "CMB1", "random:3", got_rng)
     want = PerVector(analysis).records("CMB1", "random:3", want_rng)
-    assert got_rng.used == want_rng.used == 18
+    assert got_rng.used == want_rng.used == 20
     assert len(want) == 3
     for i, row in enumerate(want):
         assert bits(got.slack[i]) == bits(row[3])
