@@ -6,10 +6,12 @@ tensors of a submersion, their first covariant derivatives, and pointwise
 structural checks (symmetry, alternation, skew-adjointness, anti-invariance,
 the square identity for the horizontal part of phi).
 
-Everything pointwise routes through ``PointCalculus``. The layer's model
-expressions (the declared fields, the projection, the base metric) are
-evaluated by ``riemannian.model_jets`` on the ``ArrayJet`` coordinate jets
-of a block of the one point; from there the layer runs on array jets.
+Everything pointwise routes through ``PointCalculus``, which runs once on
+a block of sample points, the point axis leading; ``calc[k]`` is point k's
+view. The layer's model expressions (the declared fields, the projection,
+the base metric) are evaluated by ``riemannian.model_jets`` on the
+``ArrayJet`` coordinate jets of the block, once per block; from there the
+layer runs on array jets, with the point axis as a batch index only.
 Gram-Schmidt turns the fields into an orthonormal frame that is itself a
 second-order differentiable field, and one batched pass over all frame
 pairs and chart components gives the value and gradient of the vertical-block
@@ -193,13 +195,13 @@ def adapted_frame_at(sub: SubmersionModel, state: SpaceFormData) -> AdaptedFrame
     metric = state.conn.metric
     g = ArrayJet(metric.value, metric.d1, metric.d2)
     fields = sub.vertical_fields + sub.horizontal_fields
-    raw = model_jets([f.components for f in fields], seed_block(state.points))
+    # rest: the fields not yet normalized, orthogonalized against the
+    # units so far, all of them at once
+    rest = model_jets([f.components for f in fields], seed_block(state.points))
     dependent = np.zeros(len(state.points), dtype=bool)
     units = []
     for k in range(len(fields)):
-        v = raw[:, k]
-        for e in units:
-            v = v - _pair(g, v, e)[:, None] * e
+        v, rest = rest[:, 0], rest[:, 1:]
         nsq = _pair(g, v, v)
         # a dependent point goes on with a unit norm, so that the others
         # keep their frames
@@ -207,7 +209,10 @@ def adapted_frame_at(sub: SubmersionModel, state: SpaceFormData) -> AdaptedFrame
         dependent |= short
         if short.any():
             nsq = ArrayJet(np.where(short, 1.0, nsq.value), nsq.gradient, nsq.hessian)
-        units.append((1.0 / nsq.sqrt())[:, None] * v)
+        e = (1.0 / nsq.sqrt())[:, None] * v
+        units.append(e)
+        if rest.shape[1]:
+            rest = rest - _pair(g, rest, e[:, None])[..., None] * e[:, None]
     if dependent.any():
         raise DegenerateFrameError(
             f"declared fields of {sub.name!r} are dependent at "
@@ -300,6 +305,7 @@ class PointCalculus:
         )
 
     def __getitem__(self, k) -> PointCalculus:
+        """The view of point ``k``, on its slices of the block's tables."""
         view = copy.copy(self)
         for name, value in vars(self).items():
             if name not in ("sub", "r", "n"):
