@@ -99,9 +99,10 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _space_form_blocks(spec: SasakianSpaceFormSpec, pts):
-    """The total space's data on consecutive blocks of the sample."""
-    for block in point_blocks(pts, spec.model.dim):
+def _space_form_blocks(spec: SasakianSpaceFormSpec, pts, power: int = 4):
+    """The total space's data on consecutive blocks of the sample, as cut by
+    ``riemannian.point_blocks``."""
+    for block in point_blocks(pts, spec.model.dim, power):
         yield space_form_data(spec, block)
 
 
@@ -243,7 +244,7 @@ def run(config: RunConfig) -> Report:
         # shared by every section
         blocks = []
         analyses = []
-        for data in _space_form_blocks(sub.total, pts):
+        for data in _space_form_blocks(sub.total, pts, power=5):
             blocks.append(data)
             analyses.append(analyze_point(sub, data))
         if config.command in ("verify", "report"):

@@ -58,7 +58,9 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _batch_sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _outer(a, b) + _outer(b, a)
+    out = _outer(a, b)
+    out += _outer(b, a)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,30 +539,26 @@ def concat(jets, axis: int = 0) -> ArrayJet:
     )
 
 
-def sum_terms(terms: ArrayJet, axes, start: ArrayJet | None = None) -> ArrayJet:
+def sum_terms(terms: ArrayJet, axes) -> ArrayJet:
     """Sum ``terms`` over the batch axes ``axes``, one term at a time.
 
     The terms are taken in row-major order of ``axes`` and added as
-    ``acc = t0`` (or ``start + t0``), then ``acc = acc + t1``, and so on,
-    which is what a loop of ``ScalarJet`` additions does. The sum is the
-    last row of ``np.add.accumulate``, which runs exactly that recurrence;
-    ``np.sum`` would not, since its pairwise summation regroups the terms.
+    ``acc = t0``, then ``acc = acc + t1``, and so on, which is what a loop
+    of ``ScalarJet`` additions does. The sum is the last row of
+    ``np.add.accumulate``, which runs exactly that recurrence; ``np.sum``
+    would not, since its pairwise summation regroups the terms.
     """
     nb = np.ndim(terms.value)
     axes = tuple(a % nb for a in axes)
     order = axes + tuple(a for a in range(nb) if a not in axes)
     parts = [terms.value, terms.gradient]
-    if terms.hessian is not None and (start is None or start.hessian is not None):
+    if terms.hessian is not None:
         parts.append(terms.hessian)
-    starts = () if start is None else (start.value, start.gradient, start.hessian)
     out = []
-    for k, arr in enumerate(parts):
+    for arr in parts:
         moved = arr.transpose(order + tuple(range(nb, arr.ndim)))
         flat = moved.reshape((-1,) + moved.shape[len(axes):])
         if np.may_share_memory(flat, arr):
             flat = flat.copy()
-        # the sum runs in place, in a copy: start + t0 first, then t1, ...
-        if start is not None:
-            np.add(np.broadcast_to(starts[k], flat.shape[1:]), flat[0], out=flat[0])
-        out.append(np.add.accumulate(flat, axis=0, out=flat)[-1])
+        out.append(np.add.accumulate(flat, axis=0, out=flat)[-1])  # in place, in a copy
     return ArrayJet(out[0], out[1], out[2] if len(out) == 3 else None)

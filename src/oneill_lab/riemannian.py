@@ -39,11 +39,14 @@ _PD_FLOOR = 1e-12
 _BLOCK_ENTRIES = 32768
 
 
-def point_blocks(points, dim: int):
-    """Consecutive blocks of ``max(1, 32768 // dim**4)`` sample points, so
-    every d^4-sized array of a block (second metric partials, connection
-    partials, curvature) stays at or below 256 KiB."""
-    size = max(1, _BLOCK_ENTRIES // dim**4)
+def point_blocks(points, dim: int, power: int = 4):
+    """Consecutive blocks of ``max(1, 32768 // dim**power)`` sample points,
+    so every array of d**power entries per point stays at or below 256 KiB:
+    power 4 for the total space (second metric partials, connection
+    partials, curvature), 5 for the jets of a submersion's per-point stages
+    (a projection's pairings carry a d x d Hessian for each of d x d terms
+    of each of d frame fields)."""
+    size = max(1, _BLOCK_ENTRIES // dim**power)
     for start in range(0, len(points), size):
         yield points[start : start + size]
 

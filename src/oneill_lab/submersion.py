@@ -152,13 +152,18 @@ def _project(w: ArrayJet, block: ArrayJet, g: ArrayJet) -> ArrayJet:
 def _cov(x: ArrayJet, y: ArrayJet, gamma: ArrayJet) -> ArrayJet:
     """Components of the covariant derivative of each field y[p, b] along
     x[p, b]: the terms x_i d_i y_k, then Gamma^k_ij x_i y_j in row-major
-    (i, j) order, one i at a time to bound the memory of a block. ``y``
-    must be order 2; the result is order 1."""
-    acc = sum_terms(x[..., None, :] * y.partials(), axes=(-1,))
+    (i, j) order, added one term at a time, which keeps a block's arrays
+    to the size of the result. ``y`` must be order 2; the result is order
+    1."""
+    d, dy = x.shape[-1], y.partials()
+    acc = x[..., 0, None] * dy[..., 0]
+    for i in range(1, d):
+        acc = acc + x[..., i, None] * dy[..., i]
     gamma = gamma[:, None]
-    for i in range(x.shape[-1]):
-        terms = gamma[..., i, :] * (x[..., i, None] * y)[:, :, None]
-        acc = sum_terms(terms, axes=(-1,), start=acc)
+    for i in range(d):
+        xy = x[..., i, None] * y
+        for j in range(d):
+            acc = acc + gamma[..., i, j] * xy[..., j, None]
     return acc
 
 

@@ -26,10 +26,11 @@ def point_analysis(sub, p):
 
 
 def analysis_blocks(sub, pts):
-    """The analyses of the sample ``pts``, one per block of points."""
+    """The analyses of the sample ``pts``, one per block of points as the
+    CLI cuts them."""
     return [
         analyze_point(sub, space_form_data(sub.total, block))
-        for block in point_blocks(np.asarray(pts, dtype=float), sub.total.model.dim)
+        for block in point_blocks(np.asarray(pts, dtype=float), sub.total.model.dim, 5)
     ]
 
 

@@ -364,20 +364,15 @@ def test_array_jet_matches_scalar_jet_bit_for_bit(data, shapes, dim, orders):
 )
 def test_sum_terms_matches_sequential_scalar_sum(data, dim, order, rows, terms):
     jets = _draw_jet(data, (rows, terms, 2), dim, order)
-    start = _draw_jet(data, (rows,), dim, order)
     got = sum_terms(jets, axes=(1, 2))
-    got_from = sum_terms(jets, axes=(1, 2), start=start)
     shape = jets.value.shape
     for r in range(rows):
         acc = None
-        acc_from = _element(start, (rows,), (r,))
         for t in range(terms):
             for k in range(2):
                 term = _element(jets, shape, (r, t, k))
                 acc = term if acc is None else acc + term
-                acc_from = acc_from + term
         _assert_bit_equal(got, (r,), acc)
-        _assert_bit_equal(got_from, (r,), acc_from)
 
 
 def test_array_jet_stack_and_partials_match_scalar_jets():

@@ -290,6 +290,27 @@ class PerVector:
                 total += _r4(self.r4, uv[j], xv[s], xv[s], uv[j])
         return total
 
+    def t1(self) -> float:
+        """T1 as the per-entry loop gave it: the squares of ``cross`` are
+        numpy-scalar powers, the other squares numpy's array squares."""
+        data = self.analysis.data
+        tc, r, n = data.t_coeff, len(self.uv), len(self.xv)
+        d_s = tc[0, 0, :]
+        if r > 1:
+            d_s = d_s - np.sum(np.diagonal(tc[1:, 1:, :], axis1=0, axis2=1), axis=1)
+        cross = 0.0
+        for s in range(n):
+            for a in range(1, r):
+                for b in range(a + 1, r):
+                    cross += tc[a, a, s] * tc[b, b, s] - tc[a, b, s] ** 2
+        rhs = (
+            0.5 * data.n_norm_sq
+            + 0.5 * float(np.sum(d_s**2))
+            + 2.0 * float(np.sum(tc[0, 1:, :] ** 2))
+            - 2.0 * cross
+        )
+        return abs(data.sum_t_sq - rhs)
+
     def r1(self) -> float:
         uv, r = self.uv, len(self.uv)
         t_uu = [[self.t(uv[a], uv[b]) for b in range(r)] for a in range(r)]
@@ -690,6 +711,7 @@ def test_packet_equals_per_vector_formulas_bitwise(analyses, model):
         assert bits(analysis.delta_n) == bits(ref.delta_n())
         res = analysis.identity_residuals
         two_tau = scalar_curvature(analysis.calc.curvature)
+        assert bits(res["T1"]) == bits(ref.t1())
         assert bits(res["S2"]) == bits(abs(ref.four_block() - two_tau))
         assert bits(res["R1"]) == bits(ref.r1())
         assert bits(res["R2"]) == bits(ref.r2())
