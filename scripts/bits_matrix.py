@@ -6,7 +6,8 @@ whether the checkouts give byte-identical reports. The matrix:
 
 - ``verify`` on r2m1:1..4 at 40 points (blocks of 4 points at d = 9);
 - ``report`` and ``theorems`` on vertical-xi, horizontal-xi and
-  models/reeb_fiber.json at 56 points (a block of 52 and one of 4);
+  models/reeb_fiber.json at 56 points (d = 5: a submersion sample is cut
+  by ``point_blocks(power=5)`` into five blocks of 10 points and one of 6);
 
 each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8,
 90 runs in all; exit_codes.txt holds the exit code of each. Beside them,

@@ -26,7 +26,7 @@ from .errors import (
     OneillLabError,
     RejectedInputError,
 )
-from .invariants import analyze_point
+from .invariants import analyze_point, identity_residuals
 from .report import Report, Tolerances, decide_verdict, identity_tolerance, known_flags_for
 from .riemannian import max_residual, point_blocks
 from .sampling import SampleConfig, sample_model_points, sample_submersion_points
@@ -174,7 +174,7 @@ def _submersion_structure(blocks, analyses, tol: Tolerances):
 def _identity_section(analyses, tol: Tolerances):
     maxima = {}
     for analysis in analyses:
-        for key, val in analysis.identity_residuals.items():
+        for key, val in identity_residuals(analysis).items():
             maxima[key] = max_residual(val, maxima.get(key, 0.0))
     checks = {
         f"identities.{key}": val <= identity_tolerance(key, tol)
@@ -185,8 +185,7 @@ def _identity_section(analyses, tol: Tolerances):
 
 def _theorem_section(analyses, config: RunConfig):
     rng = np.random.default_rng(config.seed + 1)
-    points = [block[k] for block in analyses for k in range(len(block.calc.point))]
-    scans = scan_theorems(points, config.theorems, config.probe, rng)
+    scans = scan_theorems(analyses, config.theorems, config.probe, rng)
     section = {}
     checks = {}
     for tid, scan in scans.items():

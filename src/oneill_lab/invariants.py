@@ -53,16 +53,18 @@ def horizontal_curvature_star(calc: PointCalculus, x, y, z, h):
 
 def _frame_trace(block_curvature, calc, frame, probes) -> np.ndarray:
     """Sum over the frame vectors e of block_curvature(e, p, p, e), one
-    value per probe p, added frame vector by frame vector from 0.0."""
-    e = frame[:, None]
-    return running_sum(block_curvature(calc, e, probes, probes, e))
+    value per probe p, added frame vector by frame vector from 0.0. On a
+    block, ``frame`` (N, k, dim) and ``probes`` (N, P, dim) lead with the
+    point axis; on a view, (k, dim) and (P, dim)."""
+    e, p = frame[..., :, None, :], probes[..., None, :, :]
+    return running_sum(np.moveaxis(block_curvature(calc, e, p, p, e), -2, 0))
 
 
 def ric_hat_probes(calc: PointCalculus, us) -> np.ndarray:
-    """Vertical-block Ricci values at a point's view on (unit) vertical
-    vectors ``us``, shaped (P, dim): traces of the block curvature over the
-    vertical frame.  The diagonal term vanishes identically, so the
-    full-frame sum matches the sum over complements."""
+    """Vertical-block Ricci values on (unit) vertical vectors ``us``, shaped
+    (N, P, dim) on a block, (P, dim) on a view: traces of the block
+    curvature over the vertical frame.  The diagonal term vanishes
+    identically, so the full-frame sum matches the sum over complements."""
     return _frame_trace(fiber_curvature_hat, calc, calc.frame.vert_values, us)
 
 
@@ -105,19 +107,17 @@ def mixed_gauss_residual(calc: PointCalculus) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointAnalysis(PointAxis):
-    """Everything the report sections need on a block of points: the
-    block's ``PointCalculus`` and tensor data, the block scalar curvatures
-    ``tau_hat``/``tau_star`` (stored undoubled), the divergence trace
-    ``delta_n``, and ``identity_residuals``, which maps the stable identity
-    ids {T1, T4, S1, S2, S3, R1, R2, gauss3} to max absolute residuals; one
-    value per point. ``analysis[k]`` is the analysis of point k."""
+    """What the structure and theorem sections need on a block of points:
+    the block's ``PointCalculus`` and tensor data, the block scalar
+    curvatures ``tau_hat``/``tau_star`` (stored undoubled) and the
+    divergence trace ``delta_n``, one value per point. ``analysis[k]`` is
+    the analysis of point k."""
 
     calc: PointCalculus
     data: OneillData
     tau_hat: np.ndarray
     tau_star: np.ndarray
     delta_n: np.ndarray
-    identity_residuals: dict
 
 
 def _hat_star_tables(calc: PointCalculus):
@@ -135,7 +135,14 @@ def _hat_star_tables(calc: PointCalculus):
     return hat, star
 
 
-def _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n):
+def identity_residuals(analysis: PointAnalysis) -> dict:
+    """The stable identity ids {T1, T4, S1, S2, S3, R1, R2, gauss3} mapped to
+    max absolute residuals on the block of ``analysis``, one value per
+    point. Only the identity section reads them, so ``analyze_point``
+    leaves them to this function."""
+    calc, data = analysis.calc, analysis.data
+    tau_hat, tau_star, delta_n = analysis.tau_hat, analysis.tau_star, analysis.delta_n
+    two_tau = scalar_curvature(calc.curvature)
     c = calc.sub.total.c
     q = (c + 3.0) / 4.0
     w = (c - 1.0) / 4.0
@@ -224,11 +231,7 @@ def analyze_point(sub: SubmersionModel, state: SpaceFormData) -> PointAnalysis:
     """The analysis of the block of points of ``state``, the total space's
     data on the block, as for ``PointCalculus``."""
     calc = PointCalculus(sub, state)
-    data = tensors_from_calculus(calc)
-    two_tau = scalar_curvature(calc.curvature)
     hat, star = _hat_star_tables(calc)
     tau_hat = np.sum(np.triu(hat, k=1), axis=(1, 2))
     tau_star = np.sum(np.triu(star, k=1), axis=(1, 2))
-    delta_n = calc.delta_n()
-    residuals = _identity_residuals(calc, data, tau_hat, tau_star, two_tau, delta_n)
-    return PointAnalysis(calc, data, tau_hat, tau_star, delta_n, residuals)
+    return PointAnalysis(calc, tensors_from_calculus(calc), tau_hat, tau_star, calc.delta_n())

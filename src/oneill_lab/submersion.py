@@ -280,7 +280,7 @@ class PointCalculus:
 
     ``state`` is the total space's data on the block; ``state.points`` are
     its points. ``calc[k]`` is the view of point k: the same record on the
-    point's slices, which the theorem scans consume. The methods take
+    point's slices, which only the tests use. The methods take
     vectors ``(..., dim)`` on a view; on a block, every vector argument
     leads with the point axis and has as many axes as the others.
     """

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateFrameError, EmptySampleError, RejectedInputError
 from .invariants import PointAnalysis, ric_hat_probes, ric_star_probes
-from .riemannian import float_squares
+from .riemannian import float_squares, point_maxima
 
 
 class _Theorem(NamedTuple):
@@ -72,10 +72,13 @@ def applicable_ids(xi_case: str):
 
 @dataclass(frozen=True)
 class TheoremTable:
-    """One theorem at one point, a row per probe (per probe and CRH1
-    variant, variants inner). ``slack`` >= 0 means the bound holds;
-    ``equality`` flags |slack| <= EQUALITY_TOL; ``equality_defect`` is the
-    tensor obstruction to equality; ``dropped_term`` is V1's dropped term."""
+    """One theorem on a block of points, the point axis leading: a row per
+    point and probe, shaped (N, P), and for CRH1 per point, probe and bound
+    variant, shaped (N, P, V), named in order by ``variant``. ``slack`` >= 0
+    means the bound holds; ``equality`` flags |slack| <= EQUALITY_TOL;
+    ``equality_defect`` is the tensor obstruction to equality;
+    ``dropped_term`` is V1's dropped term. The probe vectors are
+    (N, P, dim)."""
 
     theorem_id: str
     point: np.ndarray
@@ -102,12 +105,12 @@ class TheoremScan:
     min_slack: float
     argmin_point: Optional[np.ndarray]
     variant_tallies: Optional[dict]
-    tables: list  # the TheoremTable of each point
+    tables: list  # the TheoremTable of each block
 
 
-def _rotated(frame: np.ndarray, i: int) -> np.ndarray:
-    """``frame`` with row i moved to the front."""
-    return frame[[i, *range(i), *range(i + 1, len(frame))]]
+def _rotation(k: int, i: int) -> list:
+    """The rows of a frame of k rows, row i moved to the front."""
+    return [i, *range(i), *range(i + 1, k)]
 
 
 def _unit_coeffs(rng, k: int, sizes) -> list:
@@ -131,29 +134,27 @@ def _unit_coeffs(rng, k: int, sizes) -> list:
 
 
 def _random_probe_frames(calc, frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Orthonormal frames (P, k, dim) of the span of ``frame`` (k, dim):
-    probe p, ``coeffs[p] @ frame``, first, completed by Gram-Schmidt over the
-    rows of ``frame`` in order, skipping a row (numerically) in the span so
-    far. All probes run together; ``count`` holds each probe's rows so far,
-    and a probe takes no part once it has all k."""
-    n_probes, k = coeffs.shape
-    rows = np.zeros((n_probes, k, frame.shape[1]))
-    rows[:, 0] = (coeffs[:, None, :] @ frame)[:, 0]
-    count = np.ones(n_probes, dtype=int)
-    for v in frame:
-        live = np.flatnonzero(count < k)
-        if not live.size:
+    """Orthonormal frames (N, P, k, dim) of the span of each point's
+    ``frame`` (N, k, dim): probe p, ``coeffs[:, p] @ frame``, first,
+    completed by Gram-Schmidt over the rows of ``frame`` in order, skipping
+    a row (numerically) in the span so far. All points and probes run
+    together; ``count`` holds each probe's rows so far, and a probe takes no
+    part once it has all k."""
+    k = coeffs.shape[-1]
+    rows = np.zeros(coeffs.shape[:2] + frame.shape[1:])
+    rows[:, :, 0] = (coeffs[:, :, None, :] @ frame[:, None])[:, :, 0]
+    count = np.ones(coeffs.shape[:2], dtype=int)
+    for i in range(k):
+        live = count < k
+        if not live.any():
             break
-        w = np.broadcast_to(v, (live.size, v.size))
+        w = np.broadcast_to(frame[:, None, i], rows.shape[:2] + rows.shape[3:])
         for j in range(int(count[live].max())):
-            u = rows[live, j]
-            w = np.where(
-                (count[live] > j)[:, None], w - calc.pairings(u, w)[:, None] * u, w
-            )
+            u = rows[:, :, j]
+            w = np.where((count > j)[..., None], w - calc.pairings(u, w)[..., None] * u, w)
         nsq = calc.pairings(w, w)
-        keep = ~(nsq < _GS_DROP_SQ)
-        done = live[keep]
-        rows[done, count[done]] = w[keep] / np.sqrt(nsq[keep])[:, None]
+        done = live & ~(nsq < _GS_DROP_SQ)
+        rows[done, count[done]] = w[done] / np.sqrt(nsq[done])[:, None]
         count[done] += 1
     if np.any(count != k):
         raise DegenerateFrameError("probe completion lost rank")
@@ -172,58 +173,76 @@ def parse_probe_mode(probe_mode: str):
     return "random", int(m.group(1))
 
 
-def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, rng):
-    """The vertical and horizontal frames of every probe, stacked (P, r, dim)
-    and (P, n, dim), with the probe vector in the first slot of each block
-    that the theorem actually probes. Random probes draw in probe order,
-    the vertical probe before the horizontal one."""
-    needs_v, needs_h = _CATALOG[theorem_id].needs_v, _CATALOG[theorem_id].needs_h
+def _draw_coeffs(analysis: PointAnalysis, theorem_ids, k: int, rng) -> dict:
+    """Each id's random probe coefficients on a block: per probed frame
+    block, vertical before horizontal, one array (N, k, size). They are
+    drawn point by point and, at each point, id by id, one ``_unit_coeffs``
+    call per (point, id), the order of one point at a time."""
     calc = analysis.calc
-    base_v = np.asarray(calc.frame.vert_values, dtype=float)
-    base_h = np.asarray(calc.frame.horiz_values, dtype=float)
-    if mode == "first" or not (needs_v or needs_h):
-        return base_v[None], base_h[None]
+    sizes = {}
+    for tid in theorem_ids:
+        entry = _CATALOG[tid]
+        probed = ((calc.r, entry.needs_v), (calc.n, entry.needs_h))
+        sizes[tid] = [size for size, needed in probed if needed]
+    draws = {tid: [] for tid in theorem_ids}
+    for _ in range(len(calc.point)):
+        for tid in theorem_ids:
+            if sizes[tid]:
+                draws[tid].append(_unit_coeffs(rng, k, sizes[tid]))
+    return {tid: [np.stack(c) for c in zip(*per_point)] for tid, per_point in draws.items()}
+
+
+def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, coeffs):
+    """The vertical and horizontal frames of every point and probe, stacked
+    (N, P, r, dim) and (N, P, n, dim), with the probe vector in the first
+    slot of each block that the theorem actually probes; ``coeffs`` are the
+    block's random draws of this theorem, from ``_draw_coeffs``."""
+    entry, calc, frame = _CATALOG[theorem_id], analysis.calc, analysis.calc.frame
+    blocks = ((frame.vert_values, entry.needs_v), (frame.horiz_values, entry.needs_h))
+    if mode == "first" or not (entry.needs_v or entry.needs_h):
+        return tuple(base[:, None] for base, _ in blocks)
     if mode == "all":
-        vs = range(base_v.shape[0]) if needs_v else [0]
-        hs = range(base_h.shape[0]) if needs_h else [0]
+        vs = range(calc.r) if entry.needs_v else [0]
+        hs = range(calc.n) if entry.needs_h else [0]
         pairs = [(i, j) for i in vs for j in hs]
         return (
-            np.array([_rotated(base_v, i) for i, _ in pairs]),
-            np.array([_rotated(base_h, j) for _, j in pairs]),
+            frame.vert_values[:, [_rotation(calc.r, i) for i, _ in pairs]],
+            frame.horiz_values[:, [_rotation(calc.n, j) for _, j in pairs]],
         )
-    blocks = ((base_v, needs_v), (base_h, needs_h))
-    coeffs = iter(_unit_coeffs(rng, k, [len(base) for base, needed in blocks if needed]))
+    coeffs = iter(coeffs)
     return tuple(
         _random_probe_frames(calc, base, next(coeffs))
         if needed
-        else np.repeat(base[None], k, axis=0)
+        else np.repeat(base[:, None], k, axis=1)
         for base, needed in blocks
     )
 
 
+# The probe tables run on a block: z is the point axis and p the probe.
 def _probe_t_coeff(analysis, vfr, hfr):
-    """Per probe: T on the probe's vertical frame in chart components
-    (P, r, r, dim) and along its horizontal frame (P, r, r, n)."""
-    g = analysis.calc.conn.metric.value
-    base_v = np.asarray(analysis.calc.frame.vert_values, dtype=float)
-    cv = vfr @ g @ base_v.T
-    t_chart = np.einsum("pac,pbd,cdk->pabk", cv, cv, analysis.data.t_uu)
-    return t_chart, np.einsum("pabk,kl,psl->pabs", t_chart, g, hfr)
+    """Per point and probe: T on the probe's vertical frame in chart
+    components (N, P, r, r, dim) and along its horizontal frame
+    (N, P, r, r, n)."""
+    calc = analysis.calc
+    g = calc.conn.metric.value
+    cv = vfr @ g[:, None] @ np.swapaxes(calc.frame.vert_values, 1, 2)[:, None]
+    t_chart = np.einsum("zpac,zpbd,zcdk->zpabk", cv, cv, analysis.data.t_uu)
+    return t_chart, np.einsum("zpabk,zkl,zpsl->zpabs", t_chart, g, hfr)
 
 
 def _probe_a_coeff(analysis, vfr, hfr):
-    """Per probe: A on the probe's horizontal frame along its vertical frame
-    (P, n, n, r)."""
-    g = analysis.calc.conn.metric.value
-    base_h = np.asarray(analysis.calc.frame.horiz_values, dtype=float)
-    ch = hfr @ g @ base_h.T
-    a_chart = np.einsum("psu,ptv,uvk->pstk", ch, ch, analysis.data.a_xx)
-    return np.einsum("pstk,kl,pal->psta", a_chart, g, vfr)
+    """Per point and probe: A on the probe's horizontal frame along its
+    vertical frame (N, P, n, n, r)."""
+    calc = analysis.calc
+    g = calc.conn.metric.value
+    ch = hfr @ g[:, None] @ np.swapaxes(calc.frame.horiz_values, 1, 2)[:, None]
+    a_chart = np.einsum("zpsu,zptv,zuvk->zpstk", ch, ch, analysis.data.a_xx)
+    return np.einsum("zpstk,zkl,zpal->zpsta", a_chart, g, vfr)
 
 
 def _c_norms_sq(calc, xs) -> np.ndarray:
-    """|C x|^2 for horizontal vectors ``xs`` (P, dim): the squared length of
-    the horizontal part of phi x."""
+    """|C x|^2 for horizontal vectors ``xs`` (..., dim): the squared length
+    of the horizontal part of phi x."""
     c_part = calc.h_project_values(calc.phi_of(xs))
     return calc.pairings(c_part, c_part)
 
@@ -231,69 +250,73 @@ def _c_norms_sq(calc, xs) -> np.ndarray:
 # With one vector in a block, the sums and maxima over the block's other
 # vectors are empty and give 0.0, as absolute values that were all 0.0 would.
 def _chen_t_defects(tc: np.ndarray) -> np.ndarray:
-    diag_rest = tc[:, 1:, 1:, :].diagonal(axis1=1, axis2=2).sum(axis=2)
-    worst = np.max(np.abs(tc[:, 0, 0, :] - diag_rest), axis=1)
-    off = np.max(np.abs(tc[:, 0, 1:, :]), axis=(1, 2), initial=0.0)
+    diag_rest = tc[..., 1:, 1:, :].diagonal(axis1=-3, axis2=-2).sum(axis=-1)
+    worst = np.max(np.abs(tc[..., 0, 0, :] - diag_rest), axis=-1)
+    off = np.max(np.abs(tc[..., 0, 1:, :]), axis=(-2, -1), initial=0.0)
     return np.where(off > worst, off, worst)  # Python's max(worst, off)
 
 
 def _chen_a_defects(ac: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(ac[:, 0, 1:, :]), axis=(1, 2), initial=0.0)
+    return np.max(np.abs(ac[..., 0, 1:, :]), axis=(-2, -1), initial=0.0)
 
 
-def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
-    """The table of one theorem for all probe frames of one point.
+def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
+    """The table of one theorem on a block for the probes of ``mode``; a
+    random mode's are those of ``coeffs``, the block's draws of this id.
 
-    Each quantity is computed for all probes at once, in the float
-    operations of a single probe, so every row equals what one probe at a
-    time gives, bit for bit. A bound without a probe has one row."""
+    Each quantity is computed for all points and probes at once, in the
+    float operations of a single probe at a single point, so every row
+    equals what one probe at a time gives, bit for bit. A bound without a
+    probe has one row per point; a quantity of the point alone gains a
+    probe axis of length 1."""
     data, calc = analysis.data, analysis.calc
     c = calc.sub.total.c
     q, w = (c + 3.0) / 4.0, (c - 1.0) / 4.0
     r, n = calc.r, calc.n
-    u1, x1 = vfr[:, 0], hfr[:, 0]
+    vfr, hfr = _probe_frames(analysis, theorem_id, mode, k, coeffs)
+    u1, x1 = vfr[:, :, 0], hfr[:, :, 0]
     dropped = variant = None
-    variants = 1
     if theorem_id == "V1":
         eta_sq = float_squares(calc.eta_of(u1))
         lhs = ric_hat_probes(calc, u1)
         t_chart, tc = _probe_t_coeff(analysis, vfr, hfr)
-        mean_term = calc.pairings(t_chart[:, 0, 0], data.h_vec)
+        mean_term = calc.pairings(t_chart[:, :, 0, 0], data.h_vec[:, None])
         rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - r * mean_term
-        defect = float(np.max(np.abs(data.t_coeff)))
-        dropped = np.sum(tc[:, 0, :, :] ** 2, axis=(1, 2))
+        defect = point_maxima(np.abs(data.t_coeff))[:, None]
+        dropped = np.sum(tc[:, :, 0, :, :] ** 2, axis=(2, 3))
     elif theorem_id in ("V2", "V3"):
-        lhs = 2.0 * analysis.tau_hat
+        lhs = 2.0 * analysis.tau_hat[:, None]
+        n_norm_sq = data.n_norm_sq[:, None]
         if theorem_id == "V2":
-            rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - data.n_norm_sq
+            rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - n_norm_sq
         else:
-            rhs = q * r * (r - 1) - data.n_norm_sq
-        defect = float(np.max(np.abs(data.t_coeff)))
+            rhs = q * r * (r - 1) - n_norm_sq
+        defect = point_maxima(np.abs(data.t_coeff))[:, None]
     elif theorem_id in ("H1", "H2"):
-        lhs = 2.0 * analysis.tau_star
+        lhs = 2.0 * analysis.tau_star[:, None]
+        trace_phi_b = data.trace_phi_b[:, None]
         if theorem_id == "H1":
-            rhs = q * n * (n - 1) + 3.0 * w * (n + data.trace_phi_b)
+            rhs = q * n * (n - 1) + 3.0 * w * (n + trace_phi_b)
         else:
-            rhs = q * n * (n - 1) + w * (3.0 * data.trace_phi_b + n - 1.0)
-        defect = float(np.max(np.abs(data.a_coeff)))
+            rhs = q * n * (n - 1) + w * (3.0 * trace_phi_b + n - 1.0)
+        defect = point_maxima(np.abs(data.a_coeff))[:, None]
     elif theorem_id in ("CRV1", "CRV2"):
         lhs = ric_hat_probes(calc, u1)
+        n_norm_sq = data.n_norm_sq[:, None]
         if theorem_id == "CRV1":
             eta_sq = float_squares(calc.eta_of(u1))
-            rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - 0.25 * data.n_norm_sq
+            rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - 0.25 * n_norm_sq
         else:
-            rhs = q * (r - 1) - 0.25 * data.n_norm_sq
+            rhs = q * (r - 1) - 0.25 * n_norm_sq
         defect = _chen_t_defects(_probe_t_coeff(analysis, vfr, hfr)[1])
     elif theorem_id == "CRH1":
-        # rows (probe, variant), variants inner
-        variants = len(CRH1_VARIANTS)
-        variant = tuple(name for name, _ in CRH1_VARIANTS) * vfr.shape[0]
+        # rows (point, probe, variant), variants last
+        variant = tuple(name for name, _ in CRH1_VARIANTS)
         kappas = np.array([kappa for _, kappa in CRH1_VARIANTS])
         c1_sq = _c_norms_sq(calc, x1)
-        lhs = np.repeat(ric_star_probes(calc, x1), variants)
-        rhs = (q * (n - 1) + kappas * (c - 1.0) * c1_sq[:, None]).ravel()
-        defects = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
-        defect = np.repeat(defects, variants)
+        lhs = ric_star_probes(calc, x1)[..., None]
+        rhs = q * (n - 1) + kappas * (c - 1.0) * c1_sq[..., None]
+        defect = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))[..., None]
     elif theorem_id == "CRH2":
         eta_sq = float_squares(calc.eta_of(x1))
         lhs = ric_star_probes(calc, x1)
@@ -307,55 +330,58 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, vfr, hfr):
             inner = 2.0 * r - 4.0 - (n - 2) * float_squares(calc.eta_of(x1))
         lhs = q * (n * r + n + r - 2) + w * (inner + 3.0 * _c_norms_sq(calc, x1))
         ac = _probe_a_coeff(analysis, vfr, hfr)
-        a1s_sq = np.sum(ac[:, 0, 1:, :] ** 2, axis=(1, 2))
+        a1s_sq = np.sum(ac[:, :, 0, 1:, :] ** 2, axis=(2, 3))
         rhs = (
             ric_hat_probes(calc, u1)
             + ric_star_probes(calc, x1)
-            + 0.25 * data.n_norm_sq
+            + 0.25 * data.n_norm_sq[:, None]
             + 3.0 * a1s_sq
-            - analysis.delta_n
-            + data.norm_tv_sq
-            - data.norm_ah_sq
+            - analysis.delta_n[:, None]
+            + data.norm_tv_sq[:, None]
+            - data.norm_ah_sq[:, None]
         )
         defect = _chen_t_defects(_probe_t_coeff(analysis, vfr, hfr)[1])
     entry = _CATALOG[theorem_id]
-    rows = vfr.shape[0] * variants
-    lhs = np.broadcast_to(np.asarray(lhs, dtype=float), (rows,))
-    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (rows,))
+    shape = vfr.shape[:2] + ((len(variant),) if variant else ())
+    lhs, rhs = np.broadcast_to(lhs, shape), np.broadcast_to(rhs, shape)
     slack = (lhs - rhs) if entry.sense == "ge" else (rhs - lhs)
     return TheoremTable(
         theorem_id=theorem_id,
         point=calc.point,
         variant=variant,
         equality_class=entry.equality_class,
-        probe_vertical=np.repeat(u1, variants, axis=0) if entry.needs_v else None,
-        probe_horizontal=np.repeat(x1, variants, axis=0) if entry.needs_h else None,
+        probe_vertical=u1 if entry.needs_v else None,
+        probe_horizontal=x1 if entry.needs_h else None,
         lhs=lhs,
         rhs=rhs,
         slack=slack,
         holds=slack >= SLACK_FLOOR,
         equality=np.abs(slack) <= EQUALITY_TOL,
-        equality_defect=np.broadcast_to(np.asarray(defect, dtype=float), (rows,)),
+        equality_defect=np.broadcast_to(defect, shape),
         dropped_term=dropped,
     )
 
 
-def evaluate_theorem(
-    analysis: PointAnalysis, theorem_id: str, probe_mode: str = "first", rng=None
-) -> TheoremTable:
-    """The table of one theorem at one analyzed point. Random probes draw
-    from ``rng``, or from a generator seeded with 0 made for this call."""
+def _check_case(analysis: PointAnalysis, theorem_id: str) -> None:
     case = required_xi_case(theorem_id)
     if analysis.calc.sub.xi_case != case:
         raise RejectedInputError(
             f"{theorem_id} needs a model with the Reeb field {case}, "
             f"got {analysis.calc.sub.xi_case}"
         )
+
+
+def evaluate_theorem(
+    analysis: PointAnalysis, theorem_id: str, probe_mode: str = "first", rng=None
+) -> TheoremTable:
+    """The table of one theorem on a block of analyzed points. Random probes
+    draw from ``rng`` point by point, or from a generator seeded with 0 made
+    for this call."""
+    _check_case(analysis, theorem_id)
     mode, k = parse_probe_mode(probe_mode)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    vfr, hfr = _probe_frames(analysis, theorem_id, mode, k, rng)
-    return _evaluate_probes(analysis, theorem_id, vfr, hfr)
+    rng = np.random.default_rng(0) if rng is None else rng
+    draws = _draw_coeffs(analysis, (theorem_id,), k, rng) if mode == "random" else {}
+    return _evaluate_probes(analysis, theorem_id, mode, k, draws.get(theorem_id))
 
 
 def _first_min(slack: np.ndarray) -> int:
@@ -375,22 +401,24 @@ def _tally(slack, holds, equality) -> dict:
 
 
 def scan_from_records(theorem_id, tables, points_checked) -> TheoremScan:
-    """Reduce the per-point tables of one theorem, rows in (point, probe,
-    variant) order: counts, the least slack and its point, and for CRH1 the
-    same per variant."""
-    slack = np.concatenate([t.slack for t in tables])
-    holds = np.concatenate([t.holds for t in tables])
-    equality = np.concatenate([t.equality for t in tables])
-    total = _tally(slack, holds, equality)
-    ends = np.cumsum([t.slack.size for t in tables])
-    owner = int(np.searchsorted(ends, _first_min(slack), side="right"))
+    """Reduce the block tables of one theorem, rows in (point, probe,
+    variant) order: counts, the least slack and the point of its row, and
+    for CRH1 the same per variant."""
+    names = tables[0].variant
+    width = len(names) if names else 1
+
+    def rows(field):  # (point and probe, variant)
+        return np.concatenate([getattr(t, field).reshape(-1, width) for t in tables])
+
+    slack, holds, equality = rows("slack"), rows("holds"), rows("equality")
+    total = _tally(slack.ravel(), holds.ravel(), equality.ravel())
+    row_points = np.concatenate([np.repeat(t.point, t.slack[0].size, axis=0) for t in tables])
     tallies = None
-    if theorem_id == "CRH1":
-        variant = np.concatenate([t.variant for t in tables])
-        tallies = {}
-        for name, _ in CRH1_VARIANTS:
-            rows = variant == name
-            tallies[name] = _tally(slack[rows], holds[rows], equality[rows])
+    if names:
+        tallies = {
+            name: _tally(slack[:, j], holds[:, j], equality[:, j])
+            for j, name in enumerate(names)
+        }
     return TheoremScan(
         theorem_id=theorem_id,
         points_checked=points_checked,
@@ -398,19 +426,19 @@ def scan_from_records(theorem_id, tables, points_checked) -> TheoremScan:
         violations=total["violations"],
         equalities=total["equalities"],
         min_slack=total["min_slack"],
-        argmin_point=tables[owner].point.copy(),
+        argmin_point=row_points[_first_min(slack.ravel())].copy(),
         variant_tallies=tallies,
         tables=tables,
     )
 
 
 def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
-    """Evaluate theorem ids over analyzed sample points; ids default to those
-    applicable to the model's Reeb case. Points are the outer loop and ids
-    the inner one, so random probes draw from ``rng`` in a fixed order;
-    without ``rng``, from one generator seeded with 0 made for the scan.
-    Returns {theorem_id: TheoremScan} in id order. An empty list of ids, or
-    one that names an id twice, is rejected."""
+    """Evaluate theorem ids over blocks of analyzed sample points, each id
+    once per block; ids default to those applicable to the model's Reeb
+    case. Random probes draw from ``rng`` point by point and, at each point,
+    id by id; without ``rng``, from one generator seeded with 0 made for the
+    scan. Returns {theorem_id: TheoremScan} in id order. An empty list of
+    ids, or one that names an id twice, is rejected."""
     if theorem_ids is not None and (
         not theorem_ids or len(set(theorem_ids)) != len(theorem_ids)
     ):
@@ -423,11 +451,15 @@ def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
         rng = np.random.default_rng(0)
     if theorem_ids is None:
         theorem_ids = applicable_ids(analyses[0].calc.sub.xi_case)
+    for tid in theorem_ids:
+        _check_case(analyses[0], tid)
+    mode, k = parse_probe_mode(probe_mode)
     tables = {tid: [] for tid in theorem_ids}
-    for analysis in analyses:
+    for block in analyses:
+        draws = _draw_coeffs(block, theorem_ids, k, rng) if mode == "random" else {}
         for tid in theorem_ids:
-            tables[tid].append(evaluate_theorem(analysis, tid, probe_mode, rng))
+            tables[tid].append(_evaluate_probes(block, tid, mode, k, draws.get(tid)))
+    points = sum(len(block.calc.point) for block in analyses)
     return {
-        tid: scan_from_records(tid, per_point, len(analyses))
-        for tid, per_point in tables.items()
+        tid: scan_from_records(tid, per_block, points) for tid, per_block in tables.items()
     }

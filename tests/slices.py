@@ -1,11 +1,14 @@
 """The ways into the block pipeline for test points: a block of one point,
 the analyses of a sample one block of points at a time as the CLI makes
-them, and each point's view of a block."""
+them, each point's view of a block, and a point's rows of a block's
+theorem table."""
+
+import dataclasses
 
 import numpy as np
 
 from oneill_lab.contact import space_form_data
-from oneill_lab.invariants import analyze_point
+from oneill_lab.invariants import analyze_point, identity_residuals
 from oneill_lab.riemannian import point_blocks
 from oneill_lab.submersion import PointCalculus
 
@@ -25,6 +28,21 @@ def point_analysis(sub, p):
     return analyze_point(sub, point_block(sub, p))[0]
 
 
+def block_of_one(sub, p):
+    """The analysis of the block of the one point ``p``."""
+    return analyze_point(sub, point_block(sub, p))
+
+
+def blocks_of_one(sub, pts):
+    """The analyses of the points ``pts``, each as a block of one."""
+    return [block_of_one(sub, p) for p in pts]
+
+
+def point_residuals(sub, p):
+    """The identity residuals of ``p``, computed on its block of one."""
+    return {key: val[0] for key, val in identity_residuals(block_of_one(sub, p)).items()}
+
+
 def analysis_blocks(sub, pts):
     """The analyses of the sample ``pts``, one per block of points as the
     CLI cuts them."""
@@ -37,3 +55,31 @@ def analysis_blocks(sub, pts):
 def point_views(blocks):
     """Each point's view of the block analyses, in sample order."""
     return [block[k] for block in blocks for k in range(len(block.calc.point))]
+
+
+def table_rows(table, k=0):
+    """Point k's rows of a block's theorem table, flattened in (probe,
+    variant) order, with a variant name and probe vectors per row."""
+    names = table.variant
+    width = len(names) if names else 1
+
+    def rows(a):
+        return None if a is None else a[k].reshape(-1)
+
+    def probes(a):
+        return None if a is None else np.repeat(a[k], width, axis=0)
+
+    return dataclasses.replace(
+        table,
+        point=table.point[k],
+        variant=names * len(table.slack[k]) if names else None,
+        probe_vertical=probes(table.probe_vertical),
+        probe_horizontal=probes(table.probe_horizontal),
+        lhs=rows(table.lhs),
+        rhs=rows(table.rhs),
+        slack=rows(table.slack),
+        holds=rows(table.holds),
+        equality=rows(table.equality),
+        equality_defect=rows(table.equality_defect),
+        dropped_term=rows(table.dropped_term),
+    )

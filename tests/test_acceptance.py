@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from darboux import darboux_frame, phi_sectional
-from slices import analysis_blocks, point_block, point_views
+from slices import analysis_blocks, blocks_of_one, point_block, point_views
 from oneill_lab.cli import cli_parse, resolve_model, run
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
+from oneill_lab.invariants import identity_residuals
 from oneill_lab.riemannian import metric_at, riemann_at
 from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
 from oneill_lab.submersion import (
@@ -86,11 +87,11 @@ def vx_analyses(vx_blocks):
 
 
 @pytest.fixture(scope="module")
-def vx_scan_tables(vx_analyses):
+def vx_scan_tables(vx_model, vx_points):
     tables = {tid: [] for tid in VERT_IDS}
-    for analysis in vx_analyses:
+    for block in blocks_of_one(vx_model, vx_points):
         for tid in VERT_IDS:
-            tables[tid].append(evaluate_theorem(analysis, tid))
+            tables[tid].append(evaluate_theorem(block, tid))
     return tables
 
 
@@ -172,11 +173,12 @@ def test_c3_vertical_model_structure_suite(vx_model, vx_blocks, vx_analyses):
     )
 
 
-def test_c4_identity_suite(vx_analyses):
+def test_c4_identity_suite(vx_blocks):
     worst = {}
-    for analysis in vx_analyses:
-        for key, val in analysis.identity_residuals.items():
-            worst[key] = max(worst.get(key, 0.0), float(val))
+    for block in vx_blocks:
+        for key, values in identity_residuals(block).items():
+            for val in values:
+                worst[key] = max(worst.get(key, 0.0), float(val))
     tight_ok = worst["T1"] <= ID_TIGHT_TOL
     rest = {k: v for k, v in worst.items() if k != "T1"}
     rest_ok = all(v <= ID_CURV_TOL for v in rest.values())
@@ -194,7 +196,7 @@ def test_c5_theorem_scans_sound_cases(vx_scan_tables, hx_report):
         tid: sum(int(np.count_nonzero(~t.holds)) for t in tables)
         for tid, tables in vx_scan_tables.items()
     }
-    h1_rhs = max(abs(rhs) for t in vx_scan_tables["H1"] for rhs in t.rhs)
+    h1_rhs = max(abs(rhs) for t in vx_scan_tables["H1"] for rhs in t.rhs.ravel())
     horiz_viol = {tid: hx_report.theorems[tid]["violations"] for tid in HORIZ_SOUND_IDS}
     ok = (
         all(v == 0 for v in vert_viol.values())
@@ -251,17 +253,17 @@ def test_c7_sharpness_under_vanishing_tensors(vx_scan_tables, hx_report, hx_mode
     # T == 0 models: the two fiber scalar bounds should be attained.
     reeb = load_custom_model(Path(REEB_MODEL).read_bytes())
     reeb_pts = sample_submersion_points(reeb, SampleConfig(points=20, seed=42))
-    reeb_analyses = point_views(analysis_blocks(reeb, reeb_pts))
+    reeb_analyses = blocks_of_one(reeb, reeb_pts)
     assert np.max(np.abs(reeb_analyses[0].data.t_coeff)) <= 1e-9
     v2 = scan_theorems(reeb_analyses, theorem_ids=("V2",))["V2"]
-    v2_worst = max(abs(slack) for t in v2.tables for slack in t.slack)
+    v2_worst = max(abs(slack) for t in v2.tables for slack in t.slack.ravel())
     v3_entry = hx_report.theorems["V3"]
     v3_ok = (
         abs(v3_entry["min_slack"]) <= SHARP_TOL
         and v3_entry["equalities"] == v3_entry["points_checked"]
     )
     # A == 0 holds everywhere on the vertical-Reeb example: H1 is attained.
-    h1_worst = max(abs(slack) for t in vx_scan_tables["H1"] for slack in t.slack)
+    h1_worst = max(abs(slack) for t in vx_scan_tables["H1"] for slack in t.slack.ravel())
     # The horizontal-Reeb models carry |A|^2 = 4 at every admissible point,
     # so no A == 0 point exists for H2; record the discovery instead.
     hx_pts = sample_submersion_points(hx_model, SampleConfig(points=10, seed=42))

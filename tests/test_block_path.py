@@ -1,9 +1,10 @@
 """The block path against one-point evaluation.
 
-Every stage after the total space runs once per block of points. A point's
-view of a block must equal, bit for bit, the block of that point alone,
-whatever the size of the block and the order of its points, and an error
-at a point must be the one the first failing point alone raises.
+Every stage after the total space runs once per block of points, the
+theorem scans included. A point's view of a block, and its rows of a
+block's theorem tables, must equal, bit for bit, the block of that point
+alone, whatever the size of the block and the order of its points, and an
+error at a point must be the one the first failing point alone raises.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from oneill_lab.cli import resolve_model
 from oneill_lab.contact import space_form_data
 from oneill_lab.errors import DegenerateFrameError
-from oneill_lab.invariants import analyze_point
+from oneill_lab.invariants import analyze_point, identity_residuals
 from oneill_lab.riemannian import VectorField
 from oneill_lab.sampling import SampleConfig, sample_submersion_points
 from oneill_lab.submersion import (
@@ -29,6 +30,7 @@ from oneill_lab.submersion import (
     verify_riemannian_submersion,
     verify_structure_lemmas,
 )
+from oneill_lab.theorems import TheoremTable, scan_from_records, scan_theorems
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 MODELS = ("vertical-xi", "horizontal-xi", "reeb_fiber")
@@ -50,10 +52,16 @@ def jet_bits(jet):
 
 
 def _stages(sub, points):
-    """The analysis, the submersion checks and the lemmas of a block."""
+    """The analysis, the identity residuals, the submersion checks and the
+    lemmas of a block."""
     analysis = analyze_point(sub, space_form_data(sub.total, points))
     calc = analysis.calc
-    return analysis, verify_riemannian_submersion(calc), verify_structure_lemmas(calc, analysis.data)
+    return (
+        analysis,
+        identity_residuals(analysis),
+        verify_riemannian_submersion(calc),
+        verify_structure_lemmas(calc, analysis.data),
+    )
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -67,9 +75,9 @@ def test_point_views_equal_blocks_of_one_point(model, seed, size, data):
     sub = _model(model)
     pts = sample_submersion_points(sub, SampleConfig(points=size, seed=seed))
     pts = pts[data.draw(st.permutations(range(size)))]
-    block, checks, lemmas = _stages(sub, pts)
+    block, residuals, checks, lemmas = _stages(sub, pts)
     for k, pt in enumerate(pts):
-        one, one_checks, one_lemmas = _stages(sub, pt[None])
+        one, one_residuals, one_checks, one_lemmas = _stages(sub, pt[None])
         got, want = block[k], one[0]
         assert bits(got.calc.point) == bits(pt)
         assert jet_bits(got.calc.frame.jets) == jet_bits(want.calc.frame.jets)
@@ -82,14 +90,70 @@ def test_point_views_equal_blocks_of_one_point(model, seed, size, data):
             assert bits(getattr(got.data, name)) == bits(getattr(want.data, name)), name
         for name in ("tau_hat", "tau_star", "delta_n"):
             assert bits(getattr(got, name)) == bits(getattr(want, name)), name
-        assert got.identity_residuals.keys() == want.identity_residuals.keys()
-        for key, val in got.identity_residuals.items():
-            assert bits(val) == bits(want.identity_residuals[key]), key
+        assert residuals.keys() == one_residuals.keys()
+        for key, val in residuals.items():
+            assert bits(val[k]) == bits(one_residuals[key][0]), key
         for key, val in lemmas.items():
             assert bits(val[k]) == bits(one_lemmas[key][0]), key
         for field in dataclasses.fields(SubmersionCheck):
             name = field.name
             assert bits(getattr(checks[k], name)) == bits(getattr(one_checks[0], name))
+
+
+def _field_bits(value):
+    if value is None or isinstance(value, (str, tuple)):
+        return value
+    return bits(value)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    model=st.sampled_from(MODELS),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    size=st.integers(min_value=1, max_value=7),
+    mode=st.sampled_from(("first", "all", "random:3")),
+    data=st.data(),
+)
+def test_scan_rows_equal_scans_of_blocks_of_one_point(model, seed, size, mode, data):
+    sub = _model(model)
+    pts = sample_submersion_points(sub, SampleConfig(points=size, seed=seed))
+    pts = pts[data.draw(st.permutations(range(size)))]
+    block_rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = analyze_point(sub, space_form_data(sub.total, pts))
+    scans = scan_theorems([block], probe_mode=mode, rng=block_rng)
+    # every applicable id, point by point, from one generator: the draws of
+    # one point at a time
+    ones = [
+        scan_theorems(
+            [analyze_point(sub, space_form_data(sub.total, pt[None]))],
+            probe_mode=mode,
+            rng=one_rng,
+        )
+        for pt in pts
+    ]
+    assert block_rng.bit_generator.state == one_rng.bit_generator.state
+    for tid, scan in scans.items():
+        (table,) = scan.tables
+        for k, one in enumerate(ones):
+            (want,) = one[tid].tables
+            for field in dataclasses.fields(TheoremTable):
+                got_value, want_value = getattr(table, field.name), getattr(want, field.name)
+                if isinstance(got_value, np.ndarray):
+                    got_value, want_value = got_value[k], want_value[0]
+                assert _field_bits(got_value) == _field_bits(want_value), (tid, field.name)
+        # the block's reduction is that of the rows of its points in order
+        merged = scan_from_records(tid, [one[tid].tables[0] for one in ones], size)
+        for name in ("points_checked", "records", "violations", "equalities"):
+            assert getattr(scan, name) == getattr(merged, name), (tid, name)
+        assert bits(scan.min_slack) == bits(merged.min_slack), tid
+        assert bits(scan.argmin_point) == bits(merged.argmin_point), tid
+        tallies, want_tallies = scan.variant_tallies or {}, merged.variant_tallies or {}
+        assert list(tallies) == list(want_tallies), tid
+        for name, tally in tallies.items():
+            want_tally = want_tallies[name]
+            assert {k: bits(v) for k, v in tally.items()} == {
+                k: bits(v) for k, v in want_tally.items()
+            }, (tid, name)
 
 
 def _plus(f, coord, g):

@@ -15,7 +15,7 @@ from oneill_lab.cli import BUNDLED_DIR, RunConfig, cli_parse, main, resolve_mode
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.errors import DegenerateMetricError, ModelLoadError
 from oneill_lab.expressions import compile_guard
-from oneill_lab.invariants import analyze_point
+from oneill_lab.invariants import analyze_point, identity_residuals
 from oneill_lab.report import KNOWN_FLAGS, Tolerances, known_flags_for
 from oneill_lab.riemannian import riemann_at
 from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
@@ -327,6 +327,51 @@ class TestOneJetEngine:
         capsys.readouterr()
 
 
+def _patch_everywhere(monkeypatch, name, original, replacement):
+    """Bind ``replacement`` in place of ``original`` in every package module
+    that holds it under ``name``."""
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("oneill_lab"):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, replacement)
+
+
+class TestIdentityResidualsWhereReported:
+    """Only the identity section computes the identity residuals."""
+
+    @pytest.mark.parametrize("model, code", [("vertical-xi", 0), ("horizontal-xi", 3)])
+    def test_theorems_does_not_compute_them(self, model, code, tmp_path, monkeypatch, capsys):
+        def refuse(analysis):
+            raise AssertionError("a theorem scan computed the identity residuals")
+
+        argv = ["theorems", "--model", model, "--points", "12", "--probe", "random:4",
+                "--no-timestamp", "--out"]
+        want, got = tmp_path / "want.json", tmp_path / "got.json"
+        assert main(argv + [str(want)]) == code
+        _patch_everywhere(monkeypatch, "identity_residuals", identity_residuals, refuse)
+        assert main(argv + [str(got)]) == code
+        capsys.readouterr()
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_verify_and_report_compute_them_once_per_block(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        blocks = []
+
+        def count(analysis):
+            blocks.append(len(analysis.calc.point))
+            return identity_residuals(analysis)
+
+        _patch_everywhere(monkeypatch, "identity_residuals", identity_residuals, count)
+        out = str(tmp_path / "r.json")
+        argv = [command, "--points", "23", "--no-timestamp", "--out", out]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # vertical-xi has d = 5, so its blocks hold 32768 // 5**5 = 10 points
+        assert blocks == [10, 10, 3]
+
+
 class TestDeterminism:
     def test_no_timestamp_reruns_byte_identical(self, tmp_path, capsys):
         a = str(tmp_path / "a.json")
@@ -576,7 +621,7 @@ class TestResidualFloats:
             pd_flags.append(chk.base_pd)
             sections = {
                 "lemmas": verify_structure_lemmas(block.calc, block.data),
-                "identities": block.identity_residuals,
+                "identities": identity_residuals(block),
             }
             for section, values in sections.items():
                 for key, val in values.items():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import frame_oracle as fo
-from slices import point_analysis, point_block, point_calc
+from slices import point_analysis, point_block, point_calc, point_residuals
 from oneill_lab.cli import resolve_model
 from oneill_lab.invariants import (
     _hat_star_tables,
@@ -83,7 +83,7 @@ class TestVerticalXiPacket:
     def test_identity_residuals_clean(self):
         sub = resolve_model("vertical-xi")
         for pt in POINTS:
-            res = point_analysis(sub, pt).identity_residuals
+            res = point_residuals(sub, pt)
             assert res["T1"] < TOL
             for key in ("T4", "S1", "S2", "S3", "R1", "R2", "gauss3"):
                 assert res[key] < CURV_TOL, key
@@ -133,7 +133,7 @@ class TestHorizontalXiPacket:
         # exchange identity by exactly 2 on this model, at every point
         sub = resolve_model("horizontal-xi")
         for pt in H_POINTS:
-            res = point_analysis(sub, pt).identity_residuals
+            res = point_residuals(sub, pt)
             assert abs(res["S1"] - 6.0) < CURV_TOL
             assert abs(res["S3"] - 40.0) < CURV_TOL
             assert abs(res["gauss3"] - 2.0) < CURV_TOL
@@ -156,7 +156,7 @@ class TestReebFiberPacket:
             assert abs(an.delta_n) < CURV_TOL
             assert abs(an.data.trace_phi_b) < TOL
             assert abs(an.data.sum_a_sq - 4.0) < TOL
-            res = an.identity_residuals
+            res = point_residuals(sub, pt)
             assert res["T1"] < TOL
             for key in ("T4", "S1", "S2", "S3", "R1", "R2", "gauss3"):
                 assert res[key] < CURV_TOL, key

@@ -1,14 +1,15 @@
 """Batched probes and frame tables against the per-vector formulas.
 
-The theorem scans evaluate all probes of a point as one batch, and the
-block curvatures and identity residuals read the curvature on frame
-4-tuples from tables. Each float operation keeps its order and association,
-so every record must equal, bit for bit, what the per-vector formulas below
-give: ``pair_r4`` on one tuple of vectors, ``t_point``/``a_point`` on one
-pair, ``float(x @ g @ y)`` for the metric pairing, one Gram-Schmidt
-completion per random probe, and running sums added one term at a time
-from 0.0. Theorem argmins are picked among slacks that differ only by
-rounding, so nothing weaker than bitwise equality pins the reports.
+The theorem scans evaluate all points and probes of a block as one batch
+(here, blocks of one point), and the block curvatures and identity
+residuals read the curvature on frame 4-tuples from tables. Each float
+operation keeps its order and association, so every record must equal,
+bit for bit, what the per-vector formulas below give: ``pair_r4`` on one
+tuple of vectors, ``t_point``/``a_point`` on one pair, ``float(x @ g @ y)``
+for the metric pairing, one Gram-Schmidt completion per random probe, and
+running sums added one term at a time from 0.0. Theorem argmins are picked
+among slacks that differ only by rounding, so nothing weaker than bitwise
+equality pins the reports.
 """
 
 import os
@@ -19,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slices import analysis_blocks, point_views
+from slices import analysis_blocks, blocks_of_one, point_views, table_rows
 from oneill_lab.cli import resolve_model
+from oneill_lab.invariants import identity_residuals
 from oneill_lab.riemannian import pair_r4, scalar_curvature
 from oneill_lab.sampling import SampleConfig, sample_submersion_points
 from oneill_lab.submersion import load_custom_model, verify_structure_lemmas
@@ -57,6 +59,12 @@ def _analyses(name, points, seed):
     return point_views(_blocks(name, points, seed))
 
 
+def _ones(name, points, seed):
+    sub = _model(name)
+    pts = sample_submersion_points(sub, SampleConfig(points=points, seed=seed))
+    return blocks_of_one(sub, pts)
+
+
 @pytest.fixture(scope="module")
 def blocks():
     """Three seed-42 sample points of each model, analyzed as one block."""
@@ -67,6 +75,12 @@ def blocks():
 def analyses(blocks):
     """Each point's view of ``blocks``."""
     return {name: point_views(b) for name, b in blocks.items()}
+
+
+@pytest.fixture(scope="module")
+def ones():
+    """The points of ``blocks``, each analyzed as a block of one."""
+    return {name: _ones(name, 3, 42) for name in MODELS}
 
 
 def bits(x) -> bytes:
@@ -601,10 +615,10 @@ def _row(vectors, i):
 
 
 @pytest.fixture(scope="module")
-def bench_analyses():
-    """The sample of the benchmark's theorem scans: eight seed-42 points of
-    each Reeb case."""
-    return {name: _analyses(name, 8, 42) for name in MODELS[:2]}
+def bench_ones():
+    """The sample of the benchmark's theorem scans, eight seed-42 points of
+    each Reeb case, each point as a block of one."""
+    return {name: _ones(name, 8, 42) for name in MODELS[:2]}
 
 
 # (mode, model, rng seed); random:64 is the benchmark's theorem scan, whose
@@ -619,18 +633,16 @@ RECORD_CASES = [
     "mode, model, seed",
     [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in RECORD_CASES],
 )
-def test_records_equal_per_probe_formulas_bitwise(
-    analyses, bench_analyses, mode, model, seed
-):
-    sample = bench_analyses[model] if mode == "random:64" else analyses[model]
+def test_records_equal_per_probe_formulas_bitwise(ones, bench_ones, mode, model, seed):
+    sample = bench_ones[model] if mode == "random:64" else ones[model]
     xi_case = sample[0].calc.sub.xi_case
     got_rng = np.random.default_rng(seed)
     want_rng = np.random.default_rng(seed)
     checked = 0
-    for analysis in sample:
-        ref = PerVector(analysis)
+    for block in sample:
+        ref = PerVector(block[0])
         for tid in applicable_ids(xi_case):
-            got = evaluate_theorem(analysis, tid, mode, got_rng)
+            got = table_rows(evaluate_theorem(block, tid, mode, got_rng))
             want = ref.records(tid, mode, want_rng)
             assert got.slack.shape == (len(want),), tid
             for i, row in enumerate(want):
@@ -665,16 +677,16 @@ class ScriptedNormals:
         return out
 
 
-def test_short_random_probe_is_drawn_again_as_one_draw_at_a_time(analyses):
+def test_short_random_probe_is_drawn_again_as_one_draw_at_a_time(ones):
     # CMB1 draws a vertical (r = 3) and then a horizontal (n = 2) vector per
     # probe; both vectors of probe 1 are too short, so each is drawn again
     # from the normals after it, and every later draw moves along
-    analysis = analyses["vertical-xi"][0]
+    block = ones["vertical-xi"][0]
     stream = np.random.default_rng(5).standard_normal(40)
     stream[5:8] = stream[11:13] = 1e-10
     got_rng, want_rng = ScriptedNormals(stream), ScriptedNormals(stream)
-    got = evaluate_theorem(analysis, "CMB1", "random:3", got_rng)
-    want = PerVector(analysis).records("CMB1", "random:3", want_rng)
+    got = table_rows(evaluate_theorem(block, "CMB1", "random:3", got_rng))
+    want = PerVector(block[0]).records("CMB1", "random:3", want_rng)
     assert got_rng.used == want_rng.used == 20
     assert len(want) == 3
     for i, row in enumerate(want):
@@ -702,14 +714,16 @@ def test_tensor_data_equals_per_vector_formulas_bitwise(blocks, analyses, model)
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_packet_equals_per_vector_formulas_bitwise(analyses, model):
-    for analysis in analyses[model]:
+def test_packet_equals_per_vector_formulas_bitwise(blocks, analyses, model):
+    (block,) = blocks[model]
+    residuals = identity_residuals(block)
+    for k, analysis in enumerate(analyses[model]):
         ref = PerVector(analysis)
         hat, star = ref.hat_star_tables()
         assert bits(analysis.tau_hat) == bits(float(np.sum(np.triu(hat, k=1))))
         assert bits(analysis.tau_star) == bits(float(np.sum(np.triu(star, k=1))))
         assert bits(analysis.delta_n) == bits(ref.delta_n())
-        res = analysis.identity_residuals
+        res = {key: val[k] for key, val in residuals.items()}
         two_tau = scalar_curvature(analysis.calc.curvature)
         assert bits(res["T1"]) == bits(ref.t1())
         assert bits(res["S2"]) == bits(abs(ref.four_block() - two_tau))
@@ -719,18 +733,18 @@ def test_packet_equals_per_vector_formulas_bitwise(analyses, model):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_completion_skips_a_row_in_the_span_as_for_one_probe(analyses, model):
+def test_completion_skips_a_row_in_the_span_as_for_one_probe(ones, model):
     # a probe along frame row i leaves row i in the span of the probe, so
     # the completion skips it; random probes in the same batch skip nothing
-    analysis = analyses[model][0]
-    ref = PerVector(analysis)
+    block = ones[model][0]
+    ref = PerVector(block[0])
     for frame in (ref.uv, ref.xv):
         frame = np.asarray(frame, dtype=float)
         k = len(frame)
         coeffs = list(np.random.default_rng(3).standard_normal((3, k)))
         coeffs = [c / np.linalg.norm(c) for c in coeffs]
         coeffs += list(np.eye(k)) + [-np.eye(k)[-1]]
-        got = _random_probe_frames(analysis.calc, frame, np.array(coeffs))
+        (got,) = _random_probe_frames(block.calc, frame[None], np.array(coeffs)[None])
         for p, c in enumerate(coeffs):
             assert bits(got[p]) == bits(ref.complete(frame, c)), p
 

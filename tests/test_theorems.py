@@ -14,10 +14,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from slices import analysis_blocks, point_analysis, point_block, point_views
+from slices import block_of_one, blocks_of_one, point_block, table_rows
 from oneill_lab.cli import main, resolve_model
 from oneill_lab.errors import EmptySampleError, RejectedInputError
-from oneill_lab.invariants import analyze_point
 from oneill_lab.submersion import (
     PointCalculus,
     load_custom_model,
@@ -47,19 +46,24 @@ TOL = 1e-6
 @pytest.fixture(scope="module")
 def vx_analysis():
     sub = resolve_model("vertical-xi")
-    return point_analysis(sub, PT)
+    return block_of_one(sub, PT)
 
 
 @pytest.fixture(scope="module")
 def hx_analysis():
     sub = resolve_model("horizontal-xi")
-    return point_analysis(sub, H_PT)
+    return block_of_one(sub, H_PT)
 
 
 @pytest.fixture(scope="module")
 def reeb_analysis():
     sub = load_custom_model(Path(MODELS_DIR, "reeb_fiber.json").read_bytes())
-    return point_analysis(sub, PT)
+    return block_of_one(sub, PT)
+
+
+def evaluate(block, *args, **kwargs):
+    """Point 0's rows of ``evaluate_theorem`` on a block of one point."""
+    return table_rows(evaluate_theorem(block, *args, **kwargs))
 
 
 def only(table):
@@ -97,39 +101,40 @@ class TestCatalogStructure:
 
 class TestVerticalXiFrozen:
     def test_v1_first(self, vx_analysis):
-        tab = only(evaluate_theorem(vx_analysis, "V1"))
+        tab = only(evaluate(vx_analysis, "V1"))
         check(tab, 2.0, 1.0, 1.0)
         assert tab.equality_class == "totally_geodesic"
         assert abs(tab.dropped_term[0] - 1.0) < TOL
         assert abs(tab.equality_defect[0] - 1.0) < TOL
 
     def test_v1_all_probes_includes_reeb(self, vx_analysis):
-        tab = evaluate_theorem(vx_analysis, "V1", probe_mode="all")
+        tab = evaluate(vx_analysis, "V1", probe_mode="all")
         assert tab.slack.shape == (3,)
         check(tab, 2.0, 1.0, 1.0, row=0)
         check(tab, 2.0, 1.0, 1.0, row=1)
         check(tab, 4.0, 2.0, 2.0, row=2)
-        xi = vx_analysis.calc.xi_values
-        unit_xi = xi / np.sqrt(vx_analysis.calc.pairings(xi, xi))
+        calc = vx_analysis[0].calc
+        xi = calc.xi_values
+        unit_xi = xi / np.sqrt(calc.pairings(xi, xi))
         np.testing.assert_allclose(tab.probe_vertical[2], unit_xi, atol=1e-9)
         assert abs(tab.dropped_term[2] - 2.0) < TOL
 
     def test_v2(self, vx_analysis):
-        check(only(evaluate_theorem(vx_analysis, "V2")), 8.0, 4.0, 4.0, equality=False)
+        check(only(evaluate(vx_analysis, "V2")), 8.0, 4.0, 4.0, equality=False)
 
     def test_h1_equality(self, vx_analysis):
-        tab = only(evaluate_theorem(vx_analysis, "H1"))
+        tab = only(evaluate(vx_analysis, "H1"))
         check(tab, 0.0, 0.0, 0.0, equality=True)
         assert tab.equality_class == "integrable"
         assert tab.equality_defect[0] < 1e-9
 
     def test_crv1(self, vx_analysis):
-        tab = only(evaluate_theorem(vx_analysis, "CRV1"))
+        tab = only(evaluate(vx_analysis, "CRV1"))
         check(tab, 2.0, 1.0, 1.0)
         assert tab.equality_class == "chen_t"
 
     def test_crh1_both_variants_equal(self, vx_analysis):
-        tab = evaluate_theorem(vx_analysis, "CRH1")
+        tab = evaluate(vx_analysis, "CRH1")
         assert list(tab.variant) == [name for name, _ in CRH1_VARIANTS]
         assert tab.equality_class == "chen_a"
         for row in range(len(tab.variant)):
@@ -137,14 +142,14 @@ class TestVerticalXiFrozen:
             assert tab.equality_defect[row] < 1e-9
 
     def test_cmb1(self, vx_analysis):
-        tab = only(evaluate_theorem(vx_analysis, "CMB1"))
+        tab = only(evaluate(vx_analysis, "CMB1"))
         check(tab, -3.0, 6.0, 9.0)
         assert tab.probe_vertical is not None and tab.probe_horizontal is not None
 
     def test_random_probes_hold(self, vx_analysis):
         rng = np.random.default_rng(7)
         for tid in ("V1", "CRV1", "CMB1"):
-            tab = evaluate_theorem(vx_analysis, tid, probe_mode="random:4", rng=rng)
+            tab = evaluate(vx_analysis, tid, probe_mode="random:4", rng=rng)
             assert tab.slack.shape == (4,)
             for slack in tab.slack:
                 assert slack >= -1e-9
@@ -167,51 +172,51 @@ class TestVerticalXiFrozen:
 
 class TestHorizontalXiFrozen:
     def test_v3_equality(self, hx_analysis):
-        tab = only(evaluate_theorem(hx_analysis, "V3"))
+        tab = only(evaluate(hx_analysis, "V3"))
         check(tab, 0.0, 0.0, 0.0, equality=True)
         assert tab.equality_defect[0] < 1e-9
 
     def test_h2_violated(self, hx_analysis):
-        tab = only(evaluate_theorem(hx_analysis, "H2"))
+        tab = only(evaluate(hx_analysis, "H2"))
         check(tab, 16.0, 4.0, -12.0, holds=False)
 
     def test_crv2_equality(self, hx_analysis):
-        tab = only(evaluate_theorem(hx_analysis, "CRV2"))
+        tab = only(evaluate(hx_analysis, "CRV2"))
         check(tab, 0.0, 0.0, 0.0, equality=True)
 
     def test_crh2_violated(self, hx_analysis):
-        tab = only(evaluate_theorem(hx_analysis, "CRH2"))
+        tab = only(evaluate(hx_analysis, "CRH2"))
         check(tab, 4.0, 1.0, -3.0, holds=False)
 
     def test_cmb2(self, hx_analysis):
-        tab = only(evaluate_theorem(hx_analysis, "CMB2"))
+        tab = only(evaluate(hx_analysis, "CMB2"))
         check(tab, 0.0, 3.0, 3.0)
 
 
 class TestReebFiberFrozen:
     def test_v1_reeb_probe(self, reeb_analysis):
-        tab = only(evaluate_theorem(reeb_analysis, "V1"))
+        tab = only(evaluate(reeb_analysis, "V1"))
         check(tab, 0.0, 0.0, 0.0)
         assert tab.dropped_term[0] < 1e-9
 
     def test_v2_equality(self, reeb_analysis):
-        check(only(evaluate_theorem(reeb_analysis, "V2")), 0.0, 0.0, 0.0, equality=True)
+        check(only(evaluate(reeb_analysis, "V2")), 0.0, 0.0, 0.0, equality=True)
 
     def test_h1(self, reeb_analysis):
-        check(only(evaluate_theorem(reeb_analysis, "H1")), -24.0, -12.0, 12.0)
+        check(only(evaluate(reeb_analysis, "H1")), -24.0, -12.0, 12.0)
 
     def test_crv1_equality(self, reeb_analysis):
-        check(only(evaluate_theorem(reeb_analysis, "CRV1")), 0.0, 0.0, 0.0, equality=True)
+        check(only(evaluate(reeb_analysis, "CRV1")), 0.0, 0.0, 0.0, equality=True)
 
     def test_crh1_variant_split(self, reeb_analysis):
-        tab = evaluate_theorem(reeb_analysis, "CRH1")
+        tab = evaluate(reeb_analysis, "CRH1")
         row = {name: i for i, name in enumerate(tab.variant)}
         check(tab, -6.0, -3.0, 3.0, row=row["kappa=3/4"])
         check(tab, -6.0, -1.5, 4.5, row=row["kappa=3/8"])
 
     def test_cmb1_violated_at_reeb_probe(self, reeb_analysis):
         # the combined bound fails on this model: 1 <= -7 is false
-        tab = only(evaluate_theorem(reeb_analysis, "CMB1"))
+        tab = only(evaluate(reeb_analysis, "CMB1"))
         check(tab, 1.0, -7.0, -8.0, holds=False)
 
 
@@ -219,7 +224,7 @@ class TestScans:
     def test_scan_default_ids_vertical(self):
         sub = resolve_model("vertical-xi")
         pts = [PT, np.array([1.1, 0.5, -0.8, 1.3, -0.6])]
-        scans = scan_theorems(point_views(analysis_blocks(sub, pts)))
+        scans = scan_theorems(blocks_of_one(sub, pts))
         assert set(scans) == set(applicable_ids("vertical"))
         assert scans["V2"].points_checked == 2
         assert scans["V2"].violations == 0
@@ -258,14 +263,14 @@ class TestScans:
     def test_scan_without_rng_draws_new_probes_at_every_point_and_id(self):
         sub = resolve_model("vertical-xi")
         pts = (PT, np.array([1.1, 0.5, -0.8, 1.3, -0.6]))
-        analyses = point_views(analysis_blocks(sub, pts))
+        analyses = blocks_of_one(sub, pts)
         scans = scan_theorems(analyses, ("V1", "CRV1"), "random:2")
         draws = []
         for tid in ("V1", "CRV1"):
             assert scans[tid].records == 4
             for k, analysis in enumerate(analyses):
-                calc = analysis.calc
-                probes = scans[tid].tables[k].probe_vertical
+                calc = analysis[0].calc
+                (probes,) = scans[tid].tables[k].probe_vertical
                 # frame coefficients of the two probes at this point
                 draws.append(calc.pairings(probes[:, None], calc.frame.vert_values))
         for a in range(len(draws)):
@@ -293,16 +298,18 @@ REDUCTION_CASES = {
 
 
 def _hand_built(theorem_id, slacks_per_point):
-    """One table per point 0, 1, ... with the given slacks; lhs is the slack
-    and rhs 0, and holds/equality follow the engine's rules."""
+    """One table per point 0, 1, ..., each a block of one, with the given
+    slacks; lhs is the slack and rhs 0, and holds/equality follow the
+    engine's rules."""
     tables = []
     for k, slacks in enumerate(slacks_per_point):
-        slack = np.array(slacks)
-        variant = VARIANT_NAMES * (len(slacks) // 2) if theorem_id == "CRH1" else None
+        crh1 = theorem_id == "CRH1"
+        slack = np.array(slacks).reshape((1, -1, 2) if crh1 else (1, -1))
+        variant = VARIANT_NAMES if crh1 else None
         tables.append(
             TheoremTable(
                 theorem_id=theorem_id,
-                point=np.full(5, float(k)),
+                point=np.full((1, 5), float(k)),
                 variant=variant,
                 equality_class="chen_a",
                 probe_vertical=None,
@@ -367,11 +374,11 @@ class TestFrameCoherence:
         swapped = dataclasses.replace(
             base, vertical_fields=(v2, v1, xi), horizontal_fields=(h2, h1)
         )
-        a0 = point_analysis(base, PT)
-        a1 = point_analysis(swapped, PT)
+        a0 = block_of_one(base, PT)
+        a1 = block_of_one(swapped, PT)
         for tid in applicable_ids("vertical"):
-            s0 = np.sort(evaluate_theorem(a0, tid, "all").slack)
-            s1 = np.sort(evaluate_theorem(a1, tid, "all").slack)
+            s0 = np.sort(evaluate(a0, tid, "all").slack)
+            s1 = np.sort(evaluate(a1, tid, "all").slack)
             np.testing.assert_allclose(s0, s1, atol=1e-8)
 
 
@@ -386,12 +393,11 @@ class TestSampledInvariants:
         # applicable bound must hold at every sampled point
         sub = resolve_model("vertical-xi")
         pt = np.asarray(pt)
-        block = analyze_point(sub, point_block(sub, pt))
-        analysis = block[0]
+        block = block_of_one(sub, pt)
         chk = verify_riemannian_submersion(block.calc)[0]
         assume(chk.length_residual <= 1e-8)
         for tid in applicable_ids("vertical"):
-            for slack in evaluate_theorem(analysis, tid).slack:
+            for slack in evaluate(block, tid).slack:
                 assert slack >= -1e-9, (tid, slack)
 
     @settings(max_examples=25, deadline=None)
