@@ -296,12 +296,16 @@ def cli_parse(argv) -> RunConfig:
 
     if ns.points < 1:
         parser.error(f"--points must be positive, got {ns.points}")
+    if ns.seed < 0:
+        parser.error(f"--seed must not be negative, got {ns.seed}")
     try:
         lo, hi = (float(tok) for tok in ns.box.split(","))
     except ValueError:
         parser.error(f"--box expects LO,HI, got {ns.box!r}")
     if not hi > lo:
         parser.error(f"--box needs LO < HI, got {ns.box!r}")
+    if not np.isfinite(hi - lo):
+        parser.error(f"--box needs a finite width HI - LO, got {ns.box!r}")
     try:
         parse_probe_mode(ns.probe)
     except RejectedInputError:

@@ -20,7 +20,6 @@ from .riemannian import (
     ConnectionData,
     CurvatureData,
     ManifoldModel,
-    PointAxis,
     VectorField,
     christoffel_at,
     curvature_from_connection,
@@ -52,7 +51,7 @@ class ContactStructure:
 
 
 @dataclass(frozen=True)
-class ContactData(PointAxis):
+class ContactData:
     """Contact data on a block of points, the point axis ``p`` leading."""
 
     phi: np.ndarray  # (p, i, j): component of phi(d_j) along d_i
@@ -209,7 +208,7 @@ def verify_sasakian(data: SpaceFormData) -> dict:
 
 
 @dataclass(frozen=True)
-class SpaceFormData(PointAxis):
+class SpaceFormData:
     """A Sasakian space form on a block of points: the connection, the jet
     curvature, the contact data and the closed-form curvature."""
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import SpaceFormData
-from .riemannian import PointAxis, float_squares, pair_r4, point_maxima, point_sums
+from .riemannian import float_squares, pair_r4, point_maxima, point_sums
 from .riemannian import running_sum, scalar_curvature
 from .submersion import OneillData, PointCalculus, SubmersionModel, tensors_from_calculus
 
 
 def _ambient(calc: PointCalculus, r4, x, y, z, w):
-    """pair_r4 of the curvature ``r4`` of ``calc``, a block's or a view's."""
+    """pair_r4 of the block curvature ``r4`` of ``calc``."""
     return pair_r4(calc.per_point(r4, np.ndim(x) + 3), x, y, z, w)
 
 
@@ -53,28 +53,24 @@ def horizontal_curvature_star(calc: PointCalculus, x, y, z, h):
 
 def _frame_trace(block_curvature, calc, frame, probes) -> np.ndarray:
     """Sum over the frame vectors e of block_curvature(e, p, p, e), one
-    value per probe p, added frame vector by frame vector from 0.0. On a
-    block, ``frame`` (N, k, dim) and ``probes`` (N, P, dim) lead with the
-    point axis; on a view, (k, dim) and (P, dim)."""
+    value per probe p, added frame vector by frame vector from 0.0. The
+    ``frame`` (N, k, dim) and the ``probes`` (N, P, dim) lead with the point
+    axis."""
     e, p = frame[..., :, None, :], probes[..., None, :, :]
     return running_sum(np.moveaxis(block_curvature(calc, e, p, p, e), -2, 0))
 
 
 def ric_hat_probes(calc: PointCalculus, us) -> np.ndarray:
     """Vertical-block Ricci values on (unit) vertical vectors ``us``, shaped
-    (N, P, dim) on a block, (P, dim) on a view: traces of the block
-    curvature over the vertical frame.  The diagonal term vanishes
-    identically, so the full-frame sum matches the sum over complements."""
+    (N, P, dim): traces of the block curvature over the vertical frame.
+    The diagonal term vanishes identically, so the full-frame sum matches
+    the sum over complements."""
     return _frame_trace(fiber_curvature_hat, calc, calc.frame.vert_values, us)
 
 
 def ric_star_probes(calc: PointCalculus, xs) -> np.ndarray:
     """Horizontal-block Ricci values on (unit) horizontal vectors ``xs``."""
     return _frame_trace(horizontal_curvature_star, calc, calc.frame.horiz_values, xs)
-
-
-# From here on, the stages run on a block of points; every table leads with
-# the point axis.
 
 
 def _frame_table(calc, r4, a, b, c, d) -> np.ndarray:
@@ -106,12 +102,11 @@ def mixed_gauss_residual(calc: PointCalculus) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PointAnalysis(PointAxis):
+class PointAnalysis:
     """What the structure and theorem sections need on a block of points:
     the block's ``PointCalculus`` and tensor data, the block scalar
     curvatures ``tau_hat``/``tau_star`` (stored undoubled) and the
-    divergence trace ``delta_n``, one value per point. ``analysis[k]`` is
-    the analysis of point k."""
+    divergence trace ``delta_n``, one value per point."""
 
     calc: PointCalculus
     data: OneillData

@@ -5,13 +5,14 @@ axis leading. :func:`model_jets` is the one evaluator of model expressions:
 it runs a table of model callables once on the coordinate jets of
 :func:`jets.seed_block`. Every model expression of the package goes through
 it: the metric entries here, the contact data of ``contact``, and the
-projection, base metric and declared fields of ``submersion``. So Christoffel symbols come out with exact first partials
-and the Riemann tensor needs no finite differencing anywhere. The samples
-are cut into blocks by :func:`point_blocks`, which bounds the memory of the
-d^4-sized arrays.
+projection, base metric and declared fields of ``submersion``.
 
-Index conventions, fixed once (each array has a leading point axis ``p``
-on a block; ``data[k]`` is the same record at point ``k``):
+Christoffel symbols come out with exact first partials, and the Riemann
+tensor needs no finite differencing anywhere. The samples are cut into
+blocks by :func:`point_blocks`, which bounds the memory of the d^4-sized
+arrays. Every record is a block: each array leads with the point axis.
+
+Index conventions, fixed once (after the leading point axis ``p``):
   gamma[k, i, j]        Christoffel symbol of nabla_{d_i} d_j, component k
   dgamma[k, i, j, a]    its partial derivative in direction a
   r13[l, i, j, k]       component l of R(d_i, d_j) d_k
@@ -25,7 +26,7 @@ for a block of one point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,17 +50,6 @@ def point_blocks(points, dim: int, power: int = 4):
     size = max(1, _BLOCK_ENTRIES // dim**power)
     for start in range(0, len(points), size):
         yield points[start : start + size]
-
-
-class PointAxis:
-    """Mixin for records of arrays with a leading point axis, or of dicts
-    of them: ``data[k]`` is the same record at point ``k`` of the block."""
-
-    def __getitem__(self, k):
-        def at(v):
-            return {key: a[k] for key, a in v.items()} if isinstance(v, dict) else v[k]
-
-        return type(self)(**{f.name: at(getattr(self, f.name)) for f in fields(self)})
 
 
 def max_residual(values, start: float = 0.0) -> float:
@@ -142,7 +132,7 @@ class ManifoldModel:
 
 
 @dataclass(frozen=True)
-class MetricData(PointAxis):
+class MetricData:
     """Metric and derivatives, plus the inverse and its partials."""
 
     value: np.ndarray  # (p, d, d)
@@ -204,7 +194,7 @@ def metric_at(model: ManifoldModel, points, order: int = 2) -> MetricData:
 
 
 @dataclass(frozen=True)
-class ConnectionData(PointAxis):
+class ConnectionData:
     metric: MetricData
     gamma: np.ndarray  # (p, k, i, j)
     dgamma: np.ndarray  # (p, k, i, j, a)
@@ -231,7 +221,7 @@ def christoffel_at(model: ManifoldModel, points) -> ConnectionData:
 
 
 @dataclass(frozen=True)
-class CurvatureData(PointAxis):
+class CurvatureData:
     metric: MetricData
     gamma: np.ndarray
     dgamma: np.ndarray
@@ -240,9 +230,9 @@ class CurvatureData(PointAxis):
 
 
 def riemann_at(model: ManifoldModel, coords) -> CurvatureData:
-    """Curvature at one point: a block of one, sliced."""
+    """Curvature on the block of the one point ``coords``."""
     points = np.asarray(coords, dtype=float)[None]
-    return curvature_from_connection(christoffel_at(model, points))[0]
+    return curvature_from_connection(christoffel_at(model, points))
 
 
 def curvature_from_connection(conn: ConnectionData) -> CurvatureData:

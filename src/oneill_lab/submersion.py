@@ -7,11 +7,11 @@ structural checks (symmetry, alternation, skew-adjointness, anti-invariance,
 the square identity for the horizontal part of phi).
 
 Everything pointwise routes through ``PointCalculus``, which runs once on
-a block of sample points, the point axis leading; ``calc[k]`` is point k's
-view. The layer's model expressions (the declared fields, the projection,
-the base metric) are evaluated by ``riemannian.model_jets`` on the
-``ArrayJet`` coordinate jets of the block, once per block; from there the
-layer runs on array jets, with the point axis as a batch index only.
+a block of sample points; every record is a block, the point axis leading.
+The layer's model expressions (the declared fields, the projection, the
+base metric) are evaluated by ``riemannian.model_jets`` on the ``ArrayJet``
+coordinate jets of the block, once per block; from there the layer runs on
+array jets, with the point axis as a batch index only.
 Gram-Schmidt turns the fields into an orthonormal frame that is itself a
 second-order differentiable field, and one batched pass over all frame
 pairs and chart components gives the value and gradient of the vertical-block
@@ -25,7 +25,6 @@ runs on plain numpy arrays.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,7 +42,6 @@ from .expressions import block, compile_guard, compile_vector
 from .jets import ArrayJet, concat, seed_block, stack, sum_terms
 from .riemannian import (
     ManifoldModel,
-    PointAxis,
     VectorField,
     metric_jets,
     model_jets,
@@ -93,7 +91,7 @@ class SubmersionModel:
 
 
 @dataclass(frozen=True)
-class SubmersionCheck(PointAxis):
+class SubmersionCheck:
     """Submersion diagnostics on a block of points, one value per point.
 
     ``kernel_residual``: how far the declared vertical fields are from the
@@ -170,7 +168,7 @@ def _cov(x: ArrayJet, y: ArrayJet, gamma: ArrayJet) -> ArrayJet:
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Orthonormal frames as second-order jet fields, vertical block first,
-    on a block of points; ``frame[k]`` is the frame of point k."""
+    on a block of points, the point axis leading."""
 
     jets: ArrayJet  # (p, r + n, dim): row a holds the components of frame field a
     r: int
@@ -180,9 +178,6 @@ class AdaptedFrame:
     @property
     def n(self) -> int:
         return self.jets.shape[-2] - self.r
-
-    def __getitem__(self, k) -> AdaptedFrame:
-        return AdaptedFrame(self.jets[k], self.r, self.vert_values[k], self.horiz_values[k])
 
 
 def adapted_frame_at(sub: SubmersionModel, state: SpaceFormData) -> AdaptedFrame:
@@ -279,10 +274,8 @@ class PointCalculus:
     and their exchange jets, from which their covariant derivatives come.
 
     ``state`` is the total space's data on the block; ``state.points`` are
-    its points. ``calc[k]`` is the view of point k: the same record on the
-    point's slices, which only the tests use. The methods take
-    vectors ``(..., dim)`` on a view; on a block, every vector argument
-    leads with the point axis and has as many axes as the others.
+    its points. Every vector argument of the methods leads with the point
+    axis and has as many axes as the others.
     """
 
     def __init__(self, sub: SubmersionModel, state: SpaceFormData):
@@ -309,21 +302,10 @@ class PointCalculus:
             self.frame, ArrayJet(m.value, m.d1, m.d2), ArrayJet(conn.gamma, conn.dgamma)
         )
 
-    def __getitem__(self, k) -> PointCalculus:
-        """The view of point ``k``, on its slices of the block's tables."""
-        view = copy.copy(self)
-        for name, value in vars(self).items():
-            if name not in ("sub", "r", "n"):
-                sliced = tuple(v[k] for v in value) if isinstance(value, tuple) else value[k]
-                setattr(view, name, sliced)
-        return view
-
     def per_point(self, a, ndim: int) -> np.ndarray:
-        """A view's array as it is; a block's, point axis first, with unit
-        axes after that axis up to ``ndim`` axes, so that it broadcasts
-        against operands of ``ndim`` axes that lead with the point axis."""
-        if self.point.ndim == 1:
-            return a
+        """A block's array, point axis first, with unit axes after that axis
+        up to ``ndim`` axes, so that it broadcasts against operands of
+        ``ndim`` axes that lead with the point axis."""
         return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
     # ---- pairings and projections ----
@@ -414,31 +396,25 @@ class PointCalculus:
         """A(e, f), same conventions as ``t_point``."""
         return self._bilinear(self._tensor_tables[1], e, f)
 
-    def _frame_jets(self, fields, *index) -> ArrayJet:
-        # entries of a block's per-point jets, the point axis kept
-        return fields[(slice(None),) * (self.point.ndim - 1) + index]
-
     def nabla_t_frame(self, e_values, k, l) -> np.ndarray:
         """(nabla_e T)(U_k, U_l): d/de of T(U_k, U_l) minus the two slot
         corrections; only the value of ``e`` matters. The vectors ``e``
-        (..., dim) and the frame indices ``k``, ``l`` (integers or integer
-        arrays) broadcast against each other."""
+        (p, ..., dim) and, after the point axis, the frame indices ``k``,
+        ``l`` (integers or integer arrays) broadcast against each other."""
         t_fields, _ = self._exchange_fields
         jets, uv = self.frame.jets, self.frame.vert_values
-        at = self._frame_jets
-        main = self.cov_point(e_values, at(t_fields, k, l))
-        c1 = self.t_point(self.cov_point(e_values, at(jets, k)), at(uv, l))
-        c2 = self.t_point(at(uv, k), self.cov_point(e_values, at(jets, l)))
+        main = self.cov_point(e_values, t_fields[:, k, l])
+        c1 = self.t_point(self.cov_point(e_values, jets[:, k]), uv[:, l])
+        c2 = self.t_point(uv[:, k], self.cov_point(e_values, jets[:, l]))
         return main - c1 - c2
 
     def nabla_a_frame(self, e_values, i, j) -> np.ndarray:
         """(nabla_e A)(X_i, X_j), same conventions."""
         _, a_fields = self._exchange_fields
         jets, xv, r = self.frame.jets, self.frame.horiz_values, self.r
-        at = self._frame_jets
-        main = self.cov_point(e_values, at(a_fields, i, j))
-        c1 = self.a_point(self.cov_point(e_values, at(jets, r + i)), at(xv, j))
-        c2 = self.a_point(at(xv, i), self.cov_point(e_values, at(jets, r + j)))
+        main = self.cov_point(e_values, a_fields[:, i, j])
+        c1 = self.a_point(self.cov_point(e_values, jets[:, r + i]), xv[:, j])
+        c2 = self.a_point(xv[:, i], self.cov_point(e_values, jets[:, r + j]))
         return main - c1 - c2
 
     def delta_n(self) -> np.ndarray:
@@ -452,7 +428,7 @@ class PointCalculus:
 
 
 @dataclass(frozen=True)
-class OneillData(PointAxis):
+class OneillData:
     """Frame components of the fundamental tensors and derived norms on a
     block of points, the point axis ``p`` leading."""
 

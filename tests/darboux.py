@@ -35,7 +35,7 @@ def darboux_frame(coords) -> np.ndarray:
 def sectional_curvature(model, coords, x, y) -> float:
     """K(span{X, Y}) = R(X, Y, Y, X) / (|X|^2 |Y|^2 - g(X, Y)^2)."""
     curv = riemann_at(model, coords)
-    gv = curv.metric.value
+    gv = curv.metric.value[0]
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xx = float(x @ gv @ x)
@@ -44,7 +44,7 @@ def sectional_curvature(model, coords, x, y) -> float:
     denom = xx * yy - xy * xy
     if denom < 1e-12:
         raise DegeneratePlaneError(f"2-plane degenerate: Gram determinant {denom:.3e}")
-    return float(pair_r4(curv.r4, x, y, y, x)) / denom
+    return float(pair_r4(curv.r4[0], x, y, y, x)) / denom
 
 
 def phi_sectional(spec, coords, x) -> float:
@@ -52,10 +52,10 @@ def phi_sectional(spec, coords, x) -> float:
     st = spec.structure
     points = np.asarray(coords, dtype=float)[None]
     gv = metric_at(st.model, points, order=1).value[0]
-    contact = st.at(points)[0]
+    contact = st.at(points)
     x = np.asarray(x, dtype=float)
     if abs(float(x @ gv @ x) - 1.0) > 1e-10:
         raise RejectedInputError("phi_sectional needs a unit vector")
-    if abs(float(contact.eta @ x)) > 1e-10:
+    if abs(float(contact.eta[0] @ x)) > 1e-10:
         raise RejectedInputError("phi_sectional needs X orthogonal to xi")
-    return sectional_curvature(st.model, coords, x, contact.phi @ x)
+    return sectional_curvature(st.model, coords, x, contact.phi[0] @ x)

@@ -1,7 +1,7 @@
 """The ways into the block pipeline for test points: a block of one point,
 the analyses of a sample one block of points at a time as the CLI makes
-them, each point's view of a block, and a point's rows of a block's
-theorem table."""
+them, and a point's rows of a block's theorem table. Every record is a
+block; a test reads point k as ``[k]`` of the block's arrays."""
 
 import dataclasses
 
@@ -18,14 +18,9 @@ def point_block(sub, p):
     return space_form_data(sub.total, np.asarray(p, dtype=float)[None])
 
 
-def point_calc(sub, p):
-    """The view of ``p`` in the ``PointCalculus`` of its block of one."""
-    return PointCalculus(sub, point_block(sub, p))[0]
-
-
-def point_analysis(sub, p):
-    """The view of ``p`` in the analysis of its block of one."""
-    return analyze_point(sub, point_block(sub, p))[0]
+def calc_of_one(sub, p):
+    """The ``PointCalculus`` of the block of the one point ``p``."""
+    return PointCalculus(sub, point_block(sub, p))
 
 
 def block_of_one(sub, p):
@@ -50,11 +45,6 @@ def analysis_blocks(sub, pts):
         analyze_point(sub, space_form_data(sub.total, block))
         for block in point_blocks(np.asarray(pts, dtype=float), sub.total.model.dim, 5)
     ]
-
-
-def point_views(blocks):
-    """Each point's view of the block analyses, in sample order."""
-    return [block[k] for block in blocks for k in range(len(block.calc.point))]
 
 
 def table_rows(table, k=0):

@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from darboux import darboux_frame, phi_sectional
-from slices import analysis_blocks, blocks_of_one, point_block, point_views
+from slices import analysis_blocks, blocks_of_one, calc_of_one
 from oneill_lab.cli import cli_parse, resolve_model, run
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.invariants import identity_residuals
 from oneill_lab.riemannian import metric_at, riemann_at
 from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
 from oneill_lab.submersion import (
-    PointCalculus,
     load_custom_model,
     tensors_from_calculus,
     verify_riemannian_submersion,
@@ -82,11 +81,6 @@ def vx_blocks(vx_model, vx_points):
 
 
 @pytest.fixture(scope="module")
-def vx_analyses(vx_blocks):
-    return point_views(vx_blocks)
-
-
-@pytest.fixture(scope="module")
 def vx_scan_tables(vx_model, vx_points):
     tables = {tid: [] for tid in VERT_IDS}
     for block in blocks_of_one(vx_model, vx_points):
@@ -109,7 +103,7 @@ def test_c1_frame_curvature_cross_validation(space_form, sf_points):
     start = time.monotonic()
     for pt in sf_points:
         fr = darboux_frame(pt)
-        ad = riemann_at(space_form.model, pt).r4
+        ad = riemann_at(space_form.model, pt).r4[0]
         closed = space_form_r4_at(space_form, pt)
         for arr in (fr, fr, fr, fr):
             ad = np.tensordot(arr, ad, axes=(1, 0))
@@ -154,7 +148,7 @@ def test_c2_sasakian_axioms_and_phi_sections(space_form, sf_points):
     )
 
 
-def test_c3_vertical_model_structure_suite(vx_model, vx_blocks, vx_analyses):
+def test_c3_vertical_model_structure_suite(vx_model, vx_blocks):
     kernel = 0.0
     length = 0.0
     lemma_worst = 0.0
@@ -164,7 +158,7 @@ def test_c3_vertical_model_structure_suite(vx_model, vx_blocks, vx_analyses):
         length = max(length, *chk.length_residual)
         lemmas = verify_structure_lemmas(block.calc, block.data)
         lemma_worst = max(lemma_worst, *(max(val) for val in lemmas.values()))
-    tr_worst = max(abs(a.data.trace_phi_b + 2.0) for a in vx_analyses)
+    tr_worst = max(abs(v + 2.0) for block in vx_blocks for v in block.data.trace_phi_b)
     ok = max(kernel, length, lemma_worst) <= STRUCT_TOL and tr_worst <= STRUCT_TOL
     assert verdict(
         3, ok,
@@ -269,7 +263,7 @@ def test_c7_sharpness_under_vanishing_tensors(vx_scan_tables, hx_report, hx_mode
     hx_pts = sample_submersion_points(hx_model, SampleConfig(points=10, seed=42))
 
     def a_max(pt):
-        calc = PointCalculus(hx_model, point_block(hx_model, pt))
+        calc = calc_of_one(hx_model, pt)
         return float(np.max(np.abs(tensors_from_calculus(calc).a_coeff)))
 
     a_floor = min(a_max(pt) for pt in hx_pts)

@@ -1,10 +1,11 @@
 """The block path against one-point evaluation.
 
 Every stage after the total space runs once per block of points, the
-theorem scans included. A point's view of a block, and its rows of a
-block's theorem tables, must equal, bit for bit, the block of that point
-alone, whatever the size of the block and the order of its points, and an
-error at a point must be the one the first failing point alone raises.
+theorem scans included. Every array of a block's records, sliced at a
+point, and the point's rows of a block's theorem tables, must equal, bit
+for bit, the block of that point alone, whatever the size of the block
+and the order of its points, and an error at a point must be the one the
+first failing point alone raises.
 """
 
 import dataclasses
@@ -20,12 +21,11 @@ from oneill_lab.cli import resolve_model
 from oneill_lab.contact import space_form_data
 from oneill_lab.errors import DegenerateFrameError
 from oneill_lab.invariants import analyze_point, identity_residuals
+from oneill_lab.jets import ArrayJet
 from oneill_lab.riemannian import VectorField
 from oneill_lab.sampling import SampleConfig, sample_submersion_points
 from oneill_lab.submersion import (
-    OneillData,
     PointCalculus,
-    SubmersionCheck,
     load_custom_model,
     verify_riemannian_submersion,
     verify_structure_lemmas,
@@ -46,11 +46,6 @@ def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-def jet_bits(jet):
-    hessian = None if jet.hessian is None else bits(jet.hessian)
-    return bits(jet.value), bits(jet.gradient), hessian
-
-
 def _stages(sub, points):
     """The analysis, the identity residuals, the submersion checks and the
     lemmas of a block."""
@@ -64,6 +59,32 @@ def _stages(sub, points):
     )
 
 
+def _arrays(record, path=()):
+    """(path, array) for every array of the records of a block, in a fixed
+    order: the fields of dataclasses, the attributes of a ``PointCalculus``
+    but its model, the items of tuples and dicts, and the parts of array
+    jets."""
+    if isinstance(record, np.ndarray):
+        yield path, record
+    elif isinstance(record, ArrayJet):
+        for part in ("value", "gradient", "hessian"):
+            if getattr(record, part) is not None:
+                yield path + (part,), getattr(record, part)
+    elif isinstance(record, PointCalculus):
+        for name, value in vars(record).items():
+            if name != "sub":
+                yield from _arrays(value, path + (name,))
+    elif dataclasses.is_dataclass(record):
+        for field in dataclasses.fields(record):
+            yield from _arrays(getattr(record, field.name), path + (field.name,))
+    elif isinstance(record, (tuple, dict)):
+        items = record.items() if isinstance(record, dict) else enumerate(record)
+        for key, value in items:
+            yield from _arrays(value, path + (key,))
+    else:
+        assert isinstance(record, int), path  # the frame counts r and n
+
+
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     model=st.sampled_from(MODELS),
@@ -71,33 +92,22 @@ def _stages(sub, points):
     size=st.integers(min_value=1, max_value=7),
     data=st.data(),
 )
-def test_point_views_equal_blocks_of_one_point(model, seed, size, data):
+def test_block_arrays_at_a_point_equal_its_block_of_one(model, seed, size, data):
     sub = _model(model)
     pts = sample_submersion_points(sub, SampleConfig(points=size, seed=seed))
     pts = pts[data.draw(st.permutations(range(size)))]
-    block, residuals, checks, lemmas = _stages(sub, pts)
+    # the analysis (calculus, frame and exchange jets, tensor data, tau_hat,
+    # tau_star, delta_n), the identity residuals, the checks and the lemmas
+    block = list(_arrays(_stages(sub, pts)))
+    reached = {path[:3] for path, _ in block}
+    for name in ("point", "frame", "_tensor_tables", "_exchange_fields"):
+        assert (0, "calc", name) in reached, name
     for k, pt in enumerate(pts):
-        one, one_residuals, one_checks, one_lemmas = _stages(sub, pt[None])
-        got, want = block[k], one[0]
-        assert bits(got.calc.point) == bits(pt)
-        assert jet_bits(got.calc.frame.jets) == jet_bits(want.calc.frame.jets)
-        for table, one_table in zip(got.calc._tensor_tables, want.calc._tensor_tables):
-            assert bits(table) == bits(one_table)
-        for jets, one_jets in zip(got.calc._exchange_fields, want.calc._exchange_fields):
-            assert jet_bits(jets) == jet_bits(one_jets)
-        for field in dataclasses.fields(OneillData):
-            name = field.name
-            assert bits(getattr(got.data, name)) == bits(getattr(want.data, name)), name
-        for name in ("tau_hat", "tau_star", "delta_n"):
-            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
-        assert residuals.keys() == one_residuals.keys()
-        for key, val in residuals.items():
-            assert bits(val[k]) == bits(one_residuals[key][0]), key
-        for key, val in lemmas.items():
-            assert bits(val[k]) == bits(one_lemmas[key][0]), key
-        for field in dataclasses.fields(SubmersionCheck):
-            name = field.name
-            assert bits(getattr(checks[k], name)) == bits(getattr(one_checks[0], name))
+        one = list(_arrays(_stages(sub, pt[None])))
+        assert [path for path, _ in one] == [path for path, _ in block]
+        for (path, got), (_, want) in zip(block, one):
+            assert (len(got), len(want)) == (size, 1), path
+            assert bits(got[k]) == bits(want[0]), path
 
 
 def _field_bits(value):

@@ -76,6 +76,10 @@ class TestParse:
             ["report", "--probe", "middle"],
             ["report", "--probe", "random:0"],
             ["frobnicate"],
+            ["report", "--seed", "-1"],
+            ["report", "--box=-inf,2"],
+            ["report", "--box=0,inf"],
+            ["report", "--box=-1e308,1e308"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
@@ -596,7 +600,7 @@ class TestResidualFloats:
         for pt in pts:
             for key, (val,) in verify_sasakian(space_form_data(spec, [pt])).items():
                 sasakian[key] = max(sasakian.get(key, 0.0), float(val))
-            diff = riemann_at(spec.model, pt).r4 - space_form_r4_at(spec, pt)
+            diff = riemann_at(spec.model, pt).r4[0] - space_form_r4_at(spec, pt)
             curv1 = max(curv1, float(np.max(np.abs(diff))))
         assert structure["sasakian"] == sasakian
         assert structure["curvature"]["curv1"] == curv1
@@ -615,10 +619,10 @@ class TestResidualFloats:
         kernels, lengths, pd_flags = [], [], []
         for pt in pts:
             block = analyze_point(sub, point_block(sub, pt))
-            chk = verify_riemannian_submersion(block.calc)[0]
-            kernels.append(chk.kernel_residual)
-            lengths.append(chk.length_residual)
-            pd_flags.append(chk.base_pd)
+            chk = verify_riemannian_submersion(block.calc)
+            kernels.append(chk.kernel_residual[0])
+            lengths.append(chk.length_residual[0])
+            pd_flags.append(chk.base_pd[0])
             sections = {
                 "lemmas": verify_structure_lemmas(block.calc, block.data),
                 "identities": identity_residuals(block),

@@ -55,7 +55,7 @@ def test_frame_is_phi_adapted(spec5):
 def test_curvature_matches_space_form_formula(spec5, pt):
     """The chart Riemann tensor equals the constant-c closed form, with the
     same slot and sign conventions and no global flip."""
-    got = riemann_at(spec5.model, pt).r4
+    got = riemann_at(spec5.model, pt).r4[0]
     want = space_form_r4_at(spec5, pt)
     assert np.max(np.abs(got - want)) < TOL_CURV
 
@@ -93,7 +93,7 @@ def test_r7_model_also_sasakian():
     res = verify_sasakian(space_form_data(spec, [pt]))
     for name, (val,) in res.items():
         assert val < TOL_ALG, f"{name} residual {val}"
-    got = riemann_at(spec.model, pt).r4
+    got = riemann_at(spec.model, pt).r4[0]
     want = space_form_r4_at(spec, pt)
     assert np.max(np.abs(got - want)) < TOL_CURV
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import frame_oracle as fo
-from slices import point_analysis, point_block, point_calc, point_residuals
+from slices import block_of_one, calc_of_one, point_residuals
 from oneill_lab.cli import resolve_model
 from oneill_lab.invariants import (
     _hat_star_tables,
@@ -23,7 +23,7 @@ from oneill_lab.invariants import (
     ric_star_probes,
 )
 from oneill_lab.riemannian import scalar_curvature
-from oneill_lab.submersion import PointCalculus, load_custom_model
+from oneill_lab.submersion import load_custom_model
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
@@ -42,13 +42,15 @@ CURV_TOL = 1e-6
 
 
 def ric_hat(calc):
-    """Vertical-block Ricci values on the vertical frame vectors."""
-    return ric_hat_probes(calc, calc.frame.vert_values)
+    """Vertical-block Ricci values on the vertical frame vectors of a block
+    of one point."""
+    return ric_hat_probes(calc, calc.frame.vert_values)[0]
 
 
 def ric_star(calc):
-    """Horizontal-block Ricci values on the horizontal frame vectors."""
-    return ric_star_probes(calc, calc.frame.horiz_values)
+    """Horizontal-block Ricci values on the horizontal frame vectors of a
+    block of one point."""
+    return ric_star_probes(calc, calc.frame.horiz_values)[0]
 
 
 class TestVerticalXiPacket:
@@ -56,29 +58,29 @@ class TestVerticalXiPacket:
         sub = resolve_model("vertical-xi")
         split = fo.vertical_xi_split()
         for pt in POINTS:
-            an = point_analysis(sub, pt)
+            an = block_of_one(sub, pt)
             calc, data = an.calc, an.data
-            assert abs(2.0 * an.tau_hat - 2.0 * split.tau_hat()) < CURV_TOL
-            assert abs(2.0 * an.tau_star - 2.0 * split.tau_star()) < CURV_TOL
+            assert abs(2.0 * an.tau_hat[0] - 2.0 * split.tau_hat()) < CURV_TOL
+            assert abs(2.0 * an.tau_star[0] - 2.0 * split.tau_star()) < CURV_TOL
             oracle_hat = [split.ric_hat(u) for u in split.vert]
             oracle_star = [split.ric_star(x) for x in split.horiz]
             np.testing.assert_allclose(ric_hat(calc), oracle_hat, atol=CURV_TOL)
             np.testing.assert_allclose(ric_star(calc), oracle_star, atol=CURV_TOL)
-            assert abs(an.delta_n - split.delta_n()) < CURV_TOL
-            assert abs(data.trace_phi_b - split.trace_phi_b()) < TOL
-            assert abs(scalar_curvature(calc.curvature) / 2.0 - (-2.0)) < CURV_TOL
-            assert abs(data.n_norm_sq) < TOL
-            assert abs(data.sum_t_sq - 4.0) < TOL
-            assert abs(data.sum_a_sq) < TOL
+            assert abs(an.delta_n[0] - split.delta_n()) < CURV_TOL
+            assert abs(data.trace_phi_b[0] - split.trace_phi_b()) < TOL
+            assert abs(scalar_curvature(calc.curvature)[0] / 2.0 - (-2.0)) < CURV_TOL
+            assert abs(data.n_norm_sq[0]) < TOL
+            assert abs(data.sum_t_sq[0] - 4.0) < TOL
+            assert abs(data.sum_a_sq[0]) < TOL
 
     def test_frozen_values(self):
         sub = resolve_model("vertical-xi")
-        an = point_analysis(sub, POINTS[0])
-        assert abs(2.0 * an.tau_hat - 8.0) < CURV_TOL
-        assert abs(an.tau_star) < CURV_TOL
+        an = block_of_one(sub, POINTS[0])
+        assert abs(2.0 * an.tau_hat[0] - 8.0) < CURV_TOL
+        assert abs(an.tau_star[0]) < CURV_TOL
         np.testing.assert_allclose(ric_hat(an.calc), [2.0, 2.0, 4.0], atol=CURV_TOL)
         np.testing.assert_allclose(ric_star(an.calc), [0.0, 0.0], atol=CURV_TOL)
-        assert abs(an.data.trace_phi_b - (-2.0)) < TOL
+        assert abs(an.data.trace_phi_b[0] - (-2.0)) < TOL
 
     def test_identity_residuals_clean(self):
         sub = resolve_model("vertical-xi")
@@ -91,23 +93,24 @@ class TestVerticalXiPacket:
     def test_ric_probes_accept_arbitrary_unit_vectors(self):
         # probe Ricci values on frame vectors reproduce the table columns
         sub = resolve_model("vertical-xi")
-        block = PointCalculus(sub, point_block(sub, POINTS[0]))
-        calc = block[0]
-        hat, star = _hat_star_tables(block)
+        calc = calc_of_one(sub, POINTS[0])
+        hat, star = _hat_star_tables(calc)
         ric_hat_table, ric_star_table = hat[0].sum(axis=0), star[0].sum(axis=0)
-        for k, u in enumerate(calc.frame.vert_values):
-            assert abs(ric_hat_probes(calc, u[None])[0] - ric_hat_table[k]) < CURV_TOL
-        for t, x in enumerate(calc.frame.horiz_values):
-            assert abs(ric_star_probes(calc, x[None])[0] - ric_star_table[t]) < CURV_TOL
+        for k in range(calc.r):
+            u = calc.frame.vert_values[:, k, None]
+            assert abs(ric_hat_probes(calc, u)[0, 0] - ric_hat_table[k]) < CURV_TOL
+        for t in range(calc.n):
+            x = calc.frame.horiz_values[:, t, None]
+            assert abs(ric_star_probes(calc, x)[0, 0] - ric_star_table[t]) < CURV_TOL
 
     def test_star_curvature_vanishes_on_flat_base(self):
         # horizontal block pushes down to a flat base, so the block
         # curvature must vanish on every horizontal 4-tuple
         sub = resolve_model("vertical-xi")
-        calc = point_calc(sub, POINTS[1])
+        calc = calc_of_one(sub, POINTS[1])
         xs = calc.frame.horiz_values
-        val = horizontal_curvature_star(calc, xs[0], xs[1], xs[1], xs[0])
-        assert abs(val) < 1e-7
+        val = horizontal_curvature_star(calc, xs[:, 0], xs[:, 1], xs[:, 1], xs[:, 0])
+        assert abs(val[0]) < 1e-7
 
 
 class TestHorizontalXiPacket:
@@ -115,17 +118,17 @@ class TestHorizontalXiPacket:
         sub = resolve_model("horizontal-xi")
         split = fo.horizontal_xi_split()
         for pt in H_POINTS:
-            an = point_analysis(sub, pt)
+            an = block_of_one(sub, pt)
             calc, data = an.calc, an.data
-            assert abs(2.0 * an.tau_hat - 2.0 * split.tau_hat()) < CURV_TOL
-            assert abs(2.0 * an.tau_star - 2.0 * split.tau_star()) < CURV_TOL
+            assert abs(2.0 * an.tau_hat[0] - 2.0 * split.tau_hat()) < CURV_TOL
+            assert abs(2.0 * an.tau_star[0] - 2.0 * split.tau_star()) < CURV_TOL
             oracle_hat = [split.ric_hat(u) for u in split.vert]
             oracle_star = [split.ric_star(x) for x in split.horiz]
             np.testing.assert_allclose(ric_hat(calc), oracle_hat, atol=CURV_TOL)
             np.testing.assert_allclose(ric_star(calc), oracle_star, atol=CURV_TOL)
-            assert abs(data.sum_a_sq - 4.0) < TOL
-            assert abs(data.sum_t_sq) < TOL
-            assert abs(data.trace_phi_b - (-2.0)) < TOL
+            assert abs(data.sum_a_sq[0] - 4.0) < TOL
+            assert abs(data.sum_t_sq[0]) < TOL
+            assert abs(data.trace_phi_b[0] - (-2.0)) < TOL
 
     def test_known_residual_defects(self):
         # the scalar identity with the xi-horizontal constant terms misses
@@ -147,15 +150,15 @@ class TestReebFiberPacket:
         sub = load_custom_model(Path(MODELS_DIR, "reeb_fiber.json").read_bytes())
         split = fo.reeb_split()
         for pt in POINTS:
-            an = point_analysis(sub, pt)
-            assert abs(2.0 * an.tau_hat) < CURV_TOL
-            assert abs(2.0 * an.tau_star - (-24.0)) < CURV_TOL
-            assert abs(2.0 * an.tau_star - 2.0 * split.tau_star()) < CURV_TOL
+            an = block_of_one(sub, pt)
+            assert abs(2.0 * an.tau_hat[0]) < CURV_TOL
+            assert abs(2.0 * an.tau_star[0] - (-24.0)) < CURV_TOL
+            assert abs(2.0 * an.tau_star[0] - 2.0 * split.tau_star()) < CURV_TOL
             oracle_star = [split.ric_star(x) for x in split.horiz]
             np.testing.assert_allclose(ric_star(an.calc), oracle_star, atol=CURV_TOL)
-            assert abs(an.delta_n) < CURV_TOL
-            assert abs(an.data.trace_phi_b) < TOL
-            assert abs(an.data.sum_a_sq - 4.0) < TOL
+            assert abs(an.delta_n[0]) < CURV_TOL
+            assert abs(an.data.trace_phi_b[0]) < TOL
+            assert abs(an.data.sum_a_sq[0] - 4.0) < TOL
             res = point_residuals(sub, pt)
             assert res["T1"] < TOL
             for key in ("T4", "S1", "S2", "S3", "R1", "R2", "gauss3"):
@@ -166,24 +169,15 @@ class TestMixedExchange:
     def test_fiber_curvature_slots(self):
         # direct check of one exchange value against the oracle
         sub = resolve_model("vertical-xi")
-        calc = point_calc(sub, POINTS[0])
+        calc = calc_of_one(sub, POINTS[0])
         split = fo.vertical_xi_split()
         us = calc.frame.vert_values
-        got = fiber_curvature_hat(calc, us[0], us[1], us[1], us[0])
+        got = fiber_curvature_hat(calc, us[:, 0], us[:, 1], us[:, 1], us[:, 0])[0]
         want = split.gauss_hat(split.vert[0], split.vert[1], split.vert[1], split.vert[0])
         assert abs(got - want) < CURV_TOL
 
     def test_mixed_residual_values(self):
         vx, hx = resolve_model("vertical-xi"), resolve_model("horizontal-xi")
-        assert (
-            mixed_gauss_residual(PointCalculus(vx, point_block(vx, POINTS[0])))[0]
-            < CURV_TOL
-        )
-        assert (
-            abs(
-                mixed_gauss_residual(PointCalculus(hx, point_block(hx, H_POINTS[0])))[0]
-                - 2.0
-            )
-            < CURV_TOL
-        )
+        assert mixed_gauss_residual(calc_of_one(vx, POINTS[0]))[0] < CURV_TOL
+        assert abs(mixed_gauss_residual(calc_of_one(hx, H_POINTS[0]))[0] - 2.0) < CURV_TOL
 

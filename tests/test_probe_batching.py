@@ -12,15 +12,17 @@ among slacks that differ only by rounding, so nothing weaker than bitwise
 equality pins the reports.
 """
 
+import dataclasses
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slices import analysis_blocks, blocks_of_one, point_views, table_rows
+from slices import analysis_blocks, blocks_of_one, table_rows
 from oneill_lab.cli import resolve_model
 from oneill_lab.invariants import identity_residuals
 from oneill_lab.riemannian import pair_r4, scalar_curvature
@@ -55,10 +57,6 @@ def _blocks(name, points, seed):
     return analysis_blocks(sub, pts)
 
 
-def _analyses(name, points, seed):
-    return point_views(_blocks(name, points, seed))
-
-
 def _ones(name, points, seed):
     sub = _model(name)
     pts = sample_submersion_points(sub, SampleConfig(points=points, seed=seed))
@@ -69,12 +67,6 @@ def _ones(name, points, seed):
 def blocks():
     """Three seed-42 sample points of each model, analyzed as one block."""
     return {name: _blocks(name, 3, 42) for name in MODELS}
-
-
-@pytest.fixture(scope="module")
-def analyses(blocks):
-    """Each point's view of ``blocks``."""
-    return {name: point_views(b) for name, b in blocks.items()}
 
 
 @pytest.fixture(scope="module")
@@ -102,20 +94,26 @@ def _seq_sum(values) -> float:
 
 
 class PerVector:
-    """The per-vector formulas on one analyzed point: each value from one
-    tuple or pair of vectors, as the engine computed them before batching."""
+    """The per-vector formulas on point k of a block analysis: each value
+    from one tuple or pair of vectors, as the engine computed them before
+    batching, on the point's slices of the block's arrays."""
 
-    def __init__(self, analysis):
-        calc = analysis.calc
-        self.analysis = analysis
-        self.calc = calc
-        self.g = calc.conn.metric.value
-        self.r4 = calc.curvature.r4
-        self.closed = calc.closed_curvature
-        self.uv = calc.frame.vert_values
-        self.xv = calc.frame.horiz_values
-        self.decomp = np.array(calc.frame.jets.value, dtype=float) @ self.g
-        self.t_tab, self.a_tab = calc._tensor_tables
+    def __init__(self, analysis, k=0):
+        calc, data = analysis.calc, analysis.data
+        self.analysis, self.k, self.calc = analysis, k, calc
+        names = [f.name for f in dataclasses.fields(data)]
+        self.data = SimpleNamespace(**{name: getattr(data, name)[k] for name in names})
+        self.g = calc.conn.metric.value[k]
+        self.gamma = calc.conn.gamma[k]
+        self.r4 = calc.curvature.r4[k]
+        self.closed = calc.closed_curvature[k]
+        self.phi, self.eta = calc.phi_values[k], calc.eta_values[k]
+        self.jets = calc.frame.jets[k]
+        self.uv = calc.frame.vert_values[k]
+        self.xv = calc.frame.horiz_values[k]
+        self.decomp = np.array(self.jets.value, dtype=float) @ self.g
+        self.t_tab, self.a_tab = (table[k] for table in calc._tensor_tables)
+        self.t_fields, self.a_fields = (jets[k] for jets in calc._exchange_fields)
 
     def pair(self, x, y) -> float:
         return float(np.asarray(x) @ self.g @ np.asarray(y))
@@ -161,21 +159,19 @@ class PerVector:
 
     def cov(self, x, y):
         return np.array(y.gradient) @ x + np.einsum(
-            "kij,i,j->k", self.calc.conn.gamma, x, np.array(y.value)
+            "kij,i,j->k", self.gamma, x, np.array(y.value)
         )
 
     def nabla_t(self, e, k, l):
-        t_fields, _ = self.calc._exchange_fields
-        jets = self.calc.frame.jets
-        main = self.cov(e, t_fields[k, l])
+        jets = self.jets
+        main = self.cov(e, self.t_fields[k, l])
         c1 = self.t(self.cov(e, jets[k]), self.uv[l])
         c2 = self.t(self.uv[k], self.cov(e, jets[l]))
         return main - c1 - c2
 
     def nabla_a(self, e, i, j):
-        _, a_fields = self.calc._exchange_fields
-        jets, r = self.calc.frame.jets, len(self.uv)
-        main = self.cov(e, a_fields[i, j])
+        jets, r = self.jets, len(self.uv)
+        main = self.cov(e, self.a_fields[i, j])
         c1 = self.a(self.cov(e, jets[r + i]), self.xv[j])
         c2 = self.a(self.xv[i], self.cov(e, jets[r + j]))
         return main - c1 - c2
@@ -190,7 +186,7 @@ class PerVector:
     def tensor_tables(self):
         """T and A on all frame pairs, one covariant derivative each."""
         d, r = len(self.decomp), len(self.uv)
-        jets = self.calc.frame.jets
+        jets = self.jets
         vals = [np.array(row, dtype=float) for row in jets.value]
         t_tab = np.zeros((d, d, d))
         a_tab = np.zeros((d, d, d))
@@ -205,7 +201,7 @@ class PerVector:
 
     def tensors(self) -> dict:
         """The fields of ``tensors_from_calculus`` that the frames feed."""
-        uv, xv, phi = self.uv, self.xv, self.calc.phi_values
+        uv, xv, phi = self.uv, self.xv, self.phi
         r, n = len(uv), len(xv)
         t_uu = np.array([[self.t(uv[a], uv[b]) for b in range(r)] for a in range(r)])
         a_xx = np.array([[self.a(xv[s], xv[t]) for t in range(n)] for s in range(n)])
@@ -255,7 +251,7 @@ class PerVector:
 
     def skew_and_anti_invariance(self) -> dict:
         frame = list(self.uv) + list(self.xv)
-        m, phi = len(frame), self.calc.phi_values
+        m, phi = len(frame), self.phi
         out = {}
         for key, tensor in (("skew_t", self.t), ("skew_a", self.a)):
             img = [[tensor(e, f) for f in frame] for e in frame]
@@ -307,7 +303,7 @@ class PerVector:
     def t1(self) -> float:
         """T1 as the per-entry loop gave it: the squares of ``cross`` are
         numpy-scalar powers, the other squares numpy's array squares."""
-        data = self.analysis.data
+        data = self.data
         tc, r, n = data.t_coeff, len(self.uv), len(self.xv)
         d_s = tc[0, 0, :]
         if r > 1:
@@ -431,16 +427,16 @@ class PerVector:
 
     def t_coeff(self, vfr, hfr):
         cv = vfr @ self.g @ np.asarray(self.uv, dtype=float).T
-        t_chart = np.einsum("ac,bd,cdk->abk", cv, cv, self.analysis.data.t_uu)
+        t_chart = np.einsum("ac,bd,cdk->abk", cv, cv, self.data.t_uu)
         return t_chart, np.einsum("abk,kl,sl->abs", t_chart, self.g, hfr)
 
     def a_coeff(self, vfr, hfr):
         ch = hfr @ self.g @ np.asarray(self.xv, dtype=float).T
-        a_chart = np.einsum("su,tv,uvk->stk", ch, ch, self.analysis.data.a_xx)
+        a_chart = np.einsum("su,tv,uvk->stk", ch, ch, self.data.a_xx)
         return np.einsum("stk,kl,al->sta", a_chart, self.g, vfr)
 
     def c_norm_sq(self, x) -> float:
-        c_part = self.h_project(self.calc.phi_values @ np.asarray(x, dtype=float))
+        c_part = self.h_project(self.phi @ np.asarray(x, dtype=float))
         return float(self.pair(c_part, c_part))
 
     @staticmethod
@@ -461,10 +457,10 @@ class PerVector:
     def records(self, tid, mode, rng):
         """(variant, lhs, rhs, slack, holds, equality, diagnostics, probes)
         per record, in the order the engine emits them."""
-        an, data, calc = self.analysis, self.analysis.data, self.calc
-        c = float(calc.sub.total.c)
+        an, k, data = self.analysis, self.k, self.data
+        c = float(self.calc.sub.total.c)
         q, w = (c + 3.0) / 4.0, (c - 1.0) / 4.0
-        r, n, eta = len(self.uv), len(self.xv), calc.eta_values
+        r, n, eta = len(self.uv), len(self.xv), self.eta
         out = []
 
         def emit(variant, vfr, hfr, lhs, rhs, sense, diag):
@@ -500,7 +496,7 @@ class PerVector:
                 }
                 emit(None, vfr, hfr, lhs, rhs, "ge", diag)
             elif tid in ("V2", "V3"):
-                lhs = 2.0 * an.tau_hat
+                lhs = 2.0 * an.tau_hat[k]
                 rhs = q * r * (r - 1) - data.n_norm_sq
                 if tid == "V2":
                     rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - data.n_norm_sq
@@ -510,7 +506,7 @@ class PerVector:
                 }
                 emit(None, vfr, hfr, lhs, rhs, "ge", diag)
             elif tid in ("H1", "H2"):
-                lhs = 2.0 * an.tau_star
+                lhs = 2.0 * an.tau_star[k]
                 if tid == "H1":
                     rhs = q * n * (n - 1) + 3.0 * w * (n + data.trace_phi_b)
                 else:
@@ -578,7 +574,7 @@ class PerVector:
                     + self.ric_star(hfr[0])
                     + 0.25 * data.n_norm_sq
                     + 3.0 * a1s_sq
-                    - an.delta_n
+                    - an.delta_n[k]
                     + data.norm_tv_sq
                     - data.norm_ah_sq
                 )
@@ -640,7 +636,7 @@ def test_records_equal_per_probe_formulas_bitwise(ones, bench_ones, mode, model,
     want_rng = np.random.default_rng(seed)
     checked = 0
     for block in sample:
-        ref = PerVector(block[0])
+        ref = PerVector(block)
         for tid in applicable_ids(xi_case):
             got = table_rows(evaluate_theorem(block, tid, mode, got_rng))
             want = ref.records(tid, mode, want_rng)
@@ -686,7 +682,7 @@ def test_short_random_probe_is_drawn_again_as_one_draw_at_a_time(ones):
     stream[5:8] = stream[11:13] = 1e-10
     got_rng, want_rng = ScriptedNormals(stream), ScriptedNormals(stream)
     got = table_rows(evaluate_theorem(block, "CMB1", "random:3", got_rng))
-    want = PerVector(block[0]).records("CMB1", "random:3", want_rng)
+    want = PerVector(block).records("CMB1", "random:3", want_rng)
     assert got_rng.used == want_rng.used == 20
     assert len(want) == 3
     for i, row in enumerate(want):
@@ -696,35 +692,36 @@ def test_short_random_probe_is_drawn_again_as_one_draw_at_a_time(ones):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_tensor_data_equals_per_vector_formulas_bitwise(blocks, analyses, model):
+def test_tensor_data_equals_per_vector_formulas_bitwise(blocks, model):
     (block,) = blocks[model]
-    lemmas = verify_structure_lemmas(block.calc, block.data)
-    for k, analysis in enumerate(analyses[model]):
-        ref = PerVector(analysis)
-        calc, data = analysis.calc, analysis.data
+    calc, data = block.calc, block.data
+    lemmas = verify_structure_lemmas(calc, data)
+    c_norms_sq = _c_norms_sq(calc, calc.frame.horiz_values)
+    for k in range(len(calc.point)):
+        ref = PerVector(block, k)
         for got, want in zip(calc._tensor_tables, ref.tensor_tables()):
-            assert bits(got) == bits(want)
+            assert bits(got[k]) == bits(want)
         tensors = ref.tensors()
-        c_norms_sq = _c_norms_sq(calc, calc.frame.horiz_values)
-        assert bits(c_norms_sq) == bits(tensors.pop("c_norms_sq"))
+        assert bits(c_norms_sq[k]) == bits(tensors.pop("c_norms_sq"))
         for key, want in tensors.items():
-            assert bits(getattr(data, key)) == bits(want), key
+            assert bits(getattr(data, key)[k]) == bits(want), key
         for key, want in ref.skew_and_anti_invariance().items():
             assert bits(lemmas[key][k]) == bits(want), key
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_packet_equals_per_vector_formulas_bitwise(blocks, analyses, model):
+def test_packet_equals_per_vector_formulas_bitwise(blocks, model):
     (block,) = blocks[model]
     residuals = identity_residuals(block)
-    for k, analysis in enumerate(analyses[model]):
-        ref = PerVector(analysis)
+    two_taus = scalar_curvature(block.calc.curvature)
+    for k in range(len(block.calc.point)):
+        ref = PerVector(block, k)
         hat, star = ref.hat_star_tables()
-        assert bits(analysis.tau_hat) == bits(float(np.sum(np.triu(hat, k=1))))
-        assert bits(analysis.tau_star) == bits(float(np.sum(np.triu(star, k=1))))
-        assert bits(analysis.delta_n) == bits(ref.delta_n())
+        assert bits(block.tau_hat[k]) == bits(float(np.sum(np.triu(hat, k=1))))
+        assert bits(block.tau_star[k]) == bits(float(np.sum(np.triu(star, k=1))))
+        assert bits(block.delta_n[k]) == bits(ref.delta_n())
         res = {key: val[k] for key, val in residuals.items()}
-        two_tau = scalar_curvature(analysis.calc.curvature)
+        two_tau = two_taus[k]
         assert bits(res["T1"]) == bits(ref.t1())
         assert bits(res["S2"]) == bits(abs(ref.four_block() - two_tau))
         assert bits(res["R1"]) == bits(ref.r1())
@@ -737,7 +734,7 @@ def test_completion_skips_a_row_in_the_span_as_for_one_probe(ones, model):
     # a probe along frame row i leaves row i in the span of the probe, so
     # the completion skips it; random probes in the same batch skip nothing
     block = ones[model][0]
-    ref = PerVector(block[0])
+    ref = PerVector(block)
     for frame in (ref.uv, ref.xv):
         frame = np.asarray(frame, dtype=float)
         k = len(frame)
@@ -755,10 +752,10 @@ coord_seed = st.integers(min_value=0, max_value=2**31 - 1)
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(model=st.sampled_from(MODELS), seed=coord_seed, closed=st.booleans())
 def test_frame_tables_equal_per_tuple_pair_r4(model, seed, closed):
-    (analysis,) = _analyses(model, points=1, seed=seed)
-    calc = analysis.calc
-    t = calc.closed_curvature if closed else calc.curvature.r4
-    f = np.array(calc.frame.jets.value, dtype=float)
+    (block,) = _blocks(model, points=1, seed=seed)
+    calc = block.calc
+    t = (calc.closed_curvature if closed else calc.curvature.r4)[0]
+    f = np.array(calc.frame.jets.value[0], dtype=float)
     m = len(f)
     table = pair_r4(
         t,

@@ -95,28 +95,28 @@ def bumpy_model(dim=3):
 def test_flat_connection_and_curvature_vanish():
     m = flat_model()
     pt = [0.3, -1.2, 2.0]
-    conn = christoffel_at(m, [pt])[0]
-    assert np.max(np.abs(conn.gamma)) == 0.0
+    conn = christoffel_at(m, [pt])
+    assert np.max(np.abs(conn.gamma[0])) == 0.0
     curv = riemann_at(m, pt)
-    assert np.max(np.abs(curv.r4)) == 0.0
-    assert scalar_curvature(curv) == 0.0
+    assert np.max(np.abs(curv.r4[0])) == 0.0
+    assert scalar_curvature(curv)[0] == 0.0
 
 
 def test_polar_christoffels_closed_form():
     m = polar_model()
     r = 1.7
-    conn = christoffel_at(m, [[r, 0.4]])[0]
+    conn = christoffel_at(m, [[r, 0.4]])
     # Gamma^r_tt = -r, Gamma^t_rt = Gamma^t_tr = 1/r, rest 0
     expect = np.zeros((2, 2, 2))
     expect[0, 1, 1] = -r
     expect[1, 0, 1] = expect[1, 1, 0] = 1.0 / r
-    assert np.allclose(conn.gamma, expect, atol=1e-12)
+    assert np.allclose(conn.gamma[0], expect, atol=1e-12)
 
 
 def test_polar_is_flat():
     m = polar_model()
     curv = riemann_at(m, [2.3, -0.7])
-    assert np.max(np.abs(curv.r4)) < 1e-12
+    assert np.max(np.abs(curv.r4[0])) < 1e-12
 
 
 def test_sphere_sectional_is_one():
@@ -130,10 +130,10 @@ def test_sphere_ricci_and_scalar():
     m = sphere_model()
     pt = [1.0, 0.2]
     curv = riemann_at(m, pt)
-    ric = ricci_from_curvature(curv)
+    ric = ricci_from_curvature(curv)[0]
     # Ric = (n-1) K g = g on the unit 2-sphere; scalar = 2
-    assert np.allclose(ric, curv.metric.value, atol=TOL_CURV)
-    assert abs(scalar_curvature(curv) - 2.0) < TOL_CURV
+    assert np.allclose(ric, curv.metric.value[0], atol=TOL_CURV)
+    assert abs(scalar_curvature(curv)[0] - 2.0) < TOL_CURV
 
 
 # -- guards -------------------------------------------------------------------
@@ -206,20 +206,20 @@ def _metric_value(model, pt):
 def test_metric_first_partials_match_fd():
     m = bumpy_model()
     pt = np.array([0.4, -0.3, 0.8])
-    g = metric_at(m, [pt])[0]
+    g = metric_at(m, [pt])
     h = 1e-5
     for a in range(3):
         up, dn = pt.copy(), pt.copy()
         up[a] += h
         dn[a] -= h
         fd = (_metric_value(m, up) - _metric_value(m, dn)) / (2 * h)
-        assert np.max(np.abs(g.d1[:, :, a] - fd)) < TOL_D1
+        assert np.max(np.abs(g.d1[0, :, :, a] - fd)) < TOL_D1
 
 
 def test_christoffel_matches_fd_assembly():
     m = bumpy_model()
     pt = np.array([0.4, -0.3, 0.8])
-    conn = christoffel_at(m, [pt])[0]
+    conn = christoffel_at(m, [pt])
     h = 1e-5
     dg = np.zeros((3, 3, 3))
     for a in range(3):
@@ -236,38 +236,38 @@ def test_christoffel_matches_fd_assembly():
                 for l in range(3):
                     s += ginv[k, l] * (dg[j, l, i] + dg[i, l, j] - dg[i, j, l])
                 expect[k, i, j] = 0.5 * s
-    assert np.max(np.abs(conn.gamma - expect)) < TOL_D1
+    assert np.max(np.abs(conn.gamma[0] - expect)) < TOL_D1
 
 
 def test_dgamma_matches_fd():
     m = bumpy_model()
     pt = np.array([0.4, -0.3, 0.8])
-    conn = christoffel_at(m, [pt])[0]
+    conn = christoffel_at(m, [pt])
     h = 1e-5
     for a in range(3):
         up, dn = pt.copy(), pt.copy()
         up[a] += h
         dn[a] -= h
         fd = (christoffel_at(m, [up]).gamma[0] - christoffel_at(m, [dn]).gamma[0]) / (2 * h)
-        assert np.max(np.abs(conn.dgamma[:, :, :, a] - fd)) < 1e-6
+        assert np.max(np.abs(conn.dgamma[0, :, :, :, a] - fd)) < 1e-6
 
 
 def test_metric_compatibility():
     # nabla g = 0: d_a g_ij = Gamma^m_ai g_mj + Gamma^m_aj g_im
     m = bumpy_model()
     pt = [0.4, -0.3, 0.8]
-    conn = christoffel_at(m, [pt])[0]
-    g = conn.metric
-    lhs = np.einsum("ija->aij", g.d1)
-    rhs = np.einsum("mai,mj->aij", conn.gamma, g.value) + np.einsum(
-        "maj,im->aij", conn.gamma, g.value
+    conn = christoffel_at(m, [pt])
+    gamma, g = conn.gamma[0], conn.metric
+    lhs = np.einsum("ija->aij", g.d1[0])
+    rhs = np.einsum("mai,mj->aij", gamma, g.value[0]) + np.einsum(
+        "maj,im->aij", gamma, g.value[0]
     )
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_riemann_symmetries_and_bianchi():
     m = bumpy_model()
-    r4 = riemann_at(m, [0.4, -0.3, 0.8]).r4
+    r4 = riemann_at(m, [0.4, -0.3, 0.8]).r4[0]
     assert np.max(np.abs(r4 + np.einsum("jikl->ijkl", r4))) < TOL_CURV
     assert np.max(np.abs(r4 + np.einsum("ijlk->ijkl", r4))) < TOL_CURV
     assert np.max(np.abs(r4 - np.einsum("klij->ijkl", r4))) < TOL_CURV
@@ -363,22 +363,22 @@ def _closed_form(c, gv, phi_v, e):
 
 
 def _block_arrays(spec, data, k):
-    conn, metric, contact = data.conn[k], data.conn.metric[k], data.contact[k]
+    conn, metric, contact = data.conn, data.conn.metric, data.contact
     return {
-        "value": metric.value,
-        "d1": metric.d1,
-        "d2": metric.d2,
-        "inverse": metric.inverse,
-        "dinverse": metric.dinverse,
-        "gamma": conn.gamma,
-        "dgamma": conn.dgamma,
+        "value": metric.value[k],
+        "d1": metric.d1[k],
+        "d2": metric.d2[k],
+        "inverse": metric.inverse[k],
+        "dinverse": metric.dinverse[k],
+        "gamma": conn.gamma[k],
+        "dgamma": conn.dgamma[k],
         "r13": data.curvature.r13[k],
         "r4": data.curvature.r4[k],
-        "phi": contact.phi,
-        "dphi": contact.dphi,
-        "eta": contact.eta,
-        "xi": contact.xi,
-        "dxi": contact.dxi,
+        "phi": contact.phi[k],
+        "dphi": contact.dphi[k],
+        "eta": contact.eta[k],
+        "xi": contact.xi[k],
+        "dxi": contact.dxi[k],
         "closed": data.closed[k],
     }
 

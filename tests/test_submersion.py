@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import frame_oracle as fo
-from slices import point_block, point_calc
+from slices import calc_of_one, point_block
 from oneill_lab.cli import resolve_model
 from oneill_lab.errors import (
     DegenerateFrameError,
@@ -23,7 +23,6 @@ from oneill_lab.errors import (
 from oneill_lab.jets import seed_block
 from oneill_lab.riemannian import model_jets
 from oneill_lab.submersion import (
-    PointCalculus,
     SubmersionModel,
     adapted_frame_at,
     load_custom_model,
@@ -69,15 +68,15 @@ def to_chart(coeffs, coords):
 
 
 def frame_at(sub, p):
-    return adapted_frame_at(sub, point_block(sub, p))[0]
+    return adapted_frame_at(sub, point_block(sub, p))
 
 
 def submersion_check(sub, p):
-    return verify_riemannian_submersion(PointCalculus(sub, point_block(sub, p)))[0]
+    return verify_riemannian_submersion(calc_of_one(sub, p))
 
 
 def tensors_at(sub, p):
-    return tensors_from_calculus(PointCalculus(sub, point_block(sub, p)))[0]
+    return tensors_from_calculus(calc_of_one(sub, p))
 
 
 def c_norms_sq(calc):
@@ -88,13 +87,13 @@ def c_norms_sq(calc):
 
 
 def lemmas_at(sub, p):
-    calc = PointCalculus(sub, point_block(sub, p))
+    calc = calc_of_one(sub, p)
     lemmas = verify_structure_lemmas(calc, tensors_from_calculus(calc))
     return {key: val[0] for key, val in lemmas.items()}
 
 
 def gram(calc, rows):
-    g = calc.conn.metric.value
+    g = calc.conn.metric.value[0]
     return rows @ g @ rows.T
 
 
@@ -102,14 +101,14 @@ class TestAdaptedFrame:
     def test_vertical_xi_frame_orthonormal(self):
         sub = resolve_model("vertical-xi")
         for p in POINTS:
-            calc = point_calc(sub, p)
-            allv = np.vstack([calc.frame.vert_values, calc.frame.horiz_values])
+            calc = calc_of_one(sub, p)
+            allv = np.vstack([calc.frame.vert_values[0], calc.frame.horiz_values[0]])
             assert np.max(np.abs(gram(calc, allv) - np.eye(5))) < 1e-12
 
     def test_reeb_field_kept_in_last_vertical_slot(self):
         sub = resolve_model("vertical-xi")
         frame = frame_at(sub, POINTS[0])
-        assert np.allclose(frame.vert_values[-1], [0, 0, 0, 0, 2], atol=1e-14)
+        assert np.allclose(frame.vert_values[0, -1], [0, 0, 0, 0, 2], atol=1e-14)
 
     def test_frame_matches_declared_normalization(self):
         # declared blocks are already orthogonal, so Gram-Schmidt only rescales
@@ -119,8 +118,8 @@ class TestAdaptedFrame:
         s2 = 1.0 / np.sqrt(2.0)
         expected_u0 = to_chart([s2, 0, -s2, 0, 0], p)
         expected_x0 = to_chart([s2, 0, s2, 0, 0], p)
-        assert np.allclose(frame.vert_values[0], expected_u0, atol=1e-13)
-        assert np.allclose(frame.horiz_values[0], expected_x0, atol=1e-13)
+        assert np.allclose(frame.vert_values[0, 0], expected_u0, atol=1e-13)
+        assert np.allclose(frame.horiz_values[0, 0], expected_x0, atol=1e-13)
 
     def test_frame_jets_are_differentiable_fields(self):
         # finite-difference the unit frame along a chart direction
@@ -131,8 +130,8 @@ class TestAdaptedFrame:
         shifted = p.copy()
         shifted[2] += h
         f1 = frame_at(sub, shifted)
-        fd = (f1.horiz_values[0] - f0.horiz_values[0]) / h
-        grads = f0.jets.gradient[f0.r, :, 2]
+        fd = (f1.horiz_values[0, 0] - f0.horiz_values[0, 0]) / h
+        grads = f0.jets.gradient[0, f0.r, :, 2]
         assert np.max(np.abs(fd - grads)) < 1e-5
 
     def test_dependent_fields_rejected(self):
@@ -172,9 +171,9 @@ class TestSubmersionChecks:
         sub = resolve_model("vertical-xi")
         for p in POINTS:
             chk = submersion_check(sub, p)
-            assert chk.kernel_residual < 1e-12
-            assert chk.length_residual < 1e-12
-            assert chk.base_pd
+            assert chk.kernel_residual[0] < 1e-12
+            assert chk.length_residual[0] < 1e-12
+            assert chk.base_pd[0]
 
     def test_differential_values(self):
         sub = resolve_model("vertical-xi")
@@ -188,9 +187,9 @@ class TestSubmersionChecks:
         sub = resolve_model("horizontal-xi")
         p = np.array([1.0, 0.0, 0.8, 0.0, 0.3])  # x1*y1 = 0.8
         chk = submersion_check(sub, p)
-        assert chk.kernel_residual < 1e-12
-        assert abs(chk.length_residual - 2.0 * abs(p[0] * p[2])) < 1e-10
-        assert not chk.base_pd
+        assert chk.kernel_residual[0] < 1e-12
+        assert abs(chk.length_residual[0] - 2.0 * abs(p[0] * p[2])) < 1e-10
+        assert not chk.base_pd[0]
 
     def test_horizontal_xi_full_defect_closed_form(self):
         # Gram defect entries: diagonal 2*x_i*y_i, pair cross x1*x2+y1*y2,
@@ -206,8 +205,8 @@ class TestSubmersionChecks:
                 abs(y2 - x2) / np.sqrt(2),
             )
             chk = submersion_check(sub, p)
-            assert abs(chk.length_residual - expected) < 1e-10
-            assert not chk.base_pd
+            assert abs(chk.length_residual[0] - expected) < 1e-10
+            assert not chk.base_pd[0]
 
     def test_horizontal_xi_outside_locus_raises(self):
         sub = resolve_model("horizontal-xi")
@@ -220,42 +219,43 @@ class TestOneillTensors:
         sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         for p in POINTS:
-            calc = point_calc(sub, p)
+            calc = calc_of_one(sub, p)
             data = tensors_at(sub, p)
-            assert np.max(np.abs(data.t_coeff - sp.t_coeff())) < 1e-10
-            assert np.max(np.abs(data.a_coeff)) < 1e-10
-            assert abs(data.sum_t_sq - 4.0) < 1e-10
-            assert abs(data.norm_tv_sq - 4.0) < 1e-10
-            assert abs(data.norm_ah_sq) < 1e-10
-            assert np.max(np.abs(data.n_vec)) < 1e-10
-            assert abs(data.trace_phi_b + 2.0) < 1e-10
-            assert np.max(np.abs(c_norms_sq(calc))) < 1e-10
-            eta_vert = calc.eta_of(calc.frame.vert_values)
+            assert np.max(np.abs(data.t_coeff[0] - sp.t_coeff())) < 1e-10
+            assert np.max(np.abs(data.a_coeff[0])) < 1e-10
+            assert abs(data.sum_t_sq[0] - 4.0) < 1e-10
+            assert abs(data.norm_tv_sq[0] - 4.0) < 1e-10
+            assert abs(data.norm_ah_sq[0]) < 1e-10
+            assert np.max(np.abs(data.n_vec[0])) < 1e-10
+            assert abs(data.trace_phi_b[0] + 2.0) < 1e-10
+            assert np.max(np.abs(c_norms_sq(calc)[0])) < 1e-10
+            eta_vert = calc.eta_of(calc.frame.vert_values)[0]
             assert np.allclose(eta_vert, [0, 0, 1], atol=1e-12)
-            assert np.max(np.abs(calc.eta_of(calc.frame.horiz_values))) < 1e-12
+            assert np.max(np.abs(calc.eta_of(calc.frame.horiz_values)[0])) < 1e-12
 
     def test_horizontal_xi_matches_oracle(self):
         sub = resolve_model("horizontal-xi")
         sp = fo.horizontal_xi_split()
         for p in H_POINTS:
-            calc = point_calc(sub, p)
+            calc = calc_of_one(sub, p)
             data = tensors_at(sub, p)
-            assert np.max(np.abs(data.a_coeff - sp.a_coeff())) < 1e-10
-            assert np.max(np.abs(data.t_coeff)) < 1e-10
-            assert abs(data.sum_a_sq - 4.0) < 1e-10
-            assert abs(data.norm_ah_sq - 4.0) < 1e-10
-            assert abs(data.trace_phi_b + 2.0) < 1e-10
-            eta_horiz = calc.eta_of(calc.frame.horiz_values)
+            assert np.max(np.abs(data.a_coeff[0] - sp.a_coeff())) < 1e-10
+            assert np.max(np.abs(data.t_coeff[0])) < 1e-10
+            assert abs(data.sum_a_sq[0] - 4.0) < 1e-10
+            assert abs(data.norm_ah_sq[0] - 4.0) < 1e-10
+            assert abs(data.trace_phi_b[0] + 2.0) < 1e-10
+            eta_horiz = calc.eta_of(calc.frame.horiz_values)[0]
             assert np.allclose(eta_horiz, [0, 0, 1], atol=1e-12)
 
     def test_mixed_slots_match_oracle(self):
         sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         p = POINTS[2]
-        calc = point_calc(sub, p)
+        calc = calc_of_one(sub, p)
         for a in range(sp.r):
             for s in range(sp.n):
-                got = calc.t_point(calc.frame.vert_values[a], calc.frame.horiz_values[s])
+                uv, xv = calc.frame.vert_values[:, a], calc.frame.horiz_values[:, s]
+                got = calc.t_point(uv, xv)[0]
                 want = to_chart(sp.t(sp.vert[a], sp.horiz[s]), p)
                 assert np.max(np.abs(got - want)) < 1e-10
 
@@ -266,12 +266,12 @@ class TestOneillTensors:
             (resolve_model("horizontal-xi"), fo.horizontal_xi_split(), H_POINTS),
         ]:
             p = pts[0]
-            calc = point_calc(sub, p)
+            calc = calc_of_one(sub, p)
             for s in range(sp.n):
-                xs = calc.frame.horiz_values[s]
+                xs = calc.frame.horiz_values[:, s]
                 for a in range(sp.r):
                     for b in range(sp.r):
-                        got = calc.nabla_t_frame(xs, a, b)
+                        got = calc.nabla_t_frame(xs, a, b)[0]
                         want = to_chart(sp.nabla_t(sp.horiz[s], sp.vert[a], sp.vert[b]), p)
                         assert np.max(np.abs(got - want)) < 1e-8
 
@@ -279,12 +279,12 @@ class TestOneillTensors:
         sub = resolve_model("vertical-xi")
         sp = fo.vertical_xi_split()
         p = POINTS[1]
-        calc = point_calc(sub, p)
+        calc = calc_of_one(sub, p)
         for a in range(sp.r):
-            uv = calc.frame.vert_values[a]
+            uv = calc.frame.vert_values[:, a]
             for s in range(sp.n):
                 for t in range(sp.n):
-                    got = calc.nabla_a_frame(uv, s, t)
+                    got = calc.nabla_a_frame(uv, s, t)[0]
                     want = to_chart(sp.nabla_a(sp.vert[a], sp.horiz[s], sp.horiz[t]), p)
                     assert np.max(np.abs(got - want)) < 1e-8
 
@@ -294,7 +294,7 @@ class TestOneillTensors:
             (resolve_model("horizontal-xi"), H_POINTS),
         ]:
             for p in pts[:2]:
-                assert abs(point_calc(sub, p).delta_n()) < 1e-8
+                assert abs(calc_of_one(sub, p).delta_n()[0]) < 1e-8
 
     def test_bc_decompose_vertical_xi(self):
         # phi of the first horizontal frame vector is vertical here: its
@@ -302,12 +302,12 @@ class TestOneillTensors:
         # horizontal part C vanishes
         sub = resolve_model("vertical-xi")
         p = POINTS[0]
-        calc = point_calc(sub, p)
-        x0 = calc.frame.horiz_values[0]
-        w = calc.phi_values @ x0
-        b, c = calc.v_project_values(w), calc.h_project_values(w)
+        calc = calc_of_one(sub, p)
+        x0 = calc.frame.horiz_values[:, 0]
+        w = calc.phi_of(x0)
+        b, c = calc.v_project_values(w)[0], calc.h_project_values(w)[0]
         assert np.max(np.abs(c)) < 1e-12
-        assert np.max(np.abs(b + calc.frame.vert_values[0])) < 1e-12
+        assert np.max(np.abs(b + calc.frame.vert_values[0, 0])) < 1e-12
 
 
 class TestStructureLemmas:
@@ -336,22 +336,22 @@ class TestCustomModels:
         assert len(sub.vertical_fields) == 1 and len(sub.horizontal_fields) == 4
         p = POINTS[0]
         chk = submersion_check(sub, p)
-        assert chk.kernel_residual < 1e-12
-        assert chk.length_residual < 1e-12
-        assert chk.base_pd
+        assert chk.kernel_residual[0] < 1e-12
+        assert chk.length_residual[0] < 1e-12
+        assert chk.base_pd[0]
 
     def test_reeb_fiber_tensors_match_oracle(self):
         sub = load_custom_model(REEB.read_bytes())
         sp = fo.reeb_split()
         for p in POINTS[:2]:
-            calc = point_calc(sub, p)
+            calc = calc_of_one(sub, p)
             data = tensors_at(sub, p)
-            assert np.max(np.abs(data.t_coeff)) < 1e-10
-            assert np.max(np.abs(data.a_coeff - sp.a_coeff())) < 1e-10
-            assert abs(data.norm_ah_sq - 4.0) < 1e-10
-            assert abs(data.trace_phi_b) < 1e-10
-            assert np.max(np.abs(c_norms_sq(calc) - 1.0)) < 1e-10
-            assert abs(calc.delta_n()) < 1e-10
+            assert np.max(np.abs(data.t_coeff[0])) < 1e-10
+            assert np.max(np.abs(data.a_coeff[0] - sp.a_coeff())) < 1e-10
+            assert abs(data.norm_ah_sq[0] - 4.0) < 1e-10
+            assert abs(data.trace_phi_b[0]) < 1e-10
+            assert np.max(np.abs(c_norms_sq(calc)[0] - 1.0)) < 1e-10
+            assert abs(calc.delta_n()[0]) < 1e-10
 
     def test_reeb_fiber_lemmas_clean(self):
         sub = load_custom_model(REEB.read_bytes())

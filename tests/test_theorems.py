@@ -14,14 +14,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from slices import block_of_one, blocks_of_one, point_block, table_rows
+from slices import block_of_one, blocks_of_one, calc_of_one, table_rows
 from oneill_lab.cli import main, resolve_model
 from oneill_lab.errors import EmptySampleError, RejectedInputError
-from oneill_lab.submersion import (
-    PointCalculus,
-    load_custom_model,
-    verify_riemannian_submersion,
-)
+from oneill_lab.submersion import load_custom_model, verify_riemannian_submersion
 from oneill_lab.theorems import (
     CRH1_VARIANTS,
     EQUALITY_TOL,
@@ -113,9 +109,9 @@ class TestVerticalXiFrozen:
         check(tab, 2.0, 1.0, 1.0, row=0)
         check(tab, 2.0, 1.0, 1.0, row=1)
         check(tab, 4.0, 2.0, 2.0, row=2)
-        calc = vx_analysis[0].calc
-        xi = calc.xi_values
-        unit_xi = xi / np.sqrt(calc.pairings(xi, xi))
+        calc = vx_analysis.calc
+        xi = calc.xi_values[0]
+        unit_xi = xi / np.sqrt(calc.pairings(xi[None], xi[None])[0])
         np.testing.assert_allclose(tab.probe_vertical[2], unit_xi, atol=1e-9)
         assert abs(tab.dropped_term[2] - 2.0) < TOL
 
@@ -269,10 +265,11 @@ class TestScans:
         for tid in ("V1", "CRV1"):
             assert scans[tid].records == 4
             for k, analysis in enumerate(analyses):
-                calc = analysis[0].calc
-                (probes,) = scans[tid].tables[k].probe_vertical
+                calc = analysis.calc
+                probes = scans[tid].tables[k].probe_vertical
                 # frame coefficients of the two probes at this point
-                draws.append(calc.pairings(probes[:, None], calc.frame.vert_values))
+                uv = calc.frame.vert_values[:, None]
+                draws.append(calc.pairings(probes[:, :, None], uv)[0])
         for a in range(len(draws)):
             for b in range(a):
                 assert not np.allclose(draws[a], draws[b], atol=1e-6)
@@ -394,8 +391,8 @@ class TestSampledInvariants:
         sub = resolve_model("vertical-xi")
         pt = np.asarray(pt)
         block = block_of_one(sub, pt)
-        chk = verify_riemannian_submersion(block.calc)[0]
-        assume(chk.length_residual <= 1e-8)
+        chk = verify_riemannian_submersion(block.calc)
+        assume(chk.length_residual[0] <= 1e-8)
         for tid in applicable_ids("vertical"):
             for slack in evaluate(block, tid).slack:
                 assert slack >= -1e-9, (tid, slack)
@@ -409,5 +406,5 @@ class TestSampledInvariants:
         pt = np.asarray(pt)
         x1, x2, y1, y2 = pt[0], pt[1], pt[2], pt[3]
         assume((x1 + y1) ** 2 + (x2 + y2) ** 2 > 2.5)
-        chk = verify_riemannian_submersion(PointCalculus(sub, point_block(sub, pt)))[0]
-        assert chk.length_residual > 1e-8
+        chk = verify_riemannian_submersion(calc_of_one(sub, pt))
+        assert chk.length_residual[0] > 1e-8
