@@ -5,12 +5,16 @@ output directories of two checkouts, compared with ``diff -r``, show
 whether the checkouts give byte-identical reports. The matrix:
 
 - ``verify`` on r2m1:1..4 at 40 points (blocks of 4 points at d = 9);
+- ``verify`` on r2m1:3 and r2m1:4 at 400 points (31 and 100 blocks), which
+  ``cli._map_blocks`` spreads over forked worker processes on a machine
+  with at least two usable CPUs (the 40-point runs stay in one process);
 - ``report`` and ``theorems`` on vertical-xi, horizontal-xi and
   models/reeb_fiber.json at 56 points (d = 5: a submersion sample is cut
   by ``point_blocks(power=5)`` into five blocks of 10 points and one of 6);
 
 each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8,
-90 runs in all; exit_codes.txt holds the exit code of each. Beside them,
+108 runs in all, each report named by its command, model, points, seed and
+probe; exit_codes.txt holds the exit code of each. Beside them,
 run_all/ and run_all.txt hold what scripts/run_all.py writes and prints,
 and crh1-<seed>.txt what scripts/crh1_disambiguation.py prints at each
 seed. run_all.py stamps its reports and names the output directory and a
@@ -37,6 +41,8 @@ from oneill_lab.cli import main  # noqa: E402
 SEEDS = (42, 7, 1234)
 PROBES = ("first", "all", "random:8")
 RUNS = [("verify", f"r2m1:{m}", 40) for m in (1, 2, 3, 4)] + [
+    ("verify", f"r2m1:{m}", 400) for m in (3, 4)
+] + [
     (command, model, 56)
     for command in ("report", "theorems")
     for model in ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
@@ -64,7 +70,7 @@ def cli(argv=None):
     for command, model, points in RUNS:
         for seed in SEEDS:
             for probe in PROBES:
-                slug = "-".join((command, Path(model).stem, str(seed), probe))
+                slug = "-".join((command, Path(model).stem, str(points), str(seed), probe))
                 slug = slug.replace(":", "-")
                 argv = [
                     command, "--model", model, "--points", str(points),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -196,11 +197,14 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, coeffs):
     """The vertical and horizontal frames of every point and probe, stacked
     (N, P, r, dim) and (N, P, n, dim), with the probe vector in the first
     slot of each block that the theorem actually probes; ``coeffs`` are the
-    block's random draws of this theorem, from ``_draw_coeffs``."""
+    block's random draws of this theorem, from ``_draw_coeffs``. Third, for
+    ``first`` and ``all``, the place of each probe's first vertical and
+    first horizontal vector in the block's frame, two lists of P indices;
+    None for random probes."""
     entry, calc, frame = _CATALOG[theorem_id], analysis.calc, analysis.calc.frame
     blocks = ((frame.vert_values, entry.needs_v), (frame.horiz_values, entry.needs_h))
     if mode == "first" or not (entry.needs_v or entry.needs_h):
-        return tuple(base[:, None] for base, _ in blocks)
+        return (*(base[:, None] for base, _ in blocks), ([0], [0]))
     if mode == "all":
         vs = range(calc.r) if entry.needs_v else [0]
         hs = range(calc.n) if entry.needs_h else [0]
@@ -208,14 +212,38 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, coeffs):
         return (
             frame.vert_values[:, [_rotation(calc.r, i) for i, _ in pairs]],
             frame.horiz_values[:, [_rotation(calc.n, j) for _, j in pairs]],
+            ([i for i, _ in pairs], [j for _, j in pairs]),
         )
     coeffs = iter(coeffs)
-    return tuple(
-        _random_probe_frames(calc, base, next(coeffs))
-        if needed
-        else np.repeat(base[:, None], k, axis=1)
-        for base, needed in blocks
+    return (
+        *(
+            _random_probe_frames(calc, base, next(coeffs))
+            if needed
+            else np.repeat(base[:, None], k, axis=1)
+            for base, needed in blocks
+        ),
+        None,
     )
+
+
+class _FrameRicci:
+    """Ric_hat on the vertical and Ric_star on the horizontal frame vectors
+    of a block, (N, r) and (N, n), each evaluated at most once. With the
+    probes of ``first`` and ``all`` every probe vector is a frame vector,
+    whose Ricci value is a column of these: each value of ``ric_hat_probes``
+    and ``ric_star_probes`` equals the one for its vector alone, bit for
+    bit."""
+
+    def __init__(self, calc):
+        self.calc = calc
+
+    @cached_property
+    def hat(self) -> np.ndarray:
+        return ric_hat_probes(self.calc, self.calc.frame.vert_values)
+
+    @cached_property
+    def star(self) -> np.ndarray:
+        return ric_star_probes(self.calc, self.calc.frame.horiz_values)
 
 
 # The probe tables run on a block: z is the point axis and p the probe.
@@ -260,9 +288,12 @@ def _chen_a_defects(ac: np.ndarray) -> np.ndarray:
     return np.max(np.abs(ac[..., 0, 1:, :]), axis=(-2, -1), initial=0.0)
 
 
-def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
+def _evaluate_probes(
+    analysis: PointAnalysis, theorem_id: str, mode, k, coeffs, frame_ricci: _FrameRicci
+):
     """The table of one theorem on a block for the probes of ``mode``; a
     random mode's are those of ``coeffs``, the block's draws of this id.
+    ``frame_ricci`` is the block's, shared by the ids of a scan.
 
     Each quantity is computed for all points and probes at once, in the
     float operations of a single probe at a single point, so every row
@@ -273,12 +304,19 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
     c = calc.sub.total.c
     q, w = (c + 3.0) / 4.0, (c - 1.0) / 4.0
     r, n = calc.r, calc.n
-    vfr, hfr = _probe_frames(analysis, theorem_id, mode, k, coeffs)
+    entry = _CATALOG[theorem_id]
+    vfr, hfr, slots = _probe_frames(analysis, theorem_id, mode, k, coeffs)
     u1, x1 = vfr[:, :, 0], hfr[:, :, 0]
+    # Ric_hat(u1) and Ric_star(x1) where the theorem probes them
+    ric_u1 = ric_x1 = None
+    if entry.needs_v:
+        ric_u1 = ric_hat_probes(calc, u1) if slots is None else frame_ricci.hat[:, slots[0]]
+    if entry.needs_h:
+        ric_x1 = ric_star_probes(calc, x1) if slots is None else frame_ricci.star[:, slots[1]]
     dropped = variant = None
     if theorem_id == "V1":
         eta_sq = float_squares(calc.eta_of(u1))
-        lhs = ric_hat_probes(calc, u1)
+        lhs = ric_u1
         t_chart, tc = _probe_t_coeff(analysis, vfr, hfr)
         mean_term = calc.pairings(t_chart[:, :, 0, 0], data.h_vec[:, None])
         rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - r * mean_term
@@ -301,7 +339,7 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
             rhs = q * n * (n - 1) + w * (3.0 * trace_phi_b + n - 1.0)
         defect = point_maxima(np.abs(data.a_coeff))[:, None]
     elif theorem_id in ("CRV1", "CRV2"):
-        lhs = ric_hat_probes(calc, u1)
+        lhs = ric_u1
         n_norm_sq = data.n_norm_sq[:, None]
         if theorem_id == "CRV1":
             eta_sq = float_squares(calc.eta_of(u1))
@@ -314,12 +352,12 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
         variant = tuple(name for name, _ in CRH1_VARIANTS)
         kappas = np.array([kappa for _, kappa in CRH1_VARIANTS])
         c1_sq = _c_norms_sq(calc, x1)
-        lhs = ric_star_probes(calc, x1)[..., None]
+        lhs = ric_x1[..., None]
         rhs = q * (n - 1) + kappas * (c - 1.0) * c1_sq[..., None]
         defect = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))[..., None]
     elif theorem_id == "CRH2":
         eta_sq = float_squares(calc.eta_of(x1))
-        lhs = ric_star_probes(calc, x1)
+        lhs = ric_x1
         c1_sq = _c_norms_sq(calc, x1)
         rhs = q * (n - 1) + w * ((2.0 - n) * eta_sq - 1.0 + 3.0 * c1_sq)
         defect = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
@@ -332,8 +370,8 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
         ac = _probe_a_coeff(analysis, vfr, hfr)
         a1s_sq = np.sum(ac[:, :, 0, 1:, :] ** 2, axis=(2, 3))
         rhs = (
-            ric_hat_probes(calc, u1)
-            + ric_star_probes(calc, x1)
+            ric_u1
+            + ric_x1
             + 0.25 * data.n_norm_sq[:, None]
             + 3.0 * a1s_sq
             - analysis.delta_n[:, None]
@@ -341,7 +379,6 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
             - data.norm_ah_sq[:, None]
         )
         defect = _chen_t_defects(_probe_t_coeff(analysis, vfr, hfr)[1])
-    entry = _CATALOG[theorem_id]
     shape = vfr.shape[:2] + ((len(variant),) if variant else ())
     lhs, rhs = np.broadcast_to(lhs, shape), np.broadcast_to(rhs, shape)
     slack = (lhs - rhs) if entry.sense == "ge" else (rhs - lhs)
@@ -381,7 +418,9 @@ def evaluate_theorem(
     mode, k = parse_probe_mode(probe_mode)
     rng = np.random.default_rng(0) if rng is None else rng
     draws = _draw_coeffs(analysis, (theorem_id,), k, rng) if mode == "random" else {}
-    return _evaluate_probes(analysis, theorem_id, mode, k, draws.get(theorem_id))
+    return _evaluate_probes(
+        analysis, theorem_id, mode, k, draws.get(theorem_id), _FrameRicci(analysis.calc)
+    )
 
 
 def _first_min(slack: np.ndarray) -> int:
@@ -457,8 +496,11 @@ def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
     tables = {tid: [] for tid in theorem_ids}
     for block in analyses:
         draws = _draw_coeffs(block, theorem_ids, k, rng) if mode == "random" else {}
+        frame_ricci = _FrameRicci(block.calc)
         for tid in theorem_ids:
-            tables[tid].append(_evaluate_probes(block, tid, mode, k, draws.get(tid)))
+            tables[tid].append(
+                _evaluate_probes(block, tid, mode, k, draws.get(tid), frame_ricci)
+            )
     points = sum(len(block.calc.point) for block in analyses)
     return {
         tid: scan_from_records(tid, per_block, points) for tid, per_block in tables.items()

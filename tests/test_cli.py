@@ -80,6 +80,10 @@ class TestParse:
             ["report", "--box=-inf,2"],
             ["report", "--box=0,inf"],
             ["report", "--box=-1e308,1e308"],
+            ["report", "--tol-curv", "nan"],
+            ["report", "--tol-curv", "-1"],
+            ["report", "--tol-alg", "-inf"],
+            ["verify", "--tol-d2curv", "-1e-300"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):

@@ -1,0 +1,208 @@
+"""The total space's blocks on forked worker processes (``cli._map_blocks``).
+
+A plain space form sampled into enough blocks is evaluated on one process
+per usable CPU. Blocks are independent, so the reports are byte-identical
+to those of one process; an error is the one the first failing block in
+sample order raises there; and no worker outlives a run.
+"""
+
+import os
+import time
+
+import pytest
+
+from oneill_lab import cli
+from oneill_lab.cli import main
+from oneill_lab.contact import build_r2m1, space_form_data
+from oneill_lab.errors import DegenerateMetricError
+from oneill_lab.riemannian import point_blocks
+from oneill_lab.sampling import SampleConfig, sample_model_points
+
+# SIGKILL on every POSIX system
+SIGKILL = 9
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+
+
+def _verify(tmp_path, name, m, seed, points=400):
+    out = tmp_path / f"{name}.json"
+    argv = ["verify", "--model", f"r2m1:{m}", "--points", str(points),
+            "--seed", str(seed), "--no-timestamp", "--out", str(out)]
+    return main(argv), out
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("cpus, blocks, workers", [(2, 16, 2), (3, 25, 3), (4, 23, 2)])
+    def test_contiguous_parts_in_order(self, monkeypatch, cpus, blocks, workers):
+        _cpus(monkeypatch, cpus)
+        got = cli._map_blocks(lambda b: (b, os.getpid()), list(range(blocks)))
+        assert [b for b, _ in got] == list(range(blocks))
+        pids = [pid for _, pid in got]
+        assert pids[0] == os.getpid()
+        # each process took one contiguous run of blocks
+        runs = [pids[0]] + [b for a, b in zip(pids, pids[1:]) if a != b]
+        assert len(runs) == len(set(runs)) == workers
+
+    @pytest.mark.parametrize("cpus, blocks", [(1, 100), (2, 15), (8, 15)])
+    def test_too_few_blocks_or_cpus_stay_in_process(self, monkeypatch, cpus, blocks):
+        _cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        got = cli._map_blocks(lambda b: (b, os.getpid()), list(range(blocks)))
+        assert got == [(b, os.getpid()) for b in range(blocks)]
+        assert forks == []
+
+    def test_usable_cpus_is_the_affinity_mask(self):
+        assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+class TestForkedReports:
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("seed", [42, 1234])
+    def test_byte_identical_to_one_process(self, tmp_path, monkeypatch, capsys, m, seed):
+        _cpus(monkeypatch, 1)
+        code, want = _verify(tmp_path, "one", m, seed)
+        assert code == 0
+        _cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        code, got = _verify(tmp_path, "forked", m, seed)
+        assert code == 0
+        assert len(forks) == 1
+        capsys.readouterr()
+        assert got.read_bytes() == want.read_bytes()
+
+
+def _sample(m, points=400, seed=42):
+    spec = build_r2m1(m)
+    return sample_model_points(spec.model, SampleConfig(points=points, seed=seed))
+
+
+class TestWorkerFailures:
+    """r2m1:3 on 400 points: 31 blocks of 13 points (the last of 10), cut at
+    block 15, so points 0-194 are this process's and 195-399 a worker's."""
+
+    def _failing_at(self, monkeypatch, rows):
+        bad = _sample(3)[rows]
+
+        def fails(spec, block):
+            for row in bad:
+                if (block == row).all(axis=1).any():
+                    raise DegenerateMetricError(f"refused the point {row.tolist()}")
+            return space_form_data(spec, block)
+
+        monkeypatch.setattr(cli, "space_form_data", fails)
+
+    def _run(self, tmp_path, monkeypatch, capsys, cpus):
+        _cpus(monkeypatch, cpus)
+        code, out = _verify(tmp_path, f"cpus{cpus}", 3, 42)
+        err = capsys.readouterr().err
+        assert not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[300], [390, 300], [50], [300, 50], [194, 195]],
+        ids=["worker", "worker-twice", "parent", "both", "either-side-of-the-cut"],
+    )
+    def test_same_error_and_exit_code_as_one_process(self, tmp_path, monkeypatch, capsys, rows):
+        self._failing_at(monkeypatch, rows)
+        want = self._run(tmp_path, monkeypatch, capsys, 1)
+        got = self._run(tmp_path, monkeypatch, capsys, 2)
+        assert got == want
+        code, err = got
+        first = _sample(3)[min(rows)].tolist()
+        assert code == 7
+        assert err == f"error: DegenerateMetricError: refused the point {first}\n"
+
+    def test_cut_is_where_the_docstring_says(self):
+        blocks = list(point_blocks(_sample(3), 7))
+        assert len(blocks) == 31
+        assert sum(len(b) for b in blocks[:15]) == 195
+
+    def test_killed_worker_part_is_recomputed(self, tmp_path, monkeypatch, capsys):
+        _cpus(monkeypatch, 1)
+        code, want = _verify(tmp_path, "one", 3, 42)
+        assert code == 0
+        parent = os.getpid()
+        here = []
+
+        def dies_in_a_worker(spec, block):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), SIGKILL)
+            here.append(len(block))
+            return space_form_data(spec, block)
+
+        monkeypatch.setattr(cli, "space_form_data", dies_in_a_worker)
+        _cpus(monkeypatch, 2)
+        code, got = _verify(tmp_path, "forked", 3, 42)
+        capsys.readouterr()
+        assert code == 0
+        assert got.read_bytes() == want.read_bytes()
+        # this process evaluated its own 15 blocks and then the worker's 16
+        assert len(here) == 31 and sum(here) == 400
+
+    def test_worker_that_cannot_be_forked_has_its_part_done_here(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _cpus(monkeypatch, 1)
+        code, want = _verify(tmp_path, "one", 4, 7)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _verify(tmp_path, "here", 4, 7)[0] == code
+        capsys.readouterr()
+        assert (tmp_path / "here.json").read_bytes() == want.read_bytes()
+
+    def test_parent_error_kills_a_running_worker(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        parent = os.getpid()
+
+        def fn(b):
+            if b == 0:
+                raise DegenerateMetricError("block 0")
+            if os.getpid() != parent:
+                time.sleep(60)  # a worker still busy when this process fails
+            return b
+
+        start = time.monotonic()
+        with pytest.raises(DegenerateMetricError, match="block 0"):
+            cli._map_blocks(fn, list(range(16)))
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+        # the fixture checks that the worker was reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(forks[0], 0)
+
+
+def test_points_per_block_bound_the_forked_sweep():
+    # the sweep's d = 5 sample stays in one process, d = 7 and 9 fork
+    per_worker = cli._MIN_BLOCKS_PER_WORKER
+    counts = {m: len(list(point_blocks(_sample(m), 2 * m + 1))) for m in (1, 2, 3, 4)}
+    assert counts == {1: 1, 2: 8, 3: 31, 4: 100}
+    assert [m for m, n in counts.items() if n >= 2 * per_worker] == [3, 4]

@@ -14,9 +14,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from slices import block_of_one, blocks_of_one, calc_of_one, table_rows
+from slices import analysis_blocks, block_of_one, blocks_of_one, calc_of_one, table_rows
+from oneill_lab import theorems
 from oneill_lab.cli import main, resolve_model
 from oneill_lab.errors import EmptySampleError, RejectedInputError
+from oneill_lab.invariants import ric_hat_probes, ric_star_probes
+from oneill_lab.sampling import SampleConfig, sample_submersion_points
 from oneill_lab.submersion import load_custom_model, verify_riemannian_submersion
 from oneill_lab.theorems import (
     CRH1_VARIANTS,
@@ -273,6 +276,60 @@ class TestScans:
         for a in range(len(draws)):
             for b in range(a):
                 assert not np.allclose(draws[a], draws[b], atol=1e-6)
+
+
+def _sample_blocks(model, points):
+    sub = (
+        load_custom_model(Path(MODELS_DIR, "reeb_fiber.json").read_bytes())
+        if model == "reeb_fiber"
+        else resolve_model(model)
+    )
+    pts = sample_submersion_points(sub, SampleConfig(points=points, seed=42))
+    return analysis_blocks(sub, pts)
+
+
+class TestProbeRicci:
+    """With ``first`` and ``all`` probes every probe vector is a frame
+    vector, so a scan evaluates Ric_hat on the vertical and Ric_star on the
+    horizontal frame once per block and reads each probe's value from them;
+    random probes evaluate them per id on the drawn vectors."""
+
+    # ids probing a vertical, and a horizontal, vector of each model
+    PROBED = {"vertical-xi": (3, 2), "horizontal-xi": (2, 2), "reeb_fiber": (3, 2)}
+
+    @pytest.mark.parametrize("mode", ["first", "all", "random:2"])
+    @pytest.mark.parametrize("model", sorted(PROBED))
+    def test_calls_per_block(self, model, mode, monkeypatch):
+        blocks = _sample_blocks(model, 12)  # blocks of 10 and 2 points
+        calls = {"hat": 0, "star": 0}
+
+        def counted(kind, fn):
+            def count(calc, probes):
+                calls[kind] += 1
+                return fn(calc, probes)
+
+            return count
+
+        monkeypatch.setattr(theorems, "ric_hat_probes", counted("hat", ric_hat_probes))
+        monkeypatch.setattr(theorems, "ric_star_probes", counted("star", ric_star_probes))
+        scan_theorems(blocks, probe_mode=mode, rng=np.random.default_rng(3))
+        per_block = (1, 1) if mode in ("first", "all") else self.PROBED[model]
+        assert (calls["hat"], calls["star"]) == tuple(len(blocks) * n for n in per_block)
+
+    @pytest.mark.parametrize("mode", ["first", "all"])
+    @pytest.mark.parametrize("model", sorted(PROBED))
+    def test_values_equal_those_on_the_probes_bitwise(self, model, mode):
+        blocks = _sample_blocks(model, 12)
+        scans = scan_theorems(blocks, probe_mode=mode)
+        xi_case = blocks[0].calc.sub.xi_case
+        hat_id, star_id = ("CRV1", "CRH1") if xi_case == "vertical" else ("CRV2", "CRH2")
+        for k, block in enumerate(blocks):
+            crv, crh = scans[hat_id].tables[k], scans[star_id].tables[k]
+            want = ric_hat_probes(block.calc, crv.probe_vertical)
+            assert np.asarray(crv.lhs).tobytes() == want.tobytes()
+            want = ric_star_probes(block.calc, crh.probe_horizontal)
+            lhs = crh.lhs[..., 0] if crh.variant else crh.lhs
+            assert np.ascontiguousarray(lhs).tobytes() == want.tobytes()
 
 
 NAN = float("nan")
