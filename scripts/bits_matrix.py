@@ -12,9 +12,13 @@ whether the checkouts give byte-identical reports. The matrix:
   models/reeb_fiber.json at 56 points (d = 5: a submersion sample is cut
   by ``point_blocks(power=5)`` into five blocks of 10 points and one of 6);
 
-each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8,
-108 runs in all, each report named by its command, model, points, seed and
-probe; exit_codes.txt holds the exit code of each. Beside them,
+each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8
+(108 runs); and ``theorems --probe random:64`` on the same three models at
+8 points, at the same seeds (9 runs). Random probes with enough probe rows
+(448 and 512 here) are split by columns over forked worker processes on a
+machine with at least two usable CPUs. 117 runs in all, each report named
+by its command, model, points, seed and probe; exit_codes.txt holds the
+exit code of each. Beside them,
 run_all/ and run_all.txt hold what scripts/run_all.py writes and prints,
 and crh1-<seed>.txt what scripts/crh1_disambiguation.py prints at each
 seed. run_all.py stamps its reports and names the output directory and a
@@ -40,13 +44,12 @@ from oneill_lab.cli import main  # noqa: E402
 
 SEEDS = (42, 7, 1234)
 PROBES = ("first", "all", "random:8")
-RUNS = [("verify", f"r2m1:{m}", 40) for m in (1, 2, 3, 4)] + [
-    ("verify", f"r2m1:{m}", 400) for m in (3, 4)
+SUBMERSIONS = ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
+RUNS = [("verify", f"r2m1:{m}", 40, PROBES) for m in (1, 2, 3, 4)] + [
+    ("verify", f"r2m1:{m}", 400, PROBES) for m in (3, 4)
 ] + [
-    (command, model, 56)
-    for command in ("report", "theorems")
-    for model in ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
-]
+    (command, model, 56, PROBES) for command in ("report", "theorems") for model in SUBMERSIONS
+] + [("theorems", model, 8, ("random:64",)) for model in SUBMERSIONS]
 
 
 def _script(name, *args):
@@ -67,9 +70,9 @@ def cli(argv=None):
     os.chdir(REPO)  # the model file is echoed as given, relative to the checkout
 
     codes = []
-    for command, model, points in RUNS:
+    for command, model, points, probes in RUNS:
         for seed in SEEDS:
-            for probe in PROBES:
+            for probe in probes:
                 slug = "-".join((command, Path(model).stem, str(points), str(seed), probe))
                 slug = slug.replace(":", "-")
                 argv = [

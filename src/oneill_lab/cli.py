@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import os
-import pickle
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -33,6 +32,7 @@ from .errors import (
     OneillLabError,
     RejectedInputError,
 )
+from .fanout import map_parts, split
 from .invariants import analyze_point, identity_residuals
 from .report import Report, Tolerances, decide_verdict, identity_tolerance, known_flags_for
 from .riemannian import max_residual, point_blocks
@@ -117,87 +117,13 @@ def _config_echo(config: RunConfig) -> dict:
 # 0.533 -> 0.298 s.
 _MIN_BLOCKS_PER_WORKER = 8
 
-# SIGKILL, the same number on every POSIX system, so that ``signal`` need
-# not be imported
-_SIGKILL = 9
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on; 1 where the platform
-    does not tell (no ``os.sched_getaffinity``), so no worker is forked."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return 1
-
-
-def _run_child(fn, part, write_fd: int) -> None:
-    """The body of a forked worker: the pickle of ``[fn(b) for b in part]``
-    to ``write_fd``, then exit 0; exit 1 on any exception, with nothing
-    written. It never returns, so the caller's stack never unwinds here."""
-    code = 1
-    try:
-        view = memoryview(pickle.dumps([fn(b) for b in part], pickle.HIGHEST_PROTOCOL))
-        while view:
-            view = view[os.write(write_fd, view) :]
-        code = 0
-    finally:
-        os._exit(code)
-
 
 def _map_blocks(fn, blocks) -> list:
     """``[fn(b) for b in blocks]``, in order, on up to one process per
-    usable CPU, each with at least ``_MIN_BLOCKS_PER_WORKER`` blocks.
-
-    The blocks are cut into contiguous parts: this process takes the first,
-    and a forked worker each later one, which sends back the pickle of its
-    results through a pipe. A part whose worker fails, dies or cannot be
-    forked is evaluated here instead, so an error is raised for the first
-    failing block in order, as without workers. No worker outlives the
-    call, also when it raises.
-
-    Workers are bare forks, which start with this process's data at once;
-    a spawned pool would import numpy again in each. A worker runs only
-    numpy and this package's code, and OpenBLAS, the one library here that
-    starts threads, stops them before a fork (``pthread_atfork``)."""
-    workers = min(_usable_cpus(), len(blocks) // _MIN_BLOCKS_PER_WORKER)
-    if workers < 2:
-        return [fn(b) for b in blocks]
-    cuts = [len(blocks) * i // workers for i in range(workers + 1)]
-    parts = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
-    pipes = {}  # part index: read end of its worker's pipe
-    running = {}  # part index: pid of its worker, until it is reaped
-    try:
-        for i in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipes[i] = read_fd
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_child(fn, parts[i], write_fd)
-                running[i] = pid
-            except OSError:
-                pass  # no worker: this process evaluates the part
-            finally:
-                os.close(write_fd)
-        results = [fn(b) for b in parts[0]]
-        for i in range(1, workers):
-            got = None
-            if i in running:
-                with open(pipes[i], "rb", closefd=False) as pipe:
-                    payload = pipe.read()
-                status = os.waitpid(running[i], 0)[1]
-                del running[i]
-                if os.waitstatus_to_exitcode(status) == 0:
-                    got = pickle.loads(payload)
-            results.extend([fn(b) for b in parts[i]] if got is None else got)
-        return results
-    finally:
-        for pid in running.values():
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-        for read_fd in pipes.values():
-            os.close(read_fd)
+    usable CPU, each with at least ``_MIN_BLOCKS_PER_WORKER`` blocks."""
+    ranges = split(len(blocks), len(blocks), _MIN_BLOCKS_PER_WORKER)
+    parts = map_parts(lambda span: [fn(b) for b in blocks[slice(*span)]], ranges)
+    return [result for part in parts for result in part]
 
 
 # the Sasakian checks of the algebraic almost-contact relations, gated on the
@@ -431,6 +357,8 @@ def cli_parse(argv) -> RunConfig:
         for tid in ids:
             if tid not in THEOREM_IDS:
                 parser.error(f"unknown theorem id: {tid}")
+        if not ids or len(set(ids)) != len(ids):
+            parser.error(f"theorem ids must be distinct and at least one, got {ns.theorems!r}")
         theorems = ids
     tiers = {t.name: getattr(ns, f"tol_{t.name}") for t in fields(Tolerances)}
     for name, value in tiers.items():

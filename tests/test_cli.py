@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from slices import point_block
-from oneill_lab import jets
+from oneill_lab import cli, jets
 from oneill_lab.cli import BUNDLED_DIR, RunConfig, cli_parse, main, resolve_model, run
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.errors import DegenerateMetricError, ModelLoadError
@@ -84,6 +84,9 @@ class TestParse:
             ["report", "--tol-curv", "-1"],
             ["report", "--tol-alg", "-inf"],
             ["verify", "--tol-d2curv", "-1e-300"],
+            ["theorems", "--theorems", "V1,V1", "--points", "200"],
+            ["verify", "--theorems", ","],
+            ["report", "--theorems", "CRH1, CRH1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
@@ -264,12 +267,20 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: DegenerateMetricError: ")
 
     @pytest.mark.parametrize("ids", ["V1,V1", ","])
-    def test_repeated_or_empty_theorem_list_is_2(self, ids, tmp_path, capsys):
+    def test_repeated_or_empty_theorem_list_is_2(self, ids, tmp_path, monkeypatch, capsys):
+        # a usage error, found before the model is loaded
+        def no_load(name):
+            raise AssertionError(f"loaded {name}")
+
+        monkeypatch.setattr(cli, "load_model", no_load)
         out = tmp_path / "r.json"
         argv = ["theorems", "--theorems", ids, "--points", "3", "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: theorem ids must be distinct")
+        assert err.startswith("usage: oneill-lab ")
+        assert err.endswith(
+            f"error: theorem ids must be distinct and at least one, got {ids!r}\n"
+        )
         assert not out.exists()
 
     def test_empty_sample_is_5(self, capsys):

@@ -1,22 +1,27 @@
-"""The total space's blocks on forked worker processes (``cli._map_blocks``).
+"""Parts of a run on forked worker processes (``oneill_lab.fanout``).
 
 A plain space form sampled into enough blocks is evaluated on one process
-per usable CPU. Blocks are independent, so the reports are byte-identical
-to those of one process; an error is the one the first failing block in
-sample order raises there; and no worker outlives a run.
+per usable CPU (``cli._map_blocks``), and so are the random probe columns
+of a theorem scan with enough probe rows (``theorems.scan_theorems``).
+Blocks and probe columns are independent, so the reports are
+byte-identical to those of one process; an error is the one the first
+failing part in order raises there; and no worker outlives a run.
 """
 
+import errno
 import os
 import time
 
+import numpy as np
 import pytest
 
-from oneill_lab import cli
+from oneill_lab import cli, fanout, theorems
 from oneill_lab.cli import main
 from oneill_lab.contact import build_r2m1, space_form_data
-from oneill_lab.errors import DegenerateMetricError
+from oneill_lab.errors import DegenerateFrameError, DegenerateMetricError
+from oneill_lab.invariants import analyze_point
 from oneill_lab.riemannian import point_blocks
-from oneill_lab.sampling import SampleConfig, sample_model_points
+from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
 
 # SIGKILL on every POSIX system
 SIGKILL = 9
@@ -30,7 +35,7 @@ def no_child_left():
 
 
 def _cpus(monkeypatch, n):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: n)
 
 
 def _verify(tmp_path, name, m, seed, points=400):
@@ -75,7 +80,16 @@ class TestMapBlocks:
         assert forks == []
 
     def test_usable_cpus_is_the_affinity_mask(self):
-        assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+        assert fanout.usable_cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize(
+        "size, units, ranges",
+        [(3, 10**6, [(0, 1), (1, 2), (2, 3)]), (64, 512, [(0, 16), (16, 32), (32, 48), (48, 64)]),
+         (64, 255, [(0, 64)]), (5, 0, [(0, 5)])],
+    )
+    def test_split_is_bounded_by_size_and_units(self, monkeypatch, size, units, ranges):
+        _cpus(monkeypatch, 8)
+        assert fanout.split(size, units, 128) == ranges
 
 
 class TestForkedReports:
@@ -178,6 +192,23 @@ class TestWorkerFailures:
         capsys.readouterr()
         assert (tmp_path / "here.json").read_bytes() == want.read_bytes()
 
+    def test_worker_that_cannot_have_a_pipe_has_its_part_done_here(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _cpus(monkeypatch, 1)
+        code, want = _verify(tmp_path, "one", 3, 42)
+
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        forks = _count_forks(monkeypatch)
+        assert _verify(tmp_path, "here", 3, 42)[0] == code == 0
+        capsys.readouterr()
+        assert forks == []
+        assert (tmp_path / "here.json").read_bytes() == want.read_bytes()
+
     def test_parent_error_kills_a_running_worker(self, monkeypatch):
         _cpus(monkeypatch, 2)
         forks = _count_forks(monkeypatch)
@@ -206,3 +237,137 @@ def test_points_per_block_bound_the_forked_sweep():
     counts = {m: len(list(point_blocks(_sample(m), 2 * m + 1))) for m in (1, 2, 3, 4)}
     assert counts == {1: 1, 2: 8, 3: 31, 4: 100}
     assert [m for m, n in counts.items() if n >= 2 * per_worker] == [3, 4]
+
+
+SUBMERSION_MODELS = ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _theorems(tmp_path, name, model, points, seed, probe="random:64", command="theorems"):
+    out = tmp_path / f"{name}.json"
+    argv = [command, "--model", os.path.join(REPO, model) if model.endswith(".json") else model,
+            "--points", str(points), "--seed", str(seed), "--probe", probe,
+            "--no-timestamp", "--out", str(out)]
+    return main(argv), out
+
+
+class TestForkedScans:
+    """Random probe columns of a theorem scan on a forked worker: at 8
+    points and 64 probes a scan has 512 probe rows, so on 2 CPUs each
+    process takes 32 columns of every id that probes."""
+
+    @pytest.mark.parametrize("model", SUBMERSION_MODELS)
+    @pytest.mark.parametrize("points", [8, 23])
+    @pytest.mark.parametrize("seed", [42, 1234])
+    def test_byte_identical_to_one_process(
+        self, tmp_path, monkeypatch, capsys, model, points, seed
+    ):
+        _cpus(monkeypatch, 1)
+        want_code, want = _theorems(tmp_path, "one", model, points, seed)
+        _cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        code, got = _theorems(tmp_path, "forked", model, points, seed)
+        capsys.readouterr()
+        assert code == want_code
+        assert len(forks) == 1
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("model", SUBMERSION_MODELS)
+    def test_joined_tables_equal_one_process_tables(self, monkeypatch, model):
+        sub = cli.resolve_model(os.path.join(REPO, model) if model.endswith(".json") else model)
+        pts = sample_submersion_points(sub, SampleConfig(points=23, seed=42))
+        analyses = [
+            analyze_point(sub, space_form_data(sub.total, block))
+            for block in point_blocks(pts, sub.total.model.dim, power=5)
+        ]
+        scans = {}
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            scans[cpus] = theorems.scan_theorems(
+                analyses, None, "random:64", np.random.default_rng(43)
+            )
+        assert scans[1].keys() == scans[2].keys()
+        for tid, scan in scans[1].items():
+            for want, got in zip(scan.tables, scans[2][tid].tables, strict=True):
+                for name in theorems._PROBE_FIELDS:
+                    a, b = getattr(want, name), getattr(got, name)
+                    assert (a is None) == (b is None), (tid, name)
+                    if a is not None:
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (tid, name)
+
+    @pytest.mark.parametrize("model", SUBMERSION_MODELS)
+    @pytest.mark.parametrize("probe", ["first", "all"])
+    def test_report_with_frame_probes_forks_nothing(
+        self, tmp_path, monkeypatch, capsys, model, probe
+    ):
+        _cpus(monkeypatch, 8)
+        forks = _count_forks(monkeypatch)
+        _theorems(tmp_path, "report", model, 6, 42, probe=probe, command="report")
+        capsys.readouterr()
+        assert forks == []
+
+    def test_scan_of_ids_without_a_probe_forks_nothing(self, tmp_path, monkeypatch, capsys):
+        _cpus(monkeypatch, 8)
+        forks = _count_forks(monkeypatch)
+        out = tmp_path / "r.json"
+        argv = ["theorems", "--theorems", "V2,H1", "--points", "23", "--probe", "random:64",
+                "--no-timestamp", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert forks == []
+
+    def test_killed_worker_columns_are_recomputed(self, tmp_path, monkeypatch, capsys):
+        _cpus(monkeypatch, 1)
+        code, want = _theorems(tmp_path, "one", "vertical-xi", 8, 42)
+        parent = os.getpid()
+        columns = []
+        evaluate = theorems._evaluate_probes
+
+        def dies_in_a_worker(analysis, tid, mode, k, coeffs, frame_ricci):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), SIGKILL)
+            if coeffs:
+                columns.append(k)
+            return evaluate(analysis, tid, mode, k, coeffs, frame_ricci)
+
+        monkeypatch.setattr(theorems, "_evaluate_probes", dies_in_a_worker)
+        _cpus(monkeypatch, 2)
+        got_code, got = _theorems(tmp_path, "forked", "vertical-xi", 8, 42)
+        capsys.readouterr()
+        assert got_code == code == 0
+        assert got.read_bytes() == want.read_bytes()
+        # this process evaluated its 32 columns of the four probed ids, and
+        # then the worker's 32
+        assert columns == [32] * 8
+
+    def test_degenerate_frame_in_worker_columns(self, tmp_path, monkeypatch, capsys):
+        frames = theorems._random_probe_frames
+        seen = []
+
+        def recorded(calc, frame, coeffs):
+            seen.append(coeffs[0, -1].copy())
+            return frames(calc, frame, coeffs)
+
+        monkeypatch.setattr(theorems, "_random_probe_frames", recorded)
+        _cpus(monkeypatch, 1)
+        _theorems(tmp_path, "record", "vertical-xi", 8, 42)
+        capsys.readouterr()
+        # the last probe of the scan's last probe frame: in the worker's columns
+        poisoned = seen[-1]
+
+        def fails(calc, frame, coeffs):
+            if coeffs.shape[-1] == poisoned.size and (coeffs == poisoned).all(axis=-1).any():
+                raise DegenerateFrameError("probe completion lost rank")
+            return frames(calc, frame, coeffs)
+
+        monkeypatch.setattr(theorems, "_random_probe_frames", fails)
+        results = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            forks = _count_forks(monkeypatch)
+            code, out = _theorems(tmp_path, f"cpus{cpus}", "vertical-xi", 8, 42)
+            results.append((code, capsys.readouterr().err, len(forks), out.exists()))
+        assert results == [
+            (7, "error: DegenerateFrameError: probe completion lost rank\n", 0, False),
+            (7, "error: DegenerateFrameError: probe completion lost rank\n", 1, False),
+        ]
