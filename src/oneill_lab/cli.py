@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -131,36 +131,29 @@ def _map_blocks(fn, blocks) -> list:
 _ALGEBRAIC = ("phi_square", "eta_xi", "phi_metric_compat", "eta_is_metric_dual")
 
 
-class _BlockSummary(NamedTuple):
-    """The space-form part of the structure section on one block: the
-    largest of each Sasakian residual, of the curvature cross-check, and
-    the number of points."""
+def _maxima(dicts) -> dict:
+    """The ``max_residual`` of each key over the residual dicts ``dicts``,
+    folded in sample order."""
+    maxima = {}
+    for residuals in dicts:
+        for key, val in residuals.items():
+            maxima[key] = max_residual(val, maxima.get(key, 0.0))
+    return maxima
 
-    sasakian: dict
-    curv1: float
-    points: int
 
-
-def _space_form_summary(data: SpaceFormData) -> _BlockSummary:
+def _space_form_summary(data: SpaceFormData) -> dict:
+    """The largest of each Sasakian residual and of the curvature
+    cross-check ``curv1`` on one block."""
     residuals = verify_sasakian(data)
-    return _BlockSummary(
-        sasakian={key: max_residual(val) for key, val in residuals.items()},
-        curv1=max_residual(np.abs(data.curvature.r4 - data.closed)),
-        points=len(data.points),
-    )
+    residuals["curv1"] = np.abs(data.curvature.r4 - data.closed)
+    return _maxima([residuals])
 
 
-def _spaceform_structure(summaries, tol: Tolerances):
-    """Sasakian residuals and the curvature cross-check over the sample,
-    folded from the summaries of its blocks in sample order."""
-    sas = {}
-    curv1 = 0.0
-    points = 0
-    for summary in summaries:
-        for key, val in summary.sasakian.items():
-            sas[key] = max_residual(val, sas.get(key, 0.0))
-        curv1 = max_residual(summary.curv1, curv1)
-        points += summary.points
+def _spaceform_structure(summaries, points: int, tol: Tolerances):
+    """Sasakian residuals and the curvature cross-check over the sample of
+    ``points`` points, folded from the summaries of its blocks."""
+    sas = _maxima(summaries)
+    curv1 = sas.pop("curv1")
     section = {
         "points": points,
         "sasakian": sas,
@@ -174,23 +167,22 @@ def _spaceform_structure(summaries, tol: Tolerances):
     return section, checks
 
 
-def _submersion_structure(states, analyses, tol: Tolerances):
+def _submersion_structure(states, analyses, points: int, tol: Tolerances):
     """Structure section over the analyzed sample points: the space-form
     part from the blocks of total-space data ``states``, then the
     submersion checks and lemmas on each block's frames and tensor data."""
-    section, checks = _spaceform_structure(map(_space_form_summary, states), tol)
-    lemmas = {}
+    section, checks = _spaceform_structure(map(_space_form_summary, states), points, tol)
     kernel = 0.0
     lengths = []
     pd_flags = []
+    lemma_residuals = []
     for analysis in analyses:
-        calc = analysis.calc
-        chk = verify_riemannian_submersion(calc)
+        chk = verify_riemannian_submersion(analysis.calc)
         kernel = max_residual(chk.kernel_residual, kernel)
         lengths.extend(chk.length_residual.tolist())
         pd_flags.extend(chk.base_pd.tolist())
-        for key, val in verify_structure_lemmas(calc, analysis.data).items():
-            lemmas[key] = max_residual(val, lemmas.get(key, 0.0))
+        lemma_residuals.append(verify_structure_lemmas(analysis.calc, analysis.data))
+    lemmas = _maxima(lemma_residuals)
     length = max_residual(lengths)
     section["submersion"] = {
         "kernel": kernel,
@@ -209,10 +201,7 @@ def _submersion_structure(states, analyses, tol: Tolerances):
 
 
 def _identity_section(analyses, tol: Tolerances):
-    maxima = {}
-    for analysis in analyses:
-        for key, val in identity_residuals(analysis).items():
-            maxima[key] = max_residual(val, maxima.get(key, 0.0))
+    maxima = _maxima(map(identity_residuals, analyses))
     checks = {
         f"identities.{key}": val <= identity_tolerance(key, tol)
         for key, val in maxima.items()
@@ -275,7 +264,7 @@ def run(config: RunConfig) -> Report:
         summaries = _map_blocks(
             lambda block: _space_form_summary(space_form_data(model_obj, block)), blocks
         )
-        structure, checks = _spaceform_structure(summaries, tol)
+        structure, checks = _spaceform_structure(summaries, len(pts), tol)
     else:
         sub = model_obj
         flagged = known_flags_for(contents)
@@ -288,7 +277,7 @@ def run(config: RunConfig) -> Report:
             states.append(space_form_data(sub.total, block))
             analyses.append(analyze_point(sub, states[-1]))
         if config.command in ("verify", "report"):
-            structure, structure_checks = _submersion_structure(states, analyses, tol)
+            structure, structure_checks = _submersion_structure(states, analyses, len(pts), tol)
             checks.update(structure_checks)
             identities, id_checks = _identity_section(analyses, tol)
             checks.update(id_checks)

@@ -78,6 +78,8 @@ def chart_model_from_document(doc: dict, prefix: str, name: str, memo: dict) -> 
     the optional ``<prefix>domain`` of a model document; ``memo`` as for
     ``expressions.compile_vector``."""
     chart = tuple(str(v) for v in block(doc[prefix + "chart"], prefix + "chart"))
+    if len(set(chart)) != len(chart):
+        raise RejectedInputError(f"{prefix}chart repeats a name: {list(chart)}")
     metric = compile_matrix(doc[prefix + "metric"], chart, prefix + "metric", memo)
     domain = prefix + "domain"
     guard = compile_guard(doc[domain], chart) if domain in doc else None
@@ -101,15 +103,19 @@ def space_form_from_document(doc: dict, memo: dict) -> SasakianSpaceFormSpec:
     for key in ("c", "phi", "xi", "eta"):
         if key not in contact:
             raise RejectedInputError(f"contact block is missing key {key!r}")
-    if not isinstance(contact["c"], (int, float, str)):
-        raise RejectedInputError(f"contact c must be a number, got {contact['c']!r}")
+    try:  # a JSON number or a numeric string; true is not 1.0
+        c = None if isinstance(contact["c"], bool) else float(contact["c"])
+    except (TypeError, ValueError, OverflowError):
+        c = None
+    if c is None or not np.isfinite(c):
+        raise RejectedInputError(f"contact c must be a finite real number, got {contact['c']!r}")
     phi = compile_matrix(contact["phi"], chart, "contact phi", memo)
     xi = VectorField(
         components=compile_vector(contact["xi"], chart, "contact xi", memo, dim), name="xi"
     )
     eta = compile_vector(contact["eta"], chart, "contact eta", memo, dim)
     structure = ContactStructure(model=model, phi=phi, xi=xi, eta=eta)
-    return SasakianSpaceFormSpec(c=float(contact["c"]), structure=structure)
+    return SasakianSpaceFormSpec(c=c, structure=structure)
 
 
 def build_r2m1(m: int) -> SasakianSpaceFormSpec:

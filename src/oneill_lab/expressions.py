@@ -7,7 +7,8 @@ with a numeric literal exponent, optionally signed (``y1**2``, ``z**-0.5``).
 No calls, no attributes, no subscripts: a model file is data, not code.
 
 A part of literals only is folded into one float when compiled; one that
-fails, or is not a finite real number, is rejected.
+fails, or is not a finite real number, is rejected, and so is an expression
+nested too deeply for the parser or the compiler.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ def compile_expression(text: str, chart: list[str]):
     if not isinstance(text, str):
         raise RejectedInputError(f"expression must be a string, got {type(text).__name__}")
     index = {name: i for i, name in enumerate(chart)}
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise RejectedInputError(f"unparsable expression {text!r}: {exc}") from exc
-
     variable = set()  # the compiled parts that read a chart variable
 
     def compiled(f, *parts):
@@ -93,7 +89,14 @@ def compile_expression(text: str, chart: list[str]):
             f"disallowed syntax {type(node).__name__} in expression {text!r}"
         )
 
-    return build(tree)
+    try:
+        return build(ast.parse(text, mode="eval"))
+    except SyntaxError as exc:
+        raise RejectedInputError(f"unparsable expression {text!r}: {exc}") from exc
+    except RecursionError as exc:  # from the parser or from build
+        raise RejectedInputError(
+            f"expression nested too deeply to compile: {text[:40]!r}... ({len(text)} characters)"
+        ) from exc
 
 
 def block(value, label: str, length=None) -> list:

@@ -103,30 +103,32 @@ def mixed_gauss_residual(calc: PointCalculus) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointAnalysis:
-    """What the structure and theorem sections need on a block of points:
-    the block's ``PointCalculus`` and tensor data, the block scalar
-    curvatures ``tau_hat``/``tau_star`` (stored undoubled) and the
-    divergence trace ``delta_n``, one value per point."""
+    """What the structure, identity and theorem sections share on a block of
+    points: the block's ``PointCalculus`` and tensor data, the block scalar
+    curvatures ``tau_hat``/``tau_star`` (stored undoubled), the Ricci values
+    ``ric_hat`` (N, r) on the vertical and ``ric_star`` (N, n) on the
+    horizontal frame vectors, and the divergence trace ``delta_n``, one
+    value per point. Each Ricci value equals ``ric_hat_probes`` or
+    ``ric_star_probes`` on its frame vector, bit for bit."""
 
     calc: PointCalculus
     data: OneillData
     tau_hat: np.ndarray
     tau_star: np.ndarray
+    ric_hat: np.ndarray
+    ric_star: np.ndarray
     delta_n: np.ndarray
 
 
 def _hat_star_tables(calc: PointCalculus):
     """Block curvatures on the frame pairs: hat[p, j, k] on the vertical
-    pair (U_j, U_k), star[p, s, t] on the horizontal pair (X_s, X_t), zero
-    on the diagonal."""
+    pair (U_j, U_k), star[p, s, t] on the horizontal pair (X_s, X_t), in the
+    broadcast shapes of ``_frame_trace`` over the frame, diagonal included."""
     uv, xv = calc.frame.vert_values, calc.frame.horiz_values
     hat = fiber_curvature_hat(calc, uv[:, :, None], uv[:, None], uv[:, None], uv[:, :, None])
     star = horizontal_curvature_star(
         calc, xv[:, :, None], xv[:, None], xv[:, None], xv[:, :, None]
     )
-    for table in (hat, star):
-        diagonal = np.arange(table.shape[-1])
-        table[:, diagonal, diagonal] = 0.0
     return hat, star
 
 
@@ -227,6 +229,13 @@ def analyze_point(sub: SubmersionModel, state: SpaceFormData) -> PointAnalysis:
     data on the block, as for ``PointCalculus``."""
     calc = PointCalculus(sub, state)
     hat, star = _hat_star_tables(calc)
-    tau_hat = np.sum(np.triu(hat, k=1), axis=(1, 2))
-    tau_star = np.sum(np.triu(star, k=1), axis=(1, 2))
-    return PointAnalysis(calc, tensors_from_calculus(calc), tau_hat, tau_star, calc.delta_n())
+    return PointAnalysis(
+        calc,
+        tensors_from_calculus(calc),
+        tau_hat=np.sum(np.triu(hat, k=1), axis=(1, 2)),
+        tau_star=np.sum(np.triu(star, k=1), axis=(1, 2)),
+        # the traces of _frame_trace: summed over the first frame index
+        ric_hat=running_sum(np.moveaxis(hat, 1, 0)),
+        ric_star=running_sum(np.moveaxis(star, 1, 0)),
+        delta_n=calc.delta_n(),
+    )

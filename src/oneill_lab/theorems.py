@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -227,26 +226,6 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, coeffs):
     )
 
 
-class _FrameRicci:
-    """Ric_hat on the vertical and Ric_star on the horizontal frame vectors
-    of a block, (N, r) and (N, n), each evaluated at most once. With the
-    probes of ``first`` and ``all`` every probe vector is a frame vector,
-    whose Ricci value is a column of these: each value of ``ric_hat_probes``
-    and ``ric_star_probes`` equals the one for its vector alone, bit for
-    bit."""
-
-    def __init__(self, calc):
-        self.calc = calc
-
-    @cached_property
-    def hat(self) -> np.ndarray:
-        return ric_hat_probes(self.calc, self.calc.frame.vert_values)
-
-    @cached_property
-    def star(self) -> np.ndarray:
-        return ric_star_probes(self.calc, self.calc.frame.horiz_values)
-
-
 # The probe tables run on a block: z is the point axis and p the probe.
 def _probe_t_coeff(analysis, vfr, hfr):
     """Per point and probe: T on the probe's vertical frame in chart
@@ -289,12 +268,11 @@ def _chen_a_defects(ac: np.ndarray) -> np.ndarray:
     return np.max(np.abs(ac[..., 0, 1:, :]), axis=(-2, -1), initial=0.0)
 
 
-def _evaluate_probes(
-    analysis: PointAnalysis, theorem_id: str, mode, k, coeffs, frame_ricci: _FrameRicci
-):
+def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
     """The table of one theorem on a block for the probes of ``mode``; a
     random mode's are those of ``coeffs``, k columns of the block's draws
-    of this id. ``frame_ricci`` is the block's, shared by the ids of a scan.
+    of this id. The probes of ``first`` and ``all`` are frame vectors, whose
+    Ricci values are read from ``analysis.ric_hat`` and ``ric_star``.
 
     Each quantity is computed for all points and probes at once, in the
     float operations of a single probe at a single point, so every row
@@ -311,9 +289,9 @@ def _evaluate_probes(
     # Ric_hat(u1) and Ric_star(x1) where the theorem probes them
     ric_u1 = ric_x1 = None
     if entry.needs_v:
-        ric_u1 = ric_hat_probes(calc, u1) if slots is None else frame_ricci.hat[:, slots[0]]
+        ric_u1 = ric_hat_probes(calc, u1) if slots is None else analysis.ric_hat[:, slots[0]]
     if entry.needs_h:
-        ric_x1 = ric_star_probes(calc, x1) if slots is None else frame_ricci.star[:, slots[1]]
+        ric_x1 = ric_star_probes(calc, x1) if slots is None else analysis.ric_star[:, slots[1]]
     dropped = variant = None
     if theorem_id == "V1":
         eta_sq = float_squares(calc.eta_of(u1))
@@ -400,28 +378,13 @@ def _evaluate_probes(
     )
 
 
-def _check_case(analysis: PointAnalysis, theorem_id: str) -> None:
-    case = required_xi_case(theorem_id)
-    if analysis.calc.sub.xi_case != case:
-        raise RejectedInputError(
-            f"{theorem_id} needs a model with the Reeb field {case}, "
-            f"got {analysis.calc.sub.xi_case}"
-        )
-
-
 def evaluate_theorem(
     analysis: PointAnalysis, theorem_id: str, probe_mode: str = "first", rng=None
 ) -> TheoremTable:
-    """The table of one theorem on a block of analyzed points. Random probes
-    draw from ``rng`` point by point, or from a generator seeded with 0 made
-    for this call."""
-    _check_case(analysis, theorem_id)
-    mode, k = parse_probe_mode(probe_mode)
-    rng = np.random.default_rng(0) if rng is None else rng
-    draws = _draw_coeffs(analysis, (theorem_id,), k, rng) if mode == "random" else {}
-    return _evaluate_probes(
-        analysis, theorem_id, mode, k, draws.get(theorem_id), _FrameRicci(analysis.calc)
-    )
+    """The table of one theorem on a block of analyzed points: that of
+    ``scan_theorems`` on this block and id alone, with its draws and
+    checks."""
+    return scan_theorems([analysis], (theorem_id,), probe_mode, rng)[theorem_id].tables[0]
 
 
 def _first_min(slack: np.ndarray) -> int:
@@ -523,10 +486,14 @@ def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
         raise EmptySampleError("no sample points to scan")
     if rng is None:
         rng = np.random.default_rng(0)
-    if theorem_ids is None:
-        theorem_ids = applicable_ids(analyses[0].calc.sub.xi_case)
+    xi_case = analyses[0].calc.sub.xi_case
+    theorem_ids = applicable_ids(xi_case) if theorem_ids is None else theorem_ids
     for tid in theorem_ids:
-        _check_case(analyses[0], tid)
+        case = required_xi_case(tid)
+        if case != xi_case:
+            raise RejectedInputError(
+                f"{tid} needs a model with the Reeb field {case}, got {xi_case}"
+            )
     mode, k = parse_probe_mode(probe_mode)
     # every block's draws before any evaluation, which draws nothing
     draws = [_draw_coeffs(b, theorem_ids, k, rng) if mode == "random" else {} for b in analyses]
@@ -536,10 +503,9 @@ def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
         ids, (a, b) = part
         tables = {tid: [] for tid in ids}
         for block, drawn in zip(analyses, draws):
-            frame_ricci = _FrameRicci(block.calc)
             for tid in ids:
                 coeffs = [c[:, a:b] for c in drawn.get(tid, ())]
-                tables[tid].append(_evaluate_probes(block, tid, mode, b - a, coeffs, frame_ricci))
+                tables[tid].append(_evaluate_probes(block, tid, mode, b - a, coeffs))
         return tables
 
     # random probes are split by columns over worker processes; the ids

@@ -168,6 +168,11 @@ def _replace_entry(block, row, col, entry):
     return edit
 
 
+def _contact_c(value):
+    """An edit of model-file data that sets the contact block's ``c``."""
+    return lambda d: {**d, "contact": {**d["contact"], "c": value}}
+
+
 class TestExitCodes:
     def test_pass_is_0(self, tmp_path, capsys):
         out = str(tmp_path / "r.json")
@@ -232,6 +237,26 @@ class TestExitCodes:
             pytest.param(_replace_entry("metric", 2, 2, "10**400"), id="10**400"),
             pytest.param(_replace_entry("metric", 2, 2, "0**-1 + 1"), id="0**-1"),
             pytest.param(_replace_entry("metric", 2, 2, "1e308*10"), id="1e308*10"),
+            # too deep for the compiler (1,000 terms) and for the parser (3,000)
+            pytest.param(
+                _replace_entry("metric", 2, 2, "0.25" + "+0*x1" * 1000), id="deep-1000"
+            ),
+            pytest.param(
+                _replace_entry("metric", 2, 2, "0.25" + "+0*x1" * 3000), id="deep-3000"
+            ),
+            # c must be a finite real number: JSON's 1e400 loads as inf, as
+            # Infinity does; an integer too large for a float; true is no number
+            pytest.param(_contact_c("nan"), id="c-nan-string"),
+            pytest.param(_contact_c("inf"), id="c-inf-string"),
+            pytest.param(_contact_c(float("inf")), id="c-1e400"),
+            pytest.param(_contact_c(10**400), id="c-10**400"),
+            pytest.param(_contact_c(True), id="c-true"),
+            pytest.param(_contact_c(None), id="c-null"),
+            # a chart that repeats a name
+            pytest.param(
+                lambda d: {**d, "chart": ["x1", "x2", "y1", "y2", "x2"]}, id="chart-repeats"
+            ),
+            pytest.param(lambda d: {**d, "base_chart": ["b1", "b1"]}, id="base-chart-repeats"),
         ],
     )
     def test_malformed_model_file_is_4(self, edit, tmp_path, capsys):

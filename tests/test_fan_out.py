@@ -323,12 +323,12 @@ class TestForkedScans:
         columns = []
         evaluate = theorems._evaluate_probes
 
-        def dies_in_a_worker(analysis, tid, mode, k, coeffs, frame_ricci):
+        def dies_in_a_worker(analysis, tid, mode, k, coeffs):
             if os.getpid() != parent:
                 os.kill(os.getpid(), SIGKILL)
             if coeffs:
                 columns.append(k)
-            return evaluate(analysis, tid, mode, k, coeffs, frame_ricci)
+            return evaluate(analysis, tid, mode, k, coeffs)
 
         monkeypatch.setattr(theorems, "_evaluate_probes", dies_in_a_worker)
         _cpus(monkeypatch, 2)

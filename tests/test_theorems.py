@@ -290,9 +290,9 @@ def _sample_blocks(model, points):
 
 class TestProbeRicci:
     """With ``first`` and ``all`` probes every probe vector is a frame
-    vector, so a scan evaluates Ric_hat on the vertical and Ric_star on the
-    horizontal frame once per block and reads each probe's value from them;
-    random probes evaluate them per id on the drawn vectors."""
+    vector, so a scan reads each probe's Ricci value from the block
+    analysis (``ric_hat``, ``ric_star``) and evaluates none; random probes
+    evaluate them per id on the drawn vectors."""
 
     # ids probing a vertical, and a horizontal, vector of each model
     PROBED = {"vertical-xi": (3, 2), "horizontal-xi": (2, 2), "reeb_fiber": (3, 2)}
@@ -313,7 +313,7 @@ class TestProbeRicci:
         monkeypatch.setattr(theorems, "ric_hat_probes", counted("hat", ric_hat_probes))
         monkeypatch.setattr(theorems, "ric_star_probes", counted("star", ric_star_probes))
         scan_theorems(blocks, probe_mode=mode, rng=np.random.default_rng(3))
-        per_block = (1, 1) if mode in ("first", "all") else self.PROBED[model]
+        per_block = (0, 0) if mode in ("first", "all") else self.PROBED[model]
         assert (calls["hat"], calls["star"]) == tuple(len(blocks) * n for n in per_block)
 
     @pytest.mark.parametrize("mode", ["first", "all"])
@@ -324,6 +324,11 @@ class TestProbeRicci:
         xi_case = blocks[0].calc.sub.xi_case
         hat_id, star_id = ("CRV1", "CRH1") if xi_case == "vertical" else ("CRV2", "CRH2")
         for k, block in enumerate(blocks):
+            frame = block.calc.frame
+            want = ric_hat_probes(block.calc, frame.vert_values)
+            assert block.ric_hat.tobytes() == want.tobytes()
+            want = ric_star_probes(block.calc, frame.horiz_values)
+            assert block.ric_star.tobytes() == want.tobytes()
             crv, crh = scans[hat_id].tables[k], scans[star_id].tables[k]
             want = ric_hat_probes(block.calc, crv.probe_vertical)
             assert np.asarray(crv.lhs).tobytes() == want.tobytes()
