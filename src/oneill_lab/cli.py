@@ -240,6 +240,21 @@ def _theorem_section(analyses, config: RunConfig):
     return section, checks
 
 
+def _check_xi_case(calc, tol: float) -> None:
+    """ModelLoadError at the block's first point where the Reeb field's part
+    outside its declared block has a g-length above ``tol`` (or NaN)."""
+    sub = calc.sub
+    other = calc.h_project_values if sub.xi_case == "vertical" else calc.v_project_values
+    off = other(calc.xi_values)
+    length = np.sqrt(calc.pairings(off, off))
+    k = np.argmax(~(length <= tol))
+    if not length[k] <= tol:
+        raise ModelLoadError(
+            f"xi_case of {sub.name!r} is {sub.xi_case}, but the Reeb field has a part "
+            f"of length {length[k]:.3e} outside that block at {calc.point[k].tolist()}"
+        )
+
+
 def run(config: RunConfig) -> Report:
     """Execute the configured run and assemble the report.
 
@@ -276,6 +291,9 @@ def run(config: RunConfig) -> Report:
         for block in point_blocks(pts, sub.total.model.dim, power=5):
             states.append(space_form_data(sub.total, block))
             analyses.append(analyze_point(sub, states[-1]))
+            # not below 1e-12: that part rounds to up to 1.1e-13 on the
+            # bundled models at a box of +-1000, where it is 0 exactly
+            _check_xi_case(analyses[-1].calc, max(tol.d1, 1e-12))
         if config.command in ("verify", "report"):
             structure, structure_checks = _submersion_structure(states, analyses, len(pts), tol)
             checks.update(structure_checks)

@@ -80,7 +80,13 @@ def chart_model_from_document(doc: dict, prefix: str, name: str, memo: dict) -> 
     chart = tuple(str(v) for v in block(doc[prefix + "chart"], prefix + "chart"))
     if len(set(chart)) != len(chart):
         raise RejectedInputError(f"{prefix}chart repeats a name: {list(chart)}")
-    metric = compile_matrix(doc[prefix + "metric"], chart, prefix + "metric", memo)
+    rows = doc[prefix + "metric"]
+    metric = compile_matrix(rows, chart, prefix + "metric", memo)
+    # read from its upper triangle, so the lower one must mirror it
+    for i in range(len(chart)):
+        for j in range(i):
+            if str(rows[i][j]) != str(rows[j][i]):
+                raise RejectedInputError(f"{prefix}metric [{i}][{j}] differs from [{j}][{i}]")
     domain = prefix + "domain"
     guard = compile_guard(doc[domain], chart) if domain in doc else None
     return ManifoldModel(
@@ -135,8 +141,8 @@ def build_r2m1(m: int) -> SasakianSpaceFormSpec:
     metric = [["0"] * dim for _ in range(dim)]
     phi = [["0"] * dim for _ in range(dim)]
     for a in range(m):
-        for b in range(m):
-            metric[a][b] = f"({y[a]}*{y[a]}+1)/4" if a == b else f"{y[a]}*{y[b]}/4"
+        for b in range(a, m):
+            metric[a][b] = metric[b][a] = f"({y[a]}*{y[a]}+1)/4" if a == b else f"{y[a]}*{y[b]}/4"
         metric[a][z] = metric[z][a] = f"-{y[a]}/4"
         metric[m + a][m + a] = "0.25"
         # phi(d_{x_a}) = -d_{y_a};  phi(d_{y_a}) = d_{x_a} + y_a d_z;  phi(d_z) = 0

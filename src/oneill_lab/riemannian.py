@@ -21,11 +21,14 @@ with R(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z.
 
 Every contraction is an ``np.einsum`` without ``optimize=``, with the point
 axis as an extra batch index, so each point's sums run in the same order as
-for a block of one point.
+for a block of one point. :func:`pair_r4` keeps to einsums of three or more
+operands, whose loop adds in index order (numpy's two-operand loops do not),
+and holds at most ``4 * _BLOCK_ENTRIES`` entries of products at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -271,5 +274,19 @@ def pair_r4(r4: np.ndarray, x, y, z, w):
     The broadcast axes stay outside the sum over the four slots, so each
     value is summed in the same order as for single vectors: a table of
     frame 4-tuples equals its entries taken one tuple at a time, bit for
-    bit."""
-    return np.einsum("...ijkl,...i,...j,...k,...l->...", r4, x, y, z, w)
+    bit. The products r4 * x * y are taken elementwise, as the five-operand
+    einsum takes them, for runs of the leading broadcast axis of at most
+    ``4 * _BLOCK_ENTRIES`` products (cut in the operands that have it)."""
+    ops = [np.asarray(a, dtype=float) for a in (r4, x, y, z, w)]
+    batches = [a.shape[: a.ndim - core] for a, core in zip(ops, (4, 1, 1, 1, 1))]
+    batch = np.broadcast_shapes(*batches)
+    lead = np.broadcast_shapes(*batches[:3], (1,) * len(batch))  # of r4 * x * y
+    step = max(1, 4 * _BLOCK_ENTRIES // max(1, math.prod(lead[1:] + ops[0].shape[-4:])))
+    if batch and step < batch[0]:
+        cut = [len(b) == len(batch) and b[0] != 1 for b in batches]
+        return np.concatenate([
+            pair_r4(*(a[s : s + step] if c else a for a, c in zip(ops, cut)))
+            for s in range(0, batch[0], step)
+        ])
+    head = ops[0] * ops[1][..., :, None, None, None] * ops[2][..., None, :, None, None]
+    return np.einsum("...ijkl,...k,...l->...", head, ops[3], ops[4])

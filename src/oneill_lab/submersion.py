@@ -243,8 +243,9 @@ def _exchange_jets(frame: AdaptedFrame, g: ArrayJet, gamma: ArrayJet):
     f, r = frame.jets, frame.r
     p, m = f.shape[:2]
     vert = _project(f, f[:, :r], g)
-    horiz = _project(f[:, r:], f[:, r:], g)
-    x = concat([vert[:, :r], horiz], axis=1).first_order()
+    # x is differentiated once, so its Hessians are never read
+    horiz = _project(f[:, r:].first_order(), f[:, r:], g)
+    x = concat([vert[:, :r].first_order(), horiz], axis=1)
     slots = [(a, b) for a in range(r) for b in range(r)]
     slots += [(a, b) for a in range(r, m) for b in range(r, m)]
     first = [a for a, _ in slots]

@@ -257,6 +257,9 @@ class TestExitCodes:
                 lambda d: {**d, "chart": ["x1", "x2", "y1", "y2", "x2"]}, id="chart-repeats"
             ),
             pytest.param(lambda d: {**d, "base_chart": ["b1", "b1"]}, id="base-chart-repeats"),
+            # a metric is read from its upper triangle; the mirror must agree
+            pytest.param(_replace_entry("metric", 1, 0, "5"), id="metric-asymmetric"),
+            pytest.param(_replace_entry("base_metric", 1, 0, "1/4"), id="base-metric-asymmetric"),
         ],
     )
     def test_malformed_model_file_is_4(self, edit, tmp_path, capsys):
@@ -325,6 +328,28 @@ class TestExitCodes:
             ["theorems", "--model", "horizontal-xi", "--theorems", "V1", "--points", "2"]
         )
         assert code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["verify", "theorems", "report"])
+    def test_declared_xi_case_that_does_not_hold_is_4(self, command, tmp_path, capsys):
+        # vertical-xi's unit Reeb field lies wholly outside the horizontal
+        # block that this copy declares for it
+        model = _vertical_xi_copy(tmp_path, lambda d: {**d, "xi_case": "horizontal"})
+        first = sample_submersion_points(resolve_model(str(model)), SampleConfig(points=3))[0]
+        out = tmp_path / "r.json"
+        argv = [command, "--model", str(model), "--points", "3", "--out", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "error: xi_case of 'vertical-xi' is horizontal, but the Reeb field has a part "
+            f"of length 1.000e+00 outside that block at {first.tolist()}\n"
+        )
+        assert not out.exists()
+
+    def test_xi_case_gate_is_tol_d1(self, tmp_path, capsys):
+        model = _vertical_xi_copy(tmp_path, lambda d: {**d, "xi_case": "horizontal"})
+        argv = ["theorems", "--model", str(model), "--points", "3", "--tol-d1", "2"]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) != 4
         capsys.readouterr()
 
     def test_theorems_on_plain_total_space_is_2(self, capsys):

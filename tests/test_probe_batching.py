@@ -14,6 +14,7 @@ equality pins the reports.
 
 import dataclasses
 import os
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,10 +25,17 @@ from hypothesis import strategies as st
 
 from slices import analysis_blocks, blocks_of_one, table_rows
 from oneill_lab.cli import resolve_model
-from oneill_lab.invariants import identity_residuals
-from oneill_lab.riemannian import pair_r4, scalar_curvature
+from oneill_lab.invariants import identity_residuals, ric_star_probes
+from oneill_lab.jets import ArrayJet, concat
+from oneill_lab.riemannian import _BLOCK_ENTRIES, pair_r4, scalar_curvature
 from oneill_lab.sampling import SampleConfig, sample_submersion_points
-from oneill_lab.submersion import load_custom_model, verify_structure_lemmas
+from oneill_lab.submersion import (
+    _cov,
+    _exchange_jets,
+    _project,
+    load_custom_model,
+    verify_structure_lemmas,
+)
 from oneill_lab.theorems import (
     CRH1_VARIANTS,
     EQUALITY_TOL,
@@ -771,3 +779,63 @@ def test_frame_tables_equal_per_tuple_pair_r4(model, seed, closed):
                 for d in range(m):
                     want = _r4(t, f[a], f[b], f[c], f[d])
                     assert bits(table[a, b, c, d]) == bits(want), (a, b, c, d)
+
+
+def test_probe_ricci_stays_within_two_runs_of_products():
+    """One ric_star_probes call on horizontal-xi, 8 points with 64 probes,
+    peaks below two runs of pair_r4's products r4 * e * p (``4 *
+    _BLOCK_ENTRIES`` float64 entries each, 2 MiB together); the products of
+    the whole block, 7.7 MB, fail here."""
+    (block,) = _blocks("horizontal-xi", points=8, seed=42)
+    calc = block.calc
+    coeffs = np.random.default_rng(0).standard_normal((8, 64, calc.n))
+    probes = (coeffs / np.linalg.norm(coeffs, axis=-1, keepdims=True)) @ calc.frame.horiz_values
+    ric_star_probes(calc, probes)
+    tracemalloc.start()
+    try:
+        ric_star_probes(calc, probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 4 * _BLOCK_ENTRIES * 8
+
+
+def _exchange_jets_order_2(frame, g, gamma):
+    """``submersion._exchange_jets`` with both first slots projected at order
+    2 and their Hessians dropped only after the projection."""
+    f, r = frame.jets, frame.r
+    p, m = f.shape[:2]
+    vert = _project(f, f[:, :r], g)
+    horiz = _project(f[:, r:], f[:, r:], g)
+    x = concat([vert[:, :r], horiz], axis=1).first_order()
+    slots = [(a, b) for a in range(r) for b in range(r)]
+    slots += [(a, b) for a in range(r, m) for b in range(r, m)]
+    xs = x[:, [a for a, _ in slots]]
+    second = [b for _, b in slots]
+    w = _cov(
+        concat([xs, xs], axis=1),
+        concat([vert[:, second], (f - vert)[:, second]], axis=1),
+        gamma,
+    )
+    half = len(slots)
+    fields = _project(w[:, :half], f[:, r:], g) + _project(w[:, half:], f[:, :r], g)
+    n = m - r
+    return fields[:, : r * r].reshape((p, r, r, m)), fields[:, r * r :].reshape((p, n, n, m))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_exchange_jets_equal_the_order_2_first_slot(model):
+    """A jet product's value and gradient never read Hessians, so the
+    exchange jets keep their bits with the first slot at order 1."""
+    for block in _blocks(model, points=12, seed=7):
+        calc = block.calc
+        metric, conn = calc.conn.metric, calc.conn
+        args = (
+            calc.frame,
+            ArrayJet(metric.value, metric.d1, metric.d2),
+            ArrayJet(conn.gamma, conn.dgamma),
+        )
+        for got, want in zip(_exchange_jets(*args), _exchange_jets_order_2(*args)):
+            assert got.hessian is None and want.hessian is None
+            assert bits(got.value) == bits(want.value)
+            assert bits(got.gradient) == bits(want.gradient)

@@ -11,12 +11,14 @@ from darboux import DegeneratePlaneError, sectional_curvature
 from oneill_lab.cli import BUNDLED_MODELS, resolve_model
 from oneill_lab.contact import build_r2m1, space_form_data
 from oneill_lab.errors import DegenerateMetricError, OutOfDomainError
+from oneill_lab import riemannian
 from oneill_lab.jets import jet_eval, seed_block
 from oneill_lab.riemannian import (
     ManifoldModel,
     christoffel_at,
     metric_at,
     model_jets,
+    pair_r4,
     ricci_from_curvature,
     riemann_at,
     running_sum,
@@ -455,4 +457,81 @@ def test_model_jets_bit_equal_to_per_point_scalar_jets(name, length, order, data
     base = sub.base.metric
     _assert_entries_bit_equal(
         base, model_jets(base, seed_block(base_points, order=order)), base_points, order
+    )
+
+
+# -- the summation order of pair_r4 -------------------------------------------
+
+
+def _five_operand(r4, x, y, z, w):
+    return np.einsum("...ijkl,...i,...j,...k,...l->...", r4, x, y, z, w)
+
+
+def _left_to_right(r4, x, y, z, w):
+    """``running_sum`` over (i, j, k, l) in row-major order of the products
+    r4 * x * y * z * w, taken left to right."""
+    terms = r4 * x[..., :, None, None, None]
+    terms = terms * y[..., None, :, None, None] * z[..., None, None, :, None]
+    terms = terms * w[..., None, None, None, :]
+    return running_sum(np.moveaxis(terms.reshape(terms.shape[:-4] + (-1,)), -1, 0))
+
+
+def _with_specials(rng, shape):
+    """Normal draws spread over 12 decades, about one in 20 of them replaced
+    by 0.0, -0.0, inf, -inf or NaN."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])[rng.integers(0, 5, shape)]
+    return np.where(rng.random(shape) < 0.05, specials, values)
+
+
+def _pair_shapes(kind, d, n, k, probes):
+    """Operand shapes of ``pair_r4`` as the package passes them."""
+    if kind == "frame-table":  # an r4 without a point axis, on frame 4-tuples
+        return [(d,) * 4, (k, 1, 1, 1, d), (1, k, 1, 1, d), (1, 1, k, 1, d), (1, 1, 1, k, d)]
+    # a block r4 with unit axes, on frame pairs or on frame vectors and probes
+    cols = k if kind == "block-pairs" else probes
+    return [(n, 1, 1) + (d,) * 4, (n, k, 1, d), (n, 1, cols, d), (n, 1, cols, d), (n, k, 1, d)]
+
+
+def _assert_five_operand_order(ops):
+    with np.errstate(all="ignore"):
+        got = pair_r4(*ops)
+        assert _same_bits(got, _five_operand(*ops))
+        assert _same_bits(got, _left_to_right(*ops))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["frame-table", "block-pairs", "block-probes"]),
+    st.integers(2, 6),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 9),
+    st.sampled_from([None, 1, 40, 700]),
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_r4_sums_in_the_five_operand_order(kind, d, n, k, probes, budget, seed):
+    """pair_r4 equals numpy's five-operand einsum and a running sum of
+    left-to-right products byte for byte, with signed zeros, infinities and
+    NaNs, within and across the runs of its leading axis (``budget`` shrinks
+    ``_BLOCK_ENTRIES`` to cut them short). A numpy whose einsum loops add in
+    another order fails here."""
+    rng = np.random.default_rng(seed)
+    ops = [_with_specials(rng, shape) for shape in _pair_shapes(kind, d, n, k, probes)]
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(riemannian, "_BLOCK_ENTRIES", budget)
+        _assert_five_operand_order(ops)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(2, 4), st.integers(36, 52), st.integers(0, 2**32 - 1))
+def test_pair_r4_probe_points_beyond_one_run(n, probes, seed):
+    """At d = 5 with three frame vectors and 36 or more probes, one point's
+    products r4 * e * p take more than half of ``4 * _BLOCK_ENTRIES``, so
+    every point is a run of its own, as on a random-probe scan."""
+    assert 3 * probes * 5**4 > 2 * riemannian._BLOCK_ENTRIES
+    rng = np.random.default_rng(seed)
+    _assert_five_operand_order(
+        [_with_specials(rng, shape) for shape in _pair_shapes("block-probes", 5, n, 3, probes)]
     )
