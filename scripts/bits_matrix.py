@@ -18,7 +18,12 @@ each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8
 (448 and 512 here) are split by columns over forked worker processes on a
 machine with at least two usable CPUs. 117 runs in all, each report named
 by its command, model, points, seed and probe; exit_codes.txt holds the
-exit code of each. Beside them,
+exit code of each. The parser's own text is part of the matrix too: the
+``--help`` output of the program and of each subcommand at ``COLUMNS=80``
+(help-<command>.txt), and the standard error and exit code of five bad
+command lines (usage-<case>.txt): a negative ``--points``, a ``--box`` that
+is not LO,HI, an unknown theorem id, a bad ``--probe`` and a negative
+``--tol-d1``. Beside them,
 run_all/ and run_all.txt hold what scripts/run_all.py writes and prints,
 and crh1-<seed>.txt what scripts/crh1_disambiguation.py prints at each
 seed. run_all.py stamps its reports and names the output directory and a
@@ -52,6 +57,25 @@ RUNS = [("verify", f"r2m1:{m}", 40, PROBES) for m in (1, 2, 3, 4)] + [
 ] + [("theorems", model, 8, ("random:64",)) for model in SUBMERSIONS]
 
 
+HELP = {"oneill-lab": [], "verify": ["verify"], "theorems": ["theorems"], "report": ["report"]}
+BAD_ARGV = {
+    "points-negative": ["verify", "--points", "-1"],
+    "box-not-lo-hi": ["verify", "--box", "2,x"],
+    "theorem-unknown": ["theorems", "--theorems", "V1,V9"],
+    "probe-bad": ["theorems", "--probe", "random:0"],
+    "tol-d1-negative": ["verify", "--tol-d1=-1e-8"],
+}
+
+
+def _parser_text(argv):
+    """What ``main(argv)`` prints to standard output and standard error, and
+    its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"{out.getvalue()}--- stderr\n{err.getvalue()}exit {code}\n"
+
+
 def _script(name, *args):
     done = subprocess.run(
         [sys.executable, str(REPO / "scripts" / name), *args],
@@ -83,6 +107,11 @@ def cli(argv=None):
                 with contextlib.redirect_stderr(io.StringIO()):
                     codes.append(f"{slug} {main(argv)}\n")
     (out_dir / "exit_codes.txt").write_text("".join(codes))
+    os.environ["COLUMNS"] = "80"  # the width argparse formats help to
+    for name, argv in HELP.items():
+        (out_dir / f"help-{name}.txt").write_text(_parser_text(argv + ["--help"]))
+    for name, argv in BAD_ARGV.items():
+        (out_dir / f"usage-{name}.txt").write_text(_parser_text(argv))
 
     def normalized(text):
         lines = text.splitlines(keepends=True)
@@ -100,7 +129,10 @@ def cli(argv=None):
     for seed in SEEDS:
         printed = _script("crh1_disambiguation.py", "--seed", str(seed))
         (out_dir / f"crh1-{seed}.txt").write_text(printed)
-    print(f"{len(codes)} reports, run_all.py and crh1_disambiguation.py -> {out_dir}")
+    print(
+        f"{len(codes)} reports, {len(HELP)} help texts, {len(BAD_ARGV)} usage errors, "
+        f"run_all.py and crh1_disambiguation.py -> {out_dir}"
+    )
     return 0
 
 

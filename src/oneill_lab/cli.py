@@ -13,9 +13,8 @@ import datetime
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,8 +49,7 @@ BUNDLED_DIR = Path(__file__).resolve().parent / "models"
 BUNDLED_MODELS = ("vertical-xi", "horizontal-xi")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     model: str = "vertical-xi"
     points: int = 100
@@ -100,7 +98,7 @@ def _config_echo(config: RunConfig) -> dict:
         "points": config.points,
         "seed": config.seed,
         "box": [float(config.box[0]), float(config.box[1])],
-        "tolerances": asdict(config.tolerances),
+        "tolerances": config.tolerances._asdict(),
         "theorems": list(config.theorems) if config.theorems is not None else "all",
         "probe": config.probe,
     }
@@ -315,17 +313,22 @@ def run(config: RunConfig) -> Report:
     )
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, on a parent parser that each
+    subparser copies (``parents=``), so each flag is added once per parse."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--model", default="vertical-xi")
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--box", default="-2,2", help="sampling interval LO,HI per coordinate")
-    for tier in fields(Tolerances):  # --tol-alg --tol-d1 --tol-curv --tol-d2curv
-        p.add_argument(f"--tol-{tier.name}", type=float, default=tier.default)
+    # --tol-alg --tol-d1 --tol-curv --tol-d2curv
+    for name, default in Tolerances._field_defaults.items():
+        p.add_argument(f"--tol-{name}", type=float, default=default)
     p.add_argument("--theorems", default="all", help="comma-separated ids or 'all'")
     p.add_argument("--probe", default="first", help="first | all | random:<k>")
     p.add_argument("--out", default=None)
     p.add_argument("--no-timestamp", action="store_true")
+    return p
 
 
 def cli_parse(argv) -> RunConfig:
@@ -334,12 +337,13 @@ def cli_parse(argv) -> RunConfig:
         description="numerical verification runs for submersion curvature bounds",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
     for name, blurb in (
         ("verify", "structure and identity residuals"),
         ("theorems", "inequality scans"),
         ("report", "full run: structure, identities, theorems"),
     ):
-        _add_common_flags(subparsers.add_parser(name, help=blurb))
+        subparsers.add_parser(name, help=blurb, parents=common)
     ns = parser.parse_args(argv)
 
     if ns.points < 1:
@@ -367,7 +371,7 @@ def cli_parse(argv) -> RunConfig:
         if not ids or len(set(ids)) != len(ids):
             parser.error(f"theorem ids must be distinct and at least one, got {ns.theorems!r}")
         theorems = ids
-    tiers = {t.name: getattr(ns, f"tol_{t.name}") for t in fields(Tolerances)}
+    tiers = {name: getattr(ns, f"tol_{name}") for name in Tolerances._fields}
     for name, value in tiers.items():
         if not value >= 0.0:  # NaN fails this too
             parser.error(f"--tol-{name} must be a number >= 0, got {value}")

@@ -8,12 +8,18 @@ at 0..m-1, y_1..y_m at m..2m-1, z at 2m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import RejectedInputError
-from .expressions import block, compile_guard, compile_matrix, compile_vector
+from .expressions import (
+    block,
+    compile_guard,
+    compile_matrix,
+    compile_vector,
+    same_expression,
+)
 from .jets import seed_block
 from .riemannian import (
     _BLOCK_ENTRIES,
@@ -28,8 +34,7 @@ from .riemannian import (
 )
 
 
-@dataclass(frozen=True)
-class ContactStructure:
+class ContactStructure(NamedTuple):
     """(phi, xi, eta) data on a chart. phi[i][j] is the component of
     phi(d_j) along d_i; eta[a] is the covector component on d_a."""
 
@@ -50,8 +55,7 @@ class ContactStructure:
         )
 
 
-@dataclass(frozen=True)
-class ContactData:
+class ContactData(NamedTuple):
     """Contact data on a block of points, the point axis ``p`` leading."""
 
     phi: np.ndarray  # (p, i, j): component of phi(d_j) along d_i
@@ -61,8 +65,7 @@ class ContactData:
     dxi: np.ndarray  # (p, k, a) = d_a xi^k
 
 
-@dataclass(frozen=True)
-class SasakianSpaceFormSpec:
+class SasakianSpaceFormSpec(NamedTuple):
     """A contact structure together with its constant phi-sectional curvature."""
 
     c: float
@@ -82,10 +85,12 @@ def chart_model_from_document(doc: dict, prefix: str, name: str, memo: dict) -> 
         raise RejectedInputError(f"{prefix}chart repeats a name: {list(chart)}")
     rows = doc[prefix + "metric"]
     metric = compile_matrix(rows, chart, prefix + "metric", memo)
-    # read from its upper triangle, so the lower one must mirror it
+    # read from its upper triangle, so the lower one must mirror it: the same
+    # string or, where the strings differ, the same expression
     for i in range(len(chart)):
         for j in range(i):
-            if str(rows[i][j]) != str(rows[j][i]):
+            lower, upper = str(rows[i][j]), str(rows[j][i])
+            if lower != upper and not same_expression(lower, upper):
                 raise RejectedInputError(f"{prefix}metric [{i}][{j}] differs from [{j}][{i}]")
     domain = prefix + "domain"
     guard = compile_guard(doc[domain], chart) if domain in doc else None
@@ -219,8 +224,7 @@ def verify_sasakian(data: SpaceFormData) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SpaceFormData:
+class SpaceFormData(NamedTuple):
     """A Sasakian space form on a block of points: the connection, the jet
     curvature, the contact data and the closed-form curvature."""
 

@@ -99,6 +99,32 @@ def compile_expression(text: str, chart: list[str]):
         ) from exc
 
 
+def _canonical(node) -> str:
+    """The tree of ``node`` written out, with the two operands of each
+    ``+`` and ``*`` in a fixed order."""
+    if isinstance(node, ast.BinOp):
+        left, right = _canonical(node.left), _canonical(node.right)
+        if isinstance(node.op, (ast.Add, ast.Mult)) and right < left:
+            left, right = right, left
+        return f"{type(node.op).__name__}({left}, {right})"
+    if isinstance(node, ast.UnaryOp):
+        return f"{type(node.op).__name__}({_canonical(node.operand)})"
+    return ast.dump(node)
+
+
+def same_expression(a: str, b: str) -> bool:
+    """Whether two expressions parse to the same tree up to the order of the
+    two operands of each ``+`` and ``*``. Swapping the operands of one IEEE
+    sum or product gives the same float; longer chains are not reassociated,
+    as that can change the rounding. False where either does not parse, or
+    is nested too deeply to compare."""
+    try:
+        trees = [ast.parse(text, mode="eval").body for text in (a, b)]
+        return _canonical(trees[0]) == _canonical(trees[1])
+    except (SyntaxError, RecursionError):
+        return False
+
+
 def block(value, label: str, length=None) -> list:
     """A chart, matrix, field or vector block of a model document: a JSON
     list, of ``length`` entries when given."""

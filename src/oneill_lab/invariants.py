@@ -10,7 +10,7 @@ and against the scalar-level trace identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +101,7 @@ def mixed_gauss_residual(calc: PointCalculus) -> np.ndarray:
     return point_maxima(np.abs(lhs - rhs))
 
 
-@dataclass(frozen=True)
-class PointAnalysis:
+class PointAnalysis(NamedTuple):
     """What the structure, identity and theorem sections share on a block of
     points: the block's ``PointCalculus`` and tensor data, the block scalar
     curvatures ``tau_hat``/``tau_star`` (stored undoubled), the Ricci values

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,8 +234,7 @@ def variable(value: float, index: int, dim: int, order: int = 2) -> ScalarJet:
     return ScalarJet(float(value), grad, hess)
 
 
-@dataclass(frozen=True)
-class JetPoint:
+class JetPoint(NamedTuple):
     """A chart point with its tuple of seeded coordinate jets."""
 
     coords: np.ndarray

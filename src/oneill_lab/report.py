@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .errors import RejectedInputError
 REPORT_SCHEMA = "oneill-lab-report/1"
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Four-tier absolute tolerances: algebraic identities, first-derivative
     level residuals, curvature-level residuals, and residuals involving
     second derivatives of curvature-corrected quantities."""
@@ -87,9 +85,10 @@ def render_json(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + sp + "}"
-    if isinstance(obj, (list, tuple)) or (
-        isinstance(obj, np.ndarray) and obj.ndim == 1
-    ):
+    # a record is a NamedTuple, not a JSON list: it is rejected below
+    if isinstance(obj, list) or (
+        isinstance(obj, tuple) and not hasattr(obj, "_fields")
+    ) or (isinstance(obj, np.ndarray) and obj.ndim == 1):
         seq = list(obj)
         if not seq:
             return "[]"
@@ -111,8 +110,7 @@ def render_json(obj, indent: int = 0) -> str:
     raise RejectedInputError(f"unserializable report value: {type(obj).__name__}")
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Assembled run result; ``checks`` maps dotted item ids to pass/fail."""
 
     config: dict

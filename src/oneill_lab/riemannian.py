@@ -29,8 +29,7 @@ and holds at most ``4 * _BLOCK_ENTRIES`` entries of products at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -115,16 +114,14 @@ def model_jets(table, vs) -> ArrayJet:
     return ArrayJet(value, gradient, hessian).reshape((n,) + funcs.shape)
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(NamedTuple):
     """Chart vector field: one callable per component, fed coordinate jets."""
 
     components: tuple
     name: str = ""
 
 
-@dataclass(frozen=True)
-class ManifoldModel:
+class ManifoldModel(NamedTuple):
     """A chart with a metric given entrywise as callables over the chart jets."""
 
     name: str
@@ -134,8 +131,7 @@ class ManifoldModel:
     domain_guard: Optional[Callable[[np.ndarray], bool]] = None
 
 
-@dataclass(frozen=True)
-class MetricData:
+class MetricData(NamedTuple):
     """Metric and derivatives, plus the inverse and its partials."""
 
     value: np.ndarray  # (p, d, d)
@@ -196,8 +192,7 @@ def metric_at(model: ManifoldModel, points, order: int = 2) -> MetricData:
     return MetricData(value=value, d1=d1, d2=d2, inverse=inverse, dinverse=dinverse)
 
 
-@dataclass(frozen=True)
-class ConnectionData:
+class ConnectionData(NamedTuple):
     metric: MetricData
     gamma: np.ndarray  # (p, k, i, j)
     dgamma: np.ndarray  # (p, k, i, j, a)
@@ -223,8 +218,7 @@ def christoffel_at(model: ManifoldModel, points) -> ConnectionData:
     return ConnectionData(metric=g, gamma=gamma, dgamma=dgamma)
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(NamedTuple):
     metric: MetricData
     gamma: np.ndarray
     dgamma: np.ndarray

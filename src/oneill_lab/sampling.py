@@ -9,7 +9,7 @@ shortfall at that cap is an error rather than a silently smaller sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .submersion import SubmersionModel
 OVERSAMPLE_FACTOR = 10
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(NamedTuple):
     points: int = 100
     seed: int = 42
     box: tuple = (-2.0, 2.0)

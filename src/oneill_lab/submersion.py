@@ -26,8 +26,7 @@ runs on plain numpy arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,8 +52,18 @@ from .riemannian import (
 _GS_PIVOT_SQ = 1e-20  # squared-norm pivot; rejects frame vectors shorter than 1e-10
 
 
-@dataclass(frozen=True)
-class SubmersionModel:
+class _SubmersionFields(NamedTuple):
+    name: str
+    total: SasakianSpaceFormSpec
+    base: ManifoldModel
+    projection: tuple
+    vertical_fields: tuple
+    horizontal_fields: tuple
+    xi_case: str
+    locus_guard: Optional[Callable[[np.ndarray], bool]] = None
+
+
+class SubmersionModel(_SubmersionFields):
     """A submersion candidate between charts.
 
     ``projection`` holds one callable per target coordinate, fed total-chart
@@ -66,18 +75,15 @@ class SubmersionModel:
 
     ``locus_guard`` is a sampling-time restriction (stricter than the chart
     domain) used to keep random points away from degenerate boundaries.
+
+    Every way of building one checks the fields: the constructor,
+    ``_replace`` and ``_make`` (through ``__new__``), and unpickling.
     """
 
-    name: str
-    total: SasakianSpaceFormSpec
-    base: ManifoldModel
-    projection: tuple
-    vertical_fields: tuple
-    horizontal_fields: tuple
-    xi_case: str
-    locus_guard: Optional[Callable[[np.ndarray], bool]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.xi_case not in ("vertical", "horizontal"):
             raise RejectedInputError(f"unknown xi_case {self.xi_case!r}")
         if not self.vertical_fields or not self.horizontal_fields:
@@ -88,10 +94,14 @@ class SubmersionModel:
             )
         if len(self.projection) != self.base.dim:
             raise RejectedInputError("projection arity must match the target dimension")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SubmersionCheck:
+class SubmersionCheck(NamedTuple):
     """Submersion diagnostics on a block of points, one value per point.
 
     ``kernel_residual``: how far the declared vertical fields are from the
@@ -165,8 +175,7 @@ def _cov(x: ArrayJet, y: ArrayJet, gamma: ArrayJet) -> ArrayJet:
     return acc
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
+class AdaptedFrame(NamedTuple):
     """Orthonormal frames as second-order jet fields, vertical block first,
     on a block of points, the point axis leading."""
 
@@ -428,8 +437,7 @@ class PointCalculus:
         return running_sum(np.moveaxis(terms.reshape(terms.shape[:-2] + (-1,)), -1, 0))
 
 
-@dataclass(frozen=True)
-class OneillData:
+class OneillData(NamedTuple):
     """Frame components of the fundamental tensors and derived norms on a
     block of points, the point axis ``p`` leading."""
 

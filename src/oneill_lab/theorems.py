@@ -16,7 +16,6 @@ id against a model with the other Reeb position is rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -71,8 +70,7 @@ def applicable_ids(xi_case: str):
     return tuple(t for t in THEOREM_IDS if required_xi_case(t) == xi_case)
 
 
-@dataclass(frozen=True)
-class TheoremTable:
+class TheoremTable(NamedTuple):
     """One theorem on a block of points, the point axis leading: a row per
     point and probe, shaped (N, P), and for CRH1 per point, probe and bound
     variant, shaped (N, P, V), named in order by ``variant``. ``slack`` >= 0
@@ -96,8 +94,7 @@ class TheoremTable:
     dropped_term: Optional[np.ndarray]
 
 
-@dataclass
-class TheoremScan:
+class TheoremScan(NamedTuple):
     theorem_id: str
     points_checked: int
     records: int  # rows over all points
@@ -449,7 +446,7 @@ def _join_columns(tables) -> TheoremTable:
     for name in _PROBE_FIELDS:
         parts = [getattr(t, name) for t in tables]
         joined[name] = None if parts[0] is None else np.concatenate(parts, axis=1)
-    return replace(tables[0], **joined)
+    return tables[0]._replace(**joined)
 
 
 # The least number of probe rows (points x random probes) each worker

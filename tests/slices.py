@@ -3,8 +3,6 @@ the analyses of a sample one block of points at a time as the CLI makes
 them, and a point's rows of a block's theorem table. Every record is a
 block; a test reads point k as ``[k]`` of the block's arrays."""
 
-import dataclasses
-
 import numpy as np
 
 from oneill_lab.contact import space_form_data
@@ -59,8 +57,7 @@ def table_rows(table, k=0):
     def probes(a):
         return None if a is None else np.repeat(a[k], width, axis=0)
 
-    return dataclasses.replace(
-        table,
+    return table._replace(
         point=table.point[k],
         variant=names * len(table.slack[k]) if names else None,
         probe_vertical=probes(table.probe_vertical),

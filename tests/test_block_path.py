@@ -8,7 +8,6 @@ and the order of its points, and an error at a point must be the one the
 first failing point alone raises.
 """
 
-import dataclasses
 import os
 from pathlib import Path
 
@@ -61,9 +60,9 @@ def _stages(sub, points):
 
 def _arrays(record, path=()):
     """(path, array) for every array of the records of a block, in a fixed
-    order: the fields of dataclasses, the attributes of a ``PointCalculus``
-    but its model, the items of tuples and dicts, and the parts of array
-    jets."""
+    order: the fields of records (NamedTuples) by name, the attributes of a
+    ``PointCalculus`` but its model, the items of other tuples and of dicts,
+    and the parts of array jets."""
     if isinstance(record, np.ndarray):
         yield path, record
     elif isinstance(record, ArrayJet):
@@ -74,9 +73,9 @@ def _arrays(record, path=()):
         for name, value in vars(record).items():
             if name != "sub":
                 yield from _arrays(value, path + (name,))
-    elif dataclasses.is_dataclass(record):
-        for field in dataclasses.fields(record):
-            yield from _arrays(getattr(record, field.name), path + (field.name,))
+    elif isinstance(record, tuple) and hasattr(record, "_fields"):
+        for name in record._fields:
+            yield from _arrays(getattr(record, name), path + (name,))
     elif isinstance(record, (tuple, dict)):
         items = record.items() if isinstance(record, dict) else enumerate(record)
         for key, value in items:
@@ -146,11 +145,11 @@ def test_scan_rows_equal_scans_of_blocks_of_one_point(model, seed, size, mode, d
         (table,) = scan.tables
         for k, one in enumerate(ones):
             (want,) = one[tid].tables
-            for field in dataclasses.fields(TheoremTable):
-                got_value, want_value = getattr(table, field.name), getattr(want, field.name)
+            for name in TheoremTable._fields:
+                got_value, want_value = getattr(table, name), getattr(want, name)
                 if isinstance(got_value, np.ndarray):
                     got_value, want_value = got_value[k], want_value[0]
-                assert _field_bits(got_value) == _field_bits(want_value), (tid, field.name)
+                assert _field_bits(got_value) == _field_bits(want_value), (tid, name)
         # the block's reduction is that of the rows of its points in order
         merged = scan_from_records(tid, [one[tid].tables[0] for one in ones], size)
         for name in ("points_checked", "records", "violations", "equalities"):
@@ -181,8 +180,8 @@ class TestFrameErrorParity:
         base = resolve_model("vertical-xi")
         v1, v2, xi = base.vertical_fields
         # the second field is dependent where x1 = 0, the third where x2 = 0
-        bad = dataclasses.replace(
-            base, name="bad", vertical_fields=(v1, _plus(v1, 0, v2), _plus(v2, 1, xi))
+        bad = base._replace(
+            name="bad", vertical_fields=(v1, _plus(v1, 0, v2), _plus(v2, 1, xi))
         )
         pts = np.array(
             [

@@ -260,6 +260,9 @@ class TestExitCodes:
             # a metric is read from its upper triangle; the mirror must agree
             pytest.param(_replace_entry("metric", 1, 0, "5"), id="metric-asymmetric"),
             pytest.param(_replace_entry("base_metric", 1, 0, "1/4"), id="base-metric-asymmetric"),
+            # the mirror of y1*y2/4 reassociated: its rounding may differ
+            pytest.param(_replace_entry("metric", 1, 0, "y1*(y2/4)"), id="metric-reassociated"),
+            pytest.param(_replace_entry("metric", 1, 0, "y1/4*y2"), id="metric-reordered"),
         ],
     )
     def test_malformed_model_file_is_4(self, edit, tmp_path, capsys):
@@ -613,6 +616,36 @@ class TestNonRealGuards:
             del rep["config"]["model"]
             reports.append(rep)
         assert reports[0] == reports[1]
+
+
+class TestSymmetricMetricEntries:
+    """An entry below the diagonal may mirror its partner in another
+    spelling of the same tree, with the operands of a + or * swapped."""
+
+    @pytest.mark.parametrize(
+        "block, entry",
+        [
+            ("metric", "y2*y1/4"),
+            ("metric", "y1 * y2 / 4"),
+            ("metric", "(y1*y2)/4"),
+            ("base_metric", "( 0 )"),
+        ],
+    )
+    def test_mirror_in_another_spelling_gives_the_same_report(
+        self, block, entry, tmp_path, capsys
+    ):
+        model = _vertical_xi_variant(tmp_path, block, 1, 0, entry)
+        texts = []
+        for name in ("vertical-xi", str(model)):
+            out = tmp_path / "r.json"
+            argv = ["report", "--model", name, "--points", "3", "--no-timestamp"]
+            assert main(argv + ["--out", str(out)]) == 0
+            texts.append(out.read_text().splitlines())
+        capsys.readouterr()
+        want, got = texts
+        assert len(got) == len(want)
+        differ = [(w, g) for w, g in zip(want, got) if w != g]
+        assert differ == [('    "model": "vertical-xi",', f'    "model": {json.dumps(str(model))},')]
 
 
 class TestSubmersionKernel:

@@ -12,7 +12,6 @@ among slacks that differ only by rounding, so nothing weaker than bitwise
 equality pins the reports.
 """
 
-import dataclasses
 import os
 import tracemalloc
 from pathlib import Path
@@ -109,8 +108,7 @@ class PerVector:
     def __init__(self, analysis, k=0):
         calc, data = analysis.calc, analysis.data
         self.analysis, self.k, self.calc = analysis, k, calc
-        names = [f.name for f in dataclasses.fields(data)]
-        self.data = SimpleNamespace(**{name: getattr(data, name)[k] for name in names})
+        self.data = SimpleNamespace(**{name: getattr(data, name)[k] for name in data._fields})
         self.g = calc.conn.metric.value[k]
         self.gamma = calc.conn.gamma[k]
         self.r4 = calc.curvature.r4[k]

@@ -5,7 +5,6 @@ tables of the builtin models and confirmed against tests/frame_oracle.py;
 they are frozen here as regression anchors.
 """
 
-import dataclasses
 import os
 from pathlib import Path
 
@@ -430,8 +429,8 @@ class TestFrameCoherence:
         base = resolve_model("vertical-xi")
         v1, v2, xi = base.vertical_fields
         h1, h2 = base.horizontal_fields
-        swapped = dataclasses.replace(
-            base, vertical_fields=(v2, v1, xi), horizontal_fields=(h2, h1)
+        swapped = base._replace(
+            vertical_fields=(v2, v1, xi), horizontal_fields=(h2, h1)
         )
         a0 = block_of_one(base, PT)
         a1 = block_of_one(swapped, PT)
