@@ -5,18 +5,20 @@ output directories of two checkouts, compared with ``diff -r``, show
 whether the checkouts give byte-identical reports. The matrix:
 
 - ``verify`` on r2m1:1..4 at 40 points (blocks of 4 points at d = 9);
-- ``verify`` on r2m1:3 and r2m1:4 at 400 points (31 and 100 blocks), which
-  ``cli._map_blocks`` spreads over forked worker processes on a machine
-  with at least two usable CPUs (the 40-point runs stay in one process);
+- ``verify`` on r2m1:1..4 at 400 points: one block of 400 points at d = 3,
+  seven of 52 points and one of 36 at d = 5, and at d = 7 and 9 31 and 100
+  blocks, which ``cli._map_blocks`` spreads over forked worker processes
+  on a machine with at least two usable CPUs (the other runs stay in one
+  process);
 - ``report`` and ``theorems`` on vertical-xi, horizontal-xi and
   models/reeb_fiber.json at 56 points (d = 5: a submersion sample is cut
   by ``point_blocks(power=5)`` into five blocks of 10 points and one of 6);
 
 each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8
-(108 runs); and ``theorems --probe random:64`` on the same three models at
+(126 runs); and ``theorems --probe random:64`` on the same three models at
 8 points, at the same seeds (9 runs). Random probes with enough probe rows
 (448 and 512 here) are split by columns over forked worker processes on a
-machine with at least two usable CPUs. 117 runs in all, each report named
+machine with at least two usable CPUs. 135 runs in all, each report named
 by its command, model, points, seed and probe; exit_codes.txt holds the
 exit code of each. The parser's own text is part of the matrix too: the
 ``--help`` output of the program and of each subcommand at ``COLUMNS=80``
@@ -51,7 +53,7 @@ SEEDS = (42, 7, 1234)
 PROBES = ("first", "all", "random:8")
 SUBMERSIONS = ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
 RUNS = [("verify", f"r2m1:{m}", 40, PROBES) for m in (1, 2, 3, 4)] + [
-    ("verify", f"r2m1:{m}", 400, PROBES) for m in (3, 4)
+    ("verify", f"r2m1:{m}", 400, PROBES) for m in (1, 2, 3, 4)
 ] + [
     (command, model, 56, PROBES) for command in ("report", "theorems") for model in SUBMERSIONS
 ] + [("theorems", model, 8, ("random:64",)) for model in SUBMERSIONS]

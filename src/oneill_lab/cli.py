@@ -112,7 +112,13 @@ def _config_echo(config: RunConfig) -> dict:
 # 0.075 s); 8 gained in 5 of 6 runs (d = 5 at 800 points, 0.10-0.12 ->
 # 0.075-0.12 s; d = 7 at 208 points, 0.09-0.11 -> 0.07-0.105 s); the
 # sweep's d = 7 (31 blocks) went 0.209 -> 0.111 s and d = 9 (100 blocks)
-# 0.533 -> 0.298 s.
+# 0.533 -> 0.298 s. Measured again once the total-space contractions got
+# cheaper (three rounds of 10 alternated pairs, each side the mean of 3
+# runs, medians of the rounds): 8 blocks per worker still gained in 25 of
+# 30 pairs at d = 5 on 800 points (0.056-0.097 -> 0.052-0.061 s) and 28 of
+# 30 at d = 7 on 208 points (0.052-0.089 -> 0.046-0.057 s); 4 per worker
+# (d = 5 on 400 points) won 0, 9 and 10 of the rounds' pairs, so the
+# break-even stays between 4 and 8.
 _MIN_BLOCKS_PER_WORKER = 8
 
 
@@ -375,6 +381,8 @@ def cli_parse(argv) -> RunConfig:
     for name, value in tiers.items():
         if not value >= 0.0:  # NaN fails this too
             parser.error(f"--tol-{name} must be a number >= 0, got {value}")
+        if value == np.inf:  # a gate that no residual can fail
+            parser.error(f"--tol-{name} must be finite, got {value}")
     return RunConfig(
         command=ns.command,
         model=ns.model,

@@ -43,10 +43,10 @@ class ContactStructure(NamedTuple):
     xi: VectorField
     eta: tuple  # dim callables
 
-    def at(self, points) -> "ContactData":
-        """phi and xi with their first partials, and eta, on a block of
-        points ``(N, d)``: each callable runs once per block."""
-        vs = seed_block(points, order=1)
+    def at(self, vs) -> "ContactData":
+        """phi and xi with their first partials, and eta, on the order-1
+        coordinate jets ``vs`` of a block of points (:func:`jets.seed_block`):
+        each callable runs once per block."""
         phi = model_jets(self.phi, vs)
         eta = model_jets(self.eta, vs)
         xi = model_jets(self.xi.components, vs)
@@ -206,7 +206,7 @@ def verify_sasakian(data: SpaceFormData) -> dict:
     # (nabla_{d_a} phi)(d_b) = g_ab xi - eta_b d_a
     nabla_phi = (
         np.einsum("pkba->pkab", dphi)
-        + np.einsum("pkam,pmb->pkab", conn.gamma, phi_v)
+        + _gamma_phi(conn.gamma, phi_v)
         - np.einsum("pkm,pmab->pkab", phi_v, conn.gamma)
     )
     target = np.einsum("pab,pk->pkab", gv, xi_v) - np.einsum(
@@ -224,6 +224,21 @@ def verify_sasakian(data: SpaceFormData) -> dict:
     }
 
 
+def _gamma_phi(gamma: np.ndarray, phi_v: np.ndarray) -> np.ndarray:
+    """``np.einsum("pkam,pmb->pkab", gamma, phi_v)``, bit for bit, C-ordered.
+
+    Read from C-ordered copies of gamma with its summed ``m`` first and of
+    the transposed phi, einsum's loop runs along the ``ka`` rows over the
+    same products, summed in the same order; the result, laid out as
+    ``(p, b, k, a)``, is copied into C order."""
+    rows = np.einsum(
+        "pmka,pbm->pkab",
+        np.ascontiguousarray(gamma.transpose(0, 3, 1, 2)),
+        np.ascontiguousarray(phi_v.transpose(0, 2, 1)),
+    )
+    return np.ascontiguousarray(rows)
+
+
 class SpaceFormData(NamedTuple):
     """A Sasakian space form on a block of points: the connection, the jet
     curvature, the contact data and the closed-form curvature."""
@@ -239,8 +254,11 @@ def space_form_data(spec: SasakianSpaceFormSpec, points) -> SpaceFormData:
     """Evaluate the metric, connection, curvature and contact data once on
     a block of points ``(N, d)``."""
     points = np.asarray(points, dtype=float)
-    conn = christoffel_at(spec.model, points)
-    contact = spec.structure.at(points)
+    # one seed per block: the contact data reads the metric's coordinate
+    # jets without their Hessians
+    vs = seed_block(points)
+    conn = christoffel_at(spec.model, points, vs)
+    contact = spec.structure.at([v.first_order() for v in vs])
     return SpaceFormData(
         points=points,
         conn=conn,
@@ -254,8 +272,9 @@ def space_form_r4_at(spec: SasakianSpaceFormSpec, coords) -> np.ndarray:
     """``space_form_r4`` of the spec's structure at one point."""
     st = spec.structure
     points = np.asarray(coords, dtype=float)[None]
-    contact = st.at(points)
-    gv = metric_at(st.model, points, order=1).value
+    vs = seed_block(points, order=1)
+    contact = st.at(vs)
+    gv = metric_at(st.model, points, order=1, vs=vs).value
     return space_form_r4(spec.c, gv, contact.phi, contact.eta)[0]
 
 

@@ -426,6 +426,8 @@ class ArrayJet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, float, np.floating, np.integer)):
+            return self._over_number(float(other))
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -447,6 +449,24 @@ class ArrayJet:
                 - w_val[..., None, None] * hb
             ) / ov[..., None, None]
         return ArrayJet(w_val, w_grad, hess)
+
+    def _over_number(self, c: float) -> "ArrayJet":
+        """The quotient rule of ``__truediv__`` by the constant jet of ``c``,
+        without building that jet. Its value's products with the zero
+        gradient and Hessian are kept as ``w * 0.0``, so that -0.0,
+        infinities and NaN come out bit for bit as from the zero jets, and
+        the gradient is laid out in C order, as a difference with a full
+        zero product is. The symmetric outer product takes the zero
+        gradient itself: built from ``w' * 0.0`` by a broadcast sum, it
+        would keep the other NaN where two NaNs meet."""
+        if abs(c) < _DIV_GUARD:
+            raise SingularEvaluationError(f"jet division by near-zero denominator {c!r}")
+        w_val = np.asarray(np.asarray(self.value) / c)
+        w_grad = np.subtract(self.gradient, w_val[..., None] * 0.0, order="C") / c
+        if self.hessian is None:
+            return ArrayJet(w_val, w_grad, None)
+        sym = _batch_sym_outer(w_grad, np.zeros(self.dim))
+        return ArrayJet(w_val, w_grad, (self.hessian - sym - w_val[..., None, None] * 0.0) / c)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

@@ -24,6 +24,13 @@ axis as an extra batch index, so each point's sums run in the same order as
 for a block of one point. :func:`pair_r4` keeps to einsums of three or more
 operands, whose loop adds in index order (numpy's two-operand loops do not),
 and holds at most ``4 * _BLOCK_ENTRIES`` entries of products at a time.
+
+Strides are part of a result: einsum's loop follows its operands' strides,
+and so does the order in which a later contraction adds its terms. The
+lowered curvature ``r4`` and ``dinverse`` (:func:`_lower_first`,
+:func:`_dinverse`) are spelled with their operands in a memory order where
+einsum's loop is fast and still adds the same terms in the same order, and
+are handed on in the strides of their plain spellings.
 """
 
 from __future__ import annotations
@@ -141,12 +148,14 @@ class MetricData(NamedTuple):
     dinverse: np.ndarray  # (p, a, d, d) = partial_a g^ij
 
 
-def metric_jets(model: ManifoldModel, points, order: int) -> ArrayJet:
+def metric_jets(model: ManifoldModel, points, order: int, vs=None) -> ArrayJet:
     """The metric's jets on a block of points ``(N, d)``, shape ``(N, d, d)``:
     the upper triangle evaluated, then mirrored. The domain check runs for
     every point and raises for the first failing one; there is no
-    positive-definiteness gate."""
-    vs = seed_block(points, order=order)
+    positive-definiteness gate. ``vs`` are the points' coordinate jets of
+    :func:`jets.seed_block` at ``order``, where the caller has them."""
+    if vs is None:
+        vs = seed_block(points, order=order)
     pts = np.asarray(points, dtype=float)
     for coords in pts:
         if model.domain_guard is not None and not model.domain_guard(coords):
@@ -167,12 +176,12 @@ def metric_jets(model: ManifoldModel, points, order: int) -> ArrayJet:
     return ArrayJet(value, gradient, hessian)
 
 
-def metric_at(model: ManifoldModel, points, order: int = 2) -> MetricData:
+def metric_at(model: ManifoldModel, points, order: int = 2, vs=None) -> MetricData:
     """The metric jets of :func:`metric_jets` on a block of points, gated:
     the positive-definiteness check runs for every point and raises for the
     first failing one. A metric with an entry that is not finite fails it,
     and so does a NaN eigenvalue."""
-    g = metric_jets(model, points, order)
+    g = metric_jets(model, points, order, vs)
     value, d1 = g.value, g.gradient
     d2 = np.zeros(d1.shape + d1.shape[-1:]) if g.hessian is None else g.hessian
     finite = np.isfinite(value).all(axis=(1, 2))
@@ -187,9 +196,21 @@ def metric_at(model: ManifoldModel, points, order: int = 2) -> MetricData:
             f"{np.asarray(points, dtype=float)[k].tolist()}: {why}"
         )
     inverse = np.linalg.inv(value)
-    # d(g^-1) = -g^-1 (dg) g^-1, one slab per coordinate direction
-    dinverse = -np.einsum("pim,pmna,pnj->paij", inverse, d1, inverse)
+    dinverse = _dinverse(inverse, d1)
     return MetricData(value=value, d1=d1, d2=d2, inverse=inverse, dinverse=dinverse)
+
+
+def _dinverse(inverse: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """d(g^-1) = -g^-1 (dg) g^-1, one slab per coordinate direction:
+    ``-np.einsum("pim,pmna,pnj->paij", inverse, d1, inverse)``, bit for bit
+    and stride for stride (laid out as ``(p, i, a, j)`` in memory).
+
+    With the first factor read from a C-ordered copy of the transposed
+    inverse, einsum's loop runs faster over the same products, summed in
+    the same order, into the same layout; the sums are negated in place."""
+    first = np.ascontiguousarray(inverse.transpose(0, 2, 1))
+    sums = np.einsum("pmi,pmna,pnj->paij", first, d1, inverse)
+    return np.negative(sums, out=sums)
 
 
 class ConnectionData(NamedTuple):
@@ -198,9 +219,10 @@ class ConnectionData(NamedTuple):
     dgamma: np.ndarray  # (p, k, i, j, a)
 
 
-def christoffel_at(model: ManifoldModel, points) -> ConnectionData:
-    """Christoffel symbols and their partials on a block of points."""
-    g = metric_at(model, points, order=2)
+def christoffel_at(model: ManifoldModel, points, vs=None) -> ConnectionData:
+    """Christoffel symbols and their partials on a block of points; ``vs``
+    as for :func:`metric_jets` at order 2."""
+    g = metric_at(model, points, order=2, vs=vs)
     # w[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; the permutations are
     # views of d1 and d2, and each sum is accumulated in place, left to right
     w = np.einsum("pjli->plij", g.d1) + np.einsum("pilj->plij", g.d1)
@@ -241,10 +263,24 @@ def curvature_from_connection(conn: ConnectionData) -> CurvatureData:
     r13 = np.einsum("pljki->plijk", dgamma) - np.einsum("plikj->plijk", dgamma)
     r13 += np.einsum("plim,pmjk->plijk", gamma, gamma)
     r13 -= np.einsum("pljm,pmik->plijk", gamma, gamma)
-    r4 = np.einsum("pml,pmijk->pijkl", conn.metric.value, r13)
+    r4 = _lower_first(conn.metric.value, r13)
     return CurvatureData(
         metric=conn.metric, gamma=gamma, dgamma=dgamma, r13=r13, r4=r4
     )
+
+
+def _lower_first(g: np.ndarray, r13: np.ndarray) -> np.ndarray:
+    """``np.einsum("pml,pmijk->pijkl", g, r13)``, bit for bit, C-ordered.
+
+    With ``ijk`` as one axis, contiguous in ``r13``, and ``g`` transposed
+    into a C-ordered copy, einsum's inner loop runs along ``ijk`` and adds
+    the same terms in the same order; the result, laid out as
+    ``(p, l, ijk)``, is copied into C order."""
+    n, d = g.shape[:2]
+    lowered = np.einsum(
+        "plm,pmx->pxl", np.ascontiguousarray(g.transpose(0, 2, 1)), r13.reshape(n, d, -1)
+    )
+    return np.ascontiguousarray(lowered.reshape(r13.shape))
 
 
 def ricci_from_curvature(curv: CurvatureData) -> np.ndarray:

@@ -10,6 +10,7 @@ engine's curvature tensor at one point with the given vectors.
 import numpy as np
 
 from oneill_lab.errors import OneillLabError, RejectedInputError
+from oneill_lab.jets import seed_block
 from oneill_lab.riemannian import metric_at, pair_r4, riemann_at
 
 
@@ -52,7 +53,7 @@ def phi_sectional(spec, coords, x) -> float:
     st = spec.structure
     points = np.asarray(coords, dtype=float)[None]
     gv = metric_at(st.model, points, order=1).value[0]
-    contact = st.at(points)
+    contact = st.at(seed_block(points, order=1))
     x = np.asarray(x, dtype=float)
     if abs(float(x @ gv @ x) - 1.0) > 1e-10:
         raise RejectedInputError("phi_sectional needs a unit vector")

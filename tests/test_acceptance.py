@@ -19,6 +19,7 @@ from slices import analysis_blocks, blocks_of_one, calc_of_one
 from oneill_lab.cli import cli_parse, resolve_model, run
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.invariants import identity_residuals
+from oneill_lab.jets import seed_block
 from oneill_lab.riemannian import metric_at, riemann_at
 from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
 from oneill_lab.submersion import (
@@ -134,7 +135,7 @@ def test_c2_sasakian_axioms_and_phi_sections(space_form, sf_points):
         gv = metric_at(space_form.model, [pt], order=1).value[0]
         xi = darboux_frame(pt)[-1]
         vec = rng.uniform(-1.0, 1.0, size=space_form.model.dim)
-        vec = vec - float(st.at([pt]).eta[0] @ vec) * xi
+        vec = vec - float(st.at(seed_block([pt], order=1)).eta[0] @ vec) * xi
         norm_sq = float(vec @ gv @ vec)
         assert norm_sq > 1e-6
         sec = phi_sectional(space_form, pt, vec / np.sqrt(norm_sq))

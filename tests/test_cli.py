@@ -83,6 +83,8 @@ class TestParse:
             ["report", "--tol-curv", "nan"],
             ["report", "--tol-curv", "-1"],
             ["report", "--tol-alg", "-inf"],
+            ["verify", "--tol-alg", "inf"],
+            ["report", "--tol-d2curv", "1e309"],
             ["verify", "--tol-d2curv", "-1e-300"],
             ["theorems", "--theorems", "V1,V1", "--points", "200"],
             ["verify", "--theorems", ","],

@@ -7,6 +7,7 @@ from darboux import darboux_frame, phi_sectional, sectional_curvature
 from oneill_lab import expressions
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.errors import RejectedInputError
+from oneill_lab.jets import seed_block
 from oneill_lab.riemannian import metric_at, riemann_at
 
 TOL_ALG = 1e-10
@@ -42,7 +43,7 @@ def test_frame_is_orthonormal(spec5, pt):
 def test_frame_is_phi_adapted(spec5):
     pt = [0.3, -1.1, 0.7, 0.2, -0.5]
     fr = darboux_frame(pt)
-    phi_v = spec5.structure.at([pt]).phi[0]
+    phi_v = spec5.structure.at(seed_block([pt], order=1)).phi[0]
     m = 2
     for i in range(m):
         # phi E_i = E_{m+i}, phi E_{m+i} = -E_i

@@ -443,3 +443,79 @@ def test_seed_block_matches_seed_per_point():
 def test_seed_block_rejects_bad_blocks(points):
     with pytest.raises(RejectedInputError):
         seed_block(points)
+
+
+# -- division by a number: the quotient rule by its constant jet --------------
+
+
+def _with_specials(rng, shape):
+    """Normal draws spread over 12 decades, about one in 10 of them replaced
+    by 0.0, -0.0, inf, -inf or NaN."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])[rng.integers(0, 5, shape)]
+    return np.where(rng.random(shape) < 0.1, specials, values)
+
+
+def _laid_out(rng, shape, layout):
+    """Draws of ``shape`` (a batch axis first) in C order, in Fortran order,
+    broadcast along the batch axis as ``seed_block`` makes gradients, or as
+    a strided slice of a larger batch."""
+    if layout == "broadcast":
+        return np.broadcast_to(_with_specials(rng, shape[1:]), shape)
+    if layout == "slice":
+        return _with_specials(rng, (2 * shape[0],) + shape[1:])[::2]
+    values = _with_specials(rng, shape)
+    return np.asfortranarray(values) if layout == "fortran" else values
+
+
+def _same_array(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.shape == want.shape
+        and got.strides == want.strides
+        and np.array_equal(
+            np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
+        )
+    )
+
+
+_DENOMINATORS = st.sampled_from(
+    [4, -2, 0.25, -3.5, 1e300, 1e-300, 9.9e-301, -1e-301, 0.0, -0.0, np.inf, -np.inf, np.nan]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 9, 11, 13]),
+    st.integers(1, 64) | st.just(400),
+    st.sampled_from([1, 2]),
+    st.sampled_from(["C", "fortran", "broadcast", "slice"]),
+    _DENOMINATORS,
+    st.integers(0, 2**32 - 1),
+)
+def test_division_by_a_number_is_the_quotient_rule_by_its_constant_jet(
+    d, n, order, layout, c, seed
+):
+    """A jet over a number equals the generic quotient rule by the number's
+    constant jet (zero gradient, zero Hessian at order 2), value, gradient
+    and Hessian byte for byte and stride for stride, with signed zeros,
+    infinities and NaNs; near 0 both raise the same error text."""
+    rng = np.random.default_rng(seed)
+    hess = None if order == 1 else _laid_out(rng, (n, d, d), layout)
+    jet = ArrayJet(_with_specials(rng, (n,)), _laid_out(rng, (n, d), layout), hess)
+    constant = ArrayJet(float(c), np.zeros(d), None if order == 1 else np.zeros((d, d)))
+    with np.errstate(all="ignore"):
+        try:
+            want = jet / constant
+        except SingularEvaluationError as exc:
+            with pytest.raises(SingularEvaluationError) as got:
+                _ = jet / c
+            assert str(got.value) == str(exc)
+            return
+        got = jet / c
+    assert _same_array(got.value, want.value)
+    assert _same_array(got.gradient, want.gradient)
+    if order == 1:
+        assert got.hessian is None and want.hessian is None
+    else:
+        assert _same_array(got.hessian, want.hessian)

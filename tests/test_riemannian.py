@@ -11,7 +11,7 @@ from darboux import DegeneratePlaneError, sectional_curvature
 from oneill_lab.cli import BUNDLED_MODELS, resolve_model
 from oneill_lab.contact import build_r2m1, space_form_data
 from oneill_lab.errors import DegenerateMetricError, OutOfDomainError
-from oneill_lab import riemannian
+from oneill_lab import contact, riemannian
 from oneill_lab.jets import jet_eval, seed_block
 from oneill_lab.riemannian import (
     ManifoldModel,
@@ -535,3 +535,129 @@ def test_pair_r4_probe_points_beyond_one_run(n, probes, seed):
     _assert_five_operand_order(
         [_with_specials(rng, shape) for shape in _pair_shapes("block-probes", 5, n, 3, probes)]
     )
+
+
+# -- the fast spellings of the total-space contractions -----------------------
+#
+# Each is the same sequential sum as a plain einsum, run in another memory
+# order, and hands its result on in the strides of the plain spelling: a
+# later einsum adds its terms in an order that follows its operands'
+# strides, so equal values in other strides could still move report bits.
+
+
+def _plain_dinverse(inverse, d1):
+    return -np.einsum("pim,pmna,pnj->paij", inverse, d1, inverse)
+
+
+def _plain_lower_first(g, r13):
+    return np.einsum("pml,pmijk->pijkl", g, r13)
+
+
+def _plain_gamma_phi(gamma, phi_v):
+    return np.einsum("pkam,pmb->pkab", gamma, phi_v)
+
+
+def _same_bits_and_strides(got, want) -> bool:
+    return got.strides == want.strides and _same_bits(got, want)
+
+
+# At d >= 9 a block of 400 points would make arrays of more than 16 MiB;
+# the pipeline's own blocks stay at 256 KiB (``point_blocks``).
+_MAX_ENTRIES = 1 << 21
+
+
+@st.composite
+def _block_shape(draw):
+    """An odd chart dimension in 3..13 and a block of 1..64 or 400 points."""
+    d = draw(st.sampled_from([3, 5, 7, 9, 11, 13]))
+    sizes = st.integers(1, 64)
+    if 400 * d**4 <= _MAX_ENTRIES:
+        sizes = sizes | st.just(400)
+    return d, draw(sizes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_shape(), st.integers(0, 2**32 - 1))
+def test_fast_spellings_equal_plain_einsums_in_bits_and_strides(shape, seed):
+    """``_dinverse``, ``_lower_first`` and ``contact._gamma_phi`` equal their
+    plain einsums byte for byte and stride for stride, on C-ordered
+    operands (as the pipeline makes them) holding signed zeros,
+    infinities and NaNs."""
+    d, n = shape
+    rng = np.random.default_rng(seed)
+    square = _with_specials(rng, (n, d, d))
+    with np.errstate(all="ignore"):
+        d1 = _with_specials(rng, (n, d, d, d))
+        assert _same_bits_and_strides(
+            riemannian._dinverse(square, d1), _plain_dinverse(square, d1)
+        )
+        assert _same_bits_and_strides(
+            contact._gamma_phi(d1, square), _plain_gamma_phi(d1, square)
+        )
+        del d1
+        r13 = _with_specials(rng, (n, d, d, d, d))
+        assert _same_bits_and_strides(
+            riemannian._lower_first(square, r13), _plain_lower_first(square, r13)
+        )
+
+
+# Memory order of the axes of each SpaceFormData array, outermost first.
+_LAYOUTS = {
+    "points": (0, 1),
+    "metric.value": (0, 1, 2),
+    "metric.d1": (0, 1, 2, 3),
+    "metric.d2": (0, 1, 2, 3, 4),
+    "metric.inverse": (0, 1, 2),
+    "metric.dinverse": (0, 2, 1, 3),  # (p, a, i, j) stored as (p, i, a, j)
+    "gamma": (0, 1, 2, 3),
+    "dgamma": (0, 1, 4, 2, 3),  # (p, k, i, j, a) stored as (p, k, a, i, j)
+    "r13": (0, 1, 2, 3, 4),
+    "r4": (0, 1, 2, 3, 4),
+    "contact.phi": (0, 1, 2),
+    "contact.dphi": (0, 1, 2, 3),
+    "contact.eta": (0, 1),
+    "contact.xi": (0, 1),
+    "contact.dxi": (0, 1, 2),
+    "closed": (0, 1, 2, 3, 4),
+}
+
+
+def _space_form_arrays(data):
+    metric, contact = data.conn.metric, data.contact
+    return {
+        "points": data.points,
+        **{f"metric.{k}": v for k, v in metric._asdict().items()},
+        "gamma": data.conn.gamma,
+        "dgamma": data.conn.dgamma,
+        "r13": data.curvature.r13,
+        "r4": data.curvature.r4,
+        **{f"contact.{k}": v for k, v in contact._asdict().items()},
+        "closed": data.closed,
+    }
+
+
+def _layout_strides(shape, layout):
+    strides = [0] * len(shape)
+    step = 8
+    for axis in reversed(layout):
+        strides[axis] = step
+        step *= shape[axis]
+    return tuple(strides)
+
+
+@pytest.mark.parametrize(
+    "name", [f"r2m1:{m}" for m in (1, 2, 3, 4)] + sorted(SUBMERSIONS)
+)
+def test_space_form_data_strides_are_frozen(name):
+    """Every array of a block's SpaceFormData keeps the strides it had when
+    each was the plain einsum, for a block of one point and a full block."""
+    model = name if name.startswith("r2m1:") else SUBMERSIONS[name]
+    resolved = resolve_model(model)
+    spec = getattr(resolved, "total", resolved)
+    d = spec.model.dim
+    rng = np.random.default_rng(3)
+    for n in (1, max(2, 32768 // d**4)):
+        arrays = _space_form_arrays(space_form_data(spec, rng.uniform(-2.0, 2.0, (n, d))))
+        assert set(arrays) == set(_LAYOUTS)
+        for key, arr in arrays.items():
+            assert arr.strides == _layout_strides(arr.shape, _LAYOUTS[key]), key
