@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fanout import map_parts, split
 from .invariants import analyze_point, identity_residuals
-from .report import Report, Tolerances, decide_verdict, identity_tolerance, known_flags_for
+from .report import Report, Tolerances, known_flags_for, residual_checks
 from .riemannian import max_residual, point_blocks
 from .sampling import SampleConfig, sample_model_points, sample_submersion_points
 from .submersion import (
@@ -130,11 +130,6 @@ def _map_blocks(fn, blocks) -> list:
     return [result for part in parts for result in part]
 
 
-# the Sasakian checks of the algebraic almost-contact relations, gated on the
-# alg tier; the derivative laws get the d1 tier
-_ALGEBRAIC = ("phi_square", "eta_xi", "phi_metric_compat", "eta_is_metric_dual")
-
-
 def _maxima(dicts) -> dict:
     """The ``max_residual`` of each key over the residual dicts ``dicts``,
     folded in sample order."""
@@ -157,17 +152,10 @@ def _spaceform_structure(summaries, points: int, tol: Tolerances):
     """Sasakian residuals and the curvature cross-check over the sample of
     ``points`` points, folded from the summaries of its blocks."""
     sas = _maxima(summaries)
-    curv1 = sas.pop("curv1")
-    section = {
-        "points": points,
-        "sasakian": sas,
-        "curvature": {"curv1": curv1},
-    }
-    checks = {
-        f"sasakian.{k}": v <= (tol.alg if k in _ALGEBRAIC else tol.d1)
-        for k, v in sas.items()
-    }
-    checks["curvature.curv1"] = curv1 <= tol.curv
+    curvature = {"curv1": sas.pop("curv1")}
+    section = {"points": points, "sasakian": sas, "curvature": curvature}
+    checks = residual_checks("sasakian", sas, tol)
+    checks.update(residual_checks("curvature", curvature, tol))
     return section, checks
 
 
@@ -196,21 +184,10 @@ def _submersion_structure(states, analyses, points: int, tol: Tolerances):
         "base_pd_flags": pd_flags,
     }
     section["lemmas"] = lemmas
-    checks["submersion.kernel"] = kernel <= tol.d1
-    checks["submersion.length"] = length <= tol.d1
+    checks.update(residual_checks("submersion", {"kernel": kernel, "length": length}, tol))
     checks["submersion.base_pd"] = all(pd_flags)
-    for k, v in lemmas.items():
-        checks[f"lemmas.{k}"] = v <= tol.d1
+    checks.update(residual_checks("lemmas", lemmas, tol))
     return section, checks
-
-
-def _identity_section(analyses, tol: Tolerances):
-    maxima = _maxima(map(identity_residuals, analyses))
-    checks = {
-        f"identities.{key}": val <= identity_tolerance(key, tol)
-        for key, val in maxima.items()
-    }
-    return {"max_residuals": maxima}, checks
 
 
 def _theorem_section(analyses, config: RunConfig):
@@ -301,21 +278,20 @@ def run(config: RunConfig) -> Report:
         if config.command in ("verify", "report"):
             structure, structure_checks = _submersion_structure(states, analyses, len(pts), tol)
             checks.update(structure_checks)
-            identities, id_checks = _identity_section(analyses, tol)
-            checks.update(id_checks)
+            maxima = _maxima(map(identity_residuals, analyses))
+            identities = {"max_residuals": maxima}
+            checks.update(residual_checks("identities", maxima, tol))
         if config.command in ("theorems", "report"):
             theorems, th_checks = _theorem_section(analyses, config)
             checks.update(th_checks)
 
-    verdict, flags_raised = decide_verdict(checks, flagged)
     return Report(
         config=_config_echo(config),
         structure=structure,
         identities=identities,
         theorems=theorems,
         checks=checks,
-        verdict=verdict,
-        flags_raised=flags_raised,
+        known_flags=flagged,
     )
 
 

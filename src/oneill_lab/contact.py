@@ -26,33 +26,10 @@ from .riemannian import (
     ConnectionData,
     CurvatureData,
     ManifoldModel,
-    VectorField,
     christoffel_at,
     curvature_from_connection,
-    metric_at,
     model_jets,
 )
-
-
-class ContactStructure(NamedTuple):
-    """(phi, xi, eta) data on a chart. phi[i][j] is the component of
-    phi(d_j) along d_i; eta[a] is the covector component on d_a."""
-
-    model: ManifoldModel
-    phi: tuple  # dim x dim nested tuple of callables
-    xi: VectorField
-    eta: tuple  # dim callables
-
-    def at(self, vs) -> "ContactData":
-        """phi and xi with their first partials, and eta, on the order-1
-        coordinate jets ``vs`` of a block of points (:func:`jets.seed_block`):
-        each callable runs once per block."""
-        phi = model_jets(self.phi, vs)
-        eta = model_jets(self.eta, vs)
-        xi = model_jets(self.xi.components, vs)
-        return ContactData(
-            phi=phi.value, dphi=phi.gradient, eta=eta.value, xi=xi.value, dxi=xi.gradient
-        )
 
 
 class ContactData(NamedTuple):
@@ -66,14 +43,26 @@ class ContactData(NamedTuple):
 
 
 class SasakianSpaceFormSpec(NamedTuple):
-    """A contact structure together with its constant phi-sectional curvature."""
+    """A Sasakian space form: its chart model, constant phi-sectional
+    curvature c, and (phi, xi, eta) on the chart. phi[i][j] is the component
+    of phi(d_j) along d_i; eta[a] is the covector component on d_a."""
 
+    model: ManifoldModel
     c: float
-    structure: ContactStructure
+    phi: tuple  # dim x dim nested tuple of callables
+    xi: tuple  # dim callables
+    eta: tuple  # dim callables
 
-    @property
-    def model(self) -> ManifoldModel:
-        return self.structure.model
+    def contact_at(self, vs) -> ContactData:
+        """phi and xi with their first partials, and eta, on the order-1
+        coordinate jets ``vs`` of a block of points (:func:`jets.seed_block`):
+        each callable runs once per block."""
+        phi = model_jets(self.phi, vs)
+        eta = model_jets(self.eta, vs)
+        xi = model_jets(self.xi, vs)
+        return ContactData(
+            phi=phi.value, dphi=phi.gradient, eta=eta.value, xi=xi.value, dxi=xi.gradient
+        )
 
 
 def chart_model_from_document(doc: dict, prefix: str, name: str, memo: dict) -> ManifoldModel:
@@ -121,12 +110,9 @@ def space_form_from_document(doc: dict, memo: dict) -> SasakianSpaceFormSpec:
     if c is None or not np.isfinite(c):
         raise RejectedInputError(f"contact c must be a finite real number, got {contact['c']!r}")
     phi = compile_matrix(contact["phi"], chart, "contact phi", memo)
-    xi = VectorField(
-        components=compile_vector(contact["xi"], chart, "contact xi", memo, dim), name="xi"
-    )
+    xi = compile_vector(contact["xi"], chart, "contact xi", memo, dim)
     eta = compile_vector(contact["eta"], chart, "contact eta", memo, dim)
-    structure = ContactStructure(model=model, phi=phi, xi=xi, eta=eta)
-    return SasakianSpaceFormSpec(c=c, structure=structure)
+    return SasakianSpaceFormSpec(model=model, c=c, phi=phi, xi=xi, eta=eta)
 
 
 def build_r2m1(m: int) -> SasakianSpaceFormSpec:
@@ -258,7 +244,7 @@ def space_form_data(spec: SasakianSpaceFormSpec, points) -> SpaceFormData:
     # jets without their Hessians
     vs = seed_block(points)
     conn = christoffel_at(spec.model, points, vs)
-    contact = spec.structure.at([v.first_order() for v in vs])
+    contact = spec.contact_at([v.first_order() for v in vs])
     return SpaceFormData(
         points=points,
         conn=conn,
@@ -269,13 +255,9 @@ def space_form_data(spec: SasakianSpaceFormSpec, points) -> SpaceFormData:
 
 
 def space_form_r4_at(spec: SasakianSpaceFormSpec, coords) -> np.ndarray:
-    """``space_form_r4`` of the spec's structure at one point."""
-    st = spec.structure
-    points = np.asarray(coords, dtype=float)[None]
-    vs = seed_block(points, order=1)
-    contact = st.at(vs)
-    gv = metric_at(st.model, points, order=1, vs=vs).value
-    return space_form_r4(spec.c, gv, contact.phi, contact.eta)[0]
+    """``space_form_r4`` of the spec at one point: the closed form of the
+    block of that point alone (a jet's value never reads its derivatives)."""
+    return space_form_data(spec, np.asarray(coords, dtype=float)[None]).closed[0]
 
 
 def space_form_r4(c: float, gv, phi_v, eta_v) -> np.ndarray:

@@ -64,6 +64,20 @@ def _batch_sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _power(x, n: int):
+    """x**n for an integer n != 0 by left-to-right square-and-multiply: at
+    most 2 log2(|n|) products, for |n| <= 3 those of x * x and (x * x) * x;
+    1 / x**-n for n < 0."""
+    if n < 0:
+        return 1.0 / _power(x, -n)
+    out = x
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarJet:
     """Truncated Taylor data of a scalar function at one point."""
@@ -180,12 +194,7 @@ class ScalarJet:
             n = int(exponent)
             if n == 0:
                 return constant(1.0, self.dim, order=self.order)
-            if n < 0:
-                return 1.0 / (self ** (-n))
-            out = self
-            for _ in range(n - 1):
-                out = out * self
-            return out
+            return _power(self, n)
         if self.value <= 0.0:
             raise SingularEvaluationError(
                 f"fractional power of non-positive base {self.value!r}"
@@ -485,12 +494,7 @@ class ArrayJet:
                 shape, d = self.shape, self.dim
                 hess = None if self.hessian is None else np.zeros(shape + (d, d))
                 return ArrayJet(np.ones(shape), np.zeros(shape + (d,)), hess)
-            if n < 0:
-                return 1.0 / (self ** (-n))
-            out = self
-            for _ in range(n - 1):
-                out = out * self
-            return out
+            return _power(self, n)
         v = np.asarray(self.value)
         if np.any(v <= 0.0):
             raise SingularEvaluationError(

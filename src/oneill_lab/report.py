@@ -60,9 +60,32 @@ KNOWN_FLAGS = {
     ),
 }
 
-# identity ids whose residuals are first-derivative level; the rest involve
-# curvature differences and get the d2curv tier
-_D1_IDENTITIES = frozenset({"T1"})
+# The tolerance tier of each residual check, by check id; ``<section>.*``
+# gives the tier of a section's ids not named (README, "Tolerance tiers").
+RESIDUAL_TIERS = {
+    "sasakian.phi_square": "alg",
+    "sasakian.eta_xi": "alg",
+    "sasakian.phi_metric_compat": "alg",
+    "sasakian.eta_is_metric_dual": "alg",
+    "sasakian.*": "d1",
+    "curvature.*": "curv",
+    "submersion.*": "d1",
+    "lemmas.*": "d1",
+    "identities.T1": "d1",
+    "identities.*": "d2curv",
+}
+
+
+def residual_checks(section: str, maxima: dict, tol: Tolerances) -> dict:
+    """The check of each residual maximum of a report section, in order:
+    ``<section>.<key>`` holds when the maximum is at most the tolerance of
+    its tier in ``RESIDUAL_TIERS`` (a NaN fails)."""
+    checks = {}
+    for key, value in maxima.items():
+        check_id = f"{section}.{key}"
+        tier = RESIDUAL_TIERS.get(check_id) or RESIDUAL_TIERS[f"{section}.*"]
+        checks[check_id] = value <= getattr(tol, tier)
+    return checks
 
 
 def known_flags_for(model_bytes: bytes) -> frozenset:
@@ -111,19 +134,31 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 class Report(NamedTuple):
-    """Assembled run result; ``checks`` maps dotted item ids to pass/fail."""
+    """Assembled run result; ``checks`` maps dotted item ids to pass/fail,
+    ``known_flags`` are the model's registered findings (``known_flags_for``)."""
 
     config: dict
     structure: Optional[dict]
     identities: Optional[dict]
     theorems: Optional[dict]
     checks: dict
-    verdict: str
-    flags_raised: tuple
+    known_flags: frozenset
 
     @property
     def failed(self) -> tuple:
         return tuple(k for k, ok in self.checks.items() if not ok)
+
+    @property
+    def flags_raised(self) -> tuple:
+        return tuple(k for k in self.failed if k in self.known_flags)
+
+    @property
+    def verdict(self) -> str:
+        """pass when every check holds, pass-with-flags when every failed
+        check is a known flag, fail otherwise."""
+        if not self.failed:
+            return "pass"
+        return "pass-with-flags" if set(self.failed) <= self.known_flags else "fail"
 
     def to_dict(self, timestamp: Optional[str] = None) -> dict:
         out = {"schema": REPORT_SCHEMA}
@@ -144,18 +179,3 @@ class Report(NamedTuple):
 
     def render(self, timestamp: Optional[str] = None) -> str:
         return render_json(self.to_dict(timestamp)) + "\n"
-
-
-def decide_verdict(checks: dict, flagged: frozenset):
-    """(verdict, flags_raised): pass when everything holds, pass-with-flags
-    when only items in ``flagged`` fail, fail otherwise."""
-    failed = tuple(k for k, ok in checks.items() if not ok)
-    if not failed:
-        return "pass", ()
-    if set(failed) <= flagged:
-        return "pass-with-flags", failed
-    return "fail", tuple(k for k in failed if k in flagged)
-
-
-def identity_tolerance(identity_id: str, tol: Tolerances) -> float:
-    return tol.d1 if identity_id in _D1_IDENTITIES else tol.d2curv

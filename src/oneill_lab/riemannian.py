@@ -176,14 +176,13 @@ def metric_jets(model: ManifoldModel, points, order: int, vs=None) -> ArrayJet:
     return ArrayJet(value, gradient, hessian)
 
 
-def metric_at(model: ManifoldModel, points, order: int = 2, vs=None) -> MetricData:
-    """The metric jets of :func:`metric_jets` on a block of points, gated:
-    the positive-definiteness check runs for every point and raises for the
-    first failing one. A metric with an entry that is not finite fails it,
-    and so does a NaN eigenvalue."""
-    g = metric_jets(model, points, order, vs)
+def metric_at(model: ManifoldModel, points, vs=None) -> MetricData:
+    """The metric jets of :func:`metric_jets` at order 2 on a block of
+    points, gated: the positive-definiteness check runs for every point and
+    raises for the first failing one. A metric with an entry that is not
+    finite fails it, and so does a NaN eigenvalue."""
+    g = metric_jets(model, points, 2, vs)
     value, d1 = g.value, g.gradient
-    d2 = np.zeros(d1.shape + d1.shape[-1:]) if g.hessian is None else g.hessian
     finite = np.isfinite(value).all(axis=(1, 2))
     # eigvalsh cannot take inf; a zero matrix in its place fails the gate
     low = np.linalg.eigvalsh(np.where(finite[:, None, None], value, 0.0))[:, 0]
@@ -197,7 +196,7 @@ def metric_at(model: ManifoldModel, points, order: int = 2, vs=None) -> MetricDa
         )
     inverse = np.linalg.inv(value)
     dinverse = _dinverse(inverse, d1)
-    return MetricData(value=value, d1=d1, d2=d2, inverse=inverse, dinverse=dinverse)
+    return MetricData(value=value, d1=d1, d2=g.hessian, inverse=inverse, dinverse=dinverse)
 
 
 def _dinverse(inverse: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -222,7 +221,7 @@ class ConnectionData(NamedTuple):
 def christoffel_at(model: ManifoldModel, points, vs=None) -> ConnectionData:
     """Christoffel symbols and their partials on a block of points; ``vs``
     as for :func:`metric_jets` at order 2."""
-    g = metric_at(model, points, order=2, vs=vs)
+    g = metric_at(model, points, vs)
     # w[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; the permutations are
     # views of d1 and d2, and each sum is accumulated in place, left to right
     w = np.einsum("pjli->plij", g.d1) + np.einsum("pilj->plij", g.d1)

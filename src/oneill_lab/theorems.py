@@ -200,11 +200,10 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, coeffs):
     None for random probes."""
     entry, calc, frame = _CATALOG[theorem_id], analysis.calc, analysis.calc.frame
     blocks = ((frame.vert_values, entry.needs_v), (frame.horiz_values, entry.needs_h))
-    if mode == "first" or not (entry.needs_v or entry.needs_h):
-        return (*(base[:, None] for base, _ in blocks), ([0], [0]))
-    if mode == "all":
-        vs = range(calc.r) if entry.needs_v else [0]
-        hs = range(calc.n) if entry.needs_h else [0]
+    if mode != "random" or not (entry.needs_v or entry.needs_h):
+        # frame vectors: under all every pair the theorem probes, else the first
+        vs = range(calc.r) if mode == "all" and entry.needs_v else [0]
+        hs = range(calc.n) if mode == "all" and entry.needs_h else [0]
         pairs = [(i, j) for i in vs for j in hs]
         return (
             frame.vert_values[:, [_rotation(calc.r, i) for i, _ in pairs]],
@@ -450,13 +449,16 @@ def _join_columns(tables) -> TheoremTable:
 
 
 # The least number of probe rows (points x random probes) each worker
-# process of a scan gets. A row costs 0.14-0.17 ms over the probed ids. CPU
-# times (getrusage) of a scan of vertical-xi at 8 points, one worker against
-# none, medians of 20 alternated runs on a 2-core x86-64 VM (CPU time, as
-# its second core is shared and wall times swing): at 64 rows per worker
-# this process saved 6.8 ms, and the fork cost 8.1 ms of CPU on both sides
-# together (fork, copy-on-write faults, pickling); at 128 rows it saved
-# 19.4 ms against 9.0 ms.
+# process of a scan gets. CPU times (getrusage) of a scan of vertical-xi at
+# 8 points, one worker against none, medians of 20 alternated runs on a
+# 2-core x86-64 VM (CPU time, as its second core is shared and wall times
+# swing): at 64 rows per worker this process saved 6.8 ms, and the fork cost
+# 8.1 ms of CPU on both sides together (fork, copy-on-write faults,
+# pickling); at 128 rows it saved 19.4 ms against 9.0 ms. On the benchmark's
+# theorems-random-probes (two scans of 512 rows a pass, a worker taking 256
+# of each), a pass took 0.084-0.103 s (median 0.090) with the split and
+# 0.107-0.112 s (median 0.109) without, in 10 alternated pairs of 40 s runs
+# on the same VM; the split won all 10.
 _MIN_PROBE_ROWS_PER_WORKER = 128
 
 

@@ -50,13 +50,12 @@ def sectional_curvature(model, coords, x, y) -> float:
 
 def phi_sectional(spec, coords, x) -> float:
     """Sectional curvature of span{X, phi X} for unit X orthogonal to xi."""
-    st = spec.structure
     points = np.asarray(coords, dtype=float)[None]
-    gv = metric_at(st.model, points, order=1).value[0]
-    contact = st.at(seed_block(points, order=1))
+    gv = metric_at(spec.model, points).value[0]
+    contact = spec.contact_at(seed_block(points, order=1))
     x = np.asarray(x, dtype=float)
     if abs(float(x @ gv @ x) - 1.0) > 1e-10:
         raise RejectedInputError("phi_sectional needs a unit vector")
     if abs(float(contact.eta[0] @ x)) > 1e-10:
         raise RejectedInputError("phi_sectional needs X orthogonal to xi")
-    return sectional_curvature(st.model, coords, x, contact.phi[0] @ x)
+    return sectional_curvature(spec.model, coords, x, contact.phi[0] @ x)

@@ -128,14 +128,13 @@ def test_c2_sasakian_axioms_and_phi_sections(space_form, sf_points):
         reeb = max(reeb, float(res["reeb_derivative"][0]))
         phi_law = max(phi_law, float(res["phi_derivative"][0]))
     rng = np.random.default_rng(7)
-    st = space_form.structure
     worst_sec = 0.0
     for k in range(50):
         pt = sf_points[k % len(sf_points)]
-        gv = metric_at(space_form.model, [pt], order=1).value[0]
+        gv = metric_at(space_form.model, [pt]).value[0]
         xi = darboux_frame(pt)[-1]
         vec = rng.uniform(-1.0, 1.0, size=space_form.model.dim)
-        vec = vec - float(st.at(seed_block([pt], order=1)).eta[0] @ vec) * xi
+        vec = vec - float(space_form.contact_at(seed_block([pt], order=1)).eta[0] @ vec) * xi
         norm_sq = float(vec @ gv @ vec)
         assert norm_sq > 1e-6
         sec = phi_sectional(space_form, pt, vec / np.sqrt(norm_sq))

@@ -571,6 +571,25 @@ def _vertical_xi_variant(tmp_path, block, row, col, entry):
     return _vertical_xi_copy(tmp_path, _replace_entry(block, row, col, entry))
 
 
+class TestIntegralPower:
+    def test_huge_integral_exponent_ends_in_seconds(self, tmp_path):
+        """x1**1000000000 in a metric entry costs about 2 log2(n) jet
+        products, not n - 1, so ``verify`` ends inside the time limit (in
+        about 0.3 s on a 2-core x86-64 VM). It ends in exit 7: where
+        |x1| > 1 the power overflows and 0 * inf is NaN."""
+        model = _vertical_xi_variant(tmp_path, "metric", 2, 2, "1/4+0*x1**1000000000")
+        argv = ["verify", "--model", str(model), "--points", "3", "--no-timestamp"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "oneill_lab", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 7
+        assert proc.stderr.startswith("error: DegenerateMetricError: ")
+        assert proc.stderr.rstrip().endswith("entries not finite")
+
+
 class TestNonFiniteResiduals:
     def test_nan_residuals_fail_and_report_stays_json(self, tmp_path, capsys):
         # NaN at every sampled point (z != 0): inf - inf in value and gradient

@@ -43,7 +43,7 @@ def test_frame_is_orthonormal(spec5, pt):
 def test_frame_is_phi_adapted(spec5):
     pt = [0.3, -1.1, 0.7, 0.2, -0.5]
     fr = darboux_frame(pt)
-    phi_v = spec5.structure.at(seed_block([pt], order=1)).phi[0]
+    phi_v = spec5.contact_at(seed_block([pt], order=1)).phi[0]
     m = 2
     for i in range(m):
         # phi E_i = E_{m+i}, phi E_{m+i} = -E_i
@@ -119,4 +119,4 @@ def test_each_distinct_entry_is_compiled_once_per_document(monkeypatch):
     assert len(texts) == len(set(texts)) < 180
     build_r2m1(4)
     assert texts[len(texts) // 2 :] == texts[: len(texts) // 2]
-    assert spec.structure.phi[0][0] is spec.model.metric[0][5]  # both "0"
+    assert spec.phi[0][0] is spec.model.metric[0][5]  # both "0"

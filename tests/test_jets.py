@@ -48,6 +48,25 @@ def test_pow_matches_repeated_mul():
     assert (x**3).gradient.tolist() == [27.0]
 
 
+def test_integral_power_takes_logarithmically_many_products(monkeypatch):
+    """Square-and-multiply: x**1000000000 takes at most 2 log2(n) products,
+    not n - 1 (the same for 1e9 written as a float)."""
+    products = []
+    mul = ScalarJet.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        assert len(products) <= 2 * 30, "more products than square-and-multiply takes"
+        return mul(a, b)
+
+    monkeypatch.setattr(ScalarJet, "__mul__", counted)
+    (x,) = seed([1.0]).vars
+    for exponent in (1000000000, 1e9):
+        products.clear()
+        y = x**exponent
+        assert y.value == 1.0 and y.gradient.tolist() == [1e9]
+
+
 def test_product_two_vars():
     x, y = seed([2.0, 5.0]).vars
     j = x * y
@@ -424,7 +443,8 @@ def test_array_jet_guards_raise_like_scalar_jets():
 )
 def test_array_jet_power_matches_scalar_jet_bit_for_bit(data, shape, dim, order):
     base = _draw_jet(data, shape, dim, order, values=st.floats(0.1, 10.0))
-    for exponent in (0, 1, 2, 3, -1, -2, 2.0, 0.5, 1.5, -0.5):
+    n = data.draw(st.integers(min_value=-64, max_value=64), label="n")
+    for exponent in (0, 1, 2, 3, -1, -2, 2.0, 0.5, 1.5, -0.5, n, float(n), 64, -64):
         _check_elementwise(base**exponent, (base,), lambda j, e=exponent: j**e)
 
 

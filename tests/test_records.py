@@ -30,7 +30,6 @@ CLASSES = {
 }
 RECORDS = (
     "cli.RunConfig",
-    "contact.ContactStructure",
     "contact.ContactData",
     "contact.SasakianSpaceFormSpec",
     "contact.SpaceFormData",

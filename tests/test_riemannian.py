@@ -290,7 +290,7 @@ SPACE_FORMS = {
 def _per_point(spec, pt):
     """The arrays of one point from ScalarJets, one jet per entry, and the
     one-point contractions."""
-    model, st_ = spec.model, spec.structure
+    model = spec.model
     d = model.dim
     value = np.zeros((d, d))
     d1 = np.zeros((d, d, d))
@@ -324,10 +324,10 @@ def _per_point(spec, pt):
         - np.einsum("ljm,mik->lijk", gamma, gamma)
     )
     r4 = np.einsum("ml,mijk->ijkl", value, r13)
-    phi_jets = [[jet_eval(st_.phi[i][j], pt, order=1) for j in range(d)] for i in range(d)]
-    xi_jets = [jet_eval(c, pt, order=1) for c in st_.xi.components]
+    phi_jets = [[jet_eval(spec.phi[i][j], pt, order=1) for j in range(d)] for i in range(d)]
+    xi_jets = [jet_eval(c, pt, order=1) for c in spec.xi]
     phi = np.array([[j.value for j in row] for row in phi_jets])
-    eta = np.array([jet_eval(e, pt, order=1).value for e in st_.eta])
+    eta = np.array([jet_eval(e, pt, order=1).value for e in spec.eta])
     return {
         "value": value,
         "d1": d1,
