@@ -1,0 +1,114 @@
+"""Alternated pairs of benchmark runs in two checkouts, summed up as JSON.
+
+Runs ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` from
+the root of a parent checkout and of a changed one, PAIRS times each: pair
+i runs the parent first when i is even and the change first when it is
+odd, and all runs are sequential. Prints one JSON object: per pair, each
+side's end-to-end metrics (those of ``BENCHMARK.json``) and its attempted
+and failed operations; per metric and side, the median and quartiles
+(``statistics.quantiles(n=4, method="inclusive")``); the change's median
+over the parent's; the number of pairs in which the change was better, in
+the metric's direction; and whether the gap between the medians is wider
+than the parent's interquartile range. Progress goes to standard error.
+
+Usage:
+    python scripts/ab_pairs.py --parent DIR --change DIR \\
+        --workload verify-spaceform-sweep --pairs 10 --seed 42 --seconds 40
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _directions() -> dict:
+    """``better`` ("lower" or "higher") of each end-to-end metric."""
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in declared["end_to_end"]}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One benchmark run in ``checkout``: its metric values, attempted and
+    failed operations, from the JSON of its last line of output."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    return {
+        "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
+        "attempted": summary["attempted"],
+        "failed": summary["failed"],
+        "correct": summary["correct"],
+    }
+
+
+def _spread(values) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(pairs, directions) -> dict:
+    """Medians, quartiles, ratio, wins and gap of each metric over ``pairs``
+    of ``{"parent": run, "change": run}``."""
+    out = {}
+    for name, better in directions.items():
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        sign = 1 if better == "lower" else -1
+        a, b = _spread(parent), _spread(change)
+        out[name] = {
+            "better": better,
+            "parent": a,
+            "change": b,
+            "ratio": b["median"] / a["median"] if a["median"] else None,
+            "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "gap_above_parent_iqr": sign * (a["median"] - b["median"]) > a["iqr"],
+        }
+    return out
+
+
+def cli(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--seconds", type=int, default=40)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2, for quartiles")
+    directions = _directions()
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    pairs = []
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run_once(sides[side], args.workload, args.seed, args.seconds)
+        pairs.append(pair)
+        wall = {side: pair[side]["metrics"].get("wall_s") for side in order}
+        print(f"pair {i + 1}/{args.pairs}: wall_s {wall}", file=sys.stderr, flush=True)
+    result = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": pairs,
+        "failed": {side: sum(p[side]["failed"] for p in pairs) for side in sides},
+        "summary": summarize(pairs, directions),
+    }
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(cli())

@@ -4,21 +4,26 @@ Every report of the matrix is written with --no-timestamp, so that the
 output directories of two checkouts, compared with ``diff -r``, show
 whether the checkouts give byte-identical reports. The matrix:
 
-- ``verify`` on r2m1:1..4 at 40 points (blocks of 4 points at d = 9);
+- ``verify`` on r2m1:1..4 at 40 points (blocks of 9 points at d = 9, the
+  last of 4);
 - ``verify`` on r2m1:1..4 at 400 points: one block of 400 points at d = 3,
-  seven of 52 points and one of 36 at d = 5, and at d = 7 and 9 31 and 100
+  three of 104 points and one of 88 at d = 5, and at d = 7 and 9 15 and 45
   blocks, which ``cli._map_blocks`` spreads over forked worker processes
   on a machine with at least two usable CPUs (the other runs stay in one
   process);
+- ``verify`` on r2m1:3 at 401 points (a forked run whose last block is
+  partial, 23 points) and on r2m1:4 at 1 and at 57 points (one point, and
+  six blocks of 9 and one of 3 in one process: 57 * 9**4 is just less
+  than two workers' least work);
 - ``report`` and ``theorems`` on vertical-xi, horizontal-xi and
   models/reeb_fiber.json at 56 points (d = 5: a submersion sample is cut
   by ``point_blocks(power=5)`` into five blocks of 10 points and one of 6);
 
 each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8
-(126 runs); and ``theorems --probe random:64`` on the same three models at
+(153 runs); and ``theorems --probe random:64`` on the same three models at
 8 points, at the same seeds (9 runs). Random probes with enough probe rows
 (448 and 512 here) are split by columns over forked worker processes on a
-machine with at least two usable CPUs. 135 runs in all, each report named
+machine with at least two usable CPUs. 162 runs in all, each report named
 by its command, model, points, seed and probe; exit_codes.txt holds the
 exit code of each. The parser's own text is part of the matrix too: the
 ``--help`` output of the program and of each subcommand at ``COLUMNS=80``
@@ -54,6 +59,9 @@ PROBES = ("first", "all", "random:8")
 SUBMERSIONS = ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
 RUNS = [("verify", f"r2m1:{m}", 40, PROBES) for m in (1, 2, 3, 4)] + [
     ("verify", f"r2m1:{m}", 400, PROBES) for m in (1, 2, 3, 4)
+] + [
+    ("verify", "r2m1:3", 401, PROBES), ("verify", "r2m1:4", 1, PROBES),
+    ("verify", "r2m1:4", 57, PROBES),
 ] + [
     (command, model, 56, PROBES) for command in ("report", "theorems") for model in SUBMERSIONS
 ] + [("theorems", model, 8, ("random:64",)) for model in SUBMERSIONS]

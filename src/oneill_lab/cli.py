@@ -66,8 +66,10 @@ def load_model(name: str):
     """The model a name stands for, and the bytes of its model file (None
     for ``r2m1:<m>``). A name is ``r2m1:<m>``, a bundled model, or else a
     path if it ends in ``.json`` or exists. The file is read once: the known
-    flags are keyed on the bytes the model was built from."""
-    m = re.fullmatch(r"r2m1:([0-9]+)", name)
+    flags are keyed on the bytes the model was built from. ``m`` is written
+    without leading zeros, so that the name a report echoes is one per
+    model."""
+    m = re.fullmatch(r"r2m1:(0|[1-9][0-9]*)", name)
     if m:
         try:
             return build_r2m1(int(m.group(1))), None
@@ -104,28 +106,27 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-# The least number of blocks each worker process of ``_map_blocks`` gets.
+# The least work each worker process of ``_map_blocks`` gets, in curvature
+# entries: points times d^4, which counts blocks of any size and d alike.
 # Forking costs about 3 ms, and afterwards both processes take about a
-# thousand copy-on-write faults on the heap pages they share. Medians of
-# ``verify`` with a worker against without, alternated in one process on a
-# 2-core x86-64 VM: 4 blocks per worker lost (d = 5 at 400 points, 0.062 ->
-# 0.075 s); 8 gained in 5 of 6 runs (d = 5 at 800 points, 0.10-0.12 ->
-# 0.075-0.12 s; d = 7 at 208 points, 0.09-0.11 -> 0.07-0.105 s); the
-# sweep's d = 7 (31 blocks) went 0.209 -> 0.111 s and d = 9 (100 blocks)
-# 0.533 -> 0.298 s. Measured again once the total-space contractions got
-# cheaper (three rounds of 10 alternated pairs, each side the mean of 3
-# runs, medians of the rounds): 8 blocks per worker still gained in 25 of
-# 30 pairs at d = 5 on 800 points (0.056-0.097 -> 0.052-0.061 s) and 28 of
-# 30 at d = 7 on 208 points (0.052-0.089 -> 0.046-0.057 s); 4 per worker
-# (d = 5 on 400 points) won 0, 9 and 10 of the rounds' pairs, so the
-# break-even stays between 4 and 8.
-_MIN_BLOCKS_PER_WORKER = 8
+# thousand copy-on-write faults on the heap pages they share. Wins of a
+# worker over none in rounds of 10 alternated pairs of ``verify`` (in one
+# process on a 2-core x86-64 VM, each side the mean of 3 runs) at d = 5, 7
+# and 9, by entries per worker: ~125,000, 4, 10 and 10 of 10 (10 and 9 at
+# d = 5 and 7 in another round); ~150,000, 0, 0 and 5 (3, 9 and 10);
+# ~175,000, 6, 10 and 10; ~187,500 (600, 156 and 57 points), 10, 9 and 10
+# (10, 10 and 9), medians 0.067-0.072 -> 0.045-0.049 s at d = 5, 0.055 ->
+# 0.039-0.040 s at d = 7 and 0.049-0.057 -> 0.036-0.038 s at d = 9. So at
+# 400 points d = 3 and 5 stay in one process, and d = 7 and 9 fork.
+_MIN_ENTRIES_PER_WORKER = 187_500
 
 
 def _map_blocks(fn, blocks) -> list:
     """``[fn(b) for b in blocks]``, in order, on up to one process per
-    usable CPU, each with at least ``_MIN_BLOCKS_PER_WORKER`` blocks."""
-    ranges = split(len(blocks), len(blocks), _MIN_BLOCKS_PER_WORKER)
+    usable CPU, each with at least ``_MIN_ENTRIES_PER_WORKER`` curvature
+    entries (points times d^4) of the point blocks ``blocks``."""
+    entries = sum(len(b) * b.shape[1] ** 4 for b in blocks)
+    ranges = split(len(blocks), entries, _MIN_ENTRIES_PER_WORKER)
     parts = map_parts(lambda span: [fn(b) for b in blocks[slice(*span)]], ranges)
     return [result for part in parts for result in part]
 
@@ -144,7 +145,9 @@ def _space_form_summary(data: SpaceFormData) -> dict:
     """The largest of each Sasakian residual and of the curvature
     cross-check ``curv1`` on one block."""
     residuals = verify_sasakian(data)
-    residuals["curv1"] = np.abs(data.curvature.r4 - data.closed)
+    # in place, so the difference is the one d^4-sized array it makes
+    curv1 = data.curvature.r4 - data.closed
+    residuals["curv1"] = np.abs(curv1, out=curv1)
     return _maxima([residuals])
 
 
@@ -386,9 +389,10 @@ def _retain_freed_heap() -> None:
     """Keep the memory of freed arrays in the process heap (glibc only).
 
     Each block of points allocates and frees a few MiB of arrays (up to
-    256 KiB each, see ``riemannian.point_blocks``). With glibc's defaults
+    512 KiB each, see ``riemannian.point_blocks``; a plain space form's
+    block peaks at 2.9-4.3 MiB of them at d = 3..9). With glibc's defaults
     the heap is trimmed after every block, so the next block takes all its
-    pages from the kernel again as fresh page faults (about 500 per block
+    pages from the kernel again as fresh page faults (about 900 per block
     at d = 9). Arrays below 4 MiB come from the heap, and up to 16 MiB of
     free heap stays in the process, so blocks reuse their pages. Setting
     the same values again is harmless; other C libraries are left alone."""

@@ -120,12 +120,12 @@ def build_r2m1(m: int) -> SasakianSpaceFormSpec:
     a model document through ``space_form_from_document``.
 
     m runs from 1 to 6: from m = 7 on (d >= 15), one point's d^4-sized
-    arrays exceed the entry budget of a block of ``riemannian.point_blocks``."""
+    arrays exceed 256 KiB (``riemannian._BLOCK_ENTRIES``)."""
     dim = 2 * m + 1
     if m < 1 or dim**4 > _BLOCK_ENTRIES:
         raise RejectedInputError(
-            f"need m >= 1 with (2m + 1)**4 <= {_BLOCK_ENTRIES}, the entries "
-            f"of a block's curvature arrays, got m = {m}"
+            f"need m >= 1 with (2m + 1)**4 <= {_BLOCK_ENTRIES}, one point's "
+            f"curvature entries within 256 KiB, got m = {m}"
         )
     z = 2 * m
     y = [f"y{a + 1}" for a in range(m)]
@@ -245,12 +245,15 @@ def space_form_data(spec: SasakianSpaceFormSpec, points) -> SpaceFormData:
     vs = seed_block(points)
     conn = christoffel_at(spec.model, points, vs)
     contact = spec.contact_at([v.first_order() for v in vs])
+    # the closed form first: its temporaries are freed before the jet
+    # curvature's are made, so fewer d^4-sized arrays are live at once
+    closed = space_form_r4(spec.c, conn.metric.value, contact.phi, contact.eta)
     return SpaceFormData(
         points=points,
         conn=conn,
         curvature=curvature_from_connection(conn),
         contact=contact,
-        closed=space_form_r4(spec.c, conn.metric.value, contact.phi, contact.eta),
+        closed=closed,
     )
 
 

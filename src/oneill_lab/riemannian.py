@@ -45,18 +45,24 @@ from .jets import ArrayJet, seed_block
 
 _PD_FLOOR = 1e-12
 
-# Float64 entries of the largest d^4-sized array of a block (256 KiB).
+# Float64 entries (256 KiB) of the largest array of a submersion block, of
+# a run of ``pair_r4`` products (four times as many) and of one point's
+# curvature; a total-space block's d^4-sized arrays get twice as many.
 _BLOCK_ENTRIES = 32768
 
 
 def point_blocks(points, dim: int, power: int = 4):
-    """Consecutive blocks of ``max(1, 32768 // dim**power)`` sample points,
-    so every array of d**power entries per point stays at or below 256 KiB:
-    power 4 for the total space (second metric partials, connection
-    partials, curvature), 5 for the jets of a submersion's per-point stages
-    (a projection's pairings carry a d x d Hessian for each of d x d terms
-    of each of d frame fields)."""
-    size = max(1, _BLOCK_ENTRIES // dim**power)
+    """Consecutive blocks of sample points, so every array of d**power
+    entries per point stays within a budget: power 4, for the total space
+    (second metric partials, connection partials, curvature), takes
+    ``max(1, 65536 // dim**4)`` points and 512 KiB arrays, since each block
+    costs about 1 ms besides its arrays (the model tables and ~1,500 Python
+    calls); power 5, for the jets of a submersion's per-point stages (a
+    projection's pairings carry a d x d Hessian for each of d x d terms of
+    each of d frame fields), takes ``max(1, 32768 // dim**5)`` points and
+    256 KiB arrays."""
+    budget = 2 * _BLOCK_ENTRIES if power == 4 else _BLOCK_ENTRIES
+    size = max(1, budget // dim**power)
     for start in range(0, len(points), size):
         yield points[start : start + size]
 

@@ -1,11 +1,11 @@
 """The block path against one-point evaluation.
 
-Every stage after the total space runs once per block of points, the
-theorem scans included. Every array of a block's records, sliced at a
-point, and the point's rows of a block's theorem tables, must equal, bit
-for bit, the block of that point alone, whatever the size of the block
-and the order of its points, and an error at a point must be the one the
-first failing point alone raises.
+Every stage runs once per block of points, from a plain space form's
+total-space data to the theorem scans. Every array of a block's records,
+sliced at a point, and the point's rows of a block's theorem tables, must
+equal, bit for bit, the block of that point alone, whatever the size of
+the block and the order of its points, and an error at a point must be the
+one the first failing point alone raises.
 """
 
 import os
@@ -16,13 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oneill_lab.cli import resolve_model
-from oneill_lab.contact import space_form_data
+from oneill_lab.cli import _maxima, _space_form_summary, resolve_model
+from oneill_lab.contact import build_r2m1, space_form_data
 from oneill_lab.errors import DegenerateFrameError
 from oneill_lab.invariants import analyze_point, identity_residuals
 from oneill_lab.jets import ArrayJet
-from oneill_lab.riemannian import VectorField
-from oneill_lab.sampling import SampleConfig, sample_submersion_points
+from oneill_lab.riemannian import VectorField, point_blocks
+from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
 from oneill_lab.submersion import (
     PointCalculus,
     load_custom_model,
@@ -107,6 +107,58 @@ def test_block_arrays_at_a_point_equal_its_block_of_one(model, seed, size, data)
         for (path, got), (_, want) in zip(block, one):
             assert (len(got), len(want)) == (size, 1), path
             assert bits(got[k]) == bits(want[0]), path
+
+
+def _full_block(d):
+    """The number of points of a total-space block of ``point_blocks``."""
+    return len(next(point_blocks(range(1000), d)))
+
+
+def _assert_space_form_block_of_ones(m, pts):
+    """Every array of ``space_form_data`` on the block ``pts``, sliced at a
+    point, and the block's summary, folded from those of its points, are
+    those of the point's block of one."""
+    spec = build_r2m1(m)
+    state = space_form_data(spec, pts)
+    block = list(_arrays(state))
+    assert {path[0] for path, _ in block} == set(state._fields)
+    ones = [space_form_data(spec, pt[None]) for pt in pts]
+    for k, one in enumerate(ones):
+        want = list(_arrays(one))
+        assert [path for path, _ in want] == [path for path, _ in block]
+        for (path, got), (_, value) in zip(block, want):
+            assert (len(got), len(value)) == (len(pts), 1), path
+            assert bits(got[k]) == bits(value[0]), path
+    summary = _space_form_summary(state)
+    folded = _maxima(map(_space_form_summary, ones))
+    assert list(summary) == list(folded)
+    assert {key: bits(v) for key, v in summary.items()} == {
+        key: bits(v) for key, v in folded.items()
+    }
+
+
+def _space_form_sample(m, size, seed):
+    return sample_model_points(build_r2m1(m).model, SampleConfig(points=size, seed=seed))
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    m=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
+)
+def test_space_form_block_at_a_point_equals_its_block_of_one(m, seed, data):
+    # any size up to one point past the blocks of point_blocks
+    size = data.draw(st.integers(min_value=1, max_value=_full_block(2 * m + 1) + 1))
+    pts = _space_form_sample(m, size, seed)
+    _assert_space_form_block_of_ones(m, pts[data.draw(st.permutations(range(size)))])
+
+
+@pytest.mark.parametrize("past", [0, 1])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_full_space_form_block_equals_its_blocks_of_one(m, past):
+    pts = _space_form_sample(m, _full_block(2 * m + 1) + past, 7)
+    _assert_space_form_block_of_ones(m, pts[::-1])
 
 
 def _field_bits(value):

@@ -226,6 +226,16 @@ class TestExitCodes:
         assert "unknown model" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["r2m1:01", "r2m1:0001", "r2m1:00"])
+    def test_space_form_dimension_with_leading_zeros_is_4(self, tmp_path, capsys, name):
+        # r2m1:01 would run r2m1:1 but echo another model name, so one
+        # computation would give two different reports
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", name, "--points", "2", "--out", str(out)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error: unknown model: {name}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -59,12 +59,26 @@ def _count_forks(monkeypatch):
     return forks
 
 
+def _blocks(count):
+    """``count`` blocks of 10 points in R^7, 24,010 curvature entries each,
+    each point's first coordinate its index: 15 of them are just less work
+    than two workers' least (375,000 entries), and 16 just more."""
+    assert 15 * 10 * 7**4 < 2 * cli._MIN_ENTRIES_PER_WORKER <= 16 * 10 * 7**4
+    pts = np.zeros((10 * count, 7))
+    pts[:, 0] = np.arange(10 * count)
+    return [pts[i : i + 10] for i in range(0, len(pts), 10)]
+
+
+def _first(block):
+    return int(block[0, 0]), os.getpid()
+
+
 class TestMapBlocks:
     @pytest.mark.parametrize("cpus, blocks, workers", [(2, 16, 2), (3, 25, 3), (4, 23, 2)])
     def test_contiguous_parts_in_order(self, monkeypatch, cpus, blocks, workers):
         _cpus(monkeypatch, cpus)
-        got = cli._map_blocks(lambda b: (b, os.getpid()), list(range(blocks)))
-        assert [b for b, _ in got] == list(range(blocks))
+        got = cli._map_blocks(_first, _blocks(blocks))
+        assert [i for i, _ in got] == list(range(0, 10 * blocks, 10))
         pids = [pid for _, pid in got]
         assert pids[0] == os.getpid()
         # each process took one contiguous run of blocks
@@ -75,8 +89,8 @@ class TestMapBlocks:
     def test_too_few_blocks_or_cpus_stay_in_process(self, monkeypatch, cpus, blocks):
         _cpus(monkeypatch, cpus)
         forks = _count_forks(monkeypatch)
-        got = cli._map_blocks(lambda b: (b, os.getpid()), list(range(blocks)))
-        assert got == [(b, os.getpid()) for b in range(blocks)]
+        got = cli._map_blocks(_first, _blocks(blocks))
+        assert got == [(i, os.getpid()) for i in range(0, 10 * blocks, 10)]
         assert forks == []
 
     def test_usable_cpus_is_the_affinity_mask(self):
@@ -114,8 +128,8 @@ def _sample(m, points=400, seed=42):
 
 
 class TestWorkerFailures:
-    """r2m1:3 on 400 points: 31 blocks of 13 points (the last of 10), cut at
-    block 15, so points 0-194 are this process's and 195-399 a worker's."""
+    """r2m1:3 on 400 points: 15 blocks of 27 points (the last of 22), cut at
+    block 7, so points 0-188 are this process's and 189-399 a worker's."""
 
     def _failing_at(self, monkeypatch, rows):
         bad = _sample(3)[rows]
@@ -137,7 +151,7 @@ class TestWorkerFailures:
 
     @pytest.mark.parametrize(
         "rows",
-        [[300], [390, 300], [50], [300, 50], [194, 195]],
+        [[300], [390, 300], [50], [300, 50], [188, 189]],
         ids=["worker", "worker-twice", "parent", "both", "either-side-of-the-cut"],
     )
     def test_same_error_and_exit_code_as_one_process(self, tmp_path, monkeypatch, capsys, rows):
@@ -152,8 +166,8 @@ class TestWorkerFailures:
 
     def test_cut_is_where_the_docstring_says(self):
         blocks = list(point_blocks(_sample(3), 7))
-        assert len(blocks) == 31
-        assert sum(len(b) for b in blocks[:15]) == 195
+        assert len(blocks) == 15
+        assert sum(len(b) for b in blocks[:7]) == 189
 
     def test_killed_worker_part_is_recomputed(self, tmp_path, monkeypatch, capsys):
         _cpus(monkeypatch, 1)
@@ -174,8 +188,8 @@ class TestWorkerFailures:
         capsys.readouterr()
         assert code == 0
         assert got.read_bytes() == want.read_bytes()
-        # this process evaluated its own 15 blocks and then the worker's 16
-        assert len(here) == 31 and sum(here) == 400
+        # this process evaluated its own 7 blocks and then the worker's 8
+        assert len(here) == 15 and sum(here) == 400
 
     def test_worker_that_cannot_be_forked_has_its_part_done_here(
         self, tmp_path, monkeypatch, capsys
@@ -215,7 +229,7 @@ class TestWorkerFailures:
         parent = os.getpid()
 
         def fn(b):
-            if b == 0:
+            if b[0, 0] == 0:
                 raise DegenerateMetricError("block 0")
             if os.getpid() != parent:
                 time.sleep(60)  # a worker still busy when this process fails
@@ -223,7 +237,7 @@ class TestWorkerFailures:
 
         start = time.monotonic()
         with pytest.raises(DegenerateMetricError, match="block 0"):
-            cli._map_blocks(fn, list(range(16)))
+            cli._map_blocks(fn, _blocks(16))
         assert time.monotonic() - start < 30
         assert len(forks) == 1
         # the fixture checks that the worker was reaped
@@ -231,12 +245,19 @@ class TestWorkerFailures:
             os.kill(forks[0], 0)
 
 
-def test_points_per_block_bound_the_forked_sweep():
-    # the sweep's d = 5 sample stays in one process, d = 7 and 9 fork
-    per_worker = cli._MIN_BLOCKS_PER_WORKER
-    counts = {m: len(list(point_blocks(_sample(m), 2 * m + 1))) for m in (1, 2, 3, 4)}
-    assert counts == {1: 1, 2: 8, 3: 31, 4: 100}
-    assert [m for m, n in counts.items() if n >= 2 * per_worker] == [3, 4]
+def test_points_per_block_bound_the_forked_sweep(monkeypatch):
+    # the sweep's d = 3 and 5 samples stay in one process, d = 7 and 9 fork
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    sizes, forked = {}, {}
+    for m in (1, 2, 3, 4):
+        blocks = list(point_blocks(_sample(m), 2 * m + 1))
+        sizes[m] = (len(blocks), len(blocks[0]), len(blocks[-1]))
+        before = len(forks)
+        cli._map_blocks(len, blocks)
+        forked[m] = len(forks) - before
+    assert sizes == {1: (1, 400, 400), 2: (4, 104, 88), 3: (15, 27, 22), 4: (45, 9, 4)}
+    assert forked == {1: 0, 2: 0, 3: 1, 4: 1}
 
 
 SUBMERSION_MODELS = ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")

@@ -562,7 +562,7 @@ def _same_bits_and_strides(got, want) -> bool:
 
 
 # At d >= 9 a block of 400 points would make arrays of more than 16 MiB;
-# the pipeline's own blocks stay at 256 KiB (``point_blocks``).
+# the pipeline's own total-space blocks stay at 512 KiB (``point_blocks``).
 _MAX_ENTRIES = 1 << 21
 
 
@@ -656,7 +656,7 @@ def test_space_form_data_strides_are_frozen(name):
     spec = getattr(resolved, "total", resolved)
     d = spec.model.dim
     rng = np.random.default_rng(3)
-    for n in (1, max(2, 32768 // d**4)):
+    for n in (1, max(2, len(next(riemannian.point_blocks(range(1000), d))))):
         arrays = _space_form_arrays(space_form_data(spec, rng.uniform(-2.0, 2.0, (n, d))))
         assert set(arrays) == set(_LAYOUTS)
         for key, arr in arrays.items():
