@@ -15,15 +15,17 @@ whether the checkouts give byte-identical reports. The matrix:
   partial, 23 points) and on r2m1:4 at 1 and at 57 points (one point, and
   six blocks of 9 and one of 3 in one process: 57 * 9**4 is just less
   than two workers' least work);
+- ``verify`` on r2m1:5 and r2m1:6 at 20 points (d = 11 and 13: five
+  blocks of 4 points in one process, and ten blocks of 2, which fork);
 - ``report`` and ``theorems`` on vertical-xi, horizontal-xi and
   models/reeb_fiber.json at 56 points (d = 5: a submersion sample is cut
   by ``point_blocks(power=5)`` into five blocks of 10 points and one of 6);
 
 each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8
-(153 runs); and ``theorems --probe random:64`` on the same three models at
+(171 runs); and ``theorems --probe random:64`` on the same three models at
 8 points, at the same seeds (9 runs). Random probes with enough probe rows
 (448 and 512 here) are split by columns over forked worker processes on a
-machine with at least two usable CPUs. 162 runs in all, each report named
+machine with at least two usable CPUs. 180 runs in all, each report named
 by its command, model, points, seed and probe; exit_codes.txt holds the
 exit code of each. The parser's own text is part of the matrix too: the
 ``--help`` output of the program and of each subcommand at ``COLUMNS=80``
@@ -62,7 +64,7 @@ RUNS = [("verify", f"r2m1:{m}", 40, PROBES) for m in (1, 2, 3, 4)] + [
 ] + [
     ("verify", "r2m1:3", 401, PROBES), ("verify", "r2m1:4", 1, PROBES),
     ("verify", "r2m1:4", 57, PROBES),
-] + [
+] + [("verify", f"r2m1:{m}", 20, PROBES) for m in (5, 6)] + [
     (command, model, 56, PROBES) for command in ("report", "theorems") for model in SUBMERSIONS
 ] + [("theorems", model, 8, ("random:64",)) for model in SUBMERSIONS]
 

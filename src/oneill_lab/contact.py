@@ -273,19 +273,19 @@ def space_form_r4(c: float, gv, phi_v, eta_v) -> np.ndarray:
     # p2[j, k] = g(phi d_j, d_k)
     p2 = np.einsum("pmj,pmk->pjk", phi_v, gv)
     e = eta_v
-    # q * term_q + w * term_w, each sum accumulated in place, left to right
-    term_q = np.einsum("pjk,pil->pijkl", gv, gv)
-    term_q -= np.einsum("pik,pjl->pijkl", gv, gv)
-    term_w = np.einsum("pi,pk,pjl->pijkl", e, e, gv)
-    term_w -= np.einsum("pj,pk,pil->pijkl", e, e, gv)
-    term_w += np.einsum("pik,pj,pl->pijkl", gv, e, e)
-    term_w -= np.einsum("pjk,pi,pl->pijkl", gv, e, e)
-    term_w += np.einsum("pjk,pil->pijkl", p2, p2)
-    term_w -= np.einsum("pik,pjl->pijkl", p2, p2)
-    last = np.einsum("pij,pkl->pijkl", p2, p2)
-    last *= 2.0
-    term_w -= last
-    del last
+    # summed in place, left to right; each product subtracted is the one before, i, j swapped
+    swap = (0, 2, 1, 3, 4)
+    x = np.einsum("pjk,pil->pijkl", gv, gv)
+    term_q = x - x.transpose(swap)
+    np.einsum("pi,pk,pjl->pijkl", e, e, gv, out=x)
+    term_w = x - x.transpose(swap)
+    for spec, ops in (("pik,pj,pl->pijkl", (gv, e, e)), ("pjk,pil->pijkl", (p2, p2))):
+        np.einsum(spec, *ops, out=x)
+        term_w += x
+        term_w -= x.transpose(swap)
+    np.einsum("pij,pkl->pijkl", p2, p2, out=x)
+    x *= 2.0
+    term_w -= x
     term_q *= q
     term_w *= w
     term_q += term_w

@@ -25,39 +25,33 @@ def _ambient(calc: PointCalculus, r4, x, y, z, w):
     return pair_r4(calc.per_point(r4, np.ndim(x) + 3), x, y, z, w)
 
 
-def fiber_curvature_hat(calc: PointCalculus, u, v, f, w):
-    """Curvature of the vertical block: ambient value corrected by the
-    vertical-block tensor.  Slot order matches the ambient pairing.
-
-    The vectors have shape ``(..., dim)`` and broadcast against each other;
-    each value equals the one for single vectors, bit for bit."""
-    amb = _ambient(calc, calc.curvature.r4, u, v, f, w)
-    return (
-        amb
-        - calc.pairings(calc.t_point(u, w), calc.t_point(v, f))
-        + calc.pairings(calc.t_point(v, w), calc.t_point(u, f))
-    )
+def fiber_curvature_hat(calc: PointCalculus, e, p):
+    """Curvature of the vertical block on (e, p, p, e): the ambient value
+    corrected by the vertical-block tensor. The vectors have shape
+    ``(..., dim)`` and broadcast against each other; each value equals the
+    one for single vectors, bit for bit."""
+    ce, cp, t = calc.frame_coeffs(e), calc.frame_coeffs(p), calc.t_of
+    amb = _ambient(calc, calc.curvature.r4, e, p, p, e)
+    return amb - calc.pairings(t(ce, ce), t(cp, cp)) + calc.pairings(t(cp, ce), t(ce, cp))
 
 
-def horizontal_curvature_star(calc: PointCalculus, x, y, z, h):
-    """Curvature of the horizontal block: ambient value corrected by the
-    horizontal-block tensor; vectors broadcast as in ``fiber_curvature_hat``."""
-    amb = _ambient(calc, calc.curvature.r4, x, y, z, h)
-    return (
-        amb
-        + 2.0 * calc.pairings(calc.a_point(x, y), calc.a_point(z, h))
-        - calc.pairings(calc.a_point(y, z), calc.a_point(x, h))
-        + calc.pairings(calc.a_point(x, z), calc.a_point(y, h))
-    )
+def horizontal_curvature_star(calc: PointCalculus, e, p):
+    """Curvature of the horizontal block on (e, p, p, e): the ambient value
+    corrected by the horizontal-block tensor, whose term g(A(e, p), A(p, e))
+    enters twice; vectors broadcast as in ``fiber_curvature_hat``."""
+    ce, cp, a = calc.frame_coeffs(e), calc.frame_coeffs(p), calc.a_of
+    amb = _ambient(calc, calc.curvature.r4, e, p, p, e)
+    cross = calc.pairings(a(ce, cp), a(cp, ce))
+    return amb + 2.0 * cross - calc.pairings(a(cp, cp), a(ce, ce)) + cross
 
 
 def _frame_trace(block_curvature, calc, frame, probes) -> np.ndarray:
-    """Sum over the frame vectors e of block_curvature(e, p, p, e), one
-    value per probe p, added frame vector by frame vector from 0.0. The
-    ``frame`` (N, k, dim) and the ``probes`` (N, P, dim) lead with the point
-    axis."""
+    """Sum over the frame vectors e of block_curvature(e, p), the value on
+    (e, p, p, e), one value per probe p, added frame vector by frame vector
+    from 0.0. The ``frame`` (N, k, dim) and the ``probes`` (N, P, dim) lead
+    with the point axis."""
     e, p = frame[..., :, None, :], probes[..., None, :, :]
-    return running_sum(np.moveaxis(block_curvature(calc, e, p, p, e), -2, 0))
+    return running_sum(np.moveaxis(block_curvature(calc, e, p), -2, 0))
 
 
 def ric_hat_probes(calc: PointCalculus, us) -> np.ndarray:
@@ -124,10 +118,8 @@ def _hat_star_tables(calc: PointCalculus):
     pair (U_j, U_k), star[p, s, t] on the horizontal pair (X_s, X_t), in the
     broadcast shapes of ``_frame_trace`` over the frame, diagonal included."""
     uv, xv = calc.frame.vert_values, calc.frame.horiz_values
-    hat = fiber_curvature_hat(calc, uv[:, :, None], uv[:, None], uv[:, None], uv[:, :, None])
-    star = horizontal_curvature_star(
-        calc, xv[:, :, None], xv[:, None], xv[:, None], xv[:, :, None]
-    )
+    hat = fiber_curvature_hat(calc, uv[:, :, None], uv[:, None])
+    star = horizontal_curvature_star(calc, xv[:, :, None], xv[:, None])
     return hat, star
 
 
@@ -202,20 +194,17 @@ def identity_residuals(analysis: PointAnalysis) -> dict:
     res["S3"] = np.abs(two_tau - rhs_s3)
 
     # exchange formulas against the closed-form ambient curvature, on all
-    # frame 4-tuples of each block, tables indexed [p, a, b, c, d]
-    r4_closed = calc.closed_curvature
+    # frame 4-tuples of each block, tables indexed [p, a, b, c, d]; the last
+    # pairing of each correction is the one before it with a and b swapped
+    r4_closed, swap = calc.closed_curvature, (0, 2, 1, 3, 4)
     tu, ax = data.t_uu, data.a_xx
-    corr = -calc.pairings(tu[:, :, None, None, :], tu[:, None, :, :, None]) + calc.pairings(
-        tu[:, None, :, None, :], tu[:, :, None, :, None]
-    )
+    x = calc.pairings(tu[:, :, None, None, :], tu[:, None, :, :, None])
+    corr = -x + x.transpose(swap)
     via_ad = _frame_table(calc, r4, uv, uv, uv, uv) + corr
     via_closed = _frame_table(calc, r4_closed, uv, uv, uv, uv) + corr
     res["R1"] = point_maxima(np.abs(via_ad - via_closed))
-    corr = (
-        2.0 * calc.pairings(ax[:, :, :, None, None], ax[:, None, None])
-        - calc.pairings(ax[:, None, :, :, None], ax[:, :, None, None, :])
-        + calc.pairings(ax[:, :, None, :, None], ax[:, None, :, None, :])
-    )
+    x = calc.pairings(ax[:, None, :, :, None], ax[:, :, None, None, :])
+    corr = 2.0 * calc.pairings(ax[:, :, :, None, None], ax[:, None, None]) - x + x.transpose(swap)
     via_ad = _frame_table(calc, r4, xv, xv, xv, xv) + corr
     via_closed = _frame_table(calc, r4_closed, xv, xv, xv, xv) + corr
     res["R2"] = point_maxima(np.abs(via_ad - via_closed))

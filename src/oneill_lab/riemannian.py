@@ -264,10 +264,12 @@ def curvature_from_connection(conn: ConnectionData) -> CurvatureData:
     gamma, dgamma = conn.gamma, conn.dgamma
     # R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik
     #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    # the first two terms are views of dgamma; the sum runs in place
+    # terms 1 and 2 are views of dgamma, 4 is 3 with i and j swapped; in place
     r13 = np.einsum("pljki->plijk", dgamma) - np.einsum("plikj->plijk", dgamma)
-    r13 += np.einsum("plim,pmjk->plijk", gamma, gamma)
-    r13 -= np.einsum("pljm,pmik->plijk", gamma, gamma)
+    squares = np.einsum("plim,pmjk->plijk", gamma, gamma)
+    r13 += squares
+    r13 -= squares.transpose(0, 1, 3, 2, 4)
+    del squares  # before r4 is made, which takes two d^4 arrays
     r4 = _lower_first(conn.metric.value, r13)
     return CurvatureData(
         metric=conn.metric, gamma=gamma, dgamma=dgamma, r13=r13, r4=r4

@@ -147,12 +147,13 @@ def _pair(g: ArrayJet, x: ArrayJet, y: ArrayJet) -> ArrayJet:
 
 def _project(w: ArrayJet, block: ArrayJet, g: ArrayJet) -> ArrayJet:
     """Orthogonal projection of each field w[p, b] onto the span of the
-    orthonormal fields block[p, q]: the terms g(w_b, e_q) e_q added in
-    order of q, one q at a time to bound the memory of a block."""
+    orthonormal fields block[p, q]: the terms g(w_b, e_q) e_q of ``_pair``,
+    its products g_ij w_i made once, added in order of q, one at a time."""
+    gw = g[(slice(None),) + (None,) * (len(w.shape) - 2)] * w[..., :, None]
     acc = None
     for q in range(block.shape[1]):
         e = block[:, q, None]
-        term = _pair(g, w, e)[..., None] * e
+        term = sum_terms(gw * e[..., None, :], axes=(-2, -1))[..., None] * e
         acc = term if acc is None else acc + term
     return acc
 
@@ -388,23 +389,31 @@ class PointCalculus:
         a_tab[:, r:, :r] = self.h_project_values(nab[:, r:, :r])
         return t_tab, a_tab
 
-    def _frame_coeffs(self, ws) -> np.ndarray:
+    def frame_coeffs(self, ws) -> np.ndarray:
+        """Frame coefficients of vectors (..., dim), as ``t_of``/``a_of`` take them."""
         ws = np.asarray(ws, dtype=float)[..., None]
         return (self.per_point(self._decomp, ws.ndim) @ ws)[..., 0]
 
-    def _bilinear(self, table, es, fs) -> np.ndarray:
+    def _bilinear(self, table, ce, cf) -> np.ndarray:
         # the broadcast axes stay outside the sum over frame pairs
-        ce, cf = self._frame_coeffs(es), self._frame_coeffs(fs)
         table = self.per_point(table, ce.ndim + 2)
         return np.einsum("...i,...j,...ijk->...k", ce, cf, table)
 
+    def t_of(self, ce, cf) -> np.ndarray:
+        """T on vectors given by their ``frame_coeffs``."""
+        return self._bilinear(self._tensor_tables[0], ce, cf)
+
+    def a_of(self, ce, cf) -> np.ndarray:
+        """A on vectors given by their ``frame_coeffs``."""
+        return self._bilinear(self._tensor_tables[1], ce, cf)
+
     def t_point(self, e, f) -> np.ndarray:
         """T(e, f) for vectors of shape (..., dim), broadcast against each other."""
-        return self._bilinear(self._tensor_tables[0], e, f)
+        return self.t_of(self.frame_coeffs(e), self.frame_coeffs(f))
 
     def a_point(self, e, f) -> np.ndarray:
         """A(e, f), same conventions as ``t_point``."""
-        return self._bilinear(self._tensor_tables[1], e, f)
+        return self.a_of(self.frame_coeffs(e), self.frame_coeffs(f))
 
     def nabla_t_frame(self, e_values, k, l) -> np.ndarray:
         """(nabla_e T)(U_k, U_l): d/de of T(U_k, U_l) minus the two slot

@@ -109,7 +109,7 @@ class TestVerticalXiPacket:
         sub = resolve_model("vertical-xi")
         calc = calc_of_one(sub, POINTS[1])
         xs = calc.frame.horiz_values
-        val = horizontal_curvature_star(calc, xs[:, 0], xs[:, 1], xs[:, 1], xs[:, 0])
+        val = horizontal_curvature_star(calc, xs[:, 0], xs[:, 1])
         assert abs(val[0]) < 1e-7
 
 
@@ -172,7 +172,7 @@ class TestMixedExchange:
         calc = calc_of_one(sub, POINTS[0])
         split = fo.vertical_xi_split()
         us = calc.frame.vert_values
-        got = fiber_curvature_hat(calc, us[:, 0], us[:, 1], us[:, 1], us[:, 0])[0]
+        got = fiber_curvature_hat(calc, us[:, 0], us[:, 1])[0]
         want = split.gauss_hat(split.vert[0], split.vert[1], split.vert[1], split.vert[0])
         assert abs(got - want) < CURV_TOL
 

@@ -557,8 +557,43 @@ def _plain_gamma_phi(gamma, phi_v):
     return np.einsum("pkam,pmb->pkab", gamma, phi_v)
 
 
+def _plain_r13(gamma, dgamma):
+    r13 = np.einsum("pljki->plijk", dgamma) - np.einsum("plikj->plijk", dgamma)
+    r13 += np.einsum("plim,pmjk->plijk", gamma, gamma)
+    r13 -= np.einsum("pljm,pmik->plijk", gamma, gamma)
+    return r13
+
+
+def _plain_space_form_r4(c, gv, phi_v, e):
+    q = (c + 3.0) / 4.0
+    w = (c - 1.0) / 4.0
+    p2 = np.einsum("pmj,pmk->pjk", phi_v, gv)
+    term_q = np.einsum("pjk,pil->pijkl", gv, gv)
+    term_q -= np.einsum("pik,pjl->pijkl", gv, gv)
+    term_w = np.einsum("pi,pk,pjl->pijkl", e, e, gv)
+    term_w -= np.einsum("pj,pk,pil->pijkl", e, e, gv)
+    term_w += np.einsum("pik,pj,pl->pijkl", gv, e, e)
+    term_w -= np.einsum("pjk,pi,pl->pijkl", gv, e, e)
+    term_w += np.einsum("pjk,pil->pijkl", p2, p2)
+    term_w -= np.einsum("pik,pjl->pijkl", p2, p2)
+    term_w -= 2.0 * np.einsum("pij,pkl->pijkl", p2, p2)
+    term_q *= q
+    term_w *= w
+    term_q += term_w
+    return term_q
+
+
 def _same_bits_and_strides(got, want) -> bool:
     return got.strides == want.strides and _same_bits(got, want)
+
+
+def _same_bits_but_nan_signs(got, want) -> bool:
+    """Strides and bits equal, except that a NaN may be either NaN: IEEE 754
+    leaves open which factor's NaN a product of two NaNs returns, and
+    numpy's two-operand outer products pick it by an entry's place in their
+    vector loop, so the plain einsum itself moves it with the layout."""
+    got, want = (np.where(np.isnan(a), np.nan, a) for a in (got, want))
+    return _same_bits_and_strides(got, want)
 
 
 # At d >= 9 a block of 400 points would make arrays of more than 16 MiB;
@@ -579,10 +614,12 @@ def _block_shape(draw):
 @settings(max_examples=40, deadline=None)
 @given(_block_shape(), st.integers(0, 2**32 - 1))
 def test_fast_spellings_equal_plain_einsums_in_bits_and_strides(shape, seed):
-    """``_dinverse``, ``_lower_first`` and ``contact._gamma_phi`` equal their
-    plain einsums byte for byte and stride for stride, on C-ordered
-    operands (as the pipeline makes them) holding signed zeros,
-    infinities and NaNs."""
+    """``_dinverse``, ``_lower_first``, ``contact._gamma_phi`` and the
+    ``r13`` of ``curvature_from_connection`` equal their plain einsums
+    byte for byte and stride for stride, on operands in the pipeline's
+    memory order holding signed zeros, infinities and NaNs; so does
+    ``contact.space_form_r4``, up to the sign of a NaN entry, on a
+    symmetric metric (whose NaNs take both signs)."""
     d, n = shape
     rng = np.random.default_rng(seed)
     square = _with_specials(rng, (n, d, d))
@@ -594,10 +631,24 @@ def test_fast_spellings_equal_plain_einsums_in_bits_and_strides(shape, seed):
         assert _same_bits_and_strides(
             contact._gamma_phi(d1, square), _plain_gamma_phi(d1, square)
         )
-        del d1
+        # d1 as gamma; dgamma (p, k, i, j, a) is stored as (p, k, a, i, j)
+        dgamma = _with_specials(rng, (n, d, d, d, d)).transpose(0, 1, 3, 4, 2)
+        metric = riemannian.MetricData(square, None, None, None, None)
+        conn = riemannian.ConnectionData(metric=metric, gamma=d1, dgamma=dgamma)
+        assert _same_bits_and_strides(
+            riemannian.curvature_from_connection(conn).r13, _plain_r13(d1, dgamma)
+        )
+        del d1, dgamma, conn
         r13 = _with_specials(rng, (n, d, d, d, d))
         assert _same_bits_and_strides(
             riemannian._lower_first(square, r13), _plain_lower_first(square, r13)
+        )
+        del r13
+        c = float(_with_specials(rng, ()))
+        gv = square + square.transpose(0, 2, 1)
+        phi, eta = _with_specials(rng, (n, d, d)), _with_specials(rng, (n, d))
+        assert _same_bits_but_nan_signs(
+            contact.space_form_r4(c, gv, phi, eta), _plain_space_form_r4(c, gv, phi, eta)
         )
 
 
