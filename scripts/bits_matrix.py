@@ -22,12 +22,15 @@ whether the checkouts give byte-identical reports. The matrix:
   by ``point_blocks(power=5)`` into five blocks of 10 points and one of 6);
 
 each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8
-(171 runs); and ``theorems --probe random:64`` on the same three models at
-8 points, at the same seeds (9 runs). Random probes with enough probe rows
-(448 and 512 here) are split by columns over forked worker processes on a
-machine with at least two usable CPUs. 180 runs in all, each report named
-by its command, model, points, seed and probe; exit_codes.txt holds the
-exit code of each. The parser's own text is part of the matrix too: the
+(171 runs); ``theorems --probe random:64`` on the same three models at
+8 points, at the same seeds (9 runs); and ``report --probe all`` on the
+same three models at 1 and at 11 points, seed 42 only (6 runs: a block of
+one point, and a block of 10 with a partial block of 1 after it, where a
+frame table read that depended on its block's size would show). Random
+probes with enough probe rows (448 and 512 here) are split by columns over
+forked worker processes on a machine with at least two usable CPUs. 186
+runs in all, each report named by its command, model, points, seed and
+probe; exit_codes.txt holds the exit code of each. The parser's own text is part of the matrix too: the
 ``--help`` output of the program and of each subcommand at ``COLUMNS=80``
 (help-<command>.txt), and the standard error and exit code of five bad
 command lines (usage-<case>.txt): a negative ``--points``, a ``--box`` that
@@ -59,14 +62,19 @@ from oneill_lab.cli import main  # noqa: E402
 SEEDS = (42, 7, 1234)
 PROBES = ("first", "all", "random:8")
 SUBMERSIONS = ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
-RUNS = [("verify", f"r2m1:{m}", 40, PROBES) for m in (1, 2, 3, 4)] + [
-    ("verify", f"r2m1:{m}", 400, PROBES) for m in (1, 2, 3, 4)
+# (command, model, points, probes, seeds)
+RUNS = [("verify", f"r2m1:{m}", 40, PROBES, SEEDS) for m in (1, 2, 3, 4)] + [
+    ("verify", f"r2m1:{m}", 400, PROBES, SEEDS) for m in (1, 2, 3, 4)
 ] + [
-    ("verify", "r2m1:3", 401, PROBES), ("verify", "r2m1:4", 1, PROBES),
-    ("verify", "r2m1:4", 57, PROBES),
-] + [("verify", f"r2m1:{m}", 20, PROBES) for m in (5, 6)] + [
-    (command, model, 56, PROBES) for command in ("report", "theorems") for model in SUBMERSIONS
-] + [("theorems", model, 8, ("random:64",)) for model in SUBMERSIONS]
+    ("verify", "r2m1:3", 401, PROBES, SEEDS), ("verify", "r2m1:4", 1, PROBES, SEEDS),
+    ("verify", "r2m1:4", 57, PROBES, SEEDS),
+] + [("verify", f"r2m1:{m}", 20, PROBES, SEEDS) for m in (5, 6)] + [
+    (command, model, 56, PROBES, SEEDS)
+    for command in ("report", "theorems")
+    for model in SUBMERSIONS
+] + [("theorems", model, 8, ("random:64",), SEEDS) for model in SUBMERSIONS] + [
+    ("report", model, points, ("all",), (42,)) for model in SUBMERSIONS for points in (1, 11)
+]
 
 
 HELP = {"oneill-lab": [], "verify": ["verify"], "theorems": ["theorems"], "report": ["report"]}
@@ -106,8 +114,8 @@ def cli(argv=None):
     os.chdir(REPO)  # the model file is echoed as given, relative to the checkout
 
     codes = []
-    for command, model, points, probes in RUNS:
-        for seed in SEEDS:
+    for command, model, points, probes, seeds in RUNS:
+        for seed in seeds:
             for probe in probes:
                 slug = "-".join((command, Path(model).stem, str(points), str(seed), probe))
                 slug = slug.replace(":", "-")

@@ -162,11 +162,12 @@ def _spaceform_structure(summaries, points: int, tol: Tolerances):
     return section, checks
 
 
-def _submersion_structure(states, analyses, points: int, tol: Tolerances):
+def _submersion_structure(analyses, points: int, tol: Tolerances):
     """Structure section over the analyzed sample points: the space-form
-    part from the blocks of total-space data ``states``, then the
-    submersion checks and lemmas on each block's frames and tensor data."""
-    section, checks = _spaceform_structure(map(_space_form_summary, states), points, tol)
+    part from each block's total-space data, then the submersion checks and
+    lemmas on each block's frames and tensor data."""
+    summaries = (_space_form_summary(analysis.calc.state) for analysis in analyses)
+    section, checks = _spaceform_structure(summaries, points, tol)
     kernel = 0.0
     lengths = []
     pd_flags = []
@@ -229,7 +230,7 @@ def _check_xi_case(calc, tol: float) -> None:
     outside its declared block has a g-length above ``tol`` (or NaN)."""
     sub = calc.sub
     other = calc.h_project_values if sub.xi_case == "vertical" else calc.v_project_values
-    off = other(calc.xi_values)
+    off = other(calc.state.contact.xi)
     length = np.sqrt(calc.pairings(off, off))
     k = np.argmax(~(length <= tol))
     if not length[k] <= tol:
@@ -270,16 +271,14 @@ def run(config: RunConfig) -> Report:
         pts = sample_submersion_points(sub, scfg)
         # the total space's data and its analysis once per block of points,
         # shared by every section
-        states = []
         analyses = []
         for block in point_blocks(pts, sub.total.model.dim, power=5):
-            states.append(space_form_data(sub.total, block))
-            analyses.append(analyze_point(sub, states[-1]))
+            analyses.append(analyze_point(sub, space_form_data(sub.total, block)))
             # not below 1e-12: that part rounds to up to 1.1e-13 on the
             # bundled models at a box of +-1000, where it is 0 exactly
             _check_xi_case(analyses[-1].calc, max(tol.d1, 1e-12))
         if config.command in ("verify", "report"):
-            structure, structure_checks = _submersion_structure(states, analyses, len(pts), tol)
+            structure, structure_checks = _submersion_structure(analyses, len(pts), tol)
             checks.update(structure_checks)
             maxima = _maxima(map(identity_residuals, analyses))
             identities = {"max_residuals": maxima}

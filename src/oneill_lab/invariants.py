@@ -31,7 +31,7 @@ def fiber_curvature_hat(calc: PointCalculus, e, p):
     ``(..., dim)`` and broadcast against each other; each value equals the
     one for single vectors, bit for bit."""
     ce, cp, t = calc.frame_coeffs(e), calc.frame_coeffs(p), calc.t_of
-    amb = _ambient(calc, calc.curvature.r4, e, p, p, e)
+    amb = _ambient(calc, calc.state.curvature.r4, e, p, p, e)
     return amb - calc.pairings(t(ce, ce), t(cp, cp)) + calc.pairings(t(cp, ce), t(ce, cp))
 
 
@@ -40,7 +40,7 @@ def horizontal_curvature_star(calc: PointCalculus, e, p):
     corrected by the horizontal-block tensor, whose term g(A(e, p), A(p, e))
     enters twice; vectors broadcast as in ``fiber_curvature_hat``."""
     ce, cp, a = calc.frame_coeffs(e), calc.frame_coeffs(p), calc.a_of
-    amb = _ambient(calc, calc.curvature.r4, e, p, p, e)
+    amb = _ambient(calc, calc.state.curvature.r4, e, p, p, e)
     cross = calc.pairings(a(ce, cp), a(cp, ce))
     return amb + 2.0 * cross - calc.pairings(a(cp, cp), a(ce, ce)) + cross
 
@@ -73,26 +73,18 @@ def _frame_table(calc, r4, a, b, c, d) -> np.ndarray:
     return _ambient(calc, r4, a, b, c[:, None, None, :, None], d[:, None, None, None, :])
 
 
-def mixed_gauss_residual(calc: PointCalculus) -> np.ndarray:
-    """Worst residual of the mixed exchange identity over frame 4-tuples
-    (one vertical pair, one horizontal pair), using the first derivatives
-    of both fundamental tensors."""
-    uv, xv = calc.frame.vert_values, calc.frame.horiz_values
-    ks, js = np.arange(calc.r), np.arange(calc.n)
-    # every table is indexed [p, i, k, j, l] for the frame vectors X_i, U_k,
-    # X_j, U_l; nab_t is [p, i, k, l], nab_a [p, i, k, j]
-    nab_t = calc.nabla_t_frame(xv[:, :, None, None], ks[None, :, None], ks[None, None, :])
-    nab_a = calc.nabla_a_frame(uv[:, None, :, None], js[:, None, None], js[None, None, :])
-    t_mixed = calc.t_point(uv[:, None], xv[:, :, None])  # [p, i, k]: T(U_k, X_i)
-    a_mixed = calc.a_point(xv[:, :, None], uv[:, None])  # [p, i, k]: A(X_i, U_k)
-    lhs = _frame_table(calc, calc.curvature.r4, uv, xv, xv, uv).transpose(0, 2, 1, 3, 4)
-    rhs = (
-        calc.pairings(nab_t[:, :, :, None], xv[:, None, None, :, None])
-        + calc.pairings(nab_a[..., None, :], uv[:, None, None, None])
-        - calc.pairings(t_mixed[:, :, :, None, None], t_mixed[:, None, None])
-        + calc.pairings(a_mixed[:, None, None], a_mixed[:, :, :, None, None])
-    )
-    return point_maxima(np.abs(lhs - rhs))
+def ambient_frame_tables(calc: PointCalculus):
+    """The ambient curvature on all frame 4-tuples (U, U, U, U), (X, X, X, X)
+    and (U, X, X, U), each indexed [p, a, b, c, d]."""
+    uv, xv, r4 = calc.frame.vert_values, calc.frame.horiz_values, calc.state.curvature.r4
+    rows = ((uv, uv, uv, uv), (xv, xv, xv, xv), (uv, xv, xv, uv))
+    return tuple(_frame_table(calc, r4, *tup) for tup in rows)
+
+
+def _ijji(table) -> np.ndarray:
+    """The entries [p, i, j] = table[p, i, j, j, i] of a frame table."""
+    i, j = np.arange(table.shape[1])[:, None], np.arange(table.shape[2])
+    return table[:, i, j, j, i]
 
 
 class PointAnalysis(NamedTuple):
@@ -130,7 +122,7 @@ def identity_residuals(analysis: PointAnalysis) -> dict:
     leaves them to this function."""
     calc, data = analysis.calc, analysis.data
     tau_hat, tau_star, delta_n = analysis.tau_hat, analysis.tau_star, analysis.delta_n
-    two_tau = scalar_curvature(calc.curvature)
+    two_tau = scalar_curvature(calc.conn.metric, calc.state.curvature)
     c = calc.sub.total.c
     q = (c + 3.0) / 4.0
     w = (c - 1.0) / 4.0
@@ -169,15 +161,13 @@ def identity_residuals(analysis: PointAnalysis) -> dict:
     res["S1"] = np.abs(two_tau - rhs_s1)
 
     uv, xv = calc.frame.vert_values, calc.frame.horiz_values
-    r4 = calc.curvature.r4
+    r4, r4_closed = calc.state.curvature.r4, calc.state.closed
+    uuuu, xxxx, uxxu = ambient_frame_tables(calc)
 
-    def traces(a, b):
-        # [p, i, j]: R(a_i, b_j, b_j, a_i)
-        return _ambient(calc, r4, a[:, :, None], b[:, None], b[:, None], a[:, :, None])
-
-    # running sum over the blocks UU, XU, XX and then UX in (X, U) order
-    tables = (traces(uv, uv), traces(xv, uv), traces(xv, xv), traces(uv, xv))
-    tables = tables[:3] + (np.swapaxes(tables[3], 1, 2),)
+    # running sum of R(a_i, b_j, b_j, a_i) over the blocks UU, XU, XX and
+    # then UX in (X, U) order; only XU is not an entry of the tables
+    xu = _ambient(calc, r4, xv[:, :, None], uv[:, None], uv[:, None], xv[:, :, None])
+    tables = (_ijji(uuuu), xu, _ijji(xxxx), np.swapaxes(_ijji(uxxu), 1, 2))
     four_block = point_sums(np.concatenate([t.reshape(len(t), -1) for t in tables], axis=1))
     res["S2"] = np.abs(four_block - two_tau)
 
@@ -193,22 +183,35 @@ def identity_residuals(analysis: PointAnalysis) -> dict:
     )
     res["S3"] = np.abs(two_tau - rhs_s3)
 
-    # exchange formulas against the closed-form ambient curvature, on all
-    # frame 4-tuples of each block, tables indexed [p, a, b, c, d]; the last
-    # pairing of each correction is the one before it with a and b swapped
-    r4_closed, swap = calc.closed_curvature, (0, 2, 1, 3, 4)
-    tu, ax = data.t_uu, data.a_xx
+    # exchange formulas against the closed-form ambient curvature on the
+    # same tuples; the last pairing of each correction is the one before it
+    # with a and b swapped
+    swap = (0, 2, 1, 3, 4)
+    tu, ax = data.t_frame[:, :r, :r], data.a_frame[:, r:, r:]
     x = calc.pairings(tu[:, :, None, None, :], tu[:, None, :, :, None])
     corr = -x + x.transpose(swap)
-    via_ad = _frame_table(calc, r4, uv, uv, uv, uv) + corr
     via_closed = _frame_table(calc, r4_closed, uv, uv, uv, uv) + corr
-    res["R1"] = point_maxima(np.abs(via_ad - via_closed))
+    res["R1"] = point_maxima(np.abs(uuuu + corr - via_closed))
     x = calc.pairings(ax[:, None, :, :, None], ax[:, :, None, None, :])
     corr = 2.0 * calc.pairings(ax[:, :, :, None, None], ax[:, None, None]) - x + x.transpose(swap)
-    via_ad = _frame_table(calc, r4, xv, xv, xv, xv) + corr
     via_closed = _frame_table(calc, r4_closed, xv, xv, xv, xv) + corr
-    res["R2"] = point_maxima(np.abs(via_ad - via_closed))
-    res["gauss3"] = mixed_gauss_residual(calc)
+    res["R2"] = point_maxima(np.abs(xxxx + corr - via_closed))
+
+    # the mixed exchange identity from both tensors' first derivatives, its
+    # tables indexed [p, i, k, j, l] for X_i, U_k, X_j, U_l (nab_t [p, i, k, l],
+    # nab_a [p, i, k, j])
+    ks, js = np.arange(r), np.arange(n)
+    nab_t = calc.nabla_t_frame(r + js[:, None, None], ks[None, :, None], ks[None, None, :])
+    nab_a = calc.nabla_a_frame(ks[None, :, None], js[:, None, None], js[None, None, :])
+    t_mixed = np.swapaxes(data.t_frame[:, :r, r:], 1, 2)  # [p, i, k]: T(U_k, X_i)
+    a_mixed = data.a_frame[:, r:, :r]  # [p, i, k]: A(X_i, U_k)
+    rhs = (
+        calc.pairings(nab_t[:, :, :, None], xv[:, None, None, :, None])
+        + calc.pairings(nab_a[..., None, :], uv[:, None, None, None])
+        - calc.pairings(t_mixed[:, :, :, None, None], t_mixed[:, None, None])
+        + calc.pairings(a_mixed[:, None, None], a_mixed[:, :, :, None, None])
+    )
+    res["gauss3"] = point_maxima(np.abs(uxxu.transpose(0, 2, 1, 3, 4) - rhs))
     return res
 
 

@@ -246,9 +246,6 @@ def christoffel_at(model: ManifoldModel, points, vs=None) -> ConnectionData:
 
 
 class CurvatureData(NamedTuple):
-    metric: MetricData
-    gamma: np.ndarray
-    dgamma: np.ndarray
     r13: np.ndarray  # (p, l, i, j, k)
     r4: np.ndarray  # (p, i, j, k, l)
 
@@ -270,10 +267,7 @@ def curvature_from_connection(conn: ConnectionData) -> CurvatureData:
     r13 += squares
     r13 -= squares.transpose(0, 1, 3, 2, 4)
     del squares  # before r4 is made, which takes two d^4 arrays
-    r4 = _lower_first(conn.metric.value, r13)
-    return CurvatureData(
-        metric=conn.metric, gamma=gamma, dgamma=dgamma, r13=r13, r4=r4
-    )
+    return CurvatureData(r13=r13, r4=_lower_first(conn.metric.value, r13))
 
 
 def _lower_first(g: np.ndarray, r13: np.ndarray) -> np.ndarray:
@@ -296,10 +290,10 @@ def ricci_from_curvature(curv: CurvatureData) -> np.ndarray:
     return np.einsum("...aajk->...jk", curv.r13)
 
 
-def scalar_curvature(curv: CurvatureData) -> np.ndarray:
+def scalar_curvature(metric: MetricData, curv: CurvatureData) -> np.ndarray:
     """Coordinate-trace scalar curvature g^{jk} Ric_jk, one value per point
-    of a block."""
-    return np.einsum("...jk,...jk->...", curv.metric.inverse, ricci_from_curvature(curv))
+    of a block, with ``metric`` the block's metric."""
+    return np.einsum("...jk,...jk->...", metric.inverse, ricci_from_curvature(curv))
 
 
 def pair_r4(r4: np.ndarray, x, y, z, w):

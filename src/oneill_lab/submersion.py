@@ -40,6 +40,7 @@ from .errors import DegenerateFrameError, RejectedInputError
 from .expressions import block, compile_guard, compile_vector
 from .jets import ArrayJet, concat, seed_block, stack, sum_terms
 from .riemannian import (
+    _PD_FLOOR,
     ManifoldModel,
     VectorField,
     metric_jets,
@@ -130,7 +131,7 @@ def verify_riemannian_submersion(calc: PointCalculus) -> SubmersionCheck:
     return SubmersionCheck(
         kernel_residual=kernel,
         length_residual=point_maxima(np.abs(gram - np.eye(frame.n))),
-        base_pd=np.linalg.eigvalsh(gb)[:, 0] > 1e-12,
+        base_pd=np.linalg.eigvalsh(gb)[:, 0] > _PD_FLOOR,
     )
 
 
@@ -279,32 +280,28 @@ class PointCalculus:
     """Per-point state shared by the tensor and curvature layers, on a block
     of points, the point axis leading.
 
-    Holds the connection and curvature of the total space (both the jet
-    curvature and the space-form closed form), the contact data, the adapted
-    frames as order-2 jet fields, the fundamental tensors on frame pairs,
-    and their exchange jets, from which their covariant derivatives come.
-
-    ``state`` is the total space's data on the block; ``state.points`` are
-    its points. Every vector argument of the methods leads with the point
-    axis and has as many axes as the others.
+    Holds the total space's data on the block, ``state``, of which ``point``
+    and ``conn`` are the points and the connection; the adapted frames as
+    order-2 jet fields, the frame fields' covariant derivatives along each
+    other, the fundamental tensors on frame pairs, and their exchange jets,
+    from which their covariant derivatives come. Every vector argument of
+    the methods leads with the point axis and has as many axes as the others.
     """
 
     def __init__(self, sub: SubmersionModel, state: SpaceFormData):
         self.sub = sub
+        self.state = state
         self.point = state.points
         self.conn = state.conn
-        self.curvature = state.curvature
-        # closed form of a space form with the total space's phi-sectional
-        # curvature, from the metric, phi and eta; slots of ``curvature.r4``
-        self.closed_curvature = state.closed
         self.frame = adapted_frame_at(sub, state)
         self.r = self.frame.r
         self.n = self.frame.n
-        self.phi_values = state.contact.phi
-        self.eta_values = state.contact.eta
-        self.xi_values = state.contact.xi
+        values = self.frame.jets.value
         # row a pairs a vector with frame field a: its frame coefficients
-        self._decomp = np.array(self.frame.jets.value, dtype=float) @ self.conn.metric.value
+        self._decomp = np.array(values, dtype=float) @ self.conn.metric.value
+        # [p, i, j]: cov of E_j along E_i, read by the tensor tables and by
+        # both tensors' derivatives
+        self._nabla_frame = self.cov_point(values[:, :, None], self.frame.jets[:, None])
         self._tensor_tables = self._frame_tables()
         m, conn = self.conn.metric, self.conn
         # jets of T on vertical frame pairs and of A on horizontal frame
@@ -348,12 +345,12 @@ class PointCalculus:
     def phi_of(self, ws) -> np.ndarray:
         """phi w, one matrix-vector product per vector."""
         ws = np.asarray(ws, dtype=float)[..., None]
-        return (self.per_point(self.phi_values, ws.ndim) @ ws)[..., 0]
+        return (self.per_point(self.state.contact.phi, ws.ndim) @ ws)[..., 0]
 
     def eta_of(self, ws) -> np.ndarray:
         """eta(w), one dot product per vector."""
         ws = np.asarray(ws, dtype=float)[..., None]
-        eta = self.per_point(self.eta_values[..., None, :], ws.ndim)
+        eta = self.per_point(self.state.contact.eta[..., None, :], ws.ndim)
         return (eta @ ws)[..., 0, 0]
 
     # ---- covariant derivatives ----
@@ -374,15 +371,11 @@ class PointCalculus:
         """Values of both fundamental tensors on all frame pairs of the block.
 
         Both tensors are pointwise bilinear, so evaluation on arbitrary
-        vectors reduces to one covariant derivative per frame pair plus
+        vectors reduces to the covariant derivative of each frame pair plus
         projections; the exchange jets are only needed where first
         derivatives matter."""
-        r, (p, d) = self.r, self.point.shape
-        values = np.asarray(self.frame.jets.value)
-        # [p, i, j]: cov of E_j along E_i
-        nab = self.cov_point(values[:, :, None], self.frame.jets[:, None])
-        t_tab = np.zeros((p, d, d, d))
-        a_tab = np.zeros((p, d, d, d))
+        r, (p, d), nab = self.r, self.point.shape, self._nabla_frame
+        t_tab, a_tab = np.zeros((2, p, d, d, d))
         t_tab[:, :r, :r] = self.h_project_values(nab[:, :r, :r])
         t_tab[:, :r, r:] = self.v_project_values(nab[:, :r, r:])
         a_tab[:, r:, r:] = self.v_project_values(nab[:, r:, r:])
@@ -415,34 +408,32 @@ class PointCalculus:
         """A(e, f), same conventions as ``t_point``."""
         return self.a_of(self.frame_coeffs(e), self.frame_coeffs(f))
 
-    def nabla_t_frame(self, e_values, k, l) -> np.ndarray:
-        """(nabla_e T)(U_k, U_l): d/de of T(U_k, U_l) minus the two slot
-        corrections; only the value of ``e`` matters. The vectors ``e``
-        (p, ..., dim) and, after the point axis, the frame indices ``k``,
-        ``l`` (integers or integer arrays) broadcast against each other."""
-        t_fields, _ = self._exchange_fields
-        jets, uv = self.frame.jets, self.frame.vert_values
-        main = self.cov_point(e_values, t_fields[:, k, l])
-        c1 = self.t_point(self.cov_point(e_values, jets[:, k]), uv[:, l])
-        c2 = self.t_point(uv[:, k], self.cov_point(e_values, jets[:, l]))
-        return main - c1 - c2
+    def _nabla(self, jets, tensor, e, k, l) -> np.ndarray:
+        # d/dE_e of the tensor's ``jets`` on (E_k, E_l) minus the two slot
+        # corrections, whose derivatives are read from the frame table
+        values, nab = self.frame.jets.value, self._nabla_frame
+        main = self.cov_point(values[:, e], jets)
+        return main - tensor(nab[:, e, k], values[:, l]) - tensor(values[:, k], nab[:, e, l])
 
-    def nabla_a_frame(self, e_values, i, j) -> np.ndarray:
-        """(nabla_e A)(X_i, X_j), same conventions."""
-        _, a_fields = self._exchange_fields
-        jets, xv, r = self.frame.jets, self.frame.horiz_values, self.r
-        main = self.cov_point(e_values, a_fields[:, i, j])
-        c1 = self.a_point(self.cov_point(e_values, jets[:, r + i]), xv[:, j])
-        c2 = self.a_point(xv[:, i], self.cov_point(e_values, jets[:, r + j]))
-        return main - c1 - c2
+    def nabla_t_frame(self, e, k, l) -> np.ndarray:
+        """(nabla_{E_e} T)(U_k, U_l) for the frame slot ``e`` (vertical
+        block first) and vertical frame indices ``k``, ``l``: integers or
+        integer arrays, broadcast against each other after the point axis."""
+        return self._nabla(self._exchange_fields[0][:, k, l], self.t_point, e, k, l)
+
+    def nabla_a_frame(self, e, i, j) -> np.ndarray:
+        """(nabla_{E_e} A)(X_i, X_j) for horizontal frame indices ``i``,
+        ``j``; same conventions."""
+        r, a_fields = self.r, self._exchange_fields[1]
+        return self._nabla(a_fields[:, i, j], self.a_point, e, r + i, r + j)
 
     def delta_n(self) -> np.ndarray:
         """Divergence-type trace: sum over the horizontal frame of the
         pairing of (nabla_X T)(U, U) with X, summed over the vertical frame;
         one value per point of a block."""
         xv = self.frame.horiz_values[..., :, None, :]
-        ks = np.arange(self.r)[None, :]
-        terms = self.pairings(self.nabla_t_frame(xv, ks, ks), xv)
+        xs, ks = self.r + np.arange(self.n)[:, None], np.arange(self.r)[None, :]
+        terms = self.pairings(self.nabla_t_frame(xs, ks, ks), xv)
         return running_sum(np.moveaxis(terms.reshape(terms.shape[:-2] + (-1,)), -1, 0))
 
 
@@ -452,41 +443,42 @@ class OneillData(NamedTuple):
 
     t_coeff: np.ndarray  # (p, r, r, n): component of T(U_a, U_b) along X_s
     a_coeff: np.ndarray  # (p, n, n, r): component of A(X_s, X_t) along U_a
-    t_uu: np.ndarray  # (p, r, r, dim): chart components of T(U_a, U_b)
-    a_xx: np.ndarray  # (p, n, n, dim): chart components of A(X_s, X_t)
+    t_frame: np.ndarray  # (p, d, d, d): chart components of T(E_a, E_b), vertical first
+    a_frame: np.ndarray  # (p, d, d, d): chart components of A(E_a, E_b)
     sum_t_sq: np.ndarray  # (p,), as the norms below
     sum_a_sq: np.ndarray
     norm_tv_sq: np.ndarray  # mixed-slot norm of the vertical-block tensor
     norm_ah_sq: np.ndarray  # mixed-slot norm of the horizontal-block tensor
     n_vec: np.ndarray  # trace of the vertical-block tensor over the fiber
-    h_vec: np.ndarray  # mean curvature vector of the fibers (n_vec / r)
     n_norm_sq: np.ndarray
     trace_phi_b: np.ndarray
 
 
 def tensors_from_calculus(calc: PointCalculus) -> OneillData:
+    """The tensor data of the block of ``calc``: T and A once each, on all
+    frame pairs; the other fields, and later readers, take their blocks."""
     r = calc.r
     uvals, xvals = calc.frame.vert_values, calc.frame.horiz_values
-    t_uu = calc.t_point(uvals[:, :, None], uvals[:, None])
+    frame = calc.frame.jets.value
+    t_frame = calc.t_point(frame[:, :, None], frame[:, None])
+    a_frame = calc.a_point(frame[:, :, None], frame[:, None])
+    t_uu, t_ux = t_frame[:, :r, :r], t_frame[:, :r, r:]
+    a_xx, a_xu = a_frame[:, r:, r:], a_frame[:, r:, :r]
     t_coeff = calc.pairings(t_uu[:, :, :, None], xvals[:, None, None])
-    a_xx = calc.a_point(xvals[:, :, None], xvals[:, None])
     a_coeff = calc.pairings(a_xx[:, :, :, None], uvals[:, None, None])
-    t_ux = calc.t_point(uvals[:, :, None], xvals[:, None])
-    a_xu = calc.a_point(xvals[:, :, None], uvals[:, None])
     ks = np.arange(r)
     n_vec = running_sum(np.moveaxis(t_uu[:, ks, ks], 1, 0))
     b_part = calc.v_project_values(calc.phi_of(xvals))
     return OneillData(
         t_coeff=t_coeff,
         a_coeff=a_coeff,
-        t_uu=t_uu,
-        a_xx=a_xx,
+        t_frame=t_frame,
+        a_frame=a_frame,
         sum_t_sq=np.sum(t_coeff**2, axis=(1, 2, 3)),
         sum_a_sq=np.sum(a_coeff**2, axis=(1, 2, 3)),
         norm_tv_sq=point_sums(calc.pairings(t_ux, t_ux)),
         norm_ah_sq=point_sums(calc.pairings(a_xu, a_xu)),
         n_vec=n_vec,
-        h_vec=n_vec / r,
         n_norm_sq=calc.pairings(n_vec, n_vec),
         trace_phi_b=point_sums(calc.pairings(calc.phi_of(b_part), xvals)),
     )
@@ -511,10 +503,9 @@ def verify_structure_lemmas(calc: PointCalculus, data: OneillData) -> dict:
             np.abs(data.a_coeff + np.swapaxes(data.a_coeff, 1, 2))
         ),
     }
-    frame = np.asarray(calc.frame.jets.value, dtype=float)  # vertical block first
-    for key, tensor in (("skew_t", calc.t_point), ("skew_a", calc.a_point)):
-        img = tensor(frame[:, :, None], frame[:, None])  # [p, e, f]
-        # [p, e, f, g]: g(P(e, f), g) + g(f, P(e, g))
+    frame = calc.frame.jets.value  # vertical block first
+    for key, img in (("skew_t", data.t_frame), ("skew_a", data.a_frame)):
+        # img[p, e, f] is P(e, f); skew[p, e, f, g]: g(P(e, f), g) + g(f, P(e, g))
         skew = calc.pairings(img[:, :, :, None], frame[:, None, None]) + calc.pairings(
             frame[:, None, :, None], img[:, :, None, :]
         )
@@ -528,7 +519,7 @@ def verify_structure_lemmas(calc: PointCalculus, data: OneillData) -> dict:
     c_part = calc.h_project_values(phix)
     resid = calc.h_project_values(calc.phi_of(c_part)) + xvals
     if calc.sub.xi_case == "horizontal":
-        resid = resid - calc.eta_of(xvals)[..., None] * calc.xi_values[:, None]
+        resid = resid - calc.eta_of(xvals)[..., None] * calc.state.contact.xi[:, None]
     resid = resid + calc.phi_of(b_part)
     res["c_square"] = point_maxima(np.abs(resid))
     return res

@@ -75,9 +75,8 @@ class TheoremTable(NamedTuple):
     point and probe, shaped (N, P), and for CRH1 per point, probe and bound
     variant, shaped (N, P, V), named in order by ``variant``. ``slack`` >= 0
     means the bound holds; ``equality`` flags |slack| <= EQUALITY_TOL;
-    ``equality_defect`` is the tensor obstruction to equality;
-    ``dropped_term`` is V1's dropped term. The probe vectors are
-    (N, P, dim)."""
+    ``equality_defect`` is the tensor obstruction to equality. The probe
+    vectors are (N, P, dim)."""
 
     theorem_id: str
     point: np.ndarray
@@ -91,7 +90,6 @@ class TheoremTable(NamedTuple):
     holds: np.ndarray
     equality: np.ndarray
     equality_defect: np.ndarray
-    dropped_term: Optional[np.ndarray]
 
 
 class TheoremScan(NamedTuple):
@@ -227,20 +225,20 @@ def _probe_t_coeff(analysis, vfr, hfr):
     """Per point and probe: T on the probe's vertical frame in chart
     components (N, P, r, r, dim) and along its horizontal frame
     (N, P, r, r, n)."""
-    calc = analysis.calc
+    calc, r = analysis.calc, analysis.calc.r
     g = calc.conn.metric.value
     cv = vfr @ g[:, None] @ np.swapaxes(calc.frame.vert_values, 1, 2)[:, None]
-    t_chart = np.einsum("zpac,zpbd,zcdk->zpabk", cv, cv, analysis.data.t_uu)
+    t_chart = np.einsum("zpac,zpbd,zcdk->zpabk", cv, cv, analysis.data.t_frame[:, :r, :r])
     return t_chart, np.einsum("zpabk,zkl,zpsl->zpabs", t_chart, g, hfr)
 
 
 def _probe_a_coeff(analysis, vfr, hfr):
     """Per point and probe: A on the probe's horizontal frame along its
     vertical frame (N, P, n, n, r)."""
-    calc = analysis.calc
+    calc, r = analysis.calc, analysis.calc.r
     g = calc.conn.metric.value
     ch = hfr @ g[:, None] @ np.swapaxes(calc.frame.horiz_values, 1, 2)[:, None]
-    a_chart = np.einsum("zpsu,zptv,zuvk->zpstk", ch, ch, analysis.data.a_xx)
+    a_chart = np.einsum("zpsu,zptv,zuvk->zpstk", ch, ch, analysis.data.a_frame[:, r:, r:])
     return np.einsum("zpstk,zkl,zpal->zpsta", a_chart, g, vfr)
 
 
@@ -288,15 +286,15 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
         ric_u1 = ric_hat_probes(calc, u1) if slots is None else analysis.ric_hat[:, slots[0]]
     if entry.needs_h:
         ric_x1 = ric_star_probes(calc, x1) if slots is None else analysis.ric_star[:, slots[1]]
-    dropped = variant = None
+    variant = None
     if theorem_id == "V1":
         eta_sq = float_squares(calc.eta_of(u1))
         lhs = ric_u1
-        t_chart, tc = _probe_t_coeff(analysis, vfr, hfr)
-        mean_term = calc.pairings(t_chart[:, :, 0, 0], data.h_vec[:, None])
+        t_chart = _probe_t_coeff(analysis, vfr, hfr)[0]
+        # g(T(u1, u1), H), H = n_vec / r the mean curvature vector of the fibers
+        mean_term = calc.pairings(t_chart[:, :, 0, 0], (data.n_vec / r)[:, None])
         rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - r * mean_term
         defect = point_maxima(np.abs(data.t_coeff))[:, None]
-        dropped = np.sum(tc[:, :, 0, :, :] ** 2, axis=(2, 3))
     elif theorem_id in ("V2", "V3"):
         lhs = 2.0 * analysis.tau_hat[:, None]
         n_norm_sq = data.n_norm_sq[:, None]
@@ -370,7 +368,6 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
         holds=slack >= SLACK_FLOOR,
         equality=np.abs(slack) <= EQUALITY_TOL,
         equality_defect=np.broadcast_to(defect, shape),
-        dropped_term=dropped,
     )
 
 
@@ -433,7 +430,7 @@ def scan_from_records(theorem_id, tables, points_checked) -> TheoremScan:
 
 # The fields of a TheoremTable with a probe axis, axis 1.
 _PROBE_FIELDS = ("probe_vertical", "probe_horizontal", "lhs", "rhs", "slack", "holds",
-                 "equality", "equality_defect", "dropped_term")
+                 "equality", "equality_defect")
 
 
 def _join_columns(tables) -> TheoremTable:

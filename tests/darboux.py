@@ -36,7 +36,7 @@ def darboux_frame(coords) -> np.ndarray:
 def sectional_curvature(model, coords, x, y) -> float:
     """K(span{X, Y}) = R(X, Y, Y, X) / (|X|^2 |Y|^2 - g(X, Y)^2)."""
     curv = riemann_at(model, coords)
-    gv = curv.metric.value[0]
+    gv = metric_at(model, np.asarray(coords, dtype=float)[None]).value[0]
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xx = float(x @ gv @ x)

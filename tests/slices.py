@@ -68,5 +68,4 @@ def table_rows(table, k=0):
         holds=rows(table.holds),
         equality=rows(table.equality),
         equality_defect=rows(table.equality_defect),
-        dropped_term=rows(table.dropped_term),
     )

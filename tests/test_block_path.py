@@ -99,7 +99,7 @@ def test_block_arrays_at_a_point_equal_its_block_of_one(model, seed, size, data)
     # tau_star, delta_n), the identity residuals, the checks and the lemmas
     block = list(_arrays(_stages(sub, pts)))
     reached = {path[:3] for path, _ in block}
-    for name in ("point", "frame", "_tensor_tables", "_exchange_fields"):
+    for name in ("state", "point", "frame", "_nabla_frame", "_tensor_tables", "_exchange_fields"):
         assert (0, "calc", name) in reached, name
     for k, pt in enumerate(pts):
         one = list(_arrays(_stages(sub, pt[None])))

@@ -18,7 +18,6 @@ from oneill_lab.invariants import (
     _hat_star_tables,
     fiber_curvature_hat,
     horizontal_curvature_star,
-    mixed_gauss_residual,
     ric_hat_probes,
     ric_star_probes,
 )
@@ -68,7 +67,8 @@ class TestVerticalXiPacket:
             np.testing.assert_allclose(ric_star(calc), oracle_star, atol=CURV_TOL)
             assert abs(an.delta_n[0] - split.delta_n()) < CURV_TOL
             assert abs(data.trace_phi_b[0] - split.trace_phi_b()) < TOL
-            assert abs(scalar_curvature(calc.curvature)[0] / 2.0 - (-2.0)) < CURV_TOL
+            two_tau = scalar_curvature(calc.conn.metric, calc.state.curvature)
+            assert abs(two_tau[0] / 2.0 - (-2.0)) < CURV_TOL
             assert abs(data.n_norm_sq[0]) < TOL
             assert abs(data.sum_t_sq[0] - 4.0) < TOL
             assert abs(data.sum_a_sq[0]) < TOL
@@ -178,6 +178,6 @@ class TestMixedExchange:
 
     def test_mixed_residual_values(self):
         vx, hx = resolve_model("vertical-xi"), resolve_model("horizontal-xi")
-        assert mixed_gauss_residual(calc_of_one(vx, POINTS[0]))[0] < CURV_TOL
-        assert abs(mixed_gauss_residual(calc_of_one(hx, H_POINTS[0]))[0] - 2.0) < CURV_TOL
+        assert point_residuals(vx, POINTS[0])["gauss3"] < CURV_TOL
+        assert abs(point_residuals(hx, H_POINTS[0])["gauss3"] - 2.0) < CURV_TOL
 

@@ -111,9 +111,9 @@ class PerVector:
         self.data = SimpleNamespace(**{name: getattr(data, name)[k] for name in data._fields})
         self.g = calc.conn.metric.value[k]
         self.gamma = calc.conn.gamma[k]
-        self.r4 = calc.curvature.r4[k]
-        self.closed = calc.closed_curvature[k]
-        self.phi, self.eta = calc.phi_values[k], calc.eta_values[k]
+        self.r4 = calc.state.curvature.r4[k]
+        self.closed = calc.state.closed[k]
+        self.phi, self.eta = calc.state.contact.phi[k], calc.state.contact.eta[k]
         self.jets = calc.frame.jets[k]
         self.uv = calc.frame.vert_values[k]
         self.xv = calc.frame.horiz_values[k]
@@ -209,8 +209,10 @@ class PerVector:
         """The fields of ``tensors_from_calculus`` that the frames feed."""
         uv, xv, phi = self.uv, self.xv, self.phi
         r, n = len(uv), len(xv)
-        t_uu = np.array([[self.t(uv[a], uv[b]) for b in range(r)] for a in range(r)])
-        a_xx = np.array([[self.a(xv[s], xv[t]) for t in range(n)] for s in range(n)])
+        frame = list(uv) + list(xv)
+        t_frame = np.array([[self.t(e, f) for f in frame] for e in frame])
+        a_frame = np.array([[self.a(e, f) for f in frame] for e in frame])
+        t_uu, a_xx = t_frame[:r, :r], a_frame[r:, r:]
         t_coeff = np.zeros((r, r, n))
         for a in range(r):
             for b in range(r):
@@ -242,8 +244,8 @@ class PerVector:
             c_part = self.h_project(phix)
             c_norms_sq[s] = self.pair(c_part, c_part)
         return {
-            "t_uu": t_uu,
-            "a_xx": a_xx,
+            "t_frame": t_frame,
+            "a_frame": a_frame,
             "t_coeff": t_coeff,
             "a_coeff": a_coeff,
             "sum_t_sq": float(np.sum(t_coeff**2)),
@@ -432,13 +434,15 @@ class PerVector:
         return out
 
     def t_coeff(self, vfr, hfr):
+        r = len(self.uv)
         cv = vfr @ self.g @ np.asarray(self.uv, dtype=float).T
-        t_chart = np.einsum("ac,bd,cdk->abk", cv, cv, self.data.t_uu)
+        t_chart = np.einsum("ac,bd,cdk->abk", cv, cv, self.data.t_frame[:r, :r])
         return t_chart, np.einsum("abk,kl,sl->abs", t_chart, self.g, hfr)
 
     def a_coeff(self, vfr, hfr):
+        r = len(self.uv)
         ch = hfr @ self.g @ np.asarray(self.xv, dtype=float).T
-        a_chart = np.einsum("su,tv,uvk->stk", ch, ch, self.data.a_xx)
+        a_chart = np.einsum("su,tv,uvk->stk", ch, ch, self.data.a_frame[r:, r:])
         return np.einsum("stk,kl,al->sta", a_chart, self.g, vfr)
 
     def c_norm_sq(self, x) -> float:
@@ -492,13 +496,12 @@ class PerVector:
             if tid == "V1":
                 eta_u1 = float(eta @ vfr[0])
                 lhs = self.ric_hat(vfr[0])
-                t_chart, tc = self.t_coeff(vfr, hfr)
-                mean_term = float(t_chart[0, 0] @ self.g @ data.h_vec)
+                t_chart, _ = self.t_coeff(vfr, hfr)
+                mean_term = float(t_chart[0, 0] @ self.g @ (data.n_vec / r))
                 rhs = q * (r - 1) - w * ((r - 2) * eta_u1**2 + 1.0) - r * mean_term
                 diag = {
                     "equality_class": "totally_geodesic",
                     "equality_defect": float(np.max(np.abs(data.t_coeff))),
-                    "dropped_term": float(np.sum(tc[0, :, :] ** 2)),
                 }
                 emit(None, vfr, hfr, lhs, rhs, "ge", diag)
             elif tid in ("V2", "V3"):
@@ -599,13 +602,10 @@ def _diag_bits(diag):
 
 def _row_diagnostics(table, i):
     """Row i's equality-case fields, keyed as the per-probe formulas key them."""
-    diag = {
+    return {
         "equality_class": table.equality_class,
         "equality_defect": table.equality_defect[i],
     }
-    if table.dropped_term is not None:
-        diag["dropped_term"] = table.dropped_term[i]
-    return diag
 
 
 def _probe_bits(vec):
@@ -719,7 +719,7 @@ def test_tensor_data_equals_per_vector_formulas_bitwise(blocks, model):
 def test_packet_equals_per_vector_formulas_bitwise(blocks, model):
     (block,) = blocks[model]
     residuals = identity_residuals(block)
-    two_taus = scalar_curvature(block.calc.curvature)
+    two_taus = scalar_curvature(block.calc.conn.metric, block.calc.state.curvature)
     for k in range(len(block.calc.point)):
         ref = PerVector(block, k)
         hat, star = ref.hat_star_tables()
@@ -760,7 +760,7 @@ coord_seed = st.integers(min_value=0, max_value=2**31 - 1)
 def test_frame_tables_equal_per_tuple_pair_r4(model, seed, closed):
     (block,) = _blocks(model, points=1, seed=seed)
     calc = block.calc
-    t = (calc.closed_curvature if closed else calc.curvature.r4)[0]
+    t = (calc.state.closed if closed else calc.state.curvature.r4)[0]
     f = np.array(calc.frame.jets.value[0], dtype=float)
     m = len(f)
     table = pair_r4(

@@ -101,7 +101,7 @@ def test_flat_connection_and_curvature_vanish():
     assert np.max(np.abs(conn.gamma[0])) == 0.0
     curv = riemann_at(m, pt)
     assert np.max(np.abs(curv.r4[0])) == 0.0
-    assert scalar_curvature(curv)[0] == 0.0
+    assert scalar_curvature(conn.metric, curv)[0] == 0.0
 
 
 def test_polar_christoffels_closed_form():
@@ -132,10 +132,11 @@ def test_sphere_ricci_and_scalar():
     m = sphere_model()
     pt = [1.0, 0.2]
     curv = riemann_at(m, pt)
+    metric = metric_at(m, [pt])
     ric = ricci_from_curvature(curv)[0]
     # Ric = (n-1) K g = g on the unit 2-sphere; scalar = 2
-    assert np.allclose(ric, curv.metric.value[0], atol=TOL_CURV)
-    assert abs(scalar_curvature(curv)[0] - 2.0) < TOL_CURV
+    assert np.allclose(ric, metric.value[0], atol=TOL_CURV)
+    assert abs(scalar_curvature(metric, curv)[0] - 2.0) < TOL_CURV
 
 
 # -- guards -------------------------------------------------------------------

@@ -102,7 +102,6 @@ class TestVerticalXiFrozen:
         tab = only(evaluate(vx_analysis, "V1"))
         check(tab, 2.0, 1.0, 1.0)
         assert tab.equality_class == "totally_geodesic"
-        assert abs(tab.dropped_term[0] - 1.0) < TOL
         assert abs(tab.equality_defect[0] - 1.0) < TOL
 
     def test_v1_all_probes_includes_reeb(self, vx_analysis):
@@ -112,10 +111,9 @@ class TestVerticalXiFrozen:
         check(tab, 2.0, 1.0, 1.0, row=1)
         check(tab, 4.0, 2.0, 2.0, row=2)
         calc = vx_analysis.calc
-        xi = calc.xi_values[0]
+        xi = calc.state.contact.xi[0]
         unit_xi = xi / np.sqrt(calc.pairings(xi[None], xi[None])[0])
         np.testing.assert_allclose(tab.probe_vertical[2], unit_xi, atol=1e-9)
-        assert abs(tab.dropped_term[2] - 2.0) < TOL
 
     def test_v2(self, vx_analysis):
         check(only(evaluate(vx_analysis, "V2")), 8.0, 4.0, 4.0, equality=False)
@@ -195,7 +193,6 @@ class TestReebFiberFrozen:
     def test_v1_reeb_probe(self, reeb_analysis):
         tab = only(evaluate(reeb_analysis, "V1"))
         check(tab, 0.0, 0.0, 0.0)
-        assert tab.dropped_term[0] < 1e-9
 
     def test_v2_equality(self, reeb_analysis):
         check(only(evaluate(reeb_analysis, "V2")), 0.0, 0.0, 0.0, equality=True)
@@ -378,7 +375,6 @@ def _hand_built(theorem_id, slacks_per_point):
                 holds=slack >= SLACK_FLOOR,
                 equality=np.abs(slack) <= EQUALITY_TOL,
                 equality_defect=np.zeros_like(slack),
-                dropped_term=None,
             )
         )
     return tables
