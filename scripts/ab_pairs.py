@@ -21,6 +21,12 @@ the parent. A workload's
 unresolved and no operation of the change failed. Progress goes to
 standard error.
 
+Before the first pair and after the last, ``host_parallelism`` times two
+forked copies of a fixed pure-Python loop run at once against one copy,
+and the JSON holds the ratio of the two wall times: about 1 means a free
+second core, about 2 means none. A run that forks workers reads faster or
+slower with that number, so read its pairs beside it.
+
 Usage:
     python scripts/ab_pairs.py --parent DIR --change DIR \\
         --workload verify-spaceform-sweep --workload report-bundled \\
@@ -29,9 +35,11 @@ Usage:
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -59,6 +67,39 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         "failed": summary["failed"],
         "correct": summary["correct"],
     }
+
+
+def _spin(loops: int) -> int:
+    total = 0
+    for i in range(loops):
+        total += i
+    return total
+
+
+def _forked_wall(copies: int, loops: int) -> float:
+    """Wall time of ``copies`` forked processes, each running ``_spin``
+    at once, until all are reaped."""
+    start = time.perf_counter()
+    pids = []
+    try:
+        for _ in range(copies):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _spin(loops)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return time.perf_counter() - start
+
+
+def host_parallelism(loops: int = 3_000_000) -> float:
+    """Wall time of two forked copies of a fixed loop over that of one: about
+    1 when a second core is free, about 2 when none is."""
+    return _forked_wall(2, loops) / _forked_wall(1, loops)
 
 
 def _spread(values) -> dict:
@@ -115,6 +156,7 @@ def cli(argv=None) -> int:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
     metrics = _end_to_end()
+    parallelism = {"before": host_parallelism()}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = {workload: [] for workload in args.workload}
     for i in range(args.pairs):
@@ -127,7 +169,9 @@ def cli(argv=None) -> int:
             wall = {side: pair[side]["metrics"].get("wall_s") for side in order}
             print(f"{workload} pair {i + 1}/{args.pairs}: wall_s {wall}", file=sys.stderr,
                   flush=True)
-    result = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
+    parallelism["after"] = host_parallelism()
+    result = {"seed": args.seed, "seconds": args.seconds, "host_parallelism": parallelism,
+              "workloads": {}}
     for workload, done in pairs.items():
         failed = {side: sum(p[side]["failed"] for p in done) for side in sides}
         summary = summarize(done, metrics)

@@ -7,30 +7,37 @@ whether the checkouts give byte-identical reports. The matrix:
 - ``verify`` on r2m1:1..4 at 40 points (blocks of 9 points at d = 9, the
   last of 4);
 - ``verify`` on r2m1:1..4 at 400 points: one block of 400 points at d = 3,
-  three of 104 points and one of 88 at d = 5, and at d = 7 and 9 15 and 45
-  blocks, which ``cli._map_blocks`` spreads over forked worker processes
-  on a machine with at least two usable CPUs (the other runs stay in one
-  process);
-- ``verify`` on r2m1:3 at 401 points (a forked run whose last block is
-  partial, 23 points) and on r2m1:4 at 1 and at 57 points (one point, and
-  six blocks of 9 and one of 3 in one process: 57 * 9**4 is just less
-  than two workers' least work);
+  three of 104 points and one of 88 at d = 5 in one process, and at d = 7
+  and 9 two ranges of 200 points, each cut into blocks of 27 (the last of
+  11) and of 9 (the last of 2);
+- ``verify`` on r2m1:3 at 401 points (ranges of 200 and 201 points, the
+  second's last block of 12) and on r2m1:4 at 1 and at 57 points (one
+  point, and six blocks of 9 and one of 3 in one process: 57 * 9**4 is
+  just less than two workers' least work);
 - ``verify`` on r2m1:5 and r2m1:6 at 20 points (d = 11 and 13: five
-  blocks of 4 points in one process, and ten blocks of 2, which fork);
+  blocks of 4 points in one process, and two ranges of 10 points in five
+  blocks of 2 each);
 - ``report`` and ``theorems`` on vertical-xi, horizontal-xi and
-  models/reeb_fiber.json at 56 points (d = 5: a submersion sample is cut
-  by ``point_blocks(power=5)`` into five blocks of 10 points and one of 6);
+  models/reeb_fiber.json at 56 points (d = 5: a sample in one process is
+  cut by ``point_blocks(power=5)`` into five blocks of 10 points and one
+  of 6; under random:8, 448 probe rows, it is two ranges of 28 points,
+  each in blocks of 10, 10 and 8);
 
 each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8
 (171 runs); ``theorems --probe random:64`` on the same three models at
-8 points, at the same seeds (9 runs); and ``report --probe all`` on the
-same three models at 1 and at 11 points, seed 42 only (6 runs: a block of
-one point, and a block of 10 with a partial block of 1 after it, where a
-frame table read that depended on its block's size would show). Random
-probes with enough probe rows (448 and 512 here) are split by columns over
-forked worker processes on a machine with at least two usable CPUs. 186
-runs in all, each report named by its command, model, points, seed and
-probe; exit_codes.txt holds the exit code of each. The parser's own text is part of the matrix too: the
+8 points, at the same seeds (9 runs, 512 probe rows: two ranges of 4
+points); and ``report --probe all`` on the same three models at 1 and at
+11 points, seed 42 only (6 runs: a block of one point, and a block of 10
+with a partial block of 1 after it, where a frame table read that
+depended on its block's size would show). ``cli._map_blocks`` is the one
+fan-out: it cuts a sample's points into contiguous ranges, one per usable
+CPU with enough work (curvature entries on a plain space form, random
+probe rows on a submersion), and each range after the first runs on a
+forked worker. The ranges above are those of a machine with two usable
+CPUs; with one, every run stays in one process. 186 runs in all, each
+report named by its command, model, points, seed and probe;
+exit_codes.txt holds the exit code of each. The parser's own text is part
+of the matrix too: the
 ``--help`` output of the program and of each subcommand at ``COLUMNS=80``
 (help-<command>.txt), and the standard error and exit code of five bad
 command lines (usage-<case>.txt): a negative ``--points``, a ``--box`` that

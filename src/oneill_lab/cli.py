@@ -41,7 +41,7 @@ from .submersion import (
     verify_riemannian_submersion,
     verify_structure_lemmas,
 )
-from .theorems import THEOREM_IDS, parse_probe_mode, scan_theorems
+from .theorems import THEOREM_IDS, parse_probe_mode, plan_scan, scan_block, scan_from_records
 
 # Bundled models: model files of the documented schema shipped with the
 # package as models/<name>.json.
@@ -106,29 +106,50 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-# The least work each worker process of ``_map_blocks`` gets, in curvature
-# entries: points times d^4, which counts blocks of any size and d alike.
-# Forking costs about 3 ms, and afterwards both processes take about a
-# thousand copy-on-write faults on the heap pages they share. Wins of a
-# worker over none in rounds of 10 alternated pairs of ``verify`` (in one
-# process on a 2-core x86-64 VM, each side the mean of 3 runs) at d = 5, 7
-# and 9, by entries per worker: ~125,000, 4, 10 and 10 of 10 (10 and 9 at
-# d = 5 and 7 in another round); ~150,000, 0, 0 and 5 (3, 9 and 10);
-# ~175,000, 6, 10 and 10; ~187,500 (600, 156 and 57 points), 10, 9 and 10
-# (10, 10 and 9), medians 0.067-0.072 -> 0.045-0.049 s at d = 5, 0.055 ->
-# 0.039-0.040 s at d = 7 and 0.049-0.057 -> 0.036-0.038 s at d = 9. So at
-# 400 points d = 3 and 5 stay in one process, and d = 7 and 9 fork.
+# The least work each worker process of ``_map_blocks`` gets on a plain
+# space form, in curvature entries: points times d^4, which counts points of
+# any d alike. Forking costs about 3 ms, and afterwards both processes take
+# about a thousand copy-on-write faults on the heap pages they share. In
+# rounds of 10 alternated pairs of ``verify`` (in one process on a 2-core
+# x86-64 VM, each side the mean of 3 runs) at d = 5, 7 and 9, a worker won
+# 0 to 10 pairs at 125,000-175,000 entries per worker, and 9 or 10 at every
+# d at ~187,500 (600, 156 and 57 points): medians 0.067-0.072 -> 0.045-0.049
+# s at d = 5, 0.055 -> 0.039-0.040 s at d = 7, 0.049-0.057 -> 0.036-0.038 s
+# at d = 9. So at 400 points d = 3 and 5 stay in one process, and 7 and 9 fork.
 _MIN_ENTRIES_PER_WORKER = 187_500
 
+# The least work each worker process of ``_map_blocks`` gets on a
+# submersion, in random probe rows: points times k under ``random:<k>`` when
+# an id probes, else 0. CPU times (getrusage) of a scan of vertical-xi at 8
+# points, one worker against none, medians of 20 alternated runs on a 2-core
+# x86-64 VM whose second core is shared: at 64 rows per worker the process
+# saved 6.8 ms against 8.1 ms of fork costs on both sides together (fork,
+# copy-on-write faults, pickling), at 128 rows 19.4 ms against 9.0 ms. On the
+# benchmark's theorems-random-probes (two scans of 512 rows a pass, a worker
+# taking 256 of each), a pass took 0.084-0.103 s (median 0.090) with a worker
+# and 0.107-0.112 s (median 0.109) without, in 10 alternated pairs of 40 s
+# runs; the worker won all 10.
+_MIN_PROBE_ROWS_PER_WORKER = 128
 
-def _map_blocks(fn, blocks) -> list:
-    """``[fn(b) for b in blocks]``, in order, on up to one process per
-    usable CPU, each with at least ``_MIN_ENTRIES_PER_WORKER`` curvature
-    entries (points times d^4) of the point blocks ``blocks``."""
-    entries = sum(len(b) * b.shape[1] ** 4 for b in blocks)
-    ranges = split(len(blocks), entries, _MIN_ENTRIES_PER_WORKER)
-    parts = map_parts(lambda span: [fn(b) for b in blocks[slice(*span)]], ranges)
-    return [result for part in parts for result in part]
+
+def _map_blocks(fn, pts, power: int, per_point: int, min_per_worker: int) -> list:
+    """``fn(start, block)`` of each block of the sample ``pts``, in sample
+    order, ``start`` being the index of the block's first point. The points
+    are cut into contiguous ranges, one per usable CPU, each with at least
+    ``min_per_worker`` units of work at ``per_point`` units a point, and
+    each range into ``point_blocks(range, d, power)``; every range after the
+    first runs on a forked worker (``fanout.map_parts``)."""
+
+    def blocks_of(span):
+        start, stop = span
+        parts = []
+        for block in point_blocks(pts[start:stop], pts.shape[1], power):
+            parts.append(fn(start, block))
+            start += len(block)
+        return parts
+
+    ranges = split(len(pts), len(pts) * per_point, min_per_worker)
+    return [part for parts in map_parts(blocks_of, ranges) for part in parts]
 
 
 def _maxima(dicts) -> dict:
@@ -162,23 +183,15 @@ def _spaceform_structure(summaries, points: int, tol: Tolerances):
     return section, checks
 
 
-def _submersion_structure(analyses, points: int, tol: Tolerances):
-    """Structure section over the analyzed sample points: the space-form
-    part from each block's total-space data, then the submersion checks and
-    lemmas on each block's frames and tensor data."""
-    summaries = (_space_form_summary(analysis.calc.state) for analysis in analyses)
-    section, checks = _spaceform_structure(summaries, points, tol)
-    kernel = 0.0
-    lengths = []
-    pd_flags = []
-    lemma_residuals = []
-    for analysis in analyses:
-        chk = verify_riemannian_submersion(analysis.calc)
-        kernel = max_residual(chk.kernel_residual, kernel)
-        lengths.extend(chk.length_residual.tolist())
-        pd_flags.extend(chk.base_pd.tolist())
-        lemma_residuals.append(verify_structure_lemmas(analysis.calc, analysis.data))
-    lemmas = _maxima(lemma_residuals)
+def _submersion_structure(parts, points: int, tol: Tolerances):
+    """Structure section over the sample, folded from the parts of its
+    blocks (``_submersion_block``): the space-form part, then the submersion
+    checks and lemmas."""
+    section, checks = _spaceform_structure((p["sasakian"] for p in parts), points, tol)
+    kernel = max_residual(np.concatenate([p["submersion"].kernel_residual for p in parts]))
+    lengths = np.concatenate([p["submersion"].length_residual for p in parts]).tolist()
+    pd_flags = np.concatenate([p["submersion"].base_pd for p in parts]).tolist()
+    lemmas = _maxima(p["lemmas"] for p in parts)
     length = max_residual(lengths)
     section["submersion"] = {
         "kernel": kernel,
@@ -194,12 +207,10 @@ def _submersion_structure(analyses, points: int, tol: Tolerances):
     return section, checks
 
 
-def _theorem_section(analyses, config: RunConfig):
-    rng = np.random.default_rng(config.seed + 1)
-    scans = scan_theorems(analyses, config.theorems, config.probe, rng)
-    section = {}
-    checks = {}
-    for tid, scan in scans.items():
+def _theorem_section(plan, parts, points: int):
+    section, checks = {}, {}
+    for tid in plan.theorem_ids:
+        scan = scan_from_records(tid, [p["theorems"][tid] for p in parts], points)
         entry = {
             "points_checked": scan.points_checked,
             "records": scan.records,
@@ -208,15 +219,10 @@ def _theorem_section(analyses, config: RunConfig):
             "min_slack": scan.min_slack,
             "argmin_point": [float(x) for x in scan.argmin_point],
         }
-        if scan.variant_tallies is not None:
-            entry["variants"] = {
-                name: dict(t) for name, t in scan.variant_tallies.items()
-            }
-            surviving = [
-                name
-                for name, t in scan.variant_tallies.items()
-                if t["violations"] == 0
-            ]
+        tallies = scan.variant_tallies
+        if tallies is not None:
+            entry["variants"] = {name: dict(t) for name, t in tallies.items()}
+            surviving = [name for name, t in tallies.items() if t["violations"] == 0]
             entry["surviving_variants"] = surviving
             checks[f"theorems.{tid}"] = len(surviving) > 0
         else:
@@ -240,12 +246,34 @@ def _check_xi_case(calc, tol: float) -> None:
         )
 
 
+def _submersion_block(sub, config: RunConfig, plan, start: int, block) -> dict:
+    """The parts of a submersion run on one block of points, whose first is
+    point ``start`` of the sample: the block's analysis and Reeb-case check,
+    then the structure parts and identity residuals unless the command is
+    ``theorems``, and with a scan ``plan`` the theorem tables."""
+    analysis = analyze_point(sub, space_form_data(sub.total, block))
+    calc = analysis.calc
+    # not below 1e-12: that part rounds to up to 1.1e-13 on the bundled
+    # models at a box of +-1000, where it is 0 exactly
+    _check_xi_case(calc, max(config.tolerances.d1, 1e-12))
+    parts = {}
+    if config.command != "theorems":
+        parts["sasakian"] = _space_form_summary(calc.state)
+        parts["submersion"] = verify_riemannian_submersion(calc)
+        parts["lemmas"] = verify_structure_lemmas(calc, analysis.data)
+        parts["identities"] = identity_residuals(analysis)
+    if plan is not None:
+        parts["theorems"] = scan_block(analysis, plan, start)
+    return parts
+
+
 def run(config: RunConfig) -> Report:
     """Execute the configured run and assemble the report.
 
     Raises ModelLoadError, EmptySampleError, RejectedInputError, or another
     OneillLabError raised at a sample point; the CLI wrapper maps these to
-    exit codes."""
+    exit codes. A scan is planned, its ids checked, before any point is
+    evaluated; then the error is the first failing block's, at any stage."""
     model_obj, contents = load_model(config.model)
     tol = config.tolerances
     scfg = SampleConfig(points=config.points, seed=config.seed, box=config.box)
@@ -260,31 +288,30 @@ def run(config: RunConfig) -> Report:
                 f"got the plain total space {config.model}"
             )
         pts = sample_model_points(model_obj.model, scfg)
-        blocks = list(point_blocks(pts, model_obj.model.dim))
         summaries = _map_blocks(
-            lambda block: _space_form_summary(space_form_data(model_obj, block)), blocks
+            lambda _, block: _space_form_summary(space_form_data(model_obj, block)),
+            pts, 4, pts.shape[1] ** 4, _MIN_ENTRIES_PER_WORKER,
         )
         structure, checks = _spaceform_structure(summaries, len(pts), tol)
     else:
         sub = model_obj
         flagged = known_flags_for(contents)
         pts = sample_submersion_points(sub, scfg)
-        # the total space's data and its analysis once per block of points,
-        # shared by every section
-        analyses = []
-        for block in point_blocks(pts, sub.total.model.dim, power=5):
-            analyses.append(analyze_point(sub, space_form_data(sub.total, block)))
-            # not below 1e-12: that part rounds to up to 1.1e-13 on the
-            # bundled models at a box of +-1000, where it is 0 exactly
-            _check_xi_case(analyses[-1].calc, max(tol.d1, 1e-12))
-        if config.command in ("verify", "report"):
-            structure, structure_checks = _submersion_structure(analyses, len(pts), tol)
-            checks.update(structure_checks)
-            maxima = _maxima(map(identity_residuals, analyses))
+        plan = None if config.command == "verify" else plan_scan(
+            sub, len(pts), config.theorems, config.probe, np.random.default_rng(config.seed + 1)
+        )
+        # each block's whole pipeline, its analysis shared by every section
+        parts = _map_blocks(
+            lambda start, block: _submersion_block(sub, config, plan, start, block),
+            pts, 5, plan.rows if plan else 0, _MIN_PROBE_ROWS_PER_WORKER,
+        )
+        if config.command != "theorems":
+            structure, checks = _submersion_structure(parts, len(pts), tol)
+            maxima = _maxima(p["identities"] for p in parts)
             identities = {"max_residuals": maxima}
             checks.update(residual_checks("identities", maxima, tol))
-        if config.command in ("theorems", "report"):
-            theorems, th_checks = _theorem_section(analyses, config)
+        if plan is not None:
+            theorems, th_checks = _theorem_section(plan, parts, len(pts))
             checks.update(th_checks)
 
     return Report(

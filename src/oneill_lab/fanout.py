@@ -1,6 +1,5 @@
 """Independent contiguous parts of a run on forked worker processes: the
-blocks of a space form (``cli``) and the random probe columns of a theorem
-scan (``theorems``)."""
+ranges of a sample's points (``cli._map_blocks``)."""
 
 from __future__ import annotations
 

@@ -451,6 +451,7 @@ class OneillData(NamedTuple):
     norm_ah_sq: np.ndarray  # mixed-slot norm of the horizontal-block tensor
     n_vec: np.ndarray  # trace of the vertical-block tensor over the fiber
     n_norm_sq: np.ndarray
+    b_part: np.ndarray  # (p, n, d): the vertical part of phi on each X_s
     trace_phi_b: np.ndarray
 
 
@@ -480,6 +481,7 @@ def tensors_from_calculus(calc: PointCalculus) -> OneillData:
         norm_ah_sq=point_sums(calc.pairings(a_xu, a_xu)),
         n_vec=n_vec,
         n_norm_sq=calc.pairings(n_vec, n_vec),
+        b_part=b_part,
         trace_phi_b=point_sums(calc.pairings(calc.phi_of(b_part), xvals)),
     )
 
@@ -514,13 +516,11 @@ def verify_structure_lemmas(calc: PointCalculus, data: OneillData) -> dict:
     res["anti_invariance"] = point_maxima(
         np.abs(calc.pairings(phi_u[:, :, None], uvals[:, None]))
     )
-    phix = calc.phi_of(xvals)
-    b_part = calc.v_project_values(phix)
-    c_part = calc.h_project_values(phix)
+    c_part = calc.h_project_values(calc.phi_of(xvals))
     resid = calc.h_project_values(calc.phi_of(c_part)) + xvals
     if calc.sub.xi_case == "horizontal":
         resid = resid - calc.eta_of(xvals)[..., None] * calc.state.contact.xi[:, None]
-    resid = resid + calc.phi_of(b_part)
+    resid = resid + calc.phi_of(data.b_part)
     res["c_square"] = point_maxima(np.abs(resid))
     return res
 

@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateFrameError, EmptySampleError, RejectedInputError
-from .fanout import map_parts, split
 from .invariants import PointAnalysis, ric_hat_probes, ric_star_probes
 from .riemannian import float_squares, point_maxima
 
@@ -159,29 +158,31 @@ def _random_probe_frames(calc, frame: np.ndarray, coeffs: np.ndarray) -> np.ndar
 
 def parse_probe_mode(probe_mode: str):
     """``(mode, k)`` of a probe mode: ``first``, ``all``, or ``random:<k>``
-    with k written in ASCII decimal digits and at least 1 (k is 0 for the
+    with k at least 1, written in ASCII decimal digits without leading
+    zeros, so that the mode a report echoes is one per scan (k is 0 for the
     other two)."""
     if probe_mode in ("first", "all"):
         return probe_mode, 0
-    m = re.fullmatch(r"random:([0-9]+)", probe_mode)
-    if m is None or int(m.group(1)) < 1:
+    m = re.fullmatch(r"random:([1-9][0-9]*)", probe_mode)
+    if m is None:
         raise RejectedInputError(f"bad probe mode: {probe_mode}")
     return "random", int(m.group(1))
 
 
-def _draw_coeffs(analysis: PointAnalysis, theorem_ids, k: int, rng) -> dict:
-    """Each id's random probe coefficients on a block: per probed frame
-    block, vertical before horizontal, one array (N, k, size). They are
-    drawn point by point and, at each point, id by id, one ``_unit_coeffs``
-    call per (point, id), the order of one point at a time."""
-    calc = analysis.calc
+def _draw_coeffs(sub, points: int, theorem_ids, k: int, rng) -> dict:
+    """Each id's random probe coefficients on a sample of ``points`` points
+    of ``sub``: per probed frame block, vertical before horizontal, one
+    array (points, k, size). They are drawn point by point and, at each
+    point, id by id, one ``_unit_coeffs`` call per (point, id), the order of
+    one point at a time."""
     sizes = {}
     for tid in theorem_ids:
         entry = _CATALOG[tid]
-        probed = ((calc.r, entry.needs_v), (calc.n, entry.needs_h))
+        probed = ((len(sub.vertical_fields), entry.needs_v),
+                  (len(sub.horizontal_fields), entry.needs_h))
         sizes[tid] = [size for size, needed in probed if needed]
     draws = {tid: [] for tid in theorem_ids}
-    for _ in range(len(calc.point)):
+    for _ in range(points):
         for tid in theorem_ids:
             if sizes[tid]:
                 draws[tid].append(_unit_coeffs(rng, k, sizes[tid]))
@@ -192,7 +193,7 @@ def _probe_frames(analysis: PointAnalysis, theorem_id, mode, k, coeffs):
     """The vertical and horizontal frames of every point and probe, stacked
     (N, P, r, dim) and (N, P, n, dim), with the probe vector in the first
     slot of each block that the theorem actually probes; ``coeffs`` are the
-    block's random draws of this theorem, from ``_draw_coeffs``. Third, for
+    block's rows of this theorem's draws (``_draw_coeffs``). Third, for
     ``first`` and ``all``, the place of each probe's first vertical and
     first horizontal vector in the block's frame, two lists of P indices;
     None for random probes."""
@@ -264,8 +265,8 @@ def _chen_a_defects(ac: np.ndarray) -> np.ndarray:
 
 def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
     """The table of one theorem on a block for the probes of ``mode``; a
-    random mode's are those of ``coeffs``, k columns of the block's draws
-    of this id. The probes of ``first`` and ``all`` are frame vectors, whose
+    random mode's are those of ``coeffs``, the block's rows of the draws of
+    this id. The probes of ``first`` and ``all`` are frame vectors, whose
     Ricci values are read from ``analysis.ric_hat`` and ``ric_star``.
 
     Each quantity is computed for all points and probes at once, in the
@@ -428,91 +429,63 @@ def scan_from_records(theorem_id, tables, points_checked) -> TheoremScan:
     )
 
 
-# The fields of a TheoremTable with a probe axis, axis 1.
-_PROBE_FIELDS = ("probe_vertical", "probe_horizontal", "lhs", "rhs", "slack", "holds",
-                 "equality", "equality_defect")
+class ScanPlan(NamedTuple):
+    """What every block of a scan shares: the ids in order, the probe mode
+    and its k, each id's random draws of every point of the sample, as
+    ``_draw_coeffs`` gives them (empty unless the mode is random), and the
+    random probe rows per point: k when an id probes, else 0."""
+
+    theorem_ids: tuple
+    mode: str
+    k: int
+    draws: dict
+    rows: int
 
 
-def _join_columns(tables) -> TheoremTable:
-    """One theorem's table on a block from its tables on consecutive probe
-    columns of the block, in column order."""
-    if len(tables) == 1:
-        return tables[0]
-    joined = {}
-    for name in _PROBE_FIELDS:
-        parts = [getattr(t, name) for t in tables]
-        joined[name] = None if parts[0] is None else np.concatenate(parts, axis=1)
-    return tables[0]._replace(**joined)
+def plan_scan(sub, points: int, theorem_ids=None, probe_mode="first", rng=None) -> ScanPlan:
+    """The plan of a scan of ``points`` sample points of ``sub``, with every
+    random draw (``_draw_coeffs``) from ``rng``, or from a generator seeded
+    with 0. Ids default to those of its Reeb case; no ids, a repeated id or
+    one of the other Reeb case is rejected."""
+    if theorem_ids is not None and (not theorem_ids or len(set(theorem_ids)) != len(theorem_ids)):
+        raise RejectedInputError(
+            f"theorem ids must be distinct and at least one, got {list(theorem_ids)}"
+        )
+    theorem_ids = applicable_ids(sub.xi_case) if theorem_ids is None else tuple(theorem_ids)
+    for tid in theorem_ids:
+        case = required_xi_case(tid)
+        if case != sub.xi_case:
+            raise RejectedInputError(
+                f"{tid} needs a model with the Reeb field {case}, got {sub.xi_case}"
+            )
+    mode, k = parse_probe_mode(probe_mode)
+    rng = np.random.default_rng(0) if rng is None else rng
+    draws = _draw_coeffs(sub, points, theorem_ids, k, rng) if mode == "random" else {}
+    return ScanPlan(theorem_ids, mode, k, draws, k if any(draws.values()) else 0)
 
 
-# The least number of probe rows (points x random probes) each worker
-# process of a scan gets. CPU times (getrusage) of a scan of vertical-xi at
-# 8 points, one worker against none, medians of 20 alternated runs on a
-# 2-core x86-64 VM (CPU time, as its second core is shared and wall times
-# swing): at 64 rows per worker this process saved 6.8 ms, and the fork cost
-# 8.1 ms of CPU on both sides together (fork, copy-on-write faults,
-# pickling); at 128 rows it saved 19.4 ms against 9.0 ms. On the benchmark's
-# theorems-random-probes (two scans of 512 rows a pass, a worker taking 256
-# of each), a pass took 0.084-0.103 s (median 0.090) with the split and
-# 0.107-0.112 s (median 0.109) without, in 10 alternated pairs of 40 s runs
-# on the same VM; the split won all 10.
-_MIN_PROBE_ROWS_PER_WORKER = 128
+def scan_block(analysis: PointAnalysis, plan: ScanPlan, start: int) -> dict:
+    """{theorem_id: TheoremTable} of the plan's ids on one block of analyzed
+    points, whose first point is point ``start`` of the plan's sample: the
+    block reads its rows of the draws."""
+    stop = start + len(analysis.calc.point)
+    return {
+        tid: _evaluate_probes(
+            analysis, tid, plan.mode, plan.k, [c[start:stop] for c in plan.draws.get(tid, ())]
+        )
+        for tid in plan.theorem_ids
+    }
 
 
 def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
     """Evaluate theorem ids over blocks of analyzed sample points, each id
-    once per block; ids default to those applicable to the model's Reeb
-    case. Random probes draw from ``rng`` point by point and, at each point,
-    id by id; without ``rng``, from one generator seeded with 0 made for the
-    scan. Returns {theorem_id: TheoremScan} in id order. An empty list of
-    ids, or one that names an id twice, is rejected.
-
-    Random probe columns of the ids that probe are cut into contiguous
-    ranges, one per usable CPU with at least ``_MIN_PROBE_ROWS_PER_WORKER``
-    rows each, and each range after the first is evaluated on a forked
-    worker (``fanout.map_parts``). A row does not depend on the other
-    columns, so the joined tables are those of one process, bit for bit."""
-    if theorem_ids is not None and (
-        not theorem_ids or len(set(theorem_ids)) != len(theorem_ids)
-    ):
-        raise RejectedInputError(
-            f"theorem ids must be distinct and at least one, got {list(theorem_ids)}"
-        )
+    once per block, under ``plan_scan``'s rules. Returns {theorem_id:
+    TheoremScan} in id order."""
     if not analyses:
         raise EmptySampleError("no sample points to scan")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    xi_case = analyses[0].calc.sub.xi_case
-    theorem_ids = applicable_ids(xi_case) if theorem_ids is None else theorem_ids
-    for tid in theorem_ids:
-        case = required_xi_case(tid)
-        if case != xi_case:
-            raise RejectedInputError(
-                f"{tid} needs a model with the Reeb field {case}, got {xi_case}"
-            )
-    mode, k = parse_probe_mode(probe_mode)
-    # every block's draws before any evaluation, which draws nothing
-    draws = [_draw_coeffs(b, theorem_ids, k, rng) if mode == "random" else {} for b in analyses]
     points = sum(len(block.calc.point) for block in analyses)
-
-    def evaluate(part):  # the tables of some ids on the probe columns a:b
-        ids, (a, b) = part
-        tables = {tid: [] for tid in ids}
-        for block, drawn in zip(analyses, draws):
-            for tid in ids:
-                coeffs = [c[:, a:b] for c in drawn.get(tid, ())]
-                tables[tid].append(_evaluate_probes(block, tid, mode, b - a, coeffs))
-        return tables
-
-    # random probes are split by columns over worker processes; the ids
-    # without a probe, and the first columns, stay here
-    probed = [t for t in theorem_ids if _CATALOG[t].needs_v or _CATALOG[t].needs_h]
-    split_cols = mode == "random" and probed
-    cols = split(k, points * k, _MIN_PROBE_ROWS_PER_WORKER) if split_cols else [(0, k)]
-    parts = map_parts(evaluate, [(theorem_ids, cols[0])] + [(probed, c) for c in cols[1:]])
-    tables = parts[0]
-    for tid in probed:
-        tables[tid] = [_join_columns(t) for t in zip(*(part[tid] for part in parts))]
-    return {
-        tid: scan_from_records(tid, per_block, points) for tid, per_block in tables.items()
-    }
+    plan = plan_scan(analyses[0].calc.sub, points, theorem_ids, probe_mode, rng)
+    starts = np.cumsum([0] + [len(block.calc.point) for block in analyses])
+    tables = [scan_block(block, plan, start) for block, start in zip(analyses, starts)]
+    return {tid: scan_from_records(tid, [t[tid] for t in tables], points)
+            for tid in plan.theorem_ids}

@@ -1,7 +1,11 @@
-"""The no-regression verdict of ``scripts/ab_pairs.py`` on synthetic pairs."""
+"""The no-regression verdict of ``scripts/ab_pairs.py`` on synthetic pairs,
+and its host-parallelism probe."""
 
 import importlib.util
+import os
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
 _spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
@@ -73,3 +77,10 @@ def test_the_bounds_are_read_from_the_benchmark_declaration():
     metrics = ab_pairs._end_to_end()
     assert set(metrics) == {"setup_s", "wall_s", "points_per_s", "peak_rss_mb"}
     assert all({"better", "bound"} <= set(m) for m in metrics.values())
+
+
+def test_host_parallelism_is_a_positive_ratio_and_reaps_its_children():
+    ratio = ab_pairs.host_parallelism(loops=20_000)
+    assert ratio > 0.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -236,6 +236,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: unknown model: {name}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("probe", ["random:064", "random:01", "random:00"])
+    def test_probe_count_with_leading_zeros_is_a_usage_error(self, tmp_path, capsys, probe):
+        # random:064 would run the scan of random:64 but echo another probe
+        # mode, so one computation would give two different reports
+        out = tmp_path / "r.json"
+        argv = ["theorems", "--points", "2", "--probe", probe, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--probe expects first, all, or random:<k>, got {probe!r}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edit",
         [

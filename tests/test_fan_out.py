@@ -1,11 +1,11 @@
 """Parts of a run on forked worker processes (``oneill_lab.fanout``).
 
-A plain space form sampled into enough blocks is evaluated on one process
-per usable CPU (``cli._map_blocks``), and so are the random probe columns
-of a theorem scan with enough probe rows (``theorems.scan_theorems``).
-Blocks and probe columns are independent, so the reports are
-byte-identical to those of one process; an error is the one the first
-failing part in order raises there; and no worker outlives a run.
+``cli._map_blocks`` cuts a sample's points into contiguous ranges, one per
+usable CPU with enough work (curvature entries on a plain space form,
+random probe rows on a submersion), and runs each block's whole pipeline.
+Points are independent, so the reports are byte-identical to those of one
+process; an error is the one the first failing block in sample order
+raises there; and no worker outlives a run.
 """
 
 import errno
@@ -19,9 +19,9 @@ from oneill_lab import cli, fanout, theorems
 from oneill_lab.cli import main
 from oneill_lab.contact import build_r2m1, space_form_data
 from oneill_lab.errors import DegenerateFrameError, DegenerateMetricError
-from oneill_lab.invariants import analyze_point
 from oneill_lab.riemannian import point_blocks
-from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
+from oneill_lab.sampling import SampleConfig, sample_model_points
+from oneill_lab.theorems import TheoremTable
 
 # SIGKILL on every POSIX system
 SIGKILL = 9
@@ -59,38 +59,73 @@ def _count_forks(monkeypatch):
     return forks
 
 
-def _blocks(count):
-    """``count`` blocks of 10 points in R^7, 24,010 curvature entries each,
-    each point's first coordinate its index: 15 of them are just less work
-    than two workers' least (375,000 entries), and 16 just more."""
-    assert 15 * 10 * 7**4 < 2 * cli._MIN_ENTRIES_PER_WORKER <= 16 * 10 * 7**4
-    pts = np.zeros((10 * count, 7))
-    pts[:, 0] = np.arange(10 * count)
-    return [pts[i : i + 10] for i in range(0, len(pts), 10)]
+def _record_ranges(monkeypatch):
+    """The point ranges each ``_map_blocks`` call hands to ``map_parts``."""
+    ranges = []
+    map_parts = cli.map_parts
+
+    def recorded(fn, parts):
+        ranges.append(list(parts))
+        return map_parts(fn, parts)
+
+    monkeypatch.setattr(cli, "map_parts", recorded)
+    return ranges
 
 
-def _first(block):
-    return int(block[0, 0]), os.getpid()
+def _points(count):
+    """``count`` points in R^7, 2,401 curvature entries each, each point's
+    first coordinate its index: 156 of them are just less work than two
+    workers' least (375,000 entries), and 157 just more, so 15 tens of
+    points stay in one process and 16 tens fork."""
+    assert 156 * 7**4 < 2 * cli._MIN_ENTRIES_PER_WORKER <= 157 * 7**4
+    pts = np.zeros((count, 7))
+    pts[:, 0] = np.arange(count)
+    return pts
+
+
+def _map_points(fn, pts):
+    return cli._map_blocks(fn, pts, 4, 7**4, cli._MIN_ENTRIES_PER_WORKER)
+
+
+def _first(start, block):
+    return start, int(block[0, 0]), len(block), os.getpid()
+
+
+def _starts(ranges, size=27):
+    """The first point of each block: ``point_blocks`` cuts each range of
+    points in R^7 into blocks of 27."""
+    return [i for a, b in ranges for i in range(a, b, size)]
 
 
 class TestMapBlocks:
-    @pytest.mark.parametrize("cpus, blocks, workers", [(2, 16, 2), (3, 25, 3), (4, 23, 2)])
-    def test_contiguous_parts_in_order(self, monkeypatch, cpus, blocks, workers):
+    @pytest.mark.parametrize("cpus, tens, workers", [(2, 16, 2), (3, 25, 3), (4, 23, 2)])
+    def test_contiguous_parts_in_order(self, monkeypatch, cpus, tens, workers):
         _cpus(monkeypatch, cpus)
-        got = cli._map_blocks(_first, _blocks(blocks))
-        assert [i for i, _ in got] == list(range(0, 10 * blocks, 10))
-        pids = [pid for _, pid in got]
+        ranges = _record_ranges(monkeypatch)
+        points = 10 * tens
+        got = _map_points(_first, _points(points))
+        cuts = [points * i // workers for i in range(workers + 1)]
+        assert ranges == [list(zip(cuts, cuts[1:]))]
+        # each block is handed its first point's index, and the blocks
+        # cover the sample in order
+        assert [start for start, *_ in got] == _starts(ranges[0])
+        assert [first for _, first, *_ in got] == _starts(ranges[0])
+        assert sum(size for _, _, size, _ in got) == points
+        pids = [pid for *_, pid in got]
         assert pids[0] == os.getpid()
-        # each process took one contiguous run of blocks
+        # each process took one contiguous range of points
         runs = [pids[0]] + [b for a, b in zip(pids, pids[1:]) if a != b]
         assert len(runs) == len(set(runs)) == workers
 
-    @pytest.mark.parametrize("cpus, blocks", [(1, 100), (2, 15), (8, 15)])
-    def test_too_few_blocks_or_cpus_stay_in_process(self, monkeypatch, cpus, blocks):
+    @pytest.mark.parametrize("cpus, tens", [(1, 100), (2, 15), (8, 15)])
+    def test_too_few_blocks_or_cpus_stay_in_process(self, monkeypatch, cpus, tens):
         _cpus(monkeypatch, cpus)
         forks = _count_forks(monkeypatch)
-        got = cli._map_blocks(_first, _blocks(blocks))
-        assert got == [(i, os.getpid()) for i in range(0, 10 * blocks, 10)]
+        points = 10 * tens
+        got = _map_points(_first, _points(points))
+        starts = _starts([(0, points)])
+        blocks = list(point_blocks(_points(points), 7))
+        assert got == [(i, i, len(b), os.getpid()) for i, b in zip(starts, blocks, strict=True)]
         assert forks == []
 
     def test_usable_cpus_is_the_affinity_mask(self):
@@ -128,8 +163,9 @@ def _sample(m, points=400, seed=42):
 
 
 class TestWorkerFailures:
-    """r2m1:3 on 400 points: 15 blocks of 27 points (the last of 22), cut at
-    block 7, so points 0-188 are this process's and 189-399 a worker's."""
+    """r2m1:3 on 400 points: cut at point 200, so points 0-199 are this
+    process's and 200-399 a worker's, each range in 8 blocks of 27 points
+    (the last of 11)."""
 
     def _failing_at(self, monkeypatch, rows):
         bad = _sample(3)[rows]
@@ -151,7 +187,7 @@ class TestWorkerFailures:
 
     @pytest.mark.parametrize(
         "rows",
-        [[300], [390, 300], [50], [300, 50], [188, 189]],
+        [[300], [390, 300], [50], [300, 50], [199, 200]],
         ids=["worker", "worker-twice", "parent", "both", "either-side-of-the-cut"],
     )
     def test_same_error_and_exit_code_as_one_process(self, tmp_path, monkeypatch, capsys, rows):
@@ -164,10 +200,11 @@ class TestWorkerFailures:
         assert code == 7
         assert err == f"error: DegenerateMetricError: refused the point {first}\n"
 
-    def test_cut_is_where_the_docstring_says(self):
-        blocks = list(point_blocks(_sample(3), 7))
-        assert len(blocks) == 15
-        assert sum(len(b) for b in blocks[:7]) == 189
+    def test_cut_is_where_the_docstring_says(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        assert fanout.split(400, 400 * 7**4, cli._MIN_ENTRIES_PER_WORKER) == [(0, 200), (200, 400)]
+        blocks = list(point_blocks(_sample(3)[:200], 7))
+        assert [len(b) for b in blocks] == [27] * 7 + [11]
 
     def test_killed_worker_part_is_recomputed(self, tmp_path, monkeypatch, capsys):
         _cpus(monkeypatch, 1)
@@ -188,8 +225,8 @@ class TestWorkerFailures:
         capsys.readouterr()
         assert code == 0
         assert got.read_bytes() == want.read_bytes()
-        # this process evaluated its own 7 blocks and then the worker's 8
-        assert len(here) == 15 and sum(here) == 400
+        # this process evaluated its own 8 blocks and then the worker's 8
+        assert here == ([27] * 7 + [11]) * 2
 
     def test_worker_that_cannot_be_forked_has_its_part_done_here(
         self, tmp_path, monkeypatch, capsys
@@ -228,8 +265,8 @@ class TestWorkerFailures:
         forks = _count_forks(monkeypatch)
         parent = os.getpid()
 
-        def fn(b):
-            if b[0, 0] == 0:
+        def fn(start, b):
+            if start == 0:
                 raise DegenerateMetricError("block 0")
             if os.getpid() != parent:
                 time.sleep(60)  # a worker still busy when this process fails
@@ -237,7 +274,7 @@ class TestWorkerFailures:
 
         start = time.monotonic()
         with pytest.raises(DegenerateMetricError, match="block 0"):
-            cli._map_blocks(fn, _blocks(16))
+            _map_points(fn, _points(157))
         assert time.monotonic() - start < 30
         assert len(forks) == 1
         # the fixture checks that the worker was reaped
@@ -247,17 +284,41 @@ class TestWorkerFailures:
 
 def test_points_per_block_bound_the_forked_sweep(monkeypatch):
     # the sweep's d = 3 and 5 samples stay in one process, d = 7 and 9 fork
+    # at point 200, and each range is cut into blocks
     _cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
+    ranges = _record_ranges(monkeypatch)
     sizes, forked = {}, {}
     for m in (1, 2, 3, 4):
-        blocks = list(point_blocks(_sample(m), 2 * m + 1))
-        sizes[m] = (len(blocks), len(blocks[0]), len(blocks[-1]))
+        d = 2 * m + 1
         before = len(forks)
-        cli._map_blocks(len, blocks)
+        lens = cli._map_blocks(lambda start, b: len(b), _sample(m), 4, d**4,
+                               cli._MIN_ENTRIES_PER_WORKER)
+        sizes[m] = (ranges[-1], len(lens), lens[0], lens[-1])
         forked[m] = len(forks) - before
-    assert sizes == {1: (1, 400, 400), 2: (4, 104, 88), 3: (15, 27, 22), 4: (45, 9, 4)}
+    halves = [(0, 200), (200, 400)]
+    assert sizes == {
+        1: ([(0, 400)], 1, 400, 400),
+        2: ([(0, 400)], 4, 104, 88),
+        3: (halves, 16, 27, 11),
+        4: (halves, 46, 9, 2),
+    }
     assert forked == {1: 0, 2: 0, 3: 1, 4: 1}
+
+
+def test_verify_at_700_points_cuts_at_point_350(tmp_path, monkeypatch, capsys):
+    # r2m1:2 (d = 5) at 700 points holds 437,500 curvature entries, two
+    # workers' worth; the cut halves the points, not the 7 blocks of 104
+    _cpus(monkeypatch, 1)
+    code, want = _verify(tmp_path, "one", 2, 42, points=700)
+    assert code == 0
+    _cpus(monkeypatch, 2)
+    ranges = _record_ranges(monkeypatch)
+    code, got = _verify(tmp_path, "forked", 2, 42, points=700)
+    capsys.readouterr()
+    assert code == 0
+    assert ranges == [[(0, 350), (350, 700)]]
+    assert got.read_bytes() == want.read_bytes()
 
 
 SUBMERSION_MODELS = ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
@@ -272,10 +333,20 @@ def _theorems(tmp_path, name, model, points, seed, probe="random:64", command="t
     return main(argv), out
 
 
+def _joined(values):
+    """One field of a theorem's block tables over the whole sample: arrays
+    joined along the point axis, other values (the id, variant names and
+    equality class, or None) the same in every block."""
+    if isinstance(values[0], np.ndarray):
+        return np.concatenate(values)
+    assert all(v == values[0] for v in values)
+    return values[0]
+
+
 class TestForkedScans:
-    """Random probe columns of a theorem scan on a forked worker: at 8
-    points and 64 probes a scan has 512 probe rows, so on 2 CPUs each
-    process takes 32 columns of every id that probes."""
+    """A submersion run with random probes on a forked worker: at 8 points
+    and 64 probes a scan has 512 probe rows, so on 2 CPUs each process
+    takes 4 points and runs each block's whole pipeline on them."""
 
     @pytest.mark.parametrize("model", SUBMERSION_MODELS)
     @pytest.mark.parametrize("points", [8, 23])
@@ -294,27 +365,38 @@ class TestForkedScans:
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("model", SUBMERSION_MODELS)
-    def test_joined_tables_equal_one_process_tables(self, monkeypatch, model):
-        sub = cli.resolve_model(os.path.join(REPO, model) if model.endswith(".json") else model)
-        pts = sample_submersion_points(sub, SampleConfig(points=23, seed=42))
-        analyses = [
-            analyze_point(sub, space_form_data(sub.total, block))
-            for block in point_blocks(pts, sub.total.model.dim, power=5)
-        ]
-        scans = {}
+    @pytest.mark.parametrize("points", [8, 23])
+    def test_block_tables_equal_one_process_tables(
+        self, tmp_path, monkeypatch, capsys, model, points
+    ):
+        # the block tables handed to scan_from_records, each field joined
+        # along the point axis: at 23 points one process makes blocks of
+        # 10, 10 and 3 points, and two make 10 and 1, then 10 and 2
+        reduce = cli.scan_from_records
+        tables = {}
+
+        def recorded(tid, blocks, points_checked):
+            tables[cpus][tid] = blocks
+            return reduce(tid, blocks, points_checked)
+
+        monkeypatch.setattr(cli, "scan_from_records", recorded)
         for cpus in (1, 2):
             _cpus(monkeypatch, cpus)
-            scans[cpus] = theorems.scan_theorems(
-                analyses, None, "random:64", np.random.default_rng(43)
-            )
-        assert scans[1].keys() == scans[2].keys()
-        for tid, scan in scans[1].items():
-            for want, got in zip(scan.tables, scans[2][tid].tables, strict=True):
-                for name in theorems._PROBE_FIELDS:
-                    a, b = getattr(want, name), getattr(got, name)
-                    assert (a is None) == (b is None), (tid, name)
-                    if a is not None:
-                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (tid, name)
+            tables[cpus] = {}
+            _theorems(tmp_path, f"cpus{cpus}", model, points, 42)
+        capsys.readouterr()
+        assert tables[1].keys() == tables[2].keys() and tables[1]
+        for tid, want in tables[1].items():
+            got = tables[2][tid]
+            assert [len(t.point) for t in want] == ([8] if points == 8 else [10, 10, 3])
+            assert [len(t.point) for t in got] == ([4, 4] if points == 8 else [10, 1, 10, 2])
+            for name in TheoremTable._fields:
+                a, b = (_joined([getattr(t, name) for t in side]) for side in (want, got))
+                if isinstance(a, np.ndarray):
+                    assert a.shape == b.shape and a.dtype == b.dtype, (tid, name)
+                    assert a.tobytes() == b.tobytes(), (tid, name)
+                else:
+                    assert a == b, (tid, name)
 
     @pytest.mark.parametrize("model", SUBMERSION_MODELS)
     @pytest.mark.parametrize("probe", ["first", "all"])
@@ -324,6 +406,14 @@ class TestForkedScans:
         _cpus(monkeypatch, 8)
         forks = _count_forks(monkeypatch)
         _theorems(tmp_path, "report", model, 6, 42, probe=probe, command="report")
+        capsys.readouterr()
+        assert forks == []
+
+    @pytest.mark.parametrize("model", SUBMERSION_MODELS)
+    def test_verify_forks_nothing(self, tmp_path, monkeypatch, capsys, model):
+        _cpus(monkeypatch, 8)
+        forks = _count_forks(monkeypatch)
+        _theorems(tmp_path, "verify", model, 23, 42, command="verify")
         capsys.readouterr()
         assert forks == []
 
@@ -337,43 +427,45 @@ class TestForkedScans:
         capsys.readouterr()
         assert forks == []
 
-    def test_killed_worker_columns_are_recomputed(self, tmp_path, monkeypatch, capsys):
+    def test_killed_worker_points_are_recomputed(self, tmp_path, monkeypatch, capsys):
         _cpus(monkeypatch, 1)
         code, want = _theorems(tmp_path, "one", "vertical-xi", 8, 42)
         parent = os.getpid()
-        columns = []
-        evaluate = theorems._evaluate_probes
+        starts = []
+        block_parts = cli._submersion_block
 
-        def dies_in_a_worker(analysis, tid, mode, k, coeffs):
+        def dies_in_a_worker(sub, config, plan, start, block):
             if os.getpid() != parent:
                 os.kill(os.getpid(), SIGKILL)
-            if coeffs:
-                columns.append(k)
-            return evaluate(analysis, tid, mode, k, coeffs)
+            starts.append((start, len(block)))
+            return block_parts(sub, config, plan, start, block)
 
-        monkeypatch.setattr(theorems, "_evaluate_probes", dies_in_a_worker)
+        monkeypatch.setattr(cli, "_submersion_block", dies_in_a_worker)
         _cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
         got_code, got = _theorems(tmp_path, "forked", "vertical-xi", 8, 42)
         capsys.readouterr()
         assert got_code == code == 0
+        assert len(forks) == 1
         assert got.read_bytes() == want.read_bytes()
-        # this process evaluated its 32 columns of the four probed ids, and
-        # then the worker's 32
-        assert columns == [32] * 8
+        # this process ran its block of points 0-3, and then the worker's
+        # block of points 4-7
+        assert starts == [(0, 4), (4, 4)]
 
-    def test_degenerate_frame_in_worker_columns(self, tmp_path, monkeypatch, capsys):
+    def test_degenerate_frame_in_worker_points(self, tmp_path, monkeypatch, capsys):
         frames = theorems._random_probe_frames
         seen = []
 
         def recorded(calc, frame, coeffs):
-            seen.append(coeffs[0, -1].copy())
+            seen.append(coeffs[-1, -1].copy())
             return frames(calc, frame, coeffs)
 
         monkeypatch.setattr(theorems, "_random_probe_frames", recorded)
         _cpus(monkeypatch, 1)
         _theorems(tmp_path, "record", "vertical-xi", 8, 42)
         capsys.readouterr()
-        # the last probe of the scan's last probe frame: in the worker's columns
+        # the last probe of the scan's last probe frame at its last point:
+        # in the worker's points
         poisoned = seen[-1]
 
         def fails(calc, frame, coeffs):
@@ -392,3 +484,56 @@ class TestForkedScans:
             (7, "error: DegenerateFrameError: probe completion lost rank\n", 0, False),
             (7, "error: DegenerateFrameError: probe completion lost rank\n", 1, False),
         ]
+
+
+class TestErrorOrder:
+    """Where two blocks fail at different stages, the run reports the first
+    failing block in sample order, whatever its stage; and a scan is
+    planned, its ids checked, before any point is evaluated. One process
+    and two agree."""
+
+    def _run(self, tmp_path, monkeypatch, capsys, argv):
+        results = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}.json"
+            code = main([*argv, "--points", "23", "--probe", "random:64", "--no-timestamp",
+                         "--out", str(out)])
+            results.append((code, capsys.readouterr().err, out.exists()))
+        assert results[0] == results[1]
+        return results[0]
+
+    def test_a_scan_error_in_an_early_block_beats_a_later_analysis_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        sub = cli.resolve_model("vertical-xi")
+        pts = cli.sample_submersion_points(sub, SampleConfig(points=23, seed=42))
+        frames = theorems._random_probe_frames
+
+        def fails_at_point_0(calc, frame, coeffs):
+            if (calc.point == pts[0]).all(axis=1).any():
+                raise DegenerateFrameError("probe completion lost rank")
+            return frames(calc, frame, coeffs)
+
+        def refuses_point_22(spec, block):
+            if (block == pts[22]).all(axis=1).any():
+                raise DegenerateMetricError("refused the last point")
+            return space_form_data(spec, block)
+
+        monkeypatch.setattr(theorems, "_random_probe_frames", fails_at_point_0)
+        monkeypatch.setattr(cli, "space_form_data", refuses_point_22)
+        assert self._run(tmp_path, monkeypatch, capsys, ["report"]) == (
+            7, "error: DegenerateFrameError: probe completion lost rank\n", False
+        )
+
+    def test_an_id_of_the_other_reeb_case_beats_any_evaluation_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def refuses(spec, block):
+            raise DegenerateMetricError("refused every point")
+
+        monkeypatch.setattr(cli, "space_form_data", refuses)
+        argv = ["theorems", "--theorems", "V1,V3"]
+        assert self._run(tmp_path, monkeypatch, capsys, argv) == (
+            2, "error: V3 needs a model with the Reeb field horizontal, got vertical\n", False
+        )

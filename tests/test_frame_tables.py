@@ -17,19 +17,22 @@ import numpy as np
 import pytest
 
 from oneill_lab import invariants
-from oneill_lab.cli import _submersion_structure, resolve_model
+from oneill_lab.cli import RunConfig, _submersion_block, resolve_model
 from oneill_lab.contact import space_form_data
 from oneill_lab.invariants import (
     _ambient,
     _ijji,
     ambient_frame_tables,
     analyze_point,
-    identity_residuals,
 )
-from oneill_lab.report import Tolerances
-from oneill_lab.riemannian import point_sums, running_sum
+from oneill_lab.riemannian import point_maxima, point_sums, running_sum
 from oneill_lab.sampling import SampleConfig, sample_submersion_points
-from oneill_lab.submersion import PointCalculus, load_custom_model, tensors_from_calculus
+from oneill_lab.submersion import (
+    PointCalculus,
+    load_custom_model,
+    tensors_from_calculus,
+    verify_structure_lemmas,
+)
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 MODELS = ("vertical-xi", "horizontal-xi", "reeb_fiber")
@@ -104,6 +107,7 @@ def _plain_tensors_from_calculus(calc) -> dict:
         "norm_ah_sq": point_sums(calc.pairings(a_xu, a_xu)),
         "n_vec": n_vec,
         "n_norm_sq": calc.pairings(n_vec, n_vec),
+        "b_part": b_part,
         "trace_phi_b": point_sums(calc.pairings(calc.phi_of(b_part), xvals)),
     }
 
@@ -134,6 +138,24 @@ def test_tensor_data_read_from_views_equals_the_former_spelling(analysis):
     assert set(want) == set(data._fields) - {"t_frame", "a_frame"}
     for key, value in want.items():
         assert bits(getattr(data, key)) == bits(value), key
+
+
+def _plain_c_square(calc):
+    """The lemmas' former ``c_square``, with the B part of phi made again."""
+    xvals = calc.frame.horiz_values
+    phix = calc.phi_of(xvals)
+    b_part = calc.v_project_values(phix)
+    c_part = calc.h_project_values(phix)
+    resid = calc.h_project_values(calc.phi_of(c_part)) + xvals
+    if calc.sub.xi_case == "horizontal":
+        resid = resid - calc.eta_of(xvals)[..., None] * calc.state.contact.xi[:, None]
+    resid = resid + calc.phi_of(b_part)
+    return point_maxima(np.abs(resid))
+
+
+def test_c_square_reads_the_stored_b_part(analysis):
+    got = verify_structure_lemmas(analysis.calc, analysis.data)["c_square"]
+    assert bits(got) == bits(_plain_c_square(analysis.calc))
 
 
 # ---- the ambient curvature on frame 4-tuples ----
@@ -230,13 +252,16 @@ def test_nabla_on_frame_slots_equals_the_former_vector_spelling(analysis):
 
 
 def test_each_frame_quantity_is_made_once_per_block(monkeypatch):
-    """The analysis, the identity residuals and the structure section of
-    one block evaluate R on 8 kinds of tuples (the hat and star tables, the
-    XU traces, three ambient frame tables and two closed-form ones), take
-    4 covariant derivatives (the frame table, delta_n's and gauss3's two
-    exchange-jet terms) and 8 evaluations of T or A (the two frame tables
-    and the six slot corrections of the three derivatives)."""
-    calls = {"pair_r4": 0, "cov_point": 0, "t_point": 0, "a_point": 0}
+    """The whole ``verify`` pipeline of one block (``cli._submersion_block``:
+    the analysis, the Reeb-case check, the structure parts and the identity
+    residuals) evaluates R on 8 kinds of tuples (the hat and star tables,
+    the XU traces, three ambient frame tables and two closed-form ones),
+    takes 4 covariant derivatives (the frame table, delta_n's and gauss3's
+    two exchange-jet terms), 8 evaluations of T or A (the two frame tables
+    and the six slot corrections of the three derivatives) and 3 vertical
+    projections (two blocks of the derivative table, and the B part of phi
+    on the horizontal frame, which the lemmas read from the tensor data)."""
+    calls = {"pair_r4": 0, "cov_point": 0, "t_point": 0, "a_point": 0, "v_project_values": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -246,11 +271,12 @@ def test_each_frame_quantity_is_made_once_per_block(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(invariants, "pair_r4", counted("pair_r4", invariants.pair_r4))
-    for name in ("cov_point", "t_point", "a_point"):
+    for name in ("cov_point", "t_point", "a_point", "v_project_values"):
         monkeypatch.setattr(PointCalculus, name, counted(name, getattr(PointCalculus, name)))
     sub = _model("vertical-xi")
     pts = sample_submersion_points(sub, SampleConfig(points=6, seed=42))
-    block = analyze_point(sub, space_form_data(sub.total, pts))
-    identity_residuals(block)
-    _submersion_structure([block], len(pts), Tolerances())
-    assert calls == {"pair_r4": 8, "cov_point": 4, "t_point": 5, "a_point": 3}
+    parts = _submersion_block(sub, RunConfig("verify"), None, 0, pts)
+    assert set(parts) == {"sasakian", "submersion", "lemmas", "identities"}
+    assert calls == {
+        "pair_r4": 8, "cov_point": 4, "t_point": 5, "a_point": 3, "v_project_values": 3
+    }
