@@ -29,13 +29,17 @@ each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8
 points); and ``report --probe all`` on the same three models at 1 and at
 11 points, seed 42 only (6 runs: a block of one point, and a block of 10
 with a partial block of 1 after it, where a frame table read that
-depended on its block's size would show). ``cli._map_blocks`` is the one
+depended on its block's size would show); and ``report`` on horizontal-xi
+at 20 points with ``--box=-1,1``, at the same seeds (3 runs, where about
+one draw in six passes the guards, so the sample takes many rounds of
+draws). ``cli._map_blocks`` is the one
 fan-out: it cuts a sample's points into contiguous ranges, one per usable
 CPU with enough work (curvature entries on a plain space form, random
 probe rows on a submersion), and each range after the first runs on a
 forked worker. The ranges above are those of a machine with two usable
-CPUs; with one, every run stays in one process. 186 runs in all, each
-report named by its command, model, points, seed and probe;
+CPUs; with one, every run stays in one process. 189 runs in all, each
+report named by its command, model, points, seed and probe, and its box
+where that is not the default;
 exit_codes.txt holds the exit code of each. The parser's own text is part
 of the matrix too: the
 ``--help`` output of the program and of each subcommand at ``COLUMNS=80``
@@ -69,7 +73,7 @@ from oneill_lab.cli import main  # noqa: E402
 SEEDS = (42, 7, 1234)
 PROBES = ("first", "all", "random:8")
 SUBMERSIONS = ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
-# (command, model, points, probes, seeds)
+# (command, model, points, probes, seeds[, box])
 RUNS = [("verify", f"r2m1:{m}", 40, PROBES, SEEDS) for m in (1, 2, 3, 4)] + [
     ("verify", f"r2m1:{m}", 400, PROBES, SEEDS) for m in (1, 2, 3, 4)
 ] + [
@@ -81,7 +85,7 @@ RUNS = [("verify", f"r2m1:{m}", 40, PROBES, SEEDS) for m in (1, 2, 3, 4)] + [
     for model in SUBMERSIONS
 ] + [("theorems", model, 8, ("random:64",), SEEDS) for model in SUBMERSIONS] + [
     ("report", model, points, ("all",), (42,)) for model in SUBMERSIONS for points in (1, 11)
-]
+] + [("report", "horizontal-xi", 20, ("first",), SEEDS, "-1,1")]
 
 
 HELP = {"oneill-lab": [], "verify": ["verify"], "theorems": ["theorems"], "report": ["report"]}
@@ -121,16 +125,16 @@ def cli(argv=None):
     os.chdir(REPO)  # the model file is echoed as given, relative to the checkout
 
     codes = []
-    for command, model, points, probes, seeds in RUNS:
+    for command, model, points, probes, seeds, *box in RUNS:
         for seed in seeds:
             for probe in probes:
                 slug = "-".join((command, Path(model).stem, str(points), str(seed), probe))
-                slug = slug.replace(":", "-")
+                slug = slug.replace(":", "-") + "".join(f"-box{b}" for b in box)
                 argv = [
                     command, "--model", model, "--points", str(points),
                     "--seed", str(seed), "--probe", probe, "--no-timestamp",
                     "--out", str(out_dir / f"{slug}.json"),
-                ]
+                ] + [f"--box={b}" for b in box]
                 with contextlib.redirect_stderr(io.StringIO()):
                     codes.append(f"{slug} {main(argv)}\n")
     (out_dir / "exit_codes.txt").write_text("".join(codes))

@@ -3,7 +3,8 @@
 Subcommands: ``verify`` (structure and identity sections), ``theorems``
 (inequality scans), ``report`` (all sections).  Exit codes: 0 pass, 1 fail,
 2 usage error, 3 pass-with-flags, 4 model load failure, 5 empty admissible
-sample, 6 report write failure, 7 any other package error during the run.
+sample, 6 report write failure, 7 any other package error, or a failed
+memory allocation, during the run.
 """
 
 from __future__ import annotations
@@ -461,6 +462,10 @@ def main(argv=None) -> int:
         # any other package error, such as a degenerate metric or frame at
         # a sample point: one line, and a code no verdict uses
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 7
+    except MemoryError as exc:
+        # an array too large to allocate, such as a huge --probe random:<k>
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 7
     timestamp = (
         None

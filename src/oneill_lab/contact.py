@@ -15,7 +15,7 @@ import numpy as np
 from .errors import RejectedInputError
 from .expressions import (
     block,
-    compile_guard,
+    compile_expression,
     compile_matrix,
     compile_vector,
     same_expression,
@@ -82,7 +82,7 @@ def chart_model_from_document(doc: dict, prefix: str, name: str, memo: dict) -> 
             if lower != upper and not same_expression(lower, upper):
                 raise RejectedInputError(f"{prefix}metric [{i}][{j}] differs from [{j}][{i}]")
     domain = prefix + "domain"
-    guard = compile_guard(doc[domain], chart) if domain in doc else None
+    guard = compile_expression(str(doc[domain]), chart) if domain in doc else None
     return ManifoldModel(
         name=name, dim=len(chart), chart=chart, metric=metric, domain_guard=guard
     )

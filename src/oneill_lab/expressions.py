@@ -1,10 +1,11 @@
 """Tiny arithmetic-expression compiler for model files.
 
 Custom models carry metric entries and field components as strings like
-``"y1*y2/4"``. We parse with :mod:`ast` and admit only literals, chart
-variable names, unary minus, and the four arithmetic operators plus ``**``
-with a numeric literal exponent, optionally signed (``y1**2``, ``z**-0.5``).
-No calls, no attributes, no subscripts: a model file is data, not code.
+``"y1*y2/4"``. We parse with :mod:`ast` and admit only numeric literals (no
+``True`` or ``False``), chart variable names, unary minus, and the four
+arithmetic operators plus ``**`` with a numeric literal exponent, optionally
+signed (``y1**2``, ``z**-0.5``). No calls, no attributes, no subscripts: a
+model file is data, not code.
 
 A part of literals only is folded into one float when compiled; one that
 fails, or is not a finite real number, is rejected, and so is an expression
@@ -60,7 +61,7 @@ def compile_expression(text: str, chart: list[str]):
         if isinstance(node, ast.Expression):
             return build(node.body)
         if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise RejectedInputError(f"non-numeric literal in {text!r}")
             return compiled(lambda vs: float(node.value))
         if isinstance(node, ast.Name):
@@ -155,17 +156,3 @@ def compile_matrix(rows, variables, label: str, memo: dict) -> tuple:
         for i, row in enumerate(block(rows, label, d))
     )
 
-
-def compile_guard(text, variables):
-    """A domain or locus guard: a point passes where ``text`` is a positive
-    real number; where it is not real, or fails, the point is rejected."""
-    f = compile_expression(str(text), variables)
-
-    def guard(coords) -> bool:
-        try:
-            value = f(tuple(float(c) for c in coords))
-        except ArithmeticError:
-            return False
-        return isinstance(value, float) and value > 0.0
-
-    return guard

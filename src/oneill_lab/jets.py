@@ -78,6 +78,15 @@ def _power(x, n: int):
     return out
 
 
+def _float_pow(x, e: float) -> float:
+    """Python's float power of ``x``; SingularEvaluationError where the
+    result is too large for a float (Python raises OverflowError there)."""
+    try:
+        return float(x) ** e
+    except OverflowError:
+        raise SingularEvaluationError(f"fractional power {float(x)!r}**{e!r} overflows") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarJet:
     """Truncated Taylor data of a scalar function at one point."""
@@ -200,13 +209,13 @@ class ScalarJet:
                 f"fractional power of non-positive base {self.value!r}"
             )
         p = float(exponent)
-        v = self.value**p
-        dv = p * self.value ** (p - 1.0)
+        v = _float_pow(self.value, p)
+        dv = p * _float_pow(self.value, p - 1.0)
         grad = dv * self.gradient
         if self.hessian is None:
             hess = None
         else:
-            d2v = p * (p - 1.0) * self.value ** (p - 2.0)
+            d2v = p * (p - 1.0) * _float_pow(self.value, p - 2.0)
             hess = dv * self.hessian + d2v * np.outer(self.gradient, self.gradient)
         return ScalarJet(v, grad, hess)
 
@@ -503,7 +512,7 @@ class ArrayJet:
         p = float(exponent)
         # Python's float power, element by element, as ScalarJet computes
         # it; numpy's power may take a vector path that rounds differently.
-        fpow = np.vectorize(lambda x, e: float(x) ** e, otypes=[float])
+        fpow = np.vectorize(_float_pow, otypes=[float])
         dv = p * fpow(v, p - 1.0)
         grad = dv[..., None] * self.gradient
         if self.hessian is None:

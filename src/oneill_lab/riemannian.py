@@ -4,8 +4,9 @@ Everything is evaluated through jets on a block of sample points, the point
 axis leading. :func:`model_jets` is the one evaluator of model expressions:
 it runs a table of model callables once on the coordinate jets of
 :func:`jets.seed_block`. Every model expression of the package goes through
-it: the metric entries here, the contact data of ``contact``, and the
-projection, base metric and declared fields of ``submersion``.
+it: the metric entries here, the contact data of ``contact``, the
+projection, base metric and declared fields of ``submersion``, and the
+domain and locus guards of :func:`guards_pass`.
 
 Christoffel symbols come out with exact first partials, and the Riemann
 tensor needs no finite differencing anywhere. The samples are cut into
@@ -40,7 +41,12 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateMetricError, OutOfDomainError, RejectedInputError
+from .errors import (
+    DegenerateMetricError,
+    OutOfDomainError,
+    RejectedInputError,
+    SingularEvaluationError,
+)
 from .jets import ArrayJet, seed_block
 
 _PD_FLOOR = 1e-12
@@ -127,6 +133,19 @@ def model_jets(table, vs) -> ArrayJet:
     return ArrayJet(value, gradient, hessian).reshape((n,) + funcs.shape)
 
 
+def guards_pass(guards, points) -> np.ndarray:
+    """Which points of a block ``(N, d)`` pass every one of the model
+    callables ``guards``: where each guard's :func:`model_jets` value on the
+    block's order-1 coordinate jets is above 0. Where the block's jets raise
+    ``SingularEvaluationError``, the points are evaluated one at a time, and
+    a point where they raise fails."""
+    pts = np.asarray(points, dtype=float)
+    try:
+        return np.all(model_jets(guards, seed_block(pts, order=1)).value > 0.0, axis=1)
+    except SingularEvaluationError:  # a point alone where the jets raise fails
+        return np.array([len(pts) > 1 and guards_pass(guards, [pt])[0] for pt in pts])
+
+
 class VectorField(NamedTuple):
     """Chart vector field: one callable per component, fed coordinate jets."""
 
@@ -141,7 +160,7 @@ class ManifoldModel(NamedTuple):
     dim: int
     chart: tuple
     metric: tuple  # dim x dim nested tuple of callables; only i<=j is read
-    domain_guard: Optional[Callable[[np.ndarray], bool]] = None
+    domain_guard: Optional[Callable] = None  # a model callable, > 0 inside (guards_pass)
 
 
 class MetricData(NamedTuple):
@@ -156,22 +175,23 @@ class MetricData(NamedTuple):
 
 def metric_jets(model: ManifoldModel, points, order: int, vs=None) -> ArrayJet:
     """The metric's jets on a block of points ``(N, d)``, shape ``(N, d, d)``:
-    the upper triangle evaluated, then mirrored. The domain check runs for
-    every point and raises for the first failing one; there is no
-    positive-definiteness gate. ``vs`` are the points' coordinate jets of
-    :func:`jets.seed_block` at ``order``, where the caller has them."""
+    the upper triangle evaluated, then mirrored. The domain check runs on
+    the block (:func:`guards_pass`) and raises for the first failing point;
+    there is no positive-definiteness gate. ``vs`` are the points' coordinate
+    jets of :func:`jets.seed_block` at ``order``, where the caller has them."""
     if vs is None:
         vs = seed_block(points, order=order)
     pts = np.asarray(points, dtype=float)
-    for coords in pts:
-        if model.domain_guard is not None and not model.domain_guard(coords):
-            raise OutOfDomainError(
-                f"point {coords.tolist()} outside domain of model {model.name!r}"
-            )
     dim = pts.shape[1]
     d = model.dim
     if dim != d:
         raise RejectedInputError(f"point has dim {dim}, model {model.name!r} has {d}")
+    if model.domain_guard is not None:
+        inside = guards_pass([model.domain_guard], pts)
+        if not inside.all():
+            raise OutOfDomainError(
+                f"point {pts[np.argmin(inside)].tolist()} outside domain of model {model.name!r}"
+            )
     rows, cols = np.triu_indices(d)
     upper = model_jets([model.metric[i][j] for i, j in zip(rows, cols)], vs)
     # entry (i, j) of the metric is entry (min(i, j), max(i, j)) of the triangle

@@ -3,8 +3,12 @@
 Points are drawn uniformly from a box, then filtered through every guard
 that applies: the chart domain of the total space, the sampling locus of
 the submersion model, and the chart domain of the base evaluated at the
-projected point.  Drawing stops after ten times the requested count; a
-shortfall at that cap is an error rather than a silently smaller sample.
+projected point (one guard, composed with the projection), each evaluated
+on a drawn block by ``riemannian.guards_pass``.  A round draws the points
+still wanted in one call, which takes the uniforms that one draw at a time
+would, and keeps those that pass.  Drawing stops after ten times the
+requested count; a shortfall at that cap is an error rather than a
+silently smaller sample.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptySampleError
-from .riemannian import ManifoldModel
+from .riemannian import ManifoldModel, guards_pass
 from .submersion import SubmersionModel
 
 OVERSAMPLE_FACTOR = 10
@@ -26,32 +30,20 @@ class SampleConfig(NamedTuple):
     box: tuple = (-2.0, 2.0)
 
 
-def _guards_pass(sub: SubmersionModel, pt: np.ndarray) -> bool:
-    total = sub.total.model
-    if total.domain_guard is not None and not total.domain_guard(pt):
-        return False
-    if sub.locus_guard is not None and not sub.locus_guard(pt):
-        return False
-    if sub.base.domain_guard is not None:
-        base_pt = np.array([f(pt) for f in sub.projection], dtype=float)
-        if not sub.base.domain_guard(base_pt):
-            return False
-    return True
-
-
-def _draw(dim: int, cfg: SampleConfig, accept) -> np.ndarray:
+def _draw(dim: int, cfg: SampleConfig, guards) -> np.ndarray:
     lo, hi = float(cfg.box[0]), float(cfg.box[1])
     if not hi > lo:
         raise EmptySampleError(f"degenerate sampling box [{lo}, {hi}]")
     rng = np.random.default_rng(cfg.seed)
-    out = []
+    guards = [g for g in guards if g is not None]
+    out, drawn = np.empty((0, dim)), 0
     cap = OVERSAMPLE_FACTOR * cfg.points
-    for _ in range(cap):
-        pt = rng.uniform(lo, hi, size=dim)
-        if accept(pt):
-            out.append(pt)
-            if len(out) == cfg.points:
-                return np.array(out)
+    while drawn < cap:
+        block = rng.uniform(lo, hi, size=(min(cfg.points - len(out), cap - drawn), dim))
+        drawn += len(block)
+        out = np.concatenate([out, block[guards_pass(guards, block)]])
+        if len(out) == cfg.points:
+            return out
     raise EmptySampleError(
         f"found {len(out)} admissible points of {cfg.points} requested "
         f"after {cap} draws"
@@ -59,11 +51,11 @@ def _draw(dim: int, cfg: SampleConfig, accept) -> np.ndarray:
 
 
 def sample_submersion_points(sub: SubmersionModel, cfg: SampleConfig) -> np.ndarray:
-    return _draw(sub.total.model.dim, cfg, lambda pt: _guards_pass(sub, pt))
+    base = sub.base.domain_guard
+    projected = None if base is None else (lambda vs: base([f(vs) for f in sub.projection]))
+    total = sub.total.model
+    return _draw(total.dim, cfg, [total.domain_guard, sub.locus_guard, projected])
 
 
 def sample_model_points(model: ManifoldModel, cfg: SampleConfig) -> np.ndarray:
-    def accept(pt):
-        return model.domain_guard is None or model.domain_guard(pt)
-
-    return _draw(model.dim, cfg, accept)
+    return _draw(model.dim, cfg, [model.domain_guard])

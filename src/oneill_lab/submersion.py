@@ -37,7 +37,7 @@ from .contact import (
     space_form_from_document,
 )
 from .errors import DegenerateFrameError, RejectedInputError
-from .expressions import block, compile_guard, compile_vector
+from .expressions import block, compile_expression, compile_vector
 from .jets import ArrayJet, concat, seed_block, stack, sum_terms
 from .riemannian import (
     _PD_FLOOR,
@@ -61,7 +61,7 @@ class _SubmersionFields(NamedTuple):
     vertical_fields: tuple
     horizontal_fields: tuple
     xi_case: str
-    locus_guard: Optional[Callable[[np.ndarray], bool]] = None
+    locus_guard: Optional[Callable] = None
 
 
 class SubmersionModel(_SubmersionFields):
@@ -75,7 +75,8 @@ class SubmersionModel(_SubmersionFields):
     block so the adapted frame keeps it in a fixed slot.
 
     ``locus_guard`` is a sampling-time restriction (stricter than the chart
-    domain) used to keep random points away from degenerate boundaries.
+    domain) used to keep random points away from degenerate boundaries, a
+    model callable positive where a point may be drawn (``guards_pass``).
 
     Every way of building one checks the fields: the constructor,
     ``_replace`` and ``_make`` (through ``__new__``), and unpickling.
@@ -451,7 +452,9 @@ class OneillData(NamedTuple):
     norm_ah_sq: np.ndarray  # mixed-slot norm of the horizontal-block tensor
     n_vec: np.ndarray  # trace of the vertical-block tensor over the fiber
     n_norm_sq: np.ndarray
-    b_part: np.ndarray  # (p, n, d): the vertical part of phi on each X_s
+    phi_x: np.ndarray  # (p, n, d): phi X_s
+    b_part: np.ndarray  # (p, n, d): the vertical part of phi_x
+    phi_b: np.ndarray  # (p, n, d): phi of b_part
     trace_phi_b: np.ndarray
 
 
@@ -469,7 +472,9 @@ def tensors_from_calculus(calc: PointCalculus) -> OneillData:
     a_coeff = calc.pairings(a_xx[:, :, :, None], uvals[:, None, None])
     ks = np.arange(r)
     n_vec = running_sum(np.moveaxis(t_uu[:, ks, ks], 1, 0))
-    b_part = calc.v_project_values(calc.phi_of(xvals))
+    phi_x = calc.phi_of(xvals)
+    b_part = calc.v_project_values(phi_x)
+    phi_b = calc.phi_of(b_part)
     return OneillData(
         t_coeff=t_coeff,
         a_coeff=a_coeff,
@@ -481,8 +486,10 @@ def tensors_from_calculus(calc: PointCalculus) -> OneillData:
         norm_ah_sq=point_sums(calc.pairings(a_xu, a_xu)),
         n_vec=n_vec,
         n_norm_sq=calc.pairings(n_vec, n_vec),
+        phi_x=phi_x,
         b_part=b_part,
-        trace_phi_b=point_sums(calc.pairings(calc.phi_of(b_part), xvals)),
+        phi_b=phi_b,
+        trace_phi_b=point_sums(calc.pairings(phi_b, xvals)),
     )
 
 
@@ -516,11 +523,11 @@ def verify_structure_lemmas(calc: PointCalculus, data: OneillData) -> dict:
     res["anti_invariance"] = point_maxima(
         np.abs(calc.pairings(phi_u[:, :, None], uvals[:, None]))
     )
-    c_part = calc.h_project_values(calc.phi_of(xvals))
+    c_part = calc.h_project_values(data.phi_x)
     resid = calc.h_project_values(calc.phi_of(c_part)) + xvals
     if calc.sub.xi_case == "horizontal":
         resid = resid - calc.eta_of(xvals)[..., None] * calc.state.contact.xi[:, None]
-    resid = resid + calc.phi_of(data.b_part)
+    resid = resid + data.phi_b
     res["c_square"] = point_maxima(np.abs(resid))
     return res
 
@@ -577,7 +584,7 @@ def load_custom_model(contents: bytes) -> SubmersionModel:
 
     vertical = field_block("vertical", "V")
     horizontal = field_block("horizontal", "H")
-    locus = compile_guard(data["locus"], chart) if "locus" in data else None
+    locus = compile_expression(str(data["locus"]), chart) if "locus" in data else None
     return SubmersionModel(
         name=str(data["name"]),
         total=total,

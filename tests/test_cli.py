@@ -14,10 +14,10 @@ from oneill_lab import cli, jets
 from oneill_lab.cli import BUNDLED_DIR, RunConfig, cli_parse, main, resolve_model, run
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.errors import DegenerateMetricError, ModelLoadError
-from oneill_lab.expressions import compile_guard
+from oneill_lab.expressions import compile_expression
 from oneill_lab.invariants import analyze_point, identity_residuals
 from oneill_lab.report import KNOWN_FLAGS, Tolerances, known_flags_for
-from oneill_lab.riemannian import riemann_at
+from oneill_lab.riemannian import guards_pass, riemann_at
 from oneill_lab.sampling import SampleConfig, sample_model_points, sample_submersion_points
 from oneill_lab.submersion import verify_riemannian_submersion, verify_structure_lemmas
 
@@ -275,6 +275,12 @@ class TestExitCodes:
             pytest.param(_contact_c(10**400), id="c-10**400"),
             pytest.param(_contact_c(True), id="c-true"),
             pytest.param(_contact_c(None), id="c-null"),
+            # a boolean literal is no number either, also as a JSON true
+            # (read as the string "True"), an exponent or a guard
+            pytest.param(_replace_entry("metric", 2, 2, "True"), id="True"),
+            pytest.param(_replace_entry("metric", 2, 2, True), id="json-true"),
+            pytest.param(_replace_entry("metric", 2, 2, "0.25+0*x1**True"), id="x1**True"),
+            pytest.param(lambda d: {**d, "domain": True}, id="domain-json-true"),
             # a chart that repeats a name
             pytest.param(
                 lambda d: {**d, "chart": ["x1", "x2", "y1", "y2", "x2"]}, id="chart-repeats"
@@ -308,6 +314,32 @@ class TestExitCodes:
         assert err.startswith("error: DegenerateMetricError: ")
         assert err.rstrip().endswith("entries not finite")
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_overflowing_fractional_power_is_7(self, tmp_path, capsys):
+        # (1 + z*z)**1.5 overflows at z > 1e150, where it is evaluated at once
+        model = _vertical_xi_variant(tmp_path, "metric", 2, 2, "0.25+0*(1+z*z)**1.5")
+        out = tmp_path / "r.json"
+        argv = ["verify", "--model", str(model), "--box", "1e150,1e151", "--points", "3"]
+        assert main(argv + ["--out", str(out)]) == 7
+        err = capsys.readouterr().err
+        assert err.startswith("error: SingularEvaluationError: fractional power ")
+        assert err.rstrip().endswith("**1.5 overflows")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_failed_allocation_is_7(self, tmp_path, monkeypatch, capsys):
+        # as numpy fails an array of random:1000000000000 probes; a test
+        # must not ask for such an array, which an overcommitting host may grant
+        def huge(*args, **kwargs):
+            raise MemoryError("Unable to allocate 21.8 TiB for an array")
+
+        monkeypatch.setattr(cli, "plan_scan", huge)
+        out = tmp_path / "r.json"
+        argv = ["theorems", "--points", "1", "--probe", "random:1000000000000"]
+        assert main(argv + ["--out", str(out)]) == 7
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: Unable to allocate 21.8 TiB for an array\n"
         assert not out.exists()
 
     def test_exit_7_is_one_line_without_warnings(self):
@@ -641,9 +673,12 @@ class TestNonFiniteResiduals:
 
 class TestNonRealGuards:
     def test_guard_rejects_a_point_where_it_is_not_real_or_fails(self):
-        assert compile_guard("x1**0.5", ["x1"])((4.0,)) is True
-        assert compile_guard("x1**0.5", ["x1"])((-4.0,)) is False
-        assert compile_guard("1/(x1-x1)", ["x1"])((4.0,)) is False
+        def passes(text, x1):
+            return guards_pass([compile_expression(text, ["x1"])], [[x1]]).tolist()
+
+        assert passes("x1**0.5", 4.0) == [True]
+        assert passes("x1**0.5", -4.0) == [False]
+        assert passes("1/(x1-x1)", 4.0) == [False]
 
     def test_non_real_domain_reports_as_its_real_twin(self, tmp_path, capsys):
         # x1**0.5 is complex where x1 < 0 and positive exactly where x1 is

@@ -97,7 +97,8 @@ def _plain_tensors_from_calculus(calc) -> dict:
     a_xu = calc.a_point(xvals[:, :, None], uvals[:, None])
     ks = np.arange(r)
     n_vec = running_sum(np.moveaxis(t_uu[:, ks, ks], 1, 0))
-    b_part = calc.v_project_values(calc.phi_of(xvals))
+    phi_x = calc.phi_of(xvals)
+    b_part = calc.v_project_values(phi_x)
     return {
         "t_coeff": t_coeff,
         "a_coeff": a_coeff,
@@ -107,7 +108,9 @@ def _plain_tensors_from_calculus(calc) -> dict:
         "norm_ah_sq": point_sums(calc.pairings(a_xu, a_xu)),
         "n_vec": n_vec,
         "n_norm_sq": calc.pairings(n_vec, n_vec),
+        "phi_x": phi_x,
         "b_part": b_part,
+        "phi_b": calc.phi_of(b_part),
         "trace_phi_b": point_sums(calc.pairings(calc.phi_of(b_part), xvals)),
     }
 
@@ -258,10 +261,15 @@ def test_each_frame_quantity_is_made_once_per_block(monkeypatch):
     the XU traces, three ambient frame tables and two closed-form ones),
     takes 4 covariant derivatives (the frame table, delta_n's and gauss3's
     two exchange-jet terms), 8 evaluations of T or A (the two frame tables
-    and the six slot corrections of the three derivatives) and 3 vertical
+    and the six slot corrections of the three derivatives), 3 vertical
     projections (two blocks of the derivative table, and the B part of phi
-    on the horizontal frame, which the lemmas read from the tensor data)."""
-    calls = {"pair_r4": 0, "cov_point": 0, "t_point": 0, "a_point": 0, "v_project_values": 0}
+    on the horizontal frame, which the lemmas read from the tensor data) and
+    4 products with phi (phi X and phi B in the tensor data, which the lemmas
+    read, and the lemmas' phi U and phi of the C part)."""
+    calls = {
+        "pair_r4": 0, "cov_point": 0, "t_point": 0, "a_point": 0, "v_project_values": 0,
+        "phi_of": 0,
+    }
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -271,12 +279,13 @@ def test_each_frame_quantity_is_made_once_per_block(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(invariants, "pair_r4", counted("pair_r4", invariants.pair_r4))
-    for name in ("cov_point", "t_point", "a_point", "v_project_values"):
+    for name in ("cov_point", "t_point", "a_point", "v_project_values", "phi_of"):
         monkeypatch.setattr(PointCalculus, name, counted(name, getattr(PointCalculus, name)))
     sub = _model("vertical-xi")
     pts = sample_submersion_points(sub, SampleConfig(points=6, seed=42))
     parts = _submersion_block(sub, RunConfig("verify"), None, 0, pts)
     assert set(parts) == {"sasakian", "submersion", "lemmas", "identities"}
     assert calls == {
-        "pair_r4": 8, "cov_point": 4, "t_point": 5, "a_point": 3, "v_project_values": 3
+        "pair_r4": 8, "cov_point": 4, "t_point": 5, "a_point": 3, "v_project_values": 3,
+        "phi_of": 4,
     }

@@ -434,6 +434,30 @@ def test_array_jet_guards_raise_like_scalar_jets():
         _ = one + other
 
 
+@pytest.mark.parametrize(
+    "value, exponent, raising_orders",
+    [
+        (1e250, 1.5, (1, 2)),  # the value's power: 1e375
+        (1e-200, -1.5, (1, 2)),  # the first derivative's power: 1e500
+        (1e-310, 0.5, (2,)),  # the second derivative's power: about 1e465
+    ],
+)
+def test_overflowing_fractional_power_raises_like_scalar_jets(value, exponent, raising_orders):
+    d = 2
+    for order in (1, 2):
+        scalar = ScalarJet(value, np.ones(d), None if order == 1 else np.zeros((d, d)))
+        array = ArrayJet(
+            np.array([4.0, value]), np.ones((2, d)), None if order == 1 else np.zeros((2, d, d))
+        )
+        if order in raising_orders:
+            with pytest.raises(SingularEvaluationError, match="overflows"):
+                _ = scalar**exponent
+            with pytest.raises(SingularEvaluationError, match="overflows"):
+                _ = array**exponent
+        else:
+            _assert_bit_equal(array**exponent, (1,), scalar**exponent)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.data(),

@@ -51,7 +51,7 @@ def polar_model():
         dim=2,
         chart=("r", "t"),
         metric=metric,
-        domain_guard=lambda c: c[0] > 0.1,
+        domain_guard=lambda vs: vs[0] - 0.1,
     )
 
 
