@@ -41,12 +41,12 @@ CPUs; with one, every run stays in one process. 189 runs in all, each
 report named by its command, model, points, seed and probe, and its box
 where that is not the default;
 exit_codes.txt holds the exit code of each. The parser's own text is part
-of the matrix too: the
-``--help`` output of the program and of each subcommand at ``COLUMNS=80``
-(help-<command>.txt), and the standard error and exit code of five bad
-command lines (usage-<case>.txt): a negative ``--points``, a ``--box`` that
-is not LO,HI, an unknown theorem id, a bad ``--probe`` and a negative
-``--tol-d1``. Beside them,
+of the matrix too: the ``--help`` output at ``COLUMNS=80`` of the command
+line ``--help`` alone and after each command (help-<name>.txt; the one
+parser of ``cli.cli_parse`` prints the same text for all four), and the
+standard error and exit code of five bad command lines (usage-<case>.txt):
+a negative ``--points``, a ``--box`` that is not LO,HI, an unknown theorem
+id, a bad ``--probe`` and a negative ``--tol-d1``. Beside them,
 run_all/ and run_all.txt hold what scripts/run_all.py writes and prints,
 and crh1-<seed>.txt what scripts/crh1_disambiguation.py prints at each
 seed. run_all.py stamps its reports and names the output directory and a

@@ -1,6 +1,6 @@
 """Command-line front end: model selection, sampling, runs, exit codes.
 
-Subcommands: ``verify`` (structure and identity sections), ``theorems``
+Commands: ``verify`` (structure and identity sections), ``theorems``
 (inequality scans), ``report`` (all sections).  Exit codes: 0 pass, 1 fail,
 2 usage error, 3 pass-with-flags, 4 model load failure, 5 empty admissible
 sample, 6 report write failure, 7 any other package error, or a failed
@@ -325,85 +325,89 @@ def run(config: RunConfig) -> Report:
     )
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """The flags every subcommand takes, on a parent parser that each
-    subparser copies (``parents=``), so each flag is added once per parse."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--model", default="vertical-xi")
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--box", default="-2,2", help="sampling interval LO,HI per coordinate")
-    # --tol-alg --tol-d1 --tol-curv --tol-d2curv
-    for name, default in Tolerances._field_defaults.items():
-        p.add_argument(f"--tol-{name}", type=float, default=default)
-    p.add_argument("--theorems", default="all", help="comma-separated ids or 'all'")
-    p.add_argument("--probe", default="first", help="first | all | random:<k>")
-    p.add_argument("--out", default=None)
-    p.add_argument("--no-timestamp", action="store_true")
-    return p
-
-
 def cli_parse(argv) -> RunConfig:
+    """The run that the command line ``argv`` asks for, from one parser
+    built anew at each call. The parser keeps only the flags given, so a
+    flag left out takes its default from ``RunConfig`` (a tolerance tier
+    from ``Tolerances``), where each default is written once."""
     parser = argparse.ArgumentParser(
         prog="oneill-lab",
+        usage="%(prog)s COMMAND [flags]",
         description="numerical verification runs for submersion curvature bounds",
+        argument_default=argparse.SUPPRESS,
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    common = [_common_flags()]
-    for name, blurb in (
-        ("verify", "structure and identity residuals"),
-        ("theorems", "inequality scans"),
-        ("report", "full run: structure, identities, theorems"),
-    ):
-        subparsers.add_parser(name, help=blurb, parents=common)
-    ns = parser.parse_args(argv)
+    parser.add_argument(
+        "command",
+        choices=("verify", "theorems", "report"),
+        metavar="COMMAND",
+        help="verify (structure and identity residuals), theorems (inequality scans), "
+        "report (full run: structure, identities, theorems)",
+    )
+    parser.add_argument("--model")
+    parser.add_argument("--points", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--box", help="sampling interval LO,HI per coordinate")
+    for name in Tolerances._fields:  # --tol-alg --tol-d1 --tol-curv --tol-d2curv
+        parser.add_argument(f"--tol-{name}", type=float)
+    parser.add_argument("--theorems", help="comma-separated ids or 'all'")
+    parser.add_argument("--probe", help="first | all | random:<k>")
+    parser.add_argument("--out")
+    parser.add_argument("--no-timestamp", action="store_true")
+    given = vars(parser.parse_args(argv))
+    tiers = {key[4:]: given.pop(key) for key in list(given) if key.startswith("tol_")}
+    # --box and --theorems are still their text where given
+    config = RunConfig(**given, tolerances=Tolerances(**tiers))
 
-    if ns.points < 1:
-        parser.error(f"--points must be positive, got {ns.points}")
-    if ns.seed < 0:
-        parser.error(f"--seed must not be negative, got {ns.seed}")
+    if config.points < 1:
+        parser.error(f"--points must be positive, got {config.points}")
+    if config.seed < 0:
+        parser.error(f"--seed must not be negative, got {config.seed}")
+    if "box" in given:
+        try:
+            lo, hi = (float(tok) for tok in config.box.split(","))
+        except ValueError:
+            parser.error(f"--box expects LO,HI, got {config.box!r}")
+        if not hi > lo:
+            parser.error(f"--box needs LO < HI, got {config.box!r}")
+        if not np.isfinite(hi - lo):
+            parser.error(f"--box needs a finite width HI - LO, got {config.box!r}")
+        config = config._replace(box=(lo, hi))
     try:
-        lo, hi = (float(tok) for tok in ns.box.split(","))
-    except ValueError:
-        parser.error(f"--box expects LO,HI, got {ns.box!r}")
-    if not hi > lo:
-        parser.error(f"--box needs LO < HI, got {ns.box!r}")
-    if not np.isfinite(hi - lo):
-        parser.error(f"--box needs a finite width HI - LO, got {ns.box!r}")
-    try:
-        parse_probe_mode(ns.probe)
+        parse_probe_mode(config.probe)
     except RejectedInputError:
-        parser.error(f"--probe expects first, all, or random:<k>, got {ns.probe!r}")
-    theorems = None
-    if ns.theorems != "all":
-        ids = tuple(tok.strip() for tok in ns.theorems.split(",") if tok.strip())
+        parser.error(f"--probe expects first, all, or random:<k>, got {config.probe!r}")
+    if config.theorems == "all":
+        config = config._replace(theorems=None)
+    elif config.theorems is not None:
+        ids = tuple(tok.strip() for tok in config.theorems.split(",") if tok.strip())
         for tid in ids:
             if tid not in THEOREM_IDS:
                 parser.error(f"unknown theorem id: {tid}")
         if not ids or len(set(ids)) != len(ids):
-            parser.error(f"theorem ids must be distinct and at least one, got {ns.theorems!r}")
-        theorems = ids
-    tiers = {name: getattr(ns, f"tol_{name}") for name in Tolerances._fields}
-    for name, value in tiers.items():
+            parser.error(f"theorem ids must be distinct and at least one, got {config.theorems!r}")
+        config = config._replace(theorems=ids)
+    for name, value in config.tolerances._asdict().items():
         if not value >= 0.0:  # NaN fails this too
             parser.error(f"--tol-{name} must be a number >= 0, got {value}")
         if value == np.inf:  # a gate that no residual can fail
             parser.error(f"--tol-{name} must be finite, got {value}")
-    return RunConfig(
-        command=ns.command,
-        model=ns.model,
-        points=ns.points,
-        seed=ns.seed,
-        box=(lo, hi),
-        tolerances=Tolerances(**tiers),
-        theorems=theorems,
-        probe=ns.probe,
-        out=ns.out,
-        no_timestamp=ns.no_timestamp,
-    )
+    return config
 
 
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "pass-with-flags": 3}
+
+# Each error of a run that ``main`` prints as one line, and the exit code it
+# returns, by the first row whose class the error is of: (error class, exit
+# code, whether the line names the class of the error raised). 7, a code no
+# verdict uses, is any other package error (a degenerate metric or frame at a
+# sample point) and an array too large to allocate (a huge random:<k> probe).
+_RUN_ERRORS = (
+    (ModelLoadError, 4, False),
+    (EmptySampleError, 5, False),
+    (RejectedInputError, 2, False),
+    (OneillLabError, 7, True),
+    (MemoryError, 7, True),
+)
 
 # glibc mallopt parameters and the values set by _retain_freed_heap.
 _M_TRIM_THRESHOLD = -1
@@ -449,24 +453,11 @@ def main(argv=None) -> int:
         # numpy's warnings about it would only precede the one-line error
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             report = run(config)
-    except ModelLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EmptySampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except RejectedInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OneillLabError as exc:
-        # any other package error, such as a degenerate metric or frame at
-        # a sample point: one line, and a code no verdict uses
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 7
-    except MemoryError as exc:
-        # an array too large to allocate, such as a huge --probe random:<k>
-        print(f"error: MemoryError: {exc}", file=sys.stderr)
-        return 7
+    except tuple(cls for cls, _, _ in _RUN_ERRORS) as exc:
+        code, named = next((c, n) for cls, c, n in _RUN_ERRORS if isinstance(exc, cls))
+        name = f"{type(exc).__name__}: " if named else ""
+        print(f"error: {name}{exc}", file=sys.stderr)
+        return code
     timestamp = (
         None
         if config.no_timestamp

@@ -136,12 +136,14 @@ def model_jets(table, vs) -> ArrayJet:
 def guards_pass(guards, points) -> np.ndarray:
     """Which points of a block ``(N, d)`` pass every one of the model
     callables ``guards``: where each guard's :func:`model_jets` value on the
-    block's order-1 coordinate jets is above 0. Where the block's jets raise
+    block's order-1 coordinate jets is above 0 and finite (an integer power
+    that overflows is inf, not an error). Where the block's jets raise
     ``SingularEvaluationError``, the points are evaluated one at a time, and
     a point where they raise fails."""
     pts = np.asarray(points, dtype=float)
     try:
-        return np.all(model_jets(guards, seed_block(pts, order=1)).value > 0.0, axis=1)
+        value = model_jets(guards, seed_block(pts, order=1)).value
+        return np.all((value > 0.0) & (value < np.inf), axis=1)
     except SingularEvaluationError:  # a point alone where the jets raise fails
         return np.array([len(pts) > 1 and guards_pass(guards, [pt])[0] for pt in pts])
 

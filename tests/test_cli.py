@@ -1,4 +1,4 @@
-"""CLI contract: parsing, sections per subcommand, exit codes, determinism."""
+"""CLI contract: parsing, sections per command, exit codes, determinism."""
 
 import hashlib
 import json
@@ -60,6 +60,28 @@ class TestParse:
         assert cfg.theorems is None
         assert cfg.probe == "first"
         assert cfg.tolerances == Tolerances()
+
+    @pytest.mark.parametrize("command", ["verify", "theorems", "report"])
+    def test_every_default_is_run_configs(self, command):
+        # the parser writes no default of its own
+        assert cli_parse([command]) == RunConfig(command)
+
+    def test_flags_parse_the_same_before_and_after_the_command(self):
+        flags = ["--points", "7", "--box=-1,1", "--tol-d1", "1e-9", "--theorems", "V1"]
+        flags += ["--probe", "all", "--no-timestamp", "--out", "r.json"]
+        after = cli_parse(["theorems", *flags])
+        assert cli_parse([*flags, "theorems"]) == after
+        assert cli_parse([*flags[:3], "theorems", *flags[3:]]) == after
+        assert after == RunConfig(
+            command="theorems",
+            points=7,
+            box=(-1.0, 1.0),
+            tolerances=Tolerances(d1=1e-9),
+            theorems=("V1",),
+            probe="all",
+            out="r.json",
+            no_timestamp=True,
+        )
 
     def test_box_and_tolerance_overrides(self):
         cfg = cli_parse(["verify", "--box=-1.5,1.5", "--tol-curv", "1e-6"])

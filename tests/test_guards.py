@@ -37,6 +37,13 @@ def test_overflowing_guard_rejects_its_point():
     assert _passes("(x1*x1)**1.5 - 1", [2.0, 1e150, 0.5]) == [True, False, False]
 
 
+def test_guard_that_is_not_finite_rejects_its_point():
+    # x1**2 is the product x1*x1, which overflows to inf without an error
+    assert _passes("x1**2 - 1", [1e155, 2.0, 1e200]) == [False, True, False]
+    # and inf - inf is NaN
+    assert _passes("x1*x1 - x1*x1 + 1", [1e200, 2.0]) == [False, True]
+
+
 def test_every_guard_must_pass():
     guards = [compile_expression(t, ["x1", "x2"]) for t in ("x1", "x2**0.5 - 1")]
     block = [[1.0, 4.0], [-1.0, 4.0], [1.0, 0.25], [1.0, -4.0], [2.0, 9.0]]
