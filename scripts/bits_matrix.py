@@ -32,21 +32,27 @@ with a partial block of 1 after it, where a frame table read that
 depended on its block's size would show); and ``report`` on horizontal-xi
 at 20 points with ``--box=-1,1``, at the same seeds (3 runs, where about
 one draw in six passes the guards, so the sample takes many rounds of
-draws). ``cli._map_blocks`` is the one
+draws); ``report`` on vertical-xi at 11 points with ``--tol-curv`` and
+``--tol-d2curv`` at 1e-16, at the same seeds (3 runs whose curvature and
+identity checks fail on tiers below their residuals: at seed 42 the
+cross-check and seven identities, exit 1 with verdict fail); and
+``theorems --theorems CRH1 --probe all`` on vertical-xi at 11 points, at
+the same seeds (3 runs, a scan whose one check is the CRH1 variant rule).
+``cli._map_blocks`` is the one
 fan-out: it cuts a sample's points into contiguous ranges, one per usable
 CPU with enough work (curvature entries on a plain space form, random
 probe rows on a submersion), and each range after the first runs on a
 forked worker. The ranges above are those of a machine with two usable
-CPUs; with one, every run stays in one process. 189 runs in all, each
-report named by its command, model, points, seed and probe, and its box
-where that is not the default;
+CPUs; with one, every run stays in one process. 195 runs in all, each
+report named by its command, model, points, seed and probe, and the
+further flags it is given;
 exit_codes.txt holds the exit code of each. The parser's own text is part
 of the matrix too: the ``--help`` output at ``COLUMNS=80`` of the command
 line ``--help`` alone and after each command (help-<name>.txt; the one
 parser of ``cli.cli_parse`` prints the same text for all four), and the
-standard error and exit code of five bad command lines (usage-<case>.txt):
+standard error and exit code of six bad command lines (usage-<case>.txt):
 a negative ``--points``, a ``--box`` that is not LO,HI, an unknown theorem
-id, a bad ``--probe`` and a negative ``--tol-d1``. Beside them,
+id, a repeated theorem id, a bad ``--probe`` and a negative ``--tol-d1``. Beside them,
 run_all/ and run_all.txt hold what scripts/run_all.py writes and prints,
 and crh1-<seed>.txt what scripts/crh1_disambiguation.py prints at each
 seed. run_all.py stamps its reports and names the output directory and a
@@ -73,7 +79,7 @@ from oneill_lab.cli import main  # noqa: E402
 SEEDS = (42, 7, 1234)
 PROBES = ("first", "all", "random:8")
 SUBMERSIONS = ("vertical-xi", "horizontal-xi", "models/reeb_fiber.json")
-# (command, model, points, probes, seeds[, box])
+# (command, model, points, probes, seeds, *further flags)
 RUNS = [("verify", f"r2m1:{m}", 40, PROBES, SEEDS) for m in (1, 2, 3, 4)] + [
     ("verify", f"r2m1:{m}", 400, PROBES, SEEDS) for m in (1, 2, 3, 4)
 ] + [
@@ -85,7 +91,10 @@ RUNS = [("verify", f"r2m1:{m}", 40, PROBES, SEEDS) for m in (1, 2, 3, 4)] + [
     for model in SUBMERSIONS
 ] + [("theorems", model, 8, ("random:64",), SEEDS) for model in SUBMERSIONS] + [
     ("report", model, points, ("all",), (42,)) for model in SUBMERSIONS for points in (1, 11)
-] + [("report", "horizontal-xi", 20, ("first",), SEEDS, "-1,1")]
+] + [("report", "horizontal-xi", 20, ("first",), SEEDS, "--box=-1,1")] + [
+    ("report", "vertical-xi", 11, ("first",), SEEDS, "--tol-curv=1e-16", "--tol-d2curv=1e-16"),
+    ("theorems", "vertical-xi", 11, ("all",), SEEDS, "--theorems=CRH1"),
+]
 
 
 HELP = {"oneill-lab": [], "verify": ["verify"], "theorems": ["theorems"], "report": ["report"]}
@@ -93,6 +102,7 @@ BAD_ARGV = {
     "points-negative": ["verify", "--points", "-1"],
     "box-not-lo-hi": ["verify", "--box", "2,x"],
     "theorem-unknown": ["theorems", "--theorems", "V1,V9"],
+    "theorem-repeated": ["theorems", "--theorems", "V1,V1"],
     "probe-bad": ["theorems", "--probe", "random:0"],
     "tol-d1-negative": ["verify", "--tol-d1=-1e-8"],
 }
@@ -125,16 +135,17 @@ def cli(argv=None):
     os.chdir(REPO)  # the model file is echoed as given, relative to the checkout
 
     codes = []
-    for command, model, points, probes, seeds, *box in RUNS:
+    for command, model, points, probes, seeds, *flags in RUNS:
         for seed in seeds:
             for probe in probes:
                 slug = "-".join((command, Path(model).stem, str(points), str(seed), probe))
-                slug = slug.replace(":", "-") + "".join(f"-box{b}" for b in box)
+                # a flag --name=value adds -namevalue: -box-1,1 for --box=-1,1
+                slug = slug.replace(":", "-") + "".join(f[1:].replace("=", "") for f in flags)
                 argv = [
                     command, "--model", model, "--points", str(points),
                     "--seed", str(seed), "--probe", probe, "--no-timestamp",
                     "--out", str(out_dir / f"{slug}.json"),
-                ] + [f"--box={b}" for b in box]
+                ] + flags
                 with contextlib.redirect_stderr(io.StringIO()):
                     codes.append(f"{slug} {main(argv)}\n")
     (out_dir / "exit_codes.txt").write_text("".join(codes))

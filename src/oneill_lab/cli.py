@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fanout import map_parts, split
 from .invariants import analyze_point, identity_residuals
-from .report import Report, Tolerances, known_flags_for, residual_checks
+from .report import Report, Tolerances, known_flags_for
 from .riemannian import max_residual, point_blocks
 from .sampling import SampleConfig, sample_model_points, sample_submersion_points
 from .submersion import (
@@ -42,7 +42,9 @@ from .submersion import (
     verify_riemannian_submersion,
     verify_structure_lemmas,
 )
-from .theorems import THEOREM_IDS, parse_probe_mode, plan_scan, scan_block, scan_from_records
+from .theorems import (
+    parse_probe_mode, parse_theorem_ids, plan_scan, scan_block, scan_from_records,
+)
 
 # Bundled models: model files of the documented schema shipped with the
 # package as models/<name>.json.
@@ -173,43 +175,34 @@ def _space_form_summary(data: SpaceFormData) -> dict:
     return _maxima([residuals])
 
 
-def _spaceform_structure(summaries, points: int, tol: Tolerances):
+def _spaceform_structure(summaries, points: int) -> dict:
     """Sasakian residuals and the curvature cross-check over the sample of
     ``points`` points, folded from the summaries of its blocks."""
     sas = _maxima(summaries)
     curvature = {"curv1": sas.pop("curv1")}
-    section = {"points": points, "sasakian": sas, "curvature": curvature}
-    checks = residual_checks("sasakian", sas, tol)
-    checks.update(residual_checks("curvature", curvature, tol))
-    return section, checks
+    return {"points": points, "sasakian": sas, "curvature": curvature}
 
 
-def _submersion_structure(parts, points: int, tol: Tolerances):
+def _submersion_structure(parts, points: int) -> dict:
     """Structure section over the sample, folded from the parts of its
     blocks (``_submersion_block``): the space-form part, then the submersion
-    checks and lemmas."""
-    section, checks = _spaceform_structure((p["sasakian"] for p in parts), points, tol)
-    kernel = max_residual(np.concatenate([p["submersion"].kernel_residual for p in parts]))
+    residuals and lemmas."""
+    section = _spaceform_structure((p["sasakian"] for p in parts), points)
     lengths = np.concatenate([p["submersion"].length_residual for p in parts]).tolist()
     pd_flags = np.concatenate([p["submersion"].base_pd for p in parts]).tolist()
-    lemmas = _maxima(p["lemmas"] for p in parts)
-    length = max_residual(lengths)
     section["submersion"] = {
-        "kernel": kernel,
-        "length": length,
+        "kernel": max_residual(np.concatenate([p["submersion"].kernel_residual for p in parts])),
+        "length": max_residual(lengths),
         "length_residuals": lengths,
         "base_pd_all": all(pd_flags),
         "base_pd_flags": pd_flags,
     }
-    section["lemmas"] = lemmas
-    checks.update(residual_checks("submersion", {"kernel": kernel, "length": length}, tol))
-    checks["submersion.base_pd"] = all(pd_flags)
-    checks.update(residual_checks("lemmas", lemmas, tol))
-    return section, checks
+    section["lemmas"] = _maxima(p["lemmas"] for p in parts)
+    return section
 
 
-def _theorem_section(plan, parts, points: int):
-    section, checks = {}, {}
+def _theorem_section(plan, parts, points: int) -> dict:
+    section = {}
     for tid in plan.theorem_ids:
         scan = scan_from_records(tid, [p["theorems"][tid] for p in parts], points)
         entry = {
@@ -223,13 +216,9 @@ def _theorem_section(plan, parts, points: int):
         tallies = scan.variant_tallies
         if tallies is not None:
             entry["variants"] = {name: dict(t) for name, t in tallies.items()}
-            surviving = [name for name, t in tallies.items() if t["violations"] == 0]
-            entry["surviving_variants"] = surviving
-            checks[f"theorems.{tid}"] = len(surviving) > 0
-        else:
-            checks[f"theorems.{tid}"] = scan.violations == 0
+            entry["surviving_variants"] = [n for n, t in tallies.items() if t["violations"] == 0]
         section[tid] = entry
-    return section, checks
+    return section
 
 
 def _check_xi_case(calc, tol: float) -> None:
@@ -276,12 +265,9 @@ def run(config: RunConfig) -> Report:
     exit codes. A scan is planned, its ids checked, before any point is
     evaluated; then the error is the first failing block's, at any stage."""
     model_obj, contents = load_model(config.model)
-    tol = config.tolerances
     scfg = SampleConfig(points=config.points, seed=config.seed, box=config.box)
 
-    structure = identities = theorems = None
-    checks = {}
-    flagged = frozenset()
+    fields = {}  # of the report, beside its config
     if isinstance(model_obj, SasakianSpaceFormSpec):
         if config.command == "theorems":
             raise RejectedInputError(
@@ -293,10 +279,10 @@ def run(config: RunConfig) -> Report:
             lambda _, block: _space_form_summary(space_form_data(model_obj, block)),
             pts, 4, pts.shape[1] ** 4, _MIN_ENTRIES_PER_WORKER,
         )
-        structure, checks = _spaceform_structure(summaries, len(pts), tol)
+        fields["structure"] = _spaceform_structure(summaries, len(pts))
     else:
         sub = model_obj
-        flagged = known_flags_for(contents)
+        fields["known_flags"] = known_flags_for(contents)
         pts = sample_submersion_points(sub, scfg)
         plan = None if config.command == "verify" else plan_scan(
             sub, len(pts), config.theorems, config.probe, np.random.default_rng(config.seed + 1)
@@ -307,22 +293,11 @@ def run(config: RunConfig) -> Report:
             pts, 5, plan.rows if plan else 0, _MIN_PROBE_ROWS_PER_WORKER,
         )
         if config.command != "theorems":
-            structure, checks = _submersion_structure(parts, len(pts), tol)
-            maxima = _maxima(p["identities"] for p in parts)
-            identities = {"max_residuals": maxima}
-            checks.update(residual_checks("identities", maxima, tol))
+            fields["structure"] = _submersion_structure(parts, len(pts))
+            fields["identities"] = {"max_residuals": _maxima(p["identities"] for p in parts)}
         if plan is not None:
-            theorems, th_checks = _theorem_section(plan, parts, len(pts))
-            checks.update(th_checks)
-
-    return Report(
-        config=_config_echo(config),
-        structure=structure,
-        identities=identities,
-        theorems=theorems,
-        checks=checks,
-        known_flags=flagged,
-    )
+            fields["theorems"] = _theorem_section(plan, parts, len(pts))
+    return Report(_config_echo(config), **fields)
 
 
 def cli_parse(argv) -> RunConfig:
@@ -379,13 +354,10 @@ def cli_parse(argv) -> RunConfig:
     if config.theorems == "all":
         config = config._replace(theorems=None)
     elif config.theorems is not None:
-        ids = tuple(tok.strip() for tok in config.theorems.split(",") if tok.strip())
-        for tid in ids:
-            if tid not in THEOREM_IDS:
-                parser.error(f"unknown theorem id: {tid}")
-        if not ids or len(set(ids)) != len(ids):
-            parser.error(f"theorem ids must be distinct and at least one, got {config.theorems!r}")
-        config = config._replace(theorems=ids)
+        try:
+            config = config._replace(theorems=parse_theorem_ids(config.theorems))
+        except RejectedInputError as exc:
+            parser.error(str(exc))
     for name, value in config.tolerances._asdict().items():
         if not value >= 0.0:  # NaN fails this too
             parser.error(f"--tol-{name} must be a number >= 0, got {value}")

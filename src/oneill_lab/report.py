@@ -134,15 +134,42 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 class Report(NamedTuple):
-    """Assembled run result; ``checks`` maps dotted item ids to pass/fail,
-    ``known_flags`` are the model's registered findings (``known_flags_for``)."""
+    """Assembled run result; ``known_flags`` are the model's registered
+    findings (``known_flags_for``). Its checks are derived from its sections
+    and the tolerances that ``config`` echoes, so a rendered report alone
+    fixes them."""
 
     config: dict
-    structure: Optional[dict]
-    identities: Optional[dict]
-    theorems: Optional[dict]
-    checks: dict
-    known_flags: frozenset
+    structure: Optional[dict] = None
+    identities: Optional[dict] = None
+    theorems: Optional[dict] = None
+    known_flags: frozenset = frozenset()
+
+    @property
+    def checks(self) -> dict:
+        """Dotted check ids to pass/fail, in report order: the residual
+        maxima of each section gated by ``residual_checks``, with
+        ``submersion.base_pd`` from ``base_pd_all``; ``theorems.<ID>`` holds
+        when the scan has no violation or, for an id with variants, when a
+        variant survives."""
+        tol = Tolerances(**self.config["tolerances"])
+        checks = {}
+        structure = self.structure
+        if structure is not None:
+            checks.update(residual_checks("sasakian", structure["sasakian"], tol))
+            checks.update(residual_checks("curvature", structure["curvature"], tol))
+            if "submersion" in structure:
+                sub = structure["submersion"]
+                maxima = {"kernel": sub["kernel"], "length": sub["length"]}
+                checks.update(residual_checks("submersion", maxima, tol))
+                checks["submersion.base_pd"] = sub["base_pd_all"]
+                checks.update(residual_checks("lemmas", structure["lemmas"], tol))
+        if self.identities is not None:
+            checks.update(residual_checks("identities", self.identities["max_residuals"], tol))
+        for tid, entry in (self.theorems or {}).items():
+            passed = entry["violations"] == 0
+            checks[f"theorems.{tid}"] = bool(entry.get("surviving_variants", passed))
+        return checks
 
     @property
     def failed(self) -> tuple:
@@ -165,12 +192,9 @@ class Report(NamedTuple):
         if timestamp is not None:
             out["generated_at"] = timestamp
         out["config"] = self.config
-        if self.structure is not None:
-            out["structure"] = self.structure
-        if self.identities is not None:
-            out["identities"] = self.identities
-        if self.theorems is not None:
-            out["theorems"] = self.theorems
+        for name in ("structure", "identities", "theorems"):
+            if getattr(self, name) is not None:
+                out[name] = getattr(self, name)
         out["checks"] = self.checks
         out["failed"] = list(self.failed)
         out["flags_raised"] = list(self.flags_raised)

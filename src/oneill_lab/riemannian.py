@@ -139,10 +139,12 @@ def guards_pass(guards, points) -> np.ndarray:
     block's order-1 coordinate jets is above 0 and finite (an integer power
     that overflows is inf, not an error). Where the block's jets raise
     ``SingularEvaluationError``, the points are evaluated one at a time, and
-    a point where they raise fails."""
+    a point where they raise fails. A value that overflows or turns NaN
+    rejects its point, so numpy does not warn of it."""
     pts = np.asarray(points, dtype=float)
     try:
-        value = model_jets(guards, seed_block(pts, order=1)).value
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value = model_jets(guards, seed_block(pts, order=1)).value
         return np.all((value > 0.0) & (value < np.inf), axis=1)
     except SingularEvaluationError:  # a point alone where the jets raise fails
         return np.array([len(pts) > 1 and guards_pass(guards, [pt])[0] for pt in pts])

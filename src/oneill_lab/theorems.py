@@ -169,6 +169,22 @@ def parse_probe_mode(probe_mode: str):
     return "random", int(m.group(1))
 
 
+def parse_theorem_ids(theorem_ids) -> tuple:
+    """The ids of ``theorem_ids``, a sequence of ids or their comma-separated
+    text (blank entries dropped): each a known id, distinct, at least one."""
+    if isinstance(theorem_ids, str):
+        ids = tuple(tok.strip() for tok in theorem_ids.split(",") if tok.strip())
+    else:
+        ids = tuple(theorem_ids)
+    for tid in ids:
+        required_xi_case(tid)
+    if not ids or len(set(ids)) != len(ids):
+        raise RejectedInputError(
+            f"theorem ids must be distinct and at least one, got {theorem_ids!r}"
+        )
+    return ids
+
+
 def _draw_coeffs(sub, points: int, theorem_ids, k: int, rng) -> dict:
     """Each id's random probe coefficients on a sample of ``points`` points
     of ``sub``: per probed frame block, vertical before horizontal, one
@@ -445,14 +461,11 @@ class ScanPlan(NamedTuple):
 def plan_scan(sub, points: int, theorem_ids=None, probe_mode="first", rng=None) -> ScanPlan:
     """The plan of a scan of ``points`` sample points of ``sub``, with every
     random draw (``_draw_coeffs``) from ``rng``, or from a generator seeded
-    with 0. Ids default to those of its Reeb case; no ids, a repeated id or
-    one of the other Reeb case is rejected."""
-    if theorem_ids is not None and (not theorem_ids or len(set(theorem_ids)) != len(theorem_ids)):
-        raise RejectedInputError(
-            f"theorem ids must be distinct and at least one, got {list(theorem_ids)}"
-        )
-    theorem_ids = applicable_ids(sub.xi_case) if theorem_ids is None else tuple(theorem_ids)
-    for tid in theorem_ids:
+    with 0. Ids default to those of its Reeb case; ids that
+    ``parse_theorem_ids`` rejects, or one of the other Reeb case, are
+    rejected."""
+    ids = applicable_ids(sub.xi_case) if theorem_ids is None else parse_theorem_ids(theorem_ids)
+    for tid in ids:
         case = required_xi_case(tid)
         if case != sub.xi_case:
             raise RejectedInputError(
@@ -460,8 +473,8 @@ def plan_scan(sub, points: int, theorem_ids=None, probe_mode="first", rng=None) 
             )
     mode, k = parse_probe_mode(probe_mode)
     rng = np.random.default_rng(0) if rng is None else rng
-    draws = _draw_coeffs(sub, points, theorem_ids, k, rng) if mode == "random" else {}
-    return ScanPlan(theorem_ids, mode, k, draws, k if any(draws.values()) else 0)
+    draws = _draw_coeffs(sub, points, ids, k, rng) if mode == "random" else {}
+    return ScanPlan(ids, mode, k, draws, k if any(draws.values()) else 0)
 
 
 def scan_block(analysis: PointAnalysis, plan: ScanPlan, start: int) -> dict:

@@ -3,6 +3,7 @@ domain at the projected point) go through the one evaluator of model
 expressions, ``riemannian.model_jets``, by ``riemannian.guards_pass``."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,14 @@ def test_guard_that_is_not_finite_rejects_its_point():
     assert _passes("x1**2 - 1", [1e155, 2.0, 1e200]) == [False, True, False]
     # and inf - inf is NaN
     assert _passes("x1*x1 - x1*x1 + 1", [1e200, 2.0]) == [False, True]
+
+
+def test_guards_that_overflow_warn_nothing():
+    # a library call rejects such points without numpy's RuntimeWarnings
+    guard = compile_expression("x1**2 - 1", ["x1"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert guards_pass([guard], [[1e155], [2.0], [1e200]]).tolist() == [False, True, False]
 
 
 def test_every_guard_must_pass():

@@ -28,6 +28,7 @@ from oneill_lab.theorems import (
     TheoremTable,
     applicable_ids,
     evaluate_theorem,
+    parse_theorem_ids,
     required_xi_case,
     scan_from_records,
     scan_theorems,
@@ -89,6 +90,17 @@ class TestCatalogStructure:
     def test_unknown_id_rejected(self):
         with pytest.raises(RejectedInputError):
             required_xi_case("V9")
+
+    def test_theorem_ids_are_known_distinct_and_at_least_one(self):
+        # the one rule for ids, from the command line's text or a library tuple
+        assert parse_theorem_ids(" V1, ,CRH1 ") == ("V1", "CRH1")
+        assert parse_theorem_ids(["V3"]) == ("V3",)
+        with pytest.raises(RejectedInputError, match=r"^unknown theorem id: V9$"):
+            parse_theorem_ids("V1,V9")
+        for ids in ("V1,V1", ",", ("V1", "V1"), ()):
+            with pytest.raises(RejectedInputError) as err:
+                parse_theorem_ids(ids)
+            assert str(err.value) == f"theorem ids must be distinct and at least one, got {ids!r}"
 
     def test_case_gating(self, vx_analysis, hx_analysis):
         with pytest.raises(RejectedInputError):
@@ -244,6 +256,8 @@ class TestScans:
             scan_theorems([vx_analysis], theorem_ids=("V3",))
         with pytest.raises(RejectedInputError):
             scan_theorems([vx_analysis], theorem_ids=("V9",))
+        with pytest.raises(RejectedInputError, match="must be distinct"):
+            scan_theorems([vx_analysis], theorem_ids=("V1", "V1"))
 
     def test_scan_empty_points(self):
         with pytest.raises(EmptySampleError):
