@@ -201,26 +201,6 @@ def _submersion_structure(parts, points: int) -> dict:
     return section
 
 
-def _theorem_section(plan, parts, points: int) -> dict:
-    section = {}
-    for tid in plan.theorem_ids:
-        scan = scan_from_records(tid, [p["theorems"][tid] for p in parts], points)
-        entry = {
-            "points_checked": scan.points_checked,
-            "records": scan.records,
-            "violations": scan.violations,
-            "equalities": scan.equalities,
-            "min_slack": scan.min_slack,
-            "argmin_point": [float(x) for x in scan.argmin_point],
-        }
-        tallies = scan.variant_tallies
-        if tallies is not None:
-            entry["variants"] = {name: dict(t) for name, t in tallies.items()}
-            entry["surviving_variants"] = [n for n, t in tallies.items() if t["violations"] == 0]
-        section[tid] = entry
-    return section
-
-
 def _check_xi_case(calc, tol: float) -> None:
     """ModelLoadError at the block's first point where the Reeb field's part
     outside its declared block has a g-length above ``tol`` (or NaN)."""
@@ -296,7 +276,10 @@ def run(config: RunConfig) -> Report:
             fields["structure"] = _submersion_structure(parts, len(pts))
             fields["identities"] = {"max_residuals": _maxima(p["identities"] for p in parts)}
         if plan is not None:
-            fields["theorems"] = _theorem_section(plan, parts, len(pts))
+            fields["theorems"] = {
+                tid: scan_from_records([p["theorems"][tid] for p in parts])
+                for tid in plan.theorem_ids
+            }
     return Report(_config_echo(config), **fields)
 
 
@@ -445,5 +428,6 @@ def main(argv=None) -> int:
             return 6
     else:
         sys.stdout.write(text)
-    print(f"verdict: {report.verdict}", file=sys.stderr)
-    return _VERDICT_EXIT[report.verdict]
+    verdict = report.verdict
+    print(f"verdict: {verdict}", file=sys.stderr)
+    return _VERDICT_EXIT[verdict]

@@ -263,13 +263,19 @@ def space_form_r4_at(spec: SasakianSpaceFormSpec, coords) -> np.ndarray:
     return space_form_data(spec, np.asarray(coords, dtype=float)[None]).closed[0]
 
 
+def space_form_weights(c: float) -> tuple:
+    """(q, w) = ((c + 3)/4, (c - 1)/4): the weights of the metric term and
+    of the contact term in the curvature of a Sasakian space form of
+    constant phi-sectional curvature c, and in every bound built on it."""
+    return (c + 3.0) / 4.0, (c - 1.0) / 4.0
+
+
 def space_form_r4(c: float, gv, phi_v, eta_v) -> np.ndarray:
     """Model-independent curvature of a space form with constant
     phi-sectional curvature c, assembled purely from the values of
     (g, phi, eta) on a block of points, the point axis ``p`` leading. Same
     slot convention as riemannian.r4."""
-    q = (c + 3.0) / 4.0
-    w = (c - 1.0) / 4.0
+    q, w = space_form_weights(c)
     # p2[j, k] = g(phi d_j, d_k)
     p2 = np.einsum("pmj,pmk->pjk", phi_v, gv)
     e = eta_v

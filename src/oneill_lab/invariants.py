@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contact import SpaceFormData
+from .contact import SpaceFormData, space_form_weights
 from .riemannian import float_squares, pair_r4, point_maxima, point_sums
 from .riemannian import running_sum, scalar_curvature
 from .submersion import OneillData, PointCalculus, SubmersionModel, tensors_from_calculus
@@ -123,9 +123,7 @@ def identity_residuals(analysis: PointAnalysis) -> dict:
     calc, data = analysis.calc, analysis.data
     tau_hat, tau_star, delta_n = analysis.tau_hat, analysis.tau_star, analysis.delta_n
     two_tau = scalar_curvature(calc.conn.metric, calc.state.curvature)
-    c = calc.sub.total.c
-    q = (c + 3.0) / 4.0
-    w = (c - 1.0) / 4.0
+    q, w = space_form_weights(calc.sub.total.c)
     r, n = calc.r, calc.n
     tc = data.t_coeff
     res = {}

@@ -173,21 +173,21 @@ class Report(NamedTuple):
 
     @property
     def failed(self) -> tuple:
-        return tuple(k for k, ok in self.checks.items() if not ok)
+        return tuple(self.to_dict()["failed"])
 
     @property
     def flags_raised(self) -> tuple:
-        return tuple(k for k in self.failed if k in self.known_flags)
+        return tuple(self.to_dict()["flags_raised"])
 
     @property
     def verdict(self) -> str:
-        """pass when every check holds, pass-with-flags when every failed
-        check is a known flag, fail otherwise."""
-        if not self.failed:
-            return "pass"
-        return "pass-with-flags" if set(self.failed) <= self.known_flags else "fail"
+        return self.to_dict()["verdict"]
 
     def to_dict(self, timestamp: Optional[str] = None) -> dict:
+        """The report's JSON object. Its checks are derived once, and the
+        failed checks, the known flags among them and the verdict are taken
+        from that one map: pass when every check holds, pass-with-flags
+        when every failed check is a known flag, fail otherwise."""
         out = {"schema": REPORT_SCHEMA}
         if timestamp is not None:
             out["generated_at"] = timestamp
@@ -195,10 +195,13 @@ class Report(NamedTuple):
         for name in ("structure", "identities", "theorems"):
             if getattr(self, name) is not None:
                 out[name] = getattr(self, name)
-        out["checks"] = self.checks
-        out["failed"] = list(self.failed)
-        out["flags_raised"] = list(self.flags_raised)
-        out["verdict"] = self.verdict
+        out["checks"] = checks = self.checks
+        out["failed"] = failed = [k for k, ok in checks.items() if not ok]
+        out["flags_raised"] = [k for k in failed if k in self.known_flags]
+        if not failed:
+            out["verdict"] = "pass"
+        else:
+            out["verdict"] = "pass-with-flags" if set(failed) <= self.known_flags else "fail"
         return out
 
     def render(self, timestamp: Optional[str] = None) -> str:

@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .contact import space_form_weights
 from .errors import DegenerateFrameError, EmptySampleError, RejectedInputError
 from .invariants import PointAnalysis, ric_hat_probes, ric_star_probes
 from .riemannian import float_squares, point_maxima
@@ -89,18 +90,6 @@ class TheoremTable(NamedTuple):
     holds: np.ndarray
     equality: np.ndarray
     equality_defect: np.ndarray
-
-
-class TheoremScan(NamedTuple):
-    theorem_id: str
-    points_checked: int
-    records: int  # rows over all points
-    violations: int
-    equalities: int
-    min_slack: float
-    argmin_point: Optional[np.ndarray]
-    variant_tallies: Optional[dict]
-    tables: list  # the TheoremTable of each block
 
 
 def _rotation(k: int, i: int) -> list:
@@ -292,7 +281,7 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
     probe axis of length 1."""
     data, calc = analysis.data, analysis.calc
     c = calc.sub.total.c
-    q, w = (c + 3.0) / 4.0, (c - 1.0) / 4.0
+    q, w = space_form_weights(c)
     r, n = calc.r, calc.n
     entry = _CATALOG[theorem_id]
     vfr, hfr, slots = _probe_frames(analysis, theorem_id, mode, k, coeffs)
@@ -311,7 +300,6 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
         # g(T(u1, u1), H), H = n_vec / r the mean curvature vector of the fibers
         mean_term = calc.pairings(t_chart[:, :, 0, 0], (data.n_vec / r)[:, None])
         rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - r * mean_term
-        defect = point_maxima(np.abs(data.t_coeff))[:, None]
     elif theorem_id in ("V2", "V3"):
         lhs = 2.0 * analysis.tau_hat[:, None]
         n_norm_sq = data.n_norm_sq[:, None]
@@ -319,7 +307,6 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
             rhs = q * r * (r - 1) - 2.0 * w * (r - 1) - n_norm_sq
         else:
             rhs = q * r * (r - 1) - n_norm_sq
-        defect = point_maxima(np.abs(data.t_coeff))[:, None]
     elif theorem_id in ("H1", "H2"):
         lhs = 2.0 * analysis.tau_star[:, None]
         trace_phi_b = data.trace_phi_b[:, None]
@@ -327,7 +314,6 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
             rhs = q * n * (n - 1) + 3.0 * w * (n + trace_phi_b)
         else:
             rhs = q * n * (n - 1) + w * (3.0 * trace_phi_b + n - 1.0)
-        defect = point_maxima(np.abs(data.a_coeff))[:, None]
     elif theorem_id in ("CRV1", "CRV2"):
         lhs = ric_u1
         n_norm_sq = data.n_norm_sq[:, None]
@@ -336,7 +322,6 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
             rhs = q * (r - 1) - w * ((r - 2) * eta_sq + 1.0) - 0.25 * n_norm_sq
         else:
             rhs = q * (r - 1) - 0.25 * n_norm_sq
-        defect = _chen_t_defects(_probe_t_coeff(analysis, vfr, hfr)[1])
     elif theorem_id == "CRH1":
         # rows (point, probe, variant), variants last
         variant = tuple(name for name, _ in CRH1_VARIANTS)
@@ -344,13 +329,11 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
         c1_sq = _c_norms_sq(calc, x1)
         lhs = ric_x1[..., None]
         rhs = q * (n - 1) + kappas * (c - 1.0) * c1_sq[..., None]
-        defect = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))[..., None]
     elif theorem_id == "CRH2":
         eta_sq = float_squares(calc.eta_of(x1))
         lhs = ric_x1
         c1_sq = _c_norms_sq(calc, x1)
         rhs = q * (n - 1) + w * ((2.0 - n) * eta_sq - 1.0 + 3.0 * c1_sq)
-        defect = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
     else:  # CMB1, CMB2
         if theorem_id == "CMB1":
             inner = 3.0 * r - 4.0 - n - (r - 2) * float_squares(calc.eta_of(u1))
@@ -368,7 +351,17 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
             + data.norm_tv_sq[:, None]
             - data.norm_ah_sq[:, None]
         )
+    # the tensor obstruction to equality, by the id's equality class
+    if entry.equality_class == "totally_geodesic":
+        defect = point_maxima(np.abs(data.t_coeff))[:, None]
+    elif entry.equality_class == "integrable":
+        defect = point_maxima(np.abs(data.a_coeff))[:, None]
+    elif entry.equality_class == "chen_t":
         defect = _chen_t_defects(_probe_t_coeff(analysis, vfr, hfr)[1])
+    else:  # chen_a
+        defect = _chen_a_defects(_probe_a_coeff(analysis, vfr, hfr))
+    if variant:
+        defect = defect[..., None]
     shape = vfr.shape[:2] + ((len(variant),) if variant else ())
     lhs, rhs = np.broadcast_to(lhs, shape), np.broadcast_to(rhs, shape)
     slack = (lhs - rhs) if entry.sense == "ge" else (rhs - lhs)
@@ -391,10 +384,11 @@ def _evaluate_probes(analysis: PointAnalysis, theorem_id: str, mode, k, coeffs):
 def evaluate_theorem(
     analysis: PointAnalysis, theorem_id: str, probe_mode: str = "first", rng=None
 ) -> TheoremTable:
-    """The table of one theorem on a block of analyzed points: that of
-    ``scan_theorems`` on this block and id alone, with its draws and
+    """The table of one theorem on a block of analyzed points: ``scan_block``
+    on the ``plan_scan`` of this block and id alone, with its draws and
     checks."""
-    return scan_theorems([analysis], (theorem_id,), probe_mode, rng)[theorem_id].tables[0]
+    plan = plan_scan(analysis.calc.sub, len(analysis.calc.point), (theorem_id,), probe_mode, rng)
+    return scan_block(analysis, plan, 0)[theorem_id]
 
 
 def _first_min(slack: np.ndarray) -> int:
@@ -413,10 +407,12 @@ def _tally(slack, holds, equality) -> dict:
     }
 
 
-def scan_from_records(theorem_id, tables, points_checked) -> TheoremScan:
-    """Reduce the block tables of one theorem, rows in (point, probe,
-    variant) order: counts, the least slack and the point of its row, and
-    for CRH1 the same per variant."""
+def scan_from_records(tables) -> dict:
+    """The report entry of one theorem from its block tables, rows in
+    (point, probe, variant) order, keys in report order: the points checked,
+    the rows (``records``), violations, equalities, the least slack and the
+    point of its row; for an id with variants, each variant's tally and the
+    variants without a violation (``surviving_variants``)."""
     names = tables[0].variant
     width = len(names) if names else 1
 
@@ -426,23 +422,20 @@ def scan_from_records(theorem_id, tables, points_checked) -> TheoremScan:
     slack, holds, equality = rows("slack"), rows("holds"), rows("equality")
     total = _tally(slack.ravel(), holds.ravel(), equality.ravel())
     row_points = np.concatenate([np.repeat(t.point, t.slack[0].size, axis=0) for t in tables])
-    tallies = None
+    entry = {
+        "points_checked": sum(len(t.point) for t in tables),
+        "records": total.pop("checked"),
+        **total,
+        "argmin_point": row_points[_first_min(slack.ravel())].tolist(),
+    }
     if names:
         tallies = {
             name: _tally(slack[:, j], holds[:, j], equality[:, j])
             for j, name in enumerate(names)
         }
-    return TheoremScan(
-        theorem_id=theorem_id,
-        points_checked=points_checked,
-        records=total["checked"],
-        violations=total["violations"],
-        equalities=total["equalities"],
-        min_slack=total["min_slack"],
-        argmin_point=row_points[_first_min(slack.ravel())].copy(),
-        variant_tallies=tallies,
-        tables=tables,
-    )
+        entry["variants"] = tallies
+        entry["surviving_variants"] = [n for n, t in tallies.items() if t["violations"] == 0]
+    return entry
 
 
 class ScanPlan(NamedTuple):
@@ -490,15 +483,16 @@ def scan_block(analysis: PointAnalysis, plan: ScanPlan, start: int) -> dict:
     }
 
 
-def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None):
+def scan_theorems(analyses, theorem_ids=None, probe_mode="first", rng=None) -> dict:
     """Evaluate theorem ids over blocks of analyzed sample points, each id
     once per block, under ``plan_scan``'s rules. Returns {theorem_id:
-    TheoremScan} in id order."""
+    entry} in id order, each entry the one ``scan_from_records`` makes of
+    the id's block tables: the entry a report's ``theorems`` section holds
+    for a run over the same blocks, draws and id order."""
     if not analyses:
         raise EmptySampleError("no sample points to scan")
     points = sum(len(block.calc.point) for block in analyses)
     plan = plan_scan(analyses[0].calc.sub, points, theorem_ids, probe_mode, rng)
     starts = np.cumsum([0] + [len(block.calc.point) for block in analyses])
     tables = [scan_block(block, plan, start) for block, start in zip(analyses, starts)]
-    return {tid: scan_from_records(tid, [t[tid] for t in tables], points)
-            for tid in plan.theorem_ids}
+    return {tid: scan_from_records([t[tid] for t in tables]) for tid in plan.theorem_ids}

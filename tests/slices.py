@@ -1,7 +1,8 @@
 """The ways into the block pipeline for test points: a block of one point,
 the analyses of a sample one block of points at a time as the CLI makes
-them, and a point's rows of a block's theorem table. Every record is a
-block; a test reads point k as ``[k]`` of the block's arrays."""
+them, the theorem tables of a scan's blocks, and a point's rows of a
+block's theorem table. Every record is a block; a test reads point k as
+``[k]`` of the block's arrays."""
 
 import numpy as np
 
@@ -9,6 +10,7 @@ from oneill_lab.contact import space_form_data
 from oneill_lab.invariants import analyze_point, identity_residuals
 from oneill_lab.riemannian import point_blocks
 from oneill_lab.submersion import PointCalculus
+from oneill_lab.theorems import plan_scan, scan_block
 
 
 def point_block(sub, p):
@@ -43,6 +45,16 @@ def analysis_blocks(sub, pts):
         analyze_point(sub, space_form_data(sub.total, block))
         for block in point_blocks(np.asarray(pts, dtype=float), sub.total.model.dim, 5)
     ]
+
+
+def scan_tables(blocks, theorem_ids=None, probe_mode="first", rng=None):
+    """Each block's {theorem_id: TheoremTable}, in block order, under the
+    plan that ``scan_theorems`` makes of the same arguments: the tables its
+    entries are reduced from."""
+    sizes = [len(block.calc.point) for block in blocks]
+    plan = plan_scan(blocks[0].calc.sub, sum(sizes), theorem_ids, probe_mode, rng)
+    starts = np.cumsum([0] + sizes)
+    return [scan_block(block, plan, start) for block, start in zip(blocks, starts)]
 
 
 def table_rows(table, k=0):

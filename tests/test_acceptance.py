@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from darboux import darboux_frame, phi_sectional
-from slices import analysis_blocks, blocks_of_one, calc_of_one
+from slices import analysis_blocks, blocks_of_one, calc_of_one, scan_tables
 from oneill_lab.cli import cli_parse, resolve_model, run
 from oneill_lab.contact import build_r2m1, space_form_data, space_form_r4_at, verify_sasakian
 from oneill_lab.invariants import identity_residuals
@@ -28,7 +28,7 @@ from oneill_lab.submersion import (
     verify_riemannian_submersion,
     verify_structure_lemmas,
 )
-from oneill_lab.theorems import evaluate_theorem, scan_theorems
+from oneill_lab.theorems import evaluate_theorem
 
 REEB_MODEL = Path(__file__).resolve().parents[1] / "models" / "reeb_fiber.json"
 
@@ -249,8 +249,8 @@ def test_c7_sharpness_under_vanishing_tensors(vx_scan_tables, hx_report, hx_mode
     reeb_pts = sample_submersion_points(reeb, SampleConfig(points=20, seed=42))
     reeb_analyses = blocks_of_one(reeb, reeb_pts)
     assert np.max(np.abs(reeb_analyses[0].data.t_coeff)) <= 1e-9
-    v2 = scan_theorems(reeb_analyses, theorem_ids=("V2",))["V2"]
-    v2_worst = max(abs(slack) for t in v2.tables for slack in t.slack.ravel())
+    v2 = [t["V2"] for t in scan_tables(reeb_analyses, theorem_ids=("V2",))]
+    v2_worst = max(abs(slack) for t in v2 for slack in t.slack.ravel())
     v3_entry = hx_report.theorems["V3"]
     v3_ok = (
         abs(v3_entry["min_slack"]) <= SHARP_TOL

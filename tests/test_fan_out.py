@@ -375,9 +375,9 @@ class TestForkedScans:
         reduce = cli.scan_from_records
         tables = {}
 
-        def recorded(tid, blocks, points_checked):
-            tables[cpus][tid] = blocks
-            return reduce(tid, blocks, points_checked)
+        def recorded(blocks):
+            tables[cpus][blocks[0].theorem_id] = blocks
+            return reduce(blocks)
 
         monkeypatch.setattr(cli, "scan_from_records", recorded)
         for cpus in (1, 2):

@@ -48,7 +48,7 @@ RECORDS = (
     "submersion.AdaptedFrame",
     "submersion.OneillData",
     "theorems.TheoremTable",
-    "theorems.TheoremScan",
+    "theorems.ScanPlan",
 )
 
 

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from slices import analysis_blocks, block_of_one, blocks_of_one, calc_of_one, table_rows
+from slices import (
+    analysis_blocks, block_of_one, blocks_of_one, calc_of_one, scan_tables, table_rows,
+)
 from oneill_lab import theorems
-from oneill_lab.cli import main, resolve_model
+from oneill_lab.cli import RunConfig, main, resolve_model, run
 from oneill_lab.errors import EmptySampleError, RejectedInputError
 from oneill_lab.invariants import ric_hat_probes, ric_star_probes
 from oneill_lab.sampling import SampleConfig, sample_submersion_points
@@ -233,23 +235,23 @@ class TestScans:
         pts = [PT, np.array([1.1, 0.5, -0.8, 1.3, -0.6])]
         scans = scan_theorems(blocks_of_one(sub, pts))
         assert set(scans) == set(applicable_ids("vertical"))
-        assert scans["V2"].points_checked == 2
-        assert scans["V2"].violations == 0
-        assert abs(scans["V2"].min_slack - 4.0) < TOL
-        assert scans["H1"].equalities == 2
+        assert scans["V2"]["points_checked"] == 2
+        assert scans["V2"]["violations"] == 0
+        assert abs(scans["V2"]["min_slack"] - 4.0) < TOL
+        assert scans["H1"]["equalities"] == 2
         crh1 = scans["CRH1"]
-        assert crh1.variant_tallies is not None
+        assert "variants" in crh1
         for name, _ in CRH1_VARIANTS:
-            assert crh1.variant_tallies[name]["checked"] == 2
-            assert crh1.variant_tallies[name]["violations"] == 0
+            assert crh1["variants"][name]["checked"] == 2
+            assert crh1["variants"][name]["violations"] == 0
 
     def test_scan_counts_violations(self, hx_analysis):
         scans = scan_theorems([hx_analysis], theorem_ids=("H2", "CRH2", "V3"))
-        assert scans["H2"].violations == 1
-        assert abs(scans["H2"].min_slack + 12.0) < TOL
-        np.testing.assert_allclose(scans["H2"].argmin_point, H_PT)
-        assert scans["CRH2"].violations == 1
-        assert scans["V3"].violations == 0
+        assert scans["H2"]["violations"] == 1
+        assert abs(scans["H2"]["min_slack"] + 12.0) < TOL
+        np.testing.assert_allclose(scans["H2"]["argmin_point"], H_PT)
+        assert scans["CRH2"]["violations"] == 1
+        assert scans["V3"]["violations"] == 0
 
     def test_scan_rejects_mismatched_ids(self, vx_analysis):
         with pytest.raises(RejectedInputError):
@@ -274,18 +276,44 @@ class TestScans:
         pts = (PT, np.array([1.1, 0.5, -0.8, 1.3, -0.6]))
         analyses = blocks_of_one(sub, pts)
         scans = scan_theorems(analyses, ("V1", "CRV1"), "random:2")
+        tables = scan_tables(analyses, ("V1", "CRV1"), "random:2")
         draws = []
         for tid in ("V1", "CRV1"):
-            assert scans[tid].records == 4
+            assert scans[tid]["records"] == 4
             for k, analysis in enumerate(analyses):
                 calc = analysis.calc
-                probes = scans[tid].tables[k].probe_vertical
+                probes = tables[k][tid].probe_vertical
                 # frame coefficients of the two probes at this point
                 uv = calc.frame.vert_values[:, None]
                 draws.append(calc.pairings(probes[:, :, None], uv)[0])
         for a in range(len(draws)):
             for b in range(a):
                 assert not np.allclose(draws[a], draws[b], atol=1e-6)
+
+
+def _pairs(obj):
+    """A report value with each dict made the list of its (key, value)
+    pairs, so that equality also compares the order of the keys."""
+    if isinstance(obj, dict):
+        return [(key, _pairs(value)) for key, value in obj.items()]
+    if isinstance(obj, list):
+        return [_pairs(value) for value in obj]
+    return obj
+
+
+@pytest.mark.parametrize("probe", ["first", "random:8"])
+@pytest.mark.parametrize("model", ["vertical-xi", "horizontal-xi", "reeb_fiber"])
+def test_library_scan_equals_the_report_section(model, probe):
+    # the scan of a run's sample, cut into blocks as the run cuts it and
+    # drawn from the generator the run draws from, is its theorems section
+    path = Path(MODELS_DIR, "reeb_fiber.json") if model == "reeb_fiber" else model
+    config = RunConfig("theorems", model=str(path), points=12, probe=probe)
+    section = run(config).theorems
+    blocks = _sample_blocks(model, config.points)
+    assert len(blocks) == 2
+    rng = np.random.default_rng(config.seed + 1)
+    scans = scan_theorems(blocks, probe_mode=probe, rng=rng)
+    assert _pairs(scans) == _pairs(section)
 
 
 def _sample_blocks(model, points):
@@ -330,7 +358,7 @@ class TestProbeRicci:
     @pytest.mark.parametrize("model", sorted(PROBED))
     def test_values_equal_those_on_the_probes_bitwise(self, model, mode):
         blocks = _sample_blocks(model, 12)
-        scans = scan_theorems(blocks, probe_mode=mode)
+        tables = scan_tables(blocks, probe_mode=mode)
         xi_case = blocks[0].calc.sub.xi_case
         hat_id, star_id = ("CRV1", "CRH1") if xi_case == "vertical" else ("CRV2", "CRH2")
         for k, block in enumerate(blocks):
@@ -339,7 +367,7 @@ class TestProbeRicci:
             assert block.ric_hat.tobytes() == want.tobytes()
             want = ric_star_probes(block.calc, frame.horiz_values)
             assert block.ric_star.tobytes() == want.tobytes()
-            crv, crh = scans[hat_id].tables[k], scans[star_id].tables[k]
+            crv, crh = tables[k][hat_id], tables[k][star_id]
             want = ric_hat_probes(block.calc, crv.probe_vertical)
             assert np.asarray(crv.lhs).tobytes() == want.tobytes()
             want = ric_star_probes(block.calc, crh.probe_horizontal)
@@ -408,30 +436,33 @@ class TestReductionRule:
             for k, slacks in enumerate(slacks_per_point)
             for i, slack in enumerate(slacks)
         ]
-        scan = scan_from_records(
-            tid, _hand_built(tid, slacks_per_point), len(slacks_per_point)
-        )
+        scan = scan_from_records(_hand_built(tid, slacks_per_point))
         worst = min(rows, key=lambda row: row[2])
-        assert np.asarray(scan.min_slack).tobytes() == np.asarray(worst[2]).tobytes()
-        assert scan.argmin_point.tolist() == [float(worst[0])] * 5
-        assert scan.points_checked == len(slacks_per_point)
-        assert scan.records == len(rows)
-        assert scan.violations == sum(1 for row in rows if not row[2] >= SLACK_FLOOR)
-        assert scan.equalities == sum(1 for row in rows if abs(row[2]) <= EQUALITY_TOL)
+        assert np.asarray(scan["min_slack"]).tobytes() == np.asarray(worst[2]).tobytes()
+        assert scan["argmin_point"] == [float(worst[0])] * 5
+        assert all(type(x) is float for x in scan["argmin_point"])
+        assert scan["points_checked"] == len(slacks_per_point)
+        assert scan["records"] == len(rows)
+        assert scan["violations"] == sum(1 for row in rows if not row[2] >= SLACK_FLOOR)
+        assert scan["equalities"] == sum(1 for row in rows if abs(row[2]) <= EQUALITY_TOL)
         if tid != "CRH1":
-            assert scan.variant_tallies is None
+            assert "variants" not in scan and "surviving_variants" not in scan
             return
-        assert list(scan.variant_tallies) == list(VARIANT_NAMES)
+        assert list(scan["variants"]) == list(VARIANT_NAMES)
+        surviving = []
         for name in VARIANT_NAMES:
             sub = [row[2] for row in rows if row[1] == name]
-            tally = scan.variant_tallies[name]
+            tally = scan["variants"][name]
             assert tally["checked"] == len(sub)
             assert tally["violations"] == sum(1 for s in sub if not s >= SLACK_FLOOR)
             assert tally["equalities"] == sum(1 for s in sub if abs(s) <= EQUALITY_TOL)
             want = np.asarray(min(sub)).tobytes()
             assert np.asarray(tally["min_slack"]).tobytes() == want
             assert all(type(v) is int for k, v in tally.items() if k != "min_slack")
-        assert type(scan.violations) is int and type(scan.equalities) is int
+            if all(s >= SLACK_FLOOR for s in sub):
+                surviving.append(name)
+        assert scan["surviving_variants"] == surviving
+        assert type(scan["violations"]) is int and type(scan["equalities"]) is int
 
 
 class TestFrameCoherence:

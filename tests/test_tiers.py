@@ -156,6 +156,23 @@ def test_a_rendered_report_alone_fixes_its_checks_and_verdict(reports, more_repo
         assert rebuilt.verdict == rendered["verdict"]
 
 
+def test_a_render_derives_the_checks_once(reports, more_reports, monkeypatch):
+    """``render`` derives a report's check map once and takes its failed
+    checks, raised flags and verdict from that one map."""
+    derive = Report.checks.fget
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return derive(self)
+
+    monkeypatch.setattr(Report, "checks", property(counted))
+    for key, rep in {**reports, **more_reports}.items():
+        calls.clear()
+        rep.render()
+        assert len(calls) == 1, key
+
+
 def test_tiers_below_the_residuals_fail_their_checks(more_reports):
     """On vertical-xi at 11 points, a curvature and an identity tier of 1e-16
     fail the curvature cross-check and seven identities, but not ``T1``,
