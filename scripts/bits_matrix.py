@@ -4,19 +4,25 @@ Every report of the matrix is written with --no-timestamp, so that the
 output directories of two checkouts, compared with ``diff -r``, show
 whether the checkouts give byte-identical reports. The matrix:
 
-- ``verify`` on r2m1:1..4 at 40 points (blocks of 9 points at d = 9, the
-  last of 4);
-- ``verify`` on r2m1:1..4 at 400 points: one block of 400 points at d = 3,
-  three of 104 points and one of 88 at d = 5 in one process, and at d = 7
-  and 9 two ranges of 200 points, each cut into blocks of 27 (the last of
-  11) and of 9 (the last of 2);
+- ``verify`` on r2m1:1..4 at 40 points (one chunk each, cut at d = 9
+  into ten blocks of 4 points);
+- ``verify`` on r2m1:1..4 at 400 points. A plain space form's sample is
+  cut into chunks (``point_blocks(power=3)``) and each chunk into blocks
+  (``point_blocks(power=4)``): at d = 3 one chunk, one block of 400 points;
+  at d = 5 in one process chunks of 262 and 138 points, in blocks of 52
+  (the last of 2 and of 34); at d = 7 and 9 two ranges of 200 points, each
+  cut into chunks of 95, 95 and 10 points in blocks of 13 (the last of 4),
+  and into four chunks of 44 and one of 24 in blocks of 4;
 - ``verify`` on r2m1:3 at 401 points (ranges of 200 and 201 points, the
-  second's last block of 12) and on r2m1:4 at 1 and at 57 points (one
-  point, and six blocks of 9 and one of 3 in one process: 57 * 9**4 is
+  second's last chunk of 11) and on r2m1:4 at 1 and at 57 points (one
+  point, and chunks of 44 and 13 points in one process: 57 * 9**4 is
   just less than two workers' least work);
-- ``verify`` on r2m1:5 and r2m1:6 at 20 points (d = 11 and 13: five
-  blocks of 4 points in one process, and two ranges of 10 points in five
-  blocks of 2 each);
+- ``verify`` on r2m1:4 at 45 points and on r2m1:3 at 96 points, one point
+  past a chunk, in one process (a chunk of 44 or 95 points, then one of
+  1);
+- ``verify`` on r2m1:5 and r2m1:6 at 20 points (d = 11: one chunk of 20
+  points in ten blocks of 2, in one process; d = 13: two ranges of 10
+  points, each one chunk in blocks of 1);
 - ``report`` and ``theorems`` on vertical-xi, horizontal-xi and
   models/reeb_fiber.json at 56 points (d = 5: a sample in one process is
   cut by ``point_blocks(power=5)`` into five blocks of 10 points and one
@@ -24,7 +30,7 @@ whether the checkouts give byte-identical reports. The matrix:
   each in blocks of 10, 10 and 8);
 
 each at seeds 42, 7 and 1234 and with ``--probe`` first, all and random:8
-(171 runs); ``theorems --probe random:64`` on the same three models at
+(189 runs); ``theorems --probe random:64`` on the same three models at
 8 points, at the same seeds (9 runs, 512 probe rows: two ranges of 4
 points); and ``report --probe all`` on the same three models at 1 and at
 11 points, seed 42 only (6 runs: a block of one point, and a block of 10
@@ -43,7 +49,7 @@ fan-out: it cuts a sample's points into contiguous ranges, one per usable
 CPU with enough work (curvature entries on a plain space form, random
 probe rows on a submersion), and each range after the first runs on a
 forked worker. The ranges above are those of a machine with two usable
-CPUs; with one, every run stays in one process. 195 runs in all, each
+CPUs; with one, every run stays in one process. 213 runs in all, each
 report named by its command, model, points, seed and probe, and the
 further flags it is given;
 exit_codes.txt holds the exit code of each. The parser's own text is part
@@ -84,7 +90,8 @@ RUNS = [("verify", f"r2m1:{m}", 40, PROBES, SEEDS) for m in (1, 2, 3, 4)] + [
     ("verify", f"r2m1:{m}", 400, PROBES, SEEDS) for m in (1, 2, 3, 4)
 ] + [
     ("verify", "r2m1:3", 401, PROBES, SEEDS), ("verify", "r2m1:4", 1, PROBES, SEEDS),
-    ("verify", "r2m1:4", 57, PROBES, SEEDS),
+    ("verify", "r2m1:4", 57, PROBES, SEEDS), ("verify", "r2m1:4", 45, PROBES, SEEDS),
+    ("verify", "r2m1:3", 96, PROBES, SEEDS),
 ] + [("verify", f"r2m1:{m}", 20, PROBES, SEEDS) for m in (5, 6)] + [
     (command, model, 56, PROBES, SEEDS)
     for command in ("report", "theorems")

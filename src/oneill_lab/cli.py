@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import os
 import re
 import sys
@@ -23,6 +24,8 @@ from .contact import (
     SasakianSpaceFormSpec,
     SpaceFormData,
     build_r2m1,
+    space_form_block,
+    space_form_chunk,
     space_form_data,
     verify_sasakian,
 )
@@ -116,9 +119,11 @@ def _config_echo(config: RunConfig) -> dict:
 # rounds of 10 alternated pairs of ``verify`` (in one process on a 2-core
 # x86-64 VM, each side the mean of 3 runs) at d = 5, 7 and 9, a worker won
 # 0 to 10 pairs at 125,000-175,000 entries per worker, and 9 or 10 at every
-# d at ~187,500 (600, 156 and 57 points): medians 0.067-0.072 -> 0.045-0.049
-# s at d = 5, 0.055 -> 0.039-0.040 s at d = 7, 0.049-0.057 -> 0.036-0.038 s
-# at d = 9. So at 400 points d = 3 and 5 stay in one process, and 7 and 9 fork.
+# d at ~187,500 (600, 156 and 57 points). With chunks and blocks, one round
+# at ~187,500 (host_parallelism 1.08 before, 1.03 after) gave the worker 10,
+# 9 and 10 wins, medians 0.062 -> 0.044 s at d = 5, 0.055 -> 0.039 s at
+# d = 7, 0.049 -> 0.038 s at d = 9. So at 400 points d = 3 and 5 stay in one
+# process, and 7 and 9 fork.
 _MIN_ENTRIES_PER_WORKER = 187_500
 
 # The least work each worker process of ``_map_blocks`` gets on a
@@ -165,14 +170,27 @@ def _maxima(dicts) -> dict:
     return maxima
 
 
-def _space_form_summary(data: SpaceFormData) -> dict:
-    """The largest of each Sasakian residual and of the curvature
-    cross-check ``curv1`` on one block."""
-    residuals = verify_sasakian(data)
+def _curv1(data: SpaceFormData) -> dict:
+    """The largest entry of the curvature cross-check ``curv1`` on one
+    block: the jet curvature against the closed form."""
     # in place, so the difference is the one d^4-sized array it makes
     curv1 = data.curvature.r4 - data.closed
-    residuals["curv1"] = np.abs(curv1, out=curv1)
-    return _maxima([residuals])
+    return {"curv1": max_residual(np.abs(curv1, out=curv1))}
+
+
+def _space_form_summary(data: SpaceFormData) -> dict:
+    """The largest of each Sasakian residual and of ``curv1`` on one block."""
+    return _maxima([verify_sasakian(data), _curv1(data)])
+
+
+def _space_form_chunk_summary(spec: SasakianSpaceFormSpec, points) -> dict:
+    """The largest of each Sasakian residual and of ``curv1`` on a chunk of
+    points of a plain space form: the chunk stage once, then the block
+    stage on each of its blocks, each folded before the next is made."""
+    chunk = space_form_chunk(spec, points)
+    blocks = point_blocks(range(len(points)), points.shape[1], 4)
+    curvature = (_curv1(space_form_block(spec, chunk, slice(b.start, b.stop))) for b in blocks)
+    return _maxima(itertools.chain([verify_sasakian(chunk)], curvature))
 
 
 def _spaceform_structure(summaries, points: int) -> dict:
@@ -256,8 +274,8 @@ def run(config: RunConfig) -> Report:
             )
         pts = sample_model_points(model_obj.model, scfg)
         summaries = _map_blocks(
-            lambda _, block: _space_form_summary(space_form_data(model_obj, block)),
-            pts, 4, pts.shape[1] ** 4, _MIN_ENTRIES_PER_WORKER,
+            lambda _, chunk: _space_form_chunk_summary(model_obj, chunk),
+            pts, 3, pts.shape[1] ** 4, _MIN_ENTRIES_PER_WORKER,
         )
         fields["structure"] = _spaceform_structure(summaries, len(pts))
     else:
@@ -374,14 +392,15 @@ _TRIM_THRESHOLD_BYTES = 16 << 20
 def _retain_freed_heap() -> None:
     """Keep the memory of freed arrays in the process heap (glibc only).
 
-    Each block of points allocates and frees a few MiB of arrays (up to
-    512 KiB each, see ``riemannian.point_blocks``; a plain space form's
-    block peaks at 2.9-4.3 MiB of them at d = 3..9). With glibc's defaults
-    the heap is trimmed after every block, so the next block takes all its
-    pages from the kernel again as fresh page faults (about 900 per block
-    at d = 9). Arrays below 4 MiB come from the heap, and up to 16 MiB of
-    free heap stays in the process, so blocks reuse their pages. Setting
-    the same values again is harmless; other C libraries are left alone."""
+    Each chunk or block of points allocates and frees a few MiB of arrays
+    (up to 256 KiB each, see ``riemannian.point_blocks``; a plain space
+    form's chunk, with its blocks, peaks at about 3.8 MiB of them at
+    d = 3..9). With glibc's defaults the heap is trimmed after every chunk,
+    so the next one takes all its pages from the kernel again as fresh
+    page faults (about 840 per chunk at d = 9). Arrays below 4 MiB come
+    from the heap, and up to 16 MiB of free heap stays in the process, so
+    chunks reuse their pages. Setting the same values again is harmless;
+    other C libraries are left alone."""
     try:
         if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
             return

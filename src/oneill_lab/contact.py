@@ -23,10 +23,12 @@ from .expressions import (
 from .jets import seed_block
 from .riemannian import (
     _BLOCK_ENTRIES,
+    ChunkConnection,
     ConnectionData,
     CurvatureData,
     ManifoldModel,
     christoffel_at,
+    connection_block,
     curvature_from_connection,
     model_jets,
 )
@@ -155,9 +157,11 @@ def build_r2m1(m: int) -> SasakianSpaceFormSpec:
     return space_form_from_document(doc, {})
 
 
-def verify_sasakian(data: SpaceFormData) -> dict:
-    """Residuals of the defining identities on a block's total-space data,
-    each as one max-abs value per point, shape ``(N,)``.
+def verify_sasakian(data) -> dict:
+    """Residuals of the defining identities on the total-space data of a
+    chunk or a block (``SpaceFormChunk`` or ``SpaceFormData``: it reads the
+    points, the metric, the Christoffel symbols and the contact data), each
+    as one max-abs value per point, shape ``(N,)``.
 
     Checks, over coordinate fields: the algebraic almost-contact relations,
     metric compatibility of phi, eta = g(., xi), the Reeb derivative law
@@ -225,6 +229,15 @@ def _gamma_phi(gamma: np.ndarray, phi_v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows)
 
 
+class SpaceFormChunk(NamedTuple):
+    """A Sasakian space form on a chunk of points: the connection to the
+    arrays of at most d^3 entries a point, and the contact data."""
+
+    points: np.ndarray  # (p, d)
+    conn: ChunkConnection
+    contact: ContactData
+
+
 class SpaceFormData(NamedTuple):
     """A Sasakian space form on a block of points: the connection, the jet
     curvature, the contact data and the closed-form curvature."""
@@ -236,25 +249,45 @@ class SpaceFormData(NamedTuple):
     closed: np.ndarray  # (p, i, j, k, l), the slots of curvature.r4
 
 
-def space_form_data(spec: SasakianSpaceFormSpec, points) -> SpaceFormData:
-    """Evaluate the metric, connection, curvature and contact data once on
-    a block of points ``(N, d)``."""
+def space_form_chunk(spec: SasakianSpaceFormSpec, points) -> SpaceFormChunk:
+    """The chunk stage on points ``(N, d)``: every model expression runs
+    once, on one seed (the contact data reads the metric's coordinate jets
+    without their Hessians), then the metric's gate, its inverse and the
+    Christoffel symbols. An error is raised for the first failing point of
+    the chunk, stage by stage: the domain, the metric entries, the gate,
+    the contact entries."""
     points = np.asarray(points, dtype=float)
-    # one seed per block: the contact data reads the metric's coordinate
-    # jets without their Hessians
     vs = seed_block(points)
     conn = christoffel_at(spec.model, points, vs)
     contact = spec.contact_at([v.first_order() for v in vs])
+    return SpaceFormChunk(points=points, conn=conn, contact=contact)
+
+
+def space_form_block(
+    spec: SasakianSpaceFormSpec, chunk: SpaceFormChunk, rows=slice(None)
+) -> SpaceFormData:
+    """The block stage on the points ``rows`` of a chunk: the connection's
+    partials, the jet curvature and the closed form, as a ``SpaceFormData``
+    whose other arrays are views of the chunk's."""
+    conn = connection_block(chunk.conn, rows)
+    contact = ContactData(*(a[rows] for a in chunk.contact))
     # the closed form first: its temporaries are freed before the jet
     # curvature's are made, so fewer d^4-sized arrays are live at once
     closed = space_form_r4(spec.c, conn.metric.value, contact.phi, contact.eta)
     return SpaceFormData(
-        points=points,
+        points=chunk.points[rows],
         conn=conn,
         curvature=curvature_from_connection(conn),
         contact=contact,
         closed=closed,
     )
+
+
+def space_form_data(spec: SasakianSpaceFormSpec, points) -> SpaceFormData:
+    """Evaluate the metric, connection, curvature and contact data once on
+    a block of points ``(N, d)``: the block stage on the chunk of the same
+    points."""
+    return space_form_block(spec, space_form_chunk(spec, points))
 
 
 def space_form_r4_at(spec: SasakianSpaceFormSpec, coords) -> np.ndarray:

@@ -9,9 +9,12 @@ projection, base metric and declared fields of ``submersion``, and the
 domain and locus guards of :func:`guards_pass`.
 
 Christoffel symbols come out with exact first partials, and the Riemann
-tensor needs no finite differencing anywhere. The samples are cut into
-blocks by :func:`point_blocks`, which bounds the memory of the d^4-sized
-arrays. Every record is a block: each array leads with the point axis.
+tensor needs no finite differencing anywhere. The total space runs in two
+stages, each cut by :func:`point_blocks`: :func:`christoffel_at` evaluates
+the metric and the Christoffel symbols once on a chunk of points (arrays of
+at most d^3 entries a point, and the Hessians of the metric's upper
+triangle), and :func:`connection_block` adds the d^4-sized partials on each
+block of the chunk. Every record leads with the point axis.
 
 Index conventions, fixed once (after the leading point axis ``p``):
   gamma[k, i, j]        Christoffel symbol of nabla_{d_i} d_j, component k
@@ -36,6 +39,7 @@ are handed on in the strides of their plain spellings.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -51,24 +55,24 @@ from .jets import ArrayJet, seed_block
 
 _PD_FLOOR = 1e-12
 
-# Float64 entries (256 KiB) of the largest array of a submersion block, of
-# a run of ``pair_r4`` products (four times as many) and of one point's
-# curvature; a total-space block's d^4-sized arrays get twice as many.
+# Float64 entries (256 KiB) of the largest array of a block, of a run of
+# ``pair_r4`` products (four times as many) and of one point's curvature.
 _BLOCK_ENTRIES = 32768
 
 
 def point_blocks(points, dim: int, power: int = 4):
-    """Consecutive blocks of sample points, so every array of d**power
-    entries per point stays within a budget: power 4, for the total space
-    (second metric partials, connection partials, curvature), takes
-    ``max(1, 65536 // dim**4)`` points and 512 KiB arrays, since each block
-    costs about 1 ms besides its arrays (the model tables and ~1,500 Python
-    calls); power 5, for the jets of a submersion's per-point stages (a
-    projection's pairings carry a d x d Hessian for each of d x d terms of
-    each of d frame fields), takes ``max(1, 32768 // dim**5)`` points and
-    256 KiB arrays."""
-    budget = 2 * _BLOCK_ENTRIES if power == 4 else _BLOCK_ENTRIES
-    size = max(1, budget // dim**power)
+    """Consecutive blocks of sample points, ``max(1, 32768 // dim**power)``
+    points each, so that every array of dim**power entries per point stays
+    within 256 KiB. Power 3 cuts a plain space form's sample into chunks,
+    whose stage makes the model tables, the metric and connection and the
+    Sasakian residuals once (1,213, 262, 95 and 44 points at d = 3, 5, 7
+    and 9); power 4 cuts each chunk into the blocks of its d^4-sized arrays
+    (second metric partials, connection partials, curvature: 404, 52, 13
+    and 4 points); power 5 cuts a submersion's sample into the blocks of
+    its per-point stages (a projection's pairings carry a d x d Hessian for
+    each of d x d terms of each of d frame fields), each of them one chunk
+    and one power-4 block of the total space."""
+    size = max(1, _BLOCK_ENTRIES // dim**power)
     for start in range(0, len(points), size):
         yield points[start : start + size]
 
@@ -168,23 +172,22 @@ class ManifoldModel(NamedTuple):
 
 
 class MetricData(NamedTuple):
-    """Metric and derivatives, plus the inverse and its partials."""
+    """Metric and derivatives, plus the inverse and its partials. On a chunk
+    (:func:`metric_at`) ``d2`` holds the second partials of the upper
+    triangle only; :func:`connection_block` mirrors those of a block."""
 
     value: np.ndarray  # (p, d, d)
     d1: np.ndarray  # (p, d, d, a) = partial_a g_ij
-    d2: np.ndarray  # (p, d, d, a, b)
+    d2: np.ndarray  # (p, d, d, a, b); on a chunk (p, t, a, b), t as np.triu_indices(d)
     inverse: np.ndarray  # (p, d, d)
     dinverse: np.ndarray  # (p, a, d, d) = partial_a g^ij
 
 
-def metric_jets(model: ManifoldModel, points, order: int, vs=None) -> ArrayJet:
-    """The metric's jets on a block of points ``(N, d)``, shape ``(N, d, d)``:
-    the upper triangle evaluated, then mirrored. The domain check runs on
-    the block (:func:`guards_pass`) and raises for the first failing point;
-    there is no positive-definiteness gate. ``vs`` are the points' coordinate
-    jets of :func:`jets.seed_block` at ``order``, where the caller has them."""
-    if vs is None:
-        vs = seed_block(points, order=order)
+def _metric_triangle(model: ManifoldModel, points, vs) -> ArrayJet:
+    """The jets of the metric's upper triangle on a block of points ``(N,
+    d)``, shape ``(N, t)`` with ``t`` in the order of ``np.triu_indices(d)``,
+    after the block's domain check (:func:`guards_pass`), which raises for
+    the first failing point."""
     pts = np.asarray(points, dtype=float)
     dim = pts.shape[1]
     d = model.dim
@@ -197,22 +200,50 @@ def metric_jets(model: ManifoldModel, points, order: int, vs=None) -> ArrayJet:
                 f"point {pts[np.argmin(inside)].tolist()} outside domain of model {model.name!r}"
             )
     rows, cols = np.triu_indices(d)
-    upper = model_jets([model.metric[i][j] for i, j in zip(rows, cols)], vs)
-    # entry (i, j) of the metric is entry (min(i, j), max(i, j)) of the triangle
+    return model_jets([model.metric[i][j] for i, j in zip(rows, cols)], vs)
+
+
+@functools.cache
+def _slots(d: int) -> np.ndarray:
+    """The index of entry (min(i, j), max(i, j)) of the upper triangle in
+    ``np.triu_indices(d)`` order, at (i, j) of a read-only d x d array."""
+    rows, cols = np.triu_indices(d)
     slot = np.zeros((d, d), dtype=int)
     slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
-    value, gradient = np.take(upper.value, slot, axis=1), np.take(upper.gradient, slot, axis=1)
-    hessian = None if upper.hessian is None else np.take(upper.hessian, slot, axis=1)
-    return ArrayJet(value, gradient, hessian)
+    slot.flags.writeable = False
+    return slot
+
+
+def _mirror(upper: np.ndarray, d: int) -> np.ndarray:
+    """A ``(N, t, ...)`` array of the upper triangle's entries as ``(N, d, d,
+    ...)``: entry (i, j) is entry (min(i, j), max(i, j)) of the triangle."""
+    return np.take(upper, _slots(d), axis=1)
+
+
+def metric_jets(model: ManifoldModel, points, order: int, vs=None) -> ArrayJet:
+    """The metric's jets on a block of points ``(N, d)``, shape ``(N, d, d)``:
+    the upper triangle evaluated, then mirrored. The domain check runs on
+    the block (:func:`guards_pass`) and raises for the first failing point;
+    there is no positive-definiteness gate. ``vs`` are the points' coordinate
+    jets of :func:`jets.seed_block` at ``order``, where the caller has them."""
+    if vs is None:
+        vs = seed_block(points, order=order)
+    upper = _metric_triangle(model, points, vs)
+    d = model.dim
+    hessian = None if upper.hessian is None else _mirror(upper.hessian, d)
+    return ArrayJet(_mirror(upper.value, d), _mirror(upper.gradient, d), hessian)
 
 
 def metric_at(model: ManifoldModel, points, vs=None) -> MetricData:
-    """The metric jets of :func:`metric_jets` at order 2 on a block of
-    points, gated: the positive-definiteness check runs for every point and
-    raises for the first failing one. A metric with an entry that is not
-    finite fails it, and so does a NaN eigenvalue."""
-    g = metric_jets(model, points, 2, vs)
-    value, d1 = g.value, g.gradient
+    """The metric to second order on a chunk of points, gated: the
+    positive-definiteness check runs for every point and raises for the
+    first failing one. A metric with an entry that is not finite fails it,
+    and so does a NaN eigenvalue. ``d2`` holds the second partials of the
+    upper triangle; ``vs`` as for :func:`metric_jets` at order 2."""
+    if vs is None:
+        vs = seed_block(points, order=2)
+    upper = _metric_triangle(model, points, vs)
+    value, d1 = _mirror(upper.value, model.dim), _mirror(upper.gradient, model.dim)
     finite = np.isfinite(value).all(axis=(1, 2))
     # eigvalsh cannot take inf; a zero matrix in its place fails the gate
     low = np.linalg.eigvalsh(np.where(finite[:, None, None], value, 0.0))[:, 0]
@@ -226,7 +257,7 @@ def metric_at(model: ManifoldModel, points, vs=None) -> MetricData:
         )
     inverse = np.linalg.inv(value)
     dinverse = _dinverse(inverse, d1)
-    return MetricData(value=value, d1=d1, d2=g.hessian, inverse=inverse, dinverse=dinverse)
+    return MetricData(value=value, d1=d1, d2=upper.hessian, inverse=inverse, dinverse=dinverse)
 
 
 def _dinverse(inverse: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -242,31 +273,50 @@ def _dinverse(inverse: np.ndarray, d1: np.ndarray) -> np.ndarray:
     return np.negative(sums, out=sums)
 
 
+class ChunkConnection(NamedTuple):
+    """The connection on a chunk of points, to the arrays of at most d^3
+    entries a point (:func:`christoffel_at`)."""
+
+    metric: MetricData  # d2 of the upper triangle
+    w: np.ndarray  # (p, l, i, j) = d_i g_jl + d_j g_il - d_l g_ij
+    gamma: np.ndarray  # (p, k, i, j)
+
+
 class ConnectionData(NamedTuple):
     metric: MetricData
     gamma: np.ndarray  # (p, k, i, j)
     dgamma: np.ndarray  # (p, k, i, j, a)
 
 
-def christoffel_at(model: ManifoldModel, points, vs=None) -> ConnectionData:
-    """Christoffel symbols and their partials on a block of points; ``vs``
-    as for :func:`metric_jets` at order 2."""
+def christoffel_at(model: ManifoldModel, points, vs=None) -> ChunkConnection:
+    """Christoffel symbols on a chunk of points; ``vs`` as for
+    :func:`metric_jets` at order 2."""
     g = metric_at(model, points, vs)
     # w[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; the permutations are
-    # views of d1 and d2, and each sum is accumulated in place, left to right
+    # views of d1, and the sum is accumulated in place, left to right
     w = np.einsum("pjli->plij", g.d1) + np.einsum("pilj->plij", g.d1)
     w -= np.einsum("pijl->plij", g.d1)
     gamma = 0.5 * np.einsum("pkl,plij->pkij", g.inverse, w)
-    dw = np.einsum("pjlia->plija", g.d2) + np.einsum("pilja->plija", g.d2)
-    dw -= np.einsum("pijla->plija", g.d2)
-    dgamma = np.einsum("pakl,plij->pkija", g.dinverse, w)
+    return ChunkConnection(metric=g, w=w, gamma=gamma)
+
+
+def connection_block(chunk: ChunkConnection, rows=slice(None)) -> ConnectionData:
+    """The connection with its partials on the block ``rows`` of a chunk:
+    the metric's second partials mirrored, and the partials of the
+    Christoffel symbols."""
+    g = chunk.metric
+    d2 = _mirror(g.d2[rows], g.value.shape[1])
+    metric = MetricData(g.value[rows], g.d1[rows], d2, g.inverse[rows], g.dinverse[rows])
+    # each sum of views of d2 is accumulated in place, left to right
+    dw = np.einsum("pjlia->plija", d2) + np.einsum("pilja->plija", d2)
+    dw -= np.einsum("pijla->plija", d2)
+    dgamma = np.einsum("pakl,plij->pkija", metric.dinverse, chunk.w[rows])
     dgamma *= 0.5
-    del w
-    term = np.einsum("pkl,plija->pkija", g.inverse, dw)
+    term = np.einsum("pkl,plija->pkija", metric.inverse, dw)
     del dw
     term *= 0.5
     dgamma += term
-    return ConnectionData(metric=g, gamma=gamma, dgamma=dgamma)
+    return ConnectionData(metric=metric, gamma=chunk.gamma[rows], dgamma=dgamma)
 
 
 class CurvatureData(NamedTuple):
@@ -277,7 +327,7 @@ class CurvatureData(NamedTuple):
 def riemann_at(model: ManifoldModel, coords) -> CurvatureData:
     """Curvature on the block of the one point ``coords``."""
     points = np.asarray(coords, dtype=float)[None]
-    return curvature_from_connection(christoffel_at(model, points))
+    return curvature_from_connection(connection_block(christoffel_at(model, points)))
 
 
 def curvature_from_connection(conn: ConnectionData) -> CurvatureData:

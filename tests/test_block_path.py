@@ -1,14 +1,18 @@
 """The block path against one-point evaluation.
 
 Every stage runs once per block of points, from a plain space form's
-total-space data to the theorem scans. Every array of a block's records,
-sliced at a point, and the point's rows of a block's theorem tables, must
-equal, bit for bit, the block of that point alone, whatever the size of
-the block and the order of its points, and an error at a point must be the
-one the first failing point alone raises.
+total-space data to the theorem scans; a plain space form's run makes its
+metric, connection and contact data once per chunk of points and the rest
+once per block of a chunk. Every array of a block's records, sliced at a
+point, and the point's rows of a block's theorem tables, must equal, bit
+for bit, the block of that point alone, whatever the size of the block and
+the order of its points; a plain space form's summary must be the same
+however its points are cut into chunks; and an error at a point must be
+the one the first failing point alone raises.
 """
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from slices import scan_tables
-from oneill_lab.cli import _maxima, _space_form_summary, resolve_model
-from oneill_lab.contact import build_r2m1, space_form_data
+from oneill_lab import cli
+from oneill_lab.cli import _maxima, _space_form_chunk_summary, _space_form_summary, resolve_model
+from oneill_lab.contact import build_r2m1, space_form_block, space_form_chunk, space_form_data
 from oneill_lab.errors import DegenerateFrameError
 from oneill_lab.invariants import analyze_point, identity_residuals
 from oneill_lab.jets import ArrayJet
@@ -112,7 +117,18 @@ def test_block_arrays_at_a_point_equal_its_block_of_one(model, seed, size, data)
 
 def _full_block(d):
     """The number of points of a total-space block of ``point_blocks``."""
-    return len(next(point_blocks(range(1000), d)))
+    return len(next(point_blocks(range(2000), d)))
+
+
+def _full_chunk(d):
+    """The number of points of a plain space form's chunk."""
+    return len(next(point_blocks(range(2000), d, 3)))
+
+
+def test_chunks_and_blocks_are_256_kib():
+    # d^3 entries a point in a chunk, d^4 in a block, at most 32768 each
+    sizes = {d: (_full_chunk(d), _full_block(d)) for d in (3, 5, 7, 9)}
+    assert sizes == {3: (1213, 404), 5: (262, 52), 7: (95, 13), 9: (44, 4)}
 
 
 def _assert_space_form_block_of_ones(m, pts):
@@ -160,6 +176,89 @@ def test_space_form_block_at_a_point_equals_its_block_of_one(m, seed, data):
 def test_full_space_form_block_equals_its_blocks_of_one(m, past):
     pts = _space_form_sample(m, _full_block(2 * m + 1) + past, 7)
     _assert_space_form_block_of_ones(m, pts[::-1])
+
+
+def _assert_chunk_summaries_agree(m, pts):
+    """A plain space form's summary of the points ``pts`` is the same, bit
+    for bit, taken as one chunk, as chunks of one point, under the default
+    chunks of ``point_blocks``, and as one block of ``space_form_data``."""
+    spec = build_r2m1(m)
+    whole = _space_form_chunk_summary(spec, pts)
+    ways = {
+        "ones": _maxima(_space_form_chunk_summary(spec, pt[None]) for pt in pts),
+        "chunks": _maxima(
+            _space_form_chunk_summary(spec, c) for c in point_blocks(pts, pts.shape[1], 3)
+        ),
+        "block": _space_form_summary(space_form_data(spec, pts)),
+    }
+    for way, summary in ways.items():
+        assert list(summary) == list(whole), way
+        assert {k: bits(v) for k, v in summary.items()} == {
+            k: bits(v) for k, v in whole.items()
+        }, way
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    m=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
+)
+def test_chunk_summary_is_that_of_any_cut(m, seed, data):
+    # any size up to one point past a chunk
+    size = data.draw(st.integers(min_value=1, max_value=_full_chunk(2 * m + 1) + 1))
+    _assert_chunk_summaries_agree(m, _space_form_sample(m, size, seed))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_chunk_summary_one_point_past_a_chunk(m):
+    _assert_chunk_summaries_agree(m, _space_form_sample(m, _full_chunk(2 * m + 1) + 1, 7))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_blocks_of_a_chunk_are_the_blocks_of_their_points(m):
+    # every array of the block stage on rows of a chunk equals that of
+    # space_form_data on the rows' points, in bits and in strides
+    spec = build_r2m1(m)
+    d = 2 * m + 1
+    pts = _space_form_sample(m, _full_chunk(d), 3)
+    chunk = space_form_chunk(spec, pts)
+    blocks = list(point_blocks(range(len(pts)), d))
+    assert len(blocks) > 1
+    for rows in blocks:
+        got = list(_arrays(space_form_block(spec, chunk, slice(rows.start, rows.stop))))
+        want = list(_arrays(space_form_data(spec, pts[rows.start : rows.stop])))
+        assert [path for path, _ in got] == [path for path, _ in want]
+        for (path, a), (_, b) in zip(got, want):
+            assert a.shape == b.shape and a.strides == b.strides, path
+            assert bits(a) == bits(b), path
+
+
+# A chunk's summary peaks at about 3.8 MiB of arrays at d = 5, 7 and 9; one
+# whose blocks were as large as itself would peak at 8.7-14.3 MiB.
+_CHUNK_PEAK_BYTES = 5 << 20
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["blocks", "one-block"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_chunk_summary_peak_memory(monkeypatch, m, whole):
+    """The tracemalloc peak of one full chunk's summary stays below 5 MiB;
+    with the chunk's blocks cut as large as the chunk, it does not."""
+    if whole:
+        cut = cli.point_blocks
+        monkeypatch.setattr(
+            cli, "point_blocks", lambda pts, d, power: [pts] if power == 4 else cut(pts, d, power)
+        )
+    spec = build_r2m1(m)
+    pts = _space_form_sample(m, _full_chunk(2 * m + 1), 42)
+    _space_form_chunk_summary(spec, pts)
+    tracemalloc.start()
+    try:
+        _space_form_chunk_summary(spec, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak < _CHUNK_PEAK_BYTES) != whole, peak
 
 
 def _field_bits(value):

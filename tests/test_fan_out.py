@@ -18,7 +18,12 @@ import pytest
 from oneill_lab import cli, fanout, theorems
 from oneill_lab.cli import main
 from oneill_lab.contact import build_r2m1, space_form_data
-from oneill_lab.errors import DegenerateFrameError, DegenerateMetricError
+from oneill_lab.errors import (
+    DegenerateFrameError,
+    DegenerateMetricError,
+    SingularEvaluationError,
+)
+from oneill_lab.jets import ArrayJet
 from oneill_lab.riemannian import point_blocks
 from oneill_lab.sampling import SampleConfig, sample_model_points
 from oneill_lab.theorems import TheoremTable
@@ -84,16 +89,18 @@ def _points(count):
 
 
 def _map_points(fn, pts):
-    return cli._map_blocks(fn, pts, 4, 7**4, cli._MIN_ENTRIES_PER_WORKER)
+    """``_map_blocks`` as a plain space form's run calls it: chunks of
+    points (``point_blocks`` at power 3) of d^4 curvature entries each."""
+    return cli._map_blocks(fn, pts, 3, 7**4, cli._MIN_ENTRIES_PER_WORKER)
 
 
 def _first(start, block):
     return start, int(block[0, 0]), len(block), os.getpid()
 
 
-def _starts(ranges, size=27):
-    """The first point of each block: ``point_blocks`` cuts each range of
-    points in R^7 into blocks of 27."""
+def _starts(ranges, size=95):
+    """The first point of each chunk: ``point_blocks`` cuts each range of
+    points in R^7 into chunks of 95."""
     return [i for a, b in ranges for i in range(a, b, size)]
 
 
@@ -124,8 +131,8 @@ class TestMapBlocks:
         points = 10 * tens
         got = _map_points(_first, _points(points))
         starts = _starts([(0, points)])
-        blocks = list(point_blocks(_points(points), 7))
-        assert got == [(i, i, len(b), os.getpid()) for i, b in zip(starts, blocks, strict=True)]
+        chunks = list(point_blocks(_points(points), 7, 3))
+        assert got == [(i, i, len(b), os.getpid()) for i, b in zip(starts, chunks, strict=True)]
         assert forks == []
 
     def test_usable_cpus_is_the_affinity_mask(self):
@@ -164,19 +171,20 @@ def _sample(m, points=400, seed=42):
 
 class TestWorkerFailures:
     """r2m1:3 on 400 points: cut at point 200, so points 0-199 are this
-    process's and 200-399 a worker's, each range in 8 blocks of 27 points
-    (the last of 11)."""
+    process's and 200-399 a worker's, each range in 3 chunks of 95 points
+    (the last of 10), each chunk in blocks of 13 points."""
 
     def _failing_at(self, monkeypatch, rows):
         bad = _sample(3)[rows]
+        summary = cli._space_form_chunk_summary
 
-        def fails(spec, block):
+        def fails(spec, chunk):
             for row in bad:
-                if (block == row).all(axis=1).any():
+                if (chunk == row).all(axis=1).any():
                     raise DegenerateMetricError(f"refused the point {row.tolist()}")
-            return space_form_data(spec, block)
+            return summary(spec, chunk)
 
-        monkeypatch.setattr(cli, "space_form_data", fails)
+        monkeypatch.setattr(cli, "_space_form_chunk_summary", fails)
 
     def _run(self, tmp_path, monkeypatch, capsys, cpus):
         _cpus(monkeypatch, cpus)
@@ -203,8 +211,9 @@ class TestWorkerFailures:
     def test_cut_is_where_the_docstring_says(self, monkeypatch):
         _cpus(monkeypatch, 2)
         assert fanout.split(400, 400 * 7**4, cli._MIN_ENTRIES_PER_WORKER) == [(0, 200), (200, 400)]
-        blocks = list(point_blocks(_sample(3)[:200], 7))
-        assert [len(b) for b in blocks] == [27] * 7 + [11]
+        chunks = list(point_blocks(_sample(3)[:200], 7, 3))
+        assert [len(c) for c in chunks] == [95, 95, 10]
+        assert [len(b) for b in point_blocks(chunks[0], 7)] == [13] * 7 + [4]
 
     def test_killed_worker_part_is_recomputed(self, tmp_path, monkeypatch, capsys):
         _cpus(monkeypatch, 1)
@@ -212,21 +221,22 @@ class TestWorkerFailures:
         assert code == 0
         parent = os.getpid()
         here = []
+        summary = cli._space_form_chunk_summary
 
-        def dies_in_a_worker(spec, block):
+        def dies_in_a_worker(spec, chunk):
             if os.getpid() != parent:
                 os.kill(os.getpid(), SIGKILL)
-            here.append(len(block))
-            return space_form_data(spec, block)
+            here.append(len(chunk))
+            return summary(spec, chunk)
 
-        monkeypatch.setattr(cli, "space_form_data", dies_in_a_worker)
+        monkeypatch.setattr(cli, "_space_form_chunk_summary", dies_in_a_worker)
         _cpus(monkeypatch, 2)
         code, got = _verify(tmp_path, "forked", 3, 42)
         capsys.readouterr()
         assert code == 0
         assert got.read_bytes() == want.read_bytes()
-        # this process evaluated its own 8 blocks and then the worker's 8
-        assert here == ([27] * 7 + [11]) * 2
+        # this process evaluated its own 3 chunks and then the worker's 3
+        assert here == [95, 95, 10] * 2
 
     def test_worker_that_cannot_be_forked_has_its_part_done_here(
         self, tmp_path, monkeypatch, capsys
@@ -284,7 +294,7 @@ class TestWorkerFailures:
 
 def test_points_per_block_bound_the_forked_sweep(monkeypatch):
     # the sweep's d = 3 and 5 samples stay in one process, d = 7 and 9 fork
-    # at point 200, and each range is cut into blocks
+    # at point 200, and each range is cut into chunks
     _cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     ranges = _record_ranges(monkeypatch)
@@ -292,23 +302,23 @@ def test_points_per_block_bound_the_forked_sweep(monkeypatch):
     for m in (1, 2, 3, 4):
         d = 2 * m + 1
         before = len(forks)
-        lens = cli._map_blocks(lambda start, b: len(b), _sample(m), 4, d**4,
+        lens = cli._map_blocks(lambda start, b: len(b), _sample(m), 3, d**4,
                                cli._MIN_ENTRIES_PER_WORKER)
         sizes[m] = (ranges[-1], len(lens), lens[0], lens[-1])
         forked[m] = len(forks) - before
     halves = [(0, 200), (200, 400)]
     assert sizes == {
         1: ([(0, 400)], 1, 400, 400),
-        2: ([(0, 400)], 4, 104, 88),
-        3: (halves, 16, 27, 11),
-        4: (halves, 46, 9, 2),
+        2: ([(0, 400)], 2, 262, 138),
+        3: (halves, 6, 95, 10),
+        4: (halves, 10, 44, 24),
     }
     assert forked == {1: 0, 2: 0, 3: 1, 4: 1}
 
 
 def test_verify_at_700_points_cuts_at_point_350(tmp_path, monkeypatch, capsys):
     # r2m1:2 (d = 5) at 700 points holds 437,500 curvature entries, two
-    # workers' worth; the cut halves the points, not the 7 blocks of 104
+    # workers' worth; the cut halves the points, not the 3 chunks of 262
     _cpus(monkeypatch, 1)
     code, want = _verify(tmp_path, "one", 2, 42, points=700)
     assert code == 0
@@ -489,8 +499,9 @@ class TestForkedScans:
 class TestErrorOrder:
     """Where two blocks fail at different stages, the run reports the first
     failing block in sample order, whatever its stage; and a scan is
-    planned, its ids checked, before any point is evaluated. One process
-    and two agree."""
+    planned, its ids checked, before any point is evaluated. Within one
+    chunk of a plain space form the stages run in order, each over the
+    whole chunk. One process and two agree."""
 
     def _run(self, tmp_path, monkeypatch, capsys, argv):
         results = []
@@ -536,4 +547,58 @@ class TestErrorOrder:
         argv = ["theorems", "--theorems", "V1,V3"]
         assert self._run(tmp_path, monkeypatch, capsys, argv) == (
             2, "error: V3 needs a model with the Reeb field horizontal, got vertical\n", False
+        )
+
+
+def _at(point):
+    """A test of whether a point is in the block of coordinate jets ``vs``."""
+    return lambda vs: np.all([v.value == x for v, x in zip(vs, point)], axis=0)
+
+
+@pytest.mark.parametrize(
+    "contact_row, metric_row, named",
+    [(100, 150, 150), (300, 350, 350), (50, 150, 50), (150, 300, 150)],
+    ids=["one-chunk", "one-chunk-of-the-worker", "two-chunks", "two-ranges"],
+)
+def test_a_chunk_fails_stage_by_stage(
+    tmp_path, monkeypatch, capsys, contact_row, metric_row, named
+):
+    # on r2m1:3 at 400 points, a phi entry raises at one point (the contact
+    # stage) and the metric is not positive definite at a later one (its
+    # gate, an earlier stage): where both points are in one chunk (points
+    # 95-189 and 295-389), the gate's point is named; else the first point
+    pts = _sample(3)
+    spec = build_r2m1(3)
+    contact_at, metric_at = _at(pts[contact_row]), _at(pts[metric_row])
+
+    def zz(vs):  # g_zz: 1/4, or -1 at the metric's point
+        n, d = vs[0].gradient.shape
+        value = np.where(metric_at(vs), -1.0, 0.25)
+        return ArrayJet(value, np.zeros((n, d)), np.zeros((n, d, d)))
+
+    def phi_xy(vs):  # phi entry (0, 3): 1, but raises at the contact's point
+        if contact_at(vs).any():
+            raise SingularEvaluationError(f"refused the point {pts[contact_row].tolist()}")
+        return 1.0
+
+    metric = [list(row) for row in spec.model.metric]
+    metric[6][6] = zz
+    phi = [list(row) for row in spec.phi]
+    phi[0][3] = phi_xy
+    bad = spec._replace(model=spec.model._replace(metric=metric), phi=phi)
+    monkeypatch.setattr(cli, "build_r2m1", lambda m: bad)
+    results = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        code, out = _verify(tmp_path, f"cpus{cpus}", 3, 42)
+        results.append((code, capsys.readouterr().err, out.exists()))
+    assert results[0] == results[1]
+    code, err, written = results[0]
+    assert (code, written) == (7, False)
+    if named == contact_row:
+        assert err == f"error: SingularEvaluationError: refused the point {pts[named].tolist()}\n"
+    else:
+        assert err.startswith(
+            "error: DegenerateMetricError: metric of 'r7_c-3' not positive definite at "
+            f"{pts[named].tolist()}: min eigenvalue -"
         )

@@ -32,6 +32,7 @@ RECORDS = (
     "cli.RunConfig",
     "contact.ContactData",
     "contact.SasakianSpaceFormSpec",
+    "contact.SpaceFormChunk",
     "contact.SpaceFormData",
     "invariants.PointAnalysis",
     "jets.JetPoint",
@@ -40,6 +41,7 @@ RECORDS = (
     "riemannian.VectorField",
     "riemannian.ManifoldModel",
     "riemannian.MetricData",
+    "riemannian.ChunkConnection",
     "riemannian.ConnectionData",
     "riemannian.CurvatureData",
     "sampling.SampleConfig",

@@ -16,6 +16,7 @@ from oneill_lab.jets import jet_eval, seed_block
 from oneill_lab.riemannian import (
     ManifoldModel,
     christoffel_at,
+    connection_block,
     metric_at,
     model_jets,
     pair_r4,
@@ -245,7 +246,7 @@ def test_christoffel_matches_fd_assembly():
 def test_dgamma_matches_fd():
     m = bumpy_model()
     pt = np.array([0.4, -0.3, 0.8])
-    conn = christoffel_at(m, [pt])
+    conn = connection_block(christoffel_at(m, [pt]))
     h = 1e-5
     for a in range(3):
         up, dn = pt.copy(), pt.copy()
@@ -598,7 +599,7 @@ def _same_bits_but_nan_signs(got, want) -> bool:
 
 
 # At d >= 9 a block of 400 points would make arrays of more than 16 MiB;
-# the pipeline's own total-space blocks stay at 512 KiB (``point_blocks``).
+# the pipeline's own total-space blocks stay at 256 KiB (``point_blocks``).
 _MAX_ENTRIES = 1 << 21
 
 
